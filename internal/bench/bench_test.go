@@ -13,7 +13,6 @@ import (
 	"specmine/internal/episode"
 	"specmine/internal/iterpattern"
 	"specmine/internal/rules"
-	"specmine/internal/seqdb"
 	"specmine/internal/seqpattern"
 	"specmine/internal/store"
 	"specmine/internal/stream"
@@ -236,7 +235,7 @@ func BenchmarkVerify(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, r := range ruleSet {
-					if _, err := verify.CheckRule(db, r); err != nil {
+					if _, err := baseline.CheckRule(db, r); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -260,47 +259,6 @@ func BenchmarkBuildIndex(b *testing.B) {
 			_ = seqdbBuildMap(db)
 		}
 	})
-}
-
-// BenchmarkPlannedCheck prices the stats-driven planner against the online
-// automaton on the clustered oocore fixture's eager database: the selective
-// rule set touches one cluster of 24, so the planned path answers almost
-// every (rule, trace) pair from a single presence probe.
-func BenchmarkPlannedCheck(b *testing.B) {
-	for _, c := range OocoreCases() {
-		dir := b.TempDir()
-		if _, err := c.BuildStore(dir); err != nil {
-			b.Fatal(err)
-		}
-		st, err := store.Open(c.OpenOptions(dir))
-		if err != nil {
-			b.Fatal(err)
-		}
-		db := st.Recovered().Database(st.Dict())
-		db.FlatIndex()
-		selective := c.SelectiveRules(db)
-		if err := st.Close(); err != nil {
-			b.Fatal(err)
-		}
-		engine, err := verify.NewEngine(selective)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(c.Name+"/unplanned", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				_ = engine.Check(db)
-			}
-		})
-		b.Run(c.Name+"/planned", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.CheckWhere(db, selective, core.Where{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // --- BENCH_mining.json trajectory (schema v8) ------------------------------
@@ -479,30 +437,6 @@ type oocoreTrajectoryCase struct {
 	PeakCacheBytes    int64   `json:"peak_cache_bytes"`
 }
 
-// plannerTrajectoryCase is one stats-driven planner row (schema v8): the
-// selective cluster-0 rule set of the oocore fixture checked through the
-// planned path (selectivity-ordered descent, premise gating, consequent
-// short-circuiting) against the unplanned online automaton over the same
-// eager database, plus one predicated CheckStoreWhere sweep that pushes the
-// cluster-0 predicate into the segment catalog. The gate counters come from
-// one instrumented planned run; benchguard's planner floor asserts the
-// speedup live rather than trusting this row.
-type plannerTrajectoryCase struct {
-	Name              string  `json:"name"`
-	Rules             int     `json:"rules"`
-	Traces            int     `json:"traces"`
-	UnplannedNsPerOp  int64   `json:"unplanned_ns_per_op"`
-	PlannedNsPerOp    int64   `json:"planned_ns_per_op"`
-	Speedup           float64 `json:"speedup"`
-	TracesSkipped     int64   `json:"traces_skipped"`
-	RuleTraceGates    int64   `json:"rule_trace_gates"`
-	ShortCircuits     int64   `json:"consequent_short_circuits"`
-	GatesPerTrace     float64 `json:"gates_per_trace"`
-	CheckWhereNsPerOp int64   `json:"checkwhere_ns_per_op"`
-	SegmentsPruned    int     `json:"segments_pruned"`
-	SegmentsTotal     int     `json:"segments_total"`
-}
-
 type trajectory struct {
 	Schema          string                     `json:"schema"`
 	Generator       string                     `json:"generator"`
@@ -517,7 +451,6 @@ type trajectory struct {
 	StreamCases     []streamTrajectoryCase     `json:"stream_cases"`
 	StoreCases      []storeTrajectoryCase      `json:"store_cases"`
 	OocoreCases     []oocoreTrajectoryCase     `json:"oocore_cases"`
-	PlannerCases    []plannerTrajectoryCase    `json:"planner_cases"`
 }
 
 // benchOnce measures one case best-of-3: a single testing.Benchmark sample
@@ -761,7 +694,7 @@ func TestWriteBenchTrajectory(t *testing.T) {
 		perRule := benchOnce(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, r := range ruleSet {
-					if _, err := verify.CheckRule(db, r); err != nil {
+					if _, err := baseline.CheckRule(db, r); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -1014,62 +947,6 @@ func TestWriteBenchTrajectory(t *testing.T) {
 			t.Logf("%s: oocore %v ns/op vs in-memory %v ns/op (%.2fx), skip %.2f, %d bodies opened",
 				oc.Name, oc.OocoreNsPerOp, oc.InMemoryNsPerOp, oc.OocoreVsInMemory, oc.SelectiveSkipRate, oc.BodiesOpened)
 		}
-
-		// Planner rows: the same selective rule set through the unplanned
-		// online automaton and the planned, statistics-gated descent over the
-		// eager database, then a predicated CheckStoreWhere sweep over the
-		// lazy store. The planned path must win on this fixture — every
-		// foreign cluster's (rule, trace) pairs gate on the first probe.
-		engine, err := verify.NewEngine(selective)
-		if err != nil {
-			t.Fatal(err)
-		}
-		unplanned := benchOnce(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = engine.Check(db)
-			}
-		})
-		planned := benchOnce(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.CheckWhere(db, selective, core.Where{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		_, rep, err := core.CheckWhere(db, selective, core.Where{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		where := core.Where{HasAll: []seqdb.EventID{c.EventBase(db.Dict, 0)}}
-		_, _, ex, err := core.CheckStoreWhere(lazy, selective, where, core.OutOfCoreOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkWhere := benchOnce(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := core.CheckStoreWhere(lazy, selective, where, core.OutOfCoreOptions{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		pc := plannerTrajectoryCase{
-			Name:              c.Name + "/selective",
-			Rules:             len(selective),
-			Traces:            traces,
-			UnplannedNsPerOp:  unplanned.NsPerOp(),
-			PlannedNsPerOp:    planned.NsPerOp(),
-			Speedup:           round2(float64(unplanned.NsPerOp()) / float64(planned.NsPerOp())),
-			TracesSkipped:     rep.Metrics.TracesSkipped,
-			RuleTraceGates:    rep.Metrics.RuleTraceGates,
-			ShortCircuits:     rep.Metrics.ConsequentShortCircuits,
-			GatesPerTrace:     round2(float64(rep.Metrics.RuleTraceGates) / float64(traces)),
-			CheckWhereNsPerOp: checkWhere.NsPerOp(),
-			SegmentsPruned:    ex.SegmentsPruned,
-			SegmentsTotal:     ex.SegmentsTotal,
-		}
-		out.PlannerCases = append(out.PlannerCases, pc)
-		t.Logf("%s: planned %v ns/op vs unplanned %v ns/op (%.2fx), %d gates, CheckWhere %v ns/op pruning %d/%d segments",
-			pc.Name, pc.PlannedNsPerOp, pc.UnplannedNsPerOp, pc.Speedup, pc.RuleTraceGates, pc.CheckWhereNsPerOp, pc.SegmentsPruned, pc.SegmentsTotal)
 
 		if err := lazy.Close(); err != nil {
 			t.Fatal(err)

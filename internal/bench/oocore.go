@@ -113,7 +113,11 @@ func (c OocoreCase) BuildStore(dir string) (int64, error) {
 				c.EventBase(st.Dict(), j)
 			}
 		}
-		ing, err := stream.Open(stream.Config{FlushBatch: 64, Store: st})
+		// A flush batch larger than the cluster means no seal barrier fires
+		// mid-cluster, so no segment is published with half a cluster in it:
+		// the whole cluster stays in the WAL until the next open rolls it into
+		// exactly one segment.
+		ing, err := stream.Open(stream.Config{FlushBatch: c.PerCluster + 1, Store: st})
 		if err != nil {
 			st.Close()
 			return 0, err
@@ -142,7 +146,8 @@ func (c OocoreCase) BuildStore(dir string) (int64, error) {
 		}
 	}
 	// One more open canonicalises the last cluster's WAL tail, and proves the
-	// layout the benchmarks depend on actually materialised.
+	// layout the benchmarks depend on actually materialised: one segment per
+	// cluster, no more (a split cluster) and no fewer (a merge).
 	st, err := store.Open(c.OpenOptions(dir))
 	if err != nil {
 		return 0, err
@@ -151,8 +156,8 @@ func (c OocoreCase) BuildStore(dir string) (int64, error) {
 	if err := st.Close(); err != nil {
 		return 0, err
 	}
-	if nsegs < c.Clusters {
-		return 0, fmt.Errorf("oocore fixture: %d segments for %d clusters — cluster purity lost", nsegs, c.Clusters)
+	if nsegs != c.Clusters {
+		return 0, fmt.Errorf("oocore fixture: %d segments for %d clusters — one segment per cluster lost", nsegs, c.Clusters)
 	}
 	return decoded, nil
 }

@@ -54,7 +54,7 @@ func TestOocoreFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lazy.Close()
-	if got := len(lazy.Segments()); got < c.Clusters {
+	if got := len(lazy.Segments()); got != c.Clusters {
 		t.Fatalf("%d segments for %d clusters", got, c.Clusters)
 	}
 

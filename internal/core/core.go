@@ -289,11 +289,10 @@ func RuleToLTL(dict *Dictionary, rule Rule) (string, error) {
 // DescribeRule returns the English reading of a rule's LTL formula (Table 1
 // style).
 func DescribeRule(dict *Dictionary, rule Rule) (string, error) {
-	f, err := ltl.FromRule(rule.Pre, rule.Post)
-	if err != nil {
+	if _, err := ltl.FromRule(rule.Pre, rule.Post); err != nil {
 		return "", err
 	}
-	return ltl.Describe(f, dict), nil
+	return ltl.DescribeRule(rule.Pre, rule.Post, dict), nil
 }
 
 // Verifier is a rule set compiled for batched conformance checking: the

@@ -173,7 +173,7 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 	for _, name := range []string{
 		"stream_ingest_ns_count", "stream_flush_ns_count",
-		"verify_traces_checked", "verify_probes_issued",
+		"verify_traces_checked", "verify_segments_checked",
 		"cache_resident_bytes", "cache_peak_bytes", "store_health_state",
 	} {
 		if _, ok := sums[name]; !ok {
@@ -294,9 +294,6 @@ func TestRegistryCounterEquivalence(t *testing.T) {
 		{"verify.traces_skipped", stats.Verify.TracesSkipped},
 		{"verify.segments_checked", stats.Verify.SegmentsChecked},
 		{"verify.segments_skipped", stats.Verify.SegmentsSkipped},
-		{"verify.rule_trace_gates", stats.Verify.RuleTraceGates},
-		{"verify.consequent_short_circuits", stats.Verify.ConsequentShortCircuits},
-		{"verify.probes_issued", stats.Verify.ProbesIssued},
 		{"cache.hits", stats.CacheHits},
 		{"cache.misses", stats.CacheMisses},
 		{"cache.evictions", stats.CacheEvictions},
@@ -328,8 +325,7 @@ func TestRegistryCounterEquivalence(t *testing.T) {
 	}
 	for _, name := range []string{
 		"verify.traces_checked", "verify.traces_skipped",
-		"verify.rule_trace_gates", "verify.consequent_short_circuits",
-		"verify.probes_issued",
+		"verify.segments_checked", "verify.segments_skipped",
 	} {
 		if a, b := counterVal(t, regCheck, name), counterVal(t, regAgain, name); a != b {
 			t.Errorf("%s differs across identical runs: %d vs %d", name, a, b)

@@ -55,9 +55,9 @@ type OutOfCoreStats struct {
 	CacheEvictions int64
 	PeakCacheBytes int64
 
-	// Verify counts the verification work performed and avoided — per-trace
-	// skips, per-rule gates, consequent short-circuits, probes. Populated by
-	// the checking entry points only; mining leaves it zero.
+	// Verify counts the verification work performed and avoided — traces
+	// and segments checked versus answered from statistics. Populated by the
+	// checking entry points only; mining leaves it zero.
 	Verify verify.Metrics
 }
 
@@ -226,11 +226,9 @@ func MineStoreRules(st *TraceStore, opts RuleOptions, oo OutOfCoreOptions) (*Rul
 // segment — byte-identical to CheckRules over Recover of the same store. A
 // segment in which every rule has at least one premise event that provably
 // never occurs is answered from its statistics alone (each of its traces
-// satisfies every rule with zero temporal points), without decoding the body.
-// Decoded segments go through the statistics-driven planner: rules are gated
-// per trace by presence probes in rarest-first order, consequent-dead rules
-// are short-circuited, and traces every rule is gated on never touch position
-// data. The per-query work counters land in OutOfCoreStats.Verify.
+// satisfies every rule with zero temporal points), without decoding the body;
+// every other segment's traces go through the online automaton. The per-query
+// work counters land in OutOfCoreStats.Verify.
 func CheckStore(st *TraceStore, ruleSet []Rule, oo OutOfCoreOptions) (verify.Summary, *OutOfCoreStats, error) {
 	sum, stats, _, err := CheckStoreWhere(st, ruleSet, Where{}, oo)
 	return sum, stats, err
@@ -251,7 +249,7 @@ func CheckStoreWhere(st *TraceStore, ruleSet []Rule, where Where, oo OutOfCoreOp
 	if err != nil {
 		return verify.Summary{}, nil, nil, err
 	}
-	reports, ex, _, err := checkSegments(src, engine, where)
+	reports, ex, err := checkSegments(src, engine, where)
 	if err != nil {
 		return verify.Summary{}, nil, nil, err
 	}
@@ -261,25 +259,19 @@ func CheckStoreWhere(st *TraceStore, ruleSet []Rule, where Where, oo OutOfCoreOp
 	return verify.NewSummary(reports), ooStats, ex, nil
 }
 
-// segments is what the planned-check loop sweeps: an ordered run of trace
-// segments with exact per-event statistics, whose traces occupy consecutive
-// global ordinals. A store's sealed segments come through the cache
-// (segSource); an in-memory database is one always-resident segment
-// (residentSegment).
+// segments is what the check loop sweeps: an ordered run of trace segments
+// with exact per-event statistics, whose traces occupy consecutive global
+// ordinals. A store's sealed segments come through the cache (segSource); an
+// in-memory database is one always-resident segment (residentSegment).
 type segments interface {
-	// planStats supplies the global supports the planner orders probes by.
-	planStats() plan.Stats
 	numSegments() int
 	segmentTraces(i int) int
 	// segmentHas reports whether event e occurs in segment i (exact).
 	segmentHas(i int, e seqdb.EventID) bool
-	// pin returns segment i's index fragment (local ordinals from 0) and the
-	// function that releases it.
-	pin(i int) (*seqdb.PositionIndex, func(), error)
-}
-
-func (s *segSource) planStats() plan.Stats {
-	return plan.SupportStats{Sup: s.sup, Traces: s.numTraces}
+	// pin returns segment i's traces (local ordinals from 0), a function
+	// returning their index fragment (built on first use), and the function
+	// that releases both.
+	pin(i int) ([]seqdb.Sequence, func() *seqdb.PositionIndex, func(), error)
 }
 
 func (s *segSource) numSegments() int        { return len(s.stats) }
@@ -290,60 +282,54 @@ func (s *segSource) segmentHas(i int, e seqdb.EventID) bool {
 	return occ > 0
 }
 
-func (s *segSource) pin(i int) (*seqdb.PositionIndex, func(), error) {
+func (s *segSource) pin(i int) ([]seqdb.Sequence, func() *seqdb.PositionIndex, func(), error) {
 	sg, err := s.pool.Pin(i)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return sg.Fragment(), sg.Unpin, nil
+	return sg.Seqs, sg.Fragment, sg.Unpin, nil
 }
 
 // residentSegment is an in-memory database as a catalog of one segment that
 // is always resident, its statistics read off the flat index.
-type residentSegment struct{ idx *seqdb.PositionIndex }
+type residentSegment struct{ db *Database }
 
-func (r residentSegment) planStats() plan.Stats { return plan.IndexStats{Idx: r.idx} }
 func (r residentSegment) numSegments() int      { return 1 }
-func (r residentSegment) segmentTraces(int) int { return r.idx.NumSequences() }
+func (r residentSegment) segmentTraces(int) int { return r.db.NumSequences() }
 
 func (r residentSegment) segmentHas(_ int, e seqdb.EventID) bool {
-	return r.planStats().EventTraces(e) > 0
+	idx := r.db.FlatIndex()
+	return e >= 0 && int(e) < idx.NumEvents() && idx.EventSeqSupport(e) > 0
 }
 
-func (r residentSegment) pin(int) (*seqdb.PositionIndex, func(), error) {
-	return r.idx, func() {}, nil
+func (r residentSegment) pin(int) ([]seqdb.Sequence, func() *seqdb.PositionIndex, func(), error) {
+	return r.db.Sequences, r.db.FlatIndex, func() {}, nil
 }
 
-// checkSegments is the one planned-check loop behind CheckWhere, CheckStore
-// and CheckStoreWhere. Per segment, in ordinal order: where is pushed into
-// the catalog first (an ordinal-range miss or a required event the
-// statistics prove absent prunes the segment); a segment on which every rule
-// is statically dead is answered from its statistics; any other segment is
-// pinned, where is compiled over its fragment with ordinals made
-// segment-local, and the selected traces go through the planner with the
-// segment's statistics installed as hints. Violations carry global ordinals.
-// It returns the reports, the Explain (metrics, segment counts and the
-// selection of the first compiled segment, its estimate summed over every
-// compiled segment) and the number of traces where selected.
-func checkSegments(segs segments, engine *verify.Engine, where Where) ([]verify.RuleReport, *Explain, int, error) {
-	pl := plan.New(engine, segs.planStats())
+// checkSegments is the one check loop behind CheckWhere, CheckStore and
+// CheckStoreWhere. Per segment, in ordinal order: where is pushed into the
+// catalog first (an ordinal-range miss or a required event the statistics
+// prove absent prunes the segment); a segment on which every rule is
+// statically dead is answered from its statistics; any other segment is
+// pinned, where is compiled over it with ordinals made segment-local, and
+// every selected trace is fed event by event through one online Checker.
+// Violations carry global ordinals. It returns the reports and the Explain:
+// metrics (the traces where selected are those checked plus those skipped),
+// segment counts, and the selection of the first compiled segment with its
+// estimate summed over every compiled segment.
+func checkSegments(segs segments, engine *verify.Engine, where Where) ([]verify.RuleReport, *Explain, error) {
 	reports := engine.NewReports()
-	var (
-		run        *plan.Run // bound to the first decoded segment's fragment
-		metrics    verify.Metrics
-		sel        *plan.SelectionExplain
-		selected   int
-		segsPruned int
-		base       int
-	)
-	numSegs := segs.numSegments()
-	for i := 0; i < numSegs; i++ {
+	checker := engine.NewChecker()
+	ex := &Explain{SegmentsTotal: segs.numSegments()}
+	m := &ex.Metrics
+	base := 0
+	for i := 0; i < ex.SegmentsTotal; i++ {
 		n := segs.segmentTraces(i)
 		segBase := base
 		base += n
 		has := func(e seqdb.EventID) bool { return segs.segmentHas(i, e) }
 		if !segmentMaySelect(has, where, segBase, n) {
-			segsPruned++
+			ex.SegmentsPruned++
 			continue // predicate selects nothing here: contributes no reports
 		}
 		// Every rule statically dead: each selected trace satisfies every rule
@@ -353,46 +339,36 @@ func checkSegments(segs segments, engine *verify.Engine, where Where) ([]verify.
 		if !where.HasEventPredicates() && engine.SegmentSkippable(has) {
 			count := where.CountOrdinalMatches(segBase, n)
 			verify.AccountSkippedTraces(reports, count)
-			metrics.SegmentsSkipped++
-			metrics.TracesSkipped += int64(count)
-			segsPruned++
-			selected += count
+			m.SegmentsSkipped++
+			m.TracesSkipped += int64(count)
+			ex.SegmentsPruned++
 			continue
 		}
-		frag, unpin, err := segs.pin(i)
+		seqs, frag, unpin, err := segs.pin(i)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, nil, err
 		}
-		if run == nil {
-			run = pl.NewRun(frag)
-		} else {
-			run.Rebind(frag)
+		m.SegmentsChecked++
+		var idx *seqdb.PositionIndex
+		if where.HasEventPredicates() {
+			idx = frag() // only event predicates read the segment's postings
 		}
-		run.SetSegmentHints(has)
-		metrics.SegmentsChecked++
-		it, s := plan.CompileWhere(frag, where.Local(segBase))
-		if sel == nil {
-			sel = &s
+		it, sel := plan.CompileWhere(len(seqs), idx, where.Local(segBase))
+		if ex.Selection == nil {
+			ex.Selection = &sel
 		} else {
-			sel.EstTraces += s.EstTraces
+			ex.Selection.EstTraces += sel.EstTraces
 		}
 		for l := it.Next(); l >= 0; l = it.Next() {
-			run.CheckTrace(l, segBase+l, reports)
-			selected++
+			for _, ev := range seqs[l] {
+				checker.Advance(ev)
+			}
+			checker.Close(segBase+l, reports)
+			m.TracesChecked++
 		}
 		unpin()
 	}
-	if run != nil {
-		metrics.Merge(run.Metrics)
-	} else {
-		run = pl.NewRun(nil) // counters all zero; only Explain is read
-	}
-	ex := run.Explain()
-	ex.Metrics = metrics
-	ex.SegmentsTotal = numSegs
-	ex.SegmentsPruned = segsPruned
-	ex.Selection = sel
-	return reports, ex, selected, nil
+	return reports, ex, nil
 }
 
 // segmentMaySelect reports whether where can select any trace of a segment

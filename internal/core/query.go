@@ -6,55 +6,50 @@ import (
 	"specmine/internal/verify"
 )
 
-// Predicated (planned) queries: CheckWhere and MineWhere/MineRulesWhere run
+// Predicated queries: CheckWhere and MineWhere/MineRulesWhere run
 // verification and mining over the subset of traces a Where predicate
 // selects, compiled to lazy pull-based operators over the flat index — the
 // rarest required event's postings drive enumeration, the rest become
 // residual filters — instead of materialising candidate sets eagerly.
-// Checking additionally goes through the statistics-driven planner — the
-// same segment loop as CheckStoreWhere, with the database as one resident
-// segment — so every query returns a QueryReport with the verifier's work
-// counters and a renderable Explain.
+// Checking runs the same segment loop as CheckStoreWhere, with the database
+// as one resident segment, so every query returns a QueryReport with the
+// verifier's work counters and a renderable Explain.
 
 // Where selects traces for predicated queries; see plan.Where for the
 // predicate fields (required/optional events, trace-ordinal windows, explicit
 // ordinal lists). The zero value selects everything.
 type Where = plan.Where
 
-// Explain is the per-query plan report; see plan.Explain.
+// Explain is the per-query report; see plan.Explain.
 type Explain = plan.Explain
 
-// QueryReport carries the planner's introspection for one predicated query.
+// QueryReport carries the introspection for one predicated query.
 type QueryReport struct {
 	// Selected counts the traces the predicate admitted.
 	Selected int
 	// Metrics counts the verification work performed and avoided (zero for
 	// pure mining queries, which do not run the verifier).
 	Metrics verify.Metrics
-	// Explain is the full plan: probe orders, estimated versus actual
-	// selectivities, gating counters, selection operator. Render it with
-	// Explain.Render(db.Dict).
+	// Explain carries the selection operator, segment pruning and metrics.
+	// Render it with Explain.Render(db.Dict).
 	Explain *plan.Explain
 }
 
-// CheckWhere verifies ruleSet against the traces of db selected by where,
-// through the statistics-driven planner: premise descent is ordered by
-// postings selectivity, rules whose consequent cannot occur in a trace are
-// short-circuited, and traces on which every rule is gated are answered from
-// presence probes alone. Violations carry the traces' ordinals in db. With a
-// zero Where this is a planned, byte-identical CheckRules — same summary,
-// plus the QueryReport.
+// CheckWhere verifies ruleSet against the traces of db selected by where:
+// every selected trace runs through the online automaton, and violations
+// carry the traces' ordinals in db. With a zero Where this is a
+// byte-identical CheckRules — same summary, plus the QueryReport.
 func CheckWhere(db *Database, ruleSet []Rule, where Where) (verify.Summary, *QueryReport, error) {
 	engine, err := verify.NewEngine(ruleSet)
 	if err != nil {
 		return verify.Summary{}, nil, err
 	}
-	reports, ex, selected, err := checkSegments(residentSegment{db.FlatIndex()}, engine, where)
+	reports, ex, err := checkSegments(residentSegment{db}, engine, where)
 	if err != nil {
 		return verify.Summary{}, nil, err
 	}
 	return verify.NewSummary(reports), &QueryReport{
-		Selected: selected,
+		Selected: int(ex.Metrics.TracesChecked + ex.Metrics.TracesSkipped),
 		Metrics:  ex.Metrics,
 		Explain:  ex,
 	}, nil
@@ -89,14 +84,10 @@ func MineRulesWhere(db *Database, opts RuleOptions, where Where) (*RuleResult, *
 // db's dictionary and sequence storage (headers only; event payloads are not
 // copied).
 func selectDatabase(db *Database, where Where) (*Database, *QueryReport) {
-	idx := db.FlatIndex()
-	it, sel := plan.CompileWhere(idx, where)
+	it, sel := plan.CompileWhere(db.NumSequences(), db.FlatIndex(), where)
 	sub := seqdb.NewDatabaseWithDict(db.Dict)
-	selected := 0
 	for s := it.Next(); s >= 0; s = it.Next() {
 		sub.Append(db.Sequences[s])
-		selected++
 	}
-	ex := &plan.Explain{PlannedTraces: idx.NumSequences(), Selection: &sel}
-	return sub, &QueryReport{Selected: selected, Explain: ex}
+	return sub, &QueryReport{Selected: sub.NumSequences(), Explain: &plan.Explain{Selection: &sel}}
 }

@@ -4,9 +4,9 @@
 // evaluated over finite traces (a program trace is one finite path).
 //
 // The package provides the translation from mined recurrent rules to LTL
-// (Table 2), English readings of formulas (Table 1), a renderer, a parser-free
-// constructor API and a finite-trace checker used by the verification
-// utilities.
+// (Table 2), English readings of formulas and rules (Table 1), a renderer, a
+// parser-free constructor API and a finite-trace evaluator (Holds), the
+// semantics oracle the verifier's reports are tested against.
 package ltl
 
 import (
@@ -141,19 +141,6 @@ func Holds(f Formula, s seqdb.Sequence) bool {
 	return f.holds(s, 0)
 }
 
-// HoldsOnDatabase reports how many sequences of db satisfy f and how many do
-// not.
-func HoldsOnDatabase(f Formula, db *seqdb.Database) (satisfied, violated int) {
-	for _, s := range db.Sequences {
-		if Holds(f, s) {
-			satisfied++
-		} else {
-			violated++
-		}
-	}
-	return satisfied, violated
-}
-
 // --- rule translation (Table 2 and the BNF of Section 3.3) ---
 
 // FromRule translates a recurrent rule pre -> post into its LTL formula
@@ -193,8 +180,9 @@ func postFormula(post seqdb.Pattern) Formula {
 }
 
 // Describe returns an English reading of the formula in the style of Table 1.
-// Only the shapes produced by FromRule and the simple F/XF/G forms of Table 1
-// receive bespoke wording; other formulas fall back to their symbolic form.
+// Only the simple F/XF forms of Table 1 receive bespoke wording; other
+// formulas fall back to their symbolic form. Rule formulas are read by
+// DescribeRule, which starts from the rule rather than its formula.
 func Describe(f Formula, dict *seqdb.Dictionary) string {
 	switch v := f.(type) {
 	case Finally:
@@ -207,13 +195,16 @@ func Describe(f Formula, dict *seqdb.Dictionary) string {
 				return fmt.Sprintf("From the next event onwards, eventually %s is called", dict.Name(a.Event))
 			}
 		}
-	case Globally:
-		if pre, post, ok := decomposeRule(f); ok {
-			return fmt.Sprintf("Globally whenever %s %s called, then from the next event onwards, eventually %s %s called",
-				nameList(pre, dict), isAre(pre), nameList(post, dict), isAre(post))
-		}
 	}
 	return f.String(dict)
+}
+
+// DescribeRule returns the English reading of the rule pre -> post's formula
+// (Table 1's rule rows), e.g. "Globally whenever lock is called, then from
+// the next event onwards, eventually unlock is called".
+func DescribeRule(pre, post seqdb.Pattern, dict *seqdb.Dictionary) string {
+	return fmt.Sprintf("Globally whenever %s %s called, then from the next event onwards, eventually %s %s called",
+		nameList(pre, dict), isAre(pre), nameList(post, dict), isAre(post))
 }
 
 // isAre returns the verb agreeing with the number of events listed.
@@ -233,77 +224,4 @@ func nameList(p seqdb.Pattern, dict *seqdb.Dictionary) string {
 		return names[0]
 	}
 	return strings.Join(names[:len(names)-1], ", ") + " followed by " + names[len(names)-1]
-}
-
-// decomposeRule recovers (pre, post) from a formula produced by FromRule. It
-// returns ok=false for formulas outside the minable fragment.
-func decomposeRule(f Formula) (pre, post seqdb.Pattern, ok bool) {
-	g, isG := f.(Globally)
-	if !isG {
-		return nil, nil, false
-	}
-	body := g.Body
-	for {
-		im, isImp := body.(Implies)
-		if !isImp {
-			return nil, nil, false
-		}
-		a, isAtom := im.Left.(Atom)
-		if !isAtom {
-			return nil, nil, false
-		}
-		pre = append(pre, a.Event)
-		next, isNext := im.Right.(Next)
-		if !isNext {
-			return nil, nil, false
-		}
-		switch inner := next.Body.(type) {
-		case Globally:
-			body = inner.Body
-			continue
-		case Finally:
-			post, ok = decomposePost(inner)
-			if !ok {
-				return nil, nil, false
-			}
-			return pre, post, true
-		default:
-			return nil, nil, false
-		}
-	}
-}
-
-func decomposePost(f Finally) (seqdb.Pattern, bool) {
-	var post seqdb.Pattern
-	body := f.Body
-	for {
-		switch v := body.(type) {
-		case Atom:
-			post = append(post, v.Event)
-			return post, true
-		case And:
-			a, isAtom := v.Left.(Atom)
-			if !isAtom {
-				return nil, false
-			}
-			next, isNext := v.Right.(Next)
-			if !isNext {
-				return nil, false
-			}
-			fin, isFin := next.Body.(Finally)
-			if !isFin {
-				return nil, false
-			}
-			post = append(post, a.Event)
-			body = fin.Body
-		default:
-			return nil, false
-		}
-	}
-}
-
-// DecomposeRule is the exported form of decomposeRule, used by verification
-// code that needs to recover the rule shape from a formula.
-func DecomposeRule(f Formula) (pre, post seqdb.Pattern, ok bool) {
-	return decomposeRule(f)
 }

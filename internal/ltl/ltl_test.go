@@ -22,7 +22,10 @@ func TestTable1(t *testing.T) {
 	d := dictWith("lock", "unlock", "main", "end")
 	unlock := Atom{Event: d.Lookup("unlock")}
 
+	// Rule rows are read from the rule itself (DescribeRule); pre is empty
+	// for the plain formula rows.
 	cases := []struct {
+		pre, post   string
 		formula     Formula
 		wantString  string
 		wantMeaning string
@@ -38,22 +41,29 @@ func TestTable1(t *testing.T) {
 			wantMeaning: "From the next event onwards, eventually unlock is called",
 		},
 		{
-			formula:     mustRule(t, d, "lock", "unlock"),
+			pre: "lock", post: "unlock",
 			wantString:  "G(lock -> XF(unlock))",
 			wantMeaning: "Globally whenever lock is called, then from the next event onwards, eventually unlock is called",
 		},
 		{
-			formula:     mustRule(t, d, "main lock", "unlock end"),
+			pre: "main lock", post: "unlock end",
 			wantString:  "G(main -> XG(lock -> XF(unlock /\\ XF(end))))",
 			wantMeaning: "Globally whenever main followed by lock are called, then from the next event onwards, eventually unlock followed by end are called",
 		},
 	}
 	for i, c := range cases {
-		if got := c.formula.String(d); got != c.wantString {
+		f, meaning := c.formula, ""
+		if c.pre != "" {
+			f = mustRule(t, d, c.pre, c.post)
+			meaning = DescribeRule(seqdb.ParsePattern(d, c.pre), seqdb.ParsePattern(d, c.post), d)
+		} else {
+			meaning = Describe(f, d)
+		}
+		if got := f.String(d); got != c.wantString {
 			t.Errorf("case %d: String=%q want %q", i, got, c.wantString)
 		}
-		if got := Describe(c.formula, d); got != c.wantMeaning {
-			t.Errorf("case %d: Describe=%q want %q", i, got, c.wantMeaning)
+		if meaning != c.wantMeaning {
+			t.Errorf("case %d: meaning=%q want %q", i, meaning, c.wantMeaning)
 		}
 	}
 }
@@ -74,15 +84,6 @@ func TestTable2(t *testing.T) {
 		f := mustRule(t, d, c.pre, c.post)
 		if got := f.String(d); got != c.want {
 			t.Errorf("%s -> %s: %q want %q", c.pre, c.post, got, c.want)
-		}
-		// Round trip through DecomposeRule.
-		pre, post, ok := DecomposeRule(f)
-		if !ok {
-			t.Errorf("%s -> %s: decompose failed", c.pre, c.post)
-			continue
-		}
-		if !pre.Equal(seqdb.ParsePattern(d, c.pre)) || !post.Equal(seqdb.ParsePattern(d, c.post)) {
-			t.Errorf("%s -> %s: round trip gave %s -> %s", c.pre, c.post, pre.String(d), post.String(d))
 		}
 	}
 }
@@ -179,43 +180,14 @@ func TestRuleFormulaMatchesTemporalSemantics(t *testing.T) {
 	}
 }
 
-func TestHoldsOnDatabase(t *testing.T) {
-	db := seqdb.NewDatabase()
-	db.AppendNames("lock", "use", "unlock")
-	db.AppendNames("lock", "use")
-	db.AppendNames("idle")
-	f, err := FromRule(seqdb.ParsePattern(db.Dict, "lock"), seqdb.ParsePattern(db.Dict, "unlock"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sat, vio := HoldsOnDatabase(f, db)
-	// Trace 1 satisfies, trace 2 violates, trace 3 satisfies vacuously.
-	if sat != 2 || vio != 1 {
-		t.Errorf("sat=%d vio=%d want 2/1", sat, vio)
-	}
-}
-
 func TestDescribeFallback(t *testing.T) {
 	d := dictWith("a", "b")
-	f := And{Left: Atom{Event: d.Lookup("a")}, Right: Atom{Event: d.Lookup("b")}}
-	if got := Describe(f, d); got != f.String(d) {
-		t.Errorf("Describe fallback should render symbolically: %q", got)
-	}
-}
-
-func TestDecomposeRuleRejectsOtherShapes(t *testing.T) {
-	d := dictWith("a", "b")
-	a := Atom{Event: d.Lookup("a")}
-	cases := []Formula{
-		a,
-		Finally{Body: a},
-		Globally{Body: a},
-		Globally{Body: Implies{Left: a, Right: a}},
-		Globally{Body: Implies{Left: Finally{Body: a}, Right: Next{Body: Finally{Body: a}}}},
-	}
-	for i, f := range cases {
-		if _, _, ok := DecomposeRule(f); ok {
-			t.Errorf("case %d: decompose accepted non-rule formula %s", i, f.String(d))
+	for _, f := range []Formula{
+		And{Left: Atom{Event: d.Lookup("a")}, Right: Atom{Event: d.Lookup("b")}},
+		mustRule(t, d, "a", "b"), // rule formulas are read by DescribeRule
+	} {
+		if got := Describe(f, d); got != f.String(d) {
+			t.Errorf("Describe fallback should render symbolically: %q", got)
 		}
 	}
 }

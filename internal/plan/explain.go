@@ -4,49 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"specmine/internal/rules"
 	"specmine/internal/seqdb"
 	"specmine/internal/verify"
 )
-
-// Probe is one presence test in a rule's plan, with the trace support the
-// planner estimated for it at plan time.
-type Probe struct {
-	Event     seqdb.EventID
-	EstTraces int
-}
-
-// RulePlan is the per-rule slice of an Explain: the chosen probe orders, the
-// estimated premise selectivity they imply, and what actually happened.
-type RulePlan struct {
-	Rule rules.Rule
-
-	// PremiseProbes and ConsequentProbes are in execution (rarest-first) order.
-	PremiseProbes    []Probe
-	ConsequentProbes []Probe
-
-	// EstSelectivity is the planner's estimate of the fraction of traces that
-	// survive the premise gate: the rarest premise event's support over the
-	// planned trace population (1 when the population is empty).
-	EstSelectivity float64
-
-	// Gated, ShortCircuited and Evaluated partition the traces this rule saw.
-	// ActualSelectivity — (ShortCircuited+Evaluated)/total — is what
-	// EstSelectivity estimated.
-	Gated          int64
-	ShortCircuited int64
-	Evaluated      int64
-}
-
-// ActualSelectivity returns the measured fraction of traces that survived the
-// premise gate, or 1 when the rule saw no traces.
-func (rp *RulePlan) ActualSelectivity() float64 {
-	total := rp.Gated + rp.ShortCircuited + rp.Evaluated
-	if total == 0 {
-		return 1
-	}
-	return float64(rp.ShortCircuited+rp.Evaluated) / float64(total)
-}
 
 // SelectionExplain describes how a Where predicate was compiled: which
 // operator drives trace enumeration and how many candidates it was estimated
@@ -65,93 +25,38 @@ type SelectionExplain struct {
 	Filters int
 }
 
-// Explain is the human- and machine-readable account of one planned query:
-// the chosen probe orders, estimated versus actual selectivities, gating
-// counters, and — for out-of-core or predicated queries — segment pruning and
-// the selection operator tree.
+// Explain is the human- and machine-readable account of one query: the
+// verifier's work counters, the segments answered from catalog statistics,
+// and the selection operator a Where predicate compiled to.
 type Explain struct {
-	// PlannedTraces is the trace population the statistics were measured over.
-	PlannedTraces int
-	Rules         []RulePlan
-	Metrics       verify.Metrics
+	Metrics verify.Metrics
 
 	// SegmentsPruned / SegmentsTotal count catalog segments answered (or
-	// discarded) from statistics alone. Zero outside out-of-core queries.
+	// discarded) from statistics alone. An in-memory database is one segment.
 	SegmentsPruned int
 	SegmentsTotal  int
 
-	// Selection is set when the query carried a Where predicate.
+	// Selection is set when the query compiled a Where predicate.
 	Selection *SelectionExplain
 }
 
-// Explain snapshots the run's counters into a plan report. Call it after the
-// pass completes; segment and selection fields are the caller's to fill.
-func (r *Run) Explain() *Explain {
-	p := r.p
-	ex := &Explain{
-		PlannedTraces: p.numTraces,
-		Rules:         make([]RulePlan, len(r.p.groupOf)),
-		Metrics:       r.Metrics,
-	}
-	for i := range ex.Rules {
-		rp := &ex.Rules[i]
-		rp.Rule = p.engine.Rule(i)
-		rp.PremiseProbes = exportProbes(p.groupProbes[p.groupOf[i]])
-		rp.ConsequentProbes = exportProbes(p.postProbes[p.postOf[i]])
-		rp.EstSelectivity = 1
-		if p.numTraces > 0 && len(rp.PremiseProbes) > 0 {
-			rp.EstSelectivity = float64(rp.PremiseProbes[0].EstTraces) / float64(p.numTraces)
-		}
-		rp.Gated = r.ruleGated[i]
-		rp.ShortCircuited = r.ruleShort[i]
-		rp.Evaluated = r.ruleEval[i]
-	}
-	return ex
-}
-
-func exportProbes(probes []probe) []Probe {
-	out := make([]Probe, len(probes))
-	for i, pr := range probes {
-		out[i] = Probe{Event: pr.ev, EstTraces: pr.est}
-	}
-	return out
-}
-
-// Render formats the plan for humans. dict resolves event names and may be
-// nil, in which case raw event ids are printed.
+// Render formats the explanation for humans. dict resolves event names and
+// may be nil, in which case raw event ids are printed.
 func (ex *Explain) Render(dict *seqdb.Dictionary) string {
-	name := func(e seqdb.EventID) string { return dict.Name(e) }
-	probeList := func(probes []Probe) string {
-		parts := make([]string, len(probes))
-		for i, pr := range probes {
-			parts[i] = fmt.Sprintf("%s(%d)", name(pr.Event), pr.EstTraces)
-		}
-		return strings.Join(parts, " ")
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "query plan: %d rule(s) over %d planned trace(s)\n", len(ex.Rules), ex.PlannedTraces)
-	if ex.Selection != nil {
-		sel := ex.Selection
+	b.WriteString("query:\n")
+	if sel := ex.Selection; sel != nil {
 		fmt.Fprintf(&b, "  selection: driver=%s", sel.Driver)
 		if sel.Driver == "postings" {
-			fmt.Fprintf(&b, "[%s]", name(sel.DriverEvent))
+			fmt.Fprintf(&b, "[%s]", dict.Name(sel.DriverEvent))
 		}
 		fmt.Fprintf(&b, " est=%d filters=%d\n", sel.EstTraces, sel.Filters)
 	}
 	if ex.SegmentsTotal > 0 {
 		fmt.Fprintf(&b, "  segments: %d/%d pruned by statistics\n", ex.SegmentsPruned, ex.SegmentsTotal)
 	}
-	for i := range ex.Rules {
-		rp := &ex.Rules[i]
-		fmt.Fprintf(&b, "  rule %s => %s: probe premise [%s] consequent [%s] sel est=%.4f actual=%.4f gated=%d short-circuited=%d evaluated=%d\n",
-			rp.Rule.Pre.String(dict), rp.Rule.Post.String(dict),
-			probeList(rp.PremiseProbes), probeList(rp.ConsequentProbes),
-			rp.EstSelectivity, rp.ActualSelectivity(),
-			rp.Gated, rp.ShortCircuited, rp.Evaluated)
-	}
 	m := ex.Metrics
-	fmt.Fprintf(&b, "  metrics: traces checked=%d skipped=%d; segments checked=%d skipped=%d; probes=%d; rule-trace gates=%d; consequent short-circuits=%d\n",
-		m.TracesChecked, m.TracesSkipped, m.SegmentsChecked, m.SegmentsSkipped,
-		m.ProbesIssued, m.RuleTraceGates, m.ConsequentShortCircuits)
+	fmt.Fprintf(&b, "  metrics: traces checked=%d skipped=%d; segments checked=%d skipped=%d\n",
+		m.TracesChecked, m.TracesSkipped, m.SegmentsChecked, m.SegmentsSkipped)
 	return b.String()
 }

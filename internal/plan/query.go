@@ -1,3 +1,9 @@
+// Package plan compiles trace-selection predicates for predicated queries:
+// a Where clause becomes a lazy pull-based iterator over a trace fragment
+// (the rarest required event's postings drive enumeration, the rest become
+// residual filters), Where's ordinal helpers push the clause into a segment
+// catalog, and Explain reports how a query was answered — the selection
+// operator, the segments statistics pruned, and the verifier's counters.
 package plan
 
 import (
@@ -110,13 +116,14 @@ type emptyIter struct{}
 
 func (emptyIter) Next() int { return -1 }
 
-// CompileWhere compiles w into a lazy operator tree over idx and returns the
-// enumerator plus an explanation of the chosen driver. Driver choice mirrors
-// the rule gating's cost model: an explicit id list beats everything, else
-// the rarest HasAll event's postings drive (predicate pushdown into the
-// index), else an ordinal scan; remaining predicates become residual filters.
-func CompileWhere(idx *seqdb.PositionIndex, w Where) (Iter, SelectionExplain) {
-	n := idx.NumSequences()
+// CompileWhere compiles w into a lazy operator tree over a fragment of n
+// traces and returns the enumerator plus an explanation of the chosen driver:
+// an explicit id list beats everything, else the rarest HasAll event's
+// postings drive (predicate pushdown into the index), else an ordinal scan;
+// remaining predicates become residual filters. idx indexes the fragment and
+// is consulted only for w's event predicates, so it may be nil when w has
+// none.
+func CompileWhere(n int, idx *seqdb.PositionIndex, w Where) (Iter, SelectionExplain) {
 	lo, hi := w.From, w.To
 	if lo < 0 {
 		lo = 0

@@ -66,6 +66,16 @@ func queryFixture() (*seqdb.Dictionary, *seqdb.Database) {
 	return d, db
 }
 
+// compile runs CompileWhere over idx's traces the way the check loop does:
+// the index is handed over only when w has event predicates.
+func compile(idx *seqdb.PositionIndex, w Where) (Iter, SelectionExplain) {
+	var events *seqdb.PositionIndex
+	if w.HasEventPredicates() {
+		events = idx
+	}
+	return CompileWhere(idx.NumSequences(), events, w)
+}
+
 func TestCompileWhereMatchesBruteForce(t *testing.T) {
 	d, db := queryFixture()
 	idx := db.FlatIndex()
@@ -91,7 +101,7 @@ func TestCompileWhereMatchesBruteForce(t *testing.T) {
 		{"negative-event", Where{HasAll: []seqdb.EventID{seqdb.EventID(-1)}}, "empty"},
 	}
 	for _, tc := range cases {
-		it, exp := CompileWhere(idx, tc.w)
+		it, exp := compile(idx, tc.w)
 		got := drain(it)
 		want := bruteSelect(idx, tc.w)
 		if !reflect.DeepEqual(got, want) {
@@ -109,7 +119,7 @@ func TestCompileWhereRarestDriver(t *testing.T) {
 	d, db := queryFixture()
 	idx := db.FlatIndex()
 	open, ping := d.Lookup("open"), d.Lookup("ping") // support 3 vs 2
-	_, exp := CompileWhere(idx, Where{HasAll: []seqdb.EventID{open, ping}})
+	_, exp := compile(idx, Where{HasAll: []seqdb.EventID{open, ping}})
 	if exp.Driver != "postings" || exp.DriverEvent != ping {
 		t.Fatalf("driver %q event %v, want postings on ping", exp.Driver, exp.DriverEvent)
 	}
@@ -154,7 +164,7 @@ func TestCompileWhereRandomized(t *testing.T) {
 				w.IDs = append(w.IDs, rng.Intn(idx.NumSequences()+3)-1)
 			}
 		}
-		it, _ := CompileWhere(idx, w)
+		it, _ := compile(idx, w)
 		got := drain(it)
 		want := bruteSelect(idx, w)
 		if !reflect.DeepEqual(got, want) {
@@ -203,7 +213,7 @@ func TestWhereLocalOverSegments(t *testing.T) {
 				seg.Append(s)
 			}
 			if w.OrdinalOverlap(base, size) {
-				it, _ := CompileWhere(seg.FlatIndex(), w.Local(base))
+				it, _ := compile(seg.FlatIndex(), w.Local(base))
 				for _, l := range drain(it) {
 					got = append(got, base+l)
 				}

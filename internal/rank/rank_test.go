@@ -107,9 +107,9 @@ func TestSurpriseEdgeCases(t *testing.T) {
 	}
 }
 
-// TestIndexStatsMatchRescan pins the index-backed event statistics to the
-// database rescan they replaced.
-func TestIndexStatsMatchRescan(t *testing.T) {
+// TestIndexEventStatsMatchRescan pins the index-backed event statistics to
+// the database rescan they replaced.
+func TestIndexEventStatsMatchRescan(t *testing.T) {
 	db := mkdb(
 		[]string{"a", "b", "a", "c"},
 		[]string{"b", "b", "c"},

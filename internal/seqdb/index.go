@@ -211,7 +211,7 @@ func (idx *PositionIndex) Positions(s int, e EventID) []int32 {
 func (idx *PositionIndex) SeqEvents(s int) []EventID { return idx.seqEvents[s] }
 
 // SeqContains reports whether event e occurs in sequence s. It is the cheap
-// presence probe the query planner gates rules on: one branchless binary
+// presence probe Where's residual event filters run: one branchless binary
 // search over the sequence's (typically small) distinct-event list, touching
 // no position data. Ids outside the index's event space read as absent, like
 // EventInstanceCount.

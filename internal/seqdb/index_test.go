@@ -165,7 +165,7 @@ func TestPositionIndexPostingsAndSupports(t *testing.T) {
 	}
 }
 
-// TestPositionIndexSeqProbes pins the planner's presence probes: SeqContains
+// TestPositionIndexSeqProbes pins the presence probes: SeqContains
 // against a brute-force scan (out-of-range ids read as absent) and SeqLen
 // against the raw sequences.
 func TestPositionIndexSeqProbes(t *testing.T) {

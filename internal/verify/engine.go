@@ -7,8 +7,9 @@ import (
 )
 
 // Engine is a rule set compiled for conformance checking: the serving path
-// for checking fresh traffic against a mined specification. CheckRule walks
-// every trace once per rule; a production rule set has hundreds of rules
+// for checking fresh traffic against a mined specification. The per-rule
+// oracle (baseline.CheckRule) walks every trace once per rule; a production
+// rule set has hundreds of rules
 // sharing a handful of premise prefixes and consequents, so the engine
 // compiles the whole set once — premises into a shared prefix trie,
 // consequents into a deduplicated table, plus event-keyed dispatch lists —
@@ -61,8 +62,8 @@ type Engine struct {
 }
 
 // NewEngine compiles a rule set. Rules are validated (via their LTL
-// translation, like CheckRule) in order, so the first invalid rule produces
-// the same error the per-rule path would.
+// translation) in order, so the first invalid rule produces the same error
+// the per-rule oracle would.
 func NewEngine(ruleSet []rules.Rule) (*Engine, error) {
 	e := &Engine{
 		ruleSet:     ruleSet,
@@ -213,10 +214,6 @@ func (e *Engine) compileDispatch() {
 		func(k int, at int32) { e.groupsByLast[at] = int32(k) })
 }
 
-// NumPremiseGroups reports the number of distinct whole premises (prefix
-// plus final event) across the rule set.
-func (e *Engine) NumPremiseGroups() int { return len(e.groupPreNode) }
-
 // NumRules reports the number of compiled rules.
 func (e *Engine) NumRules() int { return len(e.ruleSet) }
 
@@ -238,8 +235,8 @@ func (e *Engine) NewReports() []RuleReport {
 }
 
 // Check evaluates every compiled rule against every trace of db and returns
-// one report per rule, in rule order — byte-identical to calling CheckRule
-// per rule. It is a thin driver over the online path: one Checker consumes
+// one report per rule, in rule order — byte-identical to the per-rule
+// oracle. It is a thin driver over the online path: one Checker consumes
 // each trace event by event, so batch and streaming verification cannot
 // drift apart.
 func (e *Engine) Check(db *seqdb.Database) []RuleReport {

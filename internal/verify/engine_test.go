@@ -1,21 +1,23 @@
-package verify
+package verify_test
 
 import (
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"specmine/internal/bench/baseline"
 	"specmine/internal/rules"
 	"specmine/internal/seqdb"
 	"specmine/internal/synth"
 	"specmine/internal/tracesim"
+	"specmine/internal/verify"
 )
 
 // checkEngineMatchesPerRule asserts that the batched engine produces reports
-// byte-identical to the per-rule CheckRule path on the given database.
+// byte-identical to the per-rule baseline.CheckRule oracle on the given database.
 func checkEngineMatchesPerRule(t *testing.T, label string, db *seqdb.Database, ruleSet []rules.Rule) {
 	t.Helper()
-	engine, err := NewEngine(ruleSet)
+	engine, err := verify.NewEngine(ruleSet)
 	if err != nil {
 		t.Fatalf("%s: NewEngine: %v", label, err)
 	}
@@ -24,9 +26,9 @@ func checkEngineMatchesPerRule(t *testing.T, label string, db *seqdb.Database, r
 		t.Fatalf("%s: %d reports for %d rules", label, len(got), len(ruleSet))
 	}
 	for i, r := range ruleSet {
-		want, err := CheckRule(db, r)
+		want, err := baseline.CheckRule(db, r)
 		if err != nil {
-			t.Fatalf("%s: CheckRule: %v", label, err)
+			t.Fatalf("%s: baseline.CheckRule: %v", label, err)
 		}
 		g := got[i]
 		if g.TotalTemporalPoints != want.TotalTemporalPoints ||
@@ -152,7 +154,7 @@ func TestEngineSharesTrieAndPosts(t *testing.T) {
 	mk := func(pre, post string) rules.Rule {
 		return rules.Rule{Pre: seqdb.ParsePattern(d, pre), Post: seqdb.ParsePattern(d, post)}
 	}
-	engine, err := NewEngine([]rules.Rule{
+	engine, err := verify.NewEngine([]rules.Rule{
 		mk("a b c", "x"),
 		mk("a b d", "x"),
 		mk("a b", "y"),
@@ -172,7 +174,7 @@ func TestEngineSharesTrieAndPosts(t *testing.T) {
 }
 
 func TestEngineRejectsEmptySides(t *testing.T) {
-	if _, err := NewEngine([]rules.Rule{{}}); err == nil {
+	if _, err := verify.NewEngine([]rules.Rule{{}}); err == nil {
 		t.Errorf("engine accepted an empty rule")
 	}
 }

@@ -2,48 +2,28 @@ package verify
 
 import "specmine/internal/obs"
 
-// Metrics counts the work a verification pass performed and — more
-// importantly — the work statistics let it avoid. Before the planner these
-// counters existed only as test-local bookkeeping (segment-skip rates
-// recomputed from OutOfCoreStats); they are now a first-class struct so the
-// core facade can surface them per query, Streamer.Health-style. All fields
-// are plain counters: merge runs with Merge, read them directly.
+// Metrics counts the work a verification pass performed and the work
+// segment statistics let it avoid, so the core facade can surface them per
+// query, Streamer.Health-style. All fields are plain counters.
 type Metrics struct {
-	// TracesChecked counts traces at least one of whose rules was actually
-	// evaluated; TracesSkipped counts traces answered from presence probes
-	// alone (every rule gated — the per-trace analogue of a skipped segment).
+	// TracesChecked counts traces fed through the online automaton;
+	// TracesSkipped counts traces answered from segment statistics alone
+	// (every rule provably has zero temporal points on them).
 	TracesChecked int64
 	TracesSkipped int64
 
 	// SegmentsChecked / SegmentsSkipped count segment bodies decoded versus
 	// answered from per-segment statistics alone (SegmentSkippable hits).
-	// Zero outside out-of-core runs.
 	SegmentsChecked int64
 	SegmentsSkipped int64
-
-	// RuleTraceGates counts (rule, trace) pairs answered "trivially satisfied"
-	// because a premise event was proven absent — the per-rule, per-trace
-	// refinement of the all-or-nothing segment skip.
-	RuleTraceGates int64
-
-	// ConsequentShortCircuits counts (rule, trace) pairs whose consequent
-	// machinery never ran because a consequent event was proven absent (the
-	// rule's temporal points, if any, are all violated without a DP pass).
-	ConsequentShortCircuits int64
-
-	// ProbesIssued counts event-presence probes (index or statistics lookups)
-	// the gating layer paid for. The planner's rarest-first probe ordering
-	// exists to keep this low; a regression shows up here first.
-	ProbesIssued int64
 }
 
 // Publish folds the pass's counters into the registry's cumulative verify.*
 // series (verify.traces_checked, verify.traces_skipped,
-// verify.segments_checked, verify.segments_skipped, verify.rule_trace_gates,
-// verify.consequent_short_circuits, verify.probes_issued). Per-query values
-// stay on the struct; the registry accumulates across queries. A nil registry
-// is a no-op, but a non-nil one registers every series even when the pass did
-// no work, so scrapes see a stable schema.
+// verify.segments_checked, verify.segments_skipped). Per-query values stay on
+// the struct; the registry accumulates across queries. A nil registry is a
+// no-op, but a non-nil one registers every series even when the pass did no
+// work, so scrapes see a stable schema.
 func (m Metrics) Publish(r *obs.Registry) {
 	if r == nil {
 		return
@@ -52,18 +32,4 @@ func (m Metrics) Publish(r *obs.Registry) {
 	r.Counter("verify.traces_skipped").Add(m.TracesSkipped)
 	r.Counter("verify.segments_checked").Add(m.SegmentsChecked)
 	r.Counter("verify.segments_skipped").Add(m.SegmentsSkipped)
-	r.Counter("verify.rule_trace_gates").Add(m.RuleTraceGates)
-	r.Counter("verify.consequent_short_circuits").Add(m.ConsequentShortCircuits)
-	r.Counter("verify.probes_issued").Add(m.ProbesIssued)
-}
-
-// Merge folds o into m.
-func (m *Metrics) Merge(o Metrics) {
-	m.TracesChecked += o.TracesChecked
-	m.TracesSkipped += o.TracesSkipped
-	m.SegmentsChecked += o.SegmentsChecked
-	m.SegmentsSkipped += o.SegmentsSkipped
-	m.RuleTraceGates += o.RuleTraceGates
-	m.ConsequentShortCircuits += o.ConsequentShortCircuits
-	m.ProbesIssued += o.ProbesIssued
 }

@@ -1,4 +1,4 @@
-package verify
+package verify_test
 
 import (
 	"math/rand"
@@ -8,6 +8,7 @@ import (
 	"specmine/internal/seqdb"
 	"specmine/internal/synth"
 	"specmine/internal/tracesim"
+	"specmine/internal/verify"
 )
 
 // checkOnlineMatchesBatch feeds every trace through a single reused Checker,
@@ -15,7 +16,7 @@ import (
 // identical to the batch CheckRules result.
 func checkOnlineMatchesBatch(t *testing.T, label string, db *seqdb.Database, ruleSet []rules.Rule) {
 	t.Helper()
-	engine, err := NewEngine(ruleSet)
+	engine, err := verify.NewEngine(ruleSet)
 	if err != nil {
 		t.Fatalf("%s: NewEngine: %v", label, err)
 	}
@@ -31,7 +32,7 @@ func checkOnlineMatchesBatch(t *testing.T, label string, db *seqdb.Database, rul
 		c.Close(si, online)
 	}
 
-	batch, err := CheckRules(db, ruleSet)
+	batch, err := verify.CheckRules(db, ruleSet)
 	if err != nil {
 		t.Fatalf("%s: CheckRules: %v", label, err)
 	}
@@ -56,7 +57,7 @@ func checkOnlineMatchesBatch(t *testing.T, label string, db *seqdb.Database, rul
 			}
 		}
 	}
-	gs, ws := NewSummary(online), NewSummary(batch)
+	gs, ws := verify.NewSummary(online), verify.NewSummary(batch)
 	if gs.TotalViolations() != ws.TotalViolations() {
 		t.Fatalf("%s: summary violations %d want %d", label, gs.TotalViolations(), ws.TotalViolations())
 	}
@@ -137,7 +138,7 @@ func TestOnlineMatchesBatchRandomized(t *testing.T) {
 func TestCheckerRetiresSatisfiedPoints(t *testing.T) {
 	d := seqdb.NewDictionary()
 	a, b, x := d.Intern("a"), d.Intern("b"), d.Intern("x")
-	engine, err := NewEngine([]rules.Rule{{
+	engine, err := verify.NewEngine([]rules.Rule{{
 		Pre:  seqdb.Pattern{a, b},
 		Post: seqdb.Pattern{x},
 	}})
@@ -183,7 +184,7 @@ func TestCheckerIgnoresForeignEvents(t *testing.T) {
 	d := seqdb.NewDictionary()
 	a, x := d.Intern("a"), d.Intern("x")
 	noise := seqdb.EventID(1000)
-	engine, err := NewEngine([]rules.Rule{{Pre: seqdb.Pattern{a}, Post: seqdb.Pattern{x}}})
+	engine, err := verify.NewEngine([]rules.Rule{{Pre: seqdb.Pattern{a}, Post: seqdb.Pattern{x}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,38 +20,22 @@ import "specmine/internal/seqdb"
 // merged stats); a false positive only loses the skip, never correctness.
 func (e *Engine) SegmentSkippable(mayContain func(seqdb.EventID) bool) bool {
 	for r := range e.ruleSet {
-		if !e.PremiseMayOccur(r, mayContain) {
-			continue // some premise event absent: rule r is trivially satisfied
-		}
-		return false
-	}
-	return true
-}
-
-// PremiseMayOccur reports whether every premise event of rule r may occur
-// according to mayContain. The premise is ruleLast[r] plus the trie-prefix
-// chain from rulePreNode[r] up to (excluding) the root. When it returns
-// false the rule is trivially satisfied on every trace mayContain describes —
-// the per-rule refinement of SegmentSkippable the planner gates on.
-func (e *Engine) PremiseMayOccur(r int, mayContain func(seqdb.EventID) bool) bool {
-	if !mayContain(e.ruleLast[r]) {
-		return false
-	}
-	for n := e.rulePreNode[r]; n != 0; n = e.trieParent[n] {
-		if !mayContain(e.trieEvent[n]) {
+		if e.premiseMayOccur(r, mayContain) {
 			return false
 		}
 	}
 	return true
 }
 
-// ConsequentMayOccur reports whether every consequent event of rule r may
-// occur according to mayContain. When it returns false the consequent cannot
-// embed in any described trace, so every temporal point of rule r is violated
-// without running the consequent machinery (ActionShortCircuit).
-func (e *Engine) ConsequentMayOccur(r int, mayContain func(seqdb.EventID) bool) bool {
-	for _, ev := range e.posts[e.rulePost[r]] {
-		if !mayContain(ev) {
+// premiseMayOccur reports whether every premise event of rule r may occur
+// according to mayContain. The premise is ruleLast[r] plus the trie-prefix
+// chain from rulePreNode[r] up to (excluding) the root.
+func (e *Engine) premiseMayOccur(r int, mayContain func(seqdb.EventID) bool) bool {
+	if !mayContain(e.ruleLast[r]) {
+		return false
+	}
+	for n := e.rulePreNode[r]; n != 0; n = e.trieParent[n] {
+		if !mayContain(e.trieEvent[n]) {
 			return false
 		}
 	}

@@ -61,38 +61,10 @@ func (r RuleReport) HoldRate() float64 {
 	return float64(r.SatisfiedTemporalPoints) / float64(r.TotalTemporalPoints)
 }
 
-// CheckRule evaluates one rule against every trace of db.
-func CheckRule(db *seqdb.Database, rule rules.Rule) (RuleReport, error) {
-	formula, err := ltl.FromRule(rule.Pre, rule.Post)
-	if err != nil {
-		return RuleReport{}, err
-	}
-	report := RuleReport{Rule: rule, Formula: formula}
-	for si, s := range db.Sequences {
-		violatedTrace := false
-		tps := rules.TemporalPoints(s, rule.Pre)
-		report.TotalTemporalPoints += len(tps)
-		for _, tp := range tps {
-			if seqdb.Sequence(s[tp+1:]).ContainsSubsequence(rule.Post) {
-				report.SatisfiedTemporalPoints++
-				continue
-			}
-			violatedTrace = true
-			report.Violations = append(report.Violations, RuleViolation{Rule: rule, Seq: si, TemporalPoint: tp})
-		}
-		if violatedTrace {
-			report.ViolatedTraces++
-		} else {
-			report.SatisfiedTraces++
-		}
-	}
-	return report, nil
-}
-
 // CheckRules evaluates a set of rules and returns one report per rule, in the
 // given order. It compiles the set into a batched Engine and checks all rules
-// in one pass per trace; the reports are identical to calling CheckRule rule
-// by rule.
+// in one pass per trace; the reports are identical to the per-rule rescan
+// oracle (baseline.CheckRule) rule by rule.
 func CheckRules(db *seqdb.Database, ruleSet []rules.Rule) ([]RuleReport, error) {
 	engine, err := NewEngine(ruleSet)
 	if err != nil {

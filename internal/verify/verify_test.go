@@ -1,11 +1,13 @@
-package verify
+package verify_test
 
 import (
 	"strings"
 	"testing"
 
+	"specmine/internal/bench/baseline"
 	"specmine/internal/rules"
 	"specmine/internal/seqdb"
+	"specmine/internal/verify"
 )
 
 func mkdb(traces ...[]string) *seqdb.Database {
@@ -30,7 +32,7 @@ func TestCheckRuleFindsViolations(t *testing.T) {
 		[]string{"lock", "unlock", "lock"}, // violation at position 2
 		[]string{"idle"},
 	)
-	rep, err := CheckRule(db, lockRule(db))
+	rep, err := baseline.CheckRule(db, lockRule(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestCheckRuleFindsViolations(t *testing.T) {
 
 func TestCheckRuleVacuousHoldRate(t *testing.T) {
 	db := mkdb([]string{"idle", "idle"})
-	rep, err := CheckRule(db, lockRule(db))
+	rep, err := baseline.CheckRule(db, lockRule(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,10 +81,10 @@ func TestCheckRuleVacuousHoldRate(t *testing.T) {
 
 func TestCheckRuleRejectsEmptySides(t *testing.T) {
 	db := mkdb([]string{"a"})
-	if _, err := CheckRule(db, rules.Rule{}); err == nil {
+	if _, err := baseline.CheckRule(db, rules.Rule{}); err == nil {
 		t.Errorf("empty rule accepted")
 	}
-	if _, err := CheckRules(db, []rules.Rule{{}}); err == nil {
+	if _, err := verify.CheckRules(db, []rules.Rule{{}}); err == nil {
 		t.Errorf("CheckRules accepted empty rule")
 	}
 }
@@ -97,14 +99,14 @@ func TestCheckRulesAndSummary(t *testing.T) {
 		lockRule(db),
 		{Pre: seqdb.ParsePattern(db.Dict, "open"), Post: seqdb.ParsePattern(db.Dict, "close")},
 	}
-	reports, err := CheckRules(db, ruleSet)
+	reports, err := verify.CheckRules(db, ruleSet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(reports) != 2 {
 		t.Fatalf("reports=%d", len(reports))
 	}
-	sum := NewSummary(reports)
+	sum := verify.NewSummary(reports)
 	if sum.TotalViolations() != 2 {
 		t.Errorf("TotalViolations=%d want 2", sum.TotalViolations())
 	}
@@ -125,11 +127,11 @@ func TestSummaryOrdering(t *testing.T) {
 	)
 	often := rules.Rule{Pre: seqdb.ParsePattern(db.Dict, "a"), Post: seqdb.ParsePattern(db.Dict, "z")}
 	rarely := rules.Rule{Pre: seqdb.ParsePattern(db.Dict, "b"), Post: seqdb.ParsePattern(db.Dict, "z")}
-	reports, err := CheckRules(db, []rules.Rule{rarely, often})
+	reports, err := verify.CheckRules(db, []rules.Rule{rarely, often})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := NewSummary(reports)
+	sum := verify.NewSummary(reports)
 	if len(sum.Reports[0].Violations) < len(sum.Reports[1].Violations) {
 		t.Errorf("summary not sorted by violations")
 	}
@@ -142,7 +144,7 @@ func TestCheckPattern(t *testing.T) {
 		[]string{"noise"},
 	)
 	p := seqdb.ParsePattern(db.Dict, "open read close")
-	rep := CheckPattern(db, p)
+	rep := verify.CheckPattern(db, p)
 	if rep.Instances != 1 {
 		t.Errorf("Instances=%d want 1", rep.Instances)
 	}
@@ -156,7 +158,7 @@ func TestCheckPattern(t *testing.T) {
 	if rep.PartialMatches != 1 {
 		t.Errorf("PartialMatches=%d want 1", rep.PartialMatches)
 	}
-	empty := CheckPattern(db, nil)
+	empty := verify.CheckPattern(db, nil)
 	if empty.Instances != 0 || empty.PartialMatches != 0 {
 		t.Errorf("empty pattern should produce an empty report")
 	}
