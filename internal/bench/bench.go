@@ -275,8 +275,8 @@ type StreamCase struct {
 	Workload string
 	Traces   int
 	Shards   int
-	// FlushBatch is the sealed-trace batch size between incremental index
-	// extensions.
+	// FlushBatch is the number of sealed traces a shard applies between
+	// barriers.
 	FlushBatch int
 	// Concurrency is how many traces the replay keeps open at once.
 	Concurrency int

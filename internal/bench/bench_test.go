@@ -377,7 +377,7 @@ type verifyTrajectoryCase struct {
 
 // streamTrajectoryCase is one streaming-ingestion row: a chunked trace
 // stream pushed through the sharded ingester (sealing, online checking when
-// configured, incremental index flushes, final snapshot).
+// configured, seal barriers, final snapshot).
 type streamTrajectoryCase struct {
 	Name           string  `json:"name"`
 	Shards         int     `json:"shards"`
@@ -735,9 +735,12 @@ func TestWriteBenchTrajectory(t *testing.T) {
 		dict, ops, engine, events := c.GenStream()
 		run := benchOnce(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ing := stream.NewIngester(stream.Config{
+				ing, err := stream.Open(stream.Config{
 					Shards: c.Shards, FlushBatch: c.FlushBatch, Dict: dict, Engine: engine,
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
 				for _, op := range ops {
 					if op.Seal {
 						if err := ing.CloseTrace(op.TraceID); err != nil {

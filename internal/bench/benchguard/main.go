@@ -29,7 +29,7 @@
 //   - an obs-overhead floor: durable ingest with a live metrics registry
 //     attached to the store and the ingester must retain at least -obs-floor
 //     (default 0.97) of the uninstrumented run's throughput, both sides
-//     measured live in this run.
+//     measured live in this run, alternating run by run.
 //
 // Scaling rows that were measured on a machine with fewer processors than
 // workers (num_cpu < workers at gomaxprocs >= workers — a sandboxed
@@ -321,7 +321,9 @@ func speedupCheck(floor float64) *ratioCheck {
 // enabled-gated clock reads) exists to make instrumentation free enough to
 // leave on, and a regression here means a hot path grew a lock, an
 // allocation, or an ungated time.Now(). Both sides are measured live in this
-// run (best of 3), so runner speed cancels out of the ratio.
+// run, alternating run by run (obsOverheadRuns each, best of each side), so
+// runner speed — including a CPU-frequency phase change mid-check — falls on
+// both sides and cancels out of the ratio.
 func obsOverheadCheck(floor float64) *ratioCheck {
 	c := bench.StoreCases()[0]
 	ck := &ratioCheck{
@@ -329,21 +331,22 @@ func obsOverheadCheck(floor float64) *ratioCheck {
 		floor: floor,
 	}
 	dict, ops, _, _ := c.GenStream()
-	best := func(run func(b *testing.B)) int64 {
-		var best int64
-		for i := 0; i < 3; i++ {
-			ns := testing.Benchmark(run).NsPerOp()
-			if best == 0 || ns < best {
-				best = ns
-			}
+	plain, instrumented := durableRunObs(c, dict, ops, false), durableRunObs(c, dict, ops, true)
+	var disabled, enabled int64
+	for i := 0; i < obsOverheadRuns; i++ {
+		if ns := testing.Benchmark(plain).NsPerOp(); disabled == 0 || ns < disabled {
+			disabled = ns
 		}
-		return best
+		if ns := testing.Benchmark(instrumented).NsPerOp(); enabled == 0 || ns < enabled {
+			enabled = ns
+		}
 	}
-	disabled := best(durableRun(c, dict, ops))
-	enabled := best(durableRunObs(c, dict, ops, true))
 	ck.value = float64(disabled) / float64(enabled)
 	return ck
 }
+
+// obsOverheadRuns is how many runs of each side the obs-overhead floor takes.
+const obsOverheadRuns = 5
 
 // skipCheck measures the segment-skip floor on the shared clustered fixture
 // (internal/bench/oocore.go): the fraction of segment bodies the selective
@@ -488,17 +491,13 @@ func applyOp(ing *stream.Ingester, op bench.StreamOp) error {
 	return ing.IngestIDs(op.TraceID, op.Events...)
 }
 
-// durableRun builds the uninstrumented store-backed replay loop of the
-// obs-overhead floor: open a store in a fresh directory, replay the stream through a store-backed ingester, snapshot,
-// and close cleanly. Directory setup/teardown stays off the clock.
-func durableRun(c bench.StreamCase, dict *seqdb.Dictionary, ops []bench.StreamOp) func(b *testing.B) {
-	return durableRunObs(c, dict, ops, false)
-}
-
-// durableRunObs is durableRun with an optional live metrics registry attached
-// to the store and the ingester — the instrumented side of the obs-overhead
-// floor. A fresh registry per iteration keeps registration cost on the clock,
-// exactly as a real instrumented session pays it.
+// durableRunObs builds the store-backed replay loop of the obs-overhead
+// floor: open a store in a fresh directory, replay the stream through a
+// store-backed ingester, snapshot, and close cleanly; directory
+// setup/teardown stays off the clock. instrumented attaches a live metrics
+// registry to the store and the ingester. A fresh registry per iteration
+// keeps registration cost on the clock, exactly as a real instrumented
+// session pays it.
 func durableRunObs(c bench.StreamCase, dict *seqdb.Dictionary, ops []bench.StreamOp, instrumented bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -96,7 +96,10 @@ func TestDictionaryContentionShare(t *testing.T) {
 		chunksPerTrace = 12
 		chunkEvents    = 16
 	)
-	ing := stream.NewIngester(stream.Config{Shards: 4, Dict: warmDict})
+	ing, err := stream.Open(stream.Config{Shards: 4, Dict: warmDict})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, producers)
 	for p := 0; p < producers; p++ {

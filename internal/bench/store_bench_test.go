@@ -55,7 +55,10 @@ func replayDurable(dir string, c StreamCase, dict *seqdb.Dictionary, ops []Strea
 // replayMemory is the same stream through a memory-only ingester — the
 // baseline the durable path is compared against.
 func replayMemory(c StreamCase, dict *seqdb.Dictionary, ops []StreamOp) error {
-	ing := stream.NewIngester(stream.Config{Shards: c.Shards, FlushBatch: c.FlushBatch, Dict: dict})
+	ing, err := stream.Open(stream.Config{Shards: c.Shards, FlushBatch: c.FlushBatch, Dict: dict})
+	if err != nil {
+		return err
+	}
 	for _, op := range ops {
 		var err error
 		if op.Seal {

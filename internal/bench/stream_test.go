@@ -10,8 +10,8 @@ import (
 
 // BenchmarkStreamIngest measures the sharded streaming front end end to end:
 // interleaved chunks of live traces flow through the ingester, terminated
-// traces are sealed and the per-shard indexes extended incrementally, and a
-// final snapshot forces the last flush. Operations are pre-generated and
+// traces are sealed into their shards, and a final snapshot barrier collects
+// them. Operations are pre-generated and
 // pre-interned, so the measured region is the ingestion machinery itself.
 // The events/op metric lets per-event allocs be read off allocs/op.
 func BenchmarkStreamIngest(b *testing.B) {
@@ -20,9 +20,12 @@ func BenchmarkStreamIngest(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/shards=%d", c.Name, c.Shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ing := stream.NewIngester(stream.Config{
+				ing, err := stream.Open(stream.Config{
 					Shards: c.Shards, FlushBatch: c.FlushBatch, Dict: dict, Engine: engine,
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
 				for _, op := range ops {
 					if op.Seal {
 						if err := ing.CloseTrace(op.TraceID); err != nil {

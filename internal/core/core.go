@@ -415,9 +415,9 @@ type StreamOptions struct {
 	// Buffer is the per-shard channel capacity (default 256); full buffers
 	// apply backpressure to Ingest callers.
 	Buffer int
-	// FlushBatch is how many sealed traces a shard batches before extending
-	// its positional index incrementally (default 32). In durable mode this
-	// is also the segment-flush barrier.
+	// FlushBatch is how many sealed traces a shard applies between barriers
+	// (default 32). In durable mode each barrier flushes the WAL and rolls
+	// the newly sealed traces into a segment file.
 	FlushBatch int
 	// Dict shares a dictionary with previously mined artifacts. It is
 	// required when Rules is set (unless Store supplies the dictionary): the
@@ -432,7 +432,7 @@ type StreamOptions struct {
 	// state — sealed traces, open traces, and conformance outcomes included.
 	Store *TraceStore
 	// Obs, when non-nil, attaches a metrics registry: the session publishes
-	// per-shard ingest/flush latency histograms, queue depths, backpressure
+	// per-shard ingest latency histograms, queue depths, backpressure
 	// waits and acked-event counters to it (series stream.*). Share one
 	// registry between StreamOptions.Obs and StoreOptions.Obs to scrape the
 	// whole pipeline from a single ServeDebug endpoint.
@@ -440,8 +440,9 @@ type StreamOptions struct {
 }
 
 // Streamer ingests live traces: events arrive incrementally per trace id,
-// terminated traces are sealed into sharded databases with incrementally
-// maintained indexes, and consistent snapshots feed the batch miners. With
+// terminated traces are sealed into sharded databases, and consistent
+// snapshots feed the batch miners, each building its positional index on
+// first use. With
 // Rules configured, conformance is checked online and CheckOnline returns
 // the summary a batch CheckRules over Snapshot() would produce.
 type Streamer struct {

@@ -172,7 +172,7 @@ func TestMetricsSmoke(t *testing.T) {
 		t.Error("scraped store_segments_published is zero after sealing traces")
 	}
 	for _, name := range []string{
-		"stream_ingest_ns_count", "stream_flush_ns_count",
+		"stream_ingest_ns_count",
 		"verify_traces_checked", "verify_segments_checked",
 		"cache_resident_bytes", "cache_peak_bytes", "store_health_state",
 	} {

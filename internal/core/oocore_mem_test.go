@@ -119,10 +119,11 @@ func oocoreTraceBytes(i int) int64 {
 func oocorePerCluster() int {
 	// Traces per small cluster so its decoded estimate ≈ oocoreClusterKB.
 	// Clusters are kept small on purpose: a seed's view materialises a
-	// PositionIndex over the cluster, and that index costs ~14× the view's
-	// decoded bytes (postings, prev-occurrence tables, per-sequence bitmaps)
-	// — it is the reason the in-memory path cannot scale, and it bounds how
-	// big any single cluster may be under the cap.
+	// PositionIndex over the cluster, and that index costs several times the
+	// view's decoded bytes (about 3.6× for these traces: position lists,
+	// offset tables, prev-occurrence chains and postings) — it is the reason
+	// the in-memory path cannot scale, and it bounds how big any single
+	// cluster may be under the cap.
 	return int(int64(oocoreClusterKB<<10) / oocoreTraceBytes(0))
 }
 

@@ -17,9 +17,10 @@
 // end chains over the occurrence lists. A window contains a serial episode
 // exactly when the greedy (earliest) embedding rooted at the window's first
 // occurrence of the episode's head event ends inside the window; those ends
-// are obtained per head occurrence with one NextAfter chain, extended
-// incrementally from the parent node's chain, so counting a candidate costs
-// O(occurrences of the head event × log) instead of O(trace length × width).
+// are obtained per head occurrence with one PosCursor.NextAfter chain,
+// extended incrementally from the parent node's chain, so counting a
+// candidate costs O(occurrences of the head event × log) instead of
+// O(trace length × width).
 // Counts are computed for every candidate first; the end chains are
 // materialised (into free-listed arenas) only for candidates that survive
 // and recurse — the framework's count-first discipline.
@@ -279,9 +280,9 @@ func (m *miner) mineSeed(e seqdb.EventID) {
 
 // grow expands the episode p (a view of the shared path buffer) whose end
 // chains are nd. The counting pass advances every live sequence's chain by
-// one NextAfter per end for every candidate event of its local alphabet —
-// counts alone decide emission and recursion — and only recursed-into
-// children get their chains materialised.
+// one PosCursor.NextAfter per end for every candidate event of its local
+// alphabet — counts alone decide emission and recursion — and only
+// recursed-into children get their chains materialised.
 func (m *miner) grow(p seqdb.Pattern, nd node) {
 	first := p[0]
 	sc := &m.slots

@@ -83,68 +83,3 @@ func DecodeSequenceBlock(buf []byte) (Sequence, int, error) {
 	}
 	return s, off, nil
 }
-
-// EqualState reports whether two indexes hold identical logical state: every
-// header, arena region, posting list and counter. It is how the durability
-// layer asserts that a recovered index is byte-identical to a fresh build
-// over the same sequences; a nil return means equal.
-func (idx *PositionIndex) EqualState(other *PositionIndex) error {
-	if idx.numEvents != other.numEvents {
-		return fmt.Errorf("numEvents %d != %d", idx.numEvents, other.numEvents)
-	}
-	if len(idx.seqEvents) != len(other.seqEvents) {
-		return fmt.Errorf("sequences %d != %d", len(idx.seqEvents), len(other.seqEvents))
-	}
-	if len(idx.posArena) != len(other.posArena) {
-		return fmt.Errorf("position arena length %d != %d", len(idx.posArena), len(other.posArena))
-	}
-	for i := range idx.posArena {
-		if idx.posArena[i] != other.posArena[i] {
-			return fmt.Errorf("posArena[%d]: %d != %d", i, idx.posArena[i], other.posArena[i])
-		}
-	}
-	for si := range idx.seqEvents {
-		if len(idx.seqEvents[si]) != len(other.seqEvents[si]) {
-			return fmt.Errorf("seq %d: distinct events %d != %d", si, len(idx.seqEvents[si]), len(other.seqEvents[si]))
-		}
-		for k := range idx.seqEvents[si] {
-			if idx.seqEvents[si][k] != other.seqEvents[si][k] {
-				return fmt.Errorf("seq %d: seqEvents[%d]: %d != %d", si, k, idx.seqEvents[si][k], other.seqEvents[si][k])
-			}
-			if idx.seqOffsets[si][k] != other.seqOffsets[si][k] {
-				return fmt.Errorf("seq %d: seqOffsets[%d]: %d != %d", si, k, idx.seqOffsets[si][k], other.seqOffsets[si][k])
-			}
-		}
-		last := len(idx.seqEvents[si])
-		if idx.seqOffsets[si][last] != other.seqOffsets[si][last] {
-			return fmt.Errorf("seq %d: offset sentinel %d != %d", si, idx.seqOffsets[si][last], other.seqOffsets[si][last])
-		}
-		if len(idx.prevOcc[si]) != len(other.prevOcc[si]) {
-			return fmt.Errorf("seq %d: prevOcc length %d != %d", si, len(idx.prevOcc[si]), len(other.prevOcc[si]))
-		}
-		for j := range idx.prevOcc[si] {
-			if idx.prevOcc[si][j] != other.prevOcc[si][j] {
-				return fmt.Errorf("seq %d: prevOcc[%d]: %d != %d", si, j, idx.prevOcc[si][j], other.prevOcc[si][j])
-			}
-		}
-	}
-	if len(idx.postOffsets) != len(other.postOffsets) {
-		return fmt.Errorf("postOffsets length %d != %d", len(idx.postOffsets), len(other.postOffsets))
-	}
-	for e := range idx.postOffsets {
-		if idx.postOffsets[e] != other.postOffsets[e] {
-			return fmt.Errorf("postOffsets[%d]: %d != %d", e, idx.postOffsets[e], other.postOffsets[e])
-		}
-	}
-	for i := range idx.postSeqs {
-		if idx.postSeqs[i] != other.postSeqs[i] {
-			return fmt.Errorf("postSeqs[%d]: %d != %d", i, idx.postSeqs[i], other.postSeqs[i])
-		}
-	}
-	for e := range idx.instCount {
-		if idx.instCount[e] != other.instCount[e] {
-			return fmt.Errorf("instCount[%d]: %d != %d", e, idx.instCount[e], other.instCount[e])
-		}
-	}
-	return nil
-}

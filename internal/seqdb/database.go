@@ -17,11 +17,8 @@ type Database struct {
 	positions []map[EventID][]int
 
 	// flat caches the flat positional index built by FlatIndex. The miners'
-	// hot paths run entirely against it. flatSeqs is the number of sequences
-	// the index covers: when sequences are appended, FlatIndex extends the
-	// index incrementally instead of rebuilding it.
-	flat     *PositionIndex
-	flatSeqs int
+	// hot paths run entirely against it. Append drops it.
+	flat *PositionIndex
 }
 
 // NewDatabase returns an empty database with a fresh dictionary.
@@ -39,28 +36,14 @@ func NewDatabaseWithDict(dict *Dictionary) *Database {
 	return &Database{Dict: dict}
 }
 
-// Append adds a sequence of already-interned event ids to the database. An
-// already-built flat index is not discarded: the next FlatIndex call extends
-// it incrementally with the appended sequences.
+// Append adds a sequence of already-interned event ids to the database and
+// drops the cached flat index, so the next FlatIndex call builds a fresh one.
+// An index obtained before the Append is immutable and keeps answering for
+// the sequences it was built over.
 func (db *Database) Append(s Sequence) {
 	db.Sequences = append(db.Sequences, s)
 	db.positions = nil
-}
-
-// ExtendLast appends events to the database's last sequence — the streaming
-// case of an open trace receiving more events. The flat index, when current,
-// is extended in place (only the last sequence's tail region is rewritten).
-func (db *Database) ExtendLast(events ...EventID) {
-	if len(db.Sequences) == 0 {
-		db.Append(events)
-		return
-	}
-	last := len(db.Sequences) - 1
-	db.Sequences[last] = append(db.Sequences[last], events...)
-	db.positions = nil
-	if db.flat != nil && db.flatSeqs == len(db.Sequences) {
-		db.flat.AppendEvents(db.Sequences[last], db.Dict.Size())
-	}
+	db.flat = nil
 }
 
 // AppendNames interns each name and appends the resulting sequence. It is
@@ -107,38 +90,24 @@ func (db *Database) Positions(i int) map[EventID][]int {
 
 // FlatIndex builds (or returns the cached) flat positional index over the
 // database. All miners run their hot paths against this representation; see
-// PositionIndex for the layout. When sequences were appended since the last
-// call the index is extended incrementally rather than rebuilt, bumping its
-// version; the returned state is always exactly what a fresh build over the
-// current sequences would produce. The index must not be mutated while other
-// goroutines read it — concurrent readers take FlatIndex().Snapshot() (or go
-// through the stream package, whose shards serialise appends).
+// PositionIndex for the layout. The index is built once over the current
+// sequences and never modified, so it may be shared by concurrent readers;
+// after an Append (or any change to the number of sequences) the next call
+// builds a fresh one.
 func (db *Database) FlatIndex() *PositionIndex {
-	switch {
-	case db.flat == nil:
+	if db.flat == nil || db.flat.NumSequences() != len(db.Sequences) {
 		db.flat = BuildPositionIndex(db.Sequences, db.Dict.Size())
-	case db.flatSeqs < len(db.Sequences):
-		db.flat.AppendSequences(db.Sequences[db.flatSeqs:], db.Dict.Size())
 	}
-	db.flatSeqs = len(db.Sequences)
 	return db.flat
 }
 
 // SnapshotView returns a read-only view of the database: the dictionary is
-// shared, the sequence headers are copied, and a current flat index is
-// captured via PositionIndex.Snapshot. The view stays consistent while the
-// original keeps appending, so it can be handed to concurrent miners.
-// SnapshotView must be called by the database's writer.
+// shared and the sequence headers are copied, so the view stays fixed while
+// the original keeps appending and can be handed to concurrent miners. The
+// view builds its own flat index on first use. SnapshotView must be called
+// by the database's writer.
 func (db *Database) SnapshotView() *Database {
-	v := &Database{
-		Dict:      db.Dict,
-		Sequences: append([]Sequence(nil), db.Sequences...),
-	}
-	if db.flat != nil && db.flatSeqs == len(db.Sequences) {
-		v.flat = db.flat.Snapshot()
-		v.flatSeqs = len(v.Sequences)
-	}
-	return v
+	return &Database{Dict: db.Dict, Sequences: append([]Sequence(nil), db.Sequences...)}
 }
 
 // EventSupport returns, for every event, the number of sequences in which it

@@ -1,9 +1,6 @@
 package seqdb
 
-import (
-	"math/bits"
-	"sort"
-)
+import "sort"
 
 // PositionIndex is the flat, cache-friendly positional index used by the
 // mining hot paths. It replaces the per-sequence map[EventID][]int layout of
@@ -20,8 +17,9 @@ import (
 //   - a per-event postings CSR lists, for every event, the sequences that
 //     contain it, which drives seed generation without map iteration.
 //
-// All derived data is immutable after Build, so one index is safely shared by
-// any number of concurrent mining workers.
+// An index is a pure function of its sequences and is never modified after
+// BuildPositionIndex, so one index is safely shared by any number of
+// concurrent mining workers.
 type PositionIndex struct {
 	numEvents int
 
@@ -42,22 +40,6 @@ type PositionIndex struct {
 
 	// instCount[e] is the total number of occurrences of event e.
 	instCount []int32
-
-	// Dense-event position bitmaps. For sequence s, bmSlots[s][k] is the word
-	// offset into bmWords[s] of the bitmap of seqEvents[s][k] (bit j set iff
-	// s[j] is that event), or -1 when the event is too sparse to earn one;
-	// bmSlots[s] is nil when no event of s qualifies. Derived deterministically
-	// from the position lists, so two indexes with equal logical state always
-	// carry equal bitmaps.
-	bmSlots [][]int32
-	bmWords [][]uint64
-
-	// version counts append batches (see index_append.go); frozenSeqs and
-	// frozenPos are the header/arena watermarks visible to the most recent
-	// Snapshot, below which tail rewrites must copy-on-write.
-	version    uint64
-	frozenSeqs int
-	frozenPos  int
 }
 
 // BuildPositionIndex constructs the index for the given sequences. numEvents
@@ -76,8 +58,6 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 		seqOffsets: make([][]int32, len(sequences)),
 		prevOcc:    make([][]int32, len(sequences)),
 		instCount:  make([]int32, numEvents),
-		bmSlots:    make([][]int32, len(sequences)),
-		bmWords:    make([][]uint64, len(sequences)),
 	}
 
 	totalEvents := 0
@@ -156,7 +136,6 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 			lastSeen[e] = int32(j)
 		}
 		idx.prevOcc[si] = prev
-		idx.bmSlots[si], idx.bmWords[si] = idx.buildSeqBitmaps(si, len(s))
 		for _, e := range touched {
 			counts[e] = 0
 			lastSeen[e] = -1
@@ -224,14 +203,6 @@ func (idx *PositionIndex) SeqContains(s int, e EventID) bool {
 	return k < len(events) && events[k] == e
 }
 
-// SeqLen returns the number of events in sequence s.
-func (idx *PositionIndex) SeqLen(s int) int { return len(idx.prevOcc[s]) }
-
-// PrevOccurrence returns the position of the previous occurrence (before pos)
-// of the event located at position pos of sequence s, or -1 when pos holds its
-// first occurrence.
-func (idx *PositionIndex) PrevOccurrence(s, pos int) int32 { return idx.prevOcc[s][pos] }
-
 // OccursWithin reports whether the event at position pos of sequence s also
 // occurs somewhere in [lo, pos). It relies on the prev-occurrence chain, so it
 // is exact only when pos holds the first occurrence at or after lo' for every
@@ -259,177 +230,22 @@ func lowerBound[T ~int32](a []T, x T) int {
 	return base
 }
 
-// searchInt32 returns the smallest index i with positions[i] >= from.
-func searchInt32(positions []int32, from int32) int {
-	return lowerBound(positions, from)
-}
-
-// CountInRange returns the number of occurrences of e in sequence s falling
-// in the half-open position interval [lo, hi).
-func (idx *PositionIndex) CountInRange(s int, e EventID, lo, hi int) int {
-	if hi <= lo {
-		return 0
-	}
-	positions := idx.Positions(s, e)
-	return searchInt32(positions, int32(hi)) - searchInt32(positions, int32(lo))
-}
-
 // CountFrom returns the number of occurrences of e in sequence s at position
 // from or later.
 func (idx *PositionIndex) CountFrom(s int, e EventID, from int) int {
 	positions := idx.Positions(s, e)
-	return len(positions) - searchInt32(positions, int32(from))
+	return len(positions) - lowerBound(positions, int32(from))
 }
 
 // PositionsFrom returns the sorted occurrence positions of e in sequence s
 // that are >= from.
 func (idx *PositionIndex) PositionsFrom(s int, e EventID, from int) []int32 {
 	positions := idx.Positions(s, e)
-	return positions[searchInt32(positions, int32(from)):]
-}
-
-// Dense-bitmap qualification: an event earns a position bitmap in a sequence
-// when it occurs at least bmMinCount times and at least every bmSparseness-th
-// position on average. Below either bound the bitmap scan would touch more
-// words than the branchless binary probe touches cache lines, so the postings
-// list stays the faster representation.
-const (
-	bmMinCount   = 16
-	bmSparseness = 8
-)
-
-// denseBitmap reports whether an event with count occurrences in a sequence
-// of seqLen events qualifies for the bitmap fast path.
-func denseBitmap(count, seqLen int) bool {
-	return count >= bmMinCount && count*bmSparseness >= seqLen
-}
-
-// buildSeqBitmaps derives sequence si's dense-event bitmaps from its freshly
-// written headers and position lists. It returns (nil, nil) when no event of
-// the sequence qualifies — the common case for long-tailed alphabets.
-func (idx *PositionIndex) buildSeqBitmaps(si, seqLen int) ([]int32, []uint64) {
-	events := idx.seqEvents[si]
-	offs := idx.seqOffsets[si]
-	nDense := 0
-	for k := range events {
-		if denseBitmap(int(offs[k+1]-offs[k]), seqLen) {
-			nDense++
-		}
-	}
-	if nDense == 0 {
-		return nil, nil
-	}
-	w := (seqLen + 63) >> 6
-	slots := make([]int32, len(events))
-	words := make([]uint64, nDense*w)
-	off := int32(0)
-	for k := range events {
-		if !denseBitmap(int(offs[k+1]-offs[k]), seqLen) {
-			slots[k] = -1
-			continue
-		}
-		slots[k] = off
-		bm := words[off : int(off)+w]
-		for _, p := range idx.posArena[offs[k]:offs[k+1]] {
-			bm[p>>6] |= 1 << (uint(p) & 63)
-		}
-		off += int32(w)
-	}
-	return slots, words
-}
-
-// NextAfter returns the smallest position >= from at which e occurs in
-// sequence s, or -1 when there is none.
-func (idx *PositionIndex) NextAfter(s int, e EventID, from int) int32 {
-	events := idx.seqEvents[s]
-	k := lowerBound(events, e)
-	if k == len(events) || events[k] != e {
-		return -1
-	}
-	if slots := idx.bmSlots[s]; slots != nil && slots[k] >= 0 {
-		return nextBit(idx.bmWords[s], int(slots[k]), len(idx.prevOcc[s]), from)
-	}
-	offs := idx.seqOffsets[s]
-	positions := idx.posArena[offs[k]:offs[k+1]]
-	i := lowerBound(positions, int32(from))
-	if i == len(positions) {
-		return -1
-	}
-	return positions[i]
-}
-
-// PrevBefore returns the largest position < before at which e occurs in
-// sequence s, or -1 when there is none. It is the backward counterpart of
-// NextAfter, used by latest-embedding computations.
-func (idx *PositionIndex) PrevBefore(s int, e EventID, before int) int32 {
-	events := idx.seqEvents[s]
-	k := lowerBound(events, e)
-	if k == len(events) || events[k] != e {
-		return -1
-	}
-	if slots := idx.bmSlots[s]; slots != nil && slots[k] >= 0 {
-		return prevBit(idx.bmWords[s], int(slots[k]), len(idx.prevOcc[s]), before)
-	}
-	offs := idx.seqOffsets[s]
-	positions := idx.posArena[offs[k]:offs[k+1]]
-	i := lowerBound(positions, int32(before))
-	if i == 0 {
-		return -1
-	}
-	return positions[i-1]
-}
-
-// nextBit returns the smallest set bit >= from in the bitmap of seqLen bits
-// starting at word off of words, or -1. A dense bitmap has an expected gap of
-// at most bmSparseness positions, so the scan almost always resolves in the
-// first word it touches.
-func nextBit(words []uint64, off, seqLen, from int) int32 {
-	if from < 0 {
-		from = 0
-	}
-	if from >= seqLen {
-		return -1
-	}
-	nw := (seqLen + 63) >> 6
-	wi := from >> 6
-	cur := words[off+wi] &^ (1<<(uint(from)&63) - 1)
-	for cur == 0 {
-		wi++
-		if wi >= nw {
-			return -1
-		}
-		cur = words[off+wi]
-	}
-	return int32(wi<<6 + bits.TrailingZeros64(cur))
-}
-
-// prevBit returns the largest set bit < before in the bitmap of seqLen bits
-// starting at word off of words, or -1.
-func prevBit(words []uint64, off, seqLen, before int) int32 {
-	if before > seqLen {
-		before = seqLen
-	}
-	if before <= 0 {
-		return -1
-	}
-	last := before - 1
-	wi := last >> 6
-	cur := words[off+wi]
-	if s := uint(last) & 63; s != 63 {
-		cur &= 1<<(s+1) - 1
-	}
-	for cur == 0 {
-		wi--
-		if wi < 0 {
-			return -1
-		}
-		cur = words[off+wi]
-	}
-	return int32(wi<<6 + 63 - bits.LeadingZeros64(cur))
+	return positions[lowerBound(positions, int32(from)):]
 }
 
 // PosCursor walks one (sequence, event) occurrence list monotonically. It is
-// the amortised form of NextAfter for callers whose probe positions never
+// the amortised next-occurrence probe for callers whose probe positions never
 // decrease — the episode miner's end-chain advance — resolving the common
 // "next occurrence is the next entry" case in O(1) and galloping (doubling
 // probe distance, then a branchless binary search inside the bracket) past
@@ -448,8 +264,7 @@ func (idx *PositionIndex) Cursor(s int, e EventID) PosCursor {
 
 // NextAfter returns the smallest occurrence position >= from not yet passed,
 // or -1 when none remains. Probe positions must be non-decreasing across
-// calls; under that contract it returns exactly what PositionIndex.NextAfter
-// would.
+// calls; under that contract it returns the first occurrence at or after from.
 func (c *PosCursor) NextAfter(from int32) int32 {
 	ps := c.positions
 	i := c.i

@@ -1,7 +1,9 @@
 package seqdb
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -47,21 +49,38 @@ func TestPositionIndexMatchesMapIndex(t *testing.T) {
 	}
 }
 
-func TestPositionIndexPrevOccurrence(t *testing.T) {
+// TestPositionIndexOccursWithin pins the prev-occurrence chains through
+// OccursWithin: the event at position j occurs in [lo, j) exactly when a
+// brute-force scan finds it there, for every j and every lo <= j.
+func TestPositionIndexOccursWithin(t *testing.T) {
 	db := NewDatabase()
 	db.AppendNames("a", "b", "a", "c", "b", "a")
 	idx := db.FlatIndex()
-	want := []int32{-1, -1, 0, -1, 1, 2}
-	for j, w := range want {
-		if got := idx.PrevOccurrence(0, j); got != w {
-			t.Errorf("PrevOccurrence(0,%d)=%d want %d", j, got, w)
-		}
-	}
 	if !idx.OccursWithin(0, 2, 0) {
 		t.Errorf("a at position 2 occurs within [0,2)")
 	}
 	if idx.OccursWithin(0, 2, 1) {
 		t.Errorf("a at position 2 does not occur within [1,2)")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for iter := 0; iter < 30; iter++ {
+		db := randomIndexDB(rng, 1+rng.Intn(5), 15, 1+rng.Intn(6))
+		idx := db.FlatIndex()
+		for si, s := range db.Sequences {
+			for j := range s {
+				for lo := 0; lo <= j; lo++ {
+					want := false
+					for k := lo; k < j; k++ {
+						if s[k] == s[j] {
+							want = true
+						}
+					}
+					if got := idx.OccursWithin(si, j, lo); got != want {
+						t.Fatalf("OccursWithin(seq %d, pos %d, lo %d)=%v want %v (s=%v)", si, j, lo, got, want, s)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -72,40 +91,24 @@ func TestPositionIndexRangeQueries(t *testing.T) {
 		idx := db.FlatIndex()
 		for si, s := range db.Sequences {
 			for e := EventID(0); e < EventID(db.Dict.Size()); e++ {
-				for lo := 0; lo <= len(s); lo++ {
-					for hi := lo; hi <= len(s); hi++ {
-						want := 0
-						for j := lo; j < hi; j++ {
-							if s[j] == e {
-								want++
-							}
-						}
-						if got := idx.CountInRange(si, e, lo, hi); got != want {
-							t.Fatalf("CountInRange(seq %d, ev %d, %d, %d)=%d want %d (s=%v)", si, e, lo, hi, got, want, s)
-						}
-					}
-					wantFrom := 0
-					wantNext := int32(-1)
-					for j := len(s) - 1; j >= lo; j-- {
+				for lo := 0; lo <= len(s)+1; lo++ {
+					var want []int32
+					for j := lo; j < len(s); j++ {
 						if s[j] == e {
-							wantFrom++
-							wantNext = int32(j)
+							want = append(want, int32(j))
 						}
 					}
-					if got := idx.CountFrom(si, e, lo); got != wantFrom {
-						t.Fatalf("CountFrom(seq %d, ev %d, %d)=%d want %d", si, e, lo, got, wantFrom)
+					if got := idx.CountFrom(si, e, lo); got != len(want) {
+						t.Fatalf("CountFrom(seq %d, ev %d, %d)=%d want %d", si, e, lo, got, len(want))
 					}
-					if got := idx.NextAfter(si, e, lo); got != wantNext {
-						t.Fatalf("NextAfter(seq %d, ev %d, %d)=%d want %d", si, e, lo, got, wantNext)
+					got := idx.PositionsFrom(si, e, lo)
+					if len(got) != len(want) {
+						t.Fatalf("PositionsFrom(seq %d, ev %d, %d)=%v want %v", si, e, lo, got, want)
 					}
-					wantPrev := int32(-1)
-					for j := 0; j < lo; j++ {
-						if s[j] == e {
-							wantPrev = int32(j)
+					for k := range want {
+						if got[k] != want[k] {
+							t.Fatalf("PositionsFrom(seq %d, ev %d, %d)=%v want %v", si, e, lo, got, want)
 						}
-					}
-					if got := idx.PrevBefore(si, e, lo); got != wantPrev {
-						t.Fatalf("PrevBefore(seq %d, ev %d, %d)=%d want %d", si, e, lo, got, wantPrev)
 					}
 				}
 			}
@@ -165,18 +168,14 @@ func TestPositionIndexPostingsAndSupports(t *testing.T) {
 	}
 }
 
-// TestPositionIndexSeqProbes pins the presence probes: SeqContains
-// against a brute-force scan (out-of-range ids read as absent) and SeqLen
-// against the raw sequences.
+// TestPositionIndexSeqProbes pins the presence probe SeqContains against a
+// brute-force scan; out-of-range ids read as absent.
 func TestPositionIndexSeqProbes(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for iter := 0; iter < 30; iter++ {
 		db := randomIndexDB(rng, 1+rng.Intn(8), 10, 1+rng.Intn(6))
 		idx := db.FlatIndex()
 		for s, seq := range db.Sequences {
-			if got := idx.SeqLen(s); got != len(seq) {
-				t.Fatalf("SeqLen(%d)=%d want %d", s, got, len(seq))
-			}
 			for e := EventID(0); e < EventID(db.Dict.Size()); e++ {
 				want := false
 				for _, ev := range seq {
@@ -196,25 +195,130 @@ func TestPositionIndexSeqProbes(t *testing.T) {
 	}
 }
 
+// indexDiff compares two indexes through their public probes — the shape,
+// every (sequence, event) position list, and the per-event postings counts —
+// and describes the first difference, or returns "" when they agree.
+func indexDiff(got, want *PositionIndex) string {
+	if got.NumSequences() != want.NumSequences() || got.NumEvents() != want.NumEvents() || got.NumPositions() != want.NumPositions() {
+		return fmt.Sprintf("shape (%d seqs, %d events, %d positions) want (%d, %d, %d)",
+			got.NumSequences(), got.NumEvents(), got.NumPositions(), want.NumSequences(), want.NumEvents(), want.NumPositions())
+	}
+	for e := EventID(0); int(e) < want.NumEvents(); e++ {
+		if got.EventInstanceCount(e) != want.EventInstanceCount(e) || got.EventSeqSupport(e) != want.EventSeqSupport(e) {
+			return fmt.Sprintf("event %d counts differ", e)
+		}
+		for s := 0; s < want.NumSequences(); s++ {
+			g, w := got.Positions(s, e), want.Positions(s, e)
+			if fmt.Sprint(g) != fmt.Sprint(w) {
+				return fmt.Sprintf("seq %d event %d positions %v want %v", s, e, g, w)
+			}
+		}
+	}
+	return ""
+}
+
+// TestFlatIndexCacheInvalidation: FlatIndex is cached until an Append, after
+// which it equals a fresh build over all sequences, while an index obtained
+// before the Append still answers for the old prefix.
 func TestFlatIndexCacheInvalidation(t *testing.T) {
 	db := NewDatabase()
 	db.AppendNames("a", "b")
+	db.AppendNames("b", "b", "a")
 	idx1 := db.FlatIndex()
 	if idx1 != db.FlatIndex() {
 		t.Errorf("FlatIndex not cached")
 	}
-	if idx1.Version() != 0 {
-		t.Errorf("fresh index version %d want 0", idx1.Version())
-	}
-	db.AppendNames("c")
+	old := append([]Sequence(nil), db.Sequences...)
+	db.AppendNames("c", "a")
 	idx2 := db.FlatIndex()
-	if idx2.Version() == 0 {
-		t.Errorf("appending did not bump the index version")
+	if idx2 == idx1 {
+		t.Fatal("FlatIndex served the pre-Append index")
 	}
-	if idx2.NumSequences() != 2 {
-		t.Errorf("extended index has %d sequences want 2", idx2.NumSequences())
+	if d := indexDiff(idx2, BuildPositionIndex(db.Sequences, db.Dict.Size())); d != "" {
+		t.Fatalf("after Append: %s", d)
 	}
-	if got := idx2.Positions(1, db.Dict.Lookup("c")); len(got) != 1 || got[0] != 0 {
-		t.Errorf("extended index misses the appended sequence: %v", got)
+	if d := indexDiff(idx1, BuildPositionIndex(old, 2)); d != "" {
+		t.Fatalf("pre-Append index: %s", d)
+	}
+	if idx1.SeqContains(0, db.Dict.Lookup("c")) || idx1.EventInstanceCount(db.Dict.Lookup("c")) != 0 {
+		t.Error("pre-Append index sees the appended event")
+	}
+}
+
+// TestFlatIndexStableWhileDatabaseGrows: readers of an index obtained from
+// FlatIndex run concurrently with a writer that keeps appending and
+// rebuilding; -race proves the writer never touches the index they hold.
+func TestFlatIndexStableWhileDatabaseGrows(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	db := randomIndexDB(rng, 20, 30, 8)
+	idx := db.FlatIndex()
+	want := BuildPositionIndex(append([]Sequence(nil), db.Sequences...), db.Dict.Size())
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if d := indexDiff(idx, want); d != "" {
+					t.Errorf("shared index: %s", d)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		s := make(Sequence, 1+rng.Intn(30))
+		for j := range s {
+			s[j] = EventID(rng.Intn(8))
+		}
+		db.Append(s)
+		db.FlatIndex()
+	}
+	wg.Wait()
+	if d := indexDiff(db.FlatIndex(), BuildPositionIndex(db.Sequences, db.Dict.Size())); d != "" {
+		t.Fatalf("grown database: %s", d)
+	}
+}
+
+// TestSnapshotViewCopiesHeaders: a SnapshotView keeps the sequences it was
+// taken over while the original keeps appending, shares the dictionary, and
+// builds its own index over exactly those sequences.
+func TestSnapshotViewCopiesHeaders(t *testing.T) {
+	db := NewDatabase()
+	db.AppendNames("a", "b", "a")
+	db.AppendNames("b")
+	db.FlatIndex()
+	view := db.SnapshotView()
+	db.AppendNames("c", "a")
+	if view.Dict != db.Dict {
+		t.Fatal("view does not share the dictionary")
+	}
+	if view.NumSequences() != 2 || db.NumSequences() != 3 {
+		t.Fatalf("view has %d sequences, original %d; want 2 and 3", view.NumSequences(), db.NumSequences())
+	}
+	if d := indexDiff(view.FlatIndex(), BuildPositionIndex(db.Sequences[:2], db.Dict.Size())); d != "" {
+		t.Fatalf("view index: %s", d)
+	}
+	if d := indexDiff(db.FlatIndex(), BuildPositionIndex(db.Sequences, db.Dict.Size())); d != "" {
+		t.Fatalf("original index: %s", d)
+	}
+}
+
+// TestFlatIndexRebuildsAfterDirectAssignment: code that extends Sequences
+// directly instead of calling Append (merging shard views, assembling a
+// recovered store) still gets an index over every sequence.
+func TestFlatIndexRebuildsAfterDirectAssignment(t *testing.T) {
+	db := NewDatabase()
+	db.AppendNames("a", "b")
+	stale := db.FlatIndex()
+	other := NewDatabaseWithDict(db.Dict)
+	other.AppendNames("b", "c", "b")
+	db.Sequences = append(db.Sequences, other.Sequences...)
+	idx := db.FlatIndex()
+	if idx == stale {
+		t.Fatal("FlatIndex served an index that misses the assigned sequences")
+	}
+	if d := indexDiff(idx, BuildPositionIndex(db.Sequences, db.Dict.Size())); d != "" {
+		t.Fatalf("after direct assignment: %s", d)
 	}
 }

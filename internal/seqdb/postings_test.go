@@ -6,27 +6,17 @@ import (
 	"testing"
 )
 
-// Randomized equivalence tests for the postings hot paths — NextAfter,
-// PrevBefore, and the galloping PosCursor — against brute-force linear scans
-// of the raw sequences. The generator sweeps trace shapes that exercise both
-// sides of the dense-bitmap split (and its qualification boundary): dense
-// traces where most events take the bitmap path, sparse ones that stay on
-// the binary-searched position lists, and run-heavy ones whose long
-// single-event runs produce maximally skewed position lists.
+// Randomized equivalence tests for the postings probes — Positions,
+// PositionsFrom, CountFrom, SeqContains and the galloping PosCursor — against
+// brute-force linear scans of the raw sequences. The generator sweeps trace
+// shapes with very different position-list profiles: dense traces over a tiny
+// alphabet, sparse ones whose lists hold a handful of entries, and run-heavy
+// ones whose long single-event runs produce maximally skewed lists.
 
-// oracleNext is the reference NextAfter: first position >= from holding e.
+// oracleNext is the reference next-occurrence probe: first position >= from
+// holding e, or -1.
 func oracleNext(s Sequence, e EventID, from int) int32 {
 	for p := max(from, 0); p < len(s); p++ {
-		if s[p] == e {
-			return int32(p)
-		}
-	}
-	return -1
-}
-
-// oraclePrev is the reference PrevBefore: last position < before holding e.
-func oraclePrev(s Sequence, e EventID, before int) int32 {
-	for p := min(before, len(s)) - 1; p >= 0; p-- {
 		if s[p] == e {
 			return int32(p)
 		}
@@ -53,13 +43,12 @@ func genShape(rng *rand.Rand, shape string, seqLen, alphabet int) Sequence {
 	s := make(Sequence, seqLen)
 	switch shape {
 	case "dense":
-		// Tiny alphabet: every event far exceeds the density threshold.
+		// Tiny alphabet: every event occurs at a large share of positions.
 		for i := range s {
 			s[i] = EventID(rng.Intn(min(alphabet, 4)))
 		}
 	case "sparse":
-		// Alphabet on the order of the sequence length: counts stay low,
-		// nothing qualifies for a bitmap.
+		// Alphabet on the order of the sequence length: counts stay low.
 		for i := range s {
 			s[i] = EventID(rng.Intn(alphabet))
 		}
@@ -97,17 +86,32 @@ func TestPostingsRandomizedVsOracle(t *testing.T) {
 			idx := db.FlatIndex()
 			name := fmt.Sprintf("%s/trial=%d", shape, trial)
 			for si, s := range seqs {
-				// Probe every event that occurs plus one absent id, across
-				// every boundary-adjacent from/before value.
-				events := append([]EventID(nil), idx.SeqEvents(si)...)
-				events = append(events, EventID(alphabet+1))
-				for _, e := range events {
-					for from := -2; from <= len(s)+2; from++ {
-						if got, want := idx.NextAfter(si, e, from), oracleNext(s, e, from); got != want {
-							t.Fatalf("%s: NextAfter(s=%d, e=%d, from=%d) = %d, oracle %d", name, si, e, from, got, want)
+				// Probe every event id of the alphabet (most absent from a
+				// sparse trace) plus one beyond it, across every
+				// boundary-adjacent from value.
+				for e := EventID(0); e <= EventID(alphabet+1); e++ {
+					var all []int32
+					for p, ev := range s {
+						if ev == e {
+							all = append(all, int32(p))
 						}
-						if got, want := idx.PrevBefore(si, e, from), oraclePrev(s, e, from); got != want {
-							t.Fatalf("%s: PrevBefore(s=%d, e=%d, before=%d) = %d, oracle %d", name, si, e, from, got, want)
+					}
+					if got := idx.Positions(si, e); fmt.Sprint(got) != fmt.Sprint(all) {
+						t.Fatalf("%s: Positions(s=%d, e=%d) = %v, oracle %v", name, si, e, got, all)
+					}
+					if got, want := idx.SeqContains(si, e), len(all) > 0; got != want {
+						t.Fatalf("%s: SeqContains(s=%d, e=%d) = %v, oracle %v", name, si, e, got, want)
+					}
+					for from := 0; from <= len(s)+2; from++ {
+						want := all
+						for len(want) > 0 && want[0] < int32(from) {
+							want = want[1:]
+						}
+						if got := idx.PositionsFrom(si, e, from); fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("%s: PositionsFrom(s=%d, e=%d, from=%d) = %v, oracle %v", name, si, e, from, got, want)
+						}
+						if got := idx.CountFrom(si, e, from); got != len(want) {
+							t.Fatalf("%s: CountFrom(s=%d, e=%d, from=%d) = %d, oracle %d", name, si, e, from, got, len(want))
 						}
 					}
 				}
@@ -117,9 +121,9 @@ func TestPostingsRandomizedVsOracle(t *testing.T) {
 }
 
 // TestPostingsCursorMonotone drives PosCursor with random non-decreasing
-// probe sequences and checks every answer against PositionIndex.NextAfter
-// (itself oracle-verified above), covering the cursor's O(1) next-entry fast
-// path, gallop brackets of every size, and exhaustion.
+// probe sequences and checks every answer against the brute-force
+// oracleNext, covering the cursor's O(1) next-entry fast path, gallop
+// brackets of every size, and exhaustion.
 func TestPostingsCursorMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xc0ffee))
 	for _, shape := range []string{"dense", "sparse", "runs"} {
@@ -138,9 +142,9 @@ func TestPostingsCursorMonotone(t *testing.T) {
 				}
 				for from <= int32(seqLen)+1 {
 					got := cur.NextAfter(from)
-					want := idx.NextAfter(0, e, int(from))
+					want := oracleNext(s, e, int(from))
 					if got != want {
-						t.Fatalf("%s/trial=%d: cursor NextAfter(%d) on e=%d = %d, index says %d", shape, trial, from, e, got, want)
+						t.Fatalf("%s/trial=%d: cursor NextAfter(%d) on e=%d = %d, oracle %d", shape, trial, from, e, got, want)
 					}
 					// Advance by a mixed step distribution: mostly small (the
 					// O(1) path), occasionally large (forcing a gallop).
@@ -163,62 +167,4 @@ func max32(a, b int32) int32 {
 		return a
 	}
 	return b
-}
-
-// TestPostingsBitmapThresholdBoundary pins the dense-bitmap qualification
-// split at its exact boundary: events one occurrence below bmMinCount (or
-// one short of the sparseness ratio) must use the binary-search path while
-// events exactly at the boundary use the bitmap, and both must agree with
-// the oracle. The sequence is laid out deterministically so each event's
-// count is known by construction.
-func TestPostingsBitmapThresholdBoundary(t *testing.T) {
-	// seqLen chosen so count*bmSparseness == seqLen exactly at count = 2*bmMinCount.
-	const seqLen = 2 * bmMinCount * bmSparseness // 256
-	counts := []int{
-		bmMinCount - 1,      // fails the absolute floor
-		bmMinCount,          // meets floor but 16*8 = 128 < 256: fails ratio
-		2*bmMinCount - 1,    // one short of the ratio boundary
-		2 * bmMinCount,      // exactly on the ratio boundary: qualifies
-		2*bmMinCount + 1,    // comfortably dense
-		seqLen - bmMinCount, // filler event, dominates the tail
-	}
-	s := make(Sequence, 0, seqLen)
-	for e, c := range counts {
-		for i := 0; i < c && len(s) < seqLen; i++ {
-			s = append(s, EventID(e))
-		}
-	}
-	for len(s) < seqLen {
-		s = append(s, EventID(len(counts)-1))
-	}
-	// Interleave deterministically so positions are spread, not blocked.
-	rng := rand.New(rand.NewSource(7))
-	rng.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-
-	db := NewDatabase()
-	db.Append(s)
-	idx := db.FlatIndex()
-
-	for e, c := range counts {
-		want := denseBitmap(c, seqLen)
-		slots := idx.bmSlots[0]
-		events := idx.SeqEvents(0)
-		k := lowerBound(events, EventID(e))
-		got := slots != nil && slots[k] >= 0
-		if c == counts[len(counts)-1] {
-			// The filler's true count may exceed its nominal entry; recompute.
-			want = denseBitmap(len(idx.Positions(0, EventID(e))), seqLen)
-		}
-		if got != want {
-			t.Fatalf("event %d (count %d, seqLen %d): bitmap qualification = %v, want %v", e, c, seqLen, got, want)
-		}
-		for from := -1; from <= seqLen+1; from++ {
-			if g, w := idx.NextAfter(0, EventID(e), from), oracleNext(s, EventID(e), from); g != w {
-				t.Fatalf("boundary event %d: NextAfter(from=%d) = %d, oracle %d", e, from, g, w)
-			}
-			if g, w := idx.PrevBefore(0, EventID(e), from), oraclePrev(s, EventID(e), from); g != w {
-				t.Fatalf("boundary event %d: PrevBefore(before=%d) = %d, oracle %d", e, from, g, w)
-			}
-		}
-	}
 }

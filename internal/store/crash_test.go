@@ -41,7 +41,7 @@ func driveWorkload(t *testing.T, st *Store, rng *rand.Rand, ops int, sealBarrier
 			id := "fz-" + string(rune('a'+nextID%26)) + string(rune('a'+nextID/26%26)) + string(rune('0'+nextID/676))
 			nextID++
 			evs := randomTrace(rng, 15)
-			if err := sl.LogEvents(id, evs, noSend); err != nil {
+			if err := sl.CommitEvents(id, evs, noSend); err != nil {
 				t.Fatal(err)
 			}
 			ledger = append(ledger, ledgerRec{kind: recOpen, id: id})
@@ -51,7 +51,7 @@ func driveWorkload(t *testing.T, st *Store, rng *rand.Rand, ops int, sealBarrier
 		case rng.Intn(2) == 0: // extend an existing open trace
 			id := openIDs[rng.Intn(len(openIDs))]
 			evs := randomTrace(rng, 15)
-			if err := sl.LogEvents(id, evs, noSend); err != nil {
+			if err := sl.CommitEvents(id, evs, noSend); err != nil {
 				t.Fatal(err)
 			}
 			ledger = append(ledger, ledgerRec{kind: recEvents, id: id, events: evs})
@@ -60,7 +60,7 @@ func driveWorkload(t *testing.T, st *Store, rng *rand.Rand, ops int, sealBarrier
 			id := openIDs[k]
 			openIDs = append(openIDs[:k], openIDs[k+1:]...)
 			delete(open, id)
-			if err := sl.LogSeal(id, noSend); err != nil {
+			if err := sl.CommitSeal(id, noSend); err != nil {
 				t.Fatal(err)
 			}
 			ledger = append(ledger, ledgerRec{kind: recSeal, id: id})
@@ -243,13 +243,10 @@ func runCrashRecoveryFuzz(t *testing.T, sealBarrierAt int, everyByte bool) {
 			}
 			sequencesEqual(t, "cut open "+tr.ID, []seqdb.Sequence{tr.Events}, []seqdb.Sequence{want})
 		}
-		// The index over the recovered database must be byte-identical to a
-		// fresh build over the surviving prefix.
+		// The database assembled from the recovered store holds exactly the
+		// surviving prefix.
 		db := st2.Recovered().Database(st2.Dict())
-		fresh := seqdb.BuildPositionIndex(wantSealed, st2.Dict().Size())
-		if err := db.FlatIndex().EqualState(fresh); err != nil {
-			t.Fatalf("cut %d: recovered index differs from fresh build: %v", cut, err)
-		}
+		sequencesEqual(t, "cut database", db.Sequences, wantSealed)
 		if err := st2.Close(); err != nil {
 			t.Fatalf("cut %d: close: %v", cut, err)
 		}

@@ -69,10 +69,10 @@ func TestSegmentWriteENOSPCDiscardedOnReopen(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		id := fmt.Sprintf("tr%03d", i)
 		evs := randomTrace(rng, 10)
-		if err := sl.LogEvents(id, evs, noSend); err != nil {
+		if err := sl.CommitEvents(id, evs, noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogSeal(id, noSend); err != nil {
+		if err := sl.CommitSeal(id, noSend); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, evs)
@@ -118,16 +118,16 @@ func TestWALRotationENOSPCOldGenerationContinues(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		id := "tr" + string(rune('a'+i))
 		evs := randomTrace(rng, 10)
-		if err := sl.LogEvents(id, evs, noSend); err != nil {
+		if err := sl.CommitEvents(id, evs, noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogSeal(id, noSend); err != nil {
+		if err := sl.CommitSeal(id, noSend); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, evs)
 	}
 	stillOpen := randomTrace(rng, 10)
-	if err := sl.LogEvents(t.Name(), stillOpen, noSend); err != nil {
+	if err := sl.CommitEvents(t.Name(), stillOpen, noSend); err != nil {
 		t.Fatal(err)
 	}
 
@@ -147,7 +147,7 @@ func TestWALRotationENOSPCOldGenerationContinues(t *testing.T) {
 
 	// The old generation is still the active WAL; ingest continues on it.
 	extra := randomTrace(rng, 10)
-	if err := sl.LogEvents(t.Name(), extra, noSend); err != nil {
+	if err := sl.CommitEvents(t.Name(), extra, noSend); err != nil {
 		t.Fatalf("append after failed rotation: %v", err)
 	}
 	if err := st.Close(); err != nil {
@@ -185,7 +185,7 @@ func TestTransientENOSPCAbsorbedByRetry(t *testing.T) {
 	defer st.Close()
 	internEvents(t, st, 5)
 	sl := st.Shard(0)
-	if err := sl.LogEvents("tr", seqdb.Sequence{0, 1, 2}, noSend); err != nil {
+	if err := sl.CommitEvents("tr", seqdb.Sequence{0, 1, 2}, noSend); err != nil {
 		t.Fatal(err)
 	}
 	if err := sl.Flush(); err != nil {
@@ -211,7 +211,7 @@ func TestTransientENOSPCClearsAndIngestResumes(t *testing.T) {
 		func(o *Options) { o.RetryAttempts = -1 })
 	internEvents(t, st, 8)
 	sl := st.Shard(0)
-	if err := sl.LogEvents("tr", seqdb.Sequence{0, 1, 2}, noSend); err != nil {
+	if err := sl.CommitEvents("tr", seqdb.Sequence{0, 1, 2}, noSend); err != nil {
 		t.Fatal(err)
 	}
 	failures := 0
@@ -229,10 +229,10 @@ func TestTransientENOSPCClearsAndIngestResumes(t *testing.T) {
 		t.Fatalf("fault count %d want 4", h.Faults)
 	}
 	// Ingest continues on the same handle, no reopen.
-	if err := sl.LogEvents("tr", seqdb.Sequence{3, 4}, noSend); err != nil {
+	if err := sl.CommitEvents("tr", seqdb.Sequence{3, 4}, noSend); err != nil {
 		t.Fatalf("append after window cleared: %v", err)
 	}
-	if err := sl.LogSeal("tr", noSend); err != nil {
+	if err := sl.CommitSeal("tr", noSend); err != nil {
 		t.Fatal(err)
 	}
 	if err := sl.Flush(); err != nil {
@@ -256,7 +256,7 @@ func TestPermanentFaultDegradesReadOnly(t *testing.T) {
 		nil)
 	internEvents(t, st, 5)
 	sl := st.Shard(0)
-	if err := sl.LogEvents("tr", seqdb.Sequence{0, 1}, noSend); err != nil {
+	if err := sl.CommitEvents("tr", seqdb.Sequence{0, 1}, noSend); err != nil {
 		t.Fatal(err)
 	}
 	err := sl.Flush()
@@ -271,7 +271,7 @@ func TestPermanentFaultDegradesReadOnly(t *testing.T) {
 		t.Fatalf("health cause: %q", h.Cause)
 	}
 	// Writes fail fast with the typed error; reads are not gated.
-	if err := sl.LogEvents("tr2", seqdb.Sequence{2}, noSend); !errors.Is(err, ErrDegraded) {
+	if err := sl.CommitEvents("tr2", seqdb.Sequence{2}, noSend); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("ingest after degradation: %v", err)
 	}
 	if err := sl.CommitEvents("tr3", seqdb.Sequence{3}, noSend); !errors.Is(err, ErrDegraded) {
@@ -303,10 +303,10 @@ func TestRotationCleanupFailureWarnsNotFails(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		id := "tr" + string(rune('a'+i))
 		evs := randomTrace(rng, 10)
-		if err := sl.LogEvents(id, evs, noSend); err != nil {
+		if err := sl.CommitEvents(id, evs, noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogSeal(id, noSend); err != nil {
+		if err := sl.CommitSeal(id, noSend); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, evs)
@@ -332,7 +332,7 @@ func TestRotationCleanupFailureWarnsNotFails(t *testing.T) {
 	if len(wals) != 2 {
 		t.Fatalf("expected leaked + active WAL, found %v", wals)
 	}
-	if err := sl.LogEvents("post", seqdb.Sequence{0, 1}, noSend); err != nil {
+	if err := sl.CommitEvents("post", seqdb.Sequence{0, 1}, noSend); err != nil {
 		t.Fatalf("ingest after rotation: %v", err)
 	}
 	if err := st.Close(); err != nil {
@@ -362,10 +362,10 @@ func TestCompactionReadEIODegrades(t *testing.T) {
 	for i := 0; i < compactMinRun; i++ {
 		id := "tr" + string(rune('a'+i))
 		evs := randomTrace(rng, 10)
-		if err := sl.LogEvents(id, evs, noSend); err != nil {
+		if err := sl.CommitEvents(id, evs, noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogSeal(id, noSend); err != nil {
+		if err := sl.CommitSeal(id, noSend); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, evs)
@@ -396,10 +396,10 @@ func TestInvariantViolationFails(t *testing.T) {
 	st := openStore(t, dir, nil)
 	sl := st.Shard(0)
 	internEvents(t, st, 5)
-	if err := sl.LogEvents("tr", seqdb.Sequence{0}, noSend); err != nil {
+	if err := sl.CommitEvents("tr", seqdb.Sequence{0}, noSend); err != nil {
 		t.Fatal(err)
 	}
-	if err := sl.LogSeal("tr", noSend); err != nil {
+	if err := sl.CommitSeal("tr", noSend); err != nil {
 		t.Fatal(err)
 	}
 	if !sl.TryLock() {

@@ -25,10 +25,10 @@ func TestOutOfCoreOpen(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		tr := randomTrace(rng, 15)
 		id := "t-" + string(rune('a'+i))
-		if err := sl.LogEvents(id, tr, noSend); err != nil {
+		if err := sl.CommitEvents(id, tr, noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogSeal(id, noSend); err != nil {
+		if err := sl.CommitSeal(id, noSend); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -42,7 +42,7 @@ func TestOutOfCoreOpen(t *testing.T) {
 		}
 	}
 	openTr := randomTrace(rng, 15)
-	if err := sl.LogEvents("still-open", openTr, noSend); err != nil {
+	if err := sl.CommitEvents("still-open", openTr, noSend); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -103,10 +103,10 @@ func TestOutOfCoreOpenDetectsCorruption(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr := randomTrace(rng, 10)
 		id := "t-" + string(rune('a'+i))
-		if err := sl.LogEvents(id, tr, noSend); err != nil {
+		if err := sl.CommitEvents(id, tr, noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogSeal(id, noSend); err != nil {
+		if err := sl.CommitSeal(id, noSend); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)

@@ -381,7 +381,7 @@ func (st *Store) Close() error {
 }
 
 // ShardLog is one shard's durable appender. Producer-facing methods
-// (LogEvents, LogSeal, Flush) are safe for concurrent use; the barrier
+// (CommitEvents, CommitSeal, Flush) are safe for concurrent use; the barrier
 // methods (WriteSegment, rotation) must be called from the shard's single
 // writer goroutine, which is exactly how the streaming layer drives them.
 type ShardLog struct {
@@ -390,11 +390,12 @@ type ShardLog struct {
 	dir   string
 
 	// mu serialises WAL appends with the caller's channel handoff (the
-	// LogEvents/LogSeal and CommitEvents/CommitSeal callbacks run under it)
-	// so WAL order always equals apply order, and guards generation swaps.
-	// The contention-free commit path (CommitEvents/CommitSeal) does all
-	// encoding and checksumming before taking it, so the critical section is
-	// one buffer append plus the channel handoff.
+	// CommitEvents/CommitSeal callbacks run under it) so WAL order always
+	// equals apply order, and guards generation swaps. The commit path does
+	// all encoding and checksumming before taking it, so the critical section
+	// is one buffer append plus the channel handoff. Producers may block on
+	// the channel while holding it; that is safe because the shard goroutine
+	// only ever acquires it with TryLock.
 	mu  sync.Mutex
 	wal *walFile
 	gen uint64
@@ -460,21 +461,14 @@ func (sl *ShardLog) setRotateThreshold(fresh int64) {
 	sl.rotateAt.Store(at)
 }
 
-// Lock takes the shard log's lock for a producer-side append. The intended
-// sequence — append record(s), hand the operation to the shard's channel,
-// unlock — keeps WAL order equal to apply order and guarantees the record is
-// in the group-commit buffer before the operation is acknowledged. Producers
-// may block on the channel while holding the lock; that is safe because the
-// shard goroutine only ever acquires it with TryLock.
-func (sl *ShardLog) Lock() { sl.mu.Lock() }
-
-// AppendEventsLocked appends an events record (preceded by an open record
-// when the trace id is new) under the held lock. The record is framed in
-// place in the group-commit buffer — the ingest hot path allocates nothing.
-// On a flush failure the record (and any handle assignment) is rolled back:
-// the operation is being rejected, so no later retry of the buffer may
-// deliver it to disk and resurrect it at recovery.
-func (sl *ShardLog) AppendEventsLocked(id string, events []seqdb.EventID) error {
+// appendEventsLocked appends an events record (preceded by an open record
+// when the trace id is new) under the held lock, framed in place in the
+// group-commit buffer. It is CommitEvents' fallback when a rotation
+// invalidated the pre-framed handle. On a flush failure the record (and any
+// handle assignment) is rolled back: the operation is being rejected, so no
+// later retry of the buffer may deliver it to disk and resurrect it at
+// recovery.
+func (sl *ShardLog) appendEventsLocked(id string, events []seqdb.EventID) error {
 	if err := sl.st.Err(); err != nil {
 		return err
 	}
@@ -521,10 +515,10 @@ func (sl *ShardLog) dropHandle(id string, h uint64) {
 	sl.handleMu.Unlock()
 }
 
-// AppendSealLocked appends a seal record (opening the trace first when the id
+// appendSealLocked appends a seal record (opening the trace first when the id
 // was never seen — an empty trace) under the held lock; rollback semantics as
-// in AppendEventsLocked.
-func (sl *ShardLog) AppendSealLocked(id string) error {
+// in appendEventsLocked.
+func (sl *ShardLog) appendSealLocked(id string) error {
 	if err := sl.st.Err(); err != nil {
 		return err
 	}
@@ -581,29 +575,6 @@ func (sl *ShardLog) rollbackLocked(mark int, preSize int64) {
 	sl.walSize.Store(w.pending())
 }
 
-// LogEvents is the convenience form of Lock + AppendEventsLocked + send +
-// Unlock, used by tests and simple drivers.
-func (sl *ShardLog) LogEvents(id string, events []seqdb.EventID, send func()) error {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if err := sl.AppendEventsLocked(id, events); err != nil {
-		return err
-	}
-	send()
-	return nil
-}
-
-// LogSeal is the convenience form of Lock + AppendSealLocked + send + Unlock.
-func (sl *ShardLog) LogSeal(id string, send func()) error {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	if err := sl.AppendSealLocked(id); err != nil {
-		return err
-	}
-	send()
-	return nil
-}
-
 // commitScratch pools the producer-side framing buffers of the commit path.
 var commitScratch = sync.Pool{New: func() any { return new(scratchBuf) }}
 
@@ -631,7 +602,7 @@ func (sl *ShardLog) resolveHandle(id string) (h uint64, fresh bool, gen uint64) 
 // producers overlap all encoding work and serialise only on a memcpy plus the
 // channel handoff in send. WAL order equals apply order (both happen under
 // the lock, stamped by the same commit sequence number); rollback semantics
-// on flush failure match AppendEventsLocked.
+// on flush failure match appendEventsLocked.
 //
 // All records of one trace id must be committed from a single goroutine (the
 // streaming layer's standing contract): that is what guarantees the trace's
@@ -665,7 +636,7 @@ func (sl *ShardLog) CommitEvents(id string, events []seqdb.EventID, send func())
 	if sl.gen != gen {
 		// Rotated under us: the pre-framed handle belongs to the superseded
 		// generation. Re-encode against the rebuilt table.
-		if err := sl.AppendEventsLocked(id, events); err != nil {
+		if err := sl.appendEventsLocked(id, events); err != nil {
 			return err
 		}
 		send()
@@ -725,7 +696,7 @@ func (sl *ShardLog) CommitSeal(id string, send func()) error {
 	if sl.gen != gen {
 		// The rotation re-opened the trace in the rebuilt table (it was still
 		// open when the generation turned); seal it against that table.
-		if err := sl.AppendSealLocked(id); err != nil {
+		if err := sl.appendSealLocked(id); err != nil {
 			return err
 		}
 		send()
@@ -823,7 +794,7 @@ func (sl *ShardLog) needRotateLocked() bool {
 
 // TryLock attempts to take the shard log's lock without blocking. The
 // rotation protocol in the streaming layer needs it: the shard goroutine
-// must never block on the lock while a producer inside LogEvents could be
+// must never block on the lock while a producer inside CommitEvents could be
 // blocked on the shard's own channel.
 func (sl *ShardLog) TryLock() bool { return sl.mu.TryLock() }
 

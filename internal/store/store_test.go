@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"specmine/internal/fsim"
 	"specmine/internal/seqdb"
@@ -197,13 +198,13 @@ func TestStoreRoundTrip(t *testing.T) {
 		tr := randomTrace(rng, 12)
 		// Deliver in two chunks to exercise events-append on an open handle.
 		mid := len(tr) / 2
-		if err := sl.LogEvents(id, tr[:mid], noSend); err != nil {
+		if err := sl.CommitEvents(id, tr[:mid], noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogEvents(id, tr[mid:], noSend); err != nil {
+		if err := sl.CommitEvents(id, tr[mid:], noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogSeal(id, noSend); err != nil {
+		if err := sl.CommitSeal(id, noSend); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -216,14 +217,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	// Two traces left open, one of them empty-by-now.
 	openA := randomTrace(rng, 12)
-	if err := sl.LogEvents("open-a", openA, noSend); err != nil {
+	if err := sl.CommitEvents("open-a", openA, noSend); err != nil {
 		t.Fatal(err)
 	}
-	if err := sl.LogEvents("open-b", nil, noSend); err != nil {
+	if err := sl.CommitEvents("open-b", nil, noSend); err != nil {
 		t.Fatal(err)
 	}
-	// An empty sealed trace via LogSeal on an unknown id.
-	if err := sl.LogSeal("ghost", noSend); err != nil {
+	// An empty sealed trace via CommitSeal on an unknown id.
+	if err := sl.CommitSeal("ghost", noSend); err != nil {
 		t.Fatal(err)
 	}
 	sealed = append(sealed, seqdb.Sequence{})
@@ -255,24 +256,23 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecoveredIndexMatchesFreshBuild: the PositionIndex built over a
-// recovered shard database must be byte-identical to a fresh build over the
-// original sequences.
-func TestRecoveredIndexMatchesFreshBuild(t *testing.T) {
+// TestRecoveredDatabaseMatchesSealed: the database assembled from a recovered
+// store — several segments plus a WAL tail — holds exactly the sealed
+// sequences, in seal order.
+func TestRecoveredDatabaseMatchesSealed(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, nil)
-	ids := internEvents(t, st, 20)
-	_ = ids
+	internEvents(t, st, 20)
 	sl := st.Shard(0)
 	rng := rand.New(rand.NewSource(10))
 	var sealed []seqdb.Sequence
 	for i := 0; i < 30; i++ {
 		tr := randomTrace(rng, 20)
 		id := "tr-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
-		if err := sl.LogEvents(id, tr, noSend); err != nil {
+		if err := sl.CommitEvents(id, tr, noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogSeal(id, noSend); err != nil {
+		if err := sl.CommitSeal(id, noSend); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -289,10 +289,7 @@ func TestRecoveredIndexMatchesFreshBuild(t *testing.T) {
 	st2 := openStore(t, dir, nil)
 	defer st2.Close()
 	db := st2.Recovered().Database(st2.Dict())
-	fresh := seqdb.BuildPositionIndex(sealed, 20)
-	if err := db.FlatIndex().EqualState(fresh); err != nil {
-		t.Fatalf("recovered index differs from fresh build: %v", err)
-	}
+	sequencesEqual(t, "recovered database", db.Sequences, sealed)
 }
 
 // TestWALRotation drives the rotation protocol by hand (the way the shard
@@ -313,17 +310,17 @@ func TestWALRotation(t *testing.T) {
 		for k := 0; k < 2; k++ {
 			id := "keep-" + string(rune('a'+(round+k)%3))
 			chunk := randomTrace(rng, 10)
-			if err := sl.LogEvents(id, chunk, noSend); err != nil {
+			if err := sl.CommitEvents(id, chunk, noSend); err != nil {
 				t.Fatal(err)
 			}
 			open[id] = append(open[id], chunk...)
 		}
 		sealID := "seal-" + string(rune('a'+round))
 		tr := randomTrace(rng, 10)
-		if err := sl.LogEvents(sealID, tr, noSend); err != nil {
+		if err := sl.CommitEvents(sealID, tr, noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogSeal(sealID, noSend); err != nil {
+		if err := sl.CommitSeal(sealID, noSend); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -356,7 +353,7 @@ func TestWALRotation(t *testing.T) {
 	}
 	for !sl.NeedRotate() {
 		chunk := randomTrace(rng, 10)
-		if err := sl.LogEvents("keep-a", chunk, noSend); err != nil {
+		if err := sl.CommitEvents("keep-a", chunk, noSend); err != nil {
 			t.Fatal(err)
 		}
 		open["keep-a"] = append(open["keep-a"], chunk...)
@@ -383,6 +380,79 @@ func TestWALRotation(t *testing.T) {
 	}
 }
 
+// TestCommitAcrossRotationReframes: commits framed against one WAL
+// generation but committed after a rotation re-encode under the lock against
+// the rebuilt handle table — an events commit opens its trace afresh and a
+// seal retires the handle the rotation re-logged — so recovery sees both.
+func TestCommitAcrossRotationReframes(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, nil)
+	internEvents(t, st, 6)
+	sl := st.Shard(0)
+	// Old generation handles: "a" 0 (sealed), "kept" 1, "fresh" 2. The
+	// rotation re-logs only "kept", which becomes handle 0, so a pre-framed
+	// record would reference the wrong trace.
+	for _, c := range []struct {
+		id  string
+		evs seqdb.Sequence
+	}{{"a", seqdb.Sequence{5}}, {"kept", seqdb.Sequence{0, 1}}} {
+		if err := sl.CommitEvents(c.id, c.evs, noSend); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sl.CommitSeal("a", noSend); err != nil {
+		t.Fatal(err)
+	}
+	if !sl.TryLock() {
+		t.Fatal("TryLock failed with no contention")
+	}
+	done := make(chan error, 2)
+	go func() { done <- sl.CommitEvents("fresh", seqdb.Sequence{2, 3}, noSend) }()
+	go func() { done <- sl.CommitSeal("kept", noSend) }()
+	// Both producers have framed once "fresh" holds a handle and "kept" has
+	// been retired; they are now blocked on the lock this test holds.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		sl.handleMu.Lock()
+		_, fresh := sl.handles["fresh"]
+		_, kept := sl.handles["kept"]
+		sl.handleMu.Unlock()
+		if fresh && !kept {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("producers never resolved their handles")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := sl.WriteSegmentLocked([]seqdb.Sequence{{5}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sl.RotateLocked([]OpenTrace{{ID: "kept", Events: seqdb.Sequence{0, 1}}}, 1); err != nil {
+		t.Fatal(err)
+	}
+	sl.Unlock()
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sl.CommitEvents("fresh", seqdb.Sequence{4}, noSend); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir, nil)
+	defer st2.Close()
+	rec := st2.Recovered().Shards[0]
+	sequencesEqual(t, "sealed across rotation", rec.Sequences, []seqdb.Sequence{{5}, {0, 1}})
+	if len(rec.Open) != 1 || rec.Open[0].ID != "fresh" {
+		t.Fatalf("recovered open traces %+v want only fresh", rec.Open)
+	}
+	sequencesEqual(t, "fresh across rotation", []seqdb.Sequence{rec.Open[0].Events}, []seqdb.Sequence{{2, 3, 4}})
+}
+
 // TestCompaction: many tiny segments merge into few, recovery sees identical
 // content, and leftovers from a crashed compaction are discarded on open.
 func TestCompaction(t *testing.T) {
@@ -396,10 +466,10 @@ func TestCompaction(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		tr := randomTrace(rng, 10)
 		id := "c-" + string(rune('a'+i))
-		if err := sl.LogEvents(id, tr, noSend); err != nil {
+		if err := sl.CommitEvents(id, tr, noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogSeal(id, noSend); err != nil {
+		if err := sl.CommitSeal(id, noSend); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -479,10 +549,10 @@ func TestTornSegmentFallsBackToWAL(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tr := randomTrace(rng, 10)
 		id := "torn-" + string(rune('a'+i))
-		if err := sl.LogEvents(id, tr, noSend); err != nil {
+		if err := sl.CommitEvents(id, tr, noSend); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.LogSeal(id, noSend); err != nil {
+		if err := sl.CommitSeal(id, noSend); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -544,10 +614,10 @@ func TestFlushFailureRejectsAndRollsBack(t *testing.T) {
 	internEvents(t, st, 4)
 	sl := st.Shard(0)
 	// Ingest one good trace, flushed to disk.
-	if err := sl.LogEvents("good", seqdb.Sequence{0, 1, 2}, noSend); err != nil {
+	if err := sl.CommitEvents("good", seqdb.Sequence{0, 1, 2}, noSend); err != nil {
 		t.Fatal(err)
 	}
-	if err := sl.LogSeal("good", noSend); err != nil {
+	if err := sl.CommitSeal("good", noSend); err != nil {
 		t.Fatal(err)
 	}
 	if err := sl.Flush(); err != nil {
@@ -558,7 +628,7 @@ func TestFlushFailureRejectsAndRollsBack(t *testing.T) {
 	sl.wal.f.Close()
 	big := make(seqdb.Sequence, walFlushThreshold)
 	sent := false
-	if err := sl.LogEvents("doomed", big, func() { sent = true }); err == nil {
+	if err := sl.CommitEvents("doomed", big, func() { sent = true }); err == nil {
 		t.Fatal("append over a broken file succeeded")
 	}
 	if sent {
@@ -573,7 +643,7 @@ func TestFlushFailureRejectsAndRollsBack(t *testing.T) {
 	if st.Err() == nil {
 		t.Fatal("store did not go sticky-failed")
 	}
-	if err := sl.LogEvents("after", seqdb.Sequence{0}, noSend); err == nil {
+	if err := sl.CommitEvents("after", seqdb.Sequence{0}, noSend); err == nil {
 		t.Fatal("append accepted after the store failed")
 	}
 	_ = st.Close() // errors (fd closed); recovery below is what matters

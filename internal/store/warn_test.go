@@ -47,11 +47,11 @@ func TestWarningDedupConcurrentFaults(t *testing.T) {
 			for j := 0; j < 3; j++ {
 				id := fmt.Sprintf("w%d-%d", i, j)
 				evs := randomTrace(rng, 10)
-				if err := sl.LogEvents(id, evs, noSend); err != nil {
+				if err := sl.CommitEvents(id, evs, noSend); err != nil {
 					errs[i] = err
 					return
 				}
-				if err := sl.LogSeal(id, noSend); err != nil {
+				if err := sl.CommitSeal(id, noSend); err != nil {
 					errs[i] = err
 					return
 				}

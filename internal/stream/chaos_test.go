@@ -232,8 +232,7 @@ func runChaosSchedule(t *testing.T, seed int64) {
 // verifyChaosRecovery reopens the store with no fault injection and checks
 // the recovered state against the acked model: per-shard sealed traces are a
 // byte-identical prefix of the acked seal order no shorter than the durable
-// watermark, recovered open traces are prefixes of their acked history, and
-// the flat index over the recovered database equals a fresh build.
+// watermark, and recovered open traces are prefixes of their acked history.
 func verifyChaosRecovery(t *testing.T, seed int64, dir string, sealedModel [][]seqdb.Sequence, watermark []int, allEvents map[string]seqdb.Sequence) {
 	t.Helper()
 	st, err := store.Open(store.Options{Dir: dir})
@@ -260,17 +259,6 @@ func verifyChaosRecovery(t *testing.T, seed int64, dir string, sealedModel [][]s
 			t.Fatalf("seed %d: shard %d recovered %d sealed traces but only %d were acked", seed, s, len(got), len(want))
 		}
 		compareChaosSeqs(t, seed, fmt.Sprintf("recovered shard %d", s), got, want[:len(got)])
-
-		// The recovered index must be byte-identical to a fresh build over
-		// the recovered prefix.
-		db := seqdb.NewDatabaseWithDict(st.Dict())
-		for _, q := range got {
-			db.Append(q)
-		}
-		fresh := seqdb.BuildPositionIndex(db.Sequences, st.Dict().Size())
-		if err := db.FlatIndex().EqualState(fresh); err != nil {
-			t.Fatalf("seed %d: shard %d recovered index differs from fresh build: %v", seed, s, err)
-		}
 
 		// Open traces recover best-effort, but whatever recovers must be a
 		// prefix of the trace's acked history — never an invention.

@@ -3,13 +3,15 @@
 // Ingester fans incoming trace events out to N shards (hashed by trace id);
 // each shard is a single goroutine behind a bounded channel that buffers the
 // still-open traces, advances an online conformance Checker per trace as
-// events arrive, seals terminated traces into the shard's Database, and
-// extends the shard's flat positional index incrementally in batched
-// flushes — the LogBase-style append-only regime, never a full rebuild.
+// events arrive, and seals terminated traces into the shard's Database. In
+// durable mode every operation is logged to the store's write-ahead log
+// first — the LogBase-style regime where the log is the store. Shards keep
+// no derived structures: positional indexes are built where they are read.
 //
 // Snapshot is the bridge back to the batch world: a barrier across all
 // shards yields a consistent Database view (sealed traces only) over which
-// MinePatterns/MineRules/CheckRules run as usual, plus — when an Engine is
+// MinePatterns/MineRules/CheckRules run as usual — the view builds its
+// positional index on its first mine — plus, when an Engine is
 // configured — the accumulated online conformance reports, rebased to the
 // view's sequence numbering so they are indistinguishable from a batch
 // CheckRules run over the same view.
@@ -38,9 +40,11 @@ type Config struct {
 	// Buffer is the per-shard operation channel capacity; default 256.
 	// Ingest blocks (backpressure) when a shard's buffer is full.
 	Buffer int
-	// FlushBatch is how many sealed traces a shard buffers before extending
-	// its positional index incrementally; default 32. A Snapshot always
-	// flushes first, so the value only trades index freshness for batching.
+	// FlushBatch is how many sealed traces a shard applies between barriers;
+	// default 32. In durable mode each barrier flushes the WAL and rolls the
+	// traces sealed since the last one into a segment file, so the value
+	// trades segment count against flush frequency. A Snapshot is a barrier
+	// too and restarts the count.
 	FlushBatch int
 	// Dict supplies the event-name dictionary, which must be the one the
 	// rule set was mined against when Engine is set. Nil creates a fresh
@@ -50,20 +54,19 @@ type Config struct {
 	// Snapshot then carries the accumulated conformance reports.
 	Engine *verify.Engine
 	// Obs, when non-nil, registers the ingester's metrics — acked-event and
-	// sealed-trace counters, per-shard ingest/flush latency histograms,
+	// sealed-trace counters, per-shard ingest latency histograms,
 	// backpressure wait time, and queue depth gauges. Nil disables
 	// instrumentation at the cost of one branch per instrumentation point.
 	Obs *obs.Registry
 	// Store, when non-nil, makes the ingester durable: every operation is
 	// appended to the store's per-shard write-ahead log before it is
 	// acknowledged, sealed traces are rolled into segment files at the
-	// batched-flush barrier, and the ingester starts from the store's
-	// recovered state — sealed shard databases with their indexes, open
-	// traces (their online checkers re-advanced), and conformance reports
-	// re-seeded — exactly as if the process had never died. The store's
-	// shard count overrides Shards (it is fixed at store creation) and its
-	// dictionary overrides Dict. Use Open, which can report mismatches;
-	// NewIngester panics on them.
+	// FlushBatch barrier, and the ingester starts from the store's recovered
+	// state — sealed shard databases, open traces (their online checkers
+	// re-advanced), and conformance reports re-seeded — exactly as if the
+	// process had never died. The store's shard count overrides Shards (it
+	// is fixed at store creation) and its dictionary overrides Dict; Open
+	// reports a mismatch as an error.
 	Store *store.Store
 }
 
@@ -71,10 +74,10 @@ type Config struct {
 type View struct {
 	// DB holds every sealed trace across all shards (shard-major, in seal
 	// order within a shard), sharing the ingester's dictionary. It is a
-	// private copy: safe to mine while ingestion continues.
+	// private copy: safe to mine while ingestion continues. Its positional
+	// index is built on first use.
 	DB *seqdb.Database
-	// ShardDBs are the per-shard snapshot views backing DB, each carrying
-	// its shard's incrementally maintained positional index.
+	// ShardDBs are the per-shard sequence views backing DB, in shard order.
 	ShardDBs []*seqdb.Database
 	// Reports are the online conformance reports accumulated so far, in rule
 	// order with violation sequence numbers rebased to DB's numbering —
@@ -133,7 +136,6 @@ func newStreamMetrics(r *obs.Registry) streamMetrics {
 type shardMetrics struct {
 	enabled           bool
 	ingestNs          *obs.Histogram // producer-side latency of one acked op (sampled 1-in-16)
-	flushNs           *obs.Histogram // incremental index-extension latency
 	queueDepth        *obs.Gauge     // ops buffered (sampled enqueues, refreshed at barriers)
 	backpressureWaits *obs.Counter   // enqueues that found the buffer full
 	backpressureNs    *obs.Histogram // time blocked on a full buffer
@@ -144,7 +146,6 @@ func newShardMetrics(r *obs.Registry, shard int) shardMetrics {
 	return shardMetrics{
 		enabled:           r != nil,
 		ingestNs:          r.Histogram("stream.ingest_ns", "shard", label),
-		flushNs:           r.Histogram("stream.flush_ns", "shard", label),
 		queueDepth:        r.Gauge("stream.queue_depth", "shard", label),
 		backpressureWaits: r.Counter("stream.backpressure_waits", "shard", label),
 		backpressureNs:    r.Histogram("stream.backpressure_wait_ns", "shard", label),
@@ -163,17 +164,6 @@ type Ingester struct {
 	// cannot close the shard channels while a send is in flight.
 	lifeMu sync.RWMutex
 	closed bool
-}
-
-// NewIngester starts the shard goroutines and returns a ready ingester. It
-// panics on configuration errors, which only a durable Config can produce;
-// durable callers should prefer Open.
-func NewIngester(cfg Config) *Ingester {
-	ing, err := Open(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return ing
 }
 
 // Open validates the configuration — in durable mode, against the store's
@@ -225,16 +215,15 @@ func Open(cfg Config) (*Ingester, error) {
 		}
 		if recovered != nil {
 			// Resume exactly where the store left off: sealed traces rebuild
-			// the shard database and its flat index; open traces re-open with
-			// their online checkers re-advanced through the buffered events;
-			// and the sealed traces' conformance outcomes are re-seeded by a
+			// the shard database; open traces re-open with their online
+			// checkers re-advanced through the buffered events; and the
+			// sealed traces' conformance outcomes are re-seeded by a
 			// batch check (the online engine is equivalence-tested against
 			// it), so accumulated reports continue seamlessly.
 			rs := recovered.Shards[i]
 			for _, s := range rs.Sequences {
 				sh.db.Append(s)
 			}
-			sh.db.FlatIndex()
 			for _, tr := range rs.Open {
 				ot := &openTrace{events: append(seqdb.Sequence(nil), tr.Events...)}
 				if cfg.Engine != nil {
@@ -378,8 +367,8 @@ func (ing *Ingester) shardFor(id string) int {
 	return int(h % uint64(len(ing.shards)))
 }
 
-// Snapshot produces a consistent View: every shard flushes its sealed
-// traces into its database and index, and the merged result is returned.
+// Snapshot produces a consistent View: every shard answers at a barrier with
+// a copy of its sealed traces, and the merged result is returned.
 // Traces still open at the barrier are not included — they surface in the
 // first Snapshot after their CloseTrace.
 func (ing *Ingester) Snapshot() (*View, error) {
@@ -414,8 +403,7 @@ func (ing *Ingester) merge(views []shardView) *View {
 		v.ShardDBs[i] = sv.db
 	}
 	if len(views) == 1 {
-		// Single shard: the snapshot view — incremental index included — is
-		// already the consistent whole.
+		// Single shard: the shard's snapshot view is already the whole.
 		v.DB = views[0].db
 	} else {
 		v.DB = seqdb.NewDatabaseWithDict(ing.dict)
@@ -468,8 +456,7 @@ func (ing *Ingester) Close() error {
 }
 
 // shard is one ingestion partition: a goroutine draining ops, the open
-// traces it is buffering, and the database of sealed traces whose flat index
-// it maintains incrementally.
+// traces it is buffering, and the database of sealed traces.
 type shard struct {
 	ops        chan op
 	done       chan struct{}
@@ -492,7 +479,7 @@ type shard struct {
 	open     map[string]*openTrace
 	reports  []verify.RuleReport
 	free     []*verify.Checker
-	unsynced int // sealed traces not yet flushed into the index
+	unsynced int // traces sealed since the last barrier or snapshot
 	// lastFlushErr is the result of the most recent barrier WAL flush. A
 	// snapshot answered right after a failed flush on a still-healthy store
 	// (a transient fault that outlived the retry budget) must not be served
@@ -586,22 +573,20 @@ func (sh *shard) handle(o op) {
 			sh.deferredSnaps = append(sh.deferredSnaps, o)
 			return
 		}
-		sh.flush()
 		if sh.log != nil {
 			// Whatever this snapshot exposes must be recoverable: force the
 			// WAL (and the dictionary log ahead of it) to the OS. Segments
 			// stay on the seal-batch cadence — a snapshot is a read barrier,
 			// not a compaction point — unless rotation is due, which must
-			// also fire on snapshot-heavy, seal-light workloads. The drain
-			// may have applied more seals; their WAL records were flushed
-			// under the lock, so one more index flush re-aligns the view.
+			// also fire on snapshot-heavy, seal-light workloads. Seals the
+			// drain applied had their WAL records flushed under the lock.
 			if sh.log.RotateDue() {
 				sh.barrier()
 			} else {
 				sh.withLogLock(func() { sh.lastFlushErr = sh.log.FlushLocked() })
 			}
-			sh.flush()
 		}
+		sh.unsynced = 0
 		sh.answerSnap(o)
 	}
 }
@@ -653,24 +638,18 @@ func (sh *shard) answerSnap(o op) {
 }
 
 func (sh *shard) answerDeferredSnaps() {
-	if len(sh.deferredSnaps) == 0 {
-		return
-	}
-	// The drain that parked these may have applied seals the enclosing
-	// barrier's index flush ran before; flush again so every answered view
-	// carries the incremental index rather than forcing a fresh build.
-	sh.flush()
 	for _, o := range sh.deferredSnaps {
 		sh.answerSnap(o)
 	}
 	sh.deferredSnaps = sh.deferredSnaps[:0]
 }
 
-// barrier is the shard's batched-flush point: the positional index is
-// extended with the traces sealed since the last barrier and, in durable
-// mode, the WAL is flushed and those traces are rolled into a segment file —
-// so everything a snapshot exposes is recoverable. When the WAL has outgrown
-// its rotation budget the barrier also starts a fresh generation.
+// barrier is the shard's batched-flush point, reached every FlushBatch seals:
+// in durable mode the WAL is flushed and the traces sealed since the last
+// barrier are rolled into a segment file — so everything a snapshot exposes
+// is recoverable. When the WAL has outgrown its rotation budget the barrier
+// also starts a fresh generation. In memory-only mode it just publishes the
+// shard's batched counters.
 //
 // Only the WAL flush and the (rare) rotation run under the producer-facing
 // log lock; the common-case segment publish — encode plus file write, an
@@ -680,13 +659,13 @@ func (sh *shard) answerDeferredSnaps() {
 // every seal the segment will contain before the lock was dropped.
 func (sh *shard) barrier() {
 	sh.publishMet()
-	sh.flush()
+	sh.unsynced = 0
 	if sh.log == nil {
 		return
 	}
 	flushed, rotated := false, false
 	sh.withLogLock(func() {
-		sh.flush() // cover seals applied by the drain
+		sh.unsynced = 0 // the segment covers seals applied by the drain
 		if err := sh.log.FlushLocked(); err != nil {
 			sh.lastFlushErr = err
 			return
@@ -713,7 +692,7 @@ func (sh *shard) barrier() {
 
 // withLogLock runs fn holding the shard log's lock, with the shard's channel
 // drained so the WAL exactly reflects the applied state. The protocol is
-// drain + TryLock, never a blocking Lock: a producer inside LogEvents may
+// drain + TryLock, never a blocking Lock: a producer inside CommitEvents may
 // hold the lock while blocked on this shard's full channel, and only our
 // draining can unblock it — a blocking acquire here would deadlock the shard.
 // Snapshot ops consumed by the drain are answered after fn (post-flush).
@@ -763,22 +742,6 @@ func (sh *shard) openSnapshot() []store.OpenTrace {
 		out = append(out, store.OpenTrace{ID: id, Events: append(seqdb.Sequence(nil), tr.events...)})
 	}
 	return out
-}
-
-// flush extends the shard's positional index with the traces sealed since
-// the last flush (incremental append, not a rebuild).
-func (sh *shard) flush() {
-	if sh.unsynced == 0 {
-		return
-	}
-	if sh.met.enabled {
-		start := time.Now()
-		sh.db.FlatIndex()
-		sh.met.flushNs.Observe(time.Since(start).Nanoseconds())
-	} else {
-		sh.db.FlatIndex()
-	}
-	sh.unsynced = 0
 }
 
 // cloneReports deep-copies the violation lists so the snapshot's reports

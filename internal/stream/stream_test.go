@@ -10,6 +10,16 @@ import (
 	"specmine/internal/verify"
 )
 
+// mustOpen starts an ingester, failing the test on a configuration error.
+func mustOpen(t *testing.T, cfg Config) *Ingester {
+	t.Helper()
+	ing, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ing
+}
+
 // ingestWorkload streams a tracesim workload into an ingester, chunk by
 // chunk, from a single producer.
 func ingestWorkload(t *testing.T, ing *Ingester, w tracesim.Workload, traces int, seed int64) {
@@ -51,7 +61,7 @@ func TestSnapshotHoldsExactlyTheSealedTraces(t *testing.T) {
 	want := traceKeys(w.MustGenerate(traces, seed))
 
 	for _, shards := range []int{1, 4} {
-		ing := NewIngester(Config{Shards: shards, FlushBatch: 5})
+		ing := mustOpen(t, Config{Shards: shards, FlushBatch: 5})
 		ingestWorkload(t, ing, w, traces, seed)
 		v, err := ing.Snapshot()
 		if err != nil {
@@ -82,46 +92,46 @@ func TestSnapshotHoldsExactlyTheSealedTraces(t *testing.T) {
 	}
 }
 
-// TestShardIndexesAreIncrementalAndExact verifies the acceptance criterion
-// on the ingestion path: every shard's incrementally extended index is
-// byte-identical in content to a fresh build over the shard's sequences, and
-// its version shows it was appended to, not rebuilt.
-func TestShardIndexesAreIncrementalAndExact(t *testing.T) {
+// TestSnapshotViewIsFrozen: a View keeps exactly the traces sealed before
+// it while ingestion continues, with one shard (where DB is the shard's own
+// view) and with several; its index, built on first use, is the index of
+// those traces.
+func TestSnapshotViewIsFrozen(t *testing.T) {
 	w := tracesim.Workloads()["security"]
-	ing := NewIngester(Config{Shards: 3, FlushBatch: 4})
-	ingestWorkload(t, ing, w, 50, 11)
-	v, err := ing.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ing.Close()
-
-	sawIncrement := false
-	for si, sdb := range v.ShardDBs {
-		idx := sdb.FlatIndex() // snapshot view: already built, just returned
-		if idx.Version() > 0 {
-			sawIncrement = true
+	for _, shards := range []int{1, 3} {
+		ing := mustOpen(t, Config{Shards: shards, FlushBatch: 4})
+		ingestWorkload(t, ing, w, 30, 11)
+		v, err := ing.Snapshot()
+		if err != nil {
+			t.Fatal(err)
 		}
-		fresh := seqdb.BuildPositionIndex(sdb.Sequences, sdb.Dict.Size())
-		if idx.NumSequences() != fresh.NumSequences() {
-			t.Fatalf("shard %d: %d sequences want %d", si, idx.NumSequences(), fresh.NumSequences())
+		want := v.DB.Clone()
+		idx := v.DB.FlatIndex()
+		ingestWorkload(t, ing, w, 30, 12)
+		later, err := ing.Snapshot()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for s := 0; s < fresh.NumSequences(); s++ {
-			for e := seqdb.EventID(0); int(e) < fresh.NumEvents(); e++ {
-				got, want := idx.Positions(s, e), fresh.Positions(s, e)
-				if len(got) != len(want) {
-					t.Fatalf("shard %d seq %d event %d: %d positions want %d", si, s, e, len(got), len(want))
-				}
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("shard %d seq %d event %d: positions differ", si, s, e)
-					}
-				}
+		if later.DB.NumSequences() != 60 {
+			t.Fatalf("shards=%d: later snapshot has %d traces want 60", shards, later.DB.NumSequences())
+		}
+		requireSameDB(t, "frozen view", v.DB, want)
+		if v.DB.FlatIndex() != idx {
+			t.Fatalf("shards=%d: the view's index was rebuilt although the view did not change", shards)
+		}
+		fresh := seqdb.BuildPositionIndex(want.Sequences, want.Dict.Size())
+		if idx.NumSequences() != fresh.NumSequences() || idx.NumPositions() != fresh.NumPositions() {
+			t.Fatalf("shards=%d: view index covers %d seqs/%d positions want %d/%d", shards,
+				idx.NumSequences(), idx.NumPositions(), fresh.NumSequences(), fresh.NumPositions())
+		}
+		for e := seqdb.EventID(0); int(e) < fresh.NumEvents(); e++ {
+			if idx.EventInstanceCount(e) != fresh.EventInstanceCount(e) || idx.EventSeqSupport(e) != fresh.EventSeqSupport(e) {
+				t.Fatalf("shards=%d: event %d counts differ from a fresh build", shards, e)
 			}
 		}
-	}
-	if !sawIncrement {
-		t.Fatalf("no shard index was extended incrementally (all versions 0)")
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -135,6 +145,39 @@ func minedRules(t *testing.T, db *seqdb.Database) []rules.Rule {
 		t.Fatal(err)
 	}
 	return res.Rules
+}
+
+// TestSnapshotMinesLikeBatch: rules mined from a snapshot — whose index is
+// built on that first mine, for one shard or several — equal the rules mined
+// from a batch database holding the same traces.
+func TestSnapshotMinesLikeBatch(t *testing.T) {
+	w := tracesim.Workloads()["transaction"]
+	batch := w.MustGenerate(40, 5)
+	want := minedRules(t, batch)
+	if len(want) == 0 {
+		t.Fatal("no rules mined from the batch")
+	}
+	for _, shards := range []int{1, 4} {
+		ing := mustOpen(t, Config{Shards: shards, FlushBatch: 4, Dict: batch.Dict})
+		ingestWorkload(t, ing, w, 40, 5)
+		v, err := ing.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := minedRules(t, v.DB)
+		if len(got) != len(want) {
+			t.Fatalf("shards=%d: mined %d rules from the snapshot want %d", shards, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Key() != want[i].Key() || got[i].SeqSupport != want[i].SeqSupport ||
+				got[i].InstanceSupport != want[i].InstanceSupport || got[i].Confidence != want[i].Confidence {
+				t.Fatalf("shards=%d: rule %d is %+v want %+v", shards, i, got[i], want[i])
+			}
+		}
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestOnlineConformanceMatchesBatchOverSnapshot is the end-to-end
@@ -156,7 +199,7 @@ func TestOnlineConformanceMatchesBatchOverSnapshot(t *testing.T) {
 		fresh := w
 		fresh.ViolationRate = 0.25
 		for _, shards := range []int{1, 3} {
-			ing := NewIngester(Config{Shards: shards, FlushBatch: 4, Dict: train.Dict, Engine: engine})
+			ing := mustOpen(t, Config{Shards: shards, FlushBatch: 4, Dict: train.Dict, Engine: engine})
 			ingestWorkload(t, ing, fresh, 60, 99)
 			v, err := ing.Snapshot()
 			if err != nil {
@@ -214,7 +257,7 @@ func TestConcurrentProducersAndSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing := NewIngester(Config{Shards: 4, FlushBatch: 3, Dict: train.Dict, Engine: engine})
+	ing := mustOpen(t, Config{Shards: 4, FlushBatch: 3, Dict: train.Dict, Engine: engine})
 
 	const producers = 4
 	const tracesPerProducer = 25
@@ -309,7 +352,7 @@ func TestConcurrentProducersAndSnapshots(t *testing.T) {
 }
 
 func TestEmptyAndUnknownTraces(t *testing.T) {
-	ing := NewIngester(Config{Shards: 2})
+	ing := mustOpen(t, Config{Shards: 2})
 	// Sealing an id that never ingested events produces an empty trace.
 	if err := ing.CloseTrace("ghost"); err != nil {
 		t.Fatal(err)
