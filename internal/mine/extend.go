@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"cmp"
 	"slices"
 
 	"specmine/internal/seqdb"
@@ -50,33 +51,35 @@ type ExtSet struct {
 // (the rule miner's premise enumeration stores them in consequent jobs)
 // simply never call Release; the arenas then always hand out fresh storage.
 type Extender struct {
-	seqs  []seqdb.Sequence
 	idx   *seqdb.PositionIndex
 	slots seqdb.EventSlots
 
-	// stream buffers the (slot, entry, position) triples the counting pass
-	// visits, so materialisation replays the buffer instead of rescanning
-	// every suffix. It is consumed before Extensions returns, so one buffer
-	// serves every node of the worker's search.
-	stream []extRec
+	// counted buffers one record per (group, candidate) pair the counting
+	// pass finds, so materialisation replays the buffer instead of walking
+	// every group's distinct-event list again. It is consumed before
+	// Extensions returns, so one buffer serves every node of the worker's
+	// search.
+	counted []extRec
 
 	projs Arena[Proj]
 	tags  Arena[int32]
 	exts  Arena[Ext]
 }
 
-// extRec is one counted first occurrence: the candidate's slot, the index of
-// the projection entry that produced it, and the occurrence position.
+// extRec is one candidate counted in one group: the candidate's slot, the
+// group's first projection entry, the number of leading group entries whose
+// suffix contains the candidate, and the candidate's rank in the sequence's
+// distinct-event list, which addresses its position list.
 type extRec struct {
-	slot int32
-	pi   int32
-	pos  int32
+	slot  int32
+	first int32
+	n     int32
+	rank  int32
 }
 
-// NewExtender returns an extender over the given sequences and their index.
-func NewExtender(seqs []seqdb.Sequence, idx *seqdb.PositionIndex) *Extender {
+// NewExtender returns an extender over the given index.
+func NewExtender(idx *seqdb.PositionIndex) *Extender {
 	return &Extender{
-		seqs:  seqs,
 		idx:   idx,
 		slots: seqdb.NewEventSlots(idx.NumEvents()),
 	}
@@ -99,35 +102,50 @@ func (x *Extender) SeedProj(e seqdb.EventID) []Proj {
 func (x *Extender) ReleaseProj(proj []Proj) { x.projs.Put(proj) }
 
 // Extensions performs the count-first extension pass for the node whose
-// pseudo-projection is proj. The counting pass scans each entry's suffix
-// once; an event is counted at its first occurrence per suffix only, decided
-// by a single read of the index's prev-occurrence chain (the event at
-// position j is a first occurrence at or after from exactly when its
-// previous occurrence precedes from), so Count is the number of entries
-// whose suffix contains the event. Entries that keep one entry per sequence
-// therefore count sequence support directly.
+// pseudo-projection is proj. An extension's Count is the number of entries
+// whose suffix contains its event, so entries that keep one entry per
+// sequence count sequence support directly.
+//
+// Counting never scans a suffix. Consecutive entries on the same sequence
+// with non-decreasing Pos form one group (a decreasing neighbour starts a
+// new group), and each group is counted once from its sequence's
+// distinct-event list in the index (SeqLastOccurrences): an event e is in
+// the suffix of exactly the group entries positioned before e's last
+// occurrence, a leading run of the group found by one binary search. The
+// list runs latest last occurrence first, so the walk stops at the first
+// event absent from the group's first suffix: a group costs the number of
+// distinct events in that suffix, however many entries it holds.
 //
 // Only candidates with Count >= materializeMin get their extension
-// projection materialised (into one shared arena block), positioned at those
-// first occurrences; counts alone serve every pruning decision below the
-// threshold. tags, when non-nil, parallels proj and is carried through to
-// the materialised extensions (the rule miner threads each record's temporal
-// point this way). The returned extensions are sorted by event id for
-// deterministic traversal.
+// projection materialised (into one shared arena block): each counted entry,
+// in entry order, is positioned at the first occurrence of the event in its
+// suffix, found by merging the event's position list with the group's
+// entries. Counts alone serve every pruning decision below the threshold.
+// tags, when non-nil, parallels proj and is carried through to the
+// materialised extensions entry by entry (the rule miner threads each
+// record's temporal point this way). The returned extensions are sorted by
+// event id for deterministic traversal.
 func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) ExtSet {
 	sc := &x.slots
 	sc.Begin()
-	x.stream = x.stream[:0]
-	for pi, pr := range proj {
-		s := x.seqs[pr.Seq]
-		from := int(pr.Pos) + 1
-		for j := from; j < len(s); j++ {
-			if x.idx.OccursWithin(int(pr.Seq), j, from) {
-				continue
-			}
-			slot := sc.Add(s[j])
-			x.stream = append(x.stream, extRec{slot: slot, pi: int32(pi), pos: int32(j)})
+	x.counted = x.counted[:0]
+	for first := 0; first < len(proj); {
+		seq := proj[first].Seq
+		end := first + 1
+		for end < len(proj) && proj[end].Seq == seq && proj[end].Pos >= proj[end-1].Pos {
+			end++
 		}
+		group := proj[first:end]
+		events := x.idx.SeqEvents(int(seq))
+		for _, lo := range x.idx.SeqLastOccurrences(int(seq)) {
+			if lo.Pos <= group[0].Pos {
+				break // no later event occurs in any entry's suffix
+			}
+			n := entriesBefore(group, lo.Pos)
+			slot := sc.AddN(events[lo.Rank], n)
+			x.counted = append(x.counted, extRec{slot: slot, first: int32(first), n: n, rank: lo.Rank})
+		}
+		first = end
 	}
 	if sc.Len() == 0 {
 		return ExtSet{}
@@ -160,15 +178,28 @@ func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) E
 				off += c
 			}
 		}
-		// Replay the counting pass's buffer — no suffix is scanned twice.
-		for _, rec := range x.stream {
+		// Groups were counted in entry order, so replaying the buffer
+		// appends each extension's entries in entry order too.
+		for _, rec := range x.counted {
 			e := &exts[rec.slot]
 			if e.Proj == nil {
 				continue
 			}
-			e.Proj = append(e.Proj, Proj{Seq: proj[rec.pi].Seq, Pos: rec.pos})
-			if tags != nil {
-				e.Tags = append(e.Tags, tags[rec.pi])
+			seq := proj[rec.first].Seq
+			ps := x.idx.SeqEventPositions(int(seq), int(rec.rank))
+			j := 0
+			for i := rec.first; i < rec.first+rec.n; i++ {
+				// Group positions are non-decreasing, so the first occurrence
+				// after each entry never moves backwards: the merge resumes
+				// where the previous entry's search stopped.
+				if p := proj[i].Pos; ps[j] <= p {
+					k, _ := slices.BinarySearch(ps[j:], p+1)
+					j += k
+				}
+				e.Proj = append(e.Proj, Proj{Seq: seq, Pos: ps[j]})
+				if tags != nil {
+					e.Tags = append(e.Tags, tags[i])
+				}
 			}
 		}
 	}
@@ -176,6 +207,16 @@ func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) E
 	// slot index.
 	slices.SortFunc(exts, func(a, b Ext) int { return int(a.Event) - int(b.Event) })
 	return es
+}
+
+// entriesBefore returns the number of group entries positioned before pos.
+// Group positions are non-decreasing, so those entries are a leading run.
+func entriesBefore(group []Proj, pos int32) int32 {
+	if group[len(group)-1].Pos < pos {
+		return int32(len(group)) // the common case: every entry
+	}
+	n, _ := slices.BinarySearchFunc(group, pos, func(p Proj, pos int32) int { return cmp.Compare(p.Pos, pos) })
+	return int32(n)
 }
 
 // Release recycles the node's arenas. The caller must be done with every

@@ -16,7 +16,12 @@
 //   - count-first suffix extension (Extender): one pass over a node's
 //     pseudo-projection counts every candidate extension, counts alone decide
 //     pruning, and extension projections are materialised only for candidates
-//     that survive the threshold.
+//     that survive the threshold. The pass never scans a suffix: consecutive
+//     entries on one sequence with non-decreasing positions form a group,
+//     and each group is counted once from its sequence's distinct events
+//     listed by last occurrence (an event is in the suffix of every group
+//     entry positioned before its last occurrence), so a group costs the
+//     distinct events of its first suffix, not the lengths of its suffixes.
 package mine
 
 import (

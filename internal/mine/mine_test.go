@@ -119,12 +119,19 @@ func TestStampSet(t *testing.T) {
 	}
 }
 
+// bruteEntry is one materialised extension entry with the tag of the
+// projection entry it came from.
+type bruteEntry struct {
+	pr  Proj
+	tag int32
+}
+
 // bruteExtensions reproduces the counting semantics directly: for every
-// event, the projection entries whose suffix contains it, positioned at the
-// first occurrence.
-func bruteExtensions(seqs []seqdb.Sequence, proj []Proj) map[seqdb.EventID][]Proj {
-	out := make(map[seqdb.EventID][]Proj)
-	for _, pr := range proj {
+// event, the projection entries whose suffix contains it, in entry order,
+// positioned at the first occurrence and carrying the entry's tag.
+func bruteExtensions(seqs []seqdb.Sequence, proj []Proj, tags []int32) map[seqdb.EventID][]bruteEntry {
+	out := make(map[seqdb.EventID][]bruteEntry)
+	for pi, pr := range proj {
 		s := seqs[pr.Seq]
 		seen := make(map[seqdb.EventID]bool)
 		for j := int(pr.Pos) + 1; j < len(s); j++ {
@@ -132,15 +139,50 @@ func bruteExtensions(seqs []seqdb.Sequence, proj []Proj) map[seqdb.EventID][]Pro
 				continue
 			}
 			seen[s[j]] = true
-			out[s[j]] = append(out[s[j]], Proj{Seq: pr.Seq, Pos: int32(j)})
+			out[s[j]] = append(out[s[j]], bruteEntry{Proj{Seq: pr.Seq, Pos: int32(j)}, tags[pi]})
 		}
 	}
 	return out
 }
 
+// randomProj draws a projection with several entries per sequence: runs on
+// one sequence that stay put (ties) or move forward, a backward step that
+// must start a new group, entries at Pos -1 (nothing matched yet), returns
+// to a sequence seen earlier, and single entries on a fresh sequence. Every
+// entry gets its own tag.
+func randomProj(rng *rand.Rand, seqs []seqdb.Sequence) ([]Proj, []int32) {
+	randPos := func(si int32) int32 { return int32(rng.Intn(len(seqs[si])+1)) - 1 }
+	var proj []Proj
+	var tags []int32
+	for n := rng.Intn(14); n > 0; n-- {
+		var pr Proj
+		if k := len(proj); k == 0 || rng.Intn(4) == 0 {
+			pr.Seq = int32(rng.Intn(len(seqs)))
+			pr.Pos = randPos(pr.Seq)
+		} else {
+			prev := proj[k-1]
+			pr.Seq = prev.Seq
+			switch rng.Intn(4) {
+			case 0: // tie
+				pr.Pos = prev.Pos
+			case 1: // step back, by one or more
+				pr.Pos = prev.Pos - 1 - int32(rng.Intn(3))
+				if pr.Pos < -1 {
+					pr.Pos = -1
+				}
+			default: // forward
+				pr.Pos = prev.Pos + int32(rng.Intn(len(seqs[pr.Seq])-int(prev.Pos)))
+			}
+		}
+		proj = append(proj, pr)
+		tags = append(tags, int32(1000+len(tags)))
+	}
+	return proj, tags
+}
+
 func TestExtenderAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 50; iter++ {
+	for iter := 0; iter < 400; iter++ {
 		numSeqs := 1 + rng.Intn(5)
 		alphabet := 2 + rng.Intn(4)
 		seqs := make([]seqdb.Sequence, numSeqs)
@@ -153,24 +195,23 @@ func TestExtenderAgainstBruteForce(t *testing.T) {
 			seqs[i] = s
 		}
 		idx := seqdb.BuildPositionIndex(seqs, alphabet)
-		x := NewExtender(seqs, idx)
+		x := NewExtender(idx)
 
-		// Random starting projection: a subset of sequences at random positions.
-		var proj []Proj
-		var tags []int32
-		for si := range seqs {
-			if rng.Intn(3) == 0 {
-				continue
-			}
-			proj = append(proj, Proj{Seq: int32(si), Pos: int32(rng.Intn(len(seqs[si])+1)) - 1})
-			tags = append(tags, int32(si*100))
+		proj, tags := randomProj(rng, seqs)
+		want := bruteExtensions(seqs, proj, tags)
+
+		min := int32(1 + rng.Intn(3))
+		// Alternate tagged and untagged passes: the premise walker and the
+		// sequential-pattern miner extend without tags.
+		withTags := iter%2 == 0
+		var es ExtSet
+		if withTags {
+			es = x.Extensions(proj, tags, min)
+		} else {
+			es = x.Extensions(proj, nil, min)
 		}
-		want := bruteExtensions(seqs, proj)
-
-		min := int32(1 + rng.Intn(2))
-		es := x.Extensions(proj, tags, min)
 		if len(es.Exts) != len(want) {
-			t.Fatalf("iter %d: %d extensions, want %d", iter, len(es.Exts), len(want))
+			t.Fatalf("iter %d: %d extensions, want %d (proj %+v)", iter, len(es.Exts), len(want), proj)
 		}
 		prev := seqdb.EventID(-1)
 		for _, e := range es.Exts {
@@ -180,24 +221,28 @@ func TestExtenderAgainstBruteForce(t *testing.T) {
 			prev = e.Event
 			w := want[e.Event]
 			if int(e.Count) != len(w) {
-				t.Fatalf("iter %d: event %d count %d want %d", iter, e.Event, e.Count, len(w))
+				t.Fatalf("iter %d: event %d count %d want %d (proj %+v, seqs %v)", iter, e.Event, e.Count, len(w), proj, seqs)
 			}
-			if e.Count >= min {
-				if len(e.Proj) != len(w) {
-					t.Fatalf("iter %d: event %d materialised %d entries want %d", iter, e.Event, len(e.Proj), len(w))
+			if e.Count < min {
+				if e.Proj != nil {
+					t.Fatalf("iter %d: event %d below threshold but materialised", iter, e.Event)
 				}
-				for k := range w {
-					if e.Proj[k] != w[k] {
-						t.Fatalf("iter %d: event %d entry %d = %+v want %+v", iter, e.Event, k, e.Proj[k], w[k])
-					}
-					// The tag of the source entry must ride along.
-					srcSeq := w[k].Seq
-					if e.Tags[k] != srcSeq*100 {
-						t.Fatalf("iter %d: event %d tag %d want %d", iter, e.Event, e.Tags[k], srcSeq*100)
-					}
+				continue
+			}
+			if len(e.Proj) != len(w) {
+				t.Fatalf("iter %d: event %d materialised %d entries want %d", iter, e.Event, len(e.Proj), len(w))
+			}
+			if withTags != (e.Tags != nil) {
+				t.Fatalf("iter %d: event %d tags %v with tagged pass %v", iter, e.Event, e.Tags, withTags)
+			}
+			for k := range w {
+				if e.Proj[k] != w[k].pr {
+					t.Fatalf("iter %d: event %d entry %d = %+v want %+v (proj %+v)", iter, e.Event, k, e.Proj[k], w[k].pr, proj)
 				}
-			} else if e.Proj != nil {
-				t.Fatalf("iter %d: event %d below threshold but materialised", iter, e.Event)
+				// The tag of the source entry must ride along.
+				if withTags && e.Tags[k] != w[k].tag {
+					t.Fatalf("iter %d: event %d entry %d tag %d want %d (proj %+v)", iter, e.Event, k, e.Tags[k], w[k].tag, proj)
+				}
 			}
 		}
 		x.Release(es)
@@ -211,7 +256,7 @@ func TestSeedProj(t *testing.T) {
 		{1, 0},
 	}
 	idx := seqdb.BuildPositionIndex(seqs, 3)
-	x := NewExtender(seqs, idx)
+	x := NewExtender(idx)
 	proj := x.SeedProj(2)
 	want := []Proj{{Seq: 0, Pos: 3}, {Seq: 1, Pos: 0}}
 	if len(proj) != len(want) {

@@ -93,7 +93,7 @@ func MineSource(src mine.Source, opts Options, nonRedundant bool) (*Result, erro
 		defer sv.Release()
 		if wk.db != sv.DB {
 			wk.db = sv.DB
-			wk.ext = mine.NewExtender(sv.DB.Sequences, sv.Idx)
+			wk.ext = mine.NewExtender(sv.Idx)
 		}
 		wk.jobs = nil
 		wk.explored = 0
@@ -184,7 +184,9 @@ func MineSource(src mine.Source, opts Options, nonRedundant bool) (*Result, erro
 	}
 
 	if nonRedundant {
-		mined = removeRedundant(mined, &stats)
+		kept := FilterRedundant(mined)
+		stats.RulesSuppressedRedundant += len(mined) - len(kept)
+		mined = kept
 	}
 	res := &Result{
 		Rules:      mined,
@@ -234,7 +236,7 @@ func (cw *consequentWorker) bind(seed seqdb.EventID) error {
 		idx:  sv.Idx,
 		opts: cw.opts,
 		nr:   cw.nr,
-		ext:  mine.NewExtender(sv.DB.Sequences, sv.Idx),
+		ext:  mine.NewExtender(sv.Idx),
 	}
 	return nil
 }
@@ -276,7 +278,7 @@ type consequentJob struct {
 // exploration order — so it commutes with the parallel walk; rules the
 // dropped premises would have produced are covered by the kept equivalent
 // super-sequences (redundancy chains terminate at a maximal premise, which
-// is never dropped), and the exact removeRedundant filter still runs last.
+// is never dropped), and the exact FilterRedundant pass still runs last.
 func dedupPremises(jobs []consequentJob, stats *Stats) []consequentJob {
 	groups := make(map[uint64][]int32, len(jobs))
 	for i := range jobs {
@@ -566,13 +568,20 @@ func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post
 		minSatisfied = 1
 	}
 
-	es := w.ext.Extensions(records, tags, int32(minSatisfied))
+	// At the consequent length bound nothing reads the extension set — no
+	// child is grown and the redundancy check below needs a longer consequent
+	// to exist — so the node only emits its own rule.
+	atBound := w.opts.MaxConsequentLength > 0 && len(post) >= w.opts.MaxConsequentLength
+	var es mine.ExtSet
+	if !atBound {
+		es = w.ext.Extensions(records, tags, int32(minSatisfied))
+	}
 
 	if len(post) > 0 {
 		conf := float64(len(records)) / float64(totalTP)
 		iSup := w.instanceSupportFor(post.Last(), records)
 		emit := iSup >= w.opts.MinInstanceSupport && conf+1e-12 >= w.opts.MinConfidence
-		if emit && w.nr && (w.opts.MaxConsequentLength == 0 || len(post) < w.opts.MaxConsequentLength) {
+		if emit && w.nr && !atBound {
 			// A consequent extension that keeps every statistic identical
 			// makes this rule redundant (Definition 5.2 keeps the longer
 			// consequent), so it is not reported on its own. Such an
@@ -597,8 +606,7 @@ func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post
 		}
 	}
 
-	if w.opts.MaxConsequentLength > 0 && len(post) >= w.opts.MaxConsequentLength {
-		w.ext.Release(es)
+	if atBound {
 		return
 	}
 

@@ -3,64 +3,60 @@ package rules
 import (
 	"fmt"
 	"sort"
+
+	"specmine/internal/seqdb"
 )
 
-// removeRedundant applies Definition 5.2 to the mined rule set (step 5 of the
-// mining outline): a rule RX is redundant when another rule RY with identical
+// FilterRedundant returns the non-redundant subset of the given rules, in
+// input order: Definition 5.2 applied to the whole set (step 5 of the mining
+// outline). A rule RX is redundant when another rule RY with identical
 // s-support, i-support and confidence has a concatenation that is a proper
 // super-sequence of RX's, or the same concatenation with a shorter premise.
-func removeRedundant(in []Rule, stats *Stats) []Rule {
-	kept := make([]Rule, 0, len(in))
-	for _, r := range in {
-		if IsRedundant(r, in) {
-			stats.RulesSuppressedRedundant++
-			continue
-		}
-		kept = append(kept, r)
-	}
-	return kept
-}
-
-// IsRedundant reports whether rule r is redundant with respect to some other
-// rule in the set, per Definition 5.2.
-func IsRedundant(r Rule, set []Rule) bool {
-	rc := r.Concat()
-	for _, other := range set {
-		if other.SeqSupport != r.SeqSupport ||
-			other.InstanceSupport != r.InstanceSupport ||
-			!floatEqual(other.Confidence, r.Confidence) {
-			continue
-		}
-		oc := other.Concat()
-		if r.Pre.Equal(other.Pre) && r.Post.Equal(other.Post) {
-			continue // the same rule
-		}
-		if rc.Equal(oc) {
-			// Same concatenation: the rule with the longer premise (and hence
-			// the shorter consequent) is the redundant one.
-			if len(r.Pre) > len(other.Pre) {
-				return true
-			}
-			continue
-		}
-		if len(oc) > len(rc) && rc.IsSubsequenceOf(oc) {
-			return true
-		}
-	}
-	return false
-}
-
-// FilterRedundant returns the non-redundant subset of the given rules. It is
-// exposed so that callers holding a full rule set (for example from MineFull)
-// can derive the non-redundant view without re-mining.
+// The non-redundant miner runs it last; it is exposed so that callers
+// holding a full rule set (for example from MineFull) can derive the
+// non-redundant view without re-mining.
+//
+// Only rules with equal integer supports can make one another redundant, so
+// rules are bucketed by (SeqSupport, InstanceSupport) and compared within a
+// bucket only; floatEqual still decides confidence there, so the result is
+// exactly the pairwise test against the whole set.
 func FilterRedundant(in []Rule) []Rule {
+	type supports struct{ seq, inst int }
+	buckets := make(map[supports][]int32)
+	concats := make([]seqdb.Pattern, len(in))
+	for i, r := range in {
+		k := supports{r.SeqSupport, r.InstanceSupport}
+		buckets[k] = append(buckets[k], int32(i))
+		concats[i] = r.Concat()
+	}
 	out := make([]Rule, 0, len(in))
-	for _, r := range in {
-		if !IsRedundant(r, in) {
-			out = append(out, r)
+rules:
+	for i, r := range in {
+		for _, k := range buckets[supports{r.SeqSupport, r.InstanceSupport}] {
+			if redundantAgainst(r, concats[i], in[k], concats[k]) {
+				continue rules
+			}
 		}
+		out = append(out, r)
 	}
 	return out
+}
+
+// redundantAgainst reports whether other, a rule of r's support bucket, makes
+// r redundant (Definition 5.2); rc and oc are the rules' concatenations.
+func redundantAgainst(r Rule, rc seqdb.Pattern, other Rule, oc seqdb.Pattern) bool {
+	if !floatEqual(other.Confidence, r.Confidence) {
+		return false
+	}
+	if r.Pre.Equal(other.Pre) && r.Post.Equal(other.Post) {
+		return false // the same rule
+	}
+	if rc.Equal(oc) {
+		// Same concatenation: the rule with the longer premise (and hence
+		// the shorter consequent) is the redundant one.
+		return len(r.Pre) > len(other.Pre)
+	}
+	return len(oc) > len(rc) && rc.IsSubsequenceOf(oc)
 }
 
 // GroupByStatistics partitions rules into equivalence classes sharing the

@@ -3,6 +3,8 @@ package rules
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"specmine/internal/seqdb"
@@ -186,6 +188,43 @@ func bruteRules(db *seqdb.Database, opts Options, maxPre, maxPost int) map[strin
 	return out
 }
 
+// insertionDominated reports, by brute force over TemporalPoints, whether
+// inserting one event of alphabet somewhere before p's last event leaves the
+// temporal points of p unchanged in every trace — the premise-level
+// redundancy the non-redundant miner's premise walk prunes on.
+func insertionDominated(db *seqdb.Database, p seqdb.Pattern, alphabet []seqdb.EventID) bool {
+	for i := 0; i < len(p); i++ {
+		for _, x := range alphabet {
+			d := append(append(append(seqdb.Pattern{}, p[:i]...), x), p[i:]...)
+			same := true
+			for _, s := range db.Sequences {
+				if !slices.Equal(TemporalPoints(s, p), TemporalPoints(s, d)) {
+					same = false
+					break
+				}
+			}
+			if same {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestMineFullAgainstBruteForce sweeps both length bounds over {1, 2, 3}:
+// the full miner must equal exhaustive enumeration, and the non-redundant
+// miner must equal FilterRedundant of the full set once the rules its
+// premise walk never reaches are set aside. The consequent search stops
+// extending exactly at MaxConsequentLength, where the redundancy check also
+// stops looking for a longer consequent, so every bound pair is checked.
+//
+// The set-aside rules: the walk skips the whole subtree of a premise that
+// has an equivalent single insertion within MaxPremiseLength. Below the
+// bound each skipped premise pre ++ X is dominated by the insertion's D ++ X,
+// but at the bound D ++ X is one event too long, so a rule there can be
+// non-redundant within the bounds and still go unmined. FilterRedundant(full)
+// keeps such rules; the miner does not (a known gap of the bounded premise
+// walk).
 func TestMineFullAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for iter := 0; iter < 12; iter++ {
@@ -198,34 +237,58 @@ func TestMineFullAgainstBruteForce(t *testing.T) {
 			}
 			db.AppendNames(names...)
 		}
-		opts := Options{
-			MinSeqSupport:       2,
-			MinInstanceSupport:  1,
-			MinConfidence:       0.6,
-			MaxPremiseLength:    2,
-			MaxConsequentLength: 2,
-		}
-		res, err := MineFull(db, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteRules(db, opts, 2, 2)
-		got := make(map[string]Rule)
-		for _, r := range res.Rules {
-			got[r.Key()] = r
-		}
-		for key, w := range want {
-			g, ok := got[key]
-			if !ok {
-				t.Fatalf("iter %d: full miner missed rule %s -> %s (db=%v)", iter, w.Pre.String(db.Dict), w.Post.String(db.Dict), db.Sequences)
-			}
-			if g.SeqSupport != w.SeqSupport || g.InstanceSupport != w.InstanceSupport || math.Abs(g.Confidence-w.Confidence) > 1e-9 {
-				t.Fatalf("iter %d: stats mismatch for %s: %+v vs %+v", iter, key, g, w)
-			}
-		}
-		for key := range got {
-			if _, ok := want[key]; !ok {
-				t.Fatalf("iter %d: full miner emitted unexpected rule %s", iter, key)
+		for maxPre := 1; maxPre <= 3; maxPre++ {
+			for maxPost := 1; maxPost <= 3; maxPost++ {
+				opts := Options{
+					MinSeqSupport:       2,
+					MinInstanceSupport:  1,
+					MinConfidence:       0.6,
+					MaxPremiseLength:    maxPre,
+					MaxConsequentLength: maxPost,
+				}
+				res, err := MineFull(db, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := bruteRules(db, opts, maxPre, maxPost)
+				got := make(map[string]Rule)
+				for _, r := range res.Rules {
+					got[r.Key()] = r
+				}
+				for key, w := range want {
+					g, ok := got[key]
+					if !ok {
+						t.Fatalf("iter %d pre<=%d post<=%d: full miner missed rule %s -> %s (db=%v)",
+							iter, maxPre, maxPost, w.Pre.String(db.Dict), w.Post.String(db.Dict), db.Sequences)
+					}
+					if g.SeqSupport != w.SeqSupport || g.InstanceSupport != w.InstanceSupport || math.Abs(g.Confidence-w.Confidence) > 1e-9 {
+						t.Fatalf("iter %d pre<=%d post<=%d: stats mismatch for %s: %+v vs %+v", iter, maxPre, maxPost, key, g, w)
+					}
+				}
+				for key := range got {
+					if _, ok := want[key]; !ok {
+						t.Fatalf("iter %d pre<=%d post<=%d: full miner emitted unexpected rule %s", iter, maxPre, maxPost, key)
+					}
+				}
+
+				nr, err := MineNonRedundant(db, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var reached []Rule
+			rules:
+				for _, r := range res.Rules {
+					for k := 1; k <= len(r.Pre) && k < maxPre; k++ {
+						if insertionDominated(db, r.Pre[:k], db.FrequentEvents(1)) {
+							continue rules
+						}
+					}
+					reached = append(reached, r)
+				}
+				if filtered := FilterRedundant(reached); !reflect.DeepEqual(nr.Rules, filtered) {
+					t.Fatalf("iter %d pre<=%d post<=%d: non-redundant miner differs from FilterRedundant(full rules the premise walk reaches)\nnr:\n%sfiltered:\n%s",
+						iter, maxPre, maxPost, nr.Render(db.Dict, 0), (&Result{Rules: filtered}).Render(db.Dict, 0))
+				}
 			}
 		}
 	}
@@ -295,7 +358,7 @@ func TestMineNonRedundantCoversFullSet(t *testing.T) {
 		}
 		// 3. No rule in the NR set is redundant with respect to the NR set.
 		for _, r := range nr.Rules {
-			if IsRedundant(r, nr.Rules) {
+			if pairwiseRedundant(r, nr.Rules) {
 				t.Fatalf("iter %d: NR set still contains redundant rule %s", iter, r.String(db.Dict))
 			}
 		}
@@ -418,6 +481,81 @@ func TestFilterRedundant(t *testing.T) {
 	out2 := FilterRedundant([]Rule{a, b})
 	if len(out2) != 1 || out2[0].Key() != b.Key() {
 		t.Errorf("tie-break should keep the shorter premise: %v", out2)
+	}
+}
+
+// pairwiseRedundant is Definition 5.2 read literally over the whole set: r
+// is redundant when another rule with the same s-support, i-support and
+// confidence (within 1e-9) has a concatenation that properly
+// super-sequences r's, or the same concatenation with a shorter premise.
+func pairwiseRedundant(r Rule, set []Rule) bool {
+	rc := r.Concat()
+	for _, o := range set {
+		if o.SeqSupport != r.SeqSupport || o.InstanceSupport != r.InstanceSupport ||
+			math.Abs(o.Confidence-r.Confidence) >= 1e-9 {
+			continue
+		}
+		if o.Pre.Equal(r.Pre) && o.Post.Equal(r.Post) {
+			continue
+		}
+		oc := o.Concat()
+		if oc.Equal(rc) && len(o.Pre) < len(r.Pre) {
+			return true
+		}
+		if len(oc) > len(rc) && rc.IsSubsequenceOf(oc) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestFilterRedundantMatchesPairwise: the bucketed filter keeps exactly the
+// rules the whole-set pairwise definition keeps, in input order. The random
+// sets collide heavily on supports, carry confidences within and just beyond
+// 1e-9 of each other, and split equal concatenations at different points.
+func TestFilterRedundantMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	pattern := func(n int) seqdb.Pattern {
+		p := make(seqdb.Pattern, n)
+		for i := range p {
+			p[i] = seqdb.EventID(rng.Intn(3))
+		}
+		return p
+	}
+	for iter := 0; iter < 300; iter++ {
+		var set []Rule
+		for n := rng.Intn(40); n > 0; n-- {
+			var r Rule
+			if k := len(set); k > 0 && rng.Intn(3) == 0 {
+				// Re-split an earlier rule's concatenation elsewhere.
+				c := set[rng.Intn(k)].Concat()
+				cut := 1 + rng.Intn(len(c)-1)
+				r.Pre, r.Post = c[:cut].Clone(), c[cut:].Clone()
+			} else {
+				r.Pre, r.Post = pattern(1+rng.Intn(3)), pattern(1+rng.Intn(3))
+			}
+			r.SeqSupport = 1 + rng.Intn(2)
+			r.InstanceSupport = 1 + rng.Intn(2)
+			// Confidences on a 0.4e-9 grid around two values: some pairs fall
+			// within floatEqual's 1e-9, others just outside it.
+			r.Confidence = []float64{0.5, 0.75}[rng.Intn(2)] + float64(rng.Intn(4))*0.4e-9
+			set = append(set, r)
+		}
+		var want []Rule
+		for _, r := range set {
+			if !pairwiseRedundant(r, set) {
+				want = append(want, r)
+			}
+		}
+		got := FilterRedundant(set)
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: FilterRedundant kept %d rules, pairwise definition %d\nset %+v", iter, len(got), len(want), set)
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("iter %d: kept rule %d = %+v, pairwise definition %+v", iter, i, got[i], want[i])
+			}
+		}
 	}
 }
 

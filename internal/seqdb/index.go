@@ -1,6 +1,6 @@
 package seqdb
 
-import "sort"
+import "slices"
 
 // PositionIndex is the flat, cache-friendly positional index used by the
 // mining hot paths. It replaces the per-sequence map[EventID][]int layout of
@@ -10,6 +10,9 @@ import "sort"
 //   - each sequence owns a sorted slice of the distinct events it contains and
 //     a parallel offset table into the arena, so a (sequence, event) lookup is
 //     a binary search over the sequence's (typically small) local alphabet;
+//   - each sequence also lists its distinct events with their last
+//     occurrences, latest first, so the events occurring after any position
+//     are a prefix of that list;
 //   - prevOcc[s][j] stores the previous position of event s[j] within sequence
 //     s (or -1), which turns "does this event occur inside span [lo..j)?" —
 //     the gap-validity test the QRE semantics needs at every search-tree node —
@@ -29,6 +32,10 @@ type PositionIndex struct {
 	seqEvents  [][]EventID
 	seqOffsets [][]int32
 	posArena   []int32
+
+	// lastOcc[s] lists the distinct events of sequence s by last occurrence,
+	// latest first.
+	lastOcc [][]LastOccurrence
 
 	// prevOcc[s][j] is the previous position of event s[j] in s, or -1.
 	prevOcc [][]int32
@@ -56,6 +63,7 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 		numEvents:  numEvents,
 		seqEvents:  make([][]EventID, len(sequences)),
 		seqOffsets: make([][]int32, len(sequences)),
+		lastOcc:    make([][]LastOccurrence, len(sequences)),
 		prevOcc:    make([][]int32, len(sequences)),
 		instCount:  make([]int32, numEvents),
 	}
@@ -95,8 +103,10 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 	}
 	eventsArena := make([]EventID, 0, distinctTotal)
 	offsetsArena := make([]int32, 0, distinctTotal+len(sequences))
+	lastArena := make([]LastOccurrence, 0, distinctTotal)
 
 	cursor := make([]int32, numEvents)
+	rankOf := make([]int32, numEvents)
 	prevBase := 0
 	for si, s := range sequences {
 		// Distinct events and their occurrence counts.
@@ -108,7 +118,7 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 			counts[e]++
 			idx.instCount[e]++
 		}
-		sort.Slice(touched, func(a, b int) bool { return touched[a] < touched[b] })
+		slices.Sort(touched)
 
 		evBase := len(eventsArena)
 		eventsArena = append(eventsArena, touched...)
@@ -116,7 +126,8 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 
 		offBase := len(offsetsArena)
 		off := int32(len(idx.posArena))
-		for _, e := range touched {
+		for k, e := range touched {
+			rankOf[e] = int32(k)
 			offsetsArena = append(offsetsArena, off)
 			cursor[e] = off
 			off += counts[e]
@@ -136,6 +147,16 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 			lastSeen[e] = int32(j)
 		}
 		idx.prevOcc[si] = prev
+
+		// A backward walk meets each event's last occurrence before any of
+		// its earlier ones.
+		lastBase := len(lastArena)
+		for j := len(s) - 1; j >= 0; j-- {
+			if lastSeen[s[j]] == int32(j) {
+				lastArena = append(lastArena, LastOccurrence{Pos: int32(j), Rank: rankOf[s[j]]})
+			}
+		}
+		idx.lastOcc[si] = lastArena[lastBase:len(lastArena):len(lastArena)]
 		for _, e := range touched {
 			counts[e] = 0
 			lastSeen[e] = -1
@@ -189,6 +210,30 @@ func (idx *PositionIndex) Positions(s int, e EventID) []int32 {
 // slice is shared and must not be modified.
 func (idx *PositionIndex) SeqEvents(s int) []EventID { return idx.seqEvents[s] }
 
+// LastOccurrence is one distinct event of a sequence: the position of its
+// last occurrence there and its rank, the event's index in SeqEvents (which
+// SeqEventPositions takes).
+type LastOccurrence struct {
+	Pos  int32
+	Rank int32
+}
+
+// SeqLastOccurrences returns the distinct events of sequence s ordered by
+// last occurrence, latest first: the events occurring after any position p
+// are exactly the entries before the first one with Pos <= p. The returned
+// slice is shared and must not be modified.
+func (idx *PositionIndex) SeqLastOccurrences(s int) []LastOccurrence { return idx.lastOcc[s] }
+
+// SeqEventPositions returns the sorted occurrence positions of SeqEvents(s)[k],
+// the k-th distinct event of sequence s: Positions without the event lookup,
+// for callers already walking the distinct-event list. The list is never
+// empty and its last entry is the event's last occurrence in s. The returned
+// slice is shared and must not be modified.
+func (idx *PositionIndex) SeqEventPositions(s, k int) []int32 {
+	offs := idx.seqOffsets[s]
+	return idx.posArena[offs[k]:offs[k+1]]
+}
+
 // SeqContains reports whether event e occurs in sequence s. It is the cheap
 // presence probe Where's residual event filters run: one branchless binary
 // search over the sequence's (typically small) distinct-event list, touching
@@ -206,7 +251,9 @@ func (idx *PositionIndex) SeqContains(s int, e EventID) bool {
 // OccursWithin reports whether the event at position pos of sequence s also
 // occurs somewhere in [lo, pos). It relies on the prev-occurrence chain, so it
 // is exact only when pos holds the first occurrence at or after lo' for every
-// lo' in (prevOcc, pos]; the miners always query it in that regime.
+// lo' in (prevOcc, pos]; the miners always query it in that regime. Only the
+// iterative-pattern miner (iterpattern) calls it: the shared Extender in
+// package mine counts extensions from the last-occurrence lists instead.
 func (idx *PositionIndex) OccursWithin(s, pos, lo int) bool {
 	return idx.prevOcc[s][pos] >= int32(lo)
 }

@@ -3,15 +3,17 @@ package seqdb
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
-// Randomized equivalence tests for the postings probes — Positions,
-// PositionsFrom, CountFrom, SeqContains and the galloping PosCursor — against
-// brute-force linear scans of the raw sequences. The generator sweeps trace
-// shapes with very different position-list profiles: dense traces over a tiny
-// alphabet, sparse ones whose lists hold a handful of entries, and run-heavy
-// ones whose long single-event runs produce maximally skewed lists.
+// Randomized equivalence tests for the postings probes — SeqEvents,
+// SeqLastOccurrences, SeqEventPositions, Positions, PositionsFrom, CountFrom,
+// SeqContains and the galloping PosCursor — against brute-force linear scans
+// of the raw sequences. The generator sweeps trace shapes with very different
+// position-list profiles: dense traces over a tiny alphabet, sparse ones whose
+// lists hold a handful of entries, and run-heavy ones whose long single-event
+// runs produce maximally skewed lists.
 
 // oracleNext is the reference next-occurrence probe: first position >= from
 // holding e, or -1.
@@ -86,6 +88,39 @@ func TestPostingsRandomizedVsOracle(t *testing.T) {
 			idx := db.FlatIndex()
 			name := fmt.Sprintf("%s/trial=%d", shape, trial)
 			for si, s := range seqs {
+				// The distinct-event lists: every event of s exactly once, in
+				// increasing id order (SeqEvents) and latest last occurrence
+				// first (SeqLastOccurrences), whose ranks address each event's
+				// full position list (SeqEventPositions).
+				var distinct []EventID
+				var lasts []LastOccurrence
+				for e := EventID(0); e <= EventID(alphabet+1); e++ {
+					for p := len(s) - 1; p >= 0; p-- {
+						if s[p] == e {
+							lasts = append(lasts, LastOccurrence{Pos: int32(p), Rank: int32(len(distinct))})
+							distinct = append(distinct, e)
+							break
+						}
+					}
+				}
+				sort.Slice(lasts, func(a, b int) bool { return lasts[a].Pos > lasts[b].Pos })
+				if got := idx.SeqEvents(si); fmt.Sprint(got) != fmt.Sprint(distinct) {
+					t.Fatalf("%s: SeqEvents(s=%d) = %v, oracle %v", name, si, got, distinct)
+				}
+				if got := idx.SeqLastOccurrences(si); fmt.Sprint(got) != fmt.Sprint(lasts) {
+					t.Fatalf("%s: SeqLastOccurrences(s=%d) = %v, oracle %v", name, si, got, lasts)
+				}
+				for k, e := range distinct {
+					var all []int32
+					for p, ev := range s {
+						if ev == e {
+							all = append(all, int32(p))
+						}
+					}
+					if got := idx.SeqEventPositions(si, k); fmt.Sprint(got) != fmt.Sprint(all) {
+						t.Fatalf("%s: SeqEventPositions(s=%d, k=%d) = %v, oracle %v (event %d)", name, si, k, got, all, e)
+					}
+				}
 				// Probe every event id of the alphabet (most absent from a
 				// sparse trace) plus one beyond it, across every
 				// boundary-adjacent from value.

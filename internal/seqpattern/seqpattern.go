@@ -107,7 +107,7 @@ func Mine(db *seqdb.Database, opts Options) (*Result, error) {
 	workers := mine.EffectiveWorkers(opts.Workers)
 	newWorker := func() *worker {
 		return &worker{
-			ext:    mine.NewExtender(db.Sequences, idx),
+			ext:    mine.NewExtender(idx),
 			minSup: minSup,
 			maxLen: opts.MaxPatternLength,
 			path:   make(seqdb.Pattern, 0, 32),
