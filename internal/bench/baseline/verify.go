@@ -27,7 +27,7 @@ func CheckRule(db *seqdb.Database, rule rules.Rule) (verify.RuleReport, error) {
 				continue
 			}
 			violatedTrace = true
-			report.Violations = append(report.Violations, verify.RuleViolation{Rule: rule, Seq: si, TemporalPoint: tp})
+			report.Violations = append(report.Violations, verify.RuleViolation{Seq: si, TemporalPoint: tp})
 		}
 		if violatedTrace {
 			report.ViolatedTraces++

@@ -9,16 +9,11 @@ import (
 	"sync/atomic"
 )
 
-// For runs fn(i) for every i in [0, n) across at most workers goroutines.
-// With workers <= 1 it degenerates to a plain loop on the calling goroutine.
-func For(n, workers int, fn func(i int)) {
-	ForWorker(n, workers, func() struct{} { return struct{}{} }, func(_ struct{}, i int) { fn(i) })
-}
-
-// ForWorker is For with per-goroutine state: newWorker runs once on each
-// pool goroutine (or once on the calling goroutine when the pool degenerates)
-// and its result is passed to every fn call that goroutine executes. Use it
-// when fn needs scratch buffers that must not be shared across goroutines.
+// ForWorker runs fn(w, i) for every i in [0, n) across at most workers
+// goroutines; with workers <= 1 it degenerates to a plain loop on the calling
+// goroutine. newWorker runs once on each pool goroutine (or once on the
+// calling goroutine) and its result is passed to every fn call that
+// goroutine executes, so fn's scratch buffers are never shared.
 func ForWorker[W any](n, workers int, newWorker func() W, fn func(w W, i int)) {
 	if workers > n {
 		workers = n

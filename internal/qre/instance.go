@@ -35,15 +35,6 @@ func (sp Span) Export() Instance {
 	return Instance{Seq: int(sp.Seq), Start: int(sp.Start), End: int(sp.End)}
 }
 
-// ExportSpans bulk-converts a span list to instances in a single allocation.
-func ExportSpans(spans []Span) []Instance {
-	out := make([]Instance, len(spans))
-	for i, sp := range spans {
-		out[i] = sp.Export()
-	}
-	return out
-}
-
 // Contains reports whether in's span contains other's span (same sequence,
 // start <= other.Start and end >= other.End). This is exactly the
 // correspondence relation of Definition 4.2 read from the super-pattern side.

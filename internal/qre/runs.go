@@ -20,12 +20,6 @@ type SpanRun struct {
 	Stride int32
 }
 
-// SpanAt returns the i-th span of the run (0 <= i < Count).
-func (r SpanRun) SpanAt(i int32) Span {
-	d := i * r.Stride
-	return Span{Seq: r.Seq, Start: r.Start + d, End: r.End + d}
-}
-
 // SpanRuns is a run-length-compressed instance list: the sequence of spans it
 // represents is the concatenation of its runs. The compression is canonical —
 // Append always extends the last run when the incoming span continues its

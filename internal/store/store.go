@@ -402,7 +402,7 @@ type ShardLog struct {
 
 	// commitSeq numbers the commit barrier: it increments under mu once per
 	// committed operation, so WAL append order, apply (channel) order and the
-	// sequence numbers all agree. Diagnostics and tests read it via CommitSeq.
+	// sequence numbers all agree.
 	commitSeq uint64
 	// metCommitSeq is the commitSeq value last published to the store.commits
 	// series. The counter is fed by the delta at every WAL flush rather than
@@ -719,14 +719,6 @@ func (sl *ShardLog) CommitSeal(id string, send func()) error {
 	sl.commitSeq++
 	send()
 	return nil
-}
-
-// CommitSeq returns the number of operations committed to the shard's WAL so
-// far. It is a diagnostic: the value is racy the moment it returns.
-func (sl *ShardLog) CommitSeq() uint64 {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.commitSeq
 }
 
 // maybeFlushLocked group-commits when the buffer has grown past the

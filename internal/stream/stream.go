@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -81,7 +82,10 @@ type View struct {
 	ShardDBs []*seqdb.Database
 	// Reports are the online conformance reports accumulated so far, in rule
 	// order with violation sequence numbers rebased to DB's numbering —
-	// identical to verify.CheckRules(DB, rules). Nil without an Engine.
+	// identical to verify.CheckRules(DB, rules). Each rule lives once, in its
+	// RuleReport. Violation lists may share the ingester's append-only
+	// arrays, capped so appending reallocates: never write their elements.
+	// Nil without an Engine.
 	Reports []verify.RuleReport
 }
 
@@ -399,39 +403,62 @@ func (ing *Ingester) Snapshot() (*View, error) {
 
 func (ing *Ingester) merge(views []shardView) *View {
 	v := &View{ShardDBs: make([]*seqdb.Database, len(views))}
-	for i, sv := range views {
-		v.ShardDBs[i] = sv.db
+	// bases[k] is the first DB sequence number of shard k.
+	bases := make([]int, len(views)+1)
+	for k, sv := range views {
+		v.ShardDBs[k] = sv.db
+		bases[k+1] = bases[k] + sv.db.NumSequences()
 	}
 	if len(views) == 1 {
 		// Single shard: the shard's snapshot view is already the whole.
 		v.DB = views[0].db
 	} else {
 		v.DB = seqdb.NewDatabaseWithDict(ing.dict)
+		v.DB.Sequences = make([]seqdb.Sequence, 0, bases[len(views)])
 		for _, sv := range views {
 			v.DB.Sequences = append(v.DB.Sequences, sv.db.Sequences...)
 		}
 	}
 	if ing.cfg.Engine != nil {
-		reports := ing.cfg.Engine.NewReports()
-		base := 0
-		for _, sv := range views {
-			for i := range reports {
-				r := &reports[i]
-				sr := &sv.reports[i]
-				r.SatisfiedTraces += sr.SatisfiedTraces
-				r.ViolatedTraces += sr.ViolatedTraces
-				r.TotalTemporalPoints += sr.TotalTemporalPoints
-				r.SatisfiedTemporalPoints += sr.SatisfiedTemporalPoints
-				for _, viol := range sr.Violations {
-					viol.Seq += base
-					r.Violations = append(r.Violations, viol)
-				}
-			}
-			base += sv.db.NumSequences()
+		// answerSnap gave each view its own report headers; shard 0's, at
+		// base 0, become the merged reports.
+		v.Reports = views[0].reports
+		for i := range v.Reports {
+			mergeReport(&v.Reports[i], views, bases, i)
 		}
-		v.Reports = reports
 	}
 	return v
+}
+
+// mergeReport folds rule i of shards 1.. into r, which is shard 0's report. A
+// violation list that comes whole from one shard at base 0 is handed through;
+// otherwise the lists are copied once, at their exact total, to rebase Seq.
+// Shard lists stay nil until their first violation, so a rule with none keeps
+// a nil list, as a batch check leaves it.
+func mergeReport(r *verify.RuleReport, views []shardView, bases []int, i int) {
+	n, from := len(r.Violations), 0
+	for k, sv := range views[1:] {
+		sr := &sv.reports[i]
+		r.SatisfiedTraces += sr.SatisfiedTraces
+		r.ViolatedTraces += sr.ViolatedTraces
+		r.TotalTemporalPoints += sr.TotalTemporalPoints
+		r.SatisfiedTemporalPoints += sr.SatisfiedTemporalPoints
+		if len(sr.Violations) > 0 {
+			n, from = n+len(sr.Violations), k+1
+		}
+	}
+	if only := views[from].reports[i].Violations; len(only) == n && bases[from] == 0 {
+		r.Violations = only
+		return
+	}
+	merged := make([]verify.RuleViolation, 0, n) // r is views[0].reports[i]: set it after the loop
+	for k, sv := range views {
+		for _, viol := range sv.reports[i].Violations {
+			viol.Seq += bases[k]
+			merged = append(merged, viol)
+		}
+	}
+	r.Violations = merged
 }
 
 // Close shuts the ingester down: shard goroutines drain their buffers and
@@ -615,7 +642,13 @@ func (sh *shard) answerSnap(o op) {
 	sh.publishMet()
 	sv := shardView{db: sh.db.SnapshotView()}
 	if sh.reports != nil {
-		sv.reports = cloneReports(sh.reports)
+		// Checker.Close only appends, so each violation list's current
+		// prefix is frozen: share it, capped so that an append through the
+		// view reallocates instead of writing into the shard's spare room.
+		sv.reports = slices.Clone(sh.reports)
+		for i := range sv.reports {
+			sv.reports[i].Violations = slices.Clip(sv.reports[i].Violations)
+		}
 	}
 	if sh.log != nil {
 		// A healthy store promises everything a snapshot exposes is
@@ -740,17 +773,6 @@ func (sh *shard) openSnapshot() []store.OpenTrace {
 	out := make([]store.OpenTrace, 0, len(sh.open))
 	for id, tr := range sh.open {
 		out = append(out, store.OpenTrace{ID: id, Events: append(seqdb.Sequence(nil), tr.events...)})
-	}
-	return out
-}
-
-// cloneReports deep-copies the violation lists so the snapshot's reports
-// stay frozen while the shard keeps appending to its own.
-func cloneReports(reports []verify.RuleReport) []verify.RuleReport {
-	out := make([]verify.RuleReport, len(reports))
-	copy(out, reports)
-	for i := range out {
-		out[i].Violations = append([]verify.RuleViolation(nil), out[i].Violations...)
 	}
 	return out
 }

@@ -1,8 +1,10 @@
 package stream
 
 import (
+	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"specmine/internal/rules"
 	"specmine/internal/seqdb"
@@ -92,20 +94,54 @@ func TestSnapshotHoldsExactlyTheSealedTraces(t *testing.T) {
 	}
 }
 
-// TestSnapshotViewIsFrozen: a View keeps exactly the traces sealed before
-// it while ingestion continues, with one shard (where DB is the shard's own
-// view) and with several; its index, built on first use, is the index of
-// those traces.
-func TestSnapshotViewIsFrozen(t *testing.T) {
+// violatingSecurity returns an engine over rules mined from a security
+// training batch, that batch's dictionary, and the security workload with a
+// quarter of its scenarios truncated, so streaming it violates the rules.
+func violatingSecurity(t *testing.T) (*verify.Engine, *seqdb.Dictionary, tracesim.Workload) {
+	t.Helper()
 	w := tracesim.Workloads()["security"]
+	train := w.MustGenerate(30, 7)
+	engine, err := verify.NewEngine(minedRules(t, train))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.ViolationRate = 0.25
+	return engine, train.Dict, w
+}
+
+// copyReports deep-copies the violation lists of reports.
+func copyReports(reports []verify.RuleReport) []verify.RuleReport {
+	out := append([]verify.RuleReport(nil), reports...)
+	for i := range out {
+		out[i].Violations = append([]verify.RuleViolation(nil), out[i].Violations...)
+	}
+	return out
+}
+
+func totalViolations(reports []verify.RuleReport) int {
+	return verify.Summary{Reports: reports}.TotalViolations()
+}
+
+// TestSnapshotViewIsFrozen: a View keeps exactly the traces sealed before
+// it and the conformance reports accumulated by then while ingestion
+// continues, with one shard (where DB and the violation lists are the
+// shard's own) and with several; its index, built on first use, is the index
+// of those traces. Appending to a view's violation list reallocates it and
+// never reaches the shard's reports.
+func TestSnapshotViewIsFrozen(t *testing.T) {
+	engine, dict, w := violatingSecurity(t)
 	for _, shards := range []int{1, 3} {
-		ing := mustOpen(t, Config{Shards: shards, FlushBatch: 4})
+		ing := mustOpen(t, Config{Shards: shards, FlushBatch: 4, Dict: dict, Engine: engine})
 		ingestWorkload(t, ing, w, 30, 11)
 		v, err := ing.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := v.DB.Clone()
+		wantReports := copyReports(v.Reports)
+		if totalViolations(wantReports) == 0 {
+			t.Fatalf("shards=%d: the first snapshot has no violations to freeze", shards)
+		}
 		idx := v.DB.FlatIndex()
 		ingestWorkload(t, ing, w, 30, 12)
 		later, err := ing.Snapshot()
@@ -115,7 +151,13 @@ func TestSnapshotViewIsFrozen(t *testing.T) {
 		if later.DB.NumSequences() != 60 {
 			t.Fatalf("shards=%d: later snapshot has %d traces want 60", shards, later.DB.NumSequences())
 		}
+		if totalViolations(later.Reports) <= totalViolations(wantReports) {
+			t.Fatalf("shards=%d: the second batch added no violations", shards)
+		}
 		requireSameDB(t, "frozen view", v.DB, want)
+		if !reflect.DeepEqual(v.Reports, wantReports) {
+			t.Fatalf("shards=%d: the first view's reports changed while ingestion continued", shards)
+		}
 		if v.DB.FlatIndex() != idx {
 			t.Fatalf("shards=%d: the view's index was rebuilt although the view did not change", shards)
 		}
@@ -129,9 +171,64 @@ func TestSnapshotViewIsFrozen(t *testing.T) {
 				t.Fatalf("shards=%d: event %d counts differ from a fresh build", shards, e)
 			}
 		}
+
+		// A few more traces let the shards' lists grow in place past the
+		// earlier views' ends, where an uncapped append would land.
+		ingestWorkload(t, ing, w, 6, 13)
+		cur, err := ing.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		curReports := copyReports(cur.Reports)
+		for _, view := range []*View{v, later} {
+			for i := range view.Reports {
+				view.Reports[i].Violations = append(view.Reports[i].Violations, verify.RuleViolation{Seq: -1, TemporalPoint: -1})
+			}
+		}
+		after, err := ing.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(after.Reports, curReports) || !reflect.DeepEqual(cur.Reports, curReports) {
+			t.Fatalf("shards=%d: appending to an earlier view's violations reached the ingester's reports", shards)
+		}
 		if err := ing.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestSnapshotSharesShardReports pins that a snapshot does not copy the
+// shard's violation lists: answerSnap hands out each list's current prefix,
+// on the same backing array, capped at its length.
+func TestSnapshotSharesShardReports(t *testing.T) {
+	engine, dict, w := violatingSecurity(t)
+	ing := mustOpen(t, Config{Shards: 1, Dict: dict, Engine: engine})
+	ingestWorkload(t, ing, w, 30, 11)
+	// Closing joins the shard goroutine, so its state can be read here.
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sh := ing.shards[0]
+	reply := make(chan shardView, 1)
+	sh.answerSnap(op{kind: opSnapshot, reply: reply})
+	sv := <-reply
+	shared := 0
+	for i, r := range sv.reports {
+		own := sh.reports[i].Violations
+		if len(r.Violations) != len(own) || cap(r.Violations) != len(r.Violations) {
+			t.Fatalf("rule %d: snapshot list has len %d cap %d, shard list len %d", i, len(r.Violations), cap(r.Violations), len(own))
+		}
+		if len(own) == 0 {
+			continue
+		}
+		if unsafe.SliceData(r.Violations) != unsafe.SliceData(own) {
+			t.Fatalf("rule %d: the snapshot copied the shard's violation list", i)
+		}
+		shared++
+	}
+	if shared == 0 {
+		t.Fatal("no rule was violated; the test proves nothing")
 	}
 }
 
@@ -245,8 +342,15 @@ func TestOnlineConformanceMatchesBatchOverSnapshot(t *testing.T) {
 
 // TestConcurrentProducersAndSnapshots hammers one ingester from several
 // producer goroutines while another keeps taking snapshots and checking
-// them — the -race exercise for the whole subsystem.
+// them — the -race exercise for the whole subsystem. With one shard every
+// snapshot reads the violation lists the shard keeps appending to.
 func TestConcurrentProducersAndSnapshots(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		concurrentProducersAndSnapshots(t, shards)
+	}
+}
+
+func concurrentProducersAndSnapshots(t *testing.T, shards int) {
 	w := tracesim.Workloads()["locking"]
 	train := w.MustGenerate(30, 7)
 	ruleSet := minedRules(t, train)
@@ -257,7 +361,7 @@ func TestConcurrentProducersAndSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ing := mustOpen(t, Config{Shards: 4, FlushBatch: 3, Dict: train.Dict, Engine: engine})
+	ing := mustOpen(t, Config{Shards: shards, FlushBatch: 3, Dict: train.Dict, Engine: engine})
 
 	const producers = 4
 	const tracesPerProducer = 25
@@ -318,7 +422,7 @@ func TestConcurrentProducersAndSnapshots(t *testing.T) {
 			}
 			for i := range batch {
 				if v.Reports[i].TotalTemporalPoints != batch[i].TotalTemporalPoints ||
-					len(v.Reports[i].Violations) != len(batch[i].Violations) {
+					!reflect.DeepEqual(v.Reports[i].Violations, batch[i].Violations) {
 					t.Errorf("snapshot inconsistent with its own online reports (rule %d)", i)
 					return
 				}

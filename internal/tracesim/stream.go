@@ -43,14 +43,15 @@ func (w Workload) Stream(numTraces int, seed int64, concurrency int, fn func(Str
 	rng := rand.New(rand.NewSource(seed*31 + int64(concurrency)))
 
 	type openTrace struct {
-		id  int
-		pos int
+		id   int
+		name string // TraceID(id), formatted once per trace
+		pos  int
 	}
 	var active []openTrace
 	next := 0
 	for len(active) > 0 || next < numTraces {
 		for len(active) < concurrency && next < numTraces {
-			active = append(active, openTrace{id: next})
+			active = append(active, openTrace{id: next, name: TraceID(next)})
 			next++
 		}
 		k := rng.Intn(len(active))
@@ -67,7 +68,7 @@ func (w Workload) Stream(numTraces int, seed int64, concurrency int, fn func(Str
 		}
 		o.pos += n
 		final := o.pos >= len(s)
-		if err := fn(StreamChunk{TraceID: TraceID(o.id), Events: events, Final: final}); err != nil {
+		if err := fn(StreamChunk{TraceID: o.name, Events: events, Final: final}); err != nil {
 			return err
 		}
 		if final {

@@ -103,12 +103,13 @@ func (w Workload) Generate(numTraces int, seed int64) (*seqdb.Database, error) {
 		totalWeight += weight
 	}
 
+	var names []string // reused: AppendNames copies the trace out
 	for i := 0; i < numTraces; i++ {
 		repetitions := w.MinScenariosPerTrace
 		if w.MaxScenariosPerTrace > w.MinScenariosPerTrace {
 			repetitions += rng.Intn(w.MaxScenariosPerTrace - w.MinScenariosPerTrace + 1)
 		}
-		var names []string
+		names = names[:0]
 		for r := 0; r < repetitions; r++ {
 			sc := w.pickScenario(rng, totalWeight)
 			limit := len(sc.Events)

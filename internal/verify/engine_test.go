@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -31,6 +32,13 @@ func checkEngineMatchesPerRule(t *testing.T, label string, db *seqdb.Database, r
 			t.Fatalf("%s: baseline.CheckRule: %v", label, err)
 		}
 		g := got[i]
+		// The report is the only place a violation's rule lives.
+		if !g.Rule.Pre.Equal(want.Rule.Pre) || !g.Rule.Post.Equal(want.Rule.Post) ||
+			g.Rule.SeqSupport != want.Rule.SeqSupport ||
+			g.Rule.InstanceSupport != want.Rule.InstanceSupport ||
+			math.Float64bits(g.Rule.Confidence) != math.Float64bits(want.Rule.Confidence) {
+			t.Fatalf("%s: rule %d differs:\n got %+v\nwant %+v", label, i, g.Rule, want.Rule)
+		}
 		if g.TotalTemporalPoints != want.TotalTemporalPoints ||
 			g.SatisfiedTemporalPoints != want.SatisfiedTemporalPoints ||
 			g.SatisfiedTraces != want.SatisfiedTraces ||

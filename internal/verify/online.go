@@ -144,7 +144,8 @@ func (c *Checker) Advance(ev seqdb.EventID) {
 // Close finalises the current trace as sequence seq: every rule's counters
 // are folded into reports (which must come from Engine.NewReports or have
 // len equal to NumRules), violations are appended in ascending temporal
-// point order, and the checker resets for the next trace.
+// point order — never rewritten, since stream snapshots share the lists'
+// earlier prefixes — and the checker resets for the next trace.
 func (c *Checker) Close(seq int, reports []RuleReport) {
 	e := c.e
 	for r := range e.ruleSet {
@@ -163,9 +164,7 @@ func (c *Checker) Close(seq int, reports []RuleReport) {
 		}
 		rep.ViolatedTraces++
 		for _, tp := range tps[sat:] {
-			rep.Violations = append(rep.Violations, RuleViolation{
-				Rule: e.ruleSet[r], Seq: seq, TemporalPoint: int(tp),
-			})
+			rep.Violations = append(rep.Violations, RuleViolation{Seq: seq, TemporalPoint: int(tp)})
 		}
 	}
 	c.Reset()

@@ -18,10 +18,10 @@ import (
 )
 
 // RuleViolation describes one temporal point at which a rule's premise held
-// but its consequent never followed.
+// but its consequent never followed. The violated rule is not repeated here:
+// it lives once in the enclosing RuleReport, so a violation is two ints with
+// no pointers for the garbage collector to scan.
 type RuleViolation struct {
-	// Rule is the violated rule.
-	Rule rules.Rule
 	// Seq is the index of the violating trace.
 	Seq int
 	// TemporalPoint is the position (0-based) at which the premise completed
@@ -29,10 +29,10 @@ type RuleViolation struct {
 	TemporalPoint int
 }
 
-// String renders the violation.
-func (v RuleViolation) String(dict *seqdb.Dictionary) string {
+// String renders the violation of r, the rule of its enclosing report.
+func (v RuleViolation) String(r rules.Rule, dict *seqdb.Dictionary) string {
 	return fmt.Sprintf("trace %d, position %d: %s -> %s not followed",
-		v.Seq, v.TemporalPoint, v.Rule.Pre.String(dict), v.Rule.Post.String(dict))
+		v.Seq, v.TemporalPoint, r.Pre.String(dict), r.Post.String(dict))
 }
 
 // RuleReport summarises checking one rule against a database.
@@ -48,7 +48,8 @@ type RuleReport struct {
 	// view used for confidence-style reporting.
 	TotalTemporalPoints     int
 	SatisfiedTemporalPoints int
-	// Violations lists each violating temporal point.
+	// Violations lists each violating temporal point of Rule, ordered by
+	// trace then position.
 	Violations []RuleViolation
 }
 
@@ -179,7 +180,7 @@ func (s Summary) Render(dict *seqdb.Dictionary, maxViolations int) string {
 			limit = maxViolations
 		}
 		for _, v := range rep.Violations[:limit] {
-			fmt.Fprintf(&b, "    %s\n", v.String(dict))
+			fmt.Fprintf(&b, "    %s\n", v.String(rep.Rule, dict))
 		}
 		if limit < len(rep.Violations) {
 			fmt.Fprintf(&b, "    ... %d more\n", len(rep.Violations)-limit)

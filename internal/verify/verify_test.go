@@ -60,7 +60,7 @@ func TestCheckRuleFindsViolations(t *testing.T) {
 	if rep.Formula == nil {
 		t.Errorf("formula not attached")
 	}
-	if s := rep.Violations[0].String(db.Dict); !strings.Contains(s, "trace 1") {
+	if s := rep.Violations[0].String(rep.Rule, db.Dict); !strings.Contains(s, "trace 1") {
 		t.Errorf("violation rendering wrong: %q", s)
 	}
 }
