@@ -942,9 +942,9 @@ func TestWriteBenchTrajectory(t *testing.T) {
 				OocoreVsInMemory:  round2(float64(inmem.NsPerOp()) / float64(mine.NsPerOp())),
 				CheckNsPerOp:      check.NsPerOp(),
 				SelectiveSkipRate: round2(float64(cstats.SegmentsSkipped) / float64(cstats.SegmentsTotal)),
-				BodiesOpened:      mstats.BodiesOpened,
-				CacheEvictions:    mstats.CacheEvictions,
-				PeakCacheBytes:    mstats.PeakCacheBytes,
+				BodiesOpened:      mstats.Obs.Counter("cache.bodies_opened").Value(),
+				CacheEvictions:    mstats.Obs.Counter("cache.evictions").Value(),
+				PeakCacheBytes:    mstats.Obs.Gauge("cache.peak_bytes").Value(),
 			}
 			out.OocoreCases = append(out.OocoreCases, oc)
 			t.Logf("%s: oocore %v ns/op vs in-memory %v ns/op (%.2fx), skip %.2f, %d bodies opened",

@@ -12,7 +12,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 
 	"specmine/internal/episode"
 	"specmine/internal/iterpattern"
@@ -322,8 +321,8 @@ func CheckRules(db *Database, ruleSet []Rule) (verify.Summary, error) {
 
 // TraceStore is a durable log-structured trace store: per-shard write-ahead
 // logs, sealed block-compressed segment files, and crash recovery. Open one
-// with OpenStore and attach it to a Streamer (StreamOptions.Store or
-// Streamer.WithStore) for durable ingestion, or use Recover for one-shot
+// with OpenStore and attach it to a Streamer (StreamOptions.Store) for
+// durable ingestion, or use Recover for one-shot
 // cold-start mining over a store left behind by an earlier process.
 type TraceStore = store.Store
 
@@ -446,11 +445,8 @@ type StreamOptions struct {
 // Rules configured, conformance is checked online and CheckOnline returns
 // the summary a batch CheckRules over Snapshot() would produce.
 type Streamer struct {
-	cfg      stream.Config // as compiled by NewStreamer (engine included)
-	dict     *Dictionary   // the dictionary the rules were expressed in, if any
 	ing      *stream.Ingester
 	hasRules bool
-	used     atomic.Bool
 }
 
 // NewStreamer starts a streaming ingestion session.
@@ -489,7 +485,7 @@ func NewStreamer(opts StreamOptions) (*Streamer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Streamer{cfg: cfg, dict: opts.Dict, ing: ing, hasRules: len(opts.Rules) > 0}, nil
+	return &Streamer{ing: ing, hasRules: len(opts.Rules) > 0}, nil
 }
 
 // adoptDict reconciles a caller-supplied dictionary (for example the one a
@@ -520,49 +516,16 @@ func adoptDict(ts *TraceStore, dict *Dictionary) error {
 	return nil
 }
 
-// WithStore rebinds a just-created Streamer to a durable TraceStore: the
-// session restarts from the store's recovered state and every subsequent
-// operation is write-ahead logged. It must be called before any traffic
-// (Ingest, CloseTrace, Snapshot, CheckOnline); rules and options carry over,
-// with the rules' dictionary reconciled into the store as in NewStreamer.
-func (st *Streamer) WithStore(ts *TraceStore) error {
-	if st.used.Load() {
-		return errors.New("core: WithStore must be called before the streamer carries traffic")
-	}
-	if st.cfg.Shards != 0 && st.cfg.Shards != ts.NumShards() {
-		return fmt.Errorf("core: streamer was configured for %d shards but the store was created with %d", st.cfg.Shards, ts.NumShards())
-	}
-	if err := adoptDict(ts, st.dict); err != nil {
-		return err
-	}
-	cfg := st.cfg
-	cfg.Dict = nil
-	cfg.Store = ts
-	ing, err := stream.Open(cfg)
-	if err != nil {
-		return err
-	}
-	if err := st.ing.Close(); err != nil {
-		ing.Close()
-		return err
-	}
-	st.cfg = cfg
-	st.ing = ing
-	return nil
-}
-
 // Dict returns the streamer's event dictionary.
 func (st *Streamer) Dict() *Dictionary { return st.ing.Dict() }
 
 // Ingest appends events to the identified (possibly new) trace.
 func (st *Streamer) Ingest(traceID string, events ...string) error {
-	st.used.Store(true)
 	return st.ing.Ingest(traceID, events...)
 }
 
 // CloseTrace terminates a trace, sealing it into the streamed database.
 func (st *Streamer) CloseTrace(traceID string) error {
-	st.used.Store(true)
 	return st.ing.CloseTrace(traceID)
 }
 
@@ -570,7 +533,6 @@ func (st *Streamer) CloseTrace(traceID string) error {
 // MinePatterns/MineRules or check it with CheckRules while ingestion
 // continues.
 func (st *Streamer) Snapshot() (*Database, error) {
-	st.used.Store(true)
 	v, err := st.ing.Snapshot()
 	if err != nil {
 		return nil, err
@@ -585,7 +547,6 @@ func (st *Streamer) CheckOnline() (verify.Summary, error) {
 	if !st.hasRules {
 		return verify.Summary{}, errors.New("core: streamer has no rules configured")
 	}
-	st.used.Store(true)
 	v, err := st.ing.Snapshot()
 	if err != nil {
 		return verify.Summary{}, err

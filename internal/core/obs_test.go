@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"specmine/internal/obs"
 	"specmine/internal/tracesim"
 )
 
@@ -231,8 +234,8 @@ func TestMetricsSmoke(t *testing.T) {
 // TestRegistryCounterEquivalence pins the contract that registry counters are
 // exact, not sampled: after a fixed workload, the registry's stream ack
 // totals equal the driven counts, and a fresh registry attached to an
-// out-of-core checking run reports exactly the counters OutOfCoreStats
-// returns.
+// out-of-core checking run reports exactly the counts of the call's own
+// registry, OutOfCoreStats.Obs.
 func TestRegistryCounterEquivalence(t *testing.T) {
 	w := tracesim.Workloads()["locking"]
 	const numTraces = 30
@@ -273,7 +276,7 @@ func TestRegistryCounterEquivalence(t *testing.T) {
 	}
 
 	// A fresh registry on the checking run: its cumulative series must equal
-	// the per-run stats struct field by field.
+	// the call's own registry series by series.
 	regCheck := NewMetrics()
 	ts2, err := OpenStore(dir, StoreOptions{OutOfCore: true, Obs: regCheck})
 	if err != nil {
@@ -286,27 +289,18 @@ func TestRegistryCounterEquivalence(t *testing.T) {
 	if err := ts2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		series string
-		want   int64
-	}{
-		{"verify.traces_checked", stats.Verify.TracesChecked},
-		{"verify.traces_skipped", stats.Verify.TracesSkipped},
-		{"verify.segments_checked", stats.Verify.SegmentsChecked},
-		{"verify.segments_skipped", stats.Verify.SegmentsSkipped},
-		{"cache.hits", stats.CacheHits},
-		{"cache.misses", stats.CacheMisses},
-		{"cache.evictions", stats.CacheEvictions},
-		{"cache.bodies_opened", stats.BodiesOpened},
+	for _, name := range []string{
+		"verify.traces_checked", "verify.traces_skipped",
+		"verify.segments_checked", "verify.segments_skipped",
+		"cache.pins", "cache.hits", "cache.misses", "cache.evictions",
+		"cache.bodies_opened", "cache.segments_opened",
+		"cache.resident_bytes", "cache.peak_bytes",
 	} {
-		if got := counterVal(t, regCheck, c.series); got != c.want {
-			t.Errorf("%s = %d, stats report %d", c.series, got, c.want)
+		if got, want := counterVal(t, regCheck, name), counterVal(t, stats.Obs, name); got != want {
+			t.Errorf("%s = %d, the call's registry reports %d", name, got, want)
 		}
 	}
-	if s, ok := regCheck.Find("cache.peak_bytes"); !ok || s.Value != stats.PeakCacheBytes {
-		t.Errorf("cache.peak_bytes = %v (ok=%v), stats report %d", s.Value, ok, stats.PeakCacheBytes)
-	}
-	if stats.Verify.TracesChecked+stats.Verify.TracesSkipped == 0 {
+	if counterVal(t, stats.Obs, "verify.traces_checked")+counterVal(t, stats.Obs, "verify.traces_skipped") == 0 {
 		t.Error("checking run did no per-trace work at all")
 	}
 
@@ -330,5 +324,93 @@ func TestRegistryCounterEquivalence(t *testing.T) {
 		if a, b := counterVal(t, regCheck, name), counterVal(t, regAgain, name); a != b {
 			t.Errorf("%s differs across identical runs: %d vs %d", name, a, b)
 		}
+	}
+}
+
+// TestConcurrentCallsCountPerCall pins per-call counting on a shared
+// registry: concurrent CheckStore and MineStoreRules calls, all counting into
+// one OutOfCoreOptions.Obs under a small cache budget, each report in
+// stats.Obs exactly the counters of the same call run alone, and the shared
+// registry holds the sum over the calls.
+func TestConcurrentCallsCountPerCall(t *testing.T) {
+	ts := buildSegmentedStore(t, 3, 4, 20)
+	ruleSet := queryRules(t, ts.Recovered().Database(ts.Dict()))
+	const budget, calls = 2 << 10, 4
+	runs := []struct {
+		name string
+		run  func(OutOfCoreOptions) (*OutOfCoreStats, error)
+		must []string // series the call must have counted
+	}{
+		{"CheckStore", func(oo OutOfCoreOptions) (*OutOfCoreStats, error) {
+			_, stats, err := CheckStore(ts, ruleSet, oo)
+			return stats, err
+		}, []string{"cache.pins", "cache.misses", "cache.bodies_opened", "cache.evictions",
+			"verify.traces_checked", "verify.segments_checked"}},
+		{"MineStoreRules", func(oo OutOfCoreOptions) (*OutOfCoreStats, error) {
+			_, stats, err := MineStoreRules(ts, RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
+				MaxPremiseLength: 2, MaxConsequentLength: 2, Workers: 1}, oo)
+			return stats, err
+		}, []string{"cache.pins", "cache.hits", "cache.misses", "cache.bodies_opened", "cache.evictions",
+			"mine.premises_explored", "mine.rules_emitted"}},
+	}
+	// counters reads every counter series of a registry.
+	counters := func(r *MetricsRegistry) map[string]int64 {
+		out := map[string]int64{}
+		for _, s := range r.Snapshot() {
+			if s.Kind == obs.KindCounter {
+				out[s.Name] = s.Value
+			}
+		}
+		return out
+	}
+	for _, rc := range runs {
+		t.Run(rc.name, func(t *testing.T) {
+			solo, err := rc.run(OutOfCoreOptions{CacheBytes: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := counters(solo.Obs)
+			for _, name := range rc.must {
+				if want[name] == 0 {
+					t.Fatalf("solo run counted no %s (%v): the fixture does not exercise it", name, want)
+				}
+			}
+
+			shared := NewMetrics()
+			stats := make([]*OutOfCoreStats, calls)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for i := range stats {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					s, err := rc.run(OutOfCoreOptions{CacheBytes: budget, Obs: shared})
+					if err != nil {
+						t.Error(err)
+					}
+					stats[i] = s
+				}()
+			}
+			close(start)
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			for i, s := range stats {
+				if got := counters(s.Obs); !reflect.DeepEqual(got, want) {
+					t.Errorf("call %d counted %v, a solo run %v", i, got, want)
+				}
+				if s.SegmentsSkipped != solo.SegmentsSkipped {
+					t.Errorf("call %d skipped %d segments, a solo run %d", i, s.SegmentsSkipped, solo.SegmentsSkipped)
+				}
+			}
+			got := counters(shared)
+			for name, v := range want {
+				if got[name] != calls*v {
+					t.Errorf("shared %s = %d, want the sum over %d calls, %d", name, got[name], calls, calls*v)
+				}
+			}
+		})
 	}
 }

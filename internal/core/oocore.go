@@ -32,46 +32,36 @@ type OutOfCoreOptions struct {
 	// budget is a target: segments pinned by in-flight work are never evicted,
 	// so a single seed's working set may exceed it transiently.
 	CacheBytes int64
-	// Obs, when non-nil, backs the run's segment cache with live registry
-	// series and folds the run's mining/verification counters (mine.*,
-	// verify.*) into the registry when the run completes.
+	// Obs, when non-nil, sees every count of the call live: the call counts
+	// into its own Child of Obs (OutOfCoreStats.Obs), which forwards each
+	// update — the segment cache's cache.* series as they happen, the
+	// mining/verification counters (mine.*, verify.*) as they are published.
 	Obs *obs.Registry
 }
 
-// OutOfCoreStats reports how much work segment statistics saved and how the
-// cache behaved during one out-of-core run.
+// OutOfCoreStats reports how much work segment statistics saved during one
+// out-of-core call, and holds the call's own counts.
 type OutOfCoreStats struct {
 	// SegmentsTotal is the catalog size; SegmentsSkipped counts segments whose
 	// bodies were never decoded because their statistics proved them
 	// irrelevant to every seed (mining) or every rule (checking).
 	SegmentsTotal   int
 	SegmentsSkipped int
-	// BodiesOpened counts segment body decodes, re-decodes after eviction
-	// included.
-	BodiesOpened int64
-	// Cache counters, straight from the pool.
-	CacheHits      int64
-	CacheMisses    int64
-	CacheEvictions int64
-	PeakCacheBytes int64
 
-	// Verify counts the verification work performed and avoided — traces
-	// and segments checked versus answered from statistics. Populated by the
-	// checking entry points only; mining leaves it zero.
-	Verify verify.Metrics
+	// Obs is the call's registry — a Child of OutOfCoreOptions.Obs, or a
+	// standalone registry without one — holding exactly this call's counts
+	// even while other calls share the parent: the segment cache's
+	// cache.pins/hits/misses/evictions/bodies_opened/segments_opened and
+	// cache.resident_bytes/peak_bytes, a mining call's mine.* series and a
+	// checking call's verify.* series.
+	Obs *obs.Registry
 }
 
-func poolStats(p *cache.Pool) *OutOfCoreStats {
-	m := p.Metrics()
-	return &OutOfCoreStats{
-		SegmentsTotal:   p.NumSegments(),
-		SegmentsSkipped: p.NumSegments() - m.SegmentsOpened,
-		BodiesOpened:    m.BodiesOpened,
-		CacheHits:       m.Hits,
-		CacheMisses:     m.Misses,
-		CacheEvictions:  m.Evictions,
-		PeakCacheBytes:  m.PeakBytes,
-	}
+// callStats reads a call's OutOfCoreStats off its registry.
+func callStats(s *segSource, call *obs.Registry) *OutOfCoreStats {
+	n := s.numSegments()
+	opened := int(call.Counter("cache.segments_opened").Value())
+	return &OutOfCoreStats{SegmentsTotal: n, SegmentsSkipped: n - opened, Obs: call}
 }
 
 // segSource adapts the segment catalog + cache to the miners' mine.Source
@@ -92,8 +82,9 @@ type segSource struct {
 
 // newSegSource loads every segment's statistics (metadata-sized; bodies stay
 // closed) and aggregates the global event frequencies the miners seed from.
-func newSegSource(st *store.Store, oo OutOfCoreOptions) (*segSource, error) {
-	pool := cache.New(st, cache.Options{BudgetBytes: oo.CacheBytes, Obs: oo.Obs})
+// Its segment cache counts into call.
+func newSegSource(st *store.Store, cacheBytes int64, call *obs.Registry) (*segSource, error) {
+	pool := cache.New(st, cache.Options{BudgetBytes: cacheBytes, Obs: call})
 	n := st.Dict().Size()
 	s := &segSource{
 		pool:  pool,
@@ -180,15 +171,16 @@ func (s *segSource) AcquireSeed(e seqdb.EventID) (*mine.SeedView, error) {
 // without ever materialising the full database. PatternOptions carries the
 // same knobs as MinePatterns.
 func MineStore(st *TraceStore, opts PatternOptions, oo OutOfCoreOptions) (*PatternResult, *OutOfCoreStats, error) {
-	src, err := newSegSource(st, oo)
+	call := oo.Obs.Child()
+	src, err := newSegSource(st, oo.CacheBytes, call)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := minePatterns(src, opts, oo.Obs)
+	res, err := minePatterns(src, opts, call)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, poolStats(src.pool), nil
+	return res, callStats(src, call), nil
 }
 
 // publishPatternStats folds a pattern-mining run's search counters into the
@@ -211,15 +203,16 @@ func publishRuleStats(r *obs.Registry, s rules.Stats) {
 // MineStoreRules mines recurrent rules straight from the store's sealed
 // segments — byte-identical to MineRules over Recover of the same store.
 func MineStoreRules(st *TraceStore, opts RuleOptions, oo OutOfCoreOptions) (*RuleResult, *OutOfCoreStats, error) {
-	src, err := newSegSource(st, oo)
+	call := oo.Obs.Child()
+	src, err := newSegSource(st, oo.CacheBytes, call)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := mineRules(src, opts, oo.Obs)
+	res, err := mineRules(src, opts, call)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, poolStats(src.pool), nil
+	return res, callStats(src, call), nil
 }
 
 // CheckStore verifies a rule set against the store's sealed traces segment by
@@ -227,8 +220,8 @@ func MineStoreRules(st *TraceStore, opts RuleOptions, oo OutOfCoreOptions) (*Rul
 // segment in which every rule has at least one premise event that provably
 // never occurs is answered from its statistics alone (each of its traces
 // satisfies every rule with zero temporal points), without decoding the body;
-// every other segment's traces go through the online automaton. The per-query
-// work counters land in OutOfCoreStats.Verify.
+// every other segment's traces go through the online automaton. The call's
+// verify.* work counters land in OutOfCoreStats.Obs.
 func CheckStore(st *TraceStore, ruleSet []Rule, oo OutOfCoreOptions) (verify.Summary, *OutOfCoreStats, error) {
 	sum, stats, _, err := CheckStoreWhere(st, ruleSet, Where{}, oo)
 	return sum, stats, err
@@ -245,18 +238,16 @@ func CheckStoreWhere(st *TraceStore, ruleSet []Rule, where Where, oo OutOfCoreOp
 	if err != nil {
 		return verify.Summary{}, nil, nil, err
 	}
-	src, err := newSegSource(st, oo)
+	call := oo.Obs.Child()
+	src, err := newSegSource(st, oo.CacheBytes, call)
 	if err != nil {
 		return verify.Summary{}, nil, nil, err
 	}
-	reports, ex, err := checkSegments(src, engine, where)
+	reports, ex, err := checkSegments(src, engine, where, call)
 	if err != nil {
 		return verify.Summary{}, nil, nil, err
 	}
-	ooStats := poolStats(src.pool)
-	ooStats.Verify = ex.Metrics
-	ex.Metrics.Publish(oo.Obs)
-	return verify.NewSummary(reports), ooStats, ex, nil
+	return verify.NewSummary(reports), callStats(src, call), ex, nil
 }
 
 // segments is what the check loop sweeps: an ordered run of trace segments
@@ -313,15 +304,16 @@ func (r residentSegment) pin(int) ([]seqdb.Sequence, func() *seqdb.PositionIndex
 // statically dead is answered from its statistics; any other segment is
 // pinned, where is compiled over it with ordinals made segment-local, and
 // every selected trace is fed event by event through one online Checker.
-// Violations carry global ordinals. It returns the reports and the Explain:
-// metrics (the traces where selected are those checked plus those skipped),
-// segment counts, and the selection of the first compiled segment with its
-// estimate summed over every compiled segment.
-func checkSegments(segs segments, engine *verify.Engine, where Where) ([]verify.RuleReport, *Explain, error) {
+// Violations carry global ordinals. The verify.* work counters go into call.
+// It returns the reports and the Explain: the selected traces (those checked
+// plus those skipped), segment counts, the selection of the first compiled
+// segment with its estimate summed over every compiled segment, and call.
+func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.Registry) ([]verify.RuleReport, *Explain, error) {
 	reports := engine.NewReports()
 	checker := engine.NewChecker()
-	ex := &Explain{SegmentsTotal: segs.numSegments()}
-	m := &ex.Metrics
+	tracesChecked, tracesSkipped := call.Counter("verify.traces_checked"), call.Counter("verify.traces_skipped")
+	segsChecked, segsSkipped := call.Counter("verify.segments_checked"), call.Counter("verify.segments_skipped")
+	ex := &Explain{SegmentsTotal: segs.numSegments(), Obs: call}
 	base := 0
 	for i := 0; i < ex.SegmentsTotal; i++ {
 		n := segs.segmentTraces(i)
@@ -339,8 +331,9 @@ func checkSegments(segs segments, engine *verify.Engine, where Where) ([]verify.
 		if !where.HasEventPredicates() && engine.SegmentSkippable(has) {
 			count := where.CountOrdinalMatches(segBase, n)
 			verify.AccountSkippedTraces(reports, count)
-			m.SegmentsSkipped++
-			m.TracesSkipped += int64(count)
+			segsSkipped.Inc()
+			tracesSkipped.Add(int64(count))
+			ex.Selected += count
 			ex.SegmentsPruned++
 			continue
 		}
@@ -348,7 +341,7 @@ func checkSegments(segs segments, engine *verify.Engine, where Where) ([]verify.
 		if err != nil {
 			return nil, nil, err
 		}
-		m.SegmentsChecked++
+		segsChecked.Inc()
 		var idx *seqdb.PositionIndex
 		if where.HasEventPredicates() {
 			idx = frag() // only event predicates read the segment's postings
@@ -359,14 +352,17 @@ func checkSegments(segs segments, engine *verify.Engine, where Where) ([]verify.
 		} else {
 			ex.Selection.EstTraces += sel.EstTraces
 		}
+		checked := 0
 		for l := it.Next(); l >= 0; l = it.Next() {
 			for _, ev := range seqs[l] {
 				checker.Advance(ev)
 			}
 			checker.Close(segBase+l, reports)
-			m.TracesChecked++
+			checked++
 		}
 		unpin()
+		tracesChecked.Add(int64(checked))
+		ex.Selected += checked
 	}
 	return reports, ex, nil
 }

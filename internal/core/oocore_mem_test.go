@@ -459,5 +459,5 @@ func TestOutOfCoreCapped(t *testing.T) {
 	if got := sumSel.Render(dict, 10); got != ref.CheckSelective {
 		t.Errorf("capped selective CheckStore diverges:\n got %q\nwant %q", got, ref.CheckSelective)
 	}
-	assertSelective("selective check", stats.BodiesOpened)
+	assertSelective("selective check", stats.Obs.Counter("cache.bodies_opened").Value())
 }

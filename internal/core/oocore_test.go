@@ -258,8 +258,8 @@ func TestOutOfCoreSegmentSkipping(t *testing.T) {
 		t.Fatalf("skipped %d of %d segments, want at least %d: %+v",
 			stats.SegmentsSkipped, stats.SegmentsTotal, want, stats)
 	}
-	if stats.BodiesOpened > int64(shards) {
-		t.Fatalf("opened %d segment bodies, want at most %d", stats.BodiesOpened, shards)
+	if opened := stats.Obs.Counter("cache.bodies_opened").Value(); opened > int64(shards) {
+		t.Fatalf("opened %d segment bodies, want at most %d", opened, shards)
 	}
 }
 

@@ -98,7 +98,7 @@ func TestCheckWhereMatchesOracle(t *testing.T) {
 
 	for name, w := range queryPredicates(db) {
 		want := checkWhereOracle(t, db, ruleSet, w)
-		got, rep, err := CheckWhere(db, ruleSet, w)
+		got, ex, err := CheckWhere(db, ruleSet, w)
 		if err != nil {
 			t.Fatalf("%s: CheckWhere: %v", name, err)
 		}
@@ -106,14 +106,14 @@ func TestCheckWhereMatchesOracle(t *testing.T) {
 			t.Fatalf("%s: CheckWhere diverges from oracle:\n%s\nvs\n%s",
 				name, got.Render(db.Dict, 5), want.Render(db.Dict, 5))
 		}
-		if rep == nil || rep.Explain == nil {
-			t.Fatalf("%s: missing query report", name)
+		if ex == nil || ex.Obs == nil {
+			t.Fatalf("%s: missing explain or its registry", name)
 		}
-		if int64(rep.Selected) != rep.Metrics.TracesChecked+rep.Metrics.TracesSkipped {
-			t.Fatalf("%s: selected %d but checked %d + skipped %d", name,
-				rep.Selected, rep.Metrics.TracesChecked, rep.Metrics.TracesSkipped)
+		checked, skipped := ex.Obs.Counter("verify.traces_checked").Value(), ex.Obs.Counter("verify.traces_skipped").Value()
+		if int64(ex.Selected) != checked+skipped {
+			t.Fatalf("%s: selected %d but checked %d + skipped %d", name, ex.Selected, checked, skipped)
 		}
-		if out := rep.Explain.Render(db.Dict); out == "" {
+		if out := ex.Render(db.Dict); out == "" {
 			t.Fatalf("%s: empty explain render", name)
 		}
 	}
@@ -129,7 +129,7 @@ func TestCheckWhereZeroEqualsCheckRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := CheckWhere(db, ruleSet, Where{})
+	got, ex, err := CheckWhere(db, ruleSet, Where{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +137,8 @@ func TestCheckWhereZeroEqualsCheckRules(t *testing.T) {
 		t.Fatalf("zero-Where CheckWhere diverges from CheckRules:\n%s\nvs\n%s",
 			got.Render(db.Dict, 10), want.Render(db.Dict, 10))
 	}
-	if rep.Selected != db.NumSequences() {
-		t.Fatalf("zero Where selected %d of %d traces", rep.Selected, db.NumSequences())
+	if ex.Selected != db.NumSequences() {
+		t.Fatalf("zero Where selected %d of %d traces", ex.Selected, db.NumSequences())
 	}
 }
 
@@ -187,14 +187,16 @@ func TestCheckStoreVerifyMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := ooStats.Verify
-	if m.TracesChecked+m.TracesSkipped != int64(db.NumSequences()) {
-		t.Fatalf("trace accounting %d+%d != %d", m.TracesChecked, m.TracesSkipped, db.NumSequences())
+	c := func(name string) int64 { return ooStats.Obs.Counter(name).Value() }
+	tracesChecked, tracesSkipped := c("verify.traces_checked"), c("verify.traces_skipped")
+	segsChecked, segsSkipped := c("verify.segments_checked"), c("verify.segments_skipped")
+	if tracesChecked+tracesSkipped != int64(db.NumSequences()) {
+		t.Fatalf("trace accounting %d+%d != %d", tracesChecked, tracesSkipped, db.NumSequences())
 	}
-	if m.SegmentsChecked+m.SegmentsSkipped != int64(ooStats.SegmentsTotal) {
-		t.Fatalf("segment accounting %d+%d != %d", m.SegmentsChecked, m.SegmentsSkipped, ooStats.SegmentsTotal)
+	if segsChecked+segsSkipped != int64(ooStats.SegmentsTotal) {
+		t.Fatalf("segment accounting %d+%d != %d", segsChecked, segsSkipped, ooStats.SegmentsTotal)
 	}
-	if m.TracesChecked == 0 {
+	if tracesChecked == 0 {
 		t.Fatal("no trace of the clustered fixture went through the automaton")
 	}
 }
@@ -219,7 +221,7 @@ func TestMineWhereMatchesFilteredMine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, rep, err := MineWhere(db, popts, w)
+		got, ex, err := MineWhere(db, popts, w)
 		if err != nil {
 			t.Fatalf("%s: MineWhere: %v", name, err)
 		}
@@ -227,8 +229,8 @@ func TestMineWhereMatchesFilteredMine(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: MineWhere diverges from mining the filtered database:\n got %+v\nwant %+v", name, got, want)
 		}
-		if rep.Selected != sub.NumSequences() {
-			t.Fatalf("%s: selected %d want %d", name, rep.Selected, sub.NumSequences())
+		if ex.Selected != sub.NumSequences() {
+			t.Fatalf("%s: selected %d want %d", name, ex.Selected, sub.NumSequences())
 		}
 
 		ropts := RuleOptions{MinSeqSupportRel: 0.5, MinConfidence: 0.7,

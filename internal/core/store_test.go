@@ -102,18 +102,15 @@ func TestStoreLifecycle(t *testing.T) {
 		}
 	}
 
-	// Session 2: WithStore resumes durably with the mined rules checking new
-	// violating traffic online; the recovered history's conformance is seeded
-	// so CheckOnline equals a batch CheckRules over the full snapshot.
+	// Session 2 resumes durably with the mined rules checking new violating
+	// traffic online; the recovered history's conformance is seeded so
+	// CheckOnline equals a batch CheckRules over the full snapshot.
 	ts2, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := NewStreamer(StreamOptions{FlushBatch: 4, Dict: recovered.Dict, Rules: res2.Rules})
+	st2, err := NewStreamer(StreamOptions{FlushBatch: 4, Dict: recovered.Dict, Rules: res2.Rules, Store: ts2})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.WithStore(ts2); err != nil {
 		t.Fatal(err)
 	}
 	hostile := w
@@ -142,10 +139,6 @@ func TestStoreLifecycle(t *testing.T) {
 		t.Fatal("expected violations from the hostile workload")
 	}
 
-	// WithStore after traffic must be refused.
-	if err := st2.WithStore(ts2); err == nil {
-		t.Fatal("WithStore accepted on a used streamer")
-	}
 	if err := st2.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -23,6 +23,12 @@
 //     counter/gauge value or histogram buckets — in deterministic order; the
 //     Prometheus and JSON renderings in handler.go are views over it, and
 //     tests assert against it directly.
+//
+//  4. One count per update. A per-call view is a Child registry: each of its
+//     instruments forwards every update to the parent's instrument of the
+//     same name, so the call reads its own exact counts from the child while
+//     the parent still sees every update live — nothing is copied or rebased
+//     afterwards.
 package obs
 
 import (
@@ -52,7 +58,8 @@ type cell struct {
 // value is ready to use; nil receivers no-op, so a handle obtained from a nil
 // (disabled) Registry costs one branch per Inc/Add.
 type Counter struct {
-	cells [counterStripes]cell
+	cells  [counterStripes]cell
+	parent *Counter // a Child registry's forward target; nil otherwise
 }
 
 // stripe picks a cell. rand/v2's top-level generator is per-P (runtime
@@ -66,6 +73,9 @@ func (c *Counter) Inc() {
 		return
 	}
 	c.cells[stripe()].v.Add(1)
+	if c.parent != nil {
+		c.parent.Add(1)
+	}
 }
 
 // Add adds n. Counters are monotone; callers must not pass negative n.
@@ -74,6 +84,9 @@ func (c *Counter) Add(n int64) {
 		return
 	}
 	c.cells[stripe()].v.Add(n)
+	if c.parent != nil {
+		c.parent.Add(n)
+	}
 }
 
 // Value sums the stripes. It is a moment-in-time read: concurrent adds may or
@@ -92,8 +105,13 @@ func (c *Counter) Value() int64 {
 
 // Gauge is an instantaneous value: queue depths, resident bytes, watermarks.
 // The zero value is ready; nil receivers no-op.
+//
+// A Child registry's gauge forwards Set and Add to its parent as the change
+// they make, so the parent reads the sum of its children, and forwards SetMax
+// as is, so the parent's high-water mark is the largest of its children's.
 type Gauge struct {
-	v atomic.Int64
+	v      atomic.Int64
+	parent *Gauge
 }
 
 // Set stores v.
@@ -101,7 +119,10 @@ func (g *Gauge) Set(v int64) {
 	if g == nil {
 		return
 	}
-	g.v.Store(v)
+	old := g.v.Swap(v)
+	if g.parent != nil {
+		g.parent.Add(v - old)
+	}
 }
 
 // Add adds delta (negative to subtract) — the form shared gauges use, so
@@ -111,12 +132,18 @@ func (g *Gauge) Add(delta int64) {
 		return
 	}
 	g.v.Add(delta)
+	if g.parent != nil {
+		g.parent.Add(delta)
+	}
 }
 
 // SetMax raises the gauge to v if v is greater — a lock-free high-water mark.
 func (g *Gauge) SetMax(v int64) {
 	if g == nil {
 		return
+	}
+	if g.parent != nil {
+		g.parent.SetMax(v)
 	}
 	for {
 		cur := g.v.Load()
@@ -148,6 +175,7 @@ type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
+	parent  *Histogram
 }
 
 // Observe records v.
@@ -165,6 +193,9 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
+	if h.parent != nil {
+		h.parent.Observe(v)
+	}
 }
 
 // Count returns the number of observations.
@@ -258,6 +289,7 @@ type Registry struct {
 	series map[string]*entry
 	order  []*entry // registration order; Snapshot sorts its copy
 	tracer *Tracer
+	parent *Registry // set by Child: every instrument forwards to parent's
 }
 
 // NewRegistry returns an empty registry with a default Tracer (capacity 256,
@@ -267,6 +299,20 @@ func NewRegistry() *Registry {
 		series: make(map[string]*entry),
 		tracer: NewTracer(256, defaultSlowThreshold),
 	}
+}
+
+// Child returns a registry for one unit of work — a call, a query — whose
+// counters, gauges and histograms forward every update to r's instrument of
+// the same name and labels (see Gauge for how gauges forward). The child's
+// Snapshot holds only its own updates; r sees them live, as if counted into r
+// directly. The child shares r's tracer. On a nil r, Child returns a
+// standalone registry, so a caller without a registry still gets its
+// per-call counts.
+func (r *Registry) Child() *Registry {
+	if r == nil {
+		return NewRegistry()
+	}
+	return &Registry{series: make(map[string]*entry), tracer: r.tracer, parent: r}
 }
 
 // key renders the unique series identity: name plus sorted labels.
@@ -303,9 +349,9 @@ func parseLabels(kv []string) []Label {
 }
 
 // get resolves (registering on first use) the series name+labels as kind. A
-// kind clash is a wiring bug and panics with both kinds named.
-func (r *Registry) get(name string, kind Kind, kv []string) *entry {
-	labels := parseLabels(kv)
+// kind clash is a wiring bug and panics with both kinds named. A child's new
+// instrument is linked to the parent's, registering that one too.
+func (r *Registry) get(name string, kind Kind, labels []Label) *entry {
 	k := key(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -316,13 +362,17 @@ func (r *Registry) get(name string, kind Kind, kv []string) *entry {
 		return e
 	}
 	e := &entry{name: name, labels: labels, kind: kind}
+	var up entry // the parent's instruments; none without a parent
+	if r.parent != nil {
+		up = *r.parent.get(name, kind, labels)
+	}
 	switch kind {
 	case KindCounter:
-		e.c = new(Counter)
+		e.c = &Counter{parent: up.c}
 	case KindGauge:
-		e.g = new(Gauge)
+		e.g = &Gauge{parent: up.g}
 	case KindHistogram:
-		e.h = new(Histogram)
+		e.h = &Histogram{parent: up.h}
 	}
 	r.series[k] = e
 	r.order = append(r.order, e)
@@ -335,7 +385,7 @@ func (r *Registry) Counter(name string, labelPairs ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.get(name, KindCounter, labelPairs).c
+	return r.get(name, KindCounter, parseLabels(labelPairs)).c
 }
 
 // Gauge returns the named gauge, registering it on first use.
@@ -343,7 +393,7 @@ func (r *Registry) Gauge(name string, labelPairs ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.get(name, KindGauge, labelPairs).g
+	return r.get(name, KindGauge, parseLabels(labelPairs)).g
 }
 
 // Histogram returns the named histogram, registering it on first use.
@@ -351,7 +401,7 @@ func (r *Registry) Histogram(name string, labelPairs ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.get(name, KindHistogram, labelPairs).h
+	return r.get(name, KindHistogram, parseLabels(labelPairs)).h
 }
 
 // Ops returns the registry's operation tracer; nil from a nil Registry.

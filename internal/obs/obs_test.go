@@ -2,7 +2,10 @@ package obs
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -153,6 +156,172 @@ func TestKindClashPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("x")
+}
+
+// TestChildForwardsToParent is the property test for Child: goroutines drive
+// random counter, gauge and histogram updates on several children of one
+// parent, resolving series concurrently. Afterwards every child's snapshot
+// equals the model of the updates made on it, and the parent's snapshot
+// equals the sum of the children's models, series by series.
+func TestChildForwardsToParent(t *testing.T) {
+	const children, goroutines, ops = 4, 12, 2000
+	type series struct {
+		name, label string
+		kind        Kind
+	}
+	all := []series{
+		{"calls", "", KindCounter},
+		{"calls", "a", KindCounter},
+		{"calls", "b", KindCounter},
+		{"resident", "", KindGauge},
+		{"latency_ns", "", KindHistogram},
+		{"latency_ns", "a", KindHistogram},
+	}
+	labels := func(l string) []string {
+		if l == "" {
+			return nil
+		}
+		return []string{"k", l}
+	}
+	// model is the expected snapshot, keyed by series, built with the same
+	// instrument types updated single-threaded.
+	type model map[series]*Series
+	newModel := func() model {
+		m := model{}
+		for _, sr := range all {
+			m[sr] = &Series{Name: sr.name, Kind: sr.kind}
+			if sr.kind == KindHistogram {
+				m[sr].Buckets = make([]int64, histBuckets)
+			}
+		}
+		return m
+	}
+	add := func(dst, src model) {
+		for sr, x := range src {
+			w := dst[sr]
+			w.Value += x.Value
+			w.Count += x.Count
+			w.Sum += x.Sum
+			for i := range x.Buckets {
+				w.Buckets[i] += x.Buckets[i]
+			}
+		}
+	}
+	apply := func(m model, sr series, v int64) {
+		x := m[sr]
+		switch sr.kind {
+		case KindCounter, KindGauge:
+			x.Value += v
+		case KindHistogram:
+			h := new(Histogram)
+			h.Observe(v)
+			x.Count++
+			x.Sum += v
+			for i := range x.Buckets {
+				x.Buckets[i] += h.buckets[i].Load()
+			}
+		}
+	}
+
+	parent := NewRegistry()
+	kids := make([]*Registry, children)
+	for i := range kids {
+		kids[i] = parent.Child()
+	}
+	models := make([]model, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		models[g] = newModel()
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewPCG(7, uint64(g)))
+			r := kids[g%children]
+			for i := 0; i < ops; i++ {
+				sr := all[rng.IntN(len(all))]
+				var v int64
+				switch sr.kind {
+				case KindCounter:
+					if rng.IntN(2) == 0 {
+						v = 1
+						r.Counter(sr.name, labels(sr.label)...).Inc()
+					} else {
+						v = rng.Int64N(100)
+						r.Counter(sr.name, labels(sr.label)...).Add(v)
+					}
+				case KindGauge:
+					v = rng.Int64N(201) - 100
+					r.Gauge(sr.name, labels(sr.label)...).Add(v)
+				case KindHistogram:
+					v = rng.Int64N(1 << 30)
+					r.Histogram(sr.name, labels(sr.label)...).Observe(v)
+				}
+				apply(models[g], sr, v)
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	check := func(who string, r *Registry, want model) {
+		t.Helper()
+		for _, sr := range all {
+			got, ok := r.Find(sr.name, labels(sr.label)...)
+			w := want[sr]
+			if !ok {
+				if w.Value != 0 || w.Count != 0 {
+					t.Errorf("%s: series %v missing, want %+v", who, sr, *w)
+				}
+				continue
+			}
+			if got.Kind != sr.kind || got.Value != w.Value || got.Count != w.Count || got.Sum != w.Sum ||
+				(sr.kind == KindHistogram && !reflect.DeepEqual(got.Buckets, w.Buckets)) {
+				t.Errorf("%s: series %v = %+v, want %+v", who, sr, got, *w)
+			}
+		}
+	}
+	total := newModel()
+	for c, kid := range kids {
+		want := newModel()
+		for g := c; g < goroutines; g += children {
+			add(want, models[g])
+		}
+		check(fmt.Sprintf("child %d", c), kid, want)
+		add(total, want)
+	}
+	check("parent", parent, total)
+}
+
+// TestChildGaugesAndTracer pins the rest of the Child contract: Set forwards
+// its change, SetMax its value, a child shares the parent's tracer, a
+// grandchild forwards through its parent, and a nil parent's child is a
+// standalone registry.
+func TestChildGaugesAndTracer(t *testing.T) {
+	parent := NewRegistry()
+	a, b := parent.Child(), parent.Child()
+	a.Gauge("used").Set(10)
+	b.Gauge("used").Set(5)
+	a.Gauge("used").Set(7)
+	if got := parent.Gauge("used").Value(); got != 12 {
+		t.Fatalf("parent gauge after child Sets = %d, want 12", got)
+	}
+	a.Gauge("peak").SetMax(9)
+	b.Gauge("peak").SetMax(4)
+	if got, bp := parent.Gauge("peak").Value(), b.Gauge("peak").Value(); got != 9 || bp != 4 {
+		t.Fatalf("peak: parent %d child %d, want 9 and 4", got, bp)
+	}
+	if a.Ops() != parent.Ops() {
+		t.Fatal("child must share its parent's tracer")
+	}
+	a.Child().Counter("n").Add(3)
+	if a.Counter("n").Value() != 3 || parent.Counter("n").Value() != 3 {
+		t.Fatal("grandchild update did not reach every ancestor")
+	}
+	var none *Registry
+	solo := none.Child()
+	solo.Counter("n").Inc()
+	if solo.Counter("n").Value() != 1 || solo.Ops() == nil {
+		t.Fatal("a nil parent's child must be a working standalone registry")
+	}
 }
 
 func TestTracerRings(t *testing.T) {

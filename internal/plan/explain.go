@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"specmine/internal/obs"
 	"specmine/internal/seqdb"
-	"specmine/internal/verify"
 )
 
 // SelectionExplain describes how a Where predicate was compiled: which
@@ -26,10 +26,19 @@ type SelectionExplain struct {
 }
 
 // Explain is the human- and machine-readable account of one query: the
-// verifier's work counters, the segments answered from catalog statistics,
-// and the selection operator a Where predicate compiled to.
+// traces it selected, the segments answered from catalog statistics, the
+// selection operator a Where predicate compiled to, and the registry the
+// query counted its work into.
 type Explain struct {
-	Metrics verify.Metrics
+	// Selected counts the traces the predicate admitted.
+	Selected int
+
+	// Obs holds the query's own counts: verify.traces_checked/skipped count
+	// traces fed through the online automaton versus answered from segment
+	// statistics alone, verify.segments_checked/skipped count segment bodies
+	// decoded versus answered from statistics (plus the cache.* series of an
+	// out-of-core query). Nil for a query that ran no verifier.
+	Obs *obs.Registry
 
 	// SegmentsPruned / SegmentsTotal count catalog segments answered (or
 	// discarded) from statistics alone. An in-memory database is one segment.
@@ -55,8 +64,8 @@ func (ex *Explain) Render(dict *seqdb.Dictionary) string {
 	if ex.SegmentsTotal > 0 {
 		fmt.Fprintf(&b, "  segments: %d/%d pruned by statistics\n", ex.SegmentsPruned, ex.SegmentsTotal)
 	}
-	m := ex.Metrics
+	c := func(name string) int64 { return ex.Obs.Counter(name).Value() }
 	fmt.Fprintf(&b, "  metrics: traces checked=%d skipped=%d; segments checked=%d skipped=%d\n",
-		m.TracesChecked, m.TracesSkipped, m.SegmentsChecked, m.SegmentsSkipped)
+		c("verify.traces_checked"), c("verify.traces_skipped"), c("verify.segments_checked"), c("verify.segments_skipped"))
 	return b.String()
 }

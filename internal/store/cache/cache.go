@@ -10,7 +10,6 @@ package cache
 
 import (
 	"container/list"
-	"fmt"
 	"sync"
 
 	"specmine/internal/obs"
@@ -24,47 +23,24 @@ type Options struct {
 	// across unpinned entries; <= 0 means unlimited (everything touched stays
 	// cached — the fits-in-RAM fast path).
 	BudgetBytes int64
-	// Obs, when non-nil, backs the pool's counters with registry series
-	// (cache.pins/hits/misses/evictions/bodies_opened/segments_opened,
-	// cache.resident_bytes, cache.peak_bytes) live-scrapeable while a mine
-	// runs. Nil keeps the same atomic counters as standalone instruments.
+	// Obs, when non-nil, is where the pool counts: cache.pins/hits/misses/
+	// evictions/bodies_opened/segments_opened, cache.resident_bytes and
+	// cache.peak_bytes, live-scrapeable while a mine runs. Give each pool its
+	// own registry (a Child of a shared one) to read one pool's counts. Nil
+	// means no counting.
 	Obs *obs.Registry
 }
 
-// Metrics is a snapshot of the pool's counters — a compatibility view over
-// the registry-backed series (per-pool: on a shared registry, each pool
-// subtracts the series values captured at its construction).
-type Metrics struct {
-	// Hits and Misses count Pin calls served from cache versus decoded.
-	Hits, Misses int64
-	// Evictions counts entries dropped to fit the byte budget.
-	Evictions int64
-	// BodiesOpened counts segment body decodes — equal to Misses, named for
-	// the skip-rate accounting (a skipped segment never opens its body).
-	BodiesOpened int64
-	// SegmentsOpened counts DISTINCT segments ever decoded; with stats-driven
-	// skipping it stays below the catalog size on selective workloads.
-	SegmentsOpened int
-	// CurBytes and PeakBytes track the pool's estimated resident decoded
-	// bytes (pinned + cached), now and at its high-water mark.
-	CurBytes, PeakBytes int64
-}
-
-// poolMetrics are the pool's registry-backed instruments. With Options.Obs
-// nil they are standalone (unregistered) instances of the same atomic types,
-// so the accounting code has exactly one shape.
+// poolMetrics are the pool's registry instruments; nil handles no-op.
 type poolMetrics struct {
 	pins, hits, misses     *obs.Counter
 	evictions              *obs.Counter
 	bodiesOpened, segsOpen *obs.Counter
 	curBytes, peakBytes    *obs.Gauge
-	// base are the shared series' values at pool construction; Metrics()
-	// subtracts them so per-pool views stay per-pool on a shared registry.
-	baseHits, baseMisses, baseEvictions, baseBodies int64
 }
 
 func newPoolMetrics(r *obs.Registry) poolMetrics {
-	m := poolMetrics{
+	return poolMetrics{
 		pins:         r.Counter("cache.pins"),
 		hits:         r.Counter("cache.hits"),
 		misses:       r.Counter("cache.misses"),
@@ -74,18 +50,6 @@ func newPoolMetrics(r *obs.Registry) poolMetrics {
 		curBytes:     r.Gauge("cache.resident_bytes"),
 		peakBytes:    r.Gauge("cache.peak_bytes"),
 	}
-	if r == nil {
-		m = poolMetrics{
-			pins: new(obs.Counter), hits: new(obs.Counter), misses: new(obs.Counter),
-			evictions: new(obs.Counter), bodiesOpened: new(obs.Counter), segsOpen: new(obs.Counter),
-			curBytes: new(obs.Gauge), peakBytes: new(obs.Gauge),
-		}
-	}
-	m.baseHits = m.hits.Value()
-	m.baseMisses = m.misses.Value()
-	m.baseEvictions = m.evictions.Value()
-	m.baseBodies = m.bodiesOpened.Value()
-	return m
 }
 
 // entry is one cached segment: decoded traces plus the lazily built
@@ -118,8 +82,7 @@ type Pool struct {
 	lru     *list.List // front = most recently unpinned
 	budget  int64
 	used    int64
-	peak    int64 // this pool's high-water mark of used
-	opened  map[int]bool
+	opened  map[int]bool // segments ever decoded, so segsOpen counts each once
 	met     poolMetrics
 }
 
@@ -144,15 +107,6 @@ func (p *Pool) NumSegments() int { return len(p.metas) }
 
 // Meta returns the catalog entry for segment i (global order).
 func (p *Pool) Meta(i int) store.SegmentMeta { return p.metas[i] }
-
-// NumTraces returns the total trace count across the catalog.
-func (p *Pool) NumTraces() int {
-	n := 0
-	for _, m := range p.metas {
-		n += m.NumTraces()
-	}
-	return n
-}
 
 // Stats returns segment i's statistics, loading them on first use. Stats are
 // metadata-sized and stay resident for the pool's lifetime — they are the
@@ -255,12 +209,7 @@ func (p *Pool) Pin(i int) (*Segment, error) {
 func (p *Pool) account(delta int64) {
 	p.used += delta
 	p.met.curBytes.Add(delta)
-	if p.used > p.peak {
-		p.peak = p.used
-		// On a shared registry the gauge aggregates concurrent pools, so the
-		// shared high-water mark is taken from the gauge, not this pool.
-		p.met.peakBytes.SetMax(p.met.curBytes.Value())
-	}
+	p.met.peakBytes.SetMax(p.used)
 	if p.budget <= 0 {
 		return
 	}
@@ -332,23 +281,6 @@ func (s *Segment) Fragment() *seqdb.PositionIndex {
 	return s.e.frag
 }
 
-// Metrics returns a snapshot of the pool counters: the registry series'
-// values rebased to this pool's construction-time baseline, plus the pool's
-// own resident/peak bytes (exact per-pool even on a shared registry).
-func (p *Pool) Metrics() Metrics {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return Metrics{
-		Hits:           p.met.hits.Value() - p.met.baseHits,
-		Misses:         p.met.misses.Value() - p.met.baseMisses,
-		Evictions:      p.met.evictions.Value() - p.met.baseEvictions,
-		BodiesOpened:   p.met.bodiesOpened.Value() - p.met.baseBodies,
-		SegmentsOpened: len(p.opened),
-		CurBytes:       p.used,
-		PeakBytes:      p.peak,
-	}
-}
-
 // estimateBytes approximates the resident size of decoded traces: 4 bytes
 // per event plus slice headers.
 func estimateBytes(seqs []seqdb.Sequence) int64 {
@@ -368,10 +300,4 @@ func fragmentBytes(seqs []seqdb.Sequence, numEvents int) int64 {
 		n += int64(len(s)) * 8
 	}
 	return n
-}
-
-// String implements fmt.Stringer for debugging.
-func (m Metrics) String() string {
-	return fmt.Sprintf("hits=%d misses=%d evictions=%d opened=%d cur=%dB peak=%dB",
-		m.Hits, m.Misses, m.Evictions, m.SegmentsOpened, m.CurBytes, m.PeakBytes)
 }

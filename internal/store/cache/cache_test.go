@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"specmine/internal/obs"
 	"specmine/internal/seqdb"
 	"specmine/internal/store"
 	"specmine/internal/store/cache"
@@ -56,14 +57,43 @@ func buildStore(t *testing.T, shards, sessions, tracesPerSession int) *store.Sto
 	return st
 }
 
+// newPool builds a pool counting into a fresh registry and returns both.
+func newPool(st *store.Store, budget int64) (*cache.Pool, *obs.Registry) {
+	reg := obs.NewRegistry()
+	return cache.New(st, cache.Options{BudgetBytes: budget, Obs: reg}), reg
+}
+
+// counts is a pool's registry series, read at one moment.
+type counts struct {
+	Pins, Hits, Misses, Evictions, BodiesOpened, SegmentsOpened int64
+	CurBytes, PeakBytes                                         int64
+}
+
+func read(reg *obs.Registry) counts {
+	return counts{
+		Pins:           reg.Counter("cache.pins").Value(),
+		Hits:           reg.Counter("cache.hits").Value(),
+		Misses:         reg.Counter("cache.misses").Value(),
+		Evictions:      reg.Counter("cache.evictions").Value(),
+		BodiesOpened:   reg.Counter("cache.bodies_opened").Value(),
+		SegmentsOpened: reg.Counter("cache.segments_opened").Value(),
+		CurBytes:       reg.Gauge("cache.resident_bytes").Value(),
+		PeakBytes:      reg.Gauge("cache.peak_bytes").Value(),
+	}
+}
+
 // TestPoolCatalogOrder decodes every segment through the pool and checks that
 // the concatenation in catalog order reproduces the recovered database.
 func TestPoolCatalogOrder(t *testing.T) {
 	st := buildStore(t, 3, 3, 20)
 	want := st.Recovered().Database(st.Dict())
 	p := cache.New(st, cache.Options{})
-	if p.NumTraces() != want.NumSequences() {
-		t.Fatalf("pool covers %d traces, recovered db has %d", p.NumTraces(), want.NumSequences())
+	traces := 0
+	for i := 0; i < p.NumSegments(); i++ {
+		traces += p.Meta(i).NumTraces()
+	}
+	if traces != want.NumSequences() {
+		t.Fatalf("pool covers %d traces, recovered db has %d", traces, want.NumSequences())
 	}
 	var got []seqdb.Sequence
 	for i := 0; i < p.NumSegments(); i++ {
@@ -96,7 +126,7 @@ func TestPoolCatalogOrder(t *testing.T) {
 // budget: one miss, one hit, no evictions.
 func TestPoolHitsAndMisses(t *testing.T) {
 	st := buildStore(t, 2, 2, 12)
-	p := cache.New(st, cache.Options{})
+	p, reg := newPool(st, 0)
 	for round := 0; round < 2; round++ {
 		sg, err := p.Pin(0)
 		if err != nil {
@@ -104,15 +134,15 @@ func TestPoolHitsAndMisses(t *testing.T) {
 		}
 		sg.Unpin()
 	}
-	m := p.Metrics()
+	m := read(reg)
 	if m.Misses != 1 || m.Hits != 1 {
-		t.Fatalf("metrics %v: want 1 miss, 1 hit", m)
+		t.Fatalf("counts %+v: want 1 miss, 1 hit", m)
 	}
 	if m.Evictions != 0 {
 		t.Fatalf("unlimited budget evicted %d entries", m.Evictions)
 	}
 	if m.BodiesOpened != 1 || m.SegmentsOpened != 1 {
-		t.Fatalf("metrics %v: want 1 body decode of 1 distinct segment", m)
+		t.Fatalf("counts %+v: want 1 body decode of 1 distinct segment", m)
 	}
 }
 
@@ -121,7 +151,7 @@ func TestPoolHitsAndMisses(t *testing.T) {
 // and the resident estimate returns to at most the budget once unpinned.
 func TestPoolEviction(t *testing.T) {
 	st := buildStore(t, 2, 4, 12)
-	p := cache.New(st, cache.Options{})
+	p, reg := newPool(st, 0)
 	if p.NumSegments() < 4 {
 		t.Fatalf("fixture sealed only %d segments", p.NumSegments())
 	}
@@ -131,9 +161,9 @@ func TestPoolEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	sg.Unpin()
-	one := p.Metrics().PeakBytes
+	one := read(reg).PeakBytes
 
-	p = cache.New(st, cache.Options{BudgetBytes: one + one/2})
+	p, reg = newPool(st, one+one/2)
 	for i := 0; i < p.NumSegments(); i++ {
 		sg, err := p.Pin(i)
 		if err != nil {
@@ -141,21 +171,21 @@ func TestPoolEviction(t *testing.T) {
 		}
 		sg.Unpin()
 	}
-	m := p.Metrics()
+	m := read(reg)
 	if m.Evictions == 0 {
-		t.Fatalf("budget %d never evicted across %d segments: %v", one+one/2, p.NumSegments(), m)
+		t.Fatalf("budget %d never evicted across %d segments: %+v", one+one/2, p.NumSegments(), m)
 	}
 	if m.CurBytes > one+one/2 {
 		t.Fatalf("resident %d bytes exceeds budget %d with nothing pinned", m.CurBytes, one+one/2)
 	}
 	// Re-pinning an evicted segment is a miss again.
-	before := p.Metrics().Misses
+	before := m.Misses
 	sg, err = p.Pin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sg.Unpin()
-	if p.Metrics().Misses != before+1 {
+	if read(reg).Misses != before+1 {
 		t.Fatal("evicted segment was served without a re-decode")
 	}
 }
@@ -165,7 +195,7 @@ func TestPoolEviction(t *testing.T) {
 // pinned view must stay valid.
 func TestPoolPinnedNeverEvicted(t *testing.T) {
 	st := buildStore(t, 2, 3, 12)
-	p := cache.New(st, cache.Options{BudgetBytes: 1})
+	p, reg := newPool(st, 1)
 	var pins []*cache.Segment
 	for i := 0; i < p.NumSegments(); i++ {
 		sg, err := p.Pin(i)
@@ -174,7 +204,7 @@ func TestPoolPinnedNeverEvicted(t *testing.T) {
 		}
 		pins = append(pins, sg)
 	}
-	if m := p.Metrics(); m.Evictions != 0 {
+	if m := read(reg); m.Evictions != 0 {
 		t.Fatalf("evicted %d entries while everything was pinned", m.Evictions)
 	}
 	for i, sg := range pins {
@@ -185,7 +215,7 @@ func TestPoolPinnedNeverEvicted(t *testing.T) {
 	}
 	// With all pins released the pool must shrink back under the budget (here:
 	// evict everything, since no segment fits in one byte).
-	if m := p.Metrics(); m.CurBytes > 1 {
+	if m := read(reg); m.CurBytes > 1 {
 		t.Fatalf("resident %d bytes after releasing all pins under a 1-byte budget", m.CurBytes)
 	}
 }
@@ -194,7 +224,7 @@ func TestPoolPinnedNeverEvicted(t *testing.T) {
 // body, then checks stats survive eviction of their data entry.
 func TestPoolStatsResident(t *testing.T) {
 	st := buildStore(t, 2, 3, 12)
-	p := cache.New(st, cache.Options{BudgetBytes: 1})
+	p, reg := newPool(st, 1)
 	for i := 0; i < p.NumSegments(); i++ {
 		s, err := p.Stats(i)
 		if err != nil {
@@ -204,7 +234,7 @@ func TestPoolStatsResident(t *testing.T) {
 			t.Fatalf("segment %d stats empty", i)
 		}
 	}
-	if m := p.Metrics(); m.BodiesOpened != 0 {
+	if m := read(reg); m.BodiesOpened != 0 {
 		t.Fatalf("loading stats decoded %d bodies", m.BodiesOpened)
 	}
 	// Cycle data through the 1-byte budget: every unpin evicts, but stats stay.
@@ -224,18 +254,18 @@ func TestPoolStatsResident(t *testing.T) {
 // build and is charged to the budget.
 func TestPoolFragment(t *testing.T) {
 	st := buildStore(t, 2, 2, 12)
-	p := cache.New(st, cache.Options{})
+	p, reg := newPool(st, 0)
 	sg, err := p.Pin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sg.Unpin()
-	bare := p.Metrics().CurBytes
+	bare := read(reg).CurBytes
 	frag := sg.Fragment()
 	if frag2 := sg.Fragment(); frag2 != frag {
 		t.Fatal("second Fragment call rebuilt the index")
 	}
-	if p.Metrics().CurBytes <= bare {
+	if read(reg).CurBytes <= bare {
 		t.Fatal("fragment not charged to the budget")
 	}
 	want := seqdb.BuildPositionIndex(sg.Seqs, st.Dict().Size())
@@ -258,7 +288,7 @@ func TestPoolFragment(t *testing.T) {
 // counts a hit.
 func TestPoolSingleFlightCountsOneMiss(t *testing.T) {
 	st := buildStore(t, 2, 2, 12)
-	p := cache.New(st, cache.Options{})
+	p, reg := newPool(st, 0)
 	const pinners = 16
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -280,12 +310,12 @@ func TestPoolSingleFlightCountsOneMiss(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	m := p.Metrics()
+	m := read(reg)
 	if m.Misses != 1 || m.Hits != pinners-1 {
-		t.Fatalf("metrics %v: want 1 miss, %d hits", m, pinners-1)
+		t.Fatalf("counts %+v: want 1 miss, %d hits", m, pinners-1)
 	}
 	if m.BodiesOpened != 1 || m.SegmentsOpened != 1 {
-		t.Fatalf("metrics %v: want 1 body decode of 1 distinct segment", m)
+		t.Fatalf("counts %+v: want 1 body decode of 1 distinct segment", m)
 	}
 }
 
@@ -293,7 +323,7 @@ func TestPoolSingleFlightCountsOneMiss(t *testing.T) {
 // as a miss and is not cached, so a later pin retries the load.
 func TestPoolLoadErrorRetries(t *testing.T) {
 	st := buildStore(t, 2, 2, 12)
-	p := cache.New(st, cache.Options{})
+	p, reg := newPool(st, 0)
 	path := p.Meta(0).Path
 	if err := os.Rename(path, path+".moved"); err != nil {
 		t.Fatal(err)
@@ -301,8 +331,8 @@ func TestPoolLoadErrorRetries(t *testing.T) {
 	if _, err := p.Pin(0); err == nil {
 		t.Fatal("pin of an unreadable segment succeeded")
 	}
-	if m := p.Metrics(); m.Misses != 1 || m.Hits != 0 || m.CurBytes != 0 {
-		t.Fatalf("metrics %v after a failed load: want 1 miss, 0 hits, nothing resident", m)
+	if m := read(reg); m.Misses != 1 || m.Hits != 0 || m.CurBytes != 0 {
+		t.Fatalf("counts %+v after a failed load: want 1 miss, 0 hits, nothing resident", m)
 	}
 	if err := os.Rename(path+".moved", path); err != nil {
 		t.Fatal(err)
@@ -315,8 +345,8 @@ func TestPoolLoadErrorRetries(t *testing.T) {
 		t.Fatalf("segment 0: %d traces want %d", len(sg.Seqs), p.Meta(0).NumTraces())
 	}
 	sg.Unpin()
-	if m := p.Metrics(); m.Misses != 2 || m.Hits != 0 {
-		t.Fatalf("metrics %v: want the retry to count a second miss", m)
+	if m := read(reg); m.Misses != 2 || m.Hits != 0 {
+		t.Fatalf("counts %+v: want the retry to count a second miss", m)
 	}
 }
 
@@ -324,7 +354,7 @@ func TestPoolLoadErrorRetries(t *testing.T) {
 // small budget; correctness is checked by trace counts and the race detector.
 func TestPoolConcurrentPins(t *testing.T) {
 	st := buildStore(t, 3, 3, 16)
-	p := cache.New(st, cache.Options{BudgetBytes: 4 << 10})
+	p, reg := newPool(st, 4<<10)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -349,8 +379,8 @@ func TestPoolConcurrentPins(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-	m := p.Metrics()
-	if m.Hits+m.Misses != 8*200 {
-		t.Fatalf("hits %d + misses %d != %d pins", m.Hits, m.Misses, 8*200)
+	m := read(reg)
+	if m.Pins != 8*200 || m.Hits+m.Misses != m.Pins {
+		t.Fatalf("pins %d, hits %d + misses %d: want %d pins, all of them hits or misses", m.Pins, m.Hits, m.Misses, 8*200)
 	}
 }
