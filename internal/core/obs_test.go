@@ -414,3 +414,55 @@ func TestConcurrentCallsCountPerCall(t *testing.T) {
 		})
 	}
 }
+
+// TestResidencyReturnsAtCallEnd: each out-of-core call's segment cache gives
+// its residency back when the call returns, so a registry shared by
+// sequential calls reads zero resident bytes between them rather than the
+// sum of every finished call's final residency, while cache.peak_bytes still
+// records the highest residency any call reached.
+func TestResidencyReturnsAtCallEnd(t *testing.T) {
+	ts := buildSegmentedStore(t, 3, 4, 20)
+	ruleSet := queryRules(t, ts.Recovered().Database(ts.Dict()))
+	calls := []struct {
+		name string
+		run  func(OutOfCoreOptions) (*OutOfCoreStats, error)
+	}{
+		{"CheckStore", func(oo OutOfCoreOptions) (*OutOfCoreStats, error) {
+			_, stats, err := CheckStore(ts, ruleSet, oo)
+			return stats, err
+		}},
+		{"MineStoreRules", func(oo OutOfCoreOptions) (*OutOfCoreStats, error) {
+			_, stats, err := MineStoreRules(ts, RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
+				MaxPremiseLength: 2, MaxConsequentLength: 2}, oo)
+			return stats, err
+		}},
+		{"MineStore", func(oo OutOfCoreOptions) (*OutOfCoreStats, error) {
+			_, stats, err := MineStore(ts, PatternOptions{MinSupport: 3}, oo)
+			return stats, err
+		}},
+	}
+	shared := NewMetrics()
+	var peak int64
+	for round := 0; round < 3; round++ {
+		for _, c := range calls {
+			stats, err := c.run(OutOfCoreOptions{Obs: shared})
+			if err != nil {
+				t.Fatal(err)
+			}
+			callPeak := stats.Obs.Gauge("cache.peak_bytes").Value()
+			if callPeak == 0 {
+				t.Fatalf("%s kept nothing resident; the test proves nothing", c.name)
+			}
+			peak = max(peak, callPeak)
+			if got := stats.Obs.Gauge("cache.resident_bytes").Value(); got != 0 {
+				t.Errorf("round %d %s: the call's registry reads %d resident bytes after it returned", round, c.name, got)
+			}
+			if got := counterVal(t, shared, "cache.resident_bytes"); got != 0 {
+				t.Errorf("round %d %s: the shared registry reads %d resident bytes after the call returned", round, c.name, got)
+			}
+			if got := counterVal(t, shared, "cache.peak_bytes"); got != peak {
+				t.Errorf("round %d %s: shared cache.peak_bytes = %d, want the calls' highest peak %d", round, c.name, got, peak)
+			}
+		}
+	}
+}

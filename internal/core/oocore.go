@@ -52,8 +52,10 @@ type OutOfCoreStats struct {
 	// standalone registry without one — holding exactly this call's counts
 	// even while other calls share the parent: the segment cache's
 	// cache.pins/hits/misses/evictions/bodies_opened/segments_opened and
-	// cache.resident_bytes/peak_bytes, a mining call's mine.* series and a
-	// checking call's verify.* series.
+	// cache.resident_bytes/peak_bytes (the cache gives its residency back
+	// when the call returns, so resident_bytes then reads zero and
+	// peak_bytes the call's high-water mark), a mining call's mine.* series
+	// and a checking call's verify.* series.
 	Obs *obs.Registry
 }
 
@@ -176,6 +178,7 @@ func MineStore(st *TraceStore, opts PatternOptions, oo OutOfCoreOptions) (*Patte
 	if err != nil {
 		return nil, nil, err
 	}
+	defer src.pool.Close()
 	res, err := minePatterns(src, opts, call)
 	if err != nil {
 		return nil, nil, err
@@ -208,6 +211,7 @@ func MineStoreRules(st *TraceStore, opts RuleOptions, oo OutOfCoreOptions) (*Rul
 	if err != nil {
 		return nil, nil, err
 	}
+	defer src.pool.Close()
 	res, err := mineRules(src, opts, call)
 	if err != nil {
 		return nil, nil, err
@@ -243,6 +247,7 @@ func CheckStoreWhere(st *TraceStore, ruleSet []Rule, where Where, oo OutOfCoreOp
 	if err != nil {
 		return verify.Summary{}, nil, nil, err
 	}
+	defer src.pool.Close()
 	reports, ex, err := checkSegments(src, engine, where, call)
 	if err != nil {
 		return verify.Summary{}, nil, nil, err

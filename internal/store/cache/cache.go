@@ -102,6 +102,17 @@ func New(st *store.Store, opts Options) *Pool {
 	}
 }
 
+// Close gives the pool's resident estimate back to cache.resident_bytes, so
+// a registry that outlives the pool reads only what live pools hold;
+// cache.peak_bytes keeps the high-water mark. The pool must not be used
+// afterwards.
+func (p *Pool) Close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.met.curBytes.Add(-p.used)
+	p.used = 0
+}
+
 // NumSegments returns the catalog size.
 func (p *Pool) NumSegments() int { return len(p.metas) }
 

@@ -12,7 +12,7 @@ type storeMetrics struct {
 	enabled bool
 	// commits counts operations committed to a shard WAL (events or seal),
 	// i.e. acknowledged durable mutations. It is fed by commitSeq deltas at
-	// WAL flush points rather than per-commit increments (see flushLocked),
+	// WAL flush points rather than per-commit increments (see FlushLocked),
 	// so it is exact after any barrier, snapshot, or close.
 	commits *obs.Counter
 	// walFlushNs / walFlushBytes / walFsyncNs describe group commits: latency

@@ -381,9 +381,12 @@ func (st *Store) Close() error {
 }
 
 // ShardLog is one shard's durable appender. Producer-facing methods
-// (CommitEvents, CommitSeal, Flush) are safe for concurrent use; the barrier
-// methods (WriteSegment, rotation) must be called from the shard's single
-// writer goroutine, which is exactly how the streaming layer drives them.
+// (CommitEvents, CommitSeal, Flush) are safe for concurrent use; both commits
+// go through one write path, commit, which claims the trace's handle, frames,
+// appends, group-commits and rolls back on failure. The barrier methods
+// (WriteSegment, rotation) must be called from the shard's single writer
+// goroutine, which is exactly how the streaming layer drives them; it asks
+// RotateDue, lock-free per operation and again under the lock, when to rotate.
 type ShardLog struct {
 	st    *Store
 	shard int
@@ -411,10 +414,11 @@ type ShardLog struct {
 	// snapshots, close).
 	metCommitSeq uint64
 
-	// handleMu guards the handle table, so producers can resolve (and assign)
-	// their trace's handle — and frame records against it — without holding
-	// mu. Lock order: mu before handleMu (the locked append path and rotation
-	// take handleMu while holding mu; producers take them one at a time).
+	// handleMu guards the handle table, so producers can claim their trace's
+	// handle — and frame records against it — without holding mu. Lock
+	// order: mu before handleMu (a commit re-claiming after a rotation, a
+	// rollback and rotation take handleMu while holding mu; a producer's
+	// first claim takes it alone).
 	handleMu   sync.Mutex
 	handles    map[string]uint64
 	nextHandle uint64
@@ -426,7 +430,10 @@ type ShardLog struct {
 	segs []segmentInfo
 	// walSize mirrors wal.pending() for lock-free reads: the shard goroutine
 	// consults RotateDue per operation and must never block on mu (a
-	// producer can hold it while blocked on the shard's channel).
+	// producer can hold it while blocked on the shard's channel). It is
+	// stored under mu at every change of pending() — append, rollback,
+	// rotation, recovery; a flush moves bytes from the buffer to the file
+	// without changing it — so under mu RotateDue is exact.
 	walSize atomic.Int64
 	// rotateAt is the adaptive rotation threshold: at least the configured
 	// budget, but also at least twice the size of the last generation's
@@ -444,10 +451,11 @@ func (sl *ShardLog) Err() error { return sl.st.Err() }
 func (sl *ShardLog) ReadErr() error { return sl.st.ReadErr() }
 
 // RotateDue reports, without taking the lock, whether the active WAL
-// generation has outgrown its rotation threshold. The shard goroutine checks
-// it on every applied operation — events-only and seal-light workloads must
-// still trigger rotation, or the WAL (and recovery replay time) would grow
-// with history instead of with open data.
+// generation has outgrown its rotation threshold and the next barrier should
+// roll it into segments. The shard goroutine checks it on every applied
+// operation — events-only and seal-light workloads must still trigger
+// rotation, or the WAL (and recovery replay time) would grow with history
+// instead of with open data — and again under the lock at the barrier.
 func (sl *ShardLog) RotateDue() bool {
 	return sl.walSize.Load() >= sl.rotateAt.Load()
 }
@@ -461,98 +469,120 @@ func (sl *ShardLog) setRotateThreshold(fresh int64) {
 	sl.rotateAt.Store(at)
 }
 
-// appendEventsLocked appends an events record (preceded by an open record
-// when the trace id is new) under the held lock, framed in place in the
-// group-commit buffer. It is CommitEvents' fallback when a rotation
-// invalidated the pre-framed handle. On a flush failure the record (and any
-// handle assignment) is rolled back: the operation is being rejected, so no
-// later retry of the buffer may deliver it to disk and resurrect it at
-// recovery.
-func (sl *ShardLog) appendEventsLocked(id string, events []seqdb.EventID) error {
+// CommitEvents durably appends an events record for trace id (preceded by an
+// open record when the trace is new) and then calls send under the log's
+// lock; see commit.
+func (sl *ShardLog) CommitEvents(id string, events []seqdb.EventID, send func()) error {
+	return sl.commit(id, events, false, send)
+}
+
+// CommitSeal durably appends a seal record for trace id (opening it first when
+// the id was never seen — an empty trace) and then calls send under the log's
+// lock; see commit.
+func (sl *ShardLog) CommitSeal(id string, send func()) error {
+	return sl.commit(id, nil, true, send)
+}
+
+// commitScratch pools the producer-side framing buffers of the commit path.
+var commitScratch = sync.Pool{New: func() any { return new(scratchBuf) }}
+
+type scratchBuf struct{ b []byte }
+
+// commit is the shard's one durable write path. It claims id's handle, frames
+// and checksums the records into pooled scratch BEFORE the ledger lock is
+// taken — so concurrent producers overlap all encoding work and serialise
+// only on a memcpy plus the channel handoff in send — then appends them,
+// group-commits, and calls send under the lock. WAL order equals apply order:
+// both happen under mu, stamped by the same commit sequence number.
+//
+// All records of one trace id must be committed from a single goroutine (the
+// streaming layer's standing contract): that is what guarantees the trace's
+// open record is framed into the same commit as its first events and hits the
+// WAL before any other record referencing the handle.
+//
+// A rotation between the claim and the lock rebuilds the handle table, so
+// the pre-framed handle may name another trace; the generation check detects
+// this and the commit claims and frames again under the lock. On a flush
+// failure the records are rolled back and the claim undone: the operation is
+// being rejected, so no later retry of the buffer may deliver it to disk and
+// resurrect it at recovery.
+func (sl *ShardLog) commit(id string, events []seqdb.EventID, seal bool, send func()) error {
 	if err := sl.st.Err(); err != nil {
 		return err
 	}
+	h, fresh, gen := sl.claim(id, seal)
+	fb := commitScratch.Get().(*scratchBuf)
+	defer commitScratch.Put(fb)
+	fb.b = frameCommit(fb.b[:0], id, h, fresh, events, seal)
+
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
 	w := sl.wal
 	mark := len(w.buf)
+	if sl.gen == gen {
+		w.buf = append(w.buf, fb.b...)
+	} else {
+		h, fresh, _ = sl.claim(id, seal)
+		w.buf = frameCommit(w.buf, id, h, fresh, events, seal)
+	}
+	sl.walSize.Store(w.pending())
+	preSize := w.size
+	if err := sl.maybeFlushLocked(); err != nil {
+		sl.rollbackLocked(mark, preSize)
+		sl.handleMu.Lock()
+		if seal && !fresh {
+			sl.handles[id] = h
+		} else if !seal && fresh && sl.handles[id] == h {
+			// The handle value itself is never reused (concurrent producers
+			// may have assigned past it), leaving a hole in the numbering —
+			// harmless, since recovery maps handles through their open
+			// records and rotation renumbers from zero.
+			delete(sl.handles, id)
+		}
+		sl.handleMu.Unlock()
+		return err
+	}
+	sl.commitSeq++
+	send()
+	return nil
+}
+
+// claim takes id's handle for one commit: an events commit assigns and
+// inserts a handle for a new trace, a seal retires the trace's handle (or
+// assigns one to open and seal an unseen id). It returns whether the handle
+// was freshly assigned and the WAL generation the claim is valid for.
+func (sl *ShardLog) claim(id string, seal bool) (h uint64, fresh bool, gen uint64) {
 	sl.handleMu.Lock()
+	defer sl.handleMu.Unlock()
 	h, ok := sl.handles[id]
 	if !ok {
 		h = sl.nextHandle
 		sl.nextHandle++
+	}
+	if seal {
+		delete(sl.handles, id)
+	} else if !ok {
 		sl.handles[id] = h
 	}
-	sl.handleMu.Unlock()
-	if !ok {
-		start := w.begin()
-		w.buf = encodeOpen(w.buf, h, id)
-		w.end(start)
-	}
-	start := w.begin()
-	w.buf = encodeEvents(w.buf, h, events)
-	w.end(start)
-	sl.walSize.Store(w.pending())
-	preSize := w.size
-	if err := sl.maybeFlushLocked(); err != nil {
-		sl.rollbackLocked(mark, preSize)
-		if !ok {
-			sl.dropHandle(id, h)
-		}
-		return err
-	}
-	sl.commitSeq++
-	return nil
+	return h, !ok, sl.gen
 }
 
-// dropHandle removes a rejected handle assignment. The handle value itself is
-// never reused (concurrent producers may have assigned past it), leaving a
-// hole in the numbering — harmless, since recovery maps handles through their
-// open records and rotation renumbers from zero.
-func (sl *ShardLog) dropHandle(id string, h uint64) {
-	sl.handleMu.Lock()
-	if cur, ok := sl.handles[id]; ok && cur == h {
-		delete(sl.handles, id)
+// frameCommit appends a commit's frames to buf: the open record when the
+// handle is fresh, then the seal or events record.
+func frameCommit(buf []byte, id string, h uint64, fresh bool, events []seqdb.EventID, seal bool) []byte {
+	var start int
+	if fresh {
+		buf, start = openFrame(buf)
+		buf = encodeOpen(buf, h, id)
+		buf = closeFrame(buf, start)
 	}
-	sl.handleMu.Unlock()
-}
-
-// appendSealLocked appends a seal record (opening the trace first when the id
-// was never seen — an empty trace) under the held lock; rollback semantics as
-// in appendEventsLocked.
-func (sl *ShardLog) appendSealLocked(id string) error {
-	if err := sl.st.Err(); err != nil {
-		return err
+	buf, start = openFrame(buf)
+	if seal {
+		buf = encodeSeal(buf, h)
+	} else {
+		buf = encodeEvents(buf, h, events)
 	}
-	w := sl.wal
-	mark := len(w.buf)
-	sl.handleMu.Lock()
-	h, ok := sl.handles[id]
-	if !ok {
-		h = sl.nextHandle
-		sl.nextHandle++
-	}
-	delete(sl.handles, id)
-	sl.handleMu.Unlock()
-	if !ok {
-		start := w.begin()
-		w.buf = encodeOpen(w.buf, h, id)
-		w.end(start)
-	}
-	start := w.begin()
-	w.buf = encodeSeal(w.buf, h)
-	w.end(start)
-	sl.walSize.Store(w.pending())
-	preSize := w.size
-	if err := sl.maybeFlushLocked(); err != nil {
-		sl.rollbackLocked(mark, preSize)
-		if ok {
-			sl.handleMu.Lock()
-			sl.handles[id] = h
-			sl.handleMu.Unlock()
-		}
-		return err
-	}
-	sl.commitSeq++
-	return nil
+	return closeFrame(buf, start)
 }
 
 // rollbackLocked drops the rejected operation's records from the buffer
@@ -575,152 +605,6 @@ func (sl *ShardLog) rollbackLocked(mark int, preSize int64) {
 	sl.walSize.Store(w.pending())
 }
 
-// commitScratch pools the producer-side framing buffers of the commit path.
-var commitScratch = sync.Pool{New: func() any { return new(scratchBuf) }}
-
-type scratchBuf struct{ b []byte }
-
-// resolveHandle resolves (assigning if fresh) id's handle without taking the
-// ledger lock, returning the handle, whether it was freshly assigned, and the
-// WAL generation the resolution is valid for.
-func (sl *ShardLog) resolveHandle(id string) (h uint64, fresh bool, gen uint64) {
-	sl.handleMu.Lock()
-	h, ok := sl.handles[id]
-	if !ok {
-		h = sl.nextHandle
-		sl.nextHandle++
-		sl.handles[id] = h
-	}
-	gen = sl.gen
-	sl.handleMu.Unlock()
-	return h, !ok, gen
-}
-
-// CommitEvents is the streaming ingester's durable append: an events record
-// (preceded by an open record when the trace is new) framed and checksummed
-// into private scratch BEFORE the ledger lock is taken, so concurrent
-// producers overlap all encoding work and serialise only on a memcpy plus the
-// channel handoff in send. WAL order equals apply order (both happen under
-// the lock, stamped by the same commit sequence number); rollback semantics
-// on flush failure match appendEventsLocked.
-//
-// All records of one trace id must be committed from a single goroutine (the
-// streaming layer's standing contract): that is what guarantees the trace's
-// open record is framed into the same commit as its first events and hits the
-// WAL before any other record referencing the handle.
-//
-// A rotation can invalidate the resolved handle between framing and commit;
-// the generation check detects this and the commit falls back to re-encoding
-// under the lock against the rebuilt handle table.
-func (sl *ShardLog) CommitEvents(id string, events []seqdb.EventID, send func()) error {
-	if err := sl.st.Err(); err != nil {
-		return err
-	}
-	h, fresh, gen := sl.resolveHandle(id)
-	fb := commitScratch.Get().(*scratchBuf)
-	buf := fb.b[:0]
-	var start int
-	if fresh {
-		buf, start = openFrame(buf)
-		buf = encodeOpen(buf, h, id)
-		buf = closeFrame(buf, start)
-	}
-	buf, start = openFrame(buf)
-	buf = encodeEvents(buf, h, events)
-	buf = closeFrame(buf, start)
-	fb.b = buf
-
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	defer commitScratch.Put(fb)
-	if sl.gen != gen {
-		// Rotated under us: the pre-framed handle belongs to the superseded
-		// generation. Re-encode against the rebuilt table.
-		if err := sl.appendEventsLocked(id, events); err != nil {
-			return err
-		}
-		send()
-		return nil
-	}
-	w := sl.wal
-	mark := len(w.buf)
-	w.buf = append(w.buf, buf...)
-	sl.walSize.Store(w.pending())
-	preSize := w.size
-	if err := sl.maybeFlushLocked(); err != nil {
-		sl.rollbackLocked(mark, preSize)
-		if fresh {
-			sl.dropHandle(id, h)
-		}
-		return err
-	}
-	sl.commitSeq++
-	send()
-	return nil
-}
-
-// CommitSeal is CommitEvents for seal records: the trace's handle is retired
-// from the table at resolution (no later record may reference it under the
-// single-goroutine-per-trace contract) and the seal frame is built outside
-// the ledger lock.
-func (sl *ShardLog) CommitSeal(id string, send func()) error {
-	if err := sl.st.Err(); err != nil {
-		return err
-	}
-	sl.handleMu.Lock()
-	h, ok := sl.handles[id]
-	if !ok {
-		h = sl.nextHandle
-		sl.nextHandle++
-	}
-	delete(sl.handles, id)
-	gen := sl.gen
-	sl.handleMu.Unlock()
-
-	fb := commitScratch.Get().(*scratchBuf)
-	buf := fb.b[:0]
-	var start int
-	if !ok {
-		buf, start = openFrame(buf)
-		buf = encodeOpen(buf, h, id)
-		buf = closeFrame(buf, start)
-	}
-	buf, start = openFrame(buf)
-	buf = encodeSeal(buf, h)
-	buf = closeFrame(buf, start)
-	fb.b = buf
-
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	defer commitScratch.Put(fb)
-	if sl.gen != gen {
-		// The rotation re-opened the trace in the rebuilt table (it was still
-		// open when the generation turned); seal it against that table.
-		if err := sl.appendSealLocked(id); err != nil {
-			return err
-		}
-		send()
-		return nil
-	}
-	w := sl.wal
-	mark := len(w.buf)
-	w.buf = append(w.buf, buf...)
-	sl.walSize.Store(w.pending())
-	preSize := w.size
-	if err := sl.maybeFlushLocked(); err != nil {
-		sl.rollbackLocked(mark, preSize)
-		if ok {
-			sl.handleMu.Lock()
-			sl.handles[id] = h
-			sl.handleMu.Unlock()
-		}
-		return err
-	}
-	sl.commitSeq++
-	send()
-	return nil
-}
-
 // maybeFlushLocked group-commits when the buffer has grown past the
 // threshold, flushing the dictionary log first to preserve the on-disk
 // reference invariant.
@@ -728,10 +612,12 @@ func (sl *ShardLog) maybeFlushLocked() error {
 	if int64(len(sl.wal.buf)) < walFlushThreshold {
 		return nil
 	}
-	return sl.flushLocked()
+	return sl.FlushLocked()
 }
 
-func (sl *ShardLog) flushLocked() error {
+// FlushLocked is Flush for callers already holding the lock, the commit path
+// and the barrier's TryLock alike.
+func (sl *ShardLog) FlushLocked() error {
 	// Publish the commits accumulated since the last flush before anything
 	// can fail: the counter stays exact at every flush point even when the
 	// flush itself errors out.
@@ -762,26 +648,7 @@ func (sl *ShardLog) flushLocked() error {
 func (sl *ShardLog) Flush() error {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return sl.flushLocked()
-}
-
-// FlushLocked is Flush for callers already holding the lock via TryLock.
-func (sl *ShardLog) FlushLocked() error { return sl.flushLocked() }
-
-// NeedRotate reports whether the active WAL generation has outgrown the
-// rotation budget and the next barrier should roll it into segments.
-func (sl *ShardLog) NeedRotate() bool {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.needRotateLocked()
-}
-
-// NeedRotateLocked is NeedRotate for callers already holding the lock via
-// TryLock.
-func (sl *ShardLog) NeedRotateLocked() bool { return sl.needRotateLocked() }
-
-func (sl *ShardLog) needRotateLocked() bool {
-	return sl.wal.pending() >= sl.rotateAt.Load()
+	return sl.FlushLocked()
 }
 
 // TryLock attempts to take the shard log's lock without blocking. The
@@ -806,7 +673,7 @@ func (sl *ShardLog) WriteSegment(seqs []seqdb.Sequence) error {
 // WriteSegmentLocked is WriteSegment for the rotation path, where the caller
 // already holds the lock via TryLock.
 func (sl *ShardLog) WriteSegmentLocked(seqs []seqdb.Sequence) error {
-	if err := sl.flushLocked(); err != nil {
+	if err := sl.FlushLocked(); err != nil {
 		return err
 	}
 	return sl.writeSegmentTail(seqs)
@@ -888,17 +755,9 @@ func (sl *ShardLog) writeSegmentTail(seqs []seqdb.Sequence) error {
 // and a re-log of the still-open traces, then removal of the old generation.
 // The caller must hold the lock via TryLock with the shard's channel drained,
 // so the open-trace set is exact and no producer can interleave.
-func (sl *ShardLog) RotateLocked(open []OpenTrace, sealedTotal int) error {
+func (sl *ShardLog) RotateLocked(open []OpenTrace, sealedTotal int) (err error) {
 	sp := sl.st.met.ops.Start(fmt.Sprintf("store.wal_rotate shard=%d", sl.shard))
-	err := sl.rotateLocked(open, sealedTotal)
-	sp.End(err)
-	if err == nil {
-		sl.st.met.rotations.Inc()
-	}
-	return err
-}
-
-func (sl *ShardLog) rotateLocked(open []OpenTrace, sealedTotal int) error {
+	defer func() { sp.End(err) }()
 	if sealedTotal != sl.covered {
 		return sl.st.fail(fmt.Errorf("store: shard %d: rotating with %d sealed but %d covered by segments", sl.shard, sealedTotal, sl.covered))
 	}
@@ -910,7 +769,7 @@ func (sl *ShardLog) rotateLocked(open []OpenTrace, sealedTotal int) error {
 	newPath := filepath.Join(sl.dir, walName(newGen))
 	wal, err := createWAL(sl.st.fs, newPath, sl.st.opts.Sync, records...)
 	if err != nil {
-		// The old generation stays active and valid; NeedRotate remains true,
+		// The old generation stays active and valid; RotateDue remains true,
 		// so the next barrier re-attempts the rotation. A torn publish of the
 		// new file is discarded at recovery by its missing commit marker.
 		return sl.st.ioError(err, fmt.Sprintf("shard %d WAL rotation", sl.shard))
@@ -929,10 +788,10 @@ func (sl *ShardLog) rotateLocked(open []OpenTrace, sealedTotal int) error {
 		sl.st.warn("shard %d: removing superseded %s: %v", sl.shard, oldPath, err)
 	}
 	sl.wal = wal
-	// Swap the handle table and generation atomically with respect to
-	// producer-side resolveHandle: a producer either resolves against the old
-	// table (and its commit-time generation check sends it down the re-encode
-	// path) or against the rebuilt one.
+	// Swap the handle table and generation atomically with respect to a
+	// producer's claim: a producer either claims against the old table (and
+	// its commit-time generation check makes it claim and frame again) or
+	// against the rebuilt one.
 	sl.handleMu.Lock()
 	sl.gen = newGen
 	sl.handles = handles
@@ -940,6 +799,7 @@ func (sl *ShardLog) rotateLocked(open []OpenTrace, sealedTotal int) error {
 	sl.handleMu.Unlock()
 	sl.walSize.Store(wal.pending())
 	sl.setRotateThreshold(wal.pending())
+	sl.st.met.rotations.Inc()
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 
@@ -325,7 +326,7 @@ func TestWALRotation(t *testing.T) {
 		}
 		sealed = append(sealed, tr)
 
-		if round == 0 && !sl.NeedRotate() {
+		if round == 0 && !sl.RotateDue() {
 			t.Fatal("rotation not requested despite 1-byte budget")
 		}
 		if !sl.TryLock() {
@@ -348,10 +349,10 @@ func TestWALRotation(t *testing.T) {
 	// due (a fixed threshold would demand one per operation, rewriting the
 	// whole open set each time) — it becomes due again once the WAL has
 	// grown past double the fresh generation's size.
-	if sl.NeedRotate() {
+	if sl.RotateDue() {
 		t.Fatalf("rotation due immediately after rotating (walSize %d, threshold %d)", sl.walSize.Load(), sl.rotateAt.Load())
 	}
-	for !sl.NeedRotate() {
+	for !sl.RotateDue() {
 		chunk := randomTrace(rng, 10)
 		if err := sl.CommitEvents("keep-a", chunk, noSend); err != nil {
 			t.Fatal(err)
@@ -451,6 +452,135 @@ func TestCommitAcrossRotationReframes(t *testing.T) {
 		t.Fatalf("recovered open traces %+v want only fresh", rec.Open)
 	}
 	sequencesEqual(t, "fresh across rotation", []seqdb.Sequence{rec.Open[0].Events}, []seqdb.Sequence{{2, 3, 4}})
+}
+
+// TestReframedCommitRollsBackOnFlushFailure: a commit that re-frames after a
+// rotation and whose group-commit flush then fails is rejected like any
+// other — its records leave the buffer and its handle claim is undone (a
+// fresh events handle dropped, a retired seal handle restored) — so the next
+// commit of the same id succeeds and recovery sees exactly the acked ops.
+func TestReframedCommitRollsBackOnFlushFailure(t *testing.T) {
+	for _, seal := range []bool{false, true} {
+		name := "events"
+		if seal {
+			name = "seal"
+		}
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			// Write 0 on the second generation is its creation; write 1, its
+			// first group-commit flush, fails once, with no retry.
+			st, _ := openFaultStore(t, dir,
+				[]fsim.Rule{{Op: fsim.OpWrite, Path: walName(2), From: 1, Err: syscall.ENOSPC}},
+				func(o *Options) { o.RetryAttempts = -1 })
+			internEvents(t, st, 6)
+			sl := st.Shard(0)
+			if sl.gen != 1 {
+				t.Fatalf("fresh store opened WAL generation %d, the fault targets the one after 1", sl.gen)
+			}
+			if err := sl.CommitEvents("a", seqdb.Sequence{5}, noSend); err != nil {
+				t.Fatal(err)
+			}
+			if err := sl.CommitSeal("a", noSend); err != nil {
+				t.Fatal(err)
+			}
+			if err := sl.CommitEvents("kept", seqdb.Sequence{0, 1}, noSend); err != nil {
+				t.Fatal(err)
+			}
+
+			if !sl.TryLock() {
+				t.Fatal("TryLock failed with no contention")
+			}
+			sent := false
+			send := func() { sent = true }
+			done := make(chan error, 1)
+			id := "fresh"
+			if seal {
+				id = "kept"
+				go func() { done <- sl.CommitSeal(id, send) }()
+			} else {
+				// Big enough to trigger the group-commit flush on its own.
+				go func() { done <- sl.CommitEvents(id, make(seqdb.Sequence, walFlushThreshold), send) }()
+			}
+			// The producer has claimed and framed once its id's handle is
+			// assigned (events) or retired (seal); it then blocks on the lock.
+			for deadline := time.Now().Add(5 * time.Second); ; {
+				sl.handleMu.Lock()
+				_, ok := sl.handles[id]
+				sl.handleMu.Unlock()
+				if ok != seal {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("producer never claimed its handle")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := sl.WriteSegmentLocked([]seqdb.Sequence{{5}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sl.RotateLocked([]OpenTrace{{ID: "kept", Events: seqdb.Sequence{0, 1}}}, 1); err != nil {
+				t.Fatal(err)
+			}
+			var filler seqdb.Sequence
+			if seal {
+				// A seal record is too small to trigger a flush, so acked
+				// events of kept, framed as a commit frames them, fill the
+				// new generation's buffer to just below the threshold.
+				filler = make(seqdb.Sequence, walFlushThreshold-16)
+				sl.wal.buf = frameCommit(sl.wal.buf, "kept", sl.handles["kept"], false, filler, false)
+				sl.walSize.Store(sl.wal.pending())
+				if n := len(sl.wal.buf); n >= walFlushThreshold || n+10 < walFlushThreshold {
+					t.Fatalf("filler leaves %d buffered bytes; the seal's 10 must cross %d", n, walFlushThreshold)
+				}
+			}
+			mark := len(sl.wal.buf)
+			sl.Unlock()
+
+			if err := <-done; err == nil {
+				t.Fatal("re-framed commit succeeded over a failed flush")
+			}
+			if sent {
+				t.Fatal("rejected operation was handed to the shard")
+			}
+			if len(sl.wal.buf) != mark {
+				t.Fatalf("buffer holds %d bytes after the rollback, %d before the commit", len(sl.wal.buf), mark)
+			}
+			if _, ok := sl.handles[id]; ok != seal {
+				t.Fatalf("handle of %s present=%v after the rollback, want %v", id, ok, seal)
+			}
+			healthAssert(t, st, Healthy)
+
+			var err error
+			if seal {
+				err = sl.CommitSeal(id, noSend)
+			} else {
+				err = sl.CommitEvents(id, seqdb.Sequence{4}, noSend)
+			}
+			if err != nil {
+				t.Fatalf("next commit of %s: %v", id, err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			st2 := openStore(t, dir, nil)
+			defer st2.Close()
+			rec := st2.Recovered().Shards[0]
+			wantSealed := []seqdb.Sequence{{5}}
+			wantOpen := map[string]seqdb.Sequence{"kept": {0, 1}, "fresh": {4}}
+			if seal {
+				wantSealed = append(wantSealed, append(seqdb.Sequence{0, 1}, filler...))
+				wantOpen = map[string]seqdb.Sequence{}
+			}
+			sequencesEqual(t, "sealed", rec.Sequences, wantSealed)
+			if len(rec.Open) != len(wantOpen) {
+				t.Fatalf("recovered open traces %+v want %v", rec.Open, wantOpen)
+			}
+			for _, tr := range rec.Open {
+				sequencesEqual(t, "open "+tr.ID, []seqdb.Sequence{tr.Events}, []seqdb.Sequence{wantOpen[tr.ID]})
+			}
+		})
+	}
 }
 
 // TestCompaction: many tiny segments merge into few, recovery sees identical

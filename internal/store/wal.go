@@ -76,9 +76,9 @@ func appendFrame(dst, payload []byte) []byte {
 }
 
 // openFrame reserves a frame's length prefix on buf and returns the payload
-// start; the caller appends the payload and calls closeFrame. It is the
-// free-standing twin of walFile.begin/end, used by the producer-side commit
-// path to frame records into private scratch outside the shard ledger lock.
+// start; the caller appends the payload and calls closeFrame. Framing in
+// place this way lets the commit path encode a record straight into its
+// scratch (or the group-commit buffer) without allocating a payload slice.
 func openFrame(buf []byte) ([]byte, int) {
 	buf = append(buf, 0, 0, 0, 0)
 	return buf, len(buf)
@@ -132,9 +132,9 @@ func encodeDictName(name string) []byte {
 
 // The encode* helpers below are the single definition of each record's byte
 // layout. They append to a caller-supplied buffer, so the ingest hot path
-// reuses them between walFile.begin/end for zero-allocation in-place framing
-// and the rotation/recovery paths call them with nil — one encoder per
-// record type, one format.
+// reuses them between openFrame/closeFrame for zero-allocation in-place
+// framing and the rotation/recovery paths call them with nil — one encoder
+// per record type, one format.
 
 func encodeOpen(dst []byte, handle uint64, id string) []byte {
 	dst = append(dst, recOpen)
@@ -174,21 +174,6 @@ type walFile struct {
 
 func (w *walFile) append(payload []byte) {
 	w.buf = appendFrame(w.buf, payload)
-}
-
-// begin/end frame a record in place in the group-commit buffer, so hot-path
-// appends (one per ingested chunk) never allocate a payload slice: begin
-// reserves the length prefix, the caller appends the payload directly onto
-// w.buf, and end backfills the length and appends the checksum.
-func (w *walFile) begin() int {
-	w.buf = append(w.buf, 0, 0, 0, 0)
-	return len(w.buf)
-}
-
-func (w *walFile) end(start int) {
-	payload := w.buf[start:]
-	binary.LittleEndian.PutUint32(w.buf[start-4:], uint32(len(payload)))
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, crc32.ChecksumIEEE(payload))
 }
 
 // pending reports the file's logical size including unflushed bytes.

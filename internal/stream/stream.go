@@ -550,15 +550,7 @@ func (sh *shard) handle(o op) {
 	case opEvents:
 		tr := sh.open[o.id]
 		if tr == nil {
-			tr = &openTrace{}
-			if sh.engine != nil {
-				if n := len(sh.free); n > 0 {
-					tr.checker = sh.free[n-1]
-					sh.free = sh.free[:n-1]
-				} else {
-					tr.checker = sh.engine.NewChecker()
-				}
-			}
+			tr = sh.newTrace()
 			sh.open[o.id] = tr
 		}
 		sh.pendAcked += int64(len(o.events))
@@ -577,10 +569,7 @@ func (sh *shard) handle(o op) {
 	case opSeal:
 		tr := sh.open[o.id]
 		if tr == nil {
-			tr = &openTrace{}
-			if sh.engine != nil {
-				tr.checker = sh.engine.NewChecker()
-			}
+			tr = sh.newTrace() // an empty trace
 		}
 		delete(sh.open, o.id)
 		sh.pendSealed++
@@ -616,6 +605,21 @@ func (sh *shard) handle(o op) {
 		sh.unsynced = 0
 		sh.answerSnap(o)
 	}
+}
+
+// newTrace starts a trace's state, reusing a checker parked by an earlier
+// seal when one is free.
+func (sh *shard) newTrace() *openTrace {
+	tr := &openTrace{}
+	if sh.engine != nil {
+		if n := len(sh.free); n > 0 {
+			tr.checker = sh.free[n-1]
+			sh.free = sh.free[:n-1]
+		} else {
+			tr.checker = sh.engine.NewChecker()
+		}
+	}
+	return tr
 }
 
 // publishMet folds the shard-local exact counts into the shared series and
@@ -705,7 +709,7 @@ func (sh *shard) barrier() {
 		}
 		sh.lastFlushErr = nil
 		flushed = true
-		if sh.log.NeedRotateLocked() {
+		if sh.log.RotateDue() {
 			// Rotation needs the segment first (sealedBase must equal the
 			// coverage) and exclusivity throughout; it is budget-bounded
 			// rare, so the producer stall is acceptable here.
@@ -724,11 +728,12 @@ func (sh *shard) barrier() {
 }
 
 // withLogLock runs fn holding the shard log's lock, with the shard's channel
-// drained so the WAL exactly reflects the applied state. The protocol is
-// drain + TryLock, never a blocking Lock: a producer inside CommitEvents may
-// hold the lock while blocked on this shard's full channel, and only our
-// draining can unblock it — a blocking acquire here would deadlock the shard.
-// Snapshot ops consumed by the drain are answered after fn (post-flush).
+// drained so the WAL exactly reflects the applied state (and RotateDue reads
+// the WAL's exact size). The protocol is drain + TryLock, never a blocking
+// Lock: a producer inside CommitEvents or CommitSeal holds the lock while its
+// send blocks on this shard's full channel, and only our draining can
+// unblock it — a blocking acquire here would deadlock the shard. Snapshot ops
+// consumed by the drain are answered after fn (post-flush).
 func (sh *shard) withLogLock(fn func()) {
 	for {
 		sh.drainPending()

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -489,4 +490,38 @@ func TestEmptyAndUnknownTraces(t *testing.T) {
 		t.Fatalf("unexpected trace lengths: %v", lens)
 	}
 	ing.Close()
+}
+
+// TestEmptySealsReuseCheckers: sealing ids that never received events takes
+// its checker from the shard's free list like any other trace, so the list
+// stays bounded by the traces open at once instead of growing by one checker
+// per empty seal; each empty trace satisfies every rule vacuously.
+func TestEmptySealsReuseCheckers(t *testing.T) {
+	engine, dict, _ := violatingSecurity(t)
+	ing := mustOpen(t, Config{Shards: 1, Dict: dict, Engine: engine})
+	const n = 50
+	for i := 0; i < n; i++ {
+		if err := ing.CloseTrace(fmt.Sprintf("empty-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v, err := ing.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Reports) == 0 {
+		t.Fatal("no rules; the test proves nothing")
+	}
+	for i, r := range v.Reports {
+		if r.SatisfiedTraces != n || r.ViolatedTraces != 0 || r.TotalTemporalPoints != 0 || len(r.Violations) != 0 {
+			t.Fatalf("rule %d: report %+v, want %d vacuously satisfied traces", i, r, n)
+		}
+	}
+	// Closing joined the shard goroutine, so its state can be read here.
+	if got := len(ing.shards[0].free); got > 1 {
+		t.Fatalf("%d empty seals left %d parked checkers, want at most 1", n, got)
+	}
 }
