@@ -87,7 +87,9 @@ type segSource struct {
 // Its segment cache counts into call.
 func newSegSource(st *store.Store, cacheBytes int64, call *obs.Registry) (*segSource, error) {
 	pool := cache.New(st, cache.Options{BudgetBytes: cacheBytes, Obs: call})
-	n := st.Dict().Size()
+	// The pool's event space: fragments and seed views size per-event
+	// scratch from it alike.
+	n := pool.NumEvents()
 	s := &segSource{
 		pool:  pool,
 		dict:  st.Dict(),
@@ -136,23 +138,32 @@ func frequent(counts []int64, min int) []seqdb.EventID {
 }
 
 // AcquireSeed pins every segment whose statistics show the seed event (exact
-// counts — no bloom false positives here) and assembles the seed's view:
-// the traces containing the event, in ascending global order, with the
-// local→global id table. The pins hold until Release, so the view's memory
-// is accounted against the cache budget for its whole lifetime.
+// counts — no bloom false positives here) and assembles the seed's view: the
+// traces containing the event, in ascending global order, with the
+// local→global id table. The view's index borrows those traces' rows from the
+// pinned segments' own fragments, so nothing is copied but row headers; the
+// pins hold until Release, which keeps the borrowed rows valid and the view's
+// memory accounted against the cache budget for its whole lifetime.
 func (s *segSource) AcquireSeed(e seqdb.EventID) (*mine.SeedView, error) {
-	var pins []*cache.Segment
+	// The statistics' exact per-segment trace counts size the view up front.
+	var hit []int
+	n := 0
+	for i := range s.stats {
+		if _, traces := s.stats[i].Count(e); traces > 0 {
+			hit = append(hit, i)
+			n += int(traces)
+		}
+	}
+	pins := make([]*cache.Segment, 0, len(hit))
 	release := func() {
 		for _, sg := range pins {
 			sg.Unpin()
 		}
 	}
-	db := seqdb.NewDatabaseWithDict(s.dict)
-	var global []int32
-	for i := range s.stats {
-		if occ, _ := s.stats[i].Count(e); occ == 0 {
-			continue
-		}
+	sets := make([]seqdb.RowSet, 0, len(hit))
+	seqs := make([]seqdb.Sequence, 0, n)
+	global := make([]int32, 0, n)
+	for _, i := range hit {
 		sg, err := s.pool.Pin(i)
 		if err != nil {
 			release()
@@ -160,12 +171,16 @@ func (s *segSource) AcquireSeed(e seqdb.EventID) (*mine.SeedView, error) {
 		}
 		pins = append(pins, sg)
 		frag := sg.Fragment()
-		for _, l := range frag.SeqsContaining(e) {
-			db.Append(sg.Seqs[l])
+		rows := frag.SeqsContaining(e)
+		sets = append(sets, seqdb.RowSet{From: frag, Seqs: rows})
+		for _, l := range rows {
+			seqs = append(seqs, sg.Seqs[l])
 			global = append(global, int32(sg.Base)+l)
 		}
 	}
-	return &mine.SeedView{DB: db, Idx: db.FlatIndex(), Global: global, Release: release}, nil
+	db := &seqdb.Database{Dict: s.dict, Sequences: seqs}
+	idx := seqdb.BorrowPositionIndex(s.NumEvents(), sets)
+	return &mine.SeedView{DB: db, Idx: idx, Global: global, Release: release}, nil
 }
 
 // MineStore mines iterative patterns straight from the store's sealed

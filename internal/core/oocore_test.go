@@ -4,7 +4,12 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
+
+	"specmine/internal/mine"
+	"specmine/internal/obs"
+	"specmine/internal/seqdb"
 )
 
 // buildSegmentedStore ingests a clustered workload across several durable
@@ -155,6 +160,99 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 					name, gotC.Render(db.Dict, 5), wantCheck.Render(db.Dict, 5))
 			}
 		}
+	}
+}
+
+// countingSource counts a Source's views still held: AcquireSeed adds one,
+// the view's Release takes it back.
+type countingSource struct {
+	mine.Source
+	live atomic.Int64
+}
+
+func (c *countingSource) AcquireSeed(e seqdb.EventID) (*mine.SeedView, error) {
+	sv, err := c.Source.AcquireSeed(e)
+	if err != nil {
+		return nil, err
+	}
+	c.live.Add(1)
+	view := *sv
+	view.Release = func() {
+		c.live.Add(-1)
+		sv.Release()
+	}
+	return &view, nil
+}
+
+// TestOutOfCoreEvictionReleasesViews: with four workers contending for a
+// cache far smaller than one segment, seed views that borrow rows from
+// pinned fragments still mine exactly the in-memory answer, and every view
+// gives its pins back: no view is left held, the cache has evicted down to
+// its budget before it closes, and the call's cache.resident_bytes reads 0
+// once it has.
+func TestOutOfCoreEvictionReleasesViews(t *testing.T) {
+	ts := buildSegmentedStore(t, 3, 4, 20)
+	db := ts.Recovered().Database(ts.Dict())
+	const budget = 2 << 10
+	run := func(name string, mineIt func(mine.Source) (any, error), want any) {
+		t.Helper()
+		call := (*obs.Registry)(nil).Child()
+		src, err := newSegSource(ts, budget, call)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted := &countingSource{Source: src}
+		got, err := mineIt(counted)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := counted.live.Load(); n != 0 {
+			t.Fatalf("%s: %d seed views never released", name, n)
+		}
+		if call.Counter("cache.evictions").Value() == 0 {
+			t.Fatalf("%s: no eviction at a %d-byte budget: the test exercises nothing", name, budget)
+		}
+		if r := call.Gauge("cache.resident_bytes").Value(); r > budget {
+			t.Fatalf("%s: %d bytes resident after mining, over the %d budget: pins leaked", name, r, budget)
+		}
+		src.pool.Close()
+		if r := call.Gauge("cache.resident_bytes").Value(); r != 0 {
+			t.Fatalf("%s: cache.resident_bytes = %d after the call, want 0", name, r)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: out-of-core result diverges from in-memory mining:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+
+	popts := PatternOptions{MinSupportRel: 0.2, MaxLength: 4, KeepInstances: true, Workers: 4}
+	wantP, err := MinePatterns(db, popts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantP.Stats.Duration = 0
+	run("closed patterns", func(src mine.Source) (any, error) {
+		res, err := minePatterns(src, popts, nil)
+		if err == nil {
+			res.Stats.Duration = 0
+		}
+		return res, err
+	}, wantP)
+
+	for _, full := range []bool{false, true} {
+		ropts := RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
+			MaxPremiseLength: 2, MaxConsequentLength: 2, Workers: 4, Full: full}
+		wantR, err := MineRules(db, ropts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantR.Stats.Duration = 0
+		run(fmt.Sprintf("rules full=%v", full), func(src mine.Source) (any, error) {
+			res, err := mineRules(src, ropts, nil)
+			if err == nil {
+				res.Stats.Duration = 0
+			}
+			return res, err
+		}, wantR)
 	}
 }
 

@@ -19,15 +19,22 @@ import "specmine/internal/seqdb"
 //     in traces containing e;
 //   - SeedView.DB holds at least those traces, in ascending global order, and
 //     Global maps local sequence ids back to global ones;
-//   - the view's index is built over the full event-id space (NumEvents), so
+//   - the view's index covers the full event-id space (NumEvents), so
 //     per-event scratch tables size identically.
+//
+// A view's index need not be built for it: an out-of-core view borrows the
+// rows of its traces from the pinned segments' own index fragments
+// (seqdb.BorrowPositionIndex), so it is valid only until Release unpins
+// them.
 
 // SeedView is one seed's slice of the database: the traces containing the
 // seed event (or, for a resident database, every trace), their index, and
 // the local→global id mapping. Release returns the view's pinned segments to
 // the cache; the view must not be used after.
 type SeedView struct {
-	DB  *seqdb.Database
+	DB *seqdb.Database
+	// Idx indexes DB.Sequences. It may borrow rows from the pinned segments'
+	// fragments, so it is valid only until Release.
 	Idx *seqdb.PositionIndex
 	// Global maps local sequence ids to global ones, ascending. Nil is the
 	// identity map: the view is the whole database.

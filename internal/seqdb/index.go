@@ -4,41 +4,35 @@ import "slices"
 
 // PositionIndex is the flat, cache-friendly positional index used by the
 // mining hot paths. It replaces the per-sequence map[EventID][]int layout of
-// Database.Index with a CSR (compressed sparse row) representation:
+// Database.Index with one self-contained row per sequence:
 //
-//   - one shared int32 arena holds every position list back to back;
-//   - each sequence owns a sorted slice of the distinct events it contains and
-//     a parallel offset table into the arena, so a (sequence, event) lookup is
-//     a binary search over the sequence's (typically small) local alphabet;
-//   - each sequence also lists its distinct events with their last
-//     occurrences, latest first, so the events occurring after any position
-//     are a prefix of that list;
-//   - prevOcc[s][j] stores the previous position of event s[j] within sequence
-//     s (or -1), which turns "does this event occur inside span [lo..j)?" —
-//     the gap-validity test the QRE semantics needs at every search-tree node —
-//     into a single O(1) array read;
+//   - each row holds its sequence's sorted distinct events, their position
+//     lists back to back in the row's own position slice, and an offset table
+//     into that slice (relative to the row, not to any shared arena), so a
+//     (sequence, event) lookup is a binary search over the sequence's
+//     (typically small) local alphabet;
+//   - each row also lists its distinct events with their last occurrences,
+//     latest first, so the events occurring after any position are a prefix
+//     of that list;
+//   - prevOcc[j] stores the previous position of event s[j] within the
+//     sequence (or -1), which turns "does this event occur inside span
+//     [lo..j)?" — the gap-validity test the QRE semantics needs at every
+//     search-tree node — into a single O(1) array read;
 //   - a per-event postings CSR lists, for every event, the sequences that
 //     contain it, which drives seed generation without map iteration.
 //
-// An index is a pure function of its sequences and is never modified after
-// BuildPositionIndex, so one index is safely shared by any number of
-// concurrent mining workers.
+// Because a row depends on nothing outside itself, an index can be assembled
+// from rows of other indexes (BorrowPositionIndex) by copying row headers
+// only: a seed view over a store's segments borrows the rows of the pinned
+// segments' own fragments instead of rebuilding them.
+//
+// An index is never modified after construction, so one index is safely
+// shared by any number of concurrent mining workers.
 type PositionIndex struct {
-	numEvents int
+	numEvents    int
+	numPositions int
 
-	// Per-sequence CSR: seqEvents[s] is the sorted distinct-event list of
-	// sequence s, seqOffsets[s][k] the arena offset of the position list of
-	// seqEvents[s][k] (seqOffsets[s] has one trailing sentinel entry).
-	seqEvents  [][]EventID
-	seqOffsets [][]int32
-	posArena   []int32
-
-	// lastOcc[s] lists the distinct events of sequence s by last occurrence,
-	// latest first.
-	lastOcc [][]LastOccurrence
-
-	// prevOcc[s][j] is the previous position of event s[j] in s, or -1.
-	prevOcc [][]int32
+	rows []posRow
 
 	// Per-event postings CSR: postSeqs[postOffsets[e]:postOffsets[e+1]] lists
 	// the sequences containing event e, in increasing order.
@@ -47,6 +41,21 @@ type PositionIndex struct {
 
 	// instCount[e] is the total number of occurrences of event e.
 	instCount []int32
+}
+
+// posRow is one sequence's self-contained slice of the index. Its slices
+// alias the backing arrays of the index that built it and are never written
+// after construction, so a row header may be copied into any other index.
+type posRow struct {
+	// events is the sorted distinct-event list; offsets[k] is where the
+	// position list of events[k] starts in pos (one trailing sentinel).
+	events  []EventID
+	offsets []int32
+	pos     []int32
+	// lastOcc lists the distinct events by last occurrence, latest first.
+	lastOcc []LastOccurrence
+	// prevOcc[j] is the previous position of the event at j, or -1.
+	prevOcc []int32
 }
 
 // BuildPositionIndex constructs the index for the given sequences. numEvents
@@ -60,19 +69,19 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 		}
 	}
 	idx := &PositionIndex{
-		numEvents:  numEvents,
-		seqEvents:  make([][]EventID, len(sequences)),
-		seqOffsets: make([][]int32, len(sequences)),
-		lastOcc:    make([][]LastOccurrence, len(sequences)),
-		prevOcc:    make([][]int32, len(sequences)),
-		instCount:  make([]int32, numEvents),
+		numEvents: numEvents,
+		rows:      make([]posRow, len(sequences)),
+		instCount: make([]int32, numEvents),
 	}
 
 	totalEvents := 0
 	for _, s := range sequences {
 		totalEvents += len(s)
 	}
-	idx.posArena = make([]int32, 0, totalEvents)
+	idx.numPositions = totalEvents
+	// Rows slice two shared backing arrays; each row's lists are addressed
+	// relative to its own slice of them.
+	posArena := make([]int32, totalEvents)
 	prevArena := make([]int32, totalEvents)
 
 	// Scratch keyed by event id, reset via the per-sequence touched list so
@@ -107,8 +116,9 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 
 	cursor := make([]int32, numEvents)
 	rankOf := make([]int32, numEvents)
-	prevBase := 0
+	base := 0
 	for si, s := range sequences {
+		row := &idx.rows[si]
 		// Distinct events and their occurrence counts.
 		touched = touched[:0]
 		for _, e := range s {
@@ -122,10 +132,10 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 
 		evBase := len(eventsArena)
 		eventsArena = append(eventsArena, touched...)
-		idx.seqEvents[si] = eventsArena[evBase : evBase+len(touched)]
+		row.events = eventsArena[evBase:len(eventsArena):len(eventsArena)]
 
 		offBase := len(offsetsArena)
-		off := int32(len(idx.posArena))
+		off := int32(0)
 		for k, e := range touched {
 			rankOf[e] = int32(k)
 			offsetsArena = append(offsetsArena, off)
@@ -134,19 +144,20 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 			seqSupport[e]++
 		}
 		offsetsArena = append(offsetsArena, off)
-		idx.seqOffsets[si] = offsetsArena[offBase : offBase+len(touched)+1]
-		idx.posArena = idx.posArena[:off]
+		row.offsets = offsetsArena[offBase:len(offsetsArena):len(offsetsArena)]
 
 		// Fill position lists and the prev-occurrence array in one pass.
-		prev := prevArena[prevBase : prevBase+len(s)]
-		prevBase += len(s)
+		end := base + len(s)
+		pos := posArena[base:end:end]
+		prev := prevArena[base:end:end]
+		base = end
 		for j, e := range s {
-			idx.posArena[cursor[e]] = int32(j)
+			pos[cursor[e]] = int32(j)
 			cursor[e]++
 			prev[j] = lastSeen[e]
 			lastSeen[e] = int32(j)
 		}
-		idx.prevOcc[si] = prev
+		row.pos, row.prevOcc = pos, prev
 
 		// A backward walk meets each event's last occurrence before any of
 		// its earlier ones.
@@ -156,59 +167,104 @@ func BuildPositionIndex(sequences []Sequence, numEvents int) *PositionIndex {
 				lastArena = append(lastArena, LastOccurrence{Pos: int32(j), Rank: rankOf[s[j]]})
 			}
 		}
-		idx.lastOcc[si] = lastArena[lastBase:len(lastArena):len(lastArena)]
+		row.lastOcc = lastArena[lastBase:len(lastArena):len(lastArena)]
 		for _, e := range touched {
 			counts[e] = 0
 			lastSeen[e] = -1
 		}
 	}
+	idx.buildPostings(seqSupport)
+	return idx
+}
 
-	// Per-event postings.
-	idx.postOffsets = make([]int32, numEvents+1)
-	total := int32(0)
-	for e := 0; e < numEvents; e++ {
-		idx.postOffsets[e] = total
-		total += seqSupport[e]
+// RowSet names rows of one index: the sequences Seqs of From.
+type RowSet struct {
+	From *PositionIndex
+	Seqs []int32
+}
+
+// BorrowPositionIndex assembles an index whose sequences are the rows named
+// by sets, in order: sets[0].Seqs, then sets[1].Seqs, and so on. It copies
+// only the row headers and sums the per-event counts; every position list,
+// distinct-event list and prev-occurrence array stays shared with the source
+// indexes, so the result is valid only while they are (for a cache fragment:
+// while its segment stays pinned). The postings are built over the borrowed
+// rows. The event-id space is numEvents, widened to the largest source
+// index's. The result answers every query exactly as BuildPositionIndex
+// over the same sequences in the same order would.
+func BorrowPositionIndex(numEvents int, sets []RowSet) *PositionIndex {
+	n := 0
+	for _, rs := range sets {
+		n += len(rs.Seqs)
+		numEvents = max(numEvents, rs.From.numEvents)
 	}
-	idx.postOffsets[numEvents] = total
-	idx.postSeqs = make([]int32, total)
-	postCursor := make([]int32, numEvents)
-	copy(postCursor, idx.postOffsets[:numEvents])
-	for si := range sequences {
-		for _, e := range idx.seqEvents[si] {
-			idx.postSeqs[postCursor[e]] = int32(si)
-			postCursor[e]++
+	idx := &PositionIndex{
+		numEvents: numEvents,
+		rows:      make([]posRow, 0, n),
+		instCount: make([]int32, numEvents),
+	}
+	seqSupport := make([]int32, numEvents)
+	for _, rs := range sets {
+		for _, s := range rs.Seqs {
+			row := rs.From.rows[s]
+			idx.rows = append(idx.rows, row)
+			idx.numPositions += len(row.pos)
+			for k, e := range row.events {
+				idx.instCount[e] += row.offsets[k+1] - row.offsets[k]
+				seqSupport[e]++
+			}
 		}
 	}
+	idx.buildPostings(seqSupport)
 	return idx
+}
+
+// buildPostings fills the per-event postings CSR from the rows, given each
+// event's sequence support.
+func (idx *PositionIndex) buildPostings(seqSupport []int32) {
+	idx.postOffsets = make([]int32, idx.numEvents+1)
+	total := int32(0)
+	for e, n := range seqSupport {
+		idx.postOffsets[e] = total
+		total += n
+	}
+	idx.postOffsets[idx.numEvents] = total
+	idx.postSeqs = make([]int32, total)
+	// seqSupport becomes the per-event fill cursor.
+	copy(seqSupport, idx.postOffsets[:idx.numEvents])
+	for si := range idx.rows {
+		for _, e := range idx.rows[si].events {
+			idx.postSeqs[seqSupport[e]] = int32(si)
+			seqSupport[e]++
+		}
+	}
 }
 
 // NumEvents returns the size of the event-id space covered by the index.
 func (idx *PositionIndex) NumEvents() int { return idx.numEvents }
 
 // NumSequences returns the number of indexed sequences.
-func (idx *PositionIndex) NumSequences() int { return len(idx.seqEvents) }
+func (idx *PositionIndex) NumSequences() int { return len(idx.rows) }
 
 // NumPositions returns the total number of indexed event occurrences (the
 // sum of all sequence lengths). It is the O(1) index-side counterpart of
 // Database.NumEvents.
-func (idx *PositionIndex) NumPositions() int { return len(idx.posArena) }
+func (idx *PositionIndex) NumPositions() int { return idx.numPositions }
 
 // Positions returns the sorted occurrence positions of event e in sequence s,
 // or nil when e does not occur there.
 func (idx *PositionIndex) Positions(s int, e EventID) []int32 {
-	events := idx.seqEvents[s]
-	k := lowerBound(events, e)
-	if k == len(events) || events[k] != e {
+	row := &idx.rows[s]
+	k := lowerBound(row.events, e)
+	if k == len(row.events) || row.events[k] != e {
 		return nil
 	}
-	offs := idx.seqOffsets[s]
-	return idx.posArena[offs[k]:offs[k+1]]
+	return row.pos[row.offsets[k]:row.offsets[k+1]]
 }
 
 // SeqEvents returns the sorted distinct events of sequence s. The returned
 // slice is shared and must not be modified.
-func (idx *PositionIndex) SeqEvents(s int) []EventID { return idx.seqEvents[s] }
+func (idx *PositionIndex) SeqEvents(s int) []EventID { return idx.rows[s].events }
 
 // LastOccurrence is one distinct event of a sequence: the position of its
 // last occurrence there and its rank, the event's index in SeqEvents (which
@@ -222,7 +278,7 @@ type LastOccurrence struct {
 // last occurrence, latest first: the events occurring after any position p
 // are exactly the entries before the first one with Pos <= p. The returned
 // slice is shared and must not be modified.
-func (idx *PositionIndex) SeqLastOccurrences(s int) []LastOccurrence { return idx.lastOcc[s] }
+func (idx *PositionIndex) SeqLastOccurrences(s int) []LastOccurrence { return idx.rows[s].lastOcc }
 
 // SeqEventPositions returns the sorted occurrence positions of SeqEvents(s)[k],
 // the k-th distinct event of sequence s: Positions without the event lookup,
@@ -230,8 +286,8 @@ func (idx *PositionIndex) SeqLastOccurrences(s int) []LastOccurrence { return id
 // empty and its last entry is the event's last occurrence in s. The returned
 // slice is shared and must not be modified.
 func (idx *PositionIndex) SeqEventPositions(s, k int) []int32 {
-	offs := idx.seqOffsets[s]
-	return idx.posArena[offs[k]:offs[k+1]]
+	row := &idx.rows[s]
+	return row.pos[row.offsets[k]:row.offsets[k+1]]
 }
 
 // SeqContains reports whether event e occurs in sequence s. It is the cheap
@@ -243,7 +299,7 @@ func (idx *PositionIndex) SeqContains(s int, e EventID) bool {
 	if e < 0 || int(e) >= idx.numEvents {
 		return false
 	}
-	events := idx.seqEvents[s]
+	events := idx.rows[s].events
 	k := lowerBound(events, e)
 	return k < len(events) && events[k] == e
 }
@@ -255,7 +311,7 @@ func (idx *PositionIndex) SeqContains(s int, e EventID) bool {
 // iterative-pattern miner (iterpattern) calls it: the shared Extender in
 // package mine counts extensions from the last-occurrence lists instead.
 func (idx *PositionIndex) OccursWithin(s, pos, lo int) bool {
-	return idx.prevOcc[s][pos] >= int32(lo)
+	return idx.rows[s].prevOcc[pos] >= int32(lo)
 }
 
 // lowerBound returns the smallest index i with a[i] >= x. The halving loop

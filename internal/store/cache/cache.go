@@ -113,6 +113,9 @@ func (p *Pool) Close() {
 	p.used = 0
 }
 
+// NumEvents returns the event-id space segment fragments are built against.
+func (p *Pool) NumEvents() int { return p.numEvents }
+
 // NumSegments returns the catalog size.
 func (p *Pool) NumSegments() int { return len(p.metas) }
 

@@ -39,7 +39,9 @@ import (
 // are rolled into a fresh segment and a new WAL generation is created holding
 // only the header and a re-log of the open traces. Every later recovery
 // therefore starts from segments + a short WAL, keeping replay O(open data),
-// not O(history).
+// not O(history). A clean close leaves the same form behind
+// (ShardLog.CheckpointLocked), so a reopen after one replays no sealed
+// history at all.
 
 // OpenTrace is a trace that was open (ingested but not sealed) when the
 // store's state was captured.
@@ -214,7 +216,9 @@ func (st *Store) recoverShard(i int) (*ShardLog, RecoveredShard, error) {
 		if rerr != nil {
 			return nil, RecoveredShard{}, rerr
 		}
-		if !walHasCommit(buf) && k+1 < len(cands) {
+		// Only a generation with a predecessor needs the marker check; the
+		// oldest one is replayed whatever its prefix holds.
+		if k+1 < len(cands) && !walHasCommit(buf) {
 			st.warn("shard %d: discarding torn WAL generation %s (no commit marker)", i, filepath.Base(c.path))
 			if err := st.fs.Remove(c.path); err != nil {
 				st.warn("shard %d: removing torn %s: %v", i, filepath.Base(c.path), err)

@@ -667,7 +667,7 @@ func (sl *ShardLog) WriteSegment(seqs []seqdb.Sequence) error {
 	if err := sl.Flush(); err != nil {
 		return err
 	}
-	return sl.writeSegmentTail(seqs)
+	return sl.writeSegmentTail(seqs, true)
 }
 
 // WriteSegmentLocked is WriteSegment for the rotation path, where the caller
@@ -676,7 +676,24 @@ func (sl *ShardLog) WriteSegmentLocked(seqs []seqdb.Sequence) error {
 	if err := sl.FlushLocked(); err != nil {
 		return err
 	}
-	return sl.writeSegmentTail(seqs)
+	return sl.writeSegmentTail(seqs, true)
+}
+
+// CheckpointLocked is the clean-close checkpoint: it rolls the sealed tail
+// into a segment and rotates to a fresh WAL generation holding only the
+// header and a re-log of open, so the next Open replays open data, not the
+// session's history. seqs must be the shard's full sealed-trace list, the WAL
+// flushed past every seal in it, and the caller must hold the lock via
+// TryLock with the shard's channel drained, as for RotateLocked. Unlike a
+// barrier's segment, this one does not nudge the compactor — the same as
+// recovery's canonicalisation — so closing leaves each session's segments as
+// the session wrote them. On error the flushed WAL still recovers everything
+// by replay.
+func (sl *ShardLog) CheckpointLocked(seqs []seqdb.Sequence, open []OpenTrace) error {
+	if err := sl.writeSegmentTail(seqs, false); err != nil {
+		return err
+	}
+	return sl.RotateLocked(open, len(seqs))
 }
 
 // segMinPublish is the smallest unsegmented tail PublishSegment will roll
@@ -705,13 +722,14 @@ func (sl *ShardLog) PublishSegment(seqs []seqdb.Sequence) error {
 	if len(seqs)-sl.covered < segMinPublish {
 		return nil
 	}
-	return sl.writeSegmentTail(seqs)
+	return sl.writeSegmentTail(seqs, true)
 }
 
-// writeSegmentTail writes seqs[covered:] as a segment. The WAL must already
-// be flushed past those traces' seal records: a surviving segment whose seals
-// the WAL never saw would resurrect its traces as duplicates.
-func (sl *ShardLog) writeSegmentTail(seqs []seqdb.Sequence) error {
+// writeSegmentTail writes seqs[covered:] as a segment and, when nudge is set,
+// wakes the compactor. The WAL must already be flushed past those traces'
+// seal records: a surviving segment whose seals the WAL never saw would
+// resurrect its traces as duplicates.
+func (sl *ShardLog) writeSegmentTail(seqs []seqdb.Sequence, nudge bool) error {
 	if len(seqs) <= sl.covered {
 		return nil
 	}
@@ -743,9 +761,11 @@ func (sl *ShardLog) writeSegmentTail(seqs []seqdb.Sequence) error {
 		sl.st.met.segPublishNs.Observe(time.Since(pubStart).Nanoseconds())
 		sl.st.met.segsPublished.Inc()
 	}
-	select {
-	case sl.st.compactNudge <- struct{}{}:
-	default:
+	if nudge {
+		select {
+		case sl.st.compactNudge <- struct{}{}:
+		default:
+		}
 	}
 	return nil
 }

@@ -306,16 +306,17 @@ func createWAL(fs fsim.FS, path string, sync bool, records ...[]byte) (*walFile,
 
 // walHasCommit reports whether the intact frame prefix of a WAL image carries
 // the generation commit marker — i.e. the initial creation write survived in
-// full, not just a torn prefix of it.
+// full, not just a torn prefix of it. The marker ends a fresh generation's
+// initial records, so the scan stops at the first one instead of checksumming
+// the rest of the log.
 func walHasCommit(data []byte) bool {
-	found := false
-	_, _ = scanFrames(data, func(p []byte) error {
+	_, err := scanFrames(data, func(p []byte) error {
 		if len(p) == 1 && p[0] == recCommit {
-			found = true
+			return errReplayStop
 		}
 		return nil
 	})
-	return found
+	return err != nil
 }
 
 func syncFile(fs fsim.FS, path string) error {

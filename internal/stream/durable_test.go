@@ -148,10 +148,11 @@ func TestDurableMatchesMemory(t *testing.T) {
 
 // TestFlushBatchBoundsSegmentSize: a durable shard's barrier — the only
 // path that publishes segments outside rotation — fires once FlushBatch
-// traces were sealed since the last one, so every segment spans at least
-// FlushBatch traces. (A barrier also rolls in whatever its drain applied,
-// so spans are not exact multiples.) FlushBatch is above the store's own
-// 64-trace publish threshold, so the bound is the ingester's.
+// traces were sealed since the last one, so every segment a barrier
+// publishes spans at least FlushBatch traces. (A barrier also rolls in
+// whatever its drain applied, so spans are not exact multiples.) FlushBatch
+// is above the store's own 64-trace publish threshold, so the bound is the
+// ingester's.
 func TestFlushBatchBoundsSegmentSize(t *testing.T) {
 	const flushBatch, traces = 100, 250
 	// CompactBytes 1: no segment counts as small, so none is merged away.
@@ -174,16 +175,21 @@ func TestFlushBatchBoundsSegmentSize(t *testing.T) {
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The close checkpoints the shard: its last segment is the sealed tail
+	// left after the final barrier, of any size, and every trace is covered.
 	spans := st.SegmentSpans()[0]
 	if len(spans) == 0 {
 		t.Fatalf("no segment published after %d seals at FlushBatch %d", traces, flushBatch)
 	}
 	next := 0
-	for _, sp := range spans {
-		if sp[0] != next || sp[1]-sp[0] < flushBatch {
-			t.Fatalf("segment spans %v: want contiguous spans of at least %d traces from 0", spans, flushBatch)
+	for k, sp := range spans {
+		if sp[0] != next || (k < len(spans)-1 && sp[1]-sp[0] < flushBatch) {
+			t.Fatalf("segment spans %v: want contiguous spans of at least %d traces from 0, then the close's tail", spans, flushBatch)
 		}
 		next = sp[1]
+	}
+	if next != traces {
+		t.Fatalf("segment spans %v: want all %d sealed traces covered after the close", spans, traces)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

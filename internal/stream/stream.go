@@ -533,11 +533,18 @@ func (sh *shard) run() {
 	}
 	if sh.log != nil {
 		// Clean shutdown: everything applied is flushed, so a reopened store
-		// resumes from exactly this state (open traces included). No producer
-		// can hold the log's lock anymore (the ingester is closed), so the
-		// blocking Flush is safe here. On a degraded store the flush fails —
-		// recovery then resumes from the last successful barrier instead.
-		sh.lastFlushErr = sh.log.Flush()
+		// resumes from exactly this state (open traces included), and then
+		// checkpointed: the sealed tail goes into a segment and the WAL
+		// restarts holding only the open traces, so the reopen replays open
+		// data, not the session's history. A failed checkpoint leaves the
+		// flushed WAL, which recovers the same state by replay. On a
+		// degraded store the flush fails — recovery then resumes from the
+		// last successful barrier instead.
+		sh.withLogLock(func() {
+			if sh.lastFlushErr = sh.log.FlushLocked(); sh.lastFlushErr == nil {
+				_ = sh.log.CheckpointLocked(sh.db.Sequences, sh.openSnapshot())
+			}
+		})
 	}
 	// A drain interrupted by Close may have parked snapshot ops; answer them
 	// so their callers never hang.

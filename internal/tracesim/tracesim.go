@@ -93,6 +93,7 @@ func (w Workload) Generate(numTraces int, seed int64) (*seqdb.Database, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	db := seqdb.NewDatabase()
+	db.Sequences = make([]seqdb.Sequence, 0, numTraces)
 
 	totalWeight := 0.0
 	for _, sc := range w.Scenarios {
