@@ -256,6 +256,38 @@ func TestOutOfCoreEvictionReleasesViews(t *testing.T) {
 	}
 }
 
+// TestMineStoreRulesRebindsAcrossViews: each mining worker keeps one
+// extender for the whole run and rebinds it to every seed view it serves.
+// With session-local seeds (one view per cluster), longer rules, an
+// i-support floor above 1 and a cache far smaller than one segment, the
+// out-of-core miner must still equal the resident one at one and at four
+// workers.
+func TestMineStoreRulesRebindsAcrossViews(t *testing.T) {
+	ts := buildSegmentedStore(t, 2, 6, 10)
+	db := ts.Recovered().Database(ts.Dict())
+	for _, full := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			ropts := RuleOptions{MinSeqSupport: 4, MinInstanceSupport: 2, MinConfidence: 0.6,
+				MaxPremiseLength: 3, MaxConsequentLength: 3, Workers: workers, Full: full}
+			want, err := MineRules(db, ropts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := MineStoreRules(ts, ropts, OutOfCoreOptions{CacheBytes: 2 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Rules) == 0 {
+				t.Fatalf("full=%v: fixture mined no rules", full)
+			}
+			want.Stats.Duration, got.Stats.Duration = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("full=%v workers=%d: MineStoreRules diverges:\n got %+v\nwant %+v", full, workers, got, want)
+			}
+		}
+	}
+}
+
 // TestOutOfCoreLazyOpen: a store opened with StoreOptions.OutOfCore holds no
 // sealed traces in memory, refuses a streamer, and still mines and checks
 // byte-identically to an eager open of the same directory.

@@ -26,9 +26,15 @@ type Proj struct {
 // extension's own projection, positioned at the first occurrence of the
 // event within each surviving suffix. Tags parallels Proj when the node
 // carries per-entry tags.
+//
+// ISup, set only on materialised extensions, counts the occurrences of
+// Event at or after the first Proj entry of each sequence (a sequence's
+// entries being the consecutive run on it): the rule miner's i-support of
+// the extended consequent, read off the merge that positions the entries.
 type Ext struct {
 	Event seqdb.EventID
 	Count int32
+	ISup  int32
 	Proj  []Proj
 	Tags  []int32
 }
@@ -45,7 +51,8 @@ type ExtSet struct {
 
 // Extender runs count-first suffix extension over a shared positional index.
 // It owns the per-worker scratch (event slots) and the free-listed arenas
-// that back projection storage; give each worker goroutine its own Extender.
+// that back projection storage; give each worker goroutine its own Extender
+// and Rebind it as the worker moves from one seed view to the next.
 //
 // Callers that retain materialised projections beyond the node's lifetime
 // (the rule miner's premise enumeration stores them in consequent jobs)
@@ -79,10 +86,21 @@ type extRec struct {
 
 // NewExtender returns an extender over the given index.
 func NewExtender(idx *seqdb.PositionIndex) *Extender {
-	return &Extender{
-		idx:   idx,
-		slots: seqdb.NewEventSlots(idx.NumEvents()),
+	x := new(Extender)
+	x.Rebind(idx)
+	return x
+}
+
+// Rebind points the extender at another index, keeping its scratch and
+// arenas; a zero Extender is ready once bound. The event slots are
+// reallocated only when the event-id space differs, which never happens
+// across the seed views of one Source. Projections handed out over the old
+// index must not be extended over the new one.
+func (x *Extender) Rebind(idx *seqdb.PositionIndex) {
+	if x.idx == nil || x.idx.NumEvents() != idx.NumEvents() {
+		x.slots = seqdb.NewEventSlots(idx.NumEvents())
 	}
+	x.idx = idx
 }
 
 // SeedProj returns the root projection of seed event e: one entry per
@@ -120,7 +138,8 @@ func (x *Extender) ReleaseProj(proj []Proj) { x.projs.Put(proj) }
 // projection materialised (into one shared arena block): each counted entry,
 // in entry order, is positioned at the first occurrence of the event in its
 // suffix, found by merging the event's position list with the group's
-// entries. Counts alone serve every pruning decision below the threshold.
+// entries; the same merge sums the extension's ISup. Counts alone serve
+// every pruning decision below the threshold.
 // tags, when non-nil, parallels proj and is carried through to the
 // materialised extensions entry by entry (the rule miner threads each
 // record's temporal point this way). The returned extensions are sorted by
@@ -187,6 +206,7 @@ func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) E
 			}
 			seq := proj[rec.first].Seq
 			ps := x.idx.SeqEventPositions(int(seq), int(rec.rank))
+			lead := len(e.Proj) == 0 || e.Proj[len(e.Proj)-1].Seq != seq
 			j := 0
 			for i := rec.first; i < rec.first+rec.n; i++ {
 				// Group positions are non-decreasing, so the first occurrence
@@ -195,6 +215,12 @@ func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) E
 				if p := proj[i].Pos; ps[j] <= p {
 					k, _ := slices.BinarySearch(ps[j:], p+1)
 					j += k
+				}
+				if lead {
+					// The sequence's first entry: every occurrence from ps[j]
+					// on counts towards ISup.
+					e.ISup += int32(len(ps) - j)
+					lead = false
 				}
 				e.Proj = append(e.Proj, Proj{Seq: seq, Pos: ps[j]})
 				if tags != nil {

@@ -2,6 +2,7 @@ package mine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"specmine/internal/seqdb"
@@ -268,4 +269,99 @@ func TestSeedProj(t *testing.T) {
 		}
 	}
 	x.ReleaseProj(proj)
+}
+
+// randomIndex draws numSeqs sequences of 1..maxLen events over the given
+// alphabet and indexes them over an event space of numEvents ids.
+func randomIndex(rng *rand.Rand, numSeqs, maxLen, alphabet, numEvents int) ([]seqdb.Sequence, *seqdb.PositionIndex) {
+	seqs := make([]seqdb.Sequence, numSeqs)
+	for i := range seqs {
+		s := make(seqdb.Sequence, 1+rng.Intn(maxLen))
+		for j := range s {
+			s[j] = seqdb.EventID(rng.Intn(alphabet))
+		}
+		seqs[i] = s
+	}
+	return seqs, seqdb.BuildPositionIndex(seqs, numEvents)
+}
+
+// TestExtenderISupMatchesRecount: every materialised extension's ISup equals
+// the recount the rule miner would otherwise make — the occurrences of the
+// event at or after the first entry of each sequence's run in the
+// extension's projection. randomProj puts several groups on one sequence, so
+// an ISup that counted every group's first entry would be caught.
+func TestExtenderISupMatchesRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for iter := 0; iter < 600; iter++ {
+		alphabet := 2 + rng.Intn(4)
+		seqs, idx := randomIndex(rng, 1+rng.Intn(5), 12, alphabet, alphabet)
+		x := NewExtender(idx)
+		proj, tags := randomProj(rng, seqs)
+		if iter%2 == 1 {
+			tags = nil
+		}
+		es := x.Extensions(proj, tags, int32(1+rng.Intn(2)))
+		for _, e := range es.Exts {
+			if e.Proj == nil {
+				if e.ISup != 0 {
+					t.Fatalf("iter %d: event %d not materialised but ISup %d", iter, e.Event, e.ISup)
+				}
+				continue
+			}
+			want := 0
+			for k, pr := range e.Proj {
+				if k == 0 || e.Proj[k-1].Seq != pr.Seq {
+					want += idx.CountFrom(int(pr.Seq), e.Event, int(pr.Pos))
+				}
+			}
+			if int(e.ISup) != want {
+				t.Fatalf("iter %d: event %d ISup %d, recount %d (proj %+v, ext proj %+v, seqs %v)",
+					iter, e.Event, e.ISup, want, proj, e.Proj, seqs)
+			}
+		}
+		x.Release(es)
+	}
+}
+
+// TestExtenderRebind: an extender that has extended and released over one
+// index, then rebinds to another, answers exactly as a fresh extender over
+// the new index — whether the event space stays the same or grows.
+func TestExtenderRebind(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for iter := 0; iter < 200; iter++ {
+		seqsA, idxA := randomIndex(rng, 1+rng.Intn(5), 12, 3, 3)
+		numEventsB := 3
+		if iter%2 == 1 {
+			numEventsB = 6 // B's events beyond A's space need larger slots
+		}
+		seqsB, idxB := randomIndex(rng, 1+rng.Intn(5), 12, numEventsB, numEventsB)
+
+		x := NewExtender(idxA)
+		for k := 0; k < 3; k++ {
+			proj, tags := randomProj(rng, seqsA)
+			x.Release(x.Extensions(proj, tags, 1))
+		}
+		x.ReleaseProj(x.SeedProj(0))
+		x.Rebind(idxB)
+		fresh := NewExtender(idxB)
+
+		for k := 0; k < 3; k++ {
+			proj, tags := randomProj(rng, seqsB)
+			if k == 1 {
+				tags = nil
+			}
+			min := int32(1 + rng.Intn(2))
+			got, want := x.Extensions(proj, tags, min), fresh.Extensions(proj, tags, min)
+			if !reflect.DeepEqual(got.Exts, want.Exts) {
+				t.Fatalf("iter %d: rebound extender\n got %+v\nwant %+v (proj %+v, seqs %v)", iter, got.Exts, want.Exts, proj, seqsB)
+			}
+			x.Release(got)
+			fresh.Release(want)
+		}
+		for e := seqdb.EventID(0); int(e) < numEventsB; e++ {
+			if got, want := x.SeedProj(e), fresh.SeedProj(e); !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d: rebound SeedProj(%d) = %+v want %+v", iter, e, got, want)
+			}
+		}
+	}
 }

@@ -46,13 +46,13 @@ func Mine(db *seqdb.Database, opts Options, nonRedundant bool) (*Result, error) 
 // Why per-seed views are exact: a premise grown from seed e starts with e,
 // so its projection, its backward-insertion windows (hasEquivalentInsertion
 // reads only db.Sequences[pr.Seq] for supporting traces) and its whole
-// consequent subtree (CountFrom/PositionsFrom/Extensions over supporting
-// traces only) live entirely in traces containing e — traces every SeedView
-// holds. The only view-local artefacts are the sequence ids inside
-// projections; phase 1 remaps them to global ids before jobs leave the seed,
-// which makes the canonical premise signatures (and hence the global dedup of
-// phase 2) independent of the Source. Global ids map back to view-local ones
-// in phase 3; the ascending Global table preserves projection order in both
+// consequent subtree (PositionsFrom/Extensions over supporting traces only)
+// live entirely in traces containing e — traces every SeedView holds. The
+// only view-local artefacts are the sequence ids inside projections; phase 1
+// remaps them to global ids before jobs leave the seed, which makes the
+// canonical premise signatures (and hence the global dedup of phase 2)
+// independent of the Source. Global ids map back to view-local ones in
+// phase 3; the ascending Global table preserves projection order in both
 // directions, so every count, extension set and emitted rule is identical
 // for every Source.
 func MineSource(src mine.Source, opts Options, nonRedundant bool) (*Result, error) {
@@ -66,8 +66,8 @@ func MineSource(src mine.Source, opts Options, nonRedundant bool) (*Result, erro
 	var stats Stats
 
 	// Phase 1: premise enumeration, one seed's view at a time. The walker's
-	// per-event scratch sizes by the shared dictionary space; its extender
-	// rebinds whenever the view changes.
+	// per-event scratch sizes by the shared dictionary space; its one
+	// extender rebinds to each view.
 	type seedOut struct {
 		jobs     []consequentJob
 		explored int
@@ -91,10 +91,8 @@ func MineSource(src mine.Source, opts Options, nonRedundant bool) (*Result, erro
 			return seedOut{err: err}
 		}
 		defer sv.Release()
-		if wk.db != sv.DB {
-			wk.db = sv.DB
-			wk.ext = mine.NewExtender(sv.Idx)
-		}
+		wk.db = sv.DB
+		wk.ext.Rebind(sv.Idx)
 		wk.jobs = nil
 		wk.explored = 0
 		wk.pruned = 0
@@ -102,7 +100,7 @@ func MineSource(src mine.Source, opts Options, nonRedundant bool) (*Result, erro
 		if sv.Global != nil {
 			// Remap every job's projection to global sequence ids and
 			// recompute its signature over them. The fresh slices also free
-			// the jobs from the per-seed extender arenas, so the view is
+			// the jobs from the extender's arenas, so the view is
 			// collectable once released.
 			for j := range wk.jobs {
 				gp := make([]mine.Proj, len(wk.jobs[j].proj))
@@ -144,7 +142,7 @@ func MineSource(src mine.Source, opts Options, nonRedundant bool) (*Result, erro
 		live   []*consequentWorker
 	)
 	jouts := mine.ForSeeds(len(jobs), workers, func() *consequentWorker {
-		cw := &consequentWorker{src: src, opts: opts, nr: nonRedundant}
+		cw := &consequentWorker{src: src, w: ruleWorker{opts: opts, nr: nonRedundant}}
 		liveMu.Lock()
 		live = append(live, cw)
 		liveMu.Unlock()
@@ -201,50 +199,40 @@ func MineSource(src mine.Source, opts Options, nonRedundant bool) (*Result, erro
 	return res, nil
 }
 
-// consequentWorker is one phase-3 pool goroutine's state: the ruleWorker for
-// the currently bound seed view. Rebinding releases the previous view.
+// consequentWorker is one phase-3 pool goroutine's state: the currently
+// bound seed view and the one ruleWorker that mines every job it serves.
+// Rebinding releases the previous view.
 type consequentWorker struct {
-	src  mine.Source
-	opts Options
-	nr   bool
+	src mine.Source
 
 	seed  seqdb.EventID
 	sv    *mine.SeedView
-	w     *ruleWorker
+	w     ruleWorker
 	bound bool
 }
 
-// bind ensures the worker holds seed's view. The ruleWorker (and its
-// extender scratch) carries over when the new view shares the old one's
-// index — always, for a resident database.
+// bind ensures the worker holds seed's view, rebinding the ruleWorker's
+// index and extender to it. Every job releases its extension sets before it
+// returns, so nothing in the extender's arenas outlives the previous view.
 func (cw *consequentWorker) bind(seed seqdb.EventID) error {
 	if cw.bound && cw.seed == seed {
 		return nil
 	}
-	prev := cw.w
 	cw.release()
 	sv, err := cw.src.AcquireSeed(seed)
 	if err != nil {
 		return err
 	}
 	cw.seed, cw.sv, cw.bound = seed, sv, true
-	if prev != nil && prev.idx == sv.Idx {
-		cw.w = prev
-		return nil
-	}
-	cw.w = &ruleWorker{
-		idx:  sv.Idx,
-		opts: cw.opts,
-		nr:   cw.nr,
-		ext:  mine.NewExtender(sv.Idx),
-	}
+	cw.w.idx = sv.Idx
+	cw.w.ext.Rebind(sv.Idx)
 	return nil
 }
 
 func (cw *consequentWorker) release() {
 	if cw.bound {
 		cw.sv.Release()
-		cw.sv, cw.w, cw.bound = nil, nil, false
+		cw.sv, cw.bound = nil, false
 	}
 }
 
@@ -318,16 +306,16 @@ func dedupPremises(jobs []consequentJob, stats *Stats) []consequentJob {
 // premiseWalker enumerates the premise search tree below one seed event
 // (step 1 of Section 5). Each pool goroutine owns a walker, so the scratch
 // buffers are never shared. Extension passes run on the shared framework's
-// count-first Extender; because every enumerated premise's projection is
-// retained inside its consequent job, the walker never releases extension
-// sets back to the arenas.
+// count-first Extender, rebound to each seed's view; because every
+// enumerated premise's projection is retained inside its consequent job, the
+// walker never releases extension sets back to the arenas.
 type premiseWalker struct {
 	db        *seqdb.Database
 	opts      Options
 	minSeqSup int
 	nr        bool
 
-	ext      *mine.Extender
+	ext      mine.Extender
 	path     seqdb.Pattern
 	jobs     []consequentJob
 	explored int
@@ -508,10 +496,14 @@ type ruleWorker struct {
 	idx       *seqdb.PositionIndex
 	opts      Options
 	nr        bool
-	ext       *mine.Extender
+	ext       mine.Extender
 	rules     []Rule
 	nodes     int
 	redundant int
+
+	// points holds, per premise sequence, the premise's temporal points
+	// while mineConsequents builds the records.
+	points [][]int32
 }
 
 // drainStats moves the worker's counters into stats.
@@ -528,31 +520,39 @@ func (w *ruleWorker) drainStats(stats *Stats) {
 // tracks the earliest consequent embedding after its temporal point, and the
 // temporal point itself travels as the entry's tag.
 func (w *ruleWorker) mineConsequents(pre seqdb.Pattern, proj []mine.Proj) {
-	seqSup := len(proj)
 	last := pre.Last()
 	total := 0
 	for _, pr := range proj {
-		total += w.idx.CountFrom(int(pr.Seq), last, int(pr.Pos))
-	}
-	if total == 0 {
-		return
+		ps := w.idx.PositionsFrom(int(pr.Seq), last, int(pr.Pos))
+		w.points = append(w.points, ps)
+		total += len(ps)
 	}
 	records := make([]mine.Proj, 0, total)
 	tags := make([]int32, 0, total)
-	for _, pr := range proj {
-		for _, t := range w.idx.PositionsFrom(int(pr.Seq), last, int(pr.Pos)) {
+	for k, pr := range proj {
+		for _, t := range w.points[k] {
 			records = append(records, mine.Proj{Seq: pr.Seq, Pos: t})
 			tags = append(tags, t)
 		}
 	}
-	w.growConsequent(pre, seqSup, len(records), nil, records, tags)
+	// The lists alias the view's rows: drop them, so a released view is not
+	// kept reachable through the worker.
+	clear(w.points)
+	w.points = w.points[:0]
+	if total == 0 {
+		return
+	}
+	w.growConsequent(pre, len(proj), len(records), nil, records, tags, 0)
 }
 
 // growConsequent explores the consequent search tree for a fixed premise.
 // records holds the temporal points at which the current consequent is still
 // satisfied (tags), positioned at the earliest embedding of the consequent
-// after each point.
-func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post seqdb.Pattern, records []mine.Proj, tags []int32) {
+// after each point. iSup is the rule's i-support, carried from the parent's
+// extension (mine.Ext.ISup): the occurrences of post's last event at or
+// after the first record of each sequence, which carries the sequence's
+// earliest completion of pre ++ post. It is unused at the root (empty post).
+func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post seqdb.Pattern, records []mine.Proj, tags []int32, iSup int) {
 	w.nodes++
 
 	// The confidence floor on surviving temporal points (Theorem 3) is fixed
@@ -579,7 +579,6 @@ func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post
 
 	if len(post) > 0 {
 		conf := float64(len(records)) / float64(totalTP)
-		iSup := w.instanceSupportFor(post.Last(), records)
 		emit := iSup >= w.opts.MinInstanceSupport && conf+1e-12 >= w.opts.MinConfidence
 		if emit && w.nr && !atBound {
 			// A consequent extension that keeps every statistic identical
@@ -588,7 +587,7 @@ func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post
 			// extension has count == len(records) >= minSatisfied, so it is
 			// always materialised.
 			for i := range es.Exts {
-				if int(es.Exts[i].Count) == len(records) && w.instanceSupportFor(es.Exts[i].Event, es.Exts[i].Proj) == iSup {
+				if int(es.Exts[i].Count) == len(records) && int(es.Exts[i].ISup) == iSup {
 					emit = false
 					w.redundant++
 					break
@@ -616,26 +615,7 @@ func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post
 		if int(es.Exts[i].Count) < minSatisfied {
 			continue
 		}
-		w.growConsequent(pre, seqSup, totalTP, post.Append(es.Exts[i].Event), es.Exts[i].Proj, es.Exts[i].Tags)
+		w.growConsequent(pre, seqSup, totalTP, post.Append(es.Exts[i].Event), es.Exts[i].Proj, es.Exts[i].Tags, int(es.Exts[i].ISup))
 	}
 	w.ext.Release(es)
-}
-
-// instanceSupportFor computes the i-support of pre -> post from the
-// surviving records, with the last consequent event given explicitly so it
-// can also score candidate extensions cheaply: the number of occurrences of
-// that event at or after the earliest completion of pre ++ post in each
-// sequence. Records stay grouped by sequence in increasing temporal-point
-// order, so the first record per sequence carries the earliest completion.
-func (w *ruleWorker) instanceSupportFor(last seqdb.EventID, records []mine.Proj) int {
-	iSup := 0
-	seenSeq := int32(-1)
-	for _, r := range records {
-		if r.Seq == seenSeq {
-			continue // only the earliest temporal point per sequence matters
-		}
-		seenSeq = r.Seq
-		iSup += w.idx.CountFrom(int(r.Seq), last, int(r.Pos))
-	}
-	return iSup
 }

@@ -211,8 +211,9 @@ func insertionDominated(db *seqdb.Database, p seqdb.Pattern, alphabet []seqdb.Ev
 	return false
 }
 
-// TestMineFullAgainstBruteForce sweeps both length bounds over {1, 2, 3}:
-// the full miner must equal exhaustive enumeration, and the non-redundant
+// TestMineFullAgainstBruteForce sweeps both length bounds and the i-support
+// floor over {1, 2, 3}: the full miner must equal exhaustive enumeration,
+// and the non-redundant
 // miner must equal FilterRedundant of the full set once the rules its
 // premise walk never reaches are set aside. The consequent search stops
 // extending exactly at MaxConsequentLength, where the redundancy check also
@@ -239,55 +240,57 @@ func TestMineFullAgainstBruteForce(t *testing.T) {
 		}
 		for maxPre := 1; maxPre <= 3; maxPre++ {
 			for maxPost := 1; maxPost <= 3; maxPost++ {
-				opts := Options{
-					MinSeqSupport:       2,
-					MinInstanceSupport:  1,
-					MinConfidence:       0.6,
-					MaxPremiseLength:    maxPre,
-					MaxConsequentLength: maxPost,
-				}
-				res, err := MineFull(db, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := bruteRules(db, opts, maxPre, maxPost)
-				got := make(map[string]Rule)
-				for _, r := range res.Rules {
-					got[r.Key()] = r
-				}
-				for key, w := range want {
-					g, ok := got[key]
-					if !ok {
-						t.Fatalf("iter %d pre<=%d post<=%d: full miner missed rule %s -> %s (db=%v)",
-							iter, maxPre, maxPost, w.Pre.String(db.Dict), w.Post.String(db.Dict), db.Sequences)
+				for minISup := 1; minISup <= 3; minISup++ {
+					opts := Options{
+						MinSeqSupport:       2,
+						MinInstanceSupport:  minISup,
+						MinConfidence:       0.6,
+						MaxPremiseLength:    maxPre,
+						MaxConsequentLength: maxPost,
 					}
-					if g.SeqSupport != w.SeqSupport || g.InstanceSupport != w.InstanceSupport || math.Abs(g.Confidence-w.Confidence) > 1e-9 {
-						t.Fatalf("iter %d pre<=%d post<=%d: stats mismatch for %s: %+v vs %+v", iter, maxPre, maxPost, key, g, w)
+					res, err := MineFull(db, opts)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				for key := range got {
-					if _, ok := want[key]; !ok {
-						t.Fatalf("iter %d pre<=%d post<=%d: full miner emitted unexpected rule %s", iter, maxPre, maxPost, key)
+					want := bruteRules(db, opts, maxPre, maxPost)
+					got := make(map[string]Rule)
+					for _, r := range res.Rules {
+						got[r.Key()] = r
 					}
-				}
-
-				nr, err := MineNonRedundant(db, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var reached []Rule
-			rules:
-				for _, r := range res.Rules {
-					for k := 1; k <= len(r.Pre) && k < maxPre; k++ {
-						if insertionDominated(db, r.Pre[:k], db.FrequentEvents(1)) {
-							continue rules
+					for key, w := range want {
+						g, ok := got[key]
+						if !ok {
+							t.Fatalf("iter %d pre<=%d post<=%d isup>=%d: full miner missed rule %s -> %s (db=%v)",
+								iter, maxPre, maxPost, minISup, w.Pre.String(db.Dict), w.Post.String(db.Dict), db.Sequences)
+						}
+						if g.SeqSupport != w.SeqSupport || g.InstanceSupport != w.InstanceSupport || math.Abs(g.Confidence-w.Confidence) > 1e-9 {
+							t.Fatalf("iter %d pre<=%d post<=%d isup>=%d: stats mismatch for %s: %+v vs %+v", iter, maxPre, maxPost, minISup, key, g, w)
 						}
 					}
-					reached = append(reached, r)
-				}
-				if filtered := FilterRedundant(reached); !reflect.DeepEqual(nr.Rules, filtered) {
-					t.Fatalf("iter %d pre<=%d post<=%d: non-redundant miner differs from FilterRedundant(full rules the premise walk reaches)\nnr:\n%sfiltered:\n%s",
-						iter, maxPre, maxPost, nr.Render(db.Dict, 0), (&Result{Rules: filtered}).Render(db.Dict, 0))
+					for key := range got {
+						if _, ok := want[key]; !ok {
+							t.Fatalf("iter %d pre<=%d post<=%d isup>=%d: full miner emitted unexpected rule %s", iter, maxPre, maxPost, minISup, key)
+						}
+					}
+
+					nr, err := MineNonRedundant(db, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var reached []Rule
+				rules:
+					for _, r := range res.Rules {
+						for k := 1; k <= len(r.Pre) && k < maxPre; k++ {
+							if insertionDominated(db, r.Pre[:k], db.FrequentEvents(1)) {
+								continue rules
+							}
+						}
+						reached = append(reached, r)
+					}
+					if filtered := FilterRedundant(reached); !reflect.DeepEqual(nr.Rules, filtered) {
+						t.Fatalf("iter %d pre<=%d post<=%d isup>=%d: non-redundant miner differs from FilterRedundant(full rules the premise walk reaches)\nnr:\n%sfiltered:\n%s",
+							iter, maxPre, maxPost, minISup, nr.Render(db.Dict, 0), (&Result{Rules: filtered}).Render(db.Dict, 0))
+					}
 				}
 			}
 		}
@@ -306,60 +309,62 @@ func TestMineNonRedundantCoversFullSet(t *testing.T) {
 			}
 			db.AppendNames(names...)
 		}
-		opts := Options{
-			MinSeqSupport:       2,
-			MinInstanceSupport:  1,
-			MinConfidence:       0.6,
-			MaxPremiseLength:    2,
-			MaxConsequentLength: 2,
-		}
-		full, err := MineFull(db, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nr, err := MineNonRedundant(db, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(nr.Rules) > len(full.Rules) {
-			t.Fatalf("iter %d: NR set (%d) larger than full set (%d)", iter, len(nr.Rules), len(full.Rules))
-		}
-		fullByKey := make(map[string]Rule)
-		for _, r := range full.Rules {
-			fullByKey[r.Key()] = r
-		}
-		// 1. Every NR rule is a significant rule with identical statistics.
-		for _, r := range nr.Rules {
-			f, ok := fullByKey[r.Key()]
-			if !ok {
-				t.Fatalf("iter %d: NR rule %s not in full set", iter, r.String(db.Dict))
+		for minISup := 1; minISup <= 3; minISup++ {
+			opts := Options{
+				MinSeqSupport:       2,
+				MinInstanceSupport:  minISup,
+				MinConfidence:       0.6,
+				MaxPremiseLength:    2,
+				MaxConsequentLength: 2,
 			}
-			if f.SeqSupport != r.SeqSupport || f.InstanceSupport != r.InstanceSupport || math.Abs(f.Confidence-r.Confidence) > 1e-9 {
-				t.Fatalf("iter %d: NR stats differ from full for %s", iter, r.Key())
+			full, err := MineFull(db, opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// 2. Every full rule is either in the NR set or redundant with respect
-		//    to it: some NR rule with identical statistics has a super-sequence
-		//    concatenation.
-		for _, f := range full.Rules {
-			covered := false
-			fc := f.Concat()
+			nr, err := MineNonRedundant(db, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(nr.Rules) > len(full.Rules) {
+				t.Fatalf("iter %d isup>=%d: NR set (%d) larger than full set (%d)", iter, minISup, len(nr.Rules), len(full.Rules))
+			}
+			fullByKey := make(map[string]Rule)
+			for _, r := range full.Rules {
+				fullByKey[r.Key()] = r
+			}
+			// 1. Every NR rule is a significant rule with identical statistics.
 			for _, r := range nr.Rules {
-				if r.SeqSupport == f.SeqSupport && r.InstanceSupport == f.InstanceSupport &&
-					math.Abs(r.Confidence-f.Confidence) < 1e-9 && fc.IsSubsequenceOf(r.Concat()) {
-					covered = true
-					break
+				f, ok := fullByKey[r.Key()]
+				if !ok {
+					t.Fatalf("iter %d isup>=%d: NR rule %s not in full set", iter, minISup, r.String(db.Dict))
+				}
+				if f.SeqSupport != r.SeqSupport || f.InstanceSupport != r.InstanceSupport || math.Abs(f.Confidence-r.Confidence) > 1e-9 {
+					t.Fatalf("iter %d isup>=%d: NR stats differ from full for %s", iter, minISup, r.Key())
 				}
 			}
-			if !covered {
-				t.Fatalf("iter %d: full rule %s not covered by NR set\nfull:\n%snr:\n%s",
-					iter, f.String(db.Dict), full.Render(db.Dict, 0), nr.Render(db.Dict, 0))
+			// 2. Every full rule is either in the NR set or redundant with respect
+			//    to it: some NR rule with identical statistics has a super-sequence
+			//    concatenation.
+			for _, f := range full.Rules {
+				covered := false
+				fc := f.Concat()
+				for _, r := range nr.Rules {
+					if r.SeqSupport == f.SeqSupport && r.InstanceSupport == f.InstanceSupport &&
+						math.Abs(r.Confidence-f.Confidence) < 1e-9 && fc.IsSubsequenceOf(r.Concat()) {
+						covered = true
+						break
+					}
+				}
+				if !covered {
+					t.Fatalf("iter %d isup>=%d: full rule %s not covered by NR set\nfull:\n%snr:\n%s",
+						iter, minISup, f.String(db.Dict), full.Render(db.Dict, 0), nr.Render(db.Dict, 0))
+				}
 			}
-		}
-		// 3. No rule in the NR set is redundant with respect to the NR set.
-		for _, r := range nr.Rules {
-			if pairwiseRedundant(r, nr.Rules) {
-				t.Fatalf("iter %d: NR set still contains redundant rule %s", iter, r.String(db.Dict))
+			// 3. No rule in the NR set is redundant with respect to the NR set.
+			for _, r := range nr.Rules {
+				if pairwiseRedundant(r, nr.Rules) {
+					t.Fatalf("iter %d isup>=%d: NR set still contains redundant rule %s", iter, minISup, r.String(db.Dict))
+				}
 			}
 		}
 	}
