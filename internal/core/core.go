@@ -139,6 +139,10 @@ type RuleOptions struct {
 	// MinConfidence is the minimum confidence (default 0.9).
 	MinConfidence float64
 	// Full mines every significant rule instead of the non-redundant set.
+	// Without it, a rule whose premise sits at MaxPremiseLength can be
+	// non-redundant within the bounds and still go unmined: the insertion
+	// that dominates its premise is one event past the bound (see
+	// rules.MineNonRedundant; ROADMAP item 7).
 	Full bool
 	// MaxPremiseLength and MaxConsequentLength bound the rule shape.
 	MaxPremiseLength    int

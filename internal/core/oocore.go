@@ -15,8 +15,8 @@ import (
 // Out-of-core mining and checking: MineStore, MineStoreRules and CheckStore
 // run directly against a TraceStore's sealed segment catalog through a
 // pin-and-evict segment cache, instead of materialising the whole database
-// with Recover. Per-segment statistics (event occurrence counts and a bloom
-// filter, written into every segment at seal time) decide which segment
+// with Recover. Per-segment statistics (exact event occurrence and trace
+// counts, written into every segment at seal time) decide which segment
 // bodies each seed or rule set actually needs; segments that provably cannot
 // contribute are never decoded. The in-memory entry points run the very same
 // code with the database as one always-resident segment (mine.Resident for
@@ -138,7 +138,7 @@ func frequent(counts []int64, min int) []seqdb.EventID {
 }
 
 // AcquireSeed pins every segment whose statistics show the seed event (exact
-// counts — no bloom false positives here) and assembles the seed's view: the
+// counts, so no segment is pinned in vain) and assembles the seed's view: the
 // traces containing the event, in ascending global order, with the
 // local→global id table. The view's index borrows those traces' rows from the
 // pinned segments' own fragments, so nothing is copied but row headers; the

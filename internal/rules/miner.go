@@ -21,6 +21,13 @@ func MineFull(db *seqdb.Database, opts Options) (*Result, error) {
 // mined, consequents that can be extended without changing any statistic are
 // not reported on their own, and a final filter removes any remaining
 // redundancy (the "NR" series of Figures 2 and 3).
+//
+// Known gap at the premise bound: the premise walk skips a premise's subtree
+// when an equivalent single insertion dominates it, and at MaxPremiseLength
+// that dominating insertion is one event past the bound. So a rule whose
+// premise sits at MaxPremiseLength can be non-redundant within the bounds and
+// still go unmined; FilterRedundant(MineFull(...)) keeps it, and the two can
+// differ for MaxPremiseLength >= 2. ROADMAP item 7 tracks the fix.
 func MineNonRedundant(db *seqdb.Database, opts Options) (*Result, error) {
 	return MineSource(mine.Resident(db), opts, true)
 }

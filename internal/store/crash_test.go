@@ -26,7 +26,7 @@ type ledgerRec struct {
 
 // driveWorkload logs a deterministic randomized workload into shard 0 of st
 // and returns the per-record ledger. sealBarrierAt, when >= 0, triggers one
-// WriteSegment barrier after that many seals (the with-segments scenario).
+// writeSegment barrier after that many seals (the with-segments scenario).
 func driveWorkload(t *testing.T, st *Store, rng *rand.Rand, ops int, sealBarrierAt int) []ledgerRec {
 	t.Helper()
 	sl := st.Shard(0)
@@ -67,9 +67,9 @@ func driveWorkload(t *testing.T, st *Store, rng *rand.Rand, ops int, sealBarrier
 			sealed = append(sealed, nil) // count only
 			if sealBarrierAt >= 0 && len(sealed) == sealBarrierAt {
 				// Reconstruct the sealed traces so far from the ledger to
-				// hand WriteSegment its input.
+				// hand writeSegment its input.
 				segSeqs, _ := applyLedger(ledger)
-				if err := sl.WriteSegment(segSeqs); err != nil {
+				if err := writeSegment(sl, segSeqs); err != nil {
 					t.Fatal(err)
 				}
 			}

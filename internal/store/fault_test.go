@@ -77,9 +77,9 @@ func TestSegmentWriteENOSPCDiscardedOnReopen(t *testing.T) {
 		}
 		sealed = append(sealed, evs)
 	}
-	err := sl.WriteSegment(sealed)
+	err := writeSegment(sl, sealed)
 	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("WriteSegment under ENOSPC: %v", err)
+		t.Fatalf("segment write under ENOSPC: %v", err)
 	}
 	h := healthAssert(t, st, Healthy)
 	if h.Faults == 0 {
@@ -134,14 +134,14 @@ func TestWALRotationENOSPCOldGenerationContinues(t *testing.T) {
 	if !sl.TryLock() {
 		t.Fatal("TryLock failed with no producers")
 	}
-	if err := sl.WriteSegmentLocked(sealed); err != nil {
+	if err := sl.FlushLocked(); err != nil {
 		sl.Unlock()
 		t.Fatal(err)
 	}
-	err := sl.RotateLocked([]OpenTrace{{ID: t.Name(), Events: stillOpen}}, len(sealed))
+	err := sl.CheckpointLocked(sealed, len(sealed), []OpenTrace{{ID: t.Name(), Events: stillOpen}})
 	sl.Unlock()
 	if !errors.Is(err, syscall.ENOSPC) {
-		t.Fatalf("RotateLocked under torn rename: %v", err)
+		t.Fatalf("CheckpointLocked under torn rename: %v", err)
 	}
 	healthAssert(t, st, Healthy)
 
@@ -314,11 +314,11 @@ func TestRotationCleanupFailureWarnsNotFails(t *testing.T) {
 	if !sl.TryLock() {
 		t.Fatal("TryLock failed with no producers")
 	}
-	if err := sl.WriteSegmentLocked(sealed); err != nil {
+	if err := sl.FlushLocked(); err != nil {
 		sl.Unlock()
 		t.Fatal(err)
 	}
-	err := sl.RotateLocked(nil, len(sealed))
+	err := sl.CheckpointLocked(sealed, len(sealed), nil)
 	sl.Unlock()
 	if err != nil {
 		t.Fatalf("rotation with failing cleanup: %v", err)
@@ -370,7 +370,7 @@ func TestCompactionReadEIODegrades(t *testing.T) {
 		}
 		sealed = append(sealed, evs)
 		// One small segment per seal, so a mergeable run accumulates.
-		if err := sl.WriteSegment(sealed); err != nil {
+		if err := writeSegment(sl, sealed); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,4 +415,93 @@ func TestInvariantViolationFails(t *testing.T) {
 		t.Fatalf("ReadErr after invariant violation: %v", err)
 	}
 	_ = st.Close()
+}
+
+// crashImageWithUncoveredTail logs sealed traces and one open trace into
+// shard 0 of a fresh store and closes it without a checkpoint, leaving what a
+// crash after the last flush leaves: a WAL holding sealed traces that no
+// segment covers yet. It returns the sealed traces and the open trace's
+// events (under id "open").
+func crashImageWithUncoveredTail(t *testing.T, dir string) ([]seqdb.Sequence, seqdb.Sequence) {
+	t.Helper()
+	st := openStore(t, dir, nil)
+	internEvents(t, st, 10)
+	sl := st.Shard(0)
+	rng := rand.New(rand.NewSource(14))
+	var sealed []seqdb.Sequence
+	for i := 0; i < 40; i++ {
+		id := fmt.Sprintf("tr%02d", i)
+		evs := randomTrace(rng, 10)
+		if err := sl.CommitEvents(id, evs, noSend); err != nil {
+			t.Fatal(err)
+		}
+		if err := sl.CommitSeal(id, noSend); err != nil {
+			t.Fatal(err)
+		}
+		sealed = append(sealed, evs)
+	}
+	open := randomTrace(rng, 10)
+	if err := sl.CommitEvents("open", open, noSend); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "shard-000", "*.seg")); len(segs) != 0 {
+		t.Fatalf("crash image already holds segments %v", segs)
+	}
+	return sealed, open
+}
+
+func assertRecoveredShard(t *testing.T, st *Store, sealed []seqdb.Sequence, open seqdb.Sequence) {
+	t.Helper()
+	rec := st.Recovered().Shards[0]
+	sequencesEqual(t, "recovered sealed", rec.Sequences, sealed)
+	if len(rec.Open) != 1 || rec.Open[0].ID != "open" {
+		t.Fatalf("recovered open traces %+v want only \"open\"", rec.Open)
+	}
+	sequencesEqual(t, "recovered open", []seqdb.Sequence{rec.Open[0].Events}, []seqdb.Sequence{open})
+}
+
+// TestOpenCanonicaliseRetriesTransientFault: Open rolls the WAL-recovered
+// sealed tail into a segment through the same retry as every other segment
+// write, so a one-shot ENOSPC tearing that write is absorbed and Open
+// recovers every acked sealed and open trace.
+func TestOpenCanonicaliseRetriesTransientFault(t *testing.T) {
+	dir := t.TempDir()
+	sealed, open := crashImageWithUncoveredTail(t, dir)
+	st, ffs := openFaultStore(t, dir,
+		[]fsim.Rule{{Op: fsim.OpWrite, Path: ".seg", Err: syscall.ENOSPC, Short: true}},
+		nil)
+	defer st.Close()
+	if inj := ffs.Injections(); len(inj) != 1 {
+		t.Fatalf("fault injections %v, want the one segment write", inj)
+	}
+	if h := healthAssert(t, st, Healthy); h.Retries == 0 {
+		t.Fatal("retry not counted")
+	}
+	assertRecoveredShard(t, st, sealed, open)
+	if spans := st.SegmentSpans()[0]; len(spans) != 1 || spans[0] != [2]int{0, len(sealed)} {
+		t.Fatalf("segment spans after Open %v, want one covering [0, %d)", spans, len(sealed))
+	}
+}
+
+// TestOpenCanonicalisePermanentFaultFailsOpen: a permanent EIO tearing Open's
+// tail segment write fails Open with the fault visible to errors.Is, and a
+// later fault-free Open recovers the same state over the torn file, whether
+// the tear reached the segment core (discarded, the WAL replays) or only its
+// advisory stats block (the segment is used as is).
+func TestOpenCanonicalisePermanentFaultFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	sealed, open := crashImageWithUncoveredTail(t, dir)
+	ffs := fsim.NewFaultFS(fsim.OS(), fsim.Rule{Op: fsim.OpWrite, Path: ".seg", Err: syscall.EIO, Short: true})
+	if st, err := Open(Options{Dir: dir, Shards: 1, FS: ffs}); !errors.Is(err, syscall.EIO) {
+		if err == nil {
+			st.Close()
+		}
+		t.Fatalf("Open under a permanent segment-write fault: %v", err)
+	}
+	st := openStore(t, dir, nil)
+	defer st.Close()
+	assertRecoveredShard(t, st, sealed, open)
 }

@@ -129,6 +129,41 @@ func TestGoldenSegmentV1Compat(t *testing.T) {
 	}
 }
 
+// TestGoldenSegmentStatsV1Compat: v2 segments whose stats block is version 1
+// — written before the block dropped its event filter — are a decode-only
+// compatibility contract like v1 files. The frozen golden must keep parsing
+// with its stats read from the block, not recomputed from the body. It is
+// never regenerated; SPECMINE_WRITE_GOLDEN intentionally does not touch it.
+func TestGoldenSegmentStatsV1Compat(t *testing.T) {
+	seqs, _ := goldenSegmentFixture()
+	want, err := os.ReadFile(filepath.Join("testdata", "segment-v2-bloom.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := parseSegment(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.shard != 2 || v.from != 7 {
+		t.Fatalf("stats-v1 golden segment parsed shard=%d from=%d", v.shard, v.from)
+	}
+	got, err := v.decodeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sequencesEqual(t, "stats-v1 golden segment", got, seqs)
+	if v.stats == nil {
+		t.Fatal("stats-v1 golden segment parsed without stats")
+	}
+	if occ, tr := v.stats.Count(2); occ != 5 || tr != 3 {
+		t.Fatalf("stats-v1 golden Count(2) = %d/%d, want 5/3", occ, tr)
+	}
+	statsEqual(t, "stats-v1 golden", v.stats, computeSegmentStats(seqs))
+	if s, err := v.ensureStats(); err != nil || s != v.stats {
+		t.Fatalf("stats-v1 golden stats recomputed (err %v)", err)
+	}
+}
+
 func TestGoldenWALFormat(t *testing.T) {
 	data := goldenWALFixture()
 	goldenCompare(t, filepath.Join("testdata", "wal-v1.golden"), data)

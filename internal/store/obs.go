@@ -23,10 +23,14 @@ type storeMetrics struct {
 	walFsyncNs    *obs.Histogram
 	// segsPublished / segPublishNs cover segment rolls, rotations counts
 	// completed WAL rotations, compactionRuns counts merged segment runs.
-	segsPublished *obs.Counter
-	segPublishNs  *obs.Histogram
-	rotations     *obs.Counter
-	compactions   *obs.Counter
+	// segBytesWritten sums the size of every segment file written, tail
+	// rolls and compaction outputs alike: over the live segment bytes it is
+	// the store's segment write amplification.
+	segsPublished   *obs.Counter
+	segPublishNs    *obs.Histogram
+	segBytesWritten *obs.Counter
+	rotations       *obs.Counter
+	compactions     *obs.Counter
 	// retries/faults/degradations/warnings mirror the health ladder's own
 	// counters as scrapeable series; healthState is the ladder position
 	// (0 healthy, 1 degraded-read-only, 2 failed).
@@ -42,20 +46,21 @@ type storeMetrics struct {
 
 func newStoreMetrics(r *obs.Registry) storeMetrics {
 	return storeMetrics{
-		enabled:       r != nil,
-		commits:       r.Counter("store.commits"),
-		walFlushNs:    r.Histogram("store.wal_flush_ns"),
-		walFlushBytes: r.Histogram("store.wal_flush_bytes"),
-		walFsyncNs:    r.Histogram("store.wal_fsync_ns"),
-		segsPublished: r.Counter("store.segments_published"),
-		segPublishNs:  r.Histogram("store.segment_publish_ns"),
-		rotations:     r.Counter("store.wal_rotations"),
-		compactions:   r.Counter("store.compaction_runs"),
-		retries:       r.Counter("store.retries"),
-		faults:        r.Counter("store.faults"),
-		degradations:  r.Counter("store.degradations"),
-		warnings:      r.Counter("store.warnings"),
-		healthState:   r.Gauge("store.health_state"),
-		ops:           r.Ops(),
+		enabled:         r != nil,
+		commits:         r.Counter("store.commits"),
+		walFlushNs:      r.Histogram("store.wal_flush_ns"),
+		walFlushBytes:   r.Histogram("store.wal_flush_bytes"),
+		walFsyncNs:      r.Histogram("store.wal_fsync_ns"),
+		segsPublished:   r.Counter("store.segments_published"),
+		segPublishNs:    r.Histogram("store.segment_publish_ns"),
+		segBytesWritten: r.Counter("store.segment_bytes_written"),
+		rotations:       r.Counter("store.wal_rotations"),
+		compactions:     r.Counter("store.compaction_runs"),
+		retries:         r.Counter("store.retries"),
+		faults:          r.Counter("store.faults"),
+		degradations:    r.Counter("store.degradations"),
+		warnings:        r.Counter("store.warnings"),
+		healthState:     r.Gauge("store.health_state"),
+		ops:             r.Ops(),
 	}
 }

@@ -36,7 +36,7 @@ func TestOutOfCoreOpen(t *testing.T) {
 			// First five traces into a segment; the other seven stay in the
 			// WAL, so the lazy open must canonicalise a tail it never
 			// decoded the chain for.
-			if err := sl.WriteSegment(sealed); err != nil {
+			if err := writeSegment(sl, sealed); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -111,7 +111,7 @@ func TestOutOfCoreOpenDetectsCorruption(t *testing.T) {
 		}
 		sealed = append(sealed, tr)
 		if i == 4 || i == 9 {
-			if err := sl.WriteSegment(sealed); err != nil {
+			if err := writeSegment(sl, sealed); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"specmine/internal/seqdb"
 )
@@ -35,13 +34,13 @@ import (
 // coverage) and drops the recovered open set: sealed state stays exact,
 // open-trace recovery is best effort.
 //
-// After recovery, Open canonicalises the shard: WAL-recovered sealed traces
-// are rolled into a fresh segment and a new WAL generation is created holding
-// only the header and a re-log of the open traces. Every later recovery
-// therefore starts from segments + a short WAL, keeping replay O(open data),
-// not O(history). A clean close leaves the same form behind
-// (ShardLog.CheckpointLocked), so a reopen after one replays no sealed
-// history at all.
+// After recovery, Open canonicalises the shard through
+// ShardLog.CheckpointLocked, the same checkpoint a barrier's rotation and a
+// clean close run: WAL-recovered sealed traces are rolled into a fresh
+// segment and a new WAL generation is created holding only the header and a
+// re-log of the open traces. Every later recovery therefore starts from
+// segments + a short WAL, keeping replay O(open data), not O(history), and a
+// reopen after a clean close replays no sealed history at all.
 
 // OpenTrace is a trace that was open (ingested but not sealed) when the
 // store's state was captured.
@@ -234,59 +233,18 @@ func (st *Store) recoverShard(i int) (*ShardLog, RecoveredShard, error) {
 	}
 	sort.Slice(open, func(a, b int) bool { return open[a].ID < open[b].ID })
 
-	// Canonicalise: roll the WAL-recovered sealed tail into a segment, then
-	// start a fresh generation holding just the header and the open traces.
-	// Ordering matters for crash safety: the old generation keeps covering
-	// everything until the new one is renamed into place.
-	sl := &ShardLog{st: st, shard: i, dir: dir, covered: covered, segs: chain}
-	// In an out-of-core open, sealed holds only the WAL tail (chain bodies
-	// were not decoded), so the shard total is computed from the chain
-	// coverage instead of len(sealed).
-	total := covered + len(walSealed)
-	if len(walSealed) > 0 {
-		var pubStart time.Time
-		if st.met.enabled {
-			pubStart = time.Now()
-		}
-		data := encodeSegment(walSealed, i, covered)
-		info, err := writeSegmentFile(st.fs, dir, covered, total, data, st.opts.Sync)
-		if err != nil {
-			return nil, RecoveredShard{}, err
-		}
-		sl.covered = total
-		sl.segs = append(sl.segs, info)
-		if st.met.enabled {
-			st.met.segPublishNs.Observe(time.Since(pubStart).Nanoseconds())
-			st.met.segsPublished.Inc()
-		}
-	}
-	records, handles, next := openTraceRecords(i, sl.covered, open)
-	gen := maxGen + 1
-	newWAL := filepath.Join(dir, walName(gen))
-	var wal *walFile
-	if len(cands) == 0 {
-		// Fresh shard: no predecessor holds anything, so skip the atomic
-		// publish — a crash mid-create just means an empty shard next time.
-		wal, err = createWALDirect(st.fs, newWAL, st.opts.Sync, records...)
-	} else {
-		wal, err = createWAL(st.fs, newWAL, st.opts.Sync, records...)
-	}
-	if err != nil {
+	// Canonicalise through the shard's one checkpoint: the WAL-recovered
+	// sealed tail becomes a segment and a fresh generation holds just the
+	// header and the open traces. Ordering matters for crash safety: the old
+	// generation keeps covering everything until the new one is in place. No
+	// other goroutine can reach sl yet, so its lock is not needed. In an
+	// out-of-core open, sealed holds only the WAL tail (chain bodies were not
+	// decoded), so the shard total comes from the chain coverage instead of
+	// len(sealed).
+	sl := &ShardLog{st: st, shard: i, dir: dir, covered: covered, segs: chain, gen: maxGen}
+	if err := sl.CheckpointLocked(walSealed, covered+len(walSealed), open); err != nil {
 		return nil, RecoveredShard{}, err
 	}
-	wal.met = &st.met
-	// Every older generation is now redundant.
-	for _, c := range cands {
-		if err := st.fs.Remove(c.path); err != nil && !os.IsNotExist(err) {
-			st.warn("shard %d: removing superseded %s: %v", i, filepath.Base(c.path), err)
-		}
-	}
-	sl.wal = wal
-	sl.gen = gen
-	sl.handles = handles
-	sl.nextHandle = next
-	sl.walSize.Store(wal.pending())
-	sl.setRotateThreshold(wal.pending())
 	if st.opts.OutOfCore {
 		// The WAL tail was just canonicalised into a segment, so every
 		// sealed trace is reachable through the catalog; Recovered reports

@@ -28,7 +28,8 @@ import (
 //	  uint32 LE body length | uint32 LE footer length |
 //	  uint32 LE CRC-32(body) | uint32 LE CRC-32(footer) | uint32 LE tail magic
 //	stats block [stats length bytes]: per-event statistics, CRC'd
-//	  independently (see stats.go)
+//	  independently and versioned on its own (v2 since the event filter
+//	  was dropped; see stats.go)
 //
 // Everything up to and including the trailer is the segment core; its layout
 // and integrity guarantees are unchanged from v1 apart from the magic, the
@@ -42,12 +43,12 @@ import (
 //
 // v1 files ("SPMSEG1\n": no header, no stats, trailer at end of file) remain
 // readable forever; parseSegment dispatches on the magic. The golden files in
-// testdata freeze both generations.
+// testdata freeze both generations, and both stats-block versions of v2.
 //
 // Segments are written once and never modified; compaction merges adjacent
 // segments by concatenating their bodies, rebuilding the footer, and merging
-// the stats blocks (summed counts, OR'd bloom filters) — blocks are
-// self-contained, so merging never re-encodes a trace.
+// the stats blocks (summed counts) — blocks are self-contained, so merging
+// never re-encodes a trace.
 
 var (
 	segMagicV1 = [8]byte{'S', 'P', 'M', 'S', 'E', 'G', '1', '\n'}
@@ -332,8 +333,8 @@ func (v *segmentView) ensureStats() (*SegmentStats, error) {
 
 // mergeSegments concatenates adjacent segment images into one: bodies are
 // spliced verbatim (blocks are self-contained), the footer is rebuilt, and
-// the stats blocks are merged — summed counts, OR'd bloom filters — with
-// stats-less parts (v1 files, damaged blocks) backfilled from their bodies.
+// the stats blocks are merged by summing counts, with stats-less parts (v1
+// files, damaged blocks) backfilled from their bodies.
 // The parts must belong to one shard and cover contiguous ordinal ranges in
 // order. The output is always current-generation, so compaction doubles as
 // format migration.

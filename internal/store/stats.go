@@ -11,82 +11,38 @@ import (
 
 // Per-segment event statistics. Every v2 segment carries a stats block
 // recording, for each distinct event in the segment, its total occurrence
-// count and the number of traces it appears in, plus a bloom filter over the
-// distinct event set. The block is advisory: readers that find it damaged or
-// absent (v1 files, torn tails) recompute it from the decoded body instead of
-// failing the open — see parseSegment.
+// count and the number of traces it appears in. The block is advisory:
+// readers that find it damaged, absent (v1 files, torn tails) or of an
+// unknown version recompute it from the decoded body instead of failing the
+// open — see parseSegment.
 //
-// Stats block wire format (appended after the segment trailer, see
-// segment.go for the enclosing layout):
+// Stats block wire format, version 2 (appended after the segment trailer,
+// see segment.go for the enclosing layout):
 //
-//	uvarint stats version (1)
+//	uvarint stats version (2)
 //	uvarint number of distinct events
-//	uvarint bloom filter length in bytes (segBloomBytes)
-//	uvarint bloom hash count (segBloomHashes)
-//	bloom filter bytes
 //	per distinct event, ascending by id:
 //	  uvarint event id delta (first event absolute, then id - previous id)
 //	  uvarint occurrence count
 //	  uvarint trace count
 //	uint32 LE CRC-32 of everything above
 //
-// The bloom geometry is a global constant rather than sized per segment so
-// that compaction can merge stats blocks by OR-ing filters; a parsed block
-// with any other geometry is treated as absent and recomputed.
+// Version 1 blocks also carry a fixed-size event filter between the event
+// count and the entries — uvarint filter length, uvarint hash count, then
+// the filter bytes. The parser skips it, so v1 blocks keep their stats.
 
 const (
-	segStatsVersion = 1
-	segBloomBits    = 8192
-	segBloomBytes   = segBloomBits / 8
-	segBloomHashes  = 4
+	segStatsV1      = 1
+	segStatsVersion = 2
 )
 
 // SegmentStats summarises the event content of one sealed segment: exact
-// per-event occurrence and trace counts plus a bloom filter over the distinct
-// event set. MayContain has no false negatives, so a negative answer proves
-// the event cannot occur anywhere in the segment — the property segment
-// skipping relies on.
+// per-event occurrence and trace counts. A zero count proves the event cannot
+// occur anywhere in the segment — the property segment skipping relies on.
 type SegmentStats struct {
-	bloom  []byte // segBloomBytes, segBloomHashes double-hashed bits
 	events []seqdb.EventID
 	occ    []int64
 	traces []int64
-}
-
-// bloomProbe derives the two double-hashing streams for event e. splitmix64
-// finalizer: cheap, deterministic, and well-mixed for small integer keys.
-func bloomProbe(e seqdb.EventID) (h1, h2 uint32) {
-	z := uint64(uint32(e)) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return uint32(z), uint32(z>>32) | 1
-}
-
-func bloomSet(bits []byte, e seqdb.EventID) {
-	h1, h2 := bloomProbe(e)
-	for i := uint32(0); i < segBloomHashes; i++ {
-		bit := (h1 + i*h2) % segBloomBits
-		bits[bit>>3] |= 1 << (bit & 7)
-	}
-}
-
-func bloomTest(bits []byte, e seqdb.EventID) bool {
-	h1, h2 := bloomProbe(e)
-	for i := uint32(0); i < segBloomHashes; i++ {
-		bit := (h1 + i*h2) % segBloomBits
-		if bits[bit>>3]&(1<<(bit&7)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// MayContain reports whether event e may occur in the segment. False means
-// provably absent; true may be a bloom false positive (which only costs the
-// caller a body decode, never correctness).
-func (s *SegmentStats) MayContain(e seqdb.EventID) bool {
-	return bloomTest(s.bloom, e)
 }
 
 // Count returns the exact occurrence and trace counts for event e, both zero
@@ -133,7 +89,6 @@ func computeSegmentStats(seqs []seqdb.Sequence) *SegmentStats {
 		}
 	}
 	st := &SegmentStats{
-		bloom:  make([]byte, segBloomBytes),
 		events: make([]seqdb.EventID, 0, len(counts)),
 		occ:    make([]int64, 0, len(counts)),
 		traces: make([]int64, 0, len(counts)),
@@ -146,26 +101,21 @@ func computeSegmentStats(seqs []seqdb.Sequence) *SegmentStats {
 		a := counts[e]
 		st.occ = append(st.occ, a.occ)
 		st.traces = append(st.traces, a.traces)
-		bloomSet(st.bloom, e)
 	}
 	return st
 }
 
 // mergeSegmentStats combines per-part stats into the stats of the
-// concatenated segment: counts add, bloom filters OR (valid because the
-// geometry is a global constant). Every part must be non-nil — callers
-// backfill v1 parts first.
+// concatenated segment: counts add. Every part must be non-nil — callers
+// backfill stats-less parts first.
 func mergeSegmentStats(parts []*SegmentStats) *SegmentStats {
 	if len(parts) == 1 {
 		return parts[0]
 	}
 	type acc struct{ occ, traces int64 }
 	counts := make(map[seqdb.EventID]*acc)
-	out := &SegmentStats{bloom: make([]byte, segBloomBytes)}
+	out := &SegmentStats{}
 	for _, p := range parts {
-		for i := range p.bloom {
-			out.bloom[i] |= p.bloom[i]
-		}
 		for i, e := range p.events {
 			a := counts[e]
 			if a == nil {
@@ -196,9 +146,6 @@ func appendSegmentStats(buf []byte, s *SegmentStats) []byte {
 	start := len(buf)
 	buf = binary.AppendUvarint(buf, segStatsVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(s.events)))
-	buf = binary.AppendUvarint(buf, segBloomBytes)
-	buf = binary.AppendUvarint(buf, segBloomHashes)
-	buf = append(buf, s.bloom...)
 	prev := seqdb.EventID(0)
 	for i, e := range s.events {
 		buf = binary.AppendUvarint(buf, uint64(e-prev))
@@ -209,9 +156,9 @@ func appendSegmentStats(buf []byte, s *SegmentStats) []byte {
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
-// parseSegmentStats decodes a stats block. Any damage — bad CRC, truncation,
-// unknown version or foreign bloom geometry — returns an error; callers treat
-// that as "stats absent" and fall back to recomputation, never a failed open.
+// parseSegmentStats decodes a stats block of either version. Any damage —
+// bad CRC, truncation, unknown version — returns an error; callers treat that
+// as "stats absent" and fall back to recomputation, never a failed open.
 func parseSegmentStats(data []byte) (*SegmentStats, error) {
 	if len(data) < 4 {
 		return nil, fmt.Errorf("store: stats block too short")
@@ -233,37 +180,35 @@ func parseSegmentStats(data []byte) (*SegmentStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ver != segStatsVersion {
+	if ver != segStatsV1 && ver != segStatsVersion {
 		return nil, fmt.Errorf("store: unsupported stats version %d", ver)
 	}
 	numEvents, err := next()
 	if err != nil {
 		return nil, err
 	}
-	bloomLen, err := next()
-	if err != nil {
-		return nil, err
-	}
-	hashes, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if bloomLen != segBloomBytes || hashes != segBloomHashes {
-		return nil, fmt.Errorf("store: stats bloom geometry %d/%d, want %d/%d", bloomLen, hashes, segBloomBytes, segBloomHashes)
-	}
-	if off+segBloomBytes > len(content) {
-		return nil, fmt.Errorf("store: stats bloom filter truncated")
+	if ver == segStatsV1 {
+		// Skip the v1 event filter: its length, hash count and bytes.
+		filterLen, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := next(); err != nil {
+			return nil, err
+		}
+		if filterLen > uint64(len(content)-off) {
+			return nil, fmt.Errorf("store: stats filter truncated")
+		}
+		off += int(filterLen)
 	}
 	if numEvents > uint64(len(content)) { // each entry costs >= 3 bytes
 		return nil, fmt.Errorf("store: stats block claims %d events in %d bytes", numEvents, len(content))
 	}
 	s := &SegmentStats{
-		bloom:  append([]byte(nil), content[off:off+segBloomBytes]...),
 		events: make([]seqdb.EventID, 0, numEvents),
 		occ:    make([]int64, 0, numEvents),
 		traces: make([]int64, 0, numEvents),
 	}
-	off += segBloomBytes
 	prev := seqdb.EventID(0)
 	for i := uint64(0); i < numEvents; i++ {
 		d, err := next()

@@ -65,9 +65,9 @@ type Options struct {
 	// Fault-injection tests hand an fsim.FaultFS here.
 	FS fsim.FS
 	// RetryAttempts bounds how many times a transient I/O fault (ENOSPC,
-	// EINTR-class) is retried on the WAL-flush and compaction paths before
-	// the operation's error is surfaced. 0 means the default (4); negative
-	// disables retries.
+	// EINTR-class) is retried on the WAL-flush, segment-write and
+	// compaction paths before the operation's error is surfaced. 0 means the
+	// default (4); negative disables retries.
 	RetryAttempts int
 	// RetryBackoff is the delay before the first retry, doubling per attempt;
 	// 0 means the default (500µs).
@@ -384,9 +384,10 @@ func (st *Store) Close() error {
 // (CommitEvents, CommitSeal, Flush) are safe for concurrent use; both commits
 // go through one write path, commit, which claims the trace's handle, frames,
 // appends, group-commits and rolls back on failure. The barrier methods
-// (WriteSegment, rotation) must be called from the shard's single writer
-// goroutine, which is exactly how the streaming layer drives them; it asks
-// RotateDue, lock-free per operation and again under the lock, when to rotate.
+// (PublishSegment, CheckpointLocked, RotateLocked) must be called from the
+// shard's single writer goroutine, which is exactly how the streaming layer
+// drives them; it asks RotateDue, lock-free per operation and again under the
+// lock, when to rotate.
 type ShardLog struct {
 	st    *Store
 	shard int
@@ -660,40 +661,29 @@ func (sl *ShardLog) TryLock() bool { return sl.mu.TryLock() }
 // Unlock releases the lock taken by TryLock.
 func (sl *ShardLog) Unlock() { sl.mu.Unlock() }
 
-// WriteSegment flushes the logs and rolls every sealed trace not yet in a
-// segment — seqs must be the shard's full sealed-trace list, in seal order —
-// into a new segment file. Barrier goroutine only.
-func (sl *ShardLog) WriteSegment(seqs []seqdb.Sequence) error {
-	if err := sl.Flush(); err != nil {
-		return err
-	}
-	return sl.writeSegmentTail(seqs, true)
-}
-
-// WriteSegmentLocked is WriteSegment for the rotation path, where the caller
-// already holds the lock via TryLock.
-func (sl *ShardLog) WriteSegmentLocked(seqs []seqdb.Sequence) error {
-	if err := sl.FlushLocked(); err != nil {
-		return err
-	}
-	return sl.writeSegmentTail(seqs, true)
-}
-
-// CheckpointLocked is the clean-close checkpoint: it rolls the sealed tail
-// into a segment and rotates to a fresh WAL generation holding only the
-// header and a re-log of open, so the next Open replays open data, not the
-// session's history. seqs must be the shard's full sealed-trace list, the WAL
-// flushed past every seal in it, and the caller must hold the lock via
-// TryLock with the shard's channel drained, as for RotateLocked. Unlike a
-// barrier's segment, this one does not nudge the compactor — the same as
-// recovery's canonicalisation — so closing leaves each session's segments as
-// the session wrote them. On error the flushed WAL still recovers everything
+// CheckpointLocked is the shard's one checkpoint: it rolls the sealed tail
+// into a segment and starts a fresh WAL generation holding only the header
+// and a re-log of open, so the next Open replays open data, not history. A
+// barrier's rotation, the clean-close checkpoint and Open's canonicalisation
+// all run it.
+//
+// seqs holds the shard's newest sealed traces in seal order, ending at seal
+// ordinal sealedTotal, and must reach back at least to the segment coverage:
+// the streaming layer passes its full sealed list, Open only the traces its
+// WAL replay recovered. The WAL must be flushed past every seal in seqs, and
+// the caller must hold the lock via TryLock with the shard's channel drained,
+// as for RotateLocked. The segment does not nudge the compactor; the next
+// barrier's publish does. On error the flushed WAL still recovers everything
 // by replay.
-func (sl *ShardLog) CheckpointLocked(seqs []seqdb.Sequence, open []OpenTrace) error {
-	if err := sl.writeSegmentTail(seqs, false); err != nil {
+func (sl *ShardLog) CheckpointLocked(seqs []seqdb.Sequence, sealedTotal int, open []OpenTrace) error {
+	tail := sealedTotal - sl.covered
+	if tail < 0 || tail > len(seqs) {
+		return sl.st.fail(fmt.Errorf("store: shard %d: checkpointing %d sealed from %d traces but %d covered by segments", sl.shard, sealedTotal, len(seqs), sl.covered))
+	}
+	if err := sl.writeSegmentTail(seqs[len(seqs)-tail:]); err != nil {
 		return err
 	}
-	return sl.RotateLocked(open, len(seqs))
+	return sl.RotateLocked(open, sealedTotal)
 }
 
 // segMinPublish is the smallest unsegmented tail PublishSegment will roll
@@ -703,12 +693,13 @@ func (sl *ShardLog) CheckpointLocked(seqs []seqdb.Sequence, open []OpenTrace) er
 // of steady-state durable ingest. Deferring publication is free from a
 // durability standpoint: the WAL retains every sealed trace since its
 // generation began, recovery canonicalises any WAL-only tail into a segment
-// on the next open, and the rotation and explicit WriteSegment paths bypass
-// the gate because they require full coverage.
+// on the next open, and CheckpointLocked bypasses the gate because it
+// requires full coverage.
 const segMinPublish = 64
 
-// PublishSegment rolls the unsegmented sealed tail of seqs into a segment
-// WITHOUT taking the log's lock — the barrier goroutine calls it after
+// PublishSegment rolls the unsegmented sealed tail of seqs — the shard's full
+// sealed list, in seal order — into a segment and wakes the compactor,
+// WITHOUT taking the log's lock: the barrier goroutine calls it after
 // releasing the lock so producers never wait behind segment I/O. Tails
 // shorter than segMinPublish are left in the WAL to coalesce with later
 // barriers. The caller must have flushed the WAL past those traces' seal
@@ -722,23 +713,31 @@ func (sl *ShardLog) PublishSegment(seqs []seqdb.Sequence) error {
 	if len(seqs)-sl.covered < segMinPublish {
 		return nil
 	}
-	return sl.writeSegmentTail(seqs, true)
+	if err := sl.writeSegmentTail(seqs[sl.covered:]); err != nil {
+		return err
+	}
+	select {
+	case sl.st.compactNudge <- struct{}{}:
+	default:
+	}
+	return nil
 }
 
-// writeSegmentTail writes seqs[covered:] as a segment and, when nudge is set,
-// wakes the compactor. The WAL must already be flushed past those traces'
-// seal records: a surviving segment whose seals the WAL never saw would
-// resurrect its traces as duplicates.
-func (sl *ShardLog) writeSegmentTail(seqs []seqdb.Sequence, nudge bool) error {
-	if len(seqs) <= sl.covered {
+// writeSegmentTail writes tail, the sealed traces past the segment coverage
+// in seal order, as the segment [covered, covered+len(tail)). It is the one
+// place a shard's sealed traces first reach a segment file. The WAL must
+// already be flushed past those traces' seal records: a surviving segment
+// whose seals the WAL never saw would resurrect its traces as duplicates.
+func (sl *ShardLog) writeSegmentTail(tail []seqdb.Sequence) error {
+	if len(tail) == 0 {
 		return nil
 	}
 	var pubStart time.Time
 	if sl.st.met.enabled {
 		pubStart = time.Now()
 	}
-	from, to := sl.covered, len(seqs)
-	data := encodeSegment(seqs[from:to], sl.shard, from)
+	from, to := sl.covered, sl.covered+len(tail)
+	data := encodeSegment(tail, sl.shard, from)
 	var info segmentInfo
 	err := sl.st.retryTransient(func() error {
 		var werr error
@@ -760,34 +759,54 @@ func (sl *ShardLog) writeSegmentTail(seqs []seqdb.Sequence, nudge bool) error {
 	if sl.st.met.enabled {
 		sl.st.met.segPublishNs.Observe(time.Since(pubStart).Nanoseconds())
 		sl.st.met.segsPublished.Inc()
-	}
-	if nudge {
-		select {
-		case sl.st.compactNudge <- struct{}{}:
-		default:
-		}
+		sl.st.met.segBytesWritten.Add(info.size)
 	}
 	return nil
 }
 
 // RotateLocked starts a fresh WAL generation: a new file carrying only the
 // header (sealedBase = sealedTotal, which must equal the segment coverage)
-// and a re-log of the still-open traces, then removal of the old generation.
-// The caller must hold the lock via TryLock with the shard's channel drained,
-// so the open-trace set is exact and no producer can interleave.
+// and a re-log of the still-open traces, then removal of every superseded
+// generation. The caller must hold the lock via TryLock with the shard's
+// channel drained, so the open-trace set is exact and no producer can
+// interleave.
+//
+// The create path is read from the directory: with no predecessor generation
+// on disk (a fresh shard) the file is created in place — a crash mid-create
+// just means an empty shard next time — and otherwise it is published
+// atomically, so the old generation stays valid until the new one is renamed
+// into place and a crash anywhere in here recovers from one or the other.
+//
+// A ShardLog seeded by Open has no live generation yet: its first start is
+// recovery's canonicalisation, not a rotation, and is neither traced nor
+// counted in store.wal_rotations.
 func (sl *ShardLog) RotateLocked(open []OpenTrace, sealedTotal int) (err error) {
-	sp := sl.st.met.ops.Start(fmt.Sprintf("store.wal_rotate shard=%d", sl.shard))
-	defer func() { sp.End(err) }()
+	live := sl.wal != nil
+	if live {
+		sp := sl.st.met.ops.Start(fmt.Sprintf("store.wal_rotate shard=%d", sl.shard))
+		defer func() { sp.End(err) }()
+	}
 	if sealedTotal != sl.covered {
 		return sl.st.fail(fmt.Errorf("store: shard %d: rotating with %d sealed but %d covered by segments", sl.shard, sealedTotal, sl.covered))
 	}
-	// The old generation stays valid until the new one is renamed into
-	// place, so a crash anywhere in here recovers from one or the other.
+	newGen := sl.gen + 1
+	entries, err := sl.st.fs.ReadDir(sl.dir)
+	if err != nil {
+		return sl.st.ioError(err, fmt.Sprintf("shard %d WAL rotation", sl.shard))
+	}
+	var superseded []string
+	for _, e := range entries {
+		if gen, ok := parseWALName(e.Name()); ok && gen < newGen {
+			superseded = append(superseded, filepath.Join(sl.dir, e.Name()))
+		}
+	}
+	create := createWAL
+	if len(superseded) == 0 {
+		create = createWALDirect
+	}
 	sort.Slice(open, func(i, j int) bool { return open[i].ID < open[j].ID })
 	records, handles, next := openTraceRecords(sl.shard, sealedTotal, open)
-	newGen := sl.gen + 1
-	newPath := filepath.Join(sl.dir, walName(newGen))
-	wal, err := createWAL(sl.st.fs, newPath, sl.st.opts.Sync, records...)
+	wal, err := create(sl.st.fs, filepath.Join(sl.dir, walName(newGen)), sl.st.opts.Sync, records...)
 	if err != nil {
 		// The old generation stays active and valid; RotateDue remains true,
 		// so the next barrier re-attempts the rotation. A torn publish of the
@@ -795,17 +814,21 @@ func (sl *ShardLog) RotateLocked(open []OpenTrace, sealedTotal int) (err error) 
 		return sl.st.ioError(err, fmt.Sprintf("shard %d WAL rotation", sl.shard))
 	}
 	wal.met = &sl.st.met
-	oldPath := sl.wal.path
-	if err := sl.wal.f.Close(); err != nil {
-		// The old generation is already superseded — the new WAL covers all
-		// state — so a failed close leaks a handle, not durability. Record it
-		// and continue.
-		sl.st.warn("shard %d: closing superseded %s: %v", sl.shard, oldPath, err)
+	if live {
+		if err := sl.wal.f.Close(); err != nil {
+			// The old generation is already superseded — the new WAL covers
+			// all state — so a failed close leaks a handle, not durability.
+			// Record it and continue.
+			sl.st.warn("shard %d: closing superseded %s: %v", sl.shard, filepath.Base(sl.wal.path), err)
+		}
 	}
-	if err := sl.st.fs.Remove(oldPath); err != nil {
-		// A leaked superseded generation is harmless (recovery prefers the
-		// newest complete one and re-deletes stale files) but observable.
-		sl.st.warn("shard %d: removing superseded %s: %v", sl.shard, oldPath, err)
+	for _, p := range superseded {
+		if err := sl.st.fs.Remove(p); err != nil && !os.IsNotExist(err) {
+			// A leaked superseded generation is harmless (recovery prefers
+			// the newest complete one and re-deletes stale files) but
+			// observable.
+			sl.st.warn("shard %d: removing superseded %s: %v", sl.shard, filepath.Base(p), err)
+		}
 	}
 	sl.wal = wal
 	// Swap the handle table and generation atomically with respect to a
@@ -819,18 +842,21 @@ func (sl *ShardLog) RotateLocked(open []OpenTrace, sealedTotal int) (err error) 
 	sl.handleMu.Unlock()
 	sl.walSize.Store(wal.pending())
 	sl.setRotateThreshold(wal.pending())
-	sl.st.met.rotations.Inc()
+	if live {
+		sl.st.met.rotations.Inc()
+	}
 	return nil
 }
 
 func walName(gen uint64) string { return fmt.Sprintf("wal-%06d.wal", gen) }
 
-func parseWALName(name string) (uint64, bool) {
-	var gen uint64
+// parseWALName returns the generation a WAL file name carries; ok is false
+// for any name walName does not produce, a publish's .tmp file included.
+func parseWALName(name string) (gen uint64, ok bool) {
 	if n, err := fmt.Sscanf(name, "wal-%d.wal", &gen); n != 1 || err != nil {
 		return 0, false
 	}
-	return gen, true
+	return gen, name == walName(gen)
 }
 
 // compactor is the background merge loop: every segment publish nudges it,
@@ -960,6 +986,7 @@ func (st *Store) compactShard(sl *ShardLog) error {
 		}
 		if st.met.enabled {
 			st.met.compactions.Inc()
+			st.met.segBytesWritten.Add(info.size)
 			st.met.ops.RecordDur(fmt.Sprintf("store.compact shard=%d segs=%d", sl.shard, len(run)), runStart, time.Since(runStart), nil)
 		}
 	}

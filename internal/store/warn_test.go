@@ -62,11 +62,11 @@ func TestWarningDedupConcurrentFaults(t *testing.T) {
 				return
 			}
 			defer sl.Unlock()
-			if err := sl.WriteSegmentLocked(sealed); err != nil {
+			if err := sl.FlushLocked(); err != nil {
 				errs[i] = err
 				return
 			}
-			errs[i] = sl.RotateLocked(nil, len(sealed))
+			errs[i] = sl.CheckpointLocked(sealed, len(sealed), nil)
 		}(i)
 	}
 	wg.Wait()

@@ -542,7 +542,7 @@ func (sh *shard) run() {
 		// last successful barrier instead.
 		sh.withLogLock(func() {
 			if sh.lastFlushErr = sh.log.FlushLocked(); sh.lastFlushErr == nil {
-				_ = sh.log.CheckpointLocked(sh.db.Sequences, sh.openSnapshot())
+				_ = sh.log.CheckpointLocked(sh.db.Sequences, sh.db.NumSequences(), sh.openSnapshot())
 			}
 		})
 	}
@@ -717,12 +717,10 @@ func (sh *shard) barrier() {
 		sh.lastFlushErr = nil
 		flushed = true
 		if sh.log.RotateDue() {
-			// Rotation needs the segment first (sealedBase must equal the
-			// coverage) and exclusivity throughout; it is budget-bounded
-			// rare, so the producer stall is acceptable here.
-			if sh.log.WriteSegmentLocked(sh.db.Sequences) == nil {
-				_ = sh.log.RotateLocked(sh.openSnapshot(), sh.db.NumSequences())
-			}
+			// Rotation is a checkpoint: it needs exclusivity throughout, and
+			// it is budget-bounded rare, so the producer stall is acceptable
+			// here.
+			_ = sh.log.CheckpointLocked(sh.db.Sequences, sh.db.NumSequences(), sh.openSnapshot())
 			rotated = true
 		}
 	})

@@ -16,8 +16,8 @@ import "specmine/internal/seqdb"
 
 // SegmentSkippable reports whether a segment whose event population is
 // described by mayContain can be skipped: for every rule, at least one
-// premise event is absent. mayContain may overapproximate (bloom filters,
-// merged stats); a false positive only loses the skip, never correctness.
+// premise event is absent. mayContain may overapproximate; a false positive
+// only loses the skip, never correctness.
 func (e *Engine) SegmentSkippable(mayContain func(seqdb.EventID) bool) bool {
 	for r := range e.ruleSet {
 		if e.premiseMayOccur(r, mayContain) {
