@@ -702,6 +702,7 @@ func TestWriteBenchTrajectory(t *testing.T) {
 		})
 		events := db.NumEvents()
 		checker := engine.NewChecker()
+		var log verify.ViolationLog
 		online := benchOnce(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				reports := engine.NewReports()
@@ -709,7 +710,8 @@ func TestWriteBenchTrajectory(t *testing.T) {
 					for _, ev := range s {
 						checker.Advance(ev)
 					}
-					checker.Close(si, reports)
+					checker.Close(si, reports, &log)
+					log.AppendTo(reports)
 				}
 			}
 		})

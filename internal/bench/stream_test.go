@@ -71,13 +71,15 @@ func BenchmarkOnlineVerify(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/rules=%d/online", c.Name, len(ruleSet)), func(b *testing.B) {
 			b.ReportAllocs()
 			checker := engine.NewChecker()
+			var log verify.ViolationLog
 			for i := 0; i < b.N; i++ {
 				reports := engine.NewReports()
 				for si, s := range db.Sequences {
 					for _, ev := range s {
 						checker.Advance(ev)
 					}
-					checker.Close(si, reports)
+					checker.Close(si, reports, &log)
+					log.AppendTo(reports)
 				}
 			}
 			b.ReportMetric(float64(events), "events/op")

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -331,8 +332,13 @@ func TestRegistryCounterEquivalence(t *testing.T) {
 // registry: concurrent CheckStore and MineStoreRules calls, all counting into
 // one OutOfCoreOptions.Obs under a small cache budget, each report in
 // stats.Obs exactly the counters of the same call run alone, and the shared
-// registry holds the sum over the calls.
+// registry holds the sum over the calls. GOMAXPROCS is 1 so that each
+// CheckStore call's segment fan-out has one worker and pins its segments in
+// ordinal order, which makes its cache.evictions exact; the calls still
+// overlap as goroutines. TestCheckStoreWorkerCountInvariance covers the
+// counters at more workers.
 func TestConcurrentCallsCountPerCall(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ts := buildSegmentedStore(t, 3, 4, 20)
 	ruleSet := queryRules(t, ts.Recovered().Database(ts.Dict()))
 	const budget, calls = 2 << 10, 4

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"specmine/internal/iterpattern"
 	"specmine/internal/mine"
 	"specmine/internal/obs"
+	"specmine/internal/par"
 	"specmine/internal/plan"
 	"specmine/internal/rules"
 	"specmine/internal/seqdb"
@@ -239,8 +244,12 @@ func MineStoreRules(st *TraceStore, opts RuleOptions, oo OutOfCoreOptions) (*Rul
 // segment in which every rule has at least one premise event that provably
 // never occurs is answered from its statistics alone (each of its traces
 // satisfies every rule with zero temporal points), without decoding the body;
-// every other segment's traces go through the online automaton. The call's
-// verify.* work counters land in OutOfCoreStats.Obs.
+// every other segment's traces go through the online automaton. Those
+// segments are checked in parallel on GOMAXPROCS workers, and their
+// violations are assembled in segment order into exact-size lists that share
+// one backing array, so the result does not depend on the worker count and
+// there is no option for it. The call's verify.* work counters land in
+// OutOfCoreStats.Obs.
 func CheckStore(st *TraceStore, ruleSet []Rule, oo OutOfCoreOptions) (verify.Summary, *OutOfCoreStats, error) {
 	sum, stats, _, err := CheckStoreWhere(st, ruleSet, Where{}, oo)
 	return sum, stats, err
@@ -318,22 +327,45 @@ func (r residentSegment) pin(int) ([]seqdb.Sequence, func() *seqdb.PositionIndex
 }
 
 // checkSegments is the one check loop behind CheckWhere, CheckStore and
-// CheckStoreWhere. Per segment, in ordinal order: where is pushed into the
-// catalog first (an ordinal-range miss or a required event the statistics
-// prove absent prunes the segment); a segment on which every rule is
-// statically dead is answered from its statistics; any other segment is
-// pinned, where is compiled over it with ordinals made segment-local, and
-// every selected trace is fed event by event through one online Checker.
-// Violations carry global ordinals. The verify.* work counters go into call.
-// It returns the reports and the Explain: the selected traces (those checked
-// plus those skipped), segment counts, the selection of the first compiled
-// segment with its estimate summed over every compiled segment, and call.
+// CheckStoreWhere. It works in three steps:
+//
+//   - Plan. A catalog-only pass in ordinal order pushes where into the
+//     catalog (an ordinal-range miss or a required event the statistics
+//     prove absent prunes the segment) and answers a segment on which every
+//     rule is statically dead from its statistics.
+//   - Fan out. The remaining segments are spread over GOMAXPROCS workers,
+//     each with its own Checker, counters and violation log. A worker pins
+//     its segment, compiles where over it with ordinals made segment-local,
+//     feeds every selected trace event by event through its Checker and
+//     collects the segment's violations as parts of its log
+//     (verify.ViolationLog.Cut and Parts).
+//   - Assemble. The workers' counters are summed and the parts are assembled
+//     in segment order (verify.AssembleViolations), with Seq rebased to
+//     global ordinals.
+//
+// Every step's output is independent of the worker count and of which
+// worker finishes first. The verify.* work counters go into call. It returns
+// the reports and the Explain: the selected traces (those checked plus those
+// skipped), segment counts, the selection of the first compiled segment in
+// ordinal order with its estimate summed over every compiled segment, and
+// call. The first pin error stops the workers and is returned; every
+// segment pinned by then is released.
 func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.Registry) ([]verify.RuleReport, *Explain, error) {
 	reports := engine.NewReports()
-	checker := engine.NewChecker()
 	tracesChecked, tracesSkipped := call.Counter("verify.traces_checked"), call.Counter("verify.traces_skipped")
 	segsChecked, segsSkipped := call.Counter("verify.segments_checked"), call.Counter("verify.segments_skipped")
 	ex := &Explain{SegmentsTotal: segs.numSegments(), Obs: call}
+
+	// job is one segment left to check after the plan; the worker that takes
+	// it fills in the rest.
+	type job struct {
+		seg, base int
+		parts     []verify.ViolationPart // in trace order
+		sel       plan.SelectionExplain
+		checked   int
+		err       error
+	}
+	var jobs []job
 	base := 0
 	for i := 0; i < ex.SegmentsTotal; i++ {
 		n := segs.segmentTraces(i)
@@ -357,33 +389,76 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 			ex.SegmentsPruned++
 			continue
 		}
-		seqs, frag, unpin, err := segs.pin(i)
+		jobs = append(jobs, job{seg: i, base: segBase})
+	}
+
+	type worker struct {
+		checker *verify.Checker
+		counts  []verify.RuleReport // counters only; lists come from parts
+		log     verify.ViolationLog
+	}
+	var (
+		mu      sync.Mutex
+		workers []*worker
+		failed  atomic.Bool
+	)
+	par.ForWorker(len(jobs), runtime.GOMAXPROCS(0), func() *worker {
+		w := &worker{checker: engine.NewChecker(), counts: make([]verify.RuleReport, engine.NumRules())}
+		mu.Lock()
+		workers = append(workers, w)
+		mu.Unlock()
+		return w
+	}, func(w *worker, k int) {
+		if failed.Load() {
+			return
+		}
+		j := &jobs[k]
+		seqs, frag, unpin, err := segs.pin(j.seg)
 		if err != nil {
-			return nil, nil, err
+			j.err = err
+			failed.Store(true)
+			return
 		}
 		segsChecked.Inc()
 		var idx *seqdb.PositionIndex
 		if where.HasEventPredicates() {
 			idx = frag() // only event predicates read the segment's postings
 		}
-		it, sel := plan.CompileWhere(len(seqs), idx, where.Local(segBase))
-		if ex.Selection == nil {
-			ex.Selection = &sel
-		} else {
-			ex.Selection.EstTraces += sel.EstTraces
-		}
-		checked := 0
+		var it plan.Iter
+		it, j.sel = plan.CompileWhere(len(seqs), idx, where.Local(j.base))
 		for l := it.Next(); l >= 0; l = it.Next() {
 			for _, ev := range seqs[l] {
-				checker.Advance(ev)
+				w.checker.Advance(ev)
 			}
-			checker.Close(segBase+l, reports)
-			checked++
+			w.checker.Close(l, w.counts, &w.log)
+			w.log.Cut(len(reports), j.base)
+			j.checked++
 		}
 		unpin()
-		tracesChecked.Add(int64(checked))
-		ex.Selected += checked
+		tracesChecked.Add(int64(j.checked))
+		j.parts = w.log.Parts(len(reports), j.base)
+	})
+
+	var parts []verify.ViolationPart
+	for k := range jobs {
+		j := &jobs[k]
+		if j.err != nil {
+			return nil, nil, j.err
+		}
+		ex.Selected += j.checked
+		if ex.Selection == nil {
+			ex.Selection = &j.sel
+		} else {
+			ex.Selection.EstTraces += j.sel.EstTraces
+		}
+		parts = append(parts, j.parts...)
 	}
+	for _, w := range workers {
+		for r := range reports {
+			reports[r].AddCounts(&w.counts[r])
+		}
+	}
+	verify.AssembleViolations(reports, parts)
 	return reports, ex, nil
 }
 

@@ -62,6 +62,7 @@ func checkWhereOracle(t *testing.T, db *Database, ruleSet []Rule, where Where) v
 	idx := db.FlatIndex()
 	reports := engine.NewReports()
 	checker := engine.NewChecker()
+	var log verify.ViolationLog
 	for s := range db.Sequences {
 		if !whereMatches(idx, where, s) {
 			continue
@@ -69,7 +70,8 @@ func checkWhereOracle(t *testing.T, db *Database, ruleSet []Rule, where Where) v
 		for _, ev := range db.Sequences[s] {
 			checker.Advance(ev)
 		}
-		checker.Close(s, reports)
+		checker.Close(s, reports, &log)
+		log.AppendTo(reports)
 	}
 	return verify.NewSummary(reports)
 }

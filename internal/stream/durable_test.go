@@ -450,3 +450,53 @@ func TestDurableConcurrentProducers(t *testing.T) {
 		requireSameDB(t, "recovered shard", shardDB, final.ShardDBs[si])
 	}
 }
+
+// TestRecoveredReportsGrowLikeBatch: a reopened ingester re-seeds its
+// shards' reports with one batch check, whose violation lists are windows
+// of one shared array. Violating traffic after the reopen appends to those
+// lists, and the reports must still equal a batch check over the final
+// snapshot: an append that wrote into a neighbouring rule's window would
+// show up here.
+func TestRecoveredReportsGrowLikeBatch(t *testing.T) {
+	engine, dict, w := violatingSecurity(t)
+	for _, shards := range []int{1, 3} {
+		dir := t.TempDir()
+		st := openTestStore(t, dir, shards, nil)
+		// The fresh store's dictionary takes the training ids, so the engine
+		// compiled against dict applies unchanged.
+		for id := 0; id < dict.Size(); id++ {
+			st.Dict().Intern(dict.Name(seqdb.EventID(id)))
+		}
+		ing := mustOpen(t, Config{FlushBatch: 4, Store: st, Engine: engine})
+		ingestWorkload(t, ing, w, 40, 3)
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		st = openTestStore(t, dir, 0, nil)
+		ing = mustOpen(t, Config{FlushBatch: 4, Store: st, Engine: engine})
+		v, err := ing.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if totalViolations(v.Reports) == 0 {
+			t.Fatal("the recovered reports hold no violations; the test proves nothing")
+		}
+		ingestWorkload(t, ing, w, 40, 4)
+		v, err = ing.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := engine.Check(v.DB) // CheckRules over the snapshot, rules compiled once
+		requireSameReports(t, fmt.Sprintf("shards=%d: reopened and grown", shards), v.Reports, want)
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -439,10 +439,7 @@ func mergeReport(r *verify.RuleReport, views []shardView, bases []int, i int) {
 	n, from := len(r.Violations), 0
 	for k, sv := range views[1:] {
 		sr := &sv.reports[i]
-		r.SatisfiedTraces += sr.SatisfiedTraces
-		r.ViolatedTraces += sr.ViolatedTraces
-		r.TotalTemporalPoints += sr.TotalTemporalPoints
-		r.SatisfiedTemporalPoints += sr.SatisfiedTemporalPoints
+		r.AddCounts(sr)
 		if len(sr.Violations) > 0 {
 			n, from = n+len(sr.Violations), k+1
 		}
@@ -505,6 +502,7 @@ type shard struct {
 
 	open     map[string]*openTrace
 	reports  []verify.RuleReport
+	vlog     verify.ViolationLog // a sealed trace's violations, drained into reports at once
 	free     []*verify.Checker
 	unsynced int // traces sealed since the last barrier or snapshot
 	// lastFlushErr is the result of the most recent barrier WAL flush. A
@@ -582,7 +580,8 @@ func (sh *shard) handle(o op) {
 		sh.pendSealed++
 		sh.db.Append(tr.events)
 		if tr.checker != nil {
-			tr.checker.Close(sh.db.NumSequences()-1, sh.reports)
+			tr.checker.Close(sh.db.NumSequences()-1, sh.reports, &sh.vlog)
+			sh.vlog.AppendTo(sh.reports)
 			sh.free = append(sh.free, tr.checker)
 		}
 		sh.unsynced++
@@ -653,9 +652,10 @@ func (sh *shard) answerSnap(o op) {
 	sh.publishMet()
 	sv := shardView{db: sh.db.SnapshotView()}
 	if sh.reports != nil {
-		// Checker.Close only appends, so each violation list's current
-		// prefix is frozen: share it, capped so that an append through the
-		// view reallocates instead of writing into the shard's spare room.
+		// The shard only appends to its violation lists (draining each
+		// Close's log), so each list's current prefix is frozen: share it,
+		// capped so that an append through the view reallocates instead of
+		// writing into the shard's spare room.
 		sv.reports = slices.Clone(sh.reports)
 		for i := range sv.reports {
 			sv.reports[i].Violations = slices.Clip(sv.reports[i].Violations)

@@ -238,15 +238,19 @@ func (e *Engine) NewReports() []RuleReport {
 // one report per rule, in rule order — byte-identical to the per-rule
 // oracle. It is a thin driver over the online path: one Checker consumes
 // each trace event by event, so batch and streaming verification cannot
-// drift apart.
+// drift apart. The violation lists are assembled as AssembleViolations
+// describes.
 func (e *Engine) Check(db *seqdb.Database) []RuleReport {
 	reports := e.NewReports()
 	c := e.NewChecker()
+	var log ViolationLog
 	for si, s := range db.Sequences {
 		for _, ev := range s {
 			c.Advance(ev)
 		}
-		c.Close(si, reports)
+		c.Close(si, reports, &log)
+		log.Cut(len(reports), 0)
 	}
+	AssembleViolations(reports, log.Parts(len(reports), 0))
 	return reports
 }

@@ -4,10 +4,10 @@ import "specmine/internal/seqdb"
 
 // Checker is the online conformance automaton for one trace: events are fed
 // one at a time with Advance, and Close finalises the trace, folding its
-// outcome into a report slice. It evaluates the same compiled rule set as
-// Engine.Check — which is a thin driver over this path — but requires
-// neither the whole trace nor a positional index up front, so conformance is
-// tracked as traffic arrives.
+// outcome into a report slice and a violation log. It evaluates the same
+// compiled rule set as Engine.Check — which is a thin driver over this path —
+// but requires neither the whole trace nor a positional index up front, so
+// conformance is tracked as traffic arrives.
 //
 // The per-trace state is NFA-like over the engine's shared structures:
 //
@@ -143,11 +143,15 @@ func (c *Checker) Advance(ev seqdb.EventID) {
 
 // Close finalises the current trace as sequence seq: every rule's counters
 // are folded into reports (which must come from Engine.NewReports or have
-// len equal to NumRules), violations are appended in ascending temporal
-// point order — never rewritten, since stream snapshots share the lists'
-// earlier prefixes — and the checker resets for the next trace.
-func (c *Checker) Close(seq int, reports []RuleReport) {
+// len equal to NumRules), each violation is written to log as one
+// (rule, seq, temporal point) entry — rules ascending, points ascending
+// within a rule — and the checker resets for the next trace. The caller
+// turns the log into lists: ViolationLog.Cut, ViolationLog.Parts and
+// AssembleViolations on the batch paths, ViolationLog.AppendTo on the
+// stream's append-only lists.
+func (c *Checker) Close(seq int, reports []RuleReport, log *ViolationLog) {
 	e := c.e
+	s := int32(seq)
 	for r := range e.ruleSet {
 		tps := c.groupTps[e.ruleGroup[r]]
 		rep := &reports[r]
@@ -164,7 +168,7 @@ func (c *Checker) Close(seq int, reports []RuleReport) {
 		}
 		rep.ViolatedTraces++
 		for _, tp := range tps[sat:] {
-			rep.Violations = append(rep.Violations, RuleViolation{Seq: seq, TemporalPoint: int(tp)})
+			log.entries = append(log.entries, logEntry{rule: int32(r), seq: s, tp: tp})
 		}
 	}
 	c.Reset()

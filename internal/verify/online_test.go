@@ -22,6 +22,7 @@ func checkOnlineMatchesBatch(t *testing.T, label string, db *seqdb.Database, rul
 	}
 	online := engine.NewReports()
 	c := engine.NewChecker()
+	var log verify.ViolationLog
 	for si, s := range db.Sequences {
 		for _, ev := range s {
 			c.Advance(ev)
@@ -29,7 +30,8 @@ func checkOnlineMatchesBatch(t *testing.T, label string, db *seqdb.Database, rul
 		if c.Events() != len(s) {
 			t.Fatalf("%s: checker consumed %d events want %d", label, c.Events(), len(s))
 		}
-		c.Close(si, online)
+		c.Close(si, online, &log)
+		log.AppendTo(online)
 	}
 
 	batch, err := verify.CheckRules(db, ruleSet)
@@ -147,6 +149,7 @@ func TestCheckerRetiresSatisfiedPoints(t *testing.T) {
 	}
 	c := engine.NewChecker()
 	reports := engine.NewReports()
+	var log verify.ViolationLog
 
 	// Trace <a b x b>: tp at 1 retires when x arrives at 2; tp at 3 stays
 	// open through Close and becomes the sole violation.
@@ -160,7 +163,8 @@ func TestCheckerRetiresSatisfiedPoints(t *testing.T) {
 	if c.Unresolved() != 1 {
 		t.Fatalf("after second premise: %d unresolved want 1 (first should have retired)", c.Unresolved())
 	}
-	c.Close(0, reports)
+	c.Close(0, reports, &log)
+	log.AppendTo(reports)
 	rep := reports[0]
 	if rep.TotalTemporalPoints != 2 || rep.SatisfiedTemporalPoints != 1 ||
 		rep.ViolatedTraces != 1 || len(rep.Violations) != 1 ||
@@ -172,7 +176,10 @@ func TestCheckerRetiresSatisfiedPoints(t *testing.T) {
 	c.Advance(a)
 	c.Advance(b)
 	c.Advance(x)
-	c.Close(1, reports)
+	c.Close(1, reports, &log)
+	if log.Len() != 0 {
+		t.Fatalf("satisfied trace logged %d violations", log.Len())
+	}
 	if reports[0].SatisfiedTraces != 1 || reports[0].ViolatedTraces != 1 {
 		t.Fatalf("after reuse: %+v", reports[0])
 	}
@@ -190,10 +197,11 @@ func TestCheckerIgnoresForeignEvents(t *testing.T) {
 	}
 	c := engine.NewChecker()
 	reports := engine.NewReports()
+	var log verify.ViolationLog
 	for _, ev := range []seqdb.EventID{noise, a, noise, noise, x} {
 		c.Advance(ev)
 	}
-	c.Close(0, reports)
+	c.Close(0, reports, &log)
 	if reports[0].SatisfiedTraces != 1 || reports[0].TotalTemporalPoints != 1 ||
 		reports[0].SatisfiedTemporalPoints != 1 {
 		t.Fatalf("unexpected report: %+v", reports[0])
@@ -205,7 +213,8 @@ func TestCheckerIgnoresForeignEvents(t *testing.T) {
 	for _, ev := range []seqdb.EventID{noise, a, noise} {
 		c2.Advance(ev)
 	}
-	c2.Close(0, reports2)
+	c2.Close(0, reports2, &log)
+	log.AppendTo(reports2)
 	if len(reports2[0].Violations) != 1 || reports2[0].Violations[0].TemporalPoint != 1 {
 		t.Fatalf("unexpected violations: %+v", reports2[0].Violations)
 	}

@@ -49,8 +49,21 @@ type RuleReport struct {
 	TotalTemporalPoints     int
 	SatisfiedTemporalPoints int
 	// Violations lists each violating temporal point of Rule, ordered by
-	// trace then position.
+	// trace then position; nil when there are none. The batch checks
+	// (CheckRules, Engine.Check and the store and predicated checks built on
+	// the same path) return every rule's list as a window of one shared
+	// backing array with cap == len, so an append reallocates the list and
+	// never writes into the next rule's.
 	Violations []RuleViolation
+}
+
+// AddCounts adds o's trace and temporal-point counters to r's; the
+// violation lists are left alone.
+func (r *RuleReport) AddCounts(o *RuleReport) {
+	r.SatisfiedTraces += o.SatisfiedTraces
+	r.ViolatedTraces += o.ViolatedTraces
+	r.TotalTemporalPoints += o.TotalTemporalPoints
+	r.SatisfiedTemporalPoints += o.SatisfiedTemporalPoints
 }
 
 // HoldRate is the fraction of temporal points at which the rule held; 1.0 for
