@@ -56,11 +56,11 @@ type OutOfCoreStats struct {
 	// Obs is the call's registry — a Child of OutOfCoreOptions.Obs, or a
 	// standalone registry without one — holding exactly this call's counts
 	// even while other calls share the parent: the segment cache's
-	// cache.pins/hits/misses/evictions/bodies_opened/segments_opened and
-	// cache.resident_bytes/peak_bytes (the cache gives its residency back
-	// when the call returns, so resident_bytes then reads zero and
-	// peak_bytes the call's high-water mark), a mining call's mine.* series
-	// and a checking call's verify.* series.
+	// cache.pins/hits/misses/evictions/bodies_opened/segments_opened/
+	// fragments_built and cache.resident_bytes/peak_bytes (the cache gives
+	// its residency back when the call returns, so resident_bytes then reads
+	// zero and peak_bytes the call's high-water mark), a mining call's mine.*
+	// series and a checking call's verify.* series.
 	Obs *obs.Registry
 }
 

@@ -1,7 +1,6 @@
 package mine
 
 import (
-	"cmp"
 	"slices"
 
 	"specmine/internal/seqdb"
@@ -129,17 +128,20 @@ func (x *Extender) ReleaseProj(proj []Proj) { x.projs.Put(proj) }
 // new group), and each group is counted once from its sequence's
 // distinct-event list in the index (SeqLastOccurrences): an event e is in
 // the suffix of exactly the group entries positioned before e's last
-// occurrence, a leading run of the group found by one binary search. The
-// list runs latest last occurrence first, so the walk stops at the first
-// event absent from the group's first suffix: a group costs the number of
-// distinct events in that suffix, however many entries it holds.
+// occurrence, a leading run of the group. The list runs latest last
+// occurrence first, so that run never grows along the walk: one cursor per
+// group, stepped back from the group's end, finds every run with no search.
+// The walk stops at the first event absent from the group's first suffix,
+// so a group costs the number of distinct events in that suffix plus the
+// number of its entries.
 //
 // Only candidates with Count >= materializeMin get their extension
 // projection materialised (into one shared arena block): each counted entry,
 // in entry order, is positioned at the first occurrence of the event in its
 // suffix, found by merging the event's position list with the group's
-// entries; the same merge sums the extension's ISup. Counts alone serve
-// every pruning decision below the threshold.
+// entries, galloping on from the previous entry's occurrence (the next one
+// is usually a few slots away); the same merge sums the extension's ISup.
+// Counts alone serve every pruning decision below the threshold.
 // tags, when non-nil, parallels proj and is carried through to the
 // materialised extensions entry by entry (the rule miner threads each
 // record's temporal point this way). The returned extensions are sorted by
@@ -156,13 +158,18 @@ func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) E
 		}
 		group := proj[first:end]
 		events := x.idx.SeqEvents(int(seq))
+		n := len(group) // the group entries positioned before lo.Pos
 		for _, lo := range x.idx.SeqLastOccurrences(int(seq)) {
 			if lo.Pos <= group[0].Pos {
 				break // no later event occurs in any entry's suffix
 			}
-			n := entriesBefore(group, lo.Pos)
-			slot := sc.AddN(events[lo.Rank], n)
-			x.counted = append(x.counted, extRec{slot: slot, first: int32(first), n: n, rank: lo.Rank})
+			// Last occurrences only move earlier along the walk, so the run
+			// only shrinks; group[0] precedes lo.Pos, so n stays >= 1.
+			for group[n-1].Pos >= lo.Pos {
+				n--
+			}
+			slot := sc.AddN(events[lo.Rank], int32(n))
+			x.counted = append(x.counted, extRec{slot: slot, first: int32(first), n: int32(n), rank: lo.Rank})
 		}
 		first = end
 	}
@@ -210,12 +217,9 @@ func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) E
 			j := 0
 			for i := rec.first; i < rec.first+rec.n; i++ {
 				// Group positions are non-decreasing, so the first occurrence
-				// after each entry never moves backwards: the merge resumes
-				// where the previous entry's search stopped.
-				if p := proj[i].Pos; ps[j] <= p {
-					k, _ := slices.BinarySearch(ps[j:], p+1)
-					j += k
-				}
+				// after each entry never moves backwards: the merge gallops on
+				// from where the previous entry's occurrence was found.
+				j = seqdb.Gallop(ps, j, proj[i].Pos+1)
 				if lead {
 					// The sequence's first entry: every occurrence from ps[j]
 					// on counts towards ISup.
@@ -233,16 +237,6 @@ func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) E
 	// slot index.
 	slices.SortFunc(exts, func(a, b Ext) int { return int(a.Event) - int(b.Event) })
 	return es
-}
-
-// entriesBefore returns the number of group entries positioned before pos.
-// Group positions are non-decreasing, so those entries are a leading run.
-func entriesBefore(group []Proj, pos int32) int32 {
-	if group[len(group)-1].Pos < pos {
-		return int32(len(group)) // the common case: every entry
-	}
-	n, _ := slices.BinarySearchFunc(group, pos, func(p Proj, pos int32) int { return cmp.Compare(p.Pos, pos) })
-	return int32(n)
 }
 
 // Release recycles the node's arenas. The caller must be done with every

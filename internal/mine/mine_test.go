@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -129,7 +130,7 @@ type bruteEntry struct {
 
 // bruteExtensions reproduces the counting semantics directly: for every
 // event, the projection entries whose suffix contains it, in entry order,
-// positioned at the first occurrence and carrying the entry's tag.
+// positioned at the first occurrence and carrying the entry's tag (if any).
 func bruteExtensions(seqs []seqdb.Sequence, proj []Proj, tags []int32) map[seqdb.EventID][]bruteEntry {
 	out := make(map[seqdb.EventID][]bruteEntry)
 	for pi, pr := range proj {
@@ -140,7 +141,11 @@ func bruteExtensions(seqs []seqdb.Sequence, proj []Proj, tags []int32) map[seqdb
 				continue
 			}
 			seen[s[j]] = true
-			out[s[j]] = append(out[s[j]], bruteEntry{Proj{Seq: pr.Seq, Pos: int32(j)}, tags[pi]})
+			e := bruteEntry{pr: Proj{Seq: pr.Seq, Pos: int32(j)}}
+			if tags != nil {
+				e.tag = tags[pi]
+			}
+			out[s[j]] = append(out[s[j]], e)
 		}
 	}
 	return out
@@ -181,6 +186,111 @@ func randomProj(rng *rand.Rand, seqs []seqdb.Sequence) ([]Proj, []int32) {
 	return proj, tags
 }
 
+// checkAgainstBrute compares one Extensions pass against bruteExtensions:
+// the same events in increasing order, the same counts, and — for every
+// extension reaching min — the same entries in entry order, the source
+// entries' tags when the pass was tagged, and the i-support recount.
+func checkAgainstBrute(t *testing.T, what string, seqs []seqdb.Sequence, idx *seqdb.PositionIndex, proj []Proj, tags []int32, min int32, es ExtSet) {
+	t.Helper()
+	want := bruteExtensions(seqs, proj, tags)
+	if len(es.Exts) != len(want) {
+		t.Fatalf("%s: %d extensions, want %d (proj %+v)", what, len(es.Exts), len(want), proj)
+	}
+	prev := seqdb.EventID(-1)
+	for _, e := range es.Exts {
+		if e.Event <= prev {
+			t.Fatalf("%s: extensions not sorted by event", what)
+		}
+		prev = e.Event
+		w := want[e.Event]
+		if int(e.Count) != len(w) {
+			t.Fatalf("%s: event %d count %d want %d (proj %+v, seqs %v)", what, e.Event, e.Count, len(w), proj, seqs)
+		}
+		if e.Count < min {
+			if e.Proj != nil || e.ISup != 0 {
+				t.Fatalf("%s: event %d below threshold but materialised", what, e.Event)
+			}
+			continue
+		}
+		if len(e.Proj) != len(w) {
+			t.Fatalf("%s: event %d materialised %d entries want %d", what, e.Event, len(e.Proj), len(w))
+		}
+		if (tags != nil) != (e.Tags != nil) {
+			t.Fatalf("%s: event %d tags %v with tagged pass %v", what, e.Event, e.Tags, tags != nil)
+		}
+		isup := 0
+		for k := range w {
+			if e.Proj[k] != w[k].pr {
+				t.Fatalf("%s: event %d entry %d = %+v want %+v (proj %+v)", what, e.Event, k, e.Proj[k], w[k].pr, proj)
+			}
+			// The tag of the source entry must ride along.
+			if tags != nil && e.Tags[k] != w[k].tag {
+				t.Fatalf("%s: event %d entry %d tag %d want %d (proj %+v)", what, e.Event, k, e.Tags[k], w[k].tag, proj)
+			}
+			if k == 0 || w[k-1].pr.Seq != w[k].pr.Seq {
+				isup += idx.CountFrom(int(w[k].pr.Seq), e.Event, int(w[k].pr.Pos))
+			}
+		}
+		if int(e.ISup) != isup {
+			t.Fatalf("%s: event %d ISup %d, recount %d (proj %+v)", what, e.Event, e.ISup, isup, proj)
+		}
+	}
+}
+
+// longTraces draws traces of 220-400 events. Event 0 fills every even
+// position, so its position list holds over 100 entries and the next
+// occurrence after an entry is one, two or many list slots on as the
+// entries step by two, four or over a hundred positions. The odd positions
+// draw from an alphabet that narrows along the trace, so the rarer events' last
+// occurrences spread over the whole trace and the counting cursor steps back
+// past group entries throughout the walk.
+func longTraces(rng *rand.Rand, numSeqs, alphabet int) []seqdb.Sequence {
+	seqs := make([]seqdb.Sequence, numSeqs)
+	for i := range seqs {
+		s := make(seqdb.Sequence, 220+rng.Intn(181))
+		for k := 1; k < len(s); k += 2 {
+			s[k] = seqdb.EventID(1 + rng.Intn(max(2, (alphabet-1)*(len(s)-k)/len(s))))
+		}
+		seqs[i] = s
+	}
+	return seqs
+}
+
+// longGroups draws a projection over long traces: on each of a few traces,
+// one or two groups of 32-48 non-decreasing entries (ties, steps of one to
+// four positions, and jumps of 130-160 positions while they fit), the second
+// group starting over behind the first; between them, single entries on
+// other traces and entries at -1.
+func longGroups(rng *rand.Rand, seqs []seqdb.Sequence) ([]Proj, []int32) {
+	var proj []Proj
+	for g := 2 + rng.Intn(4); g > 0; g-- {
+		si := int32(rng.Intn(len(seqs)))
+		n := int32(len(seqs[si]))
+		for run := 1 + rng.Intn(2); run > 0; run-- {
+			pos := int32(rng.Intn(20)) - 1
+			for k := 32 + rng.Intn(17); k > 0; k-- {
+				proj = append(proj, Proj{Seq: si, Pos: pos})
+				step := int32(rng.Intn(5))
+				if rng.Intn(12) == 0 {
+					step = 130 + int32(rng.Intn(31))
+				}
+				if pos+step < n {
+					pos += step
+				}
+			}
+		}
+		if rng.Intn(2) == 0 {
+			sj := int32(rng.Intn(len(seqs)))
+			proj = append(proj, Proj{Seq: sj, Pos: int32(rng.Intn(len(seqs[sj])+1)) - 1})
+		}
+	}
+	tags := make([]int32, len(proj))
+	for i := range tags {
+		tags[i] = int32(1000 + i)
+	}
+	return proj, tags
+}
+
 func TestExtenderAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for iter := 0; iter < 400; iter++ {
@@ -199,54 +309,36 @@ func TestExtenderAgainstBruteForce(t *testing.T) {
 		x := NewExtender(idx)
 
 		proj, tags := randomProj(rng, seqs)
-		want := bruteExtensions(seqs, proj, tags)
-
 		min := int32(1 + rng.Intn(3))
 		// Alternate tagged and untagged passes: the premise walker and the
 		// sequential-pattern miner extend without tags.
-		withTags := iter%2 == 0
-		var es ExtSet
-		if withTags {
-			es = x.Extensions(proj, tags, min)
-		} else {
-			es = x.Extensions(proj, nil, min)
+		if iter%2 == 1 {
+			tags = nil
 		}
-		if len(es.Exts) != len(want) {
-			t.Fatalf("iter %d: %d extensions, want %d (proj %+v)", iter, len(es.Exts), len(want), proj)
-		}
-		prev := seqdb.EventID(-1)
-		for _, e := range es.Exts {
-			if e.Event <= prev {
-				t.Fatalf("iter %d: extensions not sorted by event", iter)
-			}
-			prev = e.Event
-			w := want[e.Event]
-			if int(e.Count) != len(w) {
-				t.Fatalf("iter %d: event %d count %d want %d (proj %+v, seqs %v)", iter, e.Event, e.Count, len(w), proj, seqs)
-			}
-			if e.Count < min {
-				if e.Proj != nil {
-					t.Fatalf("iter %d: event %d below threshold but materialised", iter, e.Event)
-				}
-				continue
-			}
-			if len(e.Proj) != len(w) {
-				t.Fatalf("iter %d: event %d materialised %d entries want %d", iter, e.Event, len(e.Proj), len(w))
-			}
-			if withTags != (e.Tags != nil) {
-				t.Fatalf("iter %d: event %d tags %v with tagged pass %v", iter, e.Event, e.Tags, withTags)
-			}
-			for k := range w {
-				if e.Proj[k] != w[k].pr {
-					t.Fatalf("iter %d: event %d entry %d = %+v want %+v (proj %+v)", iter, e.Event, k, e.Proj[k], w[k].pr, proj)
-				}
-				// The tag of the source entry must ride along.
-				if withTags && e.Tags[k] != w[k].tag {
-					t.Fatalf("iter %d: event %d entry %d tag %d want %d (proj %+v)", iter, e.Event, k, e.Tags[k], w[k].tag, proj)
-				}
-			}
-		}
+		es := x.Extensions(proj, tags, min)
+		checkAgainstBrute(t, fmt.Sprintf("iter %d", iter), seqs, idx, proj, tags, min, es)
 		x.Release(es)
+	}
+
+	// At scale: position lists beyond 64 entries, groups of 32 or more
+	// entries on one trace, and merges whose next occurrence lies one, two
+	// or more than 64 slots on, so the counting cursor steps many times per
+	// group and the merge gallops through several doublings.
+	for iter := 0; iter < 60; iter++ {
+		alphabet := 6 + rng.Intn(6)
+		seqs := longTraces(rng, 1+rng.Intn(4), alphabet)
+		idx := seqdb.BuildPositionIndex(seqs, alphabet)
+		x := NewExtender(idx)
+		for pass := 0; pass < 2; pass++ {
+			proj, tags := longGroups(rng, seqs)
+			if pass == 1 {
+				tags = nil
+			}
+			min := []int32{1, 2, 40, 90}[rng.Intn(4)]
+			es := x.Extensions(proj, tags, min)
+			checkAgainstBrute(t, fmt.Sprintf("long iter %d pass %d", iter, pass), seqs, idx, proj, tags, min, es)
+			x.Release(es)
+		}
 	}
 }
 

@@ -19,20 +19,30 @@ import (
 // Only rules with equal integer supports can make one another redundant, so
 // rules are bucketed by (SeqSupport, InstanceSupport) and compared within a
 // bucket only; floatEqual still decides confidence there, so the result is
-// exactly the pairwise test against the whole set.
+// exactly the pairwise test against the whole set. Within a bucket, a pair
+// is dismissed by the rules' event signatures before any pattern is
+// compared: a concatenation holding an event whose signature bit another
+// concatenation lacks can be neither equal to it nor a subsequence of it.
 func FilterRedundant(in []Rule) []Rule {
 	type supports struct{ seq, inst int }
 	buckets := make(map[supports][]int32)
 	concats := make([]seqdb.Pattern, len(in))
+	sigs := make([]uint64, len(in))
 	for i, r := range in {
 		k := supports{r.SeqSupport, r.InstanceSupport}
 		buckets[k] = append(buckets[k], int32(i))
 		concats[i] = r.Concat()
+		for _, e := range concats[i] {
+			sigs[i] |= 1 << (e & 63)
+		}
 	}
 	out := make([]Rule, 0, len(in))
 rules:
 	for i, r := range in {
 		for _, k := range buckets[supports{r.SeqSupport, r.InstanceSupport}] {
+			if sigs[i]&^sigs[k] != 0 {
+				continue
+			}
 			if redundantAgainst(r, concats[i], in[k], concats[k]) {
 				continue rules
 			}

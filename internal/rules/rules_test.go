@@ -514,51 +514,64 @@ func pairwiseRedundant(r Rule, set []Rule) bool {
 	return false
 }
 
-// TestFilterRedundantMatchesPairwise: the bucketed filter keeps exactly the
-// rules the whole-set pairwise definition keeps, in input order. The random
-// sets collide heavily on supports, carry confidences within and just beyond
-// 1e-9 of each other, and split equal concatenations at different points.
+// TestFilterRedundantMatchesPairwise: the bucketed, signature-gated filter
+// keeps exactly the rules the whole-set pairwise definition keeps, in input
+// order. The random sets collide heavily on supports, carry confidences
+// within and just beyond 1e-9 of each other, and split equal concatenations
+// at different points. A first round draws events from {0, 1, 2}; a second
+// draws each set's events from ids in 0..200 of which two or three share
+// their low six bits, so distinct events collide in the 64-bit signature.
 func TestFilterRedundantMatchesPairwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
+	ids := []seqdb.EventID{0, 1, 2}
 	pattern := func(n int) seqdb.Pattern {
 		p := make(seqdb.Pattern, n)
 		for i := range p {
-			p[i] = seqdb.EventID(rng.Intn(3))
+			p[i] = ids[rng.Intn(len(ids))]
 		}
 		return p
 	}
-	for iter := 0; iter < 300; iter++ {
-		var set []Rule
-		for n := rng.Intn(40); n > 0; n-- {
-			var r Rule
-			if k := len(set); k > 0 && rng.Intn(3) == 0 {
-				// Re-split an earlier rule's concatenation elsewhere.
-				c := set[rng.Intn(k)].Concat()
-				cut := 1 + rng.Intn(len(c)-1)
-				r.Pre, r.Post = c[:cut].Clone(), c[cut:].Clone()
-			} else {
-				r.Pre, r.Post = pattern(1+rng.Intn(3)), pattern(1+rng.Intn(3))
+	for _, wide := range []bool{false, true} {
+		for iter := 0; iter < 300; iter++ {
+			if wide {
+				b := seqdb.EventID(rng.Intn(73)) // b+128 <= 200
+				ids = []seqdb.EventID{b, b + 64, seqdb.EventID(rng.Intn(201))}
+				if rng.Intn(2) == 0 {
+					ids = append(ids, b+128)
+				}
 			}
-			r.SeqSupport = 1 + rng.Intn(2)
-			r.InstanceSupport = 1 + rng.Intn(2)
-			// Confidences on a 0.4e-9 grid around two values: some pairs fall
-			// within floatEqual's 1e-9, others just outside it.
-			r.Confidence = []float64{0.5, 0.75}[rng.Intn(2)] + float64(rng.Intn(4))*0.4e-9
-			set = append(set, r)
-		}
-		var want []Rule
-		for _, r := range set {
-			if !pairwiseRedundant(r, set) {
-				want = append(want, r)
+			var set []Rule
+			for n := rng.Intn(40); n > 0; n-- {
+				var r Rule
+				if k := len(set); k > 0 && rng.Intn(3) == 0 {
+					// Re-split an earlier rule's concatenation elsewhere.
+					c := set[rng.Intn(k)].Concat()
+					cut := 1 + rng.Intn(len(c)-1)
+					r.Pre, r.Post = c[:cut].Clone(), c[cut:].Clone()
+				} else {
+					r.Pre, r.Post = pattern(1+rng.Intn(3)), pattern(1+rng.Intn(3))
+				}
+				r.SeqSupport = 1 + rng.Intn(2)
+				r.InstanceSupport = 1 + rng.Intn(2)
+				// Confidences on a 0.4e-9 grid around two values: some pairs
+				// fall within floatEqual's 1e-9, others just outside it.
+				r.Confidence = []float64{0.5, 0.75}[rng.Intn(2)] + float64(rng.Intn(4))*0.4e-9
+				set = append(set, r)
 			}
-		}
-		got := FilterRedundant(set)
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: FilterRedundant kept %d rules, pairwise definition %d\nset %+v", iter, len(got), len(want), set)
-		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("iter %d: kept rule %d = %+v, pairwise definition %+v", iter, i, got[i], want[i])
+			var want []Rule
+			for _, r := range set {
+				if !pairwiseRedundant(r, set) {
+					want = append(want, r)
+				}
+			}
+			got := FilterRedundant(set)
+			if len(got) != len(want) {
+				t.Fatalf("wide %v iter %d: FilterRedundant kept %d rules, pairwise definition %d\nset %+v", wide, iter, len(got), len(want), set)
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("wide %v iter %d: kept rule %d = %+v, pairwise definition %+v", wide, iter, i, got[i], want[i])
+				}
 			}
 		}
 	}

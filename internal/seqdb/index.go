@@ -369,31 +369,38 @@ func (idx *PositionIndex) Cursor(s int, e EventID) PosCursor {
 // or -1 when none remains. Probe positions must be non-decreasing across
 // calls; under that contract it returns the first occurrence at or after from.
 func (c *PosCursor) NextAfter(from int32) int32 {
-	ps := c.positions
-	i := c.i
-	if i >= len(ps) {
+	c.i = Gallop(c.positions, c.i, from)
+	if c.i >= len(c.positions) {
 		return -1
 	}
-	if ps[i] >= from {
-		return ps[i]
+	return c.positions[c.i]
+}
+
+// Gallop returns the index of the first element of the sorted slice a at or
+// after index i that is >= x (len(a) when none is), for callers that know
+// nothing before i qualifies and whose answer is usually a few slots past i:
+// it doubles the probe distance from i to bracket the answer, then
+// binary-searches the bracket, so it costs O(log d) for an answer d slots
+// away instead of a search over all of a[i:].
+func Gallop(a []int32, i int, x int32) int {
+	if i >= len(a) || a[i] >= x {
+		return i
 	}
-	// Gallop: bracket the answer between the last probe known < from and the
-	// first known >= from (or the end), then binary-search the bracket.
+	return gallop(a, i, x)
+}
+
+// gallop is Gallop past its first probe, kept out of line so that Gallop
+// inlines and its most common answer, i itself, costs callers no call.
+func gallop(a []int32, i int, x int32) int {
+	// Bracket the answer between the last probe known < x and the first
+	// known >= x (or the end), then binary-search the bracket.
 	bound := 1
-	for i+bound < len(ps) && ps[i+bound] < from {
+	for i+bound < len(a) && a[i+bound] < x {
 		bound <<= 1
 	}
 	lo := i + bound>>1 + 1
-	hi := i + bound + 1
-	if hi > len(ps) {
-		hi = len(ps)
-	}
-	j := lo + lowerBound(ps[lo:hi], from)
-	c.i = j
-	if j >= len(ps) {
-		return -1
-	}
-	return ps[j]
+	hi := min(i+bound+1, len(a))
+	return lo + lowerBound(a[lo:hi], x)
 }
 
 // SeqsContaining returns the sequences containing event e, in increasing

@@ -24,10 +24,10 @@ type Options struct {
 	// cached — the fits-in-RAM fast path).
 	BudgetBytes int64
 	// Obs, when non-nil, is where the pool counts: cache.pins/hits/misses/
-	// evictions/bodies_opened/segments_opened, cache.resident_bytes and
-	// cache.peak_bytes, live-scrapeable while a mine runs. Give each pool its
-	// own registry (a Child of a shared one) to read one pool's counts. Nil
-	// means no counting.
+	// evictions/bodies_opened/segments_opened/fragments_built,
+	// cache.resident_bytes and cache.peak_bytes, live-scrapeable while a mine
+	// runs. Give each pool its own registry (a Child of a shared one) to read
+	// one pool's counts. Nil means no counting.
 	Obs *obs.Registry
 }
 
@@ -36,6 +36,7 @@ type poolMetrics struct {
 	pins, hits, misses     *obs.Counter
 	evictions              *obs.Counter
 	bodiesOpened, segsOpen *obs.Counter
+	fragsBuilt             *obs.Counter
 	curBytes, peakBytes    *obs.Gauge
 }
 
@@ -47,6 +48,7 @@ func newPoolMetrics(r *obs.Registry) poolMetrics {
 		evictions:    r.Counter("cache.evictions"),
 		bodiesOpened: r.Counter("cache.bodies_opened"),
 		segsOpen:     r.Counter("cache.segments_opened"),
+		fragsBuilt:   r.Counter("cache.fragments_built"),
 		curBytes:     r.Gauge("cache.resident_bytes"),
 		peakBytes:    r.Gauge("cache.peak_bytes"),
 	}
@@ -55,16 +57,18 @@ func newPoolMetrics(r *obs.Registry) poolMetrics {
 // entry is one cached segment: decoded traces plus the lazily built
 // per-segment index fragment. Lifecycle: created under mu with pins=1, loaded
 // once outside mu (once), then repinned/unpinned; unpinned entries sit on the
-// LRU list and are evicted map-and-all when the budget overflows.
+// LRU list and are evicted map-and-all when the budget overflows. The
+// fragment is likewise built once outside mu (fragOnce), by its first user.
 type entry struct {
 	idx  int
 	once sync.Once
 	err  error
 
-	seqs  []seqdb.Sequence
-	stats *store.SegmentStats
-	frag  *seqdb.PositionIndex
-	bytes int64 // estimated resident size, updated when frag materialises
+	seqs     []seqdb.Sequence
+	stats    *store.SegmentStats
+	fragOnce sync.Once
+	frag     *seqdb.PositionIndex
+	bytes    int64 // estimated resident size, updated when frag materialises
 
 	pins int
 	elem *list.Element // non-nil while on the LRU list (pins == 0)
@@ -271,28 +275,24 @@ func (p *Pool) unpin(e *entry) {
 // must not be used afterwards.
 func (s *Segment) Unpin() { s.p.unpin(s.e) }
 
-// Fragment returns the per-segment PositionIndex, building it on first use
-// and charging its estimated footprint to the pool budget. Only valid while
-// the segment is pinned.
+// Fragment returns the per-segment PositionIndex, built once per residency:
+// the first caller builds it (outside the pool lock) and charges its
+// estimated footprint to the pool budget, and concurrent callers wait for
+// that build, as Pin's callers wait for the decode. An evicted and re-pinned
+// segment builds a fresh one. Only valid while the segment is pinned.
 func (s *Segment) Fragment() *seqdb.PositionIndex {
-	p := s.p
-	p.mu.Lock()
-	if s.e.frag != nil {
-		f := s.e.frag
-		p.mu.Unlock()
-		return f
-	}
-	p.mu.Unlock()
-	frag := seqdb.BuildPositionIndex(s.e.seqs, p.numEvents)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if s.e.frag == nil {
-		s.e.frag = frag
-		cost := fragmentBytes(s.e.seqs, p.numEvents)
-		s.e.bytes += cost
+	p, e := s.p, s.e
+	e.fragOnce.Do(func() {
+		p.met.fragsBuilt.Inc()
+		frag := seqdb.BuildPositionIndex(e.seqs, p.numEvents)
+		cost := fragmentBytes(e.seqs, p.numEvents)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		e.frag = frag
+		e.bytes += cost
 		p.account(cost)
-	}
-	return s.e.frag
+	})
+	return e.frag
 }
 
 // estimateBytes approximates the resident size of decoded traces: 4 bytes

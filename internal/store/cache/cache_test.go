@@ -282,6 +282,78 @@ func TestPoolFragment(t *testing.T) {
 	}
 }
 
+// TestPoolFragmentBuiltOnce: concurrent first users of one pinned segment's
+// fragment share a single build — one pointer, one cache.fragments_built, one
+// charge to cache.resident_bytes — and an evicted, re-pinned segment builds
+// its fragment afresh.
+func TestPoolFragmentBuiltOnce(t *testing.T) {
+	st := buildStore(t, 2, 2, 12)
+
+	// The charge of one fragment, measured on a pool used serially.
+	ref, refReg := newPool(st, 0)
+	rs, err := ref.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := read(refReg).CurBytes
+	rs.Fragment()
+	cost := read(refReg).CurBytes - bare
+	rs.Unpin()
+	if cost <= 0 {
+		t.Fatalf("fragment charged %d bytes", cost)
+	}
+
+	// A one-byte budget evicts every segment as soon as it is unpinned.
+	p, reg := newPool(st, 1)
+	built := reg.Counter("cache.fragments_built")
+	sg, err := p.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare = read(reg).CurBytes
+	const users = 8
+	frags := make([]*seqdb.PositionIndex, users)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := range frags {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			frags[g] = sg.Fragment()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for g, f := range frags {
+		if f == nil || f != frags[0] {
+			t.Fatalf("user %d got fragment %p, user 0 %p", g, f, frags[0])
+		}
+	}
+	if n := built.Value(); n != 1 {
+		t.Fatalf("%d concurrent users built %d fragments, want 1", users, n)
+	}
+	if got := read(reg).CurBytes - bare; got != cost {
+		t.Fatalf("fragment charged %d bytes, want one charge of %d", got, cost)
+	}
+
+	sg.Unpin()
+	if c := read(reg); c.Evictions != 1 || c.CurBytes != 0 {
+		t.Fatalf("after unpin under a 1-byte budget: %d evictions, %d resident bytes", c.Evictions, c.CurBytes)
+	}
+	sg, err = p.Pin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sg.Unpin()
+	if f := sg.Fragment(); f == nil || f == frags[0] {
+		t.Fatalf("re-pinned segment reused the evicted fragment %p", f)
+	}
+	if n := built.Value(); n != 2 {
+		t.Fatalf("after an eviction and a re-pin %d fragments built, want 2", n)
+	}
+}
+
 // TestPoolSingleFlightCountsOneMiss pins one cold segment from many
 // goroutines at once: the body is decoded once, the loader's caller counts
 // the only miss, and every other caller — waiters on the load included —
