@@ -36,7 +36,9 @@ func Mine(db *seqdb.Database, opts Options, closed bool) (*Result, error) {
 	return MineFull(db, opts)
 }
 
-// absoluteSupport mirrors the unexported Options.absoluteSupport resolution.
+// absoluteSupport mirrors the threshold resolution of iterpattern.Mine
+// (seqdb.AbsoluteSupport for a relative threshold); the oracle keeps its own
+// copy.
 func absoluteSupport(o Options, numSequences int) int {
 	if o.MinSupportRel > 0 {
 		n := int(o.MinSupportRel*float64(numSequences) + 0.5)

@@ -242,7 +242,7 @@ func VerifyCases() []VerifyCase {
 		return VerifyCase{Name: name, Gen: func() ([]rules.Rule, *seqdb.Database) {
 			w := tracesim.Workloads()[workload]
 			train := w.MustGenerate(trainN, 7)
-			res, err := rules.MineNonRedundant(train, opts)
+			res, err := rules.Mine(train, opts)
 			if err != nil {
 				panic(err)
 			}
@@ -334,7 +334,7 @@ func (c StreamCase) GenStream() (*seqdb.Dictionary, []StreamOp, *verify.Engine, 
 	dict := seqdb.NewDictionary()
 	if c.Checked {
 		train := w.MustGenerate(30, 7)
-		res, err := rules.MineNonRedundant(train, rules.Options{
+		res, err := rules.Mine(train, rules.Options{
 			MinSeqSupportRel: 0.5, MinInstanceSupport: 1, MinConfidence: 0.8,
 			MaxPremiseLength: 2, MaxConsequentLength: 2,
 		})

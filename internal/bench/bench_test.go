@@ -29,7 +29,7 @@ func BenchmarkMineClosed(b *testing.B) {
 		b.Run(c.Name+"/flat", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := iterpattern.MineClosed(db, c.Opts); err != nil {
+				if _, err := iterpattern.Mine(db, c.Opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -65,7 +65,7 @@ func BenchmarkMineClosedWorkers(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", c.Name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := iterpattern.MineClosed(db, opts); err != nil {
+					if _, err := iterpattern.Mine(db, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -179,7 +179,7 @@ func BenchmarkMineRules(b *testing.B) {
 		b.Run(c.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := rules.MineNonRedundant(db, c.Opts); err != nil {
+				if _, err := rules.Mine(db, c.Opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -203,7 +203,7 @@ func BenchmarkMineRulesWorkers(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/workers=%d", c.Name, workers), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := rules.MineNonRedundant(db, opts); err != nil {
+					if _, err := rules.Mine(db, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -493,13 +493,13 @@ func TestWriteBenchTrajectory(t *testing.T) {
 	for _, c := range ClosedCases() {
 		db := c.Gen()
 		db.FlatIndex()
-		res, err := iterpattern.MineClosed(db, c.Opts)
+		res, err := iterpattern.Mine(db, c.Opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		flat := benchOnce(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := iterpattern.MineClosed(db, c.Opts); err != nil {
+				if _, err := iterpattern.Mine(db, c.Opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -535,7 +535,7 @@ func TestWriteBenchTrajectory(t *testing.T) {
 				opts := c.Opts
 				opts.Workers = workers
 				for i := 0; i < b.N; i++ {
-					if _, err := iterpattern.MineClosed(db, opts); err != nil {
+					if _, err := iterpattern.Mine(db, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -644,13 +644,13 @@ func TestWriteBenchTrajectory(t *testing.T) {
 	for _, c := range RuleCases() {
 		db := c.Gen()
 		db.FlatIndex()
-		res, err := rules.MineNonRedundant(db, c.Opts)
+		res, err := rules.Mine(db, c.Opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		run := benchOnce(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := rules.MineNonRedundant(db, c.Opts); err != nil {
+				if _, err := rules.Mine(db, c.Opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -667,7 +667,7 @@ func TestWriteBenchTrajectory(t *testing.T) {
 				opts := c.Opts
 				opts.Workers = workers
 				for i := 0; i < b.N; i++ {
-					if _, err := rules.MineNonRedundant(db, opts); err != nil {
+					if _, err := rules.Mine(db, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -858,7 +858,7 @@ func TestWriteBenchTrajectory(t *testing.T) {
 		}
 		db := eager.Recovered().Database(eager.Dict())
 		db.FlatIndex()
-		popts := core.PatternOptions{MinSupport: c.MinSupport(), MaxLength: 3}
+		popts := core.PatternOptions{MinInstanceSupport: c.MinSupport(), MaxPatternLength: 3}
 		ref, err := core.MinePatterns(db, popts)
 		if err != nil {
 			t.Fatal(err)

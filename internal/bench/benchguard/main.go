@@ -296,7 +296,7 @@ func speedupCheck(floor float64) *ratioCheck {
 		for i := 0; i < 3; i++ {
 			ns := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := iterpattern.MineClosed(db, opts); err != nil {
+					if _, err := iterpattern.Mine(db, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -413,7 +413,7 @@ func miningGate(traj trajectory) *gate {
 	db.FlatIndex()
 	g.run = func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := iterpattern.MineClosed(db, c.Opts); err != nil {
+			if _, err := iterpattern.Mine(db, c.Opts); err != nil {
 				b.Fatal(err)
 			}
 		}

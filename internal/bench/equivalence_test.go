@@ -88,7 +88,7 @@ func TestFlatMinerMatchesBaseline(t *testing.T) {
 		db := c.Gen()
 		opts := c.Opts
 		opts.IncludeInstances = true
-		flat, err := iterpattern.MineClosed(db, opts)
+		flat, err := iterpattern.Mine(db, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,8 @@ func TestFlatMinerMatchesBaseline(t *testing.T) {
 		db := randomDB(rng, 3+rng.Intn(4), 12, 3+rng.Intn(3))
 		opts := iterpattern.Options{MinInstanceSupport: 2 + rng.Intn(2), IncludeInstances: true}
 		for _, closed := range []bool{false, true} {
-			flat, err := iterpattern.Mine(db, opts, closed)
+			opts.Full = !closed
+			flat, err := iterpattern.Mine(db, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,14 +131,14 @@ func boolName(b bool) string {
 func TestParallelPatternsMatchSequential(t *testing.T) {
 	check := func(label string, db *seqdb.Database, opts iterpattern.Options, closed bool) {
 		t.Helper()
-		opts.Workers = 1
-		seq, err := iterpattern.Mine(db, opts, closed)
+		opts.Full, opts.Workers = !closed, 1
+		seq, err := iterpattern.Mine(db, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, -1} {
 			opts.Workers = workers
-			par, err := iterpattern.Mine(db, opts, closed)
+			par, err := iterpattern.Mine(db, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,14 +298,14 @@ func assertRuleResultsEqual(t *testing.T, label string, got, want *rules.Result)
 func TestParallelRulesMatchSequential(t *testing.T) {
 	check := func(label string, db *seqdb.Database, opts rules.Options, nr bool) {
 		t.Helper()
-		opts.Workers = 1
-		seq, err := rules.Mine(db, opts, nr)
+		opts.Full, opts.Workers = !nr, 1
+		seq, err := rules.Mine(db, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, -1} {
 			opts.Workers = workers
-			par, err := rules.Mine(db, opts, nr)
+			par, err := rules.Mine(db, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,7 @@ func TestOocoreFixture(t *testing.T) {
 	}
 	db := eager.Recovered().Database(eager.Dict())
 	db.FlatIndex()
-	popts := core.PatternOptions{MinSupport: c.MinSupport(), MaxLength: 3}
+	popts := core.PatternOptions{MinInstanceSupport: c.MinSupport(), MaxPatternLength: 3}
 	ref, err := core.MinePatterns(db, popts)
 	if err != nil {
 		t.Fatal(err)

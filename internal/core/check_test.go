@@ -55,7 +55,7 @@ var checkModes = []struct {
 		return sum, err
 	}},
 	{"CheckStoreWhere", func(fx *checkFixture, rs []Rule) (verify.Summary, error) {
-		sum, _, _, err := CheckStoreWhere(fx.store, rs, Where{}, OutOfCoreOptions{})
+		sum, _, err := CheckStoreWhere(fx.store, rs, Where{}, OutOfCoreOptions{})
 		return sum, err
 	}},
 	{"CheckOnline", func(fx *checkFixture, rs []Rule) (verify.Summary, error) {

@@ -62,55 +62,41 @@ func NewDatabase() *Database { return seqdb.NewDatabase() }
 // ParsePattern interns the space-separated event names in spec.
 func ParsePattern(dict *Dictionary, spec string) Pattern { return seqdb.ParsePattern(dict, spec) }
 
-// PatternOptions configures iterative pattern mining through the facade.
-type PatternOptions struct {
-	// MinSupport is the absolute minimum instance support; ignored when
-	// MinSupportRel is set.
-	MinSupport int
-	// MinSupportRel is the minimum instance support as a fraction of the
-	// number of sequences (the paper's relative thresholds).
-	MinSupportRel float64
-	// Closed selects the closed-pattern miner (the default mines the closed
-	// set; set Full to true for the complete frequent set).
-	Full bool
-	// MaxLength bounds pattern length (0 = unlimited).
-	MaxLength int
-	// KeepInstances retains the instance list of each mined pattern.
-	KeepInstances bool
-	// Workers bounds the parallel worker pool (0/1 sequential, negative =
-	// GOMAXPROCS). Results are identical for any value.
-	Workers int
-}
-
-// PatternResult is the facade view of a pattern mining run.
-type PatternResult struct {
-	// Patterns are the mined patterns, sorted by support.
-	Patterns []MinedPattern
-	// Closed records whether the closed miner produced the result.
-	Closed bool
-	// MinSupport is the absolute threshold that was applied.
-	MinSupport int
-	// Stats carries the miner's internal counters.
-	Stats iterpattern.Stats
-}
+// The miners' own options and results, so that facade callers set the
+// paper's parameters under one name each.
+type (
+	// PatternOptions configures iterative pattern mining; its zero Full mines
+	// the closed set.
+	PatternOptions = iterpattern.Options
+	// PatternResult is an iterative pattern mining run.
+	PatternResult = iterpattern.Result
+	// RuleOptions configures recurrent rule mining; its zero Full mines the
+	// non-redundant set. The facade defaults MinInstanceSupport to 1 and
+	// MinConfidence to 0.9.
+	RuleOptions = rules.Options
+	// RuleResult is a recurrent rule mining run.
+	RuleResult = rules.Result
+	// SeqPatternOptions configures sequential pattern mining (the PrefixSpan
+	// comparator of Section 2).
+	SeqPatternOptions = seqpattern.Options
+	// SeqPatternResult is a sequential pattern mining run.
+	SeqPatternResult = seqpattern.Result
+	// EpisodeOptions configures window-based episode mining (the WINEPI
+	// comparator of Sections 1–2).
+	EpisodeOptions = episode.Options
+	// EpisodeResult is an episode mining run.
+	EpisodeResult = episode.Result
+)
 
 // MinePatterns mines iterative patterns from db.
 func MinePatterns(db *Database, opts PatternOptions) (*PatternResult, error) {
 	return minePatterns(mine.Resident(db), opts, nil)
 }
 
-// minePatterns is the one body behind MinePatterns and MineStore: option
-// translation, the miner over src, and — with a registry — the mine.*
-// series.
+// minePatterns is the one body behind MinePatterns and MineStore: the miner
+// over src and — with a registry — the mine.* series.
 func minePatterns(src mine.Source, opts PatternOptions, r *obs.Registry) (*PatternResult, error) {
-	iopts := iterpattern.Options{
-		MinInstanceSupport: opts.MinSupport,
-		MinSupportRel:      opts.MinSupportRel,
-		MaxPatternLength:   opts.MaxLength,
-		IncludeInstances:   opts.KeepInstances,
-		Workers:            opts.Workers,
-	}
-	res, err := iterpattern.MineSource(src, iopts, !opts.Full)
+	res, err := iterpattern.MineSource(src, opts)
 	if err != nil {
 		return nil, fmt.Errorf("mining iterative patterns: %w", err)
 	}
@@ -118,48 +104,7 @@ func minePatterns(src mine.Source, opts PatternOptions, r *obs.Registry) (*Patte
 		r.Counter("mine.seeds").Add(int64(len(src.FrequentByInstanceCount(res.MinSupport))))
 		publishPatternStats(r, res.Stats)
 	}
-	return &PatternResult{
-		Patterns:   res.Patterns,
-		Closed:     !opts.Full,
-		MinSupport: res.MinSupport,
-		Stats:      res.Stats,
-	}, nil
-}
-
-// RuleOptions configures recurrent rule mining through the facade.
-type RuleOptions struct {
-	// MinSeqSupport is the absolute minimum s-support; ignored when
-	// MinSeqSupportRel is set.
-	MinSeqSupport int
-	// MinSeqSupportRel is the minimum s-support as a fraction of the number
-	// of sequences.
-	MinSeqSupportRel float64
-	// MinInstanceSupport is the minimum i-support (default 1).
-	MinInstanceSupport int
-	// MinConfidence is the minimum confidence (default 0.9).
-	MinConfidence float64
-	// Full mines every significant rule instead of the non-redundant set.
-	// Without it, a rule whose premise sits at MaxPremiseLength can be
-	// non-redundant within the bounds and still go unmined: the insertion
-	// that dominates its premise is one event past the bound (see
-	// rules.MineNonRedundant; ROADMAP item 7).
-	Full bool
-	// MaxPremiseLength and MaxConsequentLength bound the rule shape.
-	MaxPremiseLength    int
-	MaxConsequentLength int
-	// Workers bounds the parallel worker pool (0/1 sequential, negative =
-	// GOMAXPROCS). Results are identical for any value.
-	Workers int
-}
-
-// RuleResult is the facade view of a rule mining run.
-type RuleResult struct {
-	// Rules are the mined rules, sorted by confidence and support.
-	Rules []Rule
-	// NonRedundant records whether redundancy removal was applied.
-	NonRedundant bool
-	// Stats carries the miner's internal counters.
-	Stats rules.Stats
+	return res, nil
 }
 
 // MineRules mines recurrent rules from db.
@@ -168,8 +113,7 @@ func MineRules(db *Database, opts RuleOptions) (*RuleResult, error) {
 }
 
 // mineRules is the one body behind MineRules and MineStoreRules: option
-// defaults and translation, the miner over src, and — with a registry — the
-// mine.* series.
+// defaults, the miner over src, and — with a registry — the mine.* series.
 func mineRules(src mine.Source, opts RuleOptions, r *obs.Registry) (*RuleResult, error) {
 	if opts.MinInstanceSupport == 0 {
 		opts.MinInstanceSupport = 1
@@ -177,49 +121,14 @@ func mineRules(src mine.Source, opts RuleOptions, r *obs.Registry) (*RuleResult,
 	if opts.MinConfidence == 0 {
 		opts.MinConfidence = 0.9
 	}
-	ropts := rules.Options{
-		MinSeqSupport:       opts.MinSeqSupport,
-		MinSeqSupportRel:    opts.MinSeqSupportRel,
-		MinInstanceSupport:  opts.MinInstanceSupport,
-		MinConfidence:       opts.MinConfidence,
-		MaxPremiseLength:    opts.MaxPremiseLength,
-		MaxConsequentLength: opts.MaxConsequentLength,
-		Workers:             opts.Workers,
-	}
-	res, err := rules.MineSource(src, ropts, !opts.Full)
+	res, err := rules.MineSource(src, opts)
 	if err != nil {
 		return nil, fmt.Errorf("mining recurrent rules: %w", err)
 	}
 	if r != nil {
 		publishRuleStats(r, res.Stats)
 	}
-	return &RuleResult{Rules: res.Rules, NonRedundant: !opts.Full, Stats: res.Stats}, nil
-}
-
-// SeqPatternOptions configures sequential pattern mining (the PrefixSpan
-// comparator of Section 2) through the facade.
-type SeqPatternOptions struct {
-	// MinSupport is the absolute minimum sequence support; ignored when
-	// MinSupportRel is set.
-	MinSupport int
-	// MinSupportRel is the minimum sequence support as a fraction of the
-	// number of sequences.
-	MinSupportRel float64
-	// Closed keeps only closed sequential patterns.
-	Closed bool
-	// MaxLength bounds pattern length (0 = unlimited).
-	MaxLength int
-	// Workers bounds the parallel worker pool (0/1 sequential, negative =
-	// GOMAXPROCS). Results are identical for any value.
-	Workers int
-}
-
-// SeqPatternResult is the facade view of a sequential pattern mining run.
-type SeqPatternResult struct {
-	// Patterns are the mined patterns, sorted by support.
-	Patterns []SeqPattern
-	// MinSupport is the absolute threshold that was applied.
-	MinSupport int
+	return res, nil
 }
 
 // MineSequential mines classic sequential patterns from db: support counts
@@ -227,56 +136,22 @@ type SeqPatternResult struct {
 // flat index and count-first search framework as the headline miners, so
 // comparator studies over streamed snapshots run at full speed.
 func MineSequential(db *Database, opts SeqPatternOptions) (*SeqPatternResult, error) {
-	res, err := seqpattern.Mine(db, seqpattern.Options{
-		MinSeqSupport:    opts.MinSupport,
-		MinSupportRel:    opts.MinSupportRel,
-		MaxPatternLength: opts.MaxLength,
-		ClosedOnly:       opts.Closed,
-		Workers:          opts.Workers,
-	})
+	res, err := seqpattern.Mine(db, opts)
 	if err != nil {
 		return nil, fmt.Errorf("mining sequential patterns: %w", err)
 	}
-	return &SeqPatternResult{Patterns: res.Patterns, MinSupport: res.MinSupport}, nil
-}
-
-// EpisodeOptions configures window-based episode mining (the WINEPI
-// comparator of Sections 1–2) through the facade.
-type EpisodeOptions struct {
-	// WindowWidth is the sliding-window width in events (>= 1).
-	WindowWidth int
-	// MinFrequency is the minimum fraction of windows containing an episode,
-	// in (0, 1].
-	MinFrequency float64
-	// MaxLength bounds episode length (0 = bounded only by the window).
-	MaxLength int
-	// Workers bounds the parallel worker pool (0/1 sequential, negative =
-	// GOMAXPROCS). Results are identical for any value.
-	Workers int
-}
-
-// EpisodeResult is the facade view of an episode mining run.
-type EpisodeResult struct {
-	// Episodes are the mined episodes, sorted by window count.
-	Episodes []Episode
-	// TotalWindows is the number of sliding windows observed.
-	TotalWindows int
+	return res, nil
 }
 
 // MineEpisodes mines serial episodes across every trace of db, merging
 // window counts per episode (the episode-style view of a trace database the
 // ablation studies compare against).
 func MineEpisodes(db *Database, opts EpisodeOptions) (*EpisodeResult, error) {
-	res, err := episode.MineDatabase(db, episode.Options{
-		WindowWidth:      opts.WindowWidth,
-		MinFrequency:     opts.MinFrequency,
-		MaxEpisodeLength: opts.MaxLength,
-		Workers:          opts.Workers,
-	})
+	res, err := episode.MineDatabase(db, opts)
 	if err != nil {
 		return nil, fmt.Errorf("mining episodes: %w", err)
 	}
-	return &EpisodeResult{Episodes: res.Episodes, TotalWindows: res.TotalWindows}, nil
+	return res, nil
 }
 
 // RuleToLTL translates a rule into its LTL formula (Table 2) rendered with

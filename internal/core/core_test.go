@@ -1,11 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"specmine/internal/iterpattern"
+	"specmine/internal/rules"
 	"specmine/internal/seqdb"
 	"specmine/internal/tracesim"
+	"specmine/internal/verify"
 )
 
 func TestLoadAndSaveTraces(t *testing.T) {
@@ -36,12 +40,17 @@ func TestMinePatternsFacade(t *testing.T) {
 	db.AppendNames("lock", "read", "unlock")
 	db.AppendNames("lock", "unlock")
 
-	closed, err := MinePatterns(db, PatternOptions{MinSupport: 3})
+	closed, err := MinePatterns(db, PatternOptions{MinInstanceSupport: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !closed.Closed || closed.MinSupport != 3 {
-		t.Errorf("closed result metadata wrong: %+v", closed)
+	// The zero Full is the closed miner's output.
+	closedRef, err := iterpattern.Mine(db, iterpattern.Options{MinInstanceSupport: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if closed.MinSupport != 3 || !reflect.DeepEqual(closed.Patterns, closedRef.Patterns) {
+		t.Errorf("default result is not the closed miner's: %+v vs %+v", closed, closedRef)
 	}
 	foundLockUnlock := false
 	for _, p := range closed.Patterns {
@@ -53,12 +62,12 @@ func TestMinePatternsFacade(t *testing.T) {
 		t.Errorf("<lock, unlock> not mined by facade")
 	}
 
-	full, err := MinePatterns(db, PatternOptions{MinSupport: 3, Full: true})
+	full, err := MinePatterns(db, PatternOptions{MinInstanceSupport: 3, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Closed {
-		t.Errorf("full result flagged as closed")
+	if reflect.DeepEqual(full.Patterns, closed.Patterns) {
+		t.Errorf("Full result equals the closed miner's: %+v", full)
 	}
 	if len(full.Patterns) < len(closed.Patterns) {
 		t.Errorf("full smaller than closed")
@@ -78,8 +87,13 @@ func TestMineRulesFacadeAndLTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.NonRedundant {
-		t.Errorf("default should be the non-redundant miner")
+	// The defaults are the non-redundant miner at i-support 1, confidence 0.9.
+	nrRef, err := rules.Mine(db, rules.Options{MinSeqSupport: 3, MinInstanceSupport: 1, MinConfidence: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Rules, nrRef.Rules) {
+		t.Errorf("default rules are not the non-redundant miner's:\n%s\nvs\n%s", res.Render(db.Dict, 0), nrRef.Render(db.Dict, 0))
 	}
 	var lockRule *Rule
 	for i, r := range res.Rules {
@@ -138,9 +152,50 @@ func TestCheckRulesFacade(t *testing.T) {
 	}
 }
 
+// TestCompileRulesMatchesCheckRules: a mined rule set compiled once through
+// CompileRules checks fresh traces to the same summary as CheckRules, byte
+// for byte, and the compiled Verifier holds every rule.
+func TestCompileRulesMatchesCheckRules(t *testing.T) {
+	db := tracesim.TransactionComponent().MustGenerate(120, 11)
+	train := seqdb.NewDatabaseWithDict(db.Dict)
+	fresh := seqdb.NewDatabaseWithDict(db.Dict)
+	for i, s := range db.Sequences {
+		if i < 60 {
+			train.Append(s)
+		} else {
+			fresh.Append(s)
+		}
+	}
+	res, err := MineRules(train, RuleOptions{MinSeqSupportRel: 0.5, MinConfidence: 0.8, MaxPremiseLength: 2, MaxConsequentLength: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rules) == 0 {
+		t.Fatal("mined no rules")
+	}
+	v, err := CompileRules(res.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.NumRules() != len(res.Rules) {
+		t.Fatalf("Verifier holds %d rules, mined %d", v.NumRules(), len(res.Rules))
+	}
+	want, err := CheckRules(fresh, res.Rules)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.TotalViolations() == 0 {
+		t.Fatal("the fresh traces violate no rule; the comparison would be vacuous")
+	}
+	got := verify.NewSummary(v.Check(fresh))
+	if !reflect.DeepEqual(got, want) || got.Render(db.Dict, 0) != want.Render(db.Dict, 0) {
+		t.Fatalf("compiled Verifier diverges from CheckRules:\n%s\nwant\n%s", got.Render(db.Dict, 5), want.Render(db.Dict, 5))
+	}
+}
+
 func TestRankingFacade(t *testing.T) {
 	db := tracesim.LockingComponent().MustGenerate(30, 5)
-	pats, err := MinePatterns(db, PatternOptions{MinSupport: 10})
+	pats, err := MinePatterns(db, PatternOptions{MinInstanceSupport: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +255,14 @@ func TestEndToEndJBossSecurityRule(t *testing.T) {
 func TestComparatorMinersFacade(t *testing.T) {
 	db := tracesim.LockingComponent().MustGenerate(30, 5)
 
-	seqRes, err := MineSequential(db, SeqPatternOptions{MinSupportRel: 0.8, MaxLength: 3, Workers: 2})
+	seqRes, err := MineSequential(db, SeqPatternOptions{MinSupportRel: 0.8, MaxPatternLength: 3, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seqRes.Patterns) == 0 || seqRes.MinSupport != 24 {
 		t.Fatalf("MineSequential: %d patterns, minsup %d", len(seqRes.Patterns), seqRes.MinSupport)
 	}
-	closedRes, err := MineSequential(db, SeqPatternOptions{MinSupportRel: 0.8, MaxLength: 3, Closed: true})
+	closedRes, err := MineSequential(db, SeqPatternOptions{MinSupportRel: 0.8, MaxPatternLength: 3, ClosedOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +270,7 @@ func TestComparatorMinersFacade(t *testing.T) {
 		t.Fatalf("closed set size %d vs full %d", len(closedRes.Patterns), len(seqRes.Patterns))
 	}
 
-	epiRes, err := MineEpisodes(db, EpisodeOptions{WindowWidth: 4, MinFrequency: 0.05, MaxLength: 2, Workers: 2})
+	epiRes, err := MineEpisodes(db, EpisodeOptions{WindowWidth: 4, MinFrequency: 0.05, MaxEpisodeLength: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,17 +322,17 @@ func TestComparatorMinersOverStreamedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MinePatterns(snap, PatternOptions{MinSupportRel: 0.9, MaxLength: 3}); err != nil {
+	if _, err := MinePatterns(snap, PatternOptions{MinSupportRel: 0.9, MaxPatternLength: 3}); err != nil {
 		t.Fatal(err)
 	}
-	seqRes, err := MineSequential(snap, SeqPatternOptions{MinSupportRel: 0.9, MaxLength: 3, Workers: -1})
+	seqRes, err := MineSequential(snap, SeqPatternOptions{MinSupportRel: 0.9, MaxPatternLength: 3, Workers: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(seqRes.Patterns) == 0 {
 		t.Errorf("no sequential patterns from streamed snapshot")
 	}
-	epiRes, err := MineEpisodes(snap, EpisodeOptions{WindowWidth: 4, MinFrequency: 0.05, MaxLength: 2})
+	epiRes, err := MineEpisodes(snap, EpisodeOptions{WindowWidth: 4, MinFrequency: 0.05, MaxEpisodeLength: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

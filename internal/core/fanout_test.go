@@ -81,7 +81,7 @@ func TestCheckStoreWorkerCountInvariance(t *testing.T) {
 				runtime.GOMAXPROCS(procs)
 				label := fmt.Sprintf("%s/budget=%d/procs=%d", name, budget, procs)
 				oo := OutOfCoreOptions{CacheBytes: budget}
-				got, stats, ex, err := CheckStoreWhere(ts, ruleSet, where, oo)
+				got, ex, err := CheckStoreWhere(ts, ruleSet, where, oo)
 				if err != nil {
 					t.Fatalf("%s: CheckStoreWhere: %v", label, err)
 				}
@@ -89,7 +89,7 @@ func TestCheckStoreWorkerCountInvariance(t *testing.T) {
 					t.Fatalf("%s: CheckStoreWhere diverges from the per-rule oracle:\n%s\nwant\n%s",
 						label, got.Render(db.Dict, 3), want.Render(db.Dict, 3))
 				}
-				o := &outcome{ex: *ex, counters: verifyCounters(stats.Obs)}
+				o := &outcome{ex: *ex, counters: verifyCounters(ex.Obs)}
 				o.ex.Obs = nil
 				if first == nil {
 					first = o

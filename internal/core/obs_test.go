@@ -236,7 +236,7 @@ func TestMetricsSmoke(t *testing.T) {
 // exact, not sampled: after a fixed workload, the registry's stream ack
 // totals equal the driven counts, and a fresh registry attached to an
 // out-of-core checking run reports exactly the counts of the call's own
-// registry, OutOfCoreStats.Obs.
+// registry, Explain.Obs.
 func TestRegistryCounterEquivalence(t *testing.T) {
 	w := tracesim.Workloads()["locking"]
 	const numTraces = 30
@@ -344,15 +344,15 @@ func TestConcurrentCallsCountPerCall(t *testing.T) {
 	const budget, calls = 2 << 10, 4
 	runs := []struct {
 		name string
-		run  func(OutOfCoreOptions) (*OutOfCoreStats, error)
+		run  func(OutOfCoreOptions) (*Explain, error)
 		must []string // series the call must have counted
 	}{
-		{"CheckStore", func(oo OutOfCoreOptions) (*OutOfCoreStats, error) {
+		{"CheckStore", func(oo OutOfCoreOptions) (*Explain, error) {
 			_, stats, err := CheckStore(ts, ruleSet, oo)
 			return stats, err
 		}, []string{"cache.pins", "cache.misses", "cache.bodies_opened", "cache.evictions",
 			"verify.traces_checked", "verify.segments_checked"}},
-		{"MineStoreRules", func(oo OutOfCoreOptions) (*OutOfCoreStats, error) {
+		{"MineStoreRules", func(oo OutOfCoreOptions) (*Explain, error) {
 			_, stats, err := MineStoreRules(ts, RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
 				MaxPremiseLength: 2, MaxConsequentLength: 2, Workers: 1}, oo)
 			return stats, err
@@ -383,7 +383,7 @@ func TestConcurrentCallsCountPerCall(t *testing.T) {
 			}
 
 			shared := NewMetrics()
-			stats := make([]*OutOfCoreStats, calls)
+			stats := make([]*Explain, calls)
 			start := make(chan struct{})
 			var wg sync.WaitGroup
 			for i := range stats {
@@ -431,19 +431,19 @@ func TestResidencyReturnsAtCallEnd(t *testing.T) {
 	ruleSet := queryRules(t, ts.Recovered().Database(ts.Dict()))
 	calls := []struct {
 		name string
-		run  func(OutOfCoreOptions) (*OutOfCoreStats, error)
+		run  func(OutOfCoreOptions) (*Explain, error)
 	}{
-		{"CheckStore", func(oo OutOfCoreOptions) (*OutOfCoreStats, error) {
+		{"CheckStore", func(oo OutOfCoreOptions) (*Explain, error) {
 			_, stats, err := CheckStore(ts, ruleSet, oo)
 			return stats, err
 		}},
-		{"MineStoreRules", func(oo OutOfCoreOptions) (*OutOfCoreStats, error) {
+		{"MineStoreRules", func(oo OutOfCoreOptions) (*Explain, error) {
 			_, stats, err := MineStoreRules(ts, RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
 				MaxPremiseLength: 2, MaxConsequentLength: 2}, oo)
 			return stats, err
 		}},
-		{"MineStore", func(oo OutOfCoreOptions) (*OutOfCoreStats, error) {
-			_, stats, err := MineStore(ts, PatternOptions{MinSupport: 3}, oo)
+		{"MineStore", func(oo OutOfCoreOptions) (*Explain, error) {
+			_, stats, err := MineStore(ts, PatternOptions{MinInstanceSupport: 3}, oo)
 			return stats, err
 		}},
 	}

@@ -38,38 +38,16 @@ type OutOfCoreOptions struct {
 	// so a single seed's working set may exceed it transiently.
 	CacheBytes int64
 	// Obs, when non-nil, sees every count of the call live: the call counts
-	// into its own Child of Obs (OutOfCoreStats.Obs), which forwards each
+	// into its own Child of Obs (Explain.Obs), which forwards each
 	// update — the segment cache's cache.* series as they happen, the
 	// mining/verification counters (mine.*, verify.*) as they are published.
 	Obs *obs.Registry
 }
 
-// OutOfCoreStats reports how much work segment statistics saved during one
-// out-of-core call, and holds the call's own counts.
-type OutOfCoreStats struct {
-	// SegmentsTotal is the catalog size; SegmentsSkipped counts segments whose
-	// bodies were never decoded because their statistics proved them
-	// irrelevant to every seed (mining) or every rule (checking).
-	SegmentsTotal   int
-	SegmentsSkipped int
-
-	// Obs is the call's registry — a Child of OutOfCoreOptions.Obs, or a
-	// standalone registry without one — holding exactly this call's counts
-	// even while other calls share the parent: the segment cache's
-	// cache.pins/hits/misses/evictions/bodies_opened/segments_opened/
-	// fragments_built and cache.resident_bytes/peak_bytes (the cache gives
-	// its residency back when the call returns, so resident_bytes then reads
-	// zero and peak_bytes the call's high-water mark), a mining call's mine.*
-	// series and a checking call's verify.* series.
-	Obs *obs.Registry
-}
-
-// callStats reads a call's OutOfCoreStats off its registry.
-func callStats(s *segSource, call *obs.Registry) *OutOfCoreStats {
-	n := s.numSegments()
-	opened := int(call.Counter("cache.segments_opened").Value())
-	return &OutOfCoreStats{SegmentsTotal: n, SegmentsSkipped: n - opened, Obs: call}
-}
+// OutOfCoreStats is the report of an out-of-core call: the per-query
+// Explain, whose SegmentsSkipped counts the catalog segments whose bodies
+// the call never decoded and whose Obs holds the call's own counts.
+type OutOfCoreStats = Explain
 
 // segSource adapts the segment catalog + cache to the miners' mine.Source
 // and to the check loop's segments: global event frequencies come from
@@ -192,18 +170,27 @@ func (s *segSource) AcquireSeed(e seqdb.EventID) (*mine.SeedView, error) {
 // segments — byte-identical to MinePatterns over Recover of the same store,
 // without ever materialising the full database. PatternOptions carries the
 // same knobs as MinePatterns.
-func MineStore(st *TraceStore, opts PatternOptions, oo OutOfCoreOptions) (*PatternResult, *OutOfCoreStats, error) {
+func MineStore(st *TraceStore, opts PatternOptions, oo OutOfCoreOptions) (*PatternResult, *Explain, error) {
+	return mineStore(st, opts, oo, minePatterns)
+}
+
+// mineStore runs one mining body over the store's segment catalog and
+// reports the call: every trace is selected, a segment whose body the cache
+// never opened was skipped, and the call's registry holds its counts.
+func mineStore[O, R any](st *TraceStore, opts O, oo OutOfCoreOptions, body func(mine.Source, O, *obs.Registry) (*R, error)) (*R, *Explain, error) {
 	call := oo.Obs.Child()
 	src, err := newSegSource(st, oo.CacheBytes, call)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer src.pool.Close()
-	res, err := minePatterns(src, opts, call)
+	res, err := body(src, opts, call)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, callStats(src, call), nil
+	n := src.numSegments()
+	opened := int(call.Counter("cache.segments_opened").Value())
+	return res, &Explain{Selected: src.numTraces, SegmentsTotal: n, SegmentsSkipped: n - opened, Obs: call}, nil
 }
 
 // publishPatternStats folds a pattern-mining run's search counters into the
@@ -225,18 +212,8 @@ func publishRuleStats(r *obs.Registry, s rules.Stats) {
 
 // MineStoreRules mines recurrent rules straight from the store's sealed
 // segments — byte-identical to MineRules over Recover of the same store.
-func MineStoreRules(st *TraceStore, opts RuleOptions, oo OutOfCoreOptions) (*RuleResult, *OutOfCoreStats, error) {
-	call := oo.Obs.Child()
-	src, err := newSegSource(st, oo.CacheBytes, call)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer src.pool.Close()
-	res, err := mineRules(src, opts, call)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, callStats(src, call), nil
+func MineStoreRules(st *TraceStore, opts RuleOptions, oo OutOfCoreOptions) (*RuleResult, *Explain, error) {
+	return mineStore(st, opts, oo, mineRules)
 }
 
 // CheckStore verifies a rule set against the store's sealed traces segment by
@@ -249,10 +226,9 @@ func MineStoreRules(st *TraceStore, opts RuleOptions, oo OutOfCoreOptions) (*Rul
 // violations are assembled in segment order into exact-size lists that share
 // one backing array, so the result does not depend on the worker count and
 // there is no option for it. The call's verify.* work counters land in
-// OutOfCoreStats.Obs.
-func CheckStore(st *TraceStore, ruleSet []Rule, oo OutOfCoreOptions) (verify.Summary, *OutOfCoreStats, error) {
-	sum, stats, _, err := CheckStoreWhere(st, ruleSet, Where{}, oo)
-	return sum, stats, err
+// Explain.Obs.
+func CheckStore(st *TraceStore, ruleSet []Rule, oo OutOfCoreOptions) (verify.Summary, *Explain, error) {
+	return CheckStoreWhere(st, ruleSet, Where{}, oo)
 }
 
 // CheckStoreWhere is CheckStore restricted to the traces selected by where,
@@ -260,23 +236,23 @@ func CheckStore(st *TraceStore, ruleSet []Rule, oo OutOfCoreOptions) (verify.Sum
 // range misses the window/id list, or whose statistics prove a required event
 // absent, are pruned without decoding. Violations carry global trace
 // ordinals, so the summary is byte-identical to CheckWhere over Recover of
-// the same store. The returned Explain includes segment-pruning counts.
-func CheckStoreWhere(st *TraceStore, ruleSet []Rule, where Where, oo OutOfCoreOptions) (verify.Summary, *OutOfCoreStats, *Explain, error) {
+// the same store. The returned Explain counts the skipped segments.
+func CheckStoreWhere(st *TraceStore, ruleSet []Rule, where Where, oo OutOfCoreOptions) (verify.Summary, *Explain, error) {
 	engine, err := verify.NewEngine(ruleSet)
 	if err != nil {
-		return verify.Summary{}, nil, nil, err
+		return verify.Summary{}, nil, err
 	}
 	call := oo.Obs.Child()
 	src, err := newSegSource(st, oo.CacheBytes, call)
 	if err != nil {
-		return verify.Summary{}, nil, nil, err
+		return verify.Summary{}, nil, err
 	}
 	defer src.pool.Close()
 	reports, ex, err := checkSegments(src, engine, where, call)
 	if err != nil {
-		return verify.Summary{}, nil, nil, err
+		return verify.Summary{}, nil, err
 	}
-	return verify.NewSummary(reports), callStats(src, call), ex, nil
+	return verify.NewSummary(reports), ex, nil
 }
 
 // segments is what the check loop sweeps: an ordered run of trace segments
@@ -373,7 +349,7 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 		base += n
 		has := func(e seqdb.EventID) bool { return segs.segmentHas(i, e) }
 		if !segmentMaySelect(has, where, segBase, n) {
-			ex.SegmentsPruned++
+			ex.SegmentsSkipped++
 			continue // predicate selects nothing here: contributes no reports
 		}
 		// Every rule statically dead: each selected trace satisfies every rule
@@ -386,7 +362,7 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 			segsSkipped.Inc()
 			tracesSkipped.Add(int64(count))
 			ex.Selected += count
-			ex.SegmentsPruned++
+			ex.SegmentsSkipped++
 			continue
 		}
 		jobs = append(jobs, job{seg: i, base: segBase})

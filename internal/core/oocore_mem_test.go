@@ -165,7 +165,7 @@ func oocoreEventBase(dict *seqdb.Dictionary, k int) seqdb.EventID {
 // comparison: sorted output order, syntactic keys, every counter included.
 func oocorePatternDump(res *PatternResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "minsup=%d closed=%v n=%d\n", res.MinSupport, res.Closed, len(res.Patterns))
+	fmt.Fprintf(&b, "minsup=%d n=%d\n", res.MinSupport, len(res.Patterns))
 	for _, p := range res.Patterns {
 		fmt.Fprintf(&b, "%s sup=%d seqs=%d\n", p.Pattern.Key(), p.Support, p.SeqSupport)
 	}
@@ -174,7 +174,7 @@ func oocorePatternDump(res *PatternResult) string {
 
 func oocoreRuleDump(res *RuleResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "nonredundant=%v n=%d\n", res.NonRedundant, len(res.Rules))
+	fmt.Fprintf(&b, "minseqsup=%d n=%d\n", res.MinSeqSup, len(res.Rules))
 	for _, r := range res.Rules {
 		fmt.Fprintf(&b, "%s ssup=%d isup=%d conf=%.9f\n", r.Key(), r.SeqSupport, r.InstanceSupport, r.Confidence)
 	}
@@ -284,7 +284,7 @@ func TestOutOfCorePrepare(t *testing.T) {
 		EvaluateRule(db, seqdb.Pattern{bases[0]}, seqdb.Pattern{bases[0] + 1}),
 	}
 
-	pres, err := MinePatterns(db, PatternOptions{MinSupport: minSup, MaxLength: 3})
+	pres, err := MinePatterns(db, PatternOptions{MinInstanceSupport: minSup, MaxPatternLength: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestOutOfCoreCapped(t *testing.T) {
 	}
 
 	// Patterns: seeds isolated to cluster 0 by the support threshold.
-	pres, stats, err := MineStore(ts, PatternOptions{MinSupport: ref.MinSupport, MaxLength: 3, Workers: 1}, oo)
+	pres, stats, err := MineStore(ts, PatternOptions{MinInstanceSupport: ref.MinSupport, MaxPatternLength: 3, Workers: 1}, oo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 
 			// Closed patterns with instances: exercises the closedness filter
 			// and the local→global instance remap.
-			popts := PatternOptions{MinSupportRel: 0.2, MaxLength: 4, KeepInstances: true, Workers: workers}
+			popts := PatternOptions{MinSupportRel: 0.2, MaxPatternLength: 4, IncludeInstances: true, Workers: workers}
 			want, err := MinePatterns(db, popts)
 			if err != nil {
 				t.Fatal(err)
@@ -105,7 +105,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			}
 
 			// Full (non-closed) patterns, no instances.
-			popts = PatternOptions{MinSupportRel: 0.3, Full: true, MaxLength: 3, Workers: workers}
+			popts = PatternOptions{MinSupportRel: 0.3, Full: true, MaxPatternLength: 3, Workers: workers}
 			want, err = MinePatterns(db, popts)
 			if err != nil {
 				t.Fatal(err)
@@ -224,7 +224,7 @@ func TestOutOfCoreEvictionReleasesViews(t *testing.T) {
 		}
 	}
 
-	popts := PatternOptions{MinSupportRel: 0.2, MaxLength: 4, KeepInstances: true, Workers: 4}
+	popts := PatternOptions{MinSupportRel: 0.2, MaxPatternLength: 4, IncludeInstances: true, Workers: 4}
 	wantP, err := MinePatterns(db, popts)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestOutOfCoreLazyOpen(t *testing.T) {
 	dir := ts.Dir()
 	db := ts.Recovered().Database(ts.Dict())
 
-	popts := PatternOptions{MinSupportRel: 0.2, MaxLength: 4}
+	popts := PatternOptions{MinSupportRel: 0.2, MaxPatternLength: 4}
 	wantP, err := MinePatterns(db, popts)
 	if err != nil {
 		t.Fatal(err)
@@ -438,7 +438,7 @@ func TestOutOfCoreMiningSkipsSegments(t *testing.T) {
 	db := ts.Recovered().Database(ts.Dict())
 
 	// Only session 0's c0_open/c0_use/c0_close reach 20 occurrences.
-	popts := PatternOptions{MinSupport: 20, MaxLength: 4}
+	popts := PatternOptions{MinInstanceSupport: 20, MaxPatternLength: 4}
 	want, err := MinePatterns(db, popts)
 	if err != nil {
 		t.Fatal(err)

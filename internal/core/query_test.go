@@ -153,7 +153,7 @@ func TestCheckStoreWhereMatchesInMemory(t *testing.T) {
 		for name, w := range queryPredicates(db) {
 			label := fmt.Sprintf("%s/budget=%d", name, budget)
 			want := checkWhereOracle(t, db, ruleSet, w)
-			got, ooStats, ex, err := CheckStoreWhere(ts, ruleSet, w, OutOfCoreOptions{CacheBytes: budget})
+			got, ex, err := CheckStoreWhere(ts, ruleSet, w, OutOfCoreOptions{CacheBytes: budget})
 			if err != nil {
 				t.Fatalf("%s: CheckStoreWhere: %v", label, err)
 			}
@@ -161,8 +161,8 @@ func TestCheckStoreWhereMatchesInMemory(t *testing.T) {
 				t.Fatalf("%s: CheckStoreWhere diverges from in-memory oracle:\n%s\nvs\n%s",
 					label, got.Render(db.Dict, 5), want.Render(db.Dict, 5))
 			}
-			if ex == nil || ex.SegmentsTotal != ooStats.SegmentsTotal {
-				t.Fatalf("%s: explain/segment mismatch: %+v vs %+v", label, ex, ooStats)
+			if ex == nil || ex.SegmentsTotal != len(ts.Segments()) {
+				t.Fatalf("%s: explain/segment mismatch: %+v vs %d catalog segments", label, ex, len(ts.Segments()))
 			}
 		}
 	}
@@ -170,11 +170,11 @@ func TestCheckStoreWhereMatchesInMemory(t *testing.T) {
 	// A cluster-local predicate must prune foreign segments at the catalog
 	// level: session 0's events appear only in session 0's segments.
 	w := Where{HasAll: []seqdb.EventID{db.Dict.Lookup("c0_a")}}
-	_, _, ex, err := CheckStoreWhere(ts, ruleSet, w, OutOfCoreOptions{})
+	_, ex, err := CheckStoreWhere(ts, ruleSet, w, OutOfCoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.SegmentsPruned == 0 {
+	if ex.SegmentsSkipped == 0 {
 		t.Fatalf("selective predicate pruned no segments: %+v", ex)
 	}
 }
@@ -203,6 +203,72 @@ func TestCheckStoreVerifyMetrics(t *testing.T) {
 	}
 }
 
+// TestExplainSkippedIsUnopened: every out-of-core call reports as skipped
+// exactly the catalog segments whose bodies its cache never opened —
+// SegmentsSkipped == SegmentsTotal − cache.segments_opened — for checks
+// under every predicate and for both miners, at an unlimited and a one-byte
+// cache budget. The check loop counts skips from its plan and the miners
+// from the cache, so this pins that the two agree.
+func TestExplainSkippedIsUnopened(t *testing.T) {
+	ts := buildSegmentedStore(t, 3, 4, 20)
+	db := ts.Recovered().Database(ts.Dict())
+	ruleSet := queryRules(t, db)
+	// Cluster 0's own rule: every other session's segments lack its premise,
+	// so a check answers them from statistics.
+	selective := []Rule{EvaluateRule(db, ParsePattern(db.Dict, "c0_a"), ParsePattern(db.Dict, "c0_b"))}
+	partial := false
+	for _, budget := range []int64{0, 1} {
+		oo := OutOfCoreOptions{CacheBytes: budget}
+		calls := map[string]func() (*Explain, error){
+			"CheckStore": func() (*Explain, error) {
+				_, ex, err := CheckStore(ts, ruleSet, oo)
+				return ex, err
+			},
+			"CheckStore/selective": func() (*Explain, error) {
+				_, ex, err := CheckStore(ts, selective, oo)
+				return ex, err
+			},
+			"MineStore": func() (*Explain, error) {
+				_, ex, err := MineStore(ts, PatternOptions{MinSupportRel: 0.2, MaxPatternLength: 3}, oo)
+				return ex, err
+			},
+			"MineStore/no-seed": func() (*Explain, error) {
+				_, ex, err := MineStore(ts, PatternOptions{MinInstanceSupport: 1 << 20}, oo)
+				return ex, err
+			},
+			"MineStoreRules": func() (*Explain, error) {
+				_, ex, err := MineStoreRules(ts, RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
+					MaxPremiseLength: 2, MaxConsequentLength: 2}, oo)
+				return ex, err
+			},
+		}
+		for name, where := range queryPredicates(db) {
+			calls["CheckStoreWhere/"+name] = func() (*Explain, error) {
+				_, ex, err := CheckStoreWhere(ts, ruleSet, where, oo)
+				return ex, err
+			}
+		}
+		for name, call := range calls {
+			label := fmt.Sprintf("%s/budget=%d", name, budget)
+			ex, err := call()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if ex.SegmentsTotal != len(ts.Segments()) {
+				t.Fatalf("%s: SegmentsTotal %d, catalog %d", label, ex.SegmentsTotal, len(ts.Segments()))
+			}
+			opened := ex.Obs.Counter("cache.segments_opened").Value()
+			if int64(ex.SegmentsSkipped) != int64(ex.SegmentsTotal)-opened {
+				t.Fatalf("%s: skipped %d of %d segments, but the cache opened %d", label, ex.SegmentsSkipped, ex.SegmentsTotal, opened)
+			}
+			partial = partial || (ex.SegmentsSkipped > 0 && opened > 0)
+		}
+	}
+	if !partial {
+		t.Fatal("no call both skipped and opened segments; the fixture is too uniform")
+	}
+}
+
 func TestMineWhereMatchesFilteredMine(t *testing.T) {
 	ts := buildSegmentedStore(t, 2, 3, 16)
 	db := ts.Recovered().Database(ts.Dict())
@@ -218,7 +284,7 @@ func TestMineWhereMatchesFilteredMine(t *testing.T) {
 			}
 		}
 
-		popts := PatternOptions{MinSupportRel: 0.4, MaxLength: 3}
+		popts := PatternOptions{MinSupportRel: 0.4, MaxPatternLength: 3}
 		want, err := MinePatterns(sub, popts)
 		if err != nil {
 			t.Fatal(err)

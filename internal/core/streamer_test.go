@@ -71,7 +71,7 @@ func TestStreamerEndToEnd(t *testing.T) {
 	}
 
 	// The snapshot feeds the batch miners while ingestion could continue.
-	pat, err := MinePatterns(db, PatternOptions{MinSupportRel: 0.9, MaxLength: 3})
+	pat, err := MinePatterns(db, PatternOptions{MinSupportRel: 0.9, MaxPatternLength: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

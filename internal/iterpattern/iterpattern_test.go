@@ -38,20 +38,33 @@ func TestOptionsValidate(t *testing.T) {
 	if err := (Options{MinSupportRel: 1.5}).Validate(); err == nil {
 		t.Errorf("MinSupportRel > 1 accepted")
 	}
-	if got := (Options{MinSupportRel: 0.5}).absoluteSupport(10); got != 5 {
-		t.Errorf("absoluteSupport(rel 0.5 of 10)=%d want 5", got)
+	// The applied threshold: a relative one overrides the absolute one.
+	ten := seqdb.NewDatabase()
+	for i := 0; i < 10; i++ {
+		ten.AppendNames("a")
 	}
-	if got := (Options{MinInstanceSupport: 3}).absoluteSupport(10); got != 3 {
-		t.Errorf("absoluteSupport(abs 3)=%d want 3", got)
+	for _, c := range []struct {
+		name string
+		opts Options
+		want int
+	}{
+		{"rel 0.5 of 10", Options{MinSupportRel: 0.5}, 5},
+		{"abs 3", Options{MinInstanceSupport: 3}, 3},
+		{"tiny rel", Options{MinSupportRel: 0.0001}, 1},
+	} {
+		res, err := Mine(ten, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.MinSupport != c.want {
+			t.Errorf("MinSupport(%s)=%d want %d", c.name, res.MinSupport, c.want)
+		}
 	}
-	if got := (Options{MinSupportRel: 0.0001}).absoluteSupport(10); got != 1 {
-		t.Errorf("absoluteSupport(tiny rel)=%d want 1", got)
+	if _, err := Mine(seqdb.NewDatabase(), Options{Full: true}); err == nil {
+		t.Errorf("the full miner must reject invalid options")
 	}
-	if _, err := MineFull(seqdb.NewDatabase(), Options{}); err == nil {
-		t.Errorf("MineFull must reject invalid options")
-	}
-	if _, err := MineClosed(seqdb.NewDatabase(), Options{}); err == nil {
-		t.Errorf("MineClosed must reject invalid options")
+	if _, err := Mine(seqdb.NewDatabase(), Options{}); err == nil {
+		t.Errorf("the closed miner must reject invalid options")
 	}
 }
 
@@ -64,7 +77,7 @@ func TestMineFullLockUnlock(t *testing.T) {
 		[]string{"lock", "read", "unlock"},
 		[]string{"idle", "idle"},
 	)
-	res, err := MineFull(db, Options{MinInstanceSupport: 3, IncludeInstances: true})
+	res, err := Mine(db, Options{MinInstanceSupport: 3, IncludeInstances: true, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +113,11 @@ func TestMineClosedSuppressesAbsorbedSubpatterns(t *testing.T) {
 		[]string{"noise", "init", "use", "close"},
 		[]string{"init", "use", "close"},
 	)
-	closed, err := MineClosed(db, Options{MinInstanceSupport: 4})
+	closed, err := Mine(db, Options{MinInstanceSupport: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := MineFull(db, Options{MinInstanceSupport: 4})
+	full, err := Mine(db, Options{MinInstanceSupport: 4, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +141,7 @@ func TestMineClosedKeepsDistinctSupports(t *testing.T) {
 		[]string{"a", "b"},
 		[]string{"a", "b"},
 	)
-	closed, err := MineClosed(db, Options{MinInstanceSupport: 2})
+	closed, err := Mine(db, Options{MinInstanceSupport: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +162,7 @@ func TestMaxPatternLength(t *testing.T) {
 		[]string{"a", "b", "c", "d"},
 		[]string{"a", "b", "c", "d"},
 	)
-	res, err := MineFull(db, Options{MinInstanceSupport: 2, MaxPatternLength: 2})
+	res, err := Mine(db, Options{MinInstanceSupport: 2, MaxPatternLength: 2, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +178,7 @@ func TestResultHelpers(t *testing.T) {
 		[]string{"a", "b", "c"},
 		[]string{"a", "b", "c"},
 	)
-	res, err := MineFull(db, Options{MinInstanceSupport: 2})
+	res, err := Mine(db, Options{MinInstanceSupport: 2, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +281,7 @@ func TestMineFullAgainstBruteForce(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		db := randomDB(rng, 3, 8, 3)
 		minSup := 2 + rng.Intn(2)
-		res, err := MineFull(db, Options{MinInstanceSupport: minSup})
+		res, err := Mine(db, Options{MinInstanceSupport: minSup, Full: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +305,7 @@ func TestMineClosedAgainstBruteForce(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		db := randomDB(rng, 3, 8, 3)
 		minSup := 2 + rng.Intn(2)
-		res, err := MineClosed(db, Options{MinInstanceSupport: minSup})
+		res, err := Mine(db, Options{MinInstanceSupport: minSup})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,11 +332,11 @@ func TestClosedIsSubsetOfFullWithEqualSupports(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
 		db := randomDB(rng, 4, 10, 4)
 		minSup := 3
-		full, err := MineFull(db, Options{MinInstanceSupport: minSup})
+		full, err := Mine(db, Options{MinInstanceSupport: minSup, Full: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		closed, err := MineClosed(db, Options{MinInstanceSupport: minSup})
+		closed, err := Mine(db, Options{MinInstanceSupport: minSup})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +361,7 @@ func TestMinerStatsArePopulated(t *testing.T) {
 		[]string{"a", "b", "c", "a", "b", "c"},
 		[]string{"a", "b", "c"},
 	)
-	res, err := MineClosed(db, Options{MinInstanceSupport: 2})
+	res, err := Mine(db, Options{MinInstanceSupport: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,11 +381,11 @@ func TestMinerStatsArePopulated(t *testing.T) {
 
 func TestMineDispatch(t *testing.T) {
 	db := mkdb([]string{"a", "b"}, []string{"a", "b"})
-	full, err := Mine(db, Options{MinInstanceSupport: 2}, false)
+	full, err := Mine(db, Options{MinInstanceSupport: 2, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed, err := Mine(db, Options{MinInstanceSupport: 2}, true)
+	closed, err := Mine(db, Options{MinInstanceSupport: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +396,7 @@ func TestMineDispatch(t *testing.T) {
 
 func TestClosedMinerInstancesOnRequest(t *testing.T) {
 	db := mkdb([]string{"a", "b"}, []string{"a", "b"})
-	noInst, err := MineClosed(db, Options{MinInstanceSupport: 2})
+	noInst, err := Mine(db, Options{MinInstanceSupport: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +405,7 @@ func TestClosedMinerInstancesOnRequest(t *testing.T) {
 			t.Errorf("instances retained without IncludeInstances")
 		}
 	}
-	withInst, err := MineClosed(db, Options{MinInstanceSupport: 2, IncludeInstances: true})
+	withInst, err := Mine(db, Options{MinInstanceSupport: 2, IncludeInstances: true})
 	if err != nil {
 		t.Fatal(err)
 	}

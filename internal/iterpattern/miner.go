@@ -9,43 +9,37 @@ import (
 	"specmine/internal/seqdb"
 )
 
-// Mine runs the closed miner when closed is true and the full miner
-// otherwise. It is a convenience wrapper used by the facade and the CLIs.
-func Mine(db *seqdb.Database, opts Options, closed bool) (*Result, error) {
-	return MineSource(mine.Resident(db), opts, closed)
+// Mine mines the iterative patterns of db: the closed set (Definition 4.2)
+// by default, every frequent pattern with Options.Full.
+func Mine(db *seqdb.Database, opts Options) (*Result, error) {
+	return MineSource(mine.Resident(db), opts)
 }
 
-// MineFull mines the complete set of frequent iterative patterns.
-func MineFull(db *seqdb.Database, opts Options) (*Result, error) {
-	return MineSource(mine.Resident(db), opts, false)
-}
-
-// MineClosed mines the closed set of frequent iterative patterns
-// (Definition 4.2). The search prunes subtrees that can only produce
-// non-closed patterns (see equivalence pruning in grow) and the surviving
-// candidates pass through an exact closedness filter before being reported.
-func MineClosed(db *seqdb.Database, opts Options) (*Result, error) {
-	return MineSource(mine.Resident(db), opts, true)
-}
-
-// MineSource is the one search driver: the closed miner when closed is true,
-// the full miner otherwise, over any mine.Source — a resident database or a
-// store's segment catalog. Each frequent seed event roots an independent
-// subtree mined against the seed's view: every structure the search consults
-// for a seed e — instance lists, extension windows, closedness witnesses —
-// lives entirely in the traces containing e (patterns grown from e always
-// start with e). Landmark tables are per seed, which loses no pruning:
-// equal instance lists force equal start events, so a landmark can only ever
-// match nodes of its own seed. Only the sequence ids inside exported
-// instances are view-local; they are remapped to global ids before the
-// merge, and mine.ForSeeds merges the per-seed outputs in seed order, so the
-// result is byte-identical for any Source and worker count.
-func MineSource(src mine.Source, opts Options, closed bool) (*Result, error) {
+// MineSource is the one search driver, over any mine.Source — a resident
+// database or a store's segment catalog. The closed miner prunes subtrees
+// that can only produce non-closed patterns (see equivalence pruning in
+// grow) and passes the surviving candidates through an exact closedness
+// filter; Options.Full mines every frequent pattern instead. Each frequent
+// seed event roots an independent subtree mined against the seed's view:
+// every structure the search consults for a seed e — instance lists,
+// extension windows, closedness witnesses — lives entirely in the traces
+// containing e (patterns grown from e always start with e). Landmark tables
+// are per seed, which loses no pruning: equal instance lists force equal
+// start events, so a landmark can only ever match nodes of its own seed.
+// Only the sequence ids inside exported instances are view-local; they are
+// remapped to global ids before the merge, and mine.ForSeeds merges the
+// per-seed outputs in seed order, so the result is byte-identical for any
+// Source and worker count.
+func MineSource(src mine.Source, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	minSup := opts.absoluteSupport(src.NumSequences())
+	closed := !opts.Full
+	minSup := opts.MinInstanceSupport
+	if opts.MinSupportRel > 0 {
+		minSup = seqdb.AbsoluteSupport(opts.MinSupportRel, src.NumSequences())
+	}
 	events := src.FrequentByInstanceCount(minSup)
 	workers := mine.EffectiveWorkers(opts.Workers)
 	if workers > len(events) {

@@ -3,13 +3,13 @@
 //
 // An iterative pattern is a series of events whose instances — defined by the
 // Quantified Regular Expression of Definition 4.1 and implemented in package
-// qre — are counted repeatedly within and across sequences. Two miners are
-// provided:
+// qre — are counted repeatedly within and across sequences. Mine returns
+// either set of Figure 1:
 //
-//   - MineFull returns every frequent pattern (the "Full" series of Figure 1);
-//   - MineClosed returns only closed patterns (Definition 4.2), using early
+//   - by default only closed patterns (Definition 4.2), using early
 //     search-space pruning of non-closed pattern subtrees plus an exact
-//     closedness filter (the "Closed" series of Figure 1).
+//     closedness filter (the "Closed" series);
+//   - with Options.Full every frequent pattern (the "Full" series).
 package iterpattern
 
 import (
@@ -24,9 +24,14 @@ type Options struct {
 	MinInstanceSupport int
 
 	// MinSupportRel, when positive, overrides MinInstanceSupport with
-	// ceil(rel * number of sequences): the paper reports support thresholds
-	// relative to the number of sequences in the database (Section 6).
+	// seqdb.AbsoluteSupport(rel, number of sequences): the paper reports
+	// support thresholds relative to the number of sequences in the database
+	// (Section 6).
 	MinSupportRel float64
+
+	// Full mines every frequent pattern; the zero value mines the closed set
+	// of Definition 4.2.
+	Full bool
 
 	// MaxPatternLength bounds the length of mined patterns; 0 means no bound.
 	MaxPatternLength int
@@ -56,17 +61,4 @@ func (o Options) Validate() error {
 		return errors.New("iterpattern: MaxPatternLength must be >= 0")
 	}
 	return nil
-}
-
-// absoluteSupport resolves the effective absolute instance-support threshold
-// for a database with numSequences sequences.
-func (o Options) absoluteSupport(numSequences int) int {
-	if o.MinSupportRel > 0 {
-		n := int(o.MinSupportRel*float64(numSequences) + 0.5)
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	return o.MinInstanceSupport
 }

@@ -71,24 +71,24 @@ func TestMineSourceSeedViewsMatchResident(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for iter := 0; iter < 20; iter++ {
 		db := randomDB(rng, 6, 9, 4)
-		for _, closed := range []bool{false, true} {
+		for _, full := range []bool{true, false} {
 			for _, workers := range []int{1, 3} {
-				opts := Options{MinInstanceSupport: 2, IncludeInstances: true, Workers: workers}
-				want, err := Mine(db, opts, closed)
+				opts := Options{MinInstanceSupport: 2, IncludeInstances: true, Full: full, Workers: workers}
+				want, err := Mine(db, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				src := newSeedViews(db)
-				got, err := MineSource(src, opts, closed)
+				got, err := MineSource(src, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if n := src.open.Load(); n != 0 {
-					t.Fatalf("iter %d closed=%v workers=%d: %d views never released", iter, closed, workers, n)
+					t.Fatalf("iter %d full=%v workers=%d: %d views never released", iter, full, workers, n)
 				}
 				if !sameResult(got, want) {
-					t.Fatalf("iter %d closed=%v workers=%d: seed views differ from resident\n got %+v\nwant %+v",
-						iter, closed, workers, got, want)
+					t.Fatalf("iter %d full=%v workers=%d: seed views differ from resident\n got %+v\nwant %+v",
+						iter, full, workers, got, want)
 				}
 			}
 		}
@@ -101,18 +101,18 @@ func TestMineWorkersByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for iter := 0; iter < 10; iter++ {
 		db := randomDB(rng, 5, 10, 4)
-		for _, closed := range []bool{false, true} {
-			want, err := Mine(db, Options{MinInstanceSupport: 2, IncludeInstances: true, Workers: 1}, closed)
+		for _, full := range []bool{true, false} {
+			want, err := Mine(db, Options{MinInstanceSupport: 2, IncludeInstances: true, Full: full, Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, -1} {
-				got, err := Mine(db, Options{MinInstanceSupport: 2, IncludeInstances: true, Workers: workers}, closed)
+				got, err := Mine(db, Options{MinInstanceSupport: 2, IncludeInstances: true, Full: full, Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !sameResult(got, want) {
-					t.Fatalf("iter %d closed=%v: workers=%d differs from workers=1", iter, closed, workers)
+					t.Fatalf("iter %d full=%v: workers=%d differs from workers=1", iter, full, workers)
 				}
 			}
 		}
@@ -125,7 +125,7 @@ func TestMineSourceAcquireError(t *testing.T) {
 	db := mkdb([]string{"a", "b", "a"}, []string{"a", "b"})
 	for _, workers := range []int{1, 2} {
 		src := failingSource{mine.Resident(db)}
-		_, err := MineSource(src, Options{MinInstanceSupport: 2, Workers: workers}, true)
+		_, err := MineSource(src, Options{MinInstanceSupport: 2, Workers: workers})
 		if !errors.Is(err, errAcquire) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, errAcquire)
 		}

@@ -25,25 +25,31 @@ type SelectionExplain struct {
 	Filters int
 }
 
-// Explain is the human- and machine-readable account of one query: the
-// traces it selected, the segments answered from catalog statistics, the
-// selection operator a Where predicate compiled to, and the registry the
-// query counted its work into.
+// Explain is the human- and machine-readable account of one query — a
+// predicated call, or any out-of-core mine or check: the traces it selected,
+// the segments whose bodies it never decoded, the selection operator a Where
+// predicate compiled to, and the registry the query counted its work into.
 type Explain struct {
 	// Selected counts the traces the predicate admitted.
 	Selected int
 
-	// Obs holds the query's own counts: verify.traces_checked/skipped count
-	// traces fed through the online automaton versus answered from segment
+	// Obs holds exactly the query's own counts, even while other queries
+	// share its parent registry: verify.traces_checked/skipped count traces
+	// fed through the online automaton versus answered from segment
 	// statistics alone, verify.segments_checked/skipped count segment bodies
-	// decoded versus answered from statistics (plus the cache.* series of an
-	// out-of-core query). Nil for a query that ran no verifier.
+	// decoded versus answered from statistics, a mining query's mine.* series,
+	// and an out-of-core query's segment-cache cache.* series (the cache gives
+	// its residency back when the query returns, so cache.resident_bytes then
+	// reads zero and cache.peak_bytes the query's high-water mark). Nil for a
+	// query that ran neither a verifier nor an out-of-core miner.
 	Obs *obs.Registry
 
-	// SegmentsPruned / SegmentsTotal count catalog segments answered (or
-	// discarded) from statistics alone. An in-memory database is one segment.
-	SegmentsPruned int
-	SegmentsTotal  int
+	// SegmentsSkipped counts the catalog segments whose bodies the query
+	// never decoded: pruned by the predicate, answered from statistics, or
+	// never needed by a miner. SegmentsTotal is the catalog size; an
+	// in-memory database is one segment.
+	SegmentsSkipped int
+	SegmentsTotal   int
 
 	// Selection is set when the query compiled a Where predicate.
 	Selection *SelectionExplain
@@ -62,7 +68,7 @@ func (ex *Explain) Render(dict *seqdb.Dictionary) string {
 		fmt.Fprintf(&b, " est=%d filters=%d\n", sel.EstTraces, sel.Filters)
 	}
 	if ex.SegmentsTotal > 0 {
-		fmt.Fprintf(&b, "  segments: %d/%d pruned by statistics\n", ex.SegmentsPruned, ex.SegmentsTotal)
+		fmt.Fprintf(&b, "  segments: %d/%d skipped\n", ex.SegmentsSkipped, ex.SegmentsTotal)
 	}
 	c := func(name string) int64 { return ex.Obs.Counter(name).Value() }
 	fmt.Fprintf(&b, "  metrics: traces checked=%d skipped=%d; segments checked=%d skipped=%d\n",

@@ -8,34 +8,10 @@ import (
 	"specmine/internal/seqdb"
 )
 
-// MineFull mines every significant rule: all rules satisfying the s-support,
-// i-support and confidence thresholds, with no redundancy removal (the "Full"
-// series of Figures 2 and 3).
-func MineFull(db *seqdb.Database, opts Options) (*Result, error) {
-	return MineSource(mine.Resident(db), opts, false)
-}
-
-// MineNonRedundant mines the non-redundant set of significant rules
-// (Definition 5.2): premises whose temporal points coincide with those of a
-// longer premise are dropped by a canonical dedup before any consequent is
-// mined, consequents that can be extended without changing any statistic are
-// not reported on their own, and a final filter removes any remaining
-// redundancy (the "NR" series of Figures 2 and 3).
-//
-// Known gap at the premise bound: the premise walk skips a premise's subtree
-// when an equivalent single insertion dominates it, and at MaxPremiseLength
-// that dominating insertion is one event past the bound. So a rule whose
-// premise sits at MaxPremiseLength can be non-redundant within the bounds and
-// still go unmined; FilterRedundant(MineFull(...)) keeps it, and the two can
-// differ for MaxPremiseLength >= 2. ROADMAP item 7 tracks the fix.
-func MineNonRedundant(db *seqdb.Database, opts Options) (*Result, error) {
-	return MineSource(mine.Resident(db), opts, true)
-}
-
-// Mine dispatches on nonRedundant. It is a convenience for the facade and
-// CLIs.
-func Mine(db *seqdb.Database, opts Options, nonRedundant bool) (*Result, error) {
-	return MineSource(mine.Resident(db), opts, nonRedundant)
+// Mine mines the recurrent rules of db: the non-redundant set of Definition
+// 5.2 by default, every significant rule with Options.Full.
+func Mine(db *seqdb.Database, opts Options) (*Result, error) {
+	return MineSource(mine.Resident(db), opts)
 }
 
 // MineSource is the one search driver, over any mine.Source — a resident
@@ -62,12 +38,16 @@ func Mine(db *seqdb.Database, opts Options, nonRedundant bool) (*Result, error) 
 // phase 3; the ascending Global table preserves projection order in both
 // directions, so every count, extension set and emitted rule is identical
 // for every Source.
-func MineSource(src mine.Source, opts Options, nonRedundant bool) (*Result, error) {
+func MineSource(src mine.Source, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	minSeqSup := opts.absoluteSeqSupport(src.NumSequences())
+	nonRedundant := !opts.Full
+	minSeqSup := opts.MinSeqSupport
+	if opts.MinSeqSupportRel > 0 {
+		minSeqSup = seqdb.AbsoluteSupport(opts.MinSeqSupportRel, src.NumSequences())
+	}
 	events := src.FrequentBySeqSupport(minSeqSup)
 	workers := mine.EffectiveWorkers(opts.Workers)
 	var stats Stats

@@ -13,8 +13,8 @@ import (
 // s-support, i-support and confidence has a concatenation that is a proper
 // super-sequence of RX's, or the same concatenation with a shorter premise.
 // The non-redundant miner runs it last; it is exposed so that callers
-// holding a full rule set (for example from MineFull) can derive the
-// non-redundant view without re-mining.
+// holding a full rule set (for example from Mine with Options.Full) can
+// derive the non-redundant view without re-mining.
 //
 // Only rules with equal integer supports can make one another redundant, so
 // rules are bucketed by (SeqSupport, InstanceSupport) and compared within a

@@ -13,9 +13,9 @@
 //   - confidence: the fraction of the premise's temporal points that are
 //     followed by the consequent.
 //
-// MineFull returns every significant rule (the "Full" series of Figures 2–3);
-// MineNonRedundant returns the non-redundant set of Definition 5.2 using
-// early pruning of redundant premises and consequents (the "NR" series).
+// Mine returns the non-redundant set of Definition 5.2 using early pruning of
+// redundant premises and consequents (the "NR" series of Figures 2–3), or
+// with Options.Full every significant rule (the "Full" series).
 package rules
 
 import (
@@ -34,8 +34,8 @@ type Options struct {
 	// containing the premise).
 	MinSeqSupport int
 	// MinSeqSupportRel, when positive, overrides MinSeqSupport with
-	// ceil(rel * number of sequences), matching the relative thresholds on
-	// the x-axes of Figures 2 and 3.
+	// seqdb.AbsoluteSupport(rel, number of sequences), matching the relative
+	// thresholds on the x-axes of Figures 2 and 3.
 	MinSeqSupportRel float64
 	// MinInstanceSupport is the minimum i-support (occurrences of
 	// pre ++ post). The paper's experiments use 1.
@@ -46,6 +46,23 @@ type Options struct {
 	// 0 means unlimited.
 	MaxPremiseLength    int
 	MaxConsequentLength int
+
+	// Full mines every significant rule: all rules meeting the s-support,
+	// i-support and confidence thresholds. The zero value mines the
+	// non-redundant set (Definition 5.2): premises whose temporal points
+	// coincide with those of a longer premise are dropped by a canonical
+	// dedup before any consequent is mined, consequents that can be extended
+	// without changing any statistic are not reported on their own, and a
+	// final filter removes any remaining redundancy.
+	//
+	// Known gap at the premise bound: the premise walk skips a premise's
+	// subtree when an equivalent single insertion dominates it, and at
+	// MaxPremiseLength that dominating insertion is one event past the
+	// bound. So a rule whose premise sits at MaxPremiseLength can be
+	// non-redundant within the bounds and still go unmined; FilterRedundant
+	// of the full set keeps it, and the two can differ for MaxPremiseLength
+	// >= 2. ROADMAP item 7 tracks the fix.
+	Full bool
 
 	// Workers bounds the worker pool that walks premise subtrees (one
 	// frequent seed event per task) and then mines consequent subtrees (one
@@ -70,17 +87,6 @@ func (o Options) Validate() error {
 		return errors.New("rules: length bounds must be >= 0")
 	}
 	return nil
-}
-
-func (o Options) absoluteSeqSupport(numSequences int) int {
-	if o.MinSeqSupportRel > 0 {
-		n := int(o.MinSeqSupportRel*float64(numSequences) + 0.5)
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	return o.MinSeqSupport
 }
 
 // Rule is one mined recurrent rule pre -> post with its statistics.

@@ -35,15 +35,29 @@ func TestOptionsValidate(t *testing.T) {
 			t.Errorf("case %d: invalid options accepted", i)
 		}
 	}
-	if got := (Options{MinSeqSupportRel: 0.5, MinInstanceSupport: 1, MinConfidence: 1}).absoluteSeqSupport(10); got != 5 {
-		t.Errorf("absoluteSeqSupport=%d want 5", got)
+	ten := seqdb.NewDatabase()
+	for i := 0; i < 10; i++ {
+		ten.AppendNames("a")
 	}
-	if _, err := MineFull(seqdb.NewDatabase(), Options{}); err == nil {
-		t.Errorf("MineFull accepted invalid options")
+	res, err := Mine(ten, Options{MinSeqSupportRel: 0.5, MinInstanceSupport: 1, MinConfidence: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := MineNonRedundant(seqdb.NewDatabase(), Options{}); err == nil {
-		t.Errorf("MineNonRedundant accepted invalid options")
+	if res.MinSeqSup != 5 {
+		t.Errorf("applied s-support %d want 5", res.MinSeqSup)
 	}
+	if _, err := mineFull(seqdb.NewDatabase(), Options{}); err == nil {
+		t.Errorf("the full miner accepted invalid options")
+	}
+	if _, err := Mine(seqdb.NewDatabase(), Options{}); err == nil {
+		t.Errorf("the non-redundant miner accepted invalid options")
+	}
+}
+
+// mineFull mines every significant rule under opts.
+func mineFull(db *seqdb.Database, opts Options) (*Result, error) {
+	opts.Full = true
+	return Mine(db, opts)
 }
 
 func TestEvaluateRuleLockUnlock(t *testing.T) {
@@ -94,7 +108,7 @@ func TestMineFullSimpleRule(t *testing.T) {
 		[]string{"lock", "write", "unlock"},
 		[]string{"lock", "read", "unlock"},
 	)
-	res, err := MineFull(db, Options{MinSeqSupport: 3, MinInstanceSupport: 1, MinConfidence: 1.0})
+	res, err := Mine(db, Options{MinSeqSupport: 3, MinInstanceSupport: 1, MinConfidence: 1.0, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +138,7 @@ func TestMinedRuleStatisticsMatchEvaluateRule(t *testing.T) {
 			db.AppendNames(names...)
 		}
 		opts := Options{MinSeqSupport: 2, MinInstanceSupport: 1, MinConfidence: 0.5, MaxPremiseLength: 3, MaxConsequentLength: 3}
-		res, err := MineFull(db, opts)
+		res, err := mineFull(db, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +182,10 @@ func bruteRules(db *seqdb.Database, opts Options, maxPre, maxPost int) map[strin
 	}
 	gen(nil, maxLen)
 
-	minSeqSup := opts.absoluteSeqSupport(db.NumSequences())
+	minSeqSup := opts.MinSeqSupport
+	if opts.MinSeqSupportRel > 0 {
+		minSeqSup = seqdb.AbsoluteSupport(opts.MinSeqSupportRel, db.NumSequences())
+	}
 	out := make(map[string]Rule)
 	for _, pre := range patterns {
 		if len(pre) > maxPre {
@@ -248,7 +265,7 @@ func TestMineFullAgainstBruteForce(t *testing.T) {
 						MaxPremiseLength:    maxPre,
 						MaxConsequentLength: maxPost,
 					}
-					res, err := MineFull(db, opts)
+					res, err := mineFull(db, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -273,19 +290,15 @@ func TestMineFullAgainstBruteForce(t *testing.T) {
 						}
 					}
 
-					nr, err := MineNonRedundant(db, opts)
+					nr, err := Mine(db, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
 					var reached []Rule
-				rules:
 					for _, r := range res.Rules {
-						for k := 1; k <= len(r.Pre) && k < maxPre; k++ {
-							if insertionDominated(db, r.Pre[:k], db.FrequentEvents(1)) {
-								continue rules
-							}
+						if !walkSkips(db, r.Pre, maxPre) {
+							reached = append(reached, r)
 						}
-						reached = append(reached, r)
 					}
 					if filtered := FilterRedundant(reached); !reflect.DeepEqual(nr.Rules, filtered) {
 						t.Fatalf("iter %d pre<=%d post<=%d isup>=%d: non-redundant miner differs from FilterRedundant(full rules the premise walk reaches)\nnr:\n%sfiltered:\n%s",
@@ -297,9 +310,28 @@ func TestMineFullAgainstBruteForce(t *testing.T) {
 	}
 }
 
+// walkSkips reports whether the non-redundant premise walk never reaches a
+// rule with premise pre under MaxPremiseLength maxPre: some prefix of pre
+// shorter than maxPre has an equivalent single insertion, so its subtree is
+// skipped (see TestMineFullAgainstBruteForce).
+func walkSkips(db *seqdb.Database, pre seqdb.Pattern, maxPre int) bool {
+	for k := 1; k <= len(pre) && k < maxPre; k++ {
+		if insertionDominated(db, pre[:k], db.FrequentEvents(1)) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestMineNonRedundantCoversFullSet: every non-redundant rule is a
+// significant rule with the same statistics, and every significant rule is
+// covered by a non-redundant one with equal statistics and a super-sequence
+// concatenation — except a rule the premise walk never reaches at the bound
+// (walkSkips; the known gap of Options.Full), which is set aside and counted.
 func TestMineNonRedundantCoversFullSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
-	for iter := 0; iter < 10; iter++ {
+	setAside := 0
+	for iter := 0; iter < 30; iter++ {
 		db := seqdb.NewDatabase()
 		for i := 0; i < 4; i++ {
 			n := 2 + rng.Intn(6)
@@ -317,11 +349,11 @@ func TestMineNonRedundantCoversFullSet(t *testing.T) {
 				MaxPremiseLength:    2,
 				MaxConsequentLength: 2,
 			}
-			full, err := MineFull(db, opts)
+			full, err := mineFull(db, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			nr, err := MineNonRedundant(db, opts)
+			nr, err := Mine(db, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,6 +387,10 @@ func TestMineNonRedundantCoversFullSet(t *testing.T) {
 						break
 					}
 				}
+				if !covered && walkSkips(db, f.Pre, opts.MaxPremiseLength) {
+					setAside++
+					continue
+				}
 				if !covered {
 					t.Fatalf("iter %d isup>=%d: full rule %s not covered by NR set\nfull:\n%snr:\n%s",
 						iter, minISup, f.String(db.Dict), full.Render(db.Dict, 0), nr.Render(db.Dict, 0))
@@ -368,6 +404,7 @@ func TestMineNonRedundantCoversFullSet(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d uncovered full rules set aside: the premise walk skips them at the bound", setAside)
 }
 
 func TestInitTerminationMultiEventRule(t *testing.T) {
@@ -382,7 +419,7 @@ func TestInitTerminationMultiEventRule(t *testing.T) {
 		[]string{"noise", "noise"},
 	)
 	opts := Options{MinSeqSupport: 3, MinInstanceSupport: 1, MinConfidence: 1.0}
-	res, err := MineNonRedundant(db, opts)
+	res, err := Mine(db, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +440,7 @@ func TestInitTerminationMultiEventRule(t *testing.T) {
 		t.Errorf("longer-premise variant should have been removed by the tie-break:\n%s", res.Render(db.Dict, 0))
 	}
 	// The full miner, by contrast, reports both variants.
-	full, err := MineFull(db, opts)
+	full, err := mineFull(db, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +455,7 @@ func TestNonRedundantSuppressesShorterConsequents(t *testing.T) {
 		[]string{"a", "x", "y", "z"},
 		[]string{"a", "x", "y", "z"},
 	)
-	res, err := MineNonRedundant(db, Options{MinSeqSupport: 3, MinInstanceSupport: 1, MinConfidence: 1.0})
+	res, err := Mine(db, Options{MinSeqSupport: 3, MinInstanceSupport: 1, MinConfidence: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +466,7 @@ func TestNonRedundantSuppressesShorterConsequents(t *testing.T) {
 	if _, ok := res.Find(seqdb.ParsePattern(db.Dict, "a"), seqdb.ParsePattern(db.Dict, "x y z")); !ok {
 		t.Errorf("a -> x y z missing:\n%s", res.Render(db.Dict, 0))
 	}
-	full, err := MineFull(db, Options{MinSeqSupport: 3, MinInstanceSupport: 1, MinConfidence: 1.0})
+	full, err := Mine(db, Options{MinSeqSupport: 3, MinInstanceSupport: 1, MinConfidence: 1.0, Full: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +619,7 @@ func TestStatsPopulated(t *testing.T) {
 		[]string{"a", "b", "a", "b"},
 		[]string{"a", "b"},
 	)
-	res, err := MineNonRedundant(db, Options{MinSeqSupport: 2, MinInstanceSupport: 1, MinConfidence: 0.5})
+	res, err := Mine(db, Options{MinSeqSupport: 2, MinInstanceSupport: 1, MinConfidence: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

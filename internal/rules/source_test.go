@@ -93,25 +93,25 @@ func TestMineSourceSeedViewsMatchResident(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for iter := 0; iter < 15; iter++ {
 		db := randomRuleDB(rng, 7, 8, 4)
-		for _, nr := range []bool{false, true} {
+		for _, full := range []bool{true, false} {
 			for _, workers := range []int{1, 3} {
 				opts := sourceTestOpts
-				opts.Workers = workers
-				want, err := Mine(db, opts, nr)
+				opts.Full, opts.Workers = full, workers
+				want, err := Mine(db, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				src := newSeedViews(db)
-				got, err := MineSource(src, opts, nr)
+				got, err := MineSource(src, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if n := src.open.Load(); n != 0 {
-					t.Fatalf("iter %d nr=%v workers=%d: %d views never released", iter, nr, workers, n)
+					t.Fatalf("iter %d full=%v workers=%d: %d views never released", iter, full, workers, n)
 				}
 				if !sameResult(got, want) {
-					t.Fatalf("iter %d nr=%v workers=%d: seed views differ from resident\n got %+v\nwant %+v",
-						iter, nr, workers, got, want)
+					t.Fatalf("iter %d full=%v workers=%d: seed views differ from resident\n got %+v\nwant %+v",
+						iter, full, workers, got, want)
 				}
 			}
 		}
@@ -124,21 +124,21 @@ func TestMineWorkersByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for iter := 0; iter < 10; iter++ {
 		db := randomRuleDB(rng, 6, 9, 4)
-		for _, nr := range []bool{false, true} {
+		for _, full := range []bool{true, false} {
 			opts := sourceTestOpts
-			opts.Workers = 1
-			want, err := Mine(db, opts, nr)
+			opts.Full, opts.Workers = full, 1
+			want, err := Mine(db, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{2, 4, -1} {
 				opts.Workers = workers
-				got, err := Mine(db, opts, nr)
+				got, err := Mine(db, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !sameResult(got, want) {
-					t.Fatalf("iter %d nr=%v: workers=%d differs from workers=1", iter, nr, workers)
+					t.Fatalf("iter %d full=%v: workers=%d differs from workers=1", iter, full, workers)
 				}
 			}
 		}
@@ -152,7 +152,7 @@ func TestMineSourceAcquireError(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		opts := sourceTestOpts
 		opts.Workers = workers
-		_, err := MineSource(failingSource{mine.Resident(db)}, opts, true)
+		_, err := MineSource(failingSource{mine.Resident(db)}, opts)
 		if !errors.Is(err, errAcquire) {
 			t.Fatalf("workers=%d: err = %v, want %v", workers, err, errAcquire)
 		}

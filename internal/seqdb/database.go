@@ -188,14 +188,11 @@ func (db *Database) Validate() error {
 	return nil
 }
 
-// AbsoluteSupport converts a relative support threshold (a fraction of the
-// number of sequences, as used on the x-axes of the paper's figures, e.g.
-// 0.0025 for 0.25%) into an absolute sequence count, never returning less
-// than 1.
-func (db *Database) AbsoluteSupport(rel float64) int {
-	n := int(rel*float64(db.NumSequences()) + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	return n
+// AbsoluteSupport converts a relative support threshold rel (a fraction of
+// the n sequences of a database, as used on the x-axes of the paper's
+// figures, e.g. 0.0025 for 0.25%) into an absolute count: rel*n rounded half
+// up, never less than 1. Rounding, not ceil, means the threshold can admit
+// slightly less than rel: 0.9 of 8 sequences gives 7, which is 87.5%.
+func AbsoluteSupport(rel float64, n int) int {
+	return max(int(rel*float64(n)+0.5), 1)
 }

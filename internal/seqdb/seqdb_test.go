@@ -284,11 +284,31 @@ func TestDatabaseBasics(t *testing.T) {
 	if len(freqI) != 2 {
 		t.Errorf("FrequentEventsByInstances(3)=%v", freqI)
 	}
-	if got := db.AbsoluteSupport(0.5); got != 2 {
+	if got := AbsoluteSupport(0.5, db.NumSequences()); got != 2 {
 		t.Errorf("AbsoluteSupport(0.5)=%d want 2", got)
 	}
-	if got := db.AbsoluteSupport(0.0001); got != 1 {
+	if got := AbsoluteSupport(0.0001, db.NumSequences()); got != 1 {
 		t.Errorf("AbsoluteSupport(tiny)=%d want 1", got)
+	}
+}
+
+// TestAbsoluteSupport pins the relative-threshold conversion every miner
+// shares: rel*n rounded half up, at least 1. The pinned benchmark digests
+// depend on the rounding, so a switch to ceil must show here first.
+func TestAbsoluteSupport(t *testing.T) {
+	for _, c := range []struct {
+		rel  float64
+		n    int
+		want int
+	}{
+		{0.9, 8, 7}, // 7.2 rounds down: the threshold admits 87.5%
+		{0.5, 3, 2},
+		{0.0001, 10, 1},
+		{0.95, 50000, 47500},
+	} {
+		if got := AbsoluteSupport(c.rel, c.n); got != c.want {
+			t.Errorf("AbsoluteSupport(%v, %d) = %d, want %d", c.rel, c.n, got, c.want)
+		}
 	}
 }
 

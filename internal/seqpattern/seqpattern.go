@@ -33,7 +33,7 @@ type Options struct {
 	// contain a pattern.
 	MinSeqSupport int
 	// MinSupportRel, when positive, overrides MinSeqSupport with
-	// ceil(rel * number of sequences).
+	// seqdb.AbsoluteSupport(rel, number of sequences).
 	MinSupportRel float64
 	// MaxPatternLength bounds pattern length; 0 means unlimited.
 	MaxPatternLength int
@@ -54,17 +54,6 @@ func (o Options) Validate() error {
 		return errors.New("seqpattern: MaxPatternLength must be >= 0")
 	}
 	return nil
-}
-
-func (o Options) absoluteSupport(numSequences int) int {
-	if o.MinSupportRel > 0 {
-		n := int(o.MinSupportRel*float64(numSequences) + 0.5)
-		if n < 1 {
-			n = 1
-		}
-		return n
-	}
-	return o.MinSeqSupport
 }
 
 // MinedPattern is a sequential pattern with its sequence support.
@@ -98,7 +87,10 @@ func Mine(db *seqdb.Database, opts Options) (*Result, error) {
 		return nil, err
 	}
 	start := time.Now()
-	minSup := opts.absoluteSupport(db.NumSequences())
+	minSup := opts.MinSeqSupport
+	if opts.MinSupportRel > 0 {
+		minSup = seqdb.AbsoluteSupport(opts.MinSupportRel, db.NumSequences())
+	}
 	idx := db.FlatIndex()
 
 	// Frequent seed events straight from the postings (apriori base case:

@@ -37,8 +37,16 @@ func TestOptionsValidate(t *testing.T) {
 	if _, err := Mine(seqdb.NewDatabase(), Options{}); err == nil {
 		t.Errorf("Mine must reject invalid options")
 	}
-	if got := (Options{MinSupportRel: 0.25}).absoluteSupport(8); got != 2 {
-		t.Errorf("absoluteSupport=%d want 2", got)
+	eight := seqdb.NewDatabase()
+	for i := 0; i < 8; i++ {
+		eight.AppendNames("a")
+	}
+	res, err := Mine(eight, Options{MinSupportRel: 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.MinSupport != 2 {
+		t.Errorf("applied support %d want 2", res.MinSupport)
 	}
 }
 

@@ -898,11 +898,14 @@ func (st *Store) Compact() error {
 	return nil
 }
 
-// compactMinRun is the smallest run of small adjacent segments worth
-// merging. Requiring several keeps compaction amortised: a freshly merged
-// segment (often still under the size budget) is not re-merged until enough
-// new small neighbours accumulate, so each byte is rewritten O(log) times
-// over the store's life rather than once per barrier.
+// compactMinRun is the smallest run of adjacent segments under
+// Options.CompactBytes that compaction merges; shorter runs wait for more
+// barrier tails. A merged segment still under the budget counts as one
+// small segment of the next run, so it is rewritten again each time
+// compactMinRun-1 new tails land beside it, until it outgrows the budget.
+// Nothing bounds those rewrites by a logarithm: durable ingest of the
+// locking workload measured about 14 segment bytes written per byte that
+// stays live.
 const compactMinRun = 4
 
 func (st *Store) compactShard(sl *ShardLog) error {

@@ -235,7 +235,7 @@ func TestSnapshotSharesShardReports(t *testing.T) {
 
 func minedRules(t *testing.T, db *seqdb.Database) []rules.Rule {
 	t.Helper()
-	res, err := rules.MineNonRedundant(db, rules.Options{
+	res, err := rules.Mine(db, rules.Options{
 		MinSeqSupportRel: 0.5, MinInstanceSupport: 1, MinConfidence: 0.8,
 		MaxPremiseLength: 2, MaxConsequentLength: 2,
 	})

@@ -75,7 +75,7 @@ func minedRules(t *testing.T, db *seqdb.Database) []rules.Rule {
 		{MinSeqSupportRel: 0.5, MinInstanceSupport: 1, MinConfidence: 0.8,
 			MaxPremiseLength: 2, MaxConsequentLength: 2},
 	} {
-		res, err := rules.MineNonRedundant(db, opts)
+		res, err := rules.Mine(db, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
