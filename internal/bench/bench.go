@@ -1,7 +1,7 @@
 // Package bench defines the mining-core benchmark matrix: closed-pattern
 // mining, rule mining and batched conformance checking over tracesim and
 // synth workloads that vary the number of sequences, the alphabet size and
-// the event density. The matrix backs three artifacts:
+// the event density. The matrix backs four artifacts:
 //
 //   - go test -bench benchmarks comparing the flat-index miner against the
 //     seed's map-based implementation (package bench/baseline), plus
@@ -9,8 +9,10 @@
 //   - equivalence regression tests asserting that the rewritten and the
 //     parallel miners produce results identical to the seed algorithm, and
 //     that the batched verifier reproduces the per-rule reports;
-//   - the BENCH_mining.json trajectory file checked in at the repository
-//     root (regenerate with SPECMINE_WRITE_BENCH=1, see bench_test.go).
+//   - TestPerfGates, in-process ratio floors against those references
+//     (SPECMINE_PERF_GATES=1, see perfgate_test.go);
+//   - the BENCH_mining.json trajectory file at the repository root, a
+//     historical record no gate reads (SPECMINE_WRITE_BENCH=1 rewrites it).
 //
 // Thresholds are chosen so every case finishes in milliseconds-to-seconds:
 // iterative-pattern mining is exponential below a workload-dependent support
@@ -121,7 +123,7 @@ type SeqPatternCase struct {
 }
 
 // SeqPatternCases returns the sequential-pattern benchmark matrix. The first
-// case is the comparator headline gated by benchguard: dense looping traces,
+// case is the comparator headline TestPerfGates guards: dense looping traces,
 // the regime where the seed's per-node maps and quadratic closedness filter
 // collapse.
 func SeqPatternCases() []SeqPatternCase {
@@ -314,7 +316,7 @@ func StreamCases() []StreamCase {
 // once per run, not once per 20k events, and a longer stream keeps the
 // fixed file-creation cost from dominating what is measured. The same cases
 // back BenchmarkRecover (events/sec replayed from segments + WAL on a cold
-// start). The first case is the headline benchguard tracks as a soft row.
+// start). TestPerfGates' obs-overhead floor replays the first case.
 func StoreCases() []StreamCase {
 	return []StreamCase{
 		{Name: "store-locking-x500", Workload: "locking", Traces: 500,

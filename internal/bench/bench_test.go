@@ -418,7 +418,7 @@ type storeTrajectoryCase struct {
 // budget — a quarter of the decoded size, half of it, and unlimited — so the
 // trajectory records how the ratio degrades as the cache tightens.
 // SelectiveSkipRate is the fraction of segment bodies the cluster-0 rule
-// check never decoded (benchguard's segment-skip floor asserts ≥ 0.9 live);
+// check never decoded (TestOocoreFixture asserts ≥ 0.9 at two budgets);
 // the cache counters come from one instrumented full-sweep mining run.
 type oocoreTrajectoryCase struct {
 	Name              string  `json:"name"`
@@ -455,9 +455,8 @@ type trajectory struct {
 
 // benchOnce measures one case best-of-3: a single testing.Benchmark sample
 // on a virtualised runner can land 2x off its steady-state value (observed
-// on the verify rows of the v4->v5 regeneration), and the checked-in
-// trajectory both documents performance and feeds benchguard's regression
-// budget — a noise-inflated baseline would quietly loosen the gate.
+// on the verify rows of the v4->v5 regeneration), and a noise-inflated row
+// would misdocument the performance the trajectory records.
 func benchOnce(f func(b *testing.B)) testing.BenchmarkResult {
 	var best testing.BenchmarkResult
 	for i := 0; i < 3; i++ {
@@ -473,7 +472,9 @@ func benchOnce(f func(b *testing.B)) testing.BenchmarkResult {
 }
 
 // TestWriteBenchTrajectory regenerates BENCH_mining.json at the repository
-// root. It is the authoritative producer of the checked-in file; run it with
+// root. It is the authoritative producer of the checked-in file, a
+// historical record of the benchmark matrix that no gate reads (the
+// performance gates are TestPerfGates, measured live); run it with
 //
 //	SPECMINE_WRITE_BENCH=1 go test ./internal/bench -run TestWriteBenchTrajectory -v -timeout 30m
 //
@@ -785,7 +786,7 @@ func TestWriteBenchTrajectory(t *testing.T) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
-				if err := replayDurable(dir, c, dict, ops); err != nil {
+				if err := replayDurable(dir, c, dict, ops, nil); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
@@ -805,7 +806,7 @@ func TestWriteBenchTrajectory(t *testing.T) {
 		// canonicalises and compacts, and the recorded numbers must describe
 		// the store as a clean close left it.
 		recDir := filepath.Join(t.TempDir(), "traj-recover-"+c.Name)
-		if err := replayDurable(recDir, c, dict, ops); err != nil {
+		if err := replayDurable(recDir, c, dict, ops, nil); err != nil {
 			t.Fatal(err)
 		}
 		walBytes, segBytes, segments, err := storeFootprint(recDir)

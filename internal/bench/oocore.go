@@ -12,7 +12,7 @@ import (
 // --- out-of-core mining fixture ---------------------------------------------
 //
 // OocoreCase builds the durable fixture behind the trajectory's oocore_cases
-// section and benchguard's oo-core-ratio / segment-skip floors: equal-size
+// section and TestOocoreFixture's segment-skip floor: equal-size
 // trace clusters with fully disjoint event alphabets, each cluster
 // canonicalised into its own sealed segment (one ingest-and-close cycle per
 // cluster; the next open rolls the WAL tail into a segment, and CompactBytes
@@ -22,7 +22,7 @@ import (
 // floor measures — while the full-sweep mining workload (seeds in every
 // cluster) prices the pin-and-evict cache against the in-memory miner.
 //
-// The database deliberately fits in RAM: the ratio floor compares the two
+// The database deliberately fits in RAM: the trajectory compares the two
 // paths where the in-memory one is at its best. Scale-out correctness (DB
 // many times the cache, GOMEMLIMIT-capped) is the CI out-of-core job's
 // territory, not the benchmark's.

@@ -8,12 +8,12 @@ import (
 	"specmine/internal/store"
 )
 
-// TestOocoreFixture proves the properties the benchguard floors and the
-// trajectory's oocore_cases section assume: the fixture builds one
-// cluster-pure segment per cluster, out-of-core mining over it is equivalent
-// to the in-memory miner at any cache budget, and the selective rule set
-// skips at least 90% of segment bodies. If this fails, the floors measure a
-// broken fixture, not the system.
+// TestOocoreFixture proves the properties the trajectory's oocore_cases
+// section assumes: the fixture builds one cluster-pure segment per cluster,
+// out-of-core mining and checking over it are equivalent to the in-memory
+// paths at a tight and an unlimited cache budget, and at both budgets the
+// selective rule set skips at least 90% of segment bodies — the segment-skip
+// floor: a drop means segment statistics or the skip predicate regressed.
 func TestOocoreFixture(t *testing.T) {
 	c := OocoreCases()[0]
 	dir := t.TempDir()
@@ -72,15 +72,17 @@ func TestOocoreFixture(t *testing.T) {
 		}
 	}
 
-	sum, stats, err := core.CheckStore(lazy, selective, core.OutOfCoreOptions{CacheBytes: decoded / 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := sum.Render(lazy.Dict(), 10), refSum.Render(db.Dict, 10); got != want {
-		t.Errorf("selective CheckStore diverges:\n got %q\nwant %q", got, want)
-	}
-	skip := float64(stats.SegmentsSkipped) / float64(stats.SegmentsTotal)
-	if skip < 0.9 {
-		t.Errorf("selective skip rate %.3f < 0.9 (%d of %d skipped)", skip, stats.SegmentsSkipped, stats.SegmentsTotal)
+	for _, budget := range []int64{decoded / 4, 0} {
+		sum, stats, err := core.CheckStore(lazy, selective, core.OutOfCoreOptions{CacheBytes: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sum.Render(lazy.Dict(), 10), refSum.Render(db.Dict, 10); got != want {
+			t.Errorf("budget %d: selective CheckStore diverges:\n got %q\nwant %q", budget, got, want)
+		}
+		skip := float64(stats.SegmentsSkipped) / float64(stats.SegmentsTotal)
+		if skip < 0.9 {
+			t.Errorf("budget %d: selective skip rate %.3f < 0.9 (%d of %d skipped)", budget, skip, stats.SegmentsSkipped, stats.SegmentsTotal)
+		}
 	}
 }

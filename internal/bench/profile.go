@@ -14,9 +14,9 @@ import (
 //	SPECMINE_CPUPROFILE=path    write a CPU profile of the whole run
 //	SPECMINE_MUTEXPROFILE=path  write a mutex-contention profile
 //
-// StartProfiles is wired into the bench package's TestMain and into
-// benchguard, so both `go test -bench` invocations and the regression gate
-// produce artifacts from the same switches.
+// StartProfiles is wired into the bench package's TestMain, so `go test
+// -bench` invocations and TestPerfGates produce artifacts from the same
+// switches.
 
 // mutexProfileFraction is the sampling rate handed to
 // runtime.SetMutexProfileFraction while a mutex profile is requested: one in

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -74,6 +75,37 @@ func TestMinePatternsFacade(t *testing.T) {
 	}
 	if _, err := MinePatterns(db, PatternOptions{}); err == nil {
 		t.Errorf("invalid options accepted")
+	}
+}
+
+// TestRelativeSupportRange runs one set of threshold inputs through all three
+// miners that take a relative support: a relative threshold outside [0, 1] is
+// rejected whether or not an absolute one is set beside it.
+func TestRelativeSupportRange(t *testing.T) {
+	db := NewDatabase()
+	db.AppendNames("lock", "use", "unlock")
+	db.AppendNames("lock", "unlock")
+	for _, c := range []struct {
+		name string
+		abs  int
+		rel  float64
+		ok   bool
+	}{
+		{"rel above 1", 0, 1.5, false},
+		{"negative rel", 0, -0.1, false},
+		{"negative rel beside abs", 1, -0.1, false},
+		{"NaN rel beside abs", 1, math.NaN(), false},
+		{"rel 1", 0, 1.0, true},
+		{"rel 0 beside abs", 1, 0, true},
+	} {
+		_, perr := MinePatterns(db, PatternOptions{MinInstanceSupport: c.abs, MinSupportRel: c.rel})
+		_, rerr := MineRules(db, RuleOptions{MinSeqSupport: c.abs, MinSeqSupportRel: c.rel, MinInstanceSupport: 1, MinConfidence: 0.5})
+		_, serr := MineSequential(db, SeqPatternOptions{MinSeqSupport: c.abs, MinSupportRel: c.rel})
+		for miner, err := range map[string]error{"patterns": perr, "rules": rerr, "sequential": serr} {
+			if (err == nil) != c.ok {
+				t.Errorf("%s: %s miner: err = %v, want ok=%v", c.name, miner, err, c.ok)
+			}
+		}
 	}
 }
 

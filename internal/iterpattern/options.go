@@ -15,6 +15,8 @@ package iterpattern
 import (
 	"errors"
 	"fmt"
+
+	"specmine/internal/seqdb"
 )
 
 // Options configures a mining run.
@@ -52,10 +54,8 @@ func (o Options) Validate() error {
 	if o.MinInstanceSupport < 1 && o.MinSupportRel <= 0 {
 		return errors.New("iterpattern: MinInstanceSupport must be >= 1 or MinSupportRel > 0")
 	}
-	if o.MinSupportRel < 0 || o.MinSupportRel > 1 {
-		if o.MinSupportRel != 0 {
-			return fmt.Errorf("iterpattern: MinSupportRel %v outside (0,1]", o.MinSupportRel)
-		}
+	if err := seqdb.CheckSupportRel("MinSupportRel", o.MinSupportRel); err != nil {
+		return fmt.Errorf("iterpattern: %w", err)
 	}
 	if o.MaxPatternLength < 0 {
 		return errors.New("iterpattern: MaxPatternLength must be >= 0")

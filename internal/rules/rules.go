@@ -77,6 +77,9 @@ func (o Options) Validate() error {
 	if o.MinSeqSupport < 1 && o.MinSeqSupportRel <= 0 {
 		return errors.New("rules: MinSeqSupport must be >= 1 or MinSeqSupportRel > 0")
 	}
+	if err := seqdb.CheckSupportRel("MinSeqSupportRel", o.MinSeqSupportRel); err != nil {
+		return fmt.Errorf("rules: %w", err)
+	}
 	if o.MinInstanceSupport < 1 {
 		return errors.New("rules: MinInstanceSupport must be >= 1")
 	}

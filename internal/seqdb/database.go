@@ -196,3 +196,13 @@ func (db *Database) Validate() error {
 func AbsoluteSupport(rel float64, n int) int {
 	return max(int(rel*float64(n)+0.5), 1)
 }
+
+// CheckSupportRel rejects a relative support threshold outside [0, 1] (NaN
+// included); 0 means the option is unset. name labels the option in the
+// error.
+func CheckSupportRel(name string, rel float64) error {
+	if !(rel >= 0 && rel <= 1) {
+		return fmt.Errorf("%s %v outside (0,1]", name, rel)
+	}
+	return nil
+}

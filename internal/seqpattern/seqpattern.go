@@ -20,6 +20,7 @@ package seqpattern
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"time"
 
@@ -49,6 +50,9 @@ type Options struct {
 func (o Options) Validate() error {
 	if o.MinSeqSupport < 1 && o.MinSupportRel <= 0 {
 		return errors.New("seqpattern: MinSeqSupport must be >= 1 or MinSupportRel > 0")
+	}
+	if err := seqdb.CheckSupportRel("MinSupportRel", o.MinSupportRel); err != nil {
+		return fmt.Errorf("seqpattern: %w", err)
 	}
 	if o.MaxPatternLength < 0 {
 		return errors.New("seqpattern: MaxPatternLength must be >= 0")
