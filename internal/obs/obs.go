@@ -34,73 +34,40 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"math/rand/v2"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// counterStripes is the number of independently updated cells a Counter
-// spreads its increments over. Concurrent producers (the sharded ingester,
-// parallel miners) land on different cells with high probability, so the
-// cache line carrying a hot counter is not a global serialisation point.
-// Must be a power of two.
-const counterStripes = 8
-
-// cell is a cache-line-padded atomic, so adjacent stripes never false-share.
-type cell struct {
-	v atomic.Int64
-	_ [56]byte
-}
-
-// Counter is a monotonically increasing, striped atomic counter. The zero
-// value is ready to use; nil receivers no-op, so a handle obtained from a nil
+// Counter is a monotonically increasing atomic counter. The zero value is
+// ready to use; nil receivers no-op, so a handle obtained from a nil
 // (disabled) Registry costs one branch per Inc/Add.
 type Counter struct {
-	cells  [counterStripes]cell
+	v      atomic.Int64
 	parent *Counter // a Child registry's forward target; nil otherwise
 }
 
-// stripe picks a cell. rand/v2's top-level generator is per-P (runtime
-// cheaprand), so the pick is lock-free and concurrent adders scatter across
-// stripes instead of colliding on one cache line.
-func stripe() int { return int(rand.Uint64() & (counterStripes - 1)) }
-
 // Inc adds 1.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.cells[stripe()].v.Add(1)
-	if c.parent != nil {
-		c.parent.Add(1)
-	}
-}
+func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n. Counters are monotone; callers must not pass negative n.
 func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.cells[stripe()].v.Add(n)
+	c.v.Add(n)
 	if c.parent != nil {
 		c.parent.Add(n)
 	}
 }
 
-// Value sums the stripes. It is a moment-in-time read: concurrent adds may or
-// may not be included, but the value never goes backwards between reads that
-// happen-after the adds they observe.
+// Value reads the counter.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var v int64
-	for i := range c.cells {
-		v += c.cells[i].v.Load()
-	}
-	return v
+	return c.v.Load()
 }
 
 // Gauge is an instantaneous value: queue depths, resident bytes, watermarks.

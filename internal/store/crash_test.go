@@ -29,7 +29,7 @@ type ledgerRec struct {
 // writeSegment barrier after that many seals (the with-segments scenario).
 func driveWorkload(t *testing.T, st *Store, rng *rand.Rand, ops int, sealBarrierAt int) []ledgerRec {
 	t.Helper()
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	var ledger []ledgerRec
 	open := map[string]bool{}
 	var openIDs []string
@@ -41,7 +41,7 @@ func driveWorkload(t *testing.T, st *Store, rng *rand.Rand, ops int, sealBarrier
 			id := "fz-" + string(rune('a'+nextID%26)) + string(rune('a'+nextID/26%26)) + string(rune('0'+nextID/676))
 			nextID++
 			evs := randomTrace(rng, 15)
-			if err := sl.CommitEvents(id, evs, noSend); err != nil {
+			if err := sl.commitEvents(id, evs); err != nil {
 				t.Fatal(err)
 			}
 			ledger = append(ledger, ledgerRec{kind: recOpen, id: id})
@@ -51,7 +51,7 @@ func driveWorkload(t *testing.T, st *Store, rng *rand.Rand, ops int, sealBarrier
 		case rng.Intn(2) == 0: // extend an existing open trace
 			id := openIDs[rng.Intn(len(openIDs))]
 			evs := randomTrace(rng, 15)
-			if err := sl.CommitEvents(id, evs, noSend); err != nil {
+			if err := sl.commitEvents(id, evs); err != nil {
 				t.Fatal(err)
 			}
 			ledger = append(ledger, ledgerRec{kind: recEvents, id: id, events: evs})
@@ -60,7 +60,7 @@ func driveWorkload(t *testing.T, st *Store, rng *rand.Rand, ops int, sealBarrier
 			id := openIDs[k]
 			openIDs = append(openIDs[:k], openIDs[k+1:]...)
 			delete(open, id)
-			if err := sl.CommitSeal(id, noSend); err != nil {
+			if err := sl.commitSeal(id); err != nil {
 				t.Fatal(err)
 			}
 			ledger = append(ledger, ledgerRec{kind: recSeal, id: id})

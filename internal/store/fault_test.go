@@ -61,7 +61,7 @@ func TestSegmentWriteENOSPCDiscardedOnReopen(t *testing.T) {
 		[]fsim.Rule{{Op: fsim.OpWrite, Path: ".seg", From: 0, To: 99, Err: syscall.ENOSPC, Short: true}},
 		func(o *Options) { o.RetryAttempts = -1 })
 	internEvents(t, st, 10)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(7))
 	// Enough traces that a half-written file (Short) tears inside the segment
 	// core, not just the advisory stats block behind the trailer.
@@ -69,10 +69,10 @@ func TestSegmentWriteENOSPCDiscardedOnReopen(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		id := fmt.Sprintf("tr%03d", i)
 		evs := randomTrace(rng, 10)
-		if err := sl.CommitEvents(id, evs, noSend); err != nil {
+		if err := sl.commitEvents(id, evs); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(id, noSend); err != nil {
+		if err := sl.commitSeal(id); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, evs)
@@ -112,22 +112,22 @@ func TestWALRotationENOSPCOldGenerationContinues(t *testing.T) {
 		[]fsim.Rule{{Op: fsim.OpRename, Path: ".wal", Err: syscall.ENOSPC, Torn: true}},
 		nil)
 	internEvents(t, st, 10)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(8))
 	var sealed []seqdb.Sequence
 	for i := 0; i < 4; i++ {
 		id := "tr" + string(rune('a'+i))
 		evs := randomTrace(rng, 10)
-		if err := sl.CommitEvents(id, evs, noSend); err != nil {
+		if err := sl.commitEvents(id, evs); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(id, noSend); err != nil {
+		if err := sl.commitSeal(id); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, evs)
 	}
 	stillOpen := randomTrace(rng, 10)
-	if err := sl.CommitEvents(t.Name(), stillOpen, noSend); err != nil {
+	if err := sl.commitEvents(t.Name(), stillOpen); err != nil {
 		t.Fatal(err)
 	}
 
@@ -138,7 +138,7 @@ func TestWALRotationENOSPCOldGenerationContinues(t *testing.T) {
 		sl.Unlock()
 		t.Fatal(err)
 	}
-	err := sl.CheckpointLocked(sealed, len(sealed), []OpenTrace{{ID: t.Name(), Events: stillOpen}})
+	err := sl.CheckpointLocked(sealed, len(sealed), []OpenTrace{sl.openTrace(t.Name(), stillOpen)})
 	sl.Unlock()
 	if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("CheckpointLocked under torn rename: %v", err)
@@ -147,7 +147,7 @@ func TestWALRotationENOSPCOldGenerationContinues(t *testing.T) {
 
 	// The old generation is still the active WAL; ingest continues on it.
 	extra := randomTrace(rng, 10)
-	if err := sl.CommitEvents(t.Name(), extra, noSend); err != nil {
+	if err := sl.commitEvents(t.Name(), extra); err != nil {
 		t.Fatalf("append after failed rotation: %v", err)
 	}
 	if err := st.Close(); err != nil {
@@ -184,8 +184,8 @@ func TestTransientENOSPCAbsorbedByRetry(t *testing.T) {
 		nil)
 	defer st.Close()
 	internEvents(t, st, 5)
-	sl := st.Shard(0)
-	if err := sl.CommitEvents("tr", seqdb.Sequence{0, 1, 2}, noSend); err != nil {
+	sl := logOf(st, 0)
+	if err := sl.commitEvents("tr", seqdb.Sequence{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := sl.Flush(); err != nil {
@@ -210,8 +210,8 @@ func TestTransientENOSPCClearsAndIngestResumes(t *testing.T) {
 		[]fsim.Rule{{Op: fsim.OpWrite, Path: "shard-000", From: 1, To: 5, Err: syscall.ENOSPC}},
 		func(o *Options) { o.RetryAttempts = -1 })
 	internEvents(t, st, 8)
-	sl := st.Shard(0)
-	if err := sl.CommitEvents("tr", seqdb.Sequence{0, 1, 2}, noSend); err != nil {
+	sl := logOf(st, 0)
+	if err := sl.commitEvents("tr", seqdb.Sequence{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	failures := 0
@@ -229,10 +229,10 @@ func TestTransientENOSPCClearsAndIngestResumes(t *testing.T) {
 		t.Fatalf("fault count %d want 4", h.Faults)
 	}
 	// Ingest continues on the same handle, no reopen.
-	if err := sl.CommitEvents("tr", seqdb.Sequence{3, 4}, noSend); err != nil {
+	if err := sl.commitEvents("tr", seqdb.Sequence{3, 4}); err != nil {
 		t.Fatalf("append after window cleared: %v", err)
 	}
-	if err := sl.CommitSeal("tr", noSend); err != nil {
+	if err := sl.commitSeal("tr"); err != nil {
 		t.Fatal(err)
 	}
 	if err := sl.Flush(); err != nil {
@@ -255,8 +255,8 @@ func TestPermanentFaultDegradesReadOnly(t *testing.T) {
 		[]fsim.Rule{{Op: fsim.OpWrite, Path: "shard-000", From: 1, Err: syscall.EIO}},
 		nil)
 	internEvents(t, st, 5)
-	sl := st.Shard(0)
-	if err := sl.CommitEvents("tr", seqdb.Sequence{0, 1}, noSend); err != nil {
+	sl := logOf(st, 0)
+	if err := sl.commitEvents("tr", seqdb.Sequence{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	err := sl.Flush()
@@ -271,10 +271,10 @@ func TestPermanentFaultDegradesReadOnly(t *testing.T) {
 		t.Fatalf("health cause: %q", h.Cause)
 	}
 	// Writes fail fast with the typed error; reads are not gated.
-	if err := sl.CommitEvents("tr2", seqdb.Sequence{2}, noSend); !errors.Is(err, ErrDegraded) {
+	if err := sl.commitEvents("tr2", seqdb.Sequence{2}); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("ingest after degradation: %v", err)
 	}
-	if err := sl.CommitEvents("tr3", seqdb.Sequence{3}, noSend); !errors.Is(err, ErrDegraded) {
+	if err := sl.commitEvents("tr3", seqdb.Sequence{3}); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("commit after degradation: %v", err)
 	}
 	if err := st.ReadErr(); err != nil {
@@ -297,16 +297,16 @@ func TestRotationCleanupFailureWarnsNotFails(t *testing.T) {
 		},
 		nil)
 	internEvents(t, st, 10)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(9))
 	var sealed []seqdb.Sequence
 	for i := 0; i < 3; i++ {
 		id := "tr" + string(rune('a'+i))
 		evs := randomTrace(rng, 10)
-		if err := sl.CommitEvents(id, evs, noSend); err != nil {
+		if err := sl.commitEvents(id, evs); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(id, noSend); err != nil {
+		if err := sl.commitSeal(id); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, evs)
@@ -332,7 +332,7 @@ func TestRotationCleanupFailureWarnsNotFails(t *testing.T) {
 	if len(wals) != 2 {
 		t.Fatalf("expected leaked + active WAL, found %v", wals)
 	}
-	if err := sl.CommitEvents("post", seqdb.Sequence{0, 1}, noSend); err != nil {
+	if err := sl.commitEvents("post", seqdb.Sequence{0, 1}); err != nil {
 		t.Fatalf("ingest after rotation: %v", err)
 	}
 	if err := st.Close(); err != nil {
@@ -356,16 +356,16 @@ func TestCompactionReadEIODegrades(t *testing.T) {
 		[]fsim.Rule{{Op: fsim.OpRead, Path: ".seg", Err: syscall.EIO}},
 		func(o *Options) { o.CompactBytes = 1 << 20 })
 	internEvents(t, st, 10)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(10))
 	var sealed []seqdb.Sequence
 	for i := 0; i < compactMinRun; i++ {
 		id := "tr" + string(rune('a'+i))
 		evs := randomTrace(rng, 10)
-		if err := sl.CommitEvents(id, evs, noSend); err != nil {
+		if err := sl.commitEvents(id, evs); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(id, noSend); err != nil {
+		if err := sl.commitSeal(id); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, evs)
@@ -394,12 +394,12 @@ func TestCompactionReadEIODegrades(t *testing.T) {
 func TestInvariantViolationFails(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, nil)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	internEvents(t, st, 5)
-	if err := sl.CommitEvents("tr", seqdb.Sequence{0}, noSend); err != nil {
+	if err := sl.commitEvents("tr", seqdb.Sequence{0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sl.CommitSeal("tr", noSend); err != nil {
+	if err := sl.commitSeal("tr"); err != nil {
 		t.Fatal(err)
 	}
 	if !sl.TryLock() {
@@ -426,22 +426,22 @@ func crashImageWithUncoveredTail(t *testing.T, dir string) ([]seqdb.Sequence, se
 	t.Helper()
 	st := openStore(t, dir, nil)
 	internEvents(t, st, 10)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(14))
 	var sealed []seqdb.Sequence
 	for i := 0; i < 40; i++ {
 		id := fmt.Sprintf("tr%02d", i)
 		evs := randomTrace(rng, 10)
-		if err := sl.CommitEvents(id, evs, noSend); err != nil {
+		if err := sl.commitEvents(id, evs); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(id, noSend); err != nil {
+		if err := sl.commitSeal(id); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, evs)
 	}
 	open := randomTrace(rng, 10)
-	if err := sl.CommitEvents("open", open, noSend); err != nil {
+	if err := sl.commitEvents("open", open); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

@@ -18,17 +18,17 @@ func TestOutOfCoreOpen(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, nil)
 	internEvents(t, st, 15)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(21))
 
 	var sealed []seqdb.Sequence
 	for i := 0; i < 12; i++ {
 		tr := randomTrace(rng, 15)
 		id := "t-" + string(rune('a'+i))
-		if err := sl.CommitEvents(id, tr, noSend); err != nil {
+		if err := sl.commitEvents(id, tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(id, noSend); err != nil {
+		if err := sl.commitSeal(id); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -42,7 +42,7 @@ func TestOutOfCoreOpen(t *testing.T) {
 		}
 	}
 	openTr := randomTrace(rng, 15)
-	if err := sl.CommitEvents("still-open", openTr, noSend); err != nil {
+	if err := sl.commitEvents("still-open", openTr); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -97,16 +97,16 @@ func TestOutOfCoreOpenDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, nil)
 	internEvents(t, st, 10)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(22))
 	var sealed []seqdb.Sequence
 	for i := 0; i < 10; i++ {
 		tr := randomTrace(rng, 10)
 		id := "t-" + string(rune('a'+i))
-		if err := sl.CommitEvents(id, tr, noSend); err != nil {
+		if err := sl.commitEvents(id, tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(id, noSend); err != nil {
+		if err := sl.commitSeal(id); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)

@@ -38,7 +38,7 @@ import (
 // ShardLog.CheckpointLocked, the same checkpoint a barrier's rotation and a
 // clean close run: WAL-recovered sealed traces are rolled into a fresh
 // segment and a new WAL generation is created holding only the header and a
-// re-log of the open traces. Every later recovery therefore starts from
+// re-log of the open traces, numbered 0..n-1 in id order. Every later recovery therefore starts from
 // segments + a short WAL, keeping replay O(open data), not O(history), and a
 // reopen after a clean close replays no sealed history at all.
 
@@ -47,6 +47,11 @@ import (
 type OpenTrace struct {
 	// ID is the trace id under which events were being ingested.
 	ID string
+	// Handle is the trace's WAL handle, which its records carry from the
+	// open until the seal. Recovery numbers the recovered open traces
+	// 0..n-1 in id order, so whoever continues ingest gives new traces
+	// handles from n on.
+	Handle uint64
 	// Events are the events ingested so far, in order.
 	Events seqdb.Sequence
 }
@@ -232,6 +237,9 @@ func (st *Store) recoverShard(i int) (*ShardLog, RecoveredShard, error) {
 		break
 	}
 	sort.Slice(open, func(a, b int) bool { return open[a].ID < open[b].ID })
+	for k := range open {
+		open[k].Handle = uint64(k)
+	}
 
 	// Canonicalise through the shard's one checkpoint: the WAL-recovered
 	// sealed tail becomes a segment and a fresh generation holds just the
@@ -254,21 +262,17 @@ func (st *Store) recoverShard(i int) (*ShardLog, RecoveredShard, error) {
 	return sl, RecoveredShard{Sequences: sealed, Open: open}, nil
 }
 
-// openTraceRecords builds the records of a fresh WAL generation — header plus
-// a re-log of the open traces, sorted by id — and the matching handle table.
-func openTraceRecords(shard, sealedTotal int, open []OpenTrace) (records [][]byte, handles map[string]uint64, next uint64) {
-	records = [][]byte{encodeHeader(shard, sealedTotal)}
-	handles = make(map[string]uint64, len(open))
+// openTraceRecords builds the records of a fresh WAL generation: the header
+// plus a re-log of the open traces, in the order given, under their handles.
+func openTraceRecords(shard, sealedTotal int, open []OpenTrace) [][]byte {
+	records := [][]byte{encodeHeader(shard, sealedTotal)}
 	for _, tr := range open {
-		h := next
-		next++
-		handles[tr.ID] = h
-		records = append(records, encodeOpen(nil, h, tr.ID))
+		records = append(records, encodeOpen(nil, tr.Handle, tr.ID))
 		if len(tr.Events) > 0 {
-			records = append(records, encodeEvents(nil, h, tr.Events))
+			records = append(records, encodeEvents(nil, tr.Handle, tr.Events))
 		}
 	}
-	return records, handles, next
+	return records
 }
 
 // loadSegmentChain selects and decodes the shard's segment chain. A segment

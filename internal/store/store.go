@@ -24,6 +24,11 @@
 // acknowledged (torn frames never surface). With Options.Sync, flushes also
 // fsync, extending the guarantee to machine crashes at a heavy throughput
 // cost.
+//
+// The log records what its caller tells it and keeps no second copy of
+// ingest state: the streaming layer's open-trace table gives each trace its
+// WAL handle when it opens and names the open traces every checkpoint
+// re-logs.
 package store
 
 import (
@@ -382,12 +387,14 @@ func (st *Store) Close() error {
 
 // ShardLog is one shard's durable appender. Producer-facing methods
 // (CommitEvents, CommitSeal, Flush) are safe for concurrent use; both commits
-// go through one write path, commit, which claims the trace's handle, frames,
-// appends, group-commits and rolls back on failure. The barrier methods
-// (PublishSegment, CheckpointLocked, RotateLocked) must be called from the
-// shard's single writer goroutine, which is exactly how the streaming layer
-// drives them; it asks RotateDue, lock-free per operation and again under the
-// lock, when to rotate.
+// go through one write path, commit, which frames, appends, group-commits and
+// rolls back on failure. The log keeps no per-trace state: the caller owns the
+// open-trace table, hands every commit the trace's WAL handle and whether the
+// commit opens the trace, and names the open traces each checkpoint re-logs.
+// The barrier methods (PublishSegment, CheckpointLocked, RotateLocked) must be
+// called from the shard's single writer goroutine, which is exactly how the
+// streaming layer drives them; it asks RotateDue, lock-free per operation and
+// again under the lock, when to rotate.
 type ShardLog struct {
 	st    *Store
 	shard int
@@ -414,15 +421,6 @@ type ShardLog struct {
 	// shared-counter traffic; it is exact at every flush point (barriers,
 	// snapshots, close).
 	metCommitSeq uint64
-
-	// handleMu guards the handle table, so producers can claim their trace's
-	// handle — and frame records against it — without holding mu. Lock
-	// order: mu before handleMu (a commit re-claiming after a rotation, a
-	// rollback and rotation take handleMu while holding mu; a producer's
-	// first claim takes it alone).
-	handleMu   sync.Mutex
-	handles    map[string]uint64
-	nextHandle uint64
 
 	// covered is the seal ordinal up to which segments exist. Barrier
 	// goroutine only.
@@ -470,18 +468,18 @@ func (sl *ShardLog) setRotateThreshold(fresh int64) {
 	sl.rotateAt.Store(at)
 }
 
-// CommitEvents durably appends an events record for trace id (preceded by an
-// open record when the trace is new) and then calls send under the log's
-// lock; see commit.
-func (sl *ShardLog) CommitEvents(id string, events []seqdb.EventID, send func()) error {
-	return sl.commit(id, events, false, send)
+// CommitEvents durably appends an events record for trace id under its WAL
+// handle h — preceded by the trace's open record when fresh, the commit that
+// opens it — and then calls send under the log's lock; see commit.
+func (sl *ShardLog) CommitEvents(id string, h uint64, fresh bool, events []seqdb.EventID, send func()) error {
+	return sl.commit(id, h, fresh, events, false, send)
 }
 
-// CommitSeal durably appends a seal record for trace id (opening it first when
-// the id was never seen — an empty trace) and then calls send under the log's
-// lock; see commit.
-func (sl *ShardLog) CommitSeal(id string, send func()) error {
-	return sl.commit(id, nil, true, send)
+// CommitSeal durably appends a seal record for trace id under its WAL handle
+// h (opening it first when fresh — an id never seen, sealed empty) and then
+// calls send under the log's lock; see commit.
+func (sl *ShardLog) CommitSeal(id string, h uint64, fresh bool, send func()) error {
+	return sl.commit(id, h, fresh, nil, true, send)
 }
 
 // commitScratch pools the producer-side framing buffers of the commit path.
@@ -489,83 +487,50 @@ var commitScratch = sync.Pool{New: func() any { return new(scratchBuf) }}
 
 type scratchBuf struct{ b []byte }
 
-// commit is the shard's one durable write path. It claims id's handle, frames
-// and checksums the records into pooled scratch BEFORE the ledger lock is
-// taken — so concurrent producers overlap all encoding work and serialise
-// only on a memcpy plus the channel handoff in send — then appends them,
-// group-commits, and calls send under the lock. WAL order equals apply order:
-// both happen under mu, stamped by the same commit sequence number.
+// commit is the shard's one durable write path. It frames and checksums the
+// records into pooled scratch BEFORE the lock is taken — so concurrent
+// producers overlap all encoding work and serialise only on a memcpy plus the
+// channel handoff in send — then appendCommit appends them, group-commits,
+// and calls send under the lock. WAL order equals apply order: both happen
+// under mu, stamped by the same commit sequence number.
 //
-// All records of one trace id must be committed from a single goroutine (the
-// streaming layer's standing contract): that is what guarantees the trace's
-// open record is framed into the same commit as its first events and hits the
-// WAL before any other record referencing the handle.
-//
-// A rotation between the claim and the lock rebuilds the handle table, so
-// the pre-framed handle may name another trace; the generation check detects
-// this and the commit claims and frames again under the lock. On a flush
-// failure the records are rolled back and the claim undone: the operation is
-// being rejected, so no later retry of the buffer may deliver it to disk and
-// resurrect it at recovery.
-func (sl *ShardLog) commit(id string, events []seqdb.EventID, seal bool, send func()) error {
+// The handle is the caller's: a trace gets it when it opens and keeps it
+// until it seals, and every checkpoint re-logs the open traces under their
+// own handles. So records framed against one WAL generation stay valid in the
+// next, and a rotation between the framing and the lock changes nothing. All
+// records of one trace must be committed from a single goroutine (the
+// streaming layer's standing contract): that is what puts the trace's open
+// record, framed into the commit that opens it, ahead of every other record
+// carrying the handle.
+func (sl *ShardLog) commit(id string, h uint64, fresh bool, events []seqdb.EventID, seal bool, send func()) error {
 	if err := sl.st.Err(); err != nil {
 		return err
 	}
-	h, fresh, gen := sl.claim(id, seal)
 	fb := commitScratch.Get().(*scratchBuf)
 	defer commitScratch.Put(fb)
 	fb.b = frameCommit(fb.b[:0], id, h, fresh, events, seal)
+	return sl.appendCommit(fb.b, send)
+}
 
+// appendCommit appends the framed records rec under the lock, group-commits
+// and calls send. On a flush failure the records are rolled back and the
+// error returned: the operation is being rejected, so no later retry of the
+// buffer may deliver it to disk and resurrect it at recovery.
+func (sl *ShardLog) appendCommit(rec []byte, send func()) error {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
 	w := sl.wal
 	mark := len(w.buf)
-	if sl.gen == gen {
-		w.buf = append(w.buf, fb.b...)
-	} else {
-		h, fresh, _ = sl.claim(id, seal)
-		w.buf = frameCommit(w.buf, id, h, fresh, events, seal)
-	}
+	w.buf = append(w.buf, rec...)
 	sl.walSize.Store(w.pending())
 	preSize := w.size
 	if err := sl.maybeFlushLocked(); err != nil {
 		sl.rollbackLocked(mark, preSize)
-		sl.handleMu.Lock()
-		if seal && !fresh {
-			sl.handles[id] = h
-		} else if !seal && fresh && sl.handles[id] == h {
-			// The handle value itself is never reused (concurrent producers
-			// may have assigned past it), leaving a hole in the numbering —
-			// harmless, since recovery maps handles through their open
-			// records and rotation renumbers from zero.
-			delete(sl.handles, id)
-		}
-		sl.handleMu.Unlock()
 		return err
 	}
 	sl.commitSeq++
 	send()
 	return nil
-}
-
-// claim takes id's handle for one commit: an events commit assigns and
-// inserts a handle for a new trace, a seal retires the trace's handle (or
-// assigns one to open and seal an unseen id). It returns whether the handle
-// was freshly assigned and the WAL generation the claim is valid for.
-func (sl *ShardLog) claim(id string, seal bool) (h uint64, fresh bool, gen uint64) {
-	sl.handleMu.Lock()
-	defer sl.handleMu.Unlock()
-	h, ok := sl.handles[id]
-	if !ok {
-		h = sl.nextHandle
-		sl.nextHandle++
-	}
-	if seal {
-		delete(sl.handles, id)
-	} else if !ok {
-		sl.handles[id] = h
-	}
-	return h, !ok, sl.gen
 }
 
 // frameCommit appends a commit's frames to buf: the open record when the
@@ -663,7 +628,8 @@ func (sl *ShardLog) Unlock() { sl.mu.Unlock() }
 
 // CheckpointLocked is the shard's one checkpoint: it rolls the sealed tail
 // into a segment and starts a fresh WAL generation holding only the header
-// and a re-log of open, so the next Open replays open data, not history. A
+// and a re-log of open under each trace's Handle, so the next Open replays
+// open data, not history. A
 // barrier's rotation, the clean-close checkpoint and Open's canonicalisation
 // all run it.
 //
@@ -766,10 +732,11 @@ func (sl *ShardLog) writeSegmentTail(tail []seqdb.Sequence) error {
 
 // RotateLocked starts a fresh WAL generation: a new file carrying only the
 // header (sealedBase = sealedTotal, which must equal the segment coverage)
-// and a re-log of the still-open traces, then removal of every superseded
-// generation. The caller must hold the lock via TryLock with the shard's
-// channel drained, so the open-trace set is exact and no producer can
-// interleave.
+// and a re-log of the still-open traces under their own handles, then
+// removal of every superseded generation. The caller must hold the lock via
+// TryLock with the shard's channel drained, and open must list exactly the
+// traces whose open record the WAL holds, so no producer can interleave and
+// every later record of an open trace finds its handle re-logged.
 //
 // The create path is read from the directory: with no predecessor generation
 // on disk (a fresh shard) the file is created in place — a crash mid-create
@@ -805,8 +772,7 @@ func (sl *ShardLog) RotateLocked(open []OpenTrace, sealedTotal int) (err error) 
 		create = createWALDirect
 	}
 	sort.Slice(open, func(i, j int) bool { return open[i].ID < open[j].ID })
-	records, handles, next := openTraceRecords(sl.shard, sealedTotal, open)
-	wal, err := create(sl.st.fs, filepath.Join(sl.dir, walName(newGen)), sl.st.opts.Sync, records...)
+	wal, err := create(sl.st.fs, filepath.Join(sl.dir, walName(newGen)), sl.st.opts.Sync, openTraceRecords(sl.shard, sealedTotal, open)...)
 	if err != nil {
 		// The old generation stays active and valid; RotateDue remains true,
 		// so the next barrier re-attempts the rotation. A torn publish of the
@@ -831,15 +797,7 @@ func (sl *ShardLog) RotateLocked(open []OpenTrace, sealedTotal int) (err error) 
 		}
 	}
 	sl.wal = wal
-	// Swap the handle table and generation atomically with respect to a
-	// producer's claim: a producer either claims against the old table (and
-	// its commit-time generation check makes it claim and frame again) or
-	// against the rebuilt one.
-	sl.handleMu.Lock()
 	sl.gen = newGen
-	sl.handles = handles
-	sl.nextHandle = next
-	sl.handleMu.Unlock()
 	sl.walSize.Store(wal.pending())
 	sl.setRotateThreshold(wal.pending())
 	if live {

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
-	"time"
 
 	"specmine/internal/fsim"
 	"specmine/internal/obs"
@@ -28,11 +27,62 @@ func openStore(t *testing.T, dir string, tweak func(*Options)) *Store {
 	return st
 }
 
+// traceLog commits to one shard log the way the streaming layer does: a
+// trace gets the next WAL handle when it opens and keeps it until it seals.
+// It starts from the shard's recovered open traces, which Open numbered
+// 0..n-1.
+type traceLog struct {
+	*ShardLog
+	handles map[string]uint64
+	next    uint64
+}
+
+func logOf(st *Store, shard int) *traceLog {
+	tl := &traceLog{ShardLog: st.Shard(shard), handles: map[string]uint64{}}
+	for _, tr := range st.Recovered().Shards[shard].Open {
+		tl.handles[tr.ID] = tr.Handle
+		tl.next = max(tl.next, tr.Handle+1)
+	}
+	return tl
+}
+
+// handle returns id's handle and whether a commit of id opens the trace.
+func (tl *traceLog) handle(id string) (h uint64, fresh bool) {
+	if h, ok := tl.handles[id]; ok {
+		return h, false
+	}
+	tl.next++
+	return tl.next - 1, true
+}
+
+func (tl *traceLog) commitEvents(id string, evs seqdb.Sequence) error {
+	h, fresh := tl.handle(id)
+	err := tl.CommitEvents(id, h, fresh, evs, noSend)
+	if err == nil && fresh {
+		tl.handles[id] = h
+	}
+	return err
+}
+
+func (tl *traceLog) commitSeal(id string) error {
+	h, fresh := tl.handle(id)
+	err := tl.CommitSeal(id, h, fresh, noSend)
+	if err == nil {
+		delete(tl.handles, id)
+	}
+	return err
+}
+
+// openTrace is id's entry in a checkpoint's list of open traces.
+func (tl *traceLog) openTrace(id string, evs seqdb.Sequence) OpenTrace {
+	return OpenTrace{ID: id, Handle: tl.handles[id], Events: evs}
+}
+
 // writeSegment flushes the logs and rolls every sealed trace of seqs (the
 // shard's full sealed list, in seal order) not yet in a segment into a new
 // segment file: a barrier's publish without the segMinPublish gate or the
 // compactor nudge, so tests control segment boundaries and compaction.
-func writeSegment(sl *ShardLog, seqs []seqdb.Sequence) error {
+func writeSegment(sl *traceLog, seqs []seqdb.Sequence) error {
 	if err := sl.Flush(); err != nil {
 		return err
 	}
@@ -203,7 +253,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, nil)
 	internEvents(t, st, 12)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(9))
 
 	var sealed []seqdb.Sequence
@@ -212,13 +262,13 @@ func TestStoreRoundTrip(t *testing.T) {
 		tr := randomTrace(rng, 12)
 		// Deliver in two chunks to exercise events-append on an open handle.
 		mid := len(tr) / 2
-		if err := sl.CommitEvents(id, tr[:mid], noSend); err != nil {
+		if err := sl.commitEvents(id, tr[:mid]); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitEvents(id, tr[mid:], noSend); err != nil {
+		if err := sl.commitEvents(id, tr[mid:]); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(id, noSend); err != nil {
+		if err := sl.commitSeal(id); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -231,14 +281,14 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 	// Two traces left open, one of them empty-by-now.
 	openA := randomTrace(rng, 12)
-	if err := sl.CommitEvents("open-a", openA, noSend); err != nil {
+	if err := sl.commitEvents("open-a", openA); err != nil {
 		t.Fatal(err)
 	}
-	if err := sl.CommitEvents("open-b", nil, noSend); err != nil {
+	if err := sl.commitEvents("open-b", nil); err != nil {
 		t.Fatal(err)
 	}
 	// An empty sealed trace via CommitSeal on an unknown id.
-	if err := sl.CommitSeal("ghost", noSend); err != nil {
+	if err := sl.commitSeal("ghost"); err != nil {
 		t.Fatal(err)
 	}
 	sealed = append(sealed, seqdb.Sequence{})
@@ -277,16 +327,16 @@ func TestRecoveredDatabaseMatchesSealed(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, nil)
 	internEvents(t, st, 20)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(10))
 	var sealed []seqdb.Sequence
 	for i := 0; i < 30; i++ {
 		tr := randomTrace(rng, 20)
 		id := "tr-" + string(rune('a'+i%26)) + string(rune('0'+i/26))
-		if err := sl.CommitEvents(id, tr, noSend); err != nil {
+		if err := sl.commitEvents(id, tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(id, noSend); err != nil {
+		if err := sl.commitSeal(id); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -313,7 +363,7 @@ func TestWALRotation(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, func(o *Options) { o.WALRotateBytes = 1 }) // rotate at every barrier
 	internEvents(t, st, 10)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(11))
 
 	var sealed []seqdb.Sequence
@@ -324,17 +374,17 @@ func TestWALRotation(t *testing.T) {
 		for k := 0; k < 2; k++ {
 			id := "keep-" + string(rune('a'+(round+k)%3))
 			chunk := randomTrace(rng, 10)
-			if err := sl.CommitEvents(id, chunk, noSend); err != nil {
+			if err := sl.commitEvents(id, chunk); err != nil {
 				t.Fatal(err)
 			}
 			open[id] = append(open[id], chunk...)
 		}
 		sealID := "seal-" + string(rune('a'+round))
 		tr := randomTrace(rng, 10)
-		if err := sl.CommitEvents(sealID, tr, noSend); err != nil {
+		if err := sl.commitEvents(sealID, tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(sealID, noSend); err != nil {
+		if err := sl.commitSeal(sealID); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -350,7 +400,7 @@ func TestWALRotation(t *testing.T) {
 		}
 		var opens []OpenTrace
 		for id, evs := range open {
-			opens = append(opens, OpenTrace{ID: id, Events: evs})
+			opens = append(opens, sl.openTrace(id, evs))
 		}
 		if err := sl.CheckpointLocked(sealed, len(sealed), opens); err != nil {
 			t.Fatal(err)
@@ -367,7 +417,7 @@ func TestWALRotation(t *testing.T) {
 	}
 	for !sl.RotateDue() {
 		chunk := randomTrace(rng, 10)
-		if err := sl.CommitEvents("keep-a", chunk, noSend); err != nil {
+		if err := sl.commitEvents("keep-a", chunk); err != nil {
 			t.Fatal(err)
 		}
 		open["keep-a"] = append(open["keep-a"], chunk...)
@@ -394,63 +444,51 @@ func TestWALRotation(t *testing.T) {
 	}
 }
 
-// TestCommitAcrossRotationReframes: commits framed against one WAL
-// generation but committed after a rotation re-encode under the lock against
-// the rebuilt handle table — an events commit opens its trace afresh and a
-// seal retires the handle the rotation re-logged — so recovery sees both.
-func TestCommitAcrossRotationReframes(t *testing.T) {
+// TestCommitsFramedAcrossRotation: a trace keeps its WAL handle from open
+// to seal, and a rotation re-logs each open trace under its own handle, so
+// records framed against one generation are valid in the next. An events
+// commit opening a new trace and a seal of a re-logged one are framed before
+// CheckpointLocked and appended after it byte for byte, and recovery sees
+// both exactly.
+func TestCommitsFramedAcrossRotation(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, nil)
 	internEvents(t, st, 6)
-	sl := st.Shard(0)
-	// Old generation handles: "a" 0 (sealed), "kept" 1, "fresh" 2. The
-	// rotation re-logs only "kept", which becomes handle 0, so a pre-framed
-	// record would reference the wrong trace.
-	for _, c := range []struct {
-		id  string
-		evs seqdb.Sequence
-	}{{"a", seqdb.Sequence{5}}, {"kept", seqdb.Sequence{0, 1}}} {
-		if err := sl.CommitEvents(c.id, c.evs, noSend); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sl.CommitSeal("a", noSend); err != nil {
+	sl := logOf(st, 0)
+	// Handles: "a" 0, sealed before the rotation; "kept" 1, re-logged by it;
+	// "fresh" 2, opened across it.
+	if err := sl.commitEvents("a", seqdb.Sequence{5}); err != nil {
 		t.Fatal(err)
 	}
+	if err := sl.commitEvents("kept", seqdb.Sequence{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sl.commitSeal("a"); err != nil {
+		t.Fatal(err)
+	}
+	fh, fresh := sl.handle("fresh")
+	kh, _ := sl.handle("kept")
+	framed := frameCommit(nil, "fresh", fh, fresh, seqdb.Sequence{2, 3}, false)
+	framed = frameCommit(framed, "kept", kh, false, nil, true)
+
 	if !sl.TryLock() {
 		t.Fatal("TryLock failed with no contention")
-	}
-	done := make(chan error, 2)
-	go func() { done <- sl.CommitEvents("fresh", seqdb.Sequence{2, 3}, noSend) }()
-	go func() { done <- sl.CommitSeal("kept", noSend) }()
-	// Both producers have framed once "fresh" holds a handle and "kept" has
-	// been retired; they are now blocked on the lock this test holds.
-	for deadline := time.Now().Add(5 * time.Second); ; {
-		sl.handleMu.Lock()
-		_, fresh := sl.handles["fresh"]
-		_, kept := sl.handles["kept"]
-		sl.handleMu.Unlock()
-		if fresh && !kept {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("producers never resolved their handles")
-		}
-		time.Sleep(time.Millisecond)
 	}
 	if err := sl.FlushLocked(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sl.CheckpointLocked([]seqdb.Sequence{{5}}, 1, []OpenTrace{{ID: "kept", Events: seqdb.Sequence{0, 1}}}); err != nil {
+	if err := sl.CheckpointLocked([]seqdb.Sequence{{5}}, 1, []OpenTrace{sl.openTrace("kept", seqdb.Sequence{0, 1})}); err != nil {
 		t.Fatal(err)
 	}
+	gen := sl.gen
 	sl.Unlock()
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
+	if err := sl.appendCommit(framed, noSend); err != nil {
+		t.Fatal(err)
 	}
-	if err := sl.CommitEvents("fresh", seqdb.Sequence{4}, noSend); err != nil {
+	if sl.gen != gen || string(sl.wal.buf) != string(framed) {
+		t.Fatalf("generation %d buffers %x, want the pre-framed %x in generation %d", sl.gen, sl.wal.buf, framed, gen)
+	}
+	if err := sl.CommitEvents("fresh", fh, false, seqdb.Sequence{4}, noSend); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -461,18 +499,19 @@ func TestCommitAcrossRotationReframes(t *testing.T) {
 	defer st2.Close()
 	rec := st2.Recovered().Shards[0]
 	sequencesEqual(t, "sealed across rotation", rec.Sequences, []seqdb.Sequence{{5}, {0, 1}})
-	if len(rec.Open) != 1 || rec.Open[0].ID != "fresh" {
-		t.Fatalf("recovered open traces %+v want only fresh", rec.Open)
+	if len(rec.Open) != 1 || rec.Open[0].ID != "fresh" || rec.Open[0].Handle != 0 {
+		t.Fatalf("recovered open traces %+v want only fresh, renumbered to handle 0", rec.Open)
 	}
 	sequencesEqual(t, "fresh across rotation", []seqdb.Sequence{rec.Open[0].Events}, []seqdb.Sequence{{2, 3, 4}})
 }
 
-// TestReframedCommitRollsBackOnFlushFailure: a commit that re-frames after a
-// rotation and whose group-commit flush then fails is rejected like any
-// other — its records leave the buffer and its handle claim is undone (a
-// fresh events handle dropped, a retired seal handle restored) — so the next
-// commit of the same id succeeds and recovery sees exactly the acked ops.
-func TestReframedCommitRollsBackOnFlushFailure(t *testing.T) {
+// TestCommitAcrossRotationRollsBackOnFlushFailure: a commit framed before a
+// rotation and appended after it, whose group-commit flush then fails, is
+// rejected like any other: its records leave the buffer and it is never
+// handed on, so the next commit of the same id succeeds and recovery sees
+// exactly the acked ops. What the caller's open-trace table does with a
+// rejected op is pinned by the streaming layer's TestRejectedCommitsKeepTableExact.
+func TestCommitAcrossRotationRollsBackOnFlushFailure(t *testing.T) {
 	for _, seal := range []bool{false, true} {
 		name := "events"
 		if seal {
@@ -486,52 +525,38 @@ func TestReframedCommitRollsBackOnFlushFailure(t *testing.T) {
 				[]fsim.Rule{{Op: fsim.OpWrite, Path: walName(2), From: 1, Err: syscall.ENOSPC}},
 				func(o *Options) { o.RetryAttempts = -1 })
 			internEvents(t, st, 6)
-			sl := st.Shard(0)
+			sl := logOf(st, 0)
 			if sl.gen != 1 {
 				t.Fatalf("fresh store opened WAL generation %d, the fault targets the one after 1", sl.gen)
 			}
-			if err := sl.CommitEvents("a", seqdb.Sequence{5}, noSend); err != nil {
+			if err := sl.commitEvents("a", seqdb.Sequence{5}); err != nil {
 				t.Fatal(err)
 			}
-			if err := sl.CommitSeal("a", noSend); err != nil {
+			if err := sl.commitSeal("a"); err != nil {
 				t.Fatal(err)
 			}
-			if err := sl.CommitEvents("kept", seqdb.Sequence{0, 1}, noSend); err != nil {
+			if err := sl.commitEvents("kept", seqdb.Sequence{0, 1}); err != nil {
 				t.Fatal(err)
 			}
 
-			if !sl.TryLock() {
-				t.Fatal("TryLock failed with no contention")
-			}
-			sent := false
-			send := func() { sent = true }
-			done := make(chan error, 1)
 			id := "fresh"
 			if seal {
 				id = "kept"
-				go func() { done <- sl.CommitSeal(id, send) }()
-			} else {
-				// Big enough to trigger the group-commit flush on its own.
-				go func() { done <- sl.CommitEvents(id, make(seqdb.Sequence, walFlushThreshold), send) }()
 			}
-			// The producer has claimed and framed once its id's handle is
-			// assigned (events) or retired (seal); it then blocks on the lock.
-			for deadline := time.Now().Add(5 * time.Second); ; {
-				sl.handleMu.Lock()
-				_, ok := sl.handles[id]
-				sl.handleMu.Unlock()
-				if ok != seal {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("producer never claimed its handle")
-				}
-				time.Sleep(time.Millisecond)
+			h, fresh := sl.handle(id)
+			// An events commit big enough to trigger the group-commit flush
+			// on its own, or a seal.
+			framed := frameCommit(nil, id, h, fresh, make(seqdb.Sequence, walFlushThreshold), false)
+			if seal {
+				framed = frameCommit(nil, id, h, fresh, nil, true)
+			}
+			if !sl.TryLock() {
+				t.Fatal("TryLock failed with no contention")
 			}
 			if err := sl.FlushLocked(); err != nil {
 				t.Fatal(err)
 			}
-			if err := sl.CheckpointLocked([]seqdb.Sequence{{5}}, 1, []OpenTrace{{ID: "kept", Events: seqdb.Sequence{0, 1}}}); err != nil {
+			if err := sl.CheckpointLocked([]seqdb.Sequence{{5}}, 1, []OpenTrace{sl.openTrace("kept", seqdb.Sequence{0, 1})}); err != nil {
 				t.Fatal(err)
 			}
 			var filler seqdb.Sequence
@@ -542,15 +567,16 @@ func TestReframedCommitRollsBackOnFlushFailure(t *testing.T) {
 				filler = make(seqdb.Sequence, walFlushThreshold-16)
 				sl.wal.buf = frameCommit(sl.wal.buf, "kept", sl.handles["kept"], false, filler, false)
 				sl.walSize.Store(sl.wal.pending())
-				if n := len(sl.wal.buf); n >= walFlushThreshold || n+10 < walFlushThreshold {
-					t.Fatalf("filler leaves %d buffered bytes; the seal's 10 must cross %d", n, walFlushThreshold)
+				if n := len(sl.wal.buf); n >= walFlushThreshold || n+len(framed) < walFlushThreshold {
+					t.Fatalf("filler leaves %d buffered bytes; the seal's %d must cross %d", n, len(framed), walFlushThreshold)
 				}
 			}
 			mark := len(sl.wal.buf)
 			sl.Unlock()
 
-			if err := <-done; err == nil {
-				t.Fatal("re-framed commit succeeded over a failed flush")
+			sent := false
+			if err := sl.appendCommit(framed, func() { sent = true }); err == nil {
+				t.Fatal("commit succeeded over a failed flush")
 			}
 			if sent {
 				t.Fatal("rejected operation was handed to the shard")
@@ -558,16 +584,13 @@ func TestReframedCommitRollsBackOnFlushFailure(t *testing.T) {
 			if len(sl.wal.buf) != mark {
 				t.Fatalf("buffer holds %d bytes after the rollback, %d before the commit", len(sl.wal.buf), mark)
 			}
-			if _, ok := sl.handles[id]; ok != seal {
-				t.Fatalf("handle of %s present=%v after the rollback, want %v", id, ok, seal)
-			}
 			healthAssert(t, st, Healthy)
 
 			var err error
 			if seal {
-				err = sl.CommitSeal(id, noSend)
+				err = sl.commitSeal(id)
 			} else {
-				err = sl.CommitEvents(id, seqdb.Sequence{4}, noSend)
+				err = sl.commitEvents(id, seqdb.Sequence{4})
 			}
 			if err != nil {
 				t.Fatalf("next commit of %s: %v", id, err)
@@ -602,17 +625,17 @@ func TestCompaction(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, nil)
 	internEvents(t, st, 10)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(12))
 
 	var sealed []seqdb.Sequence
 	for i := 0; i < 12; i++ {
 		tr := randomTrace(rng, 10)
 		id := "c-" + string(rune('a'+i))
-		if err := sl.CommitEvents(id, tr, noSend); err != nil {
+		if err := sl.commitEvents(id, tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(id, noSend); err != nil {
+		if err := sl.commitSeal(id); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -685,16 +708,16 @@ func TestTornSegmentFallsBackToWAL(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, nil)
 	internEvents(t, st, 10)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	rng := rand.New(rand.NewSource(13))
 	var sealed []seqdb.Sequence
 	for i := 0; i < 8; i++ {
 		tr := randomTrace(rng, 10)
 		id := "torn-" + string(rune('a'+i))
-		if err := sl.CommitEvents(id, tr, noSend); err != nil {
+		if err := sl.commitEvents(id, tr); err != nil {
 			t.Fatal(err)
 		}
-		if err := sl.CommitSeal(id, noSend); err != nil {
+		if err := sl.commitSeal(id); err != nil {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
@@ -754,12 +777,12 @@ func TestFlushFailureRejectsAndRollsBack(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, nil)
 	internEvents(t, st, 4)
-	sl := st.Shard(0)
+	sl := logOf(st, 0)
 	// Ingest one good trace, flushed to disk.
-	if err := sl.CommitEvents("good", seqdb.Sequence{0, 1, 2}, noSend); err != nil {
+	if err := sl.commitEvents("good", seqdb.Sequence{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sl.CommitSeal("good", noSend); err != nil {
+	if err := sl.commitSeal("good"); err != nil {
 		t.Fatal(err)
 	}
 	if err := sl.Flush(); err != nil {
@@ -770,7 +793,8 @@ func TestFlushFailureRejectsAndRollsBack(t *testing.T) {
 	sl.wal.f.Close()
 	big := make(seqdb.Sequence, walFlushThreshold)
 	sent := false
-	if err := sl.CommitEvents("doomed", big, func() { sent = true }); err == nil {
+	h, fresh := sl.handle("doomed")
+	if err := sl.CommitEvents("doomed", h, fresh, big, func() { sent = true }); err == nil {
 		t.Fatal("append over a broken file succeeded")
 	}
 	if sent {
@@ -779,13 +803,10 @@ func TestFlushFailureRejectsAndRollsBack(t *testing.T) {
 	if len(sl.wal.buf) != 0 {
 		t.Fatalf("%d rejected bytes left in the buffer for a later retry", len(sl.wal.buf))
 	}
-	if _, ok := sl.handles["doomed"]; ok {
-		t.Fatal("handle assignment survived the rollback")
-	}
 	if st.Err() == nil {
 		t.Fatal("store did not go sticky-failed")
 	}
-	if err := sl.CommitEvents("after", seqdb.Sequence{0}, noSend); err == nil {
+	if err := sl.commitEvents("after", seqdb.Sequence{0}); err == nil {
 		t.Fatal("append accepted after the store failed")
 	}
 	_ = st.Close() // errors (fd closed); recovery below is what matters
@@ -864,15 +885,15 @@ func liveSegments(t *testing.T, dir string) map[string]int64 {
 func TestSegmentBytesWrittenCountsEveryFile(t *testing.T) {
 	// sealSegments commits n traces into shard 0, each rolled into a
 	// segment of its own.
-	sealSegments := func(t *testing.T, sl *ShardLog, rng *rand.Rand, sealed *[]seqdb.Sequence, n int) {
+	sealSegments := func(t *testing.T, sl *traceLog, rng *rand.Rand, sealed *[]seqdb.Sequence, n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			id := fmt.Sprintf("b%03d", len(*sealed))
 			tr := randomTrace(rng, 10)
-			if err := sl.CommitEvents(id, tr, noSend); err != nil {
+			if err := sl.commitEvents(id, tr); err != nil {
 				t.Fatal(err)
 			}
-			if err := sl.CommitSeal(id, noSend); err != nil {
+			if err := sl.commitSeal(id); err != nil {
 				t.Fatal(err)
 			}
 			*sealed = append(*sealed, tr)
@@ -889,7 +910,7 @@ func TestSegmentBytesWrittenCountsEveryFile(t *testing.T) {
 		defer st.Close()
 		internEvents(t, st, 10)
 		var sealed []seqdb.Sequence
-		sealSegments(t, st.Shard(0), rand.New(rand.NewSource(15)), &sealed, 6)
+		sealSegments(t, logOf(st, 0), rand.New(rand.NewSource(15)), &sealed, 6)
 		if err := st.Compact(); err != nil {
 			t.Fatal(err)
 		}
@@ -917,7 +938,7 @@ func TestSegmentBytesWrittenCountsEveryFile(t *testing.T) {
 		var sealed []seqdb.Sequence
 		// The second round merges the first round's output again.
 		for round := 0; round < 2; round++ {
-			sealSegments(t, st.Shard(0), rng, &sealed, compactMinRun)
+			sealSegments(t, logOf(st, 0), rng, &sealed, compactMinRun)
 			before, w0 := liveSegments(t, dir), written.Value()
 			if err := st.Compact(); err != nil {
 				t.Fatal(err)
@@ -949,11 +970,11 @@ func TestOpenGenerationIsNotARotation(t *testing.T) {
 	reg := obs.NewRegistry()
 	st := openStore(t, dir, func(o *Options) { o.Obs = reg })
 	internEvents(t, st, 4)
-	sl := st.Shard(0)
-	if err := sl.CommitEvents("a", seqdb.Sequence{0, 1}, noSend); err != nil {
+	sl := logOf(st, 0)
+	if err := sl.commitEvents("a", seqdb.Sequence{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sl.CommitSeal("a", noSend); err != nil {
+	if err := sl.commitSeal("a"); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {

@@ -31,8 +31,10 @@ import (
 //	recSeal      uvarint handle
 //	recCommit    (empty) — generation commit marker, see below
 //
-// Handles are small integers assigned per WAL generation at trace open; they
-// keep per-event records free of trace-id strings. sealedBase in the header
+// Handles keep per-event records free of trace-id strings. A trace gets its
+// handle once, when it opens, and keeps it until it seals: a rotation re-logs
+// each open trace under the handle it already has, and only recovery
+// renumbers, giving the open traces it recovers 0..n-1 in id order. sealedBase in the header
 // is the number of sealed traces already covered by segment files when the
 // generation was created: replay skips seal records up to the segment
 // coverage and appends only the genuinely newer traces.

@@ -41,17 +41,17 @@ func TestWarningDedupConcurrentFaults(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sl := st.Shard(i)
+			sl := logOf(st, i)
 			rng := rand.New(rand.NewSource(int64(100 + i)))
 			var sealed []seqdb.Sequence
 			for j := 0; j < 3; j++ {
 				id := fmt.Sprintf("w%d-%d", i, j)
 				evs := randomTrace(rng, 10)
-				if err := sl.CommitEvents(id, evs, noSend); err != nil {
+				if err := sl.commitEvents(id, evs); err != nil {
 					errs[i] = err
 					return
 				}
-				if err := sl.CommitSeal(id, noSend); err != nil {
+				if err := sl.commitSeal(id); err != nil {
 					errs[i] = err
 					return
 				}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"errors"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
@@ -160,5 +161,99 @@ func TestSnapshotNotDurableDuringTransientWindow(t *testing.T) {
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRejectedCommitsKeepTableExact: a rejected op leaves the open-trace
+// table as if it had never been sent. A new trace whose opening Ingest is
+// rejected has no entry, so its next Ingest opens it again, open record
+// included; a rejected CloseTrace leaves its trace open under the same
+// entry. A crash image taken after both retries recovers exactly the acked
+// ops.
+func TestRejectedCommitsKeepTableExact(t *testing.T) {
+	// Ranks 1 and 2 on the shard path are the first two WAL flushes (retries
+	// disabled below); with no barrier before the snapshot, both are flushes
+	// the commits below trigger by filling the 64 KiB group-commit buffer.
+	ffs := fsim.NewFaultFS(fsim.OS(),
+		fsim.Rule{Op: fsim.OpWrite, Path: "shard-000", From: 1, To: 3, Err: syscall.ENOSPC})
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir, Shards: 1, FS: ffs, RetryAttempts: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing, err := Open(Config{FlushBatch: 1 << 20, Store: st}) // barriers only via Snapshot
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := ing.Dict().Intern("a"), ing.Dict().Intern("b")
+	sh := ing.shards[0]
+	entry := func(id string) *openTrace {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.open[id]
+	}
+
+	// Opening "t" with a batch past the group-commit threshold flushes at
+	// rank 1, which fails.
+	if err := ing.IngestIDs("t", make([]seqdb.EventID, 1<<17)...); err == nil {
+		t.Fatal("ingest over a failed flush succeeded")
+	}
+	if tr := entry("t"); tr != nil {
+		t.Fatalf("rejected new trace left an entry %+v", tr)
+	}
+	if err := ing.IngestIDs("t", a, b); err != nil {
+		t.Fatal(err)
+	}
+	opened := entry("t")
+	if opened == nil {
+		t.Fatal("no entry for t after its ingest")
+	}
+
+	// Fill the buffer to within one seal record (10 bytes) of the 64 KiB
+	// threshold: t's open and events frames take 24 bytes, u's open frame
+	// 11 and its events frame 13 plus one byte per event.
+	const filler = 64<<10 - 48 - 5
+	if err := ing.IngestIDs("u", make([]seqdb.EventID, filler)...); err != nil {
+		t.Fatal(err)
+	}
+	if err := ing.CloseTrace("t"); err == nil {
+		t.Fatal("CloseTrace did not cross the group-commit threshold into the failing flush; the filler above no longer fits the WAL framing")
+	} else if errors.Is(err, store.ErrDegraded) {
+		t.Fatalf("CloseTrace rejected with %v, want a transient fault", err)
+	}
+	if tr := entry("t"); tr != opened {
+		t.Fatalf("rejected CloseTrace changed t's entry from %p to %p", opened, tr)
+	}
+	if err := ing.CloseTrace("t"); err != nil {
+		t.Fatalf("CloseTrace retry: %v", err)
+	}
+	if tr := entry("t"); tr != nil {
+		t.Fatalf("sealed trace left an entry %+v", tr)
+	}
+	v, err := ing.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameDB(t, "snapshot", v.DB, &seqdb.Database{Sequences: []seqdb.Sequence{{a, b}}})
+	if h := ing.Health(); h.State != store.Healthy {
+		t.Fatalf("transient faults degraded the store: %+v", h)
+	}
+
+	// Everything acked is flushed; a crash here must recover t sealed and u
+	// open.
+	crashDir := filepath.Join(t.TempDir(), "crash-image")
+	copyStoreTree(t, dir, crashDir)
+	if err := ing.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openTestStore(t, crashDir, 0, nil)
+	defer st2.Close()
+	rec := st2.Recovered().Shards[0]
+	requireSameDB(t, "recovered sealed", &seqdb.Database{Sequences: rec.Sequences}, v.DB)
+	if len(rec.Open) != 1 || rec.Open[0].ID != "u" || len(rec.Open[0].Events) != filler {
+		t.Fatalf("recovered %d open traces, want u with %d events", len(rec.Open), filler)
 	}
 }

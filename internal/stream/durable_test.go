@@ -354,7 +354,10 @@ func TestKillAndRecoverEquivalence(t *testing.T) {
 // TestDurableConcurrentProducers hammers a durable ingester — rotations
 // forced by a tiny WAL budget, snapshots taken concurrently — from several
 // producers under -race, then closes everything and proves a reopened store
-// recovers exactly the final snapshot's per-shard state.
+// recovers exactly the final snapshot's per-shard state. Each producer leaves
+// its first trace open through every rotation to Close and seals its last
+// trace under its second trace's id again: the reopened store must hold the
+// open traces, ids and events, exactly as ingested.
 func TestDurableConcurrentProducers(t *testing.T) {
 	w := tracesim.Workloads()["locking"]
 	dir := t.TempDir()
@@ -369,14 +372,24 @@ func TestDurableConcurrentProducers(t *testing.T) {
 
 	const producers = 4
 	const tracesPerProducer = 20
+	type ingested struct {
+		id     string
+		events []string
+	}
+	leftOpen := make([]ingested, producers)
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			db := w.MustGenerate(tracesPerProducer, int64(200+p))
+			db := w.MustGenerate(tracesPerProducer+1, int64(200+p))
+			first := p * (tracesPerProducer + 1)
 			for i, s := range db.Sequences {
-				id := tracesim.TraceID(p*tracesPerProducer + i)
+				id := tracesim.TraceID(first + i)
+				if i == tracesPerProducer {
+					id = tracesim.TraceID(first + 1) // sealed long ago: the id opens afresh
+				}
+				var all []string
 				for j := 0; j < len(s); j += 3 {
 					hi := j + 3
 					if hi > len(s) {
@@ -390,6 +403,11 @@ func TestDurableConcurrentProducers(t *testing.T) {
 						t.Errorf("ingest: %v", err)
 						return
 					}
+					all = append(all, names...)
+				}
+				if i == 0 {
+					leftOpen[p] = ingested{id: id, events: all}
+					continue
 				}
 				if err := ing.CloseTrace(id); err != nil {
 					t.Errorf("close trace: %v", err)
@@ -426,6 +444,14 @@ func TestDurableConcurrentProducers(t *testing.T) {
 	if final.DB.NumSequences() != producers*tracesPerProducer {
 		t.Fatalf("final snapshot has %d traces want %d", final.DB.NumSequences(), producers*tracesPerProducer)
 	}
+	// The crash image holds the rotated WALs as the producers left them;
+	// the clean close below rewrites them from memory. Compact first, so no
+	// background merge moves files under the copy.
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	crashDir := filepath.Join(t.TempDir(), "crash-image")
+	copyStoreTree(t, dir, crashDir)
 	if err := ing.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -433,21 +459,42 @@ func TestDurableConcurrentProducers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := store.Open(store.Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	rec := st2.Recovered()
-	if rec.NumOpen() != 0 {
-		t.Fatalf("recovered %d open traces want 0", rec.NumOpen())
-	}
-	for si, rs := range rec.Shards {
-		shardDB := seqdb.NewDatabaseWithDict(st2.Dict())
-		for _, s := range rs.Sequences {
-			shardDB.Append(s)
+	wantOpen := map[string][]string{}
+	for _, tr := range leftOpen {
+		if len(tr.events) > 0 {
+			wantOpen[tr.id] = tr.events
 		}
-		requireSameDB(t, "recovered shard", shardDB, final.ShardDBs[si])
+	}
+	for _, dir := range []string{dir, crashDir} {
+		st2, err := store.Open(store.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := st2.Recovered()
+		if rec.NumOpen() != len(wantOpen) || len(wantOpen) == 0 {
+			t.Fatalf("%s: recovered %d open traces want %d", dir, rec.NumOpen(), len(wantOpen))
+		}
+		for si, rs := range rec.Shards {
+			for _, tr := range rs.Open {
+				want, ok := wantOpen[tr.ID]
+				if !ok || len(tr.Events) != len(want) {
+					t.Fatalf("%s: recovered open trace %s with %d events, want %d (ingested: %v)", dir, tr.ID, len(tr.Events), len(want), ok)
+				}
+				for k, ev := range tr.Events {
+					if name := st2.Dict().Name(ev); name != want[k] {
+						t.Fatalf("%s: open trace %s event %d is %s want %s", dir, tr.ID, k, name, want[k])
+					}
+				}
+			}
+			shardDB := seqdb.NewDatabaseWithDict(st2.Dict())
+			for _, s := range rs.Sequences {
+				shardDB.Append(s)
+			}
+			requireSameDB(t, dir+": recovered shard", shardDB, final.ShardDBs[si])
+		}
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -20,7 +20,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"slices"
 	"sync"
@@ -97,9 +96,11 @@ const (
 	opSnapshot
 )
 
+// op is one unit of shard work; events and seal ops carry their trace's
+// table entry, so the shard goroutine does no lookup.
 type op struct {
 	kind   opKind
-	id     string
+	tr     *openTrace
 	events []seqdb.EventID
 	reply  chan shardView
 }
@@ -139,7 +140,7 @@ func newStreamMetrics(r *obs.Registry) streamMetrics {
 // shardMetrics are one shard's series, labeled shard=<i>.
 type shardMetrics struct {
 	enabled           bool
-	ingestNs          *obs.Histogram // producer-side latency of one acked op (sampled 1-in-16)
+	ingestNs          *obs.Histogram // producer-side latency of one acked op (every 16th op of the shard)
 	queueDepth        *obs.Gauge     // ops buffered (sampled enqueues, refreshed at barriers)
 	backpressureWaits *obs.Counter   // enqueues that found the buffer full
 	backpressureNs    *obs.Histogram // time blocked on a full buffer
@@ -229,7 +230,7 @@ func Open(cfg Config) (*Ingester, error) {
 				sh.db.Append(s)
 			}
 			for _, tr := range rs.Open {
-				ot := &openTrace{events: append(seqdb.Sequence(nil), tr.Events...)}
+				ot := &openTrace{handle: tr.Handle, logged: true, events: append(seqdb.Sequence(nil), tr.Events...)}
 				if cfg.Engine != nil {
 					ot.checker = cfg.Engine.NewChecker()
 					for _, ev := range ot.events {
@@ -238,6 +239,8 @@ func Open(cfg Config) (*Ingester, error) {
 				}
 				sh.open[tr.ID] = ot
 			}
+			// Recovery numbered the open traces 0..n-1.
+			sh.nextHandle = uint64(len(rs.Open))
 		}
 		if cfg.Engine != nil {
 			if sh.db.NumSequences() > 0 {
@@ -278,14 +281,14 @@ func (ing *Ingester) Ingest(traceID string, events ...string) error {
 	for i, n := range events {
 		ids[i] = ing.dict.Intern(n)
 	}
-	return ing.send(traceID, op{kind: opEvents, id: traceID, events: ids})
+	return ing.send(traceID, opEvents, ids)
 }
 
 // IngestIDs is Ingest for already-interned events. The slice is copied, so
 // callers may reuse their buffer immediately (the shard consumes the op
 // asynchronously).
 func (ing *Ingester) IngestIDs(traceID string, events ...seqdb.EventID) error {
-	return ing.send(traceID, op{kind: opEvents, id: traceID, events: append([]seqdb.EventID(nil), events...)})
+	return ing.send(traceID, opEvents, append([]seqdb.EventID(nil), events...))
 }
 
 // CloseTrace terminates the trace: it is sealed into its shard's database
@@ -293,48 +296,88 @@ func (ing *Ingester) IngestIDs(traceID string, events ...seqdb.EventID) error {
 // conformance outcome is folded into the shard's reports, and the id becomes
 // free for reuse.
 func (ing *Ingester) CloseTrace(traceID string) error {
-	return ing.send(traceID, op{kind: opSeal, id: traceID})
+	return ing.send(traceID, opSeal, nil)
 }
 
-func (ing *Ingester) send(traceID string, o op) error {
+func (ing *Ingester) send(traceID string, kind opKind, events []seqdb.EventID) error {
 	ing.lifeMu.RLock()
 	defer ing.lifeMu.RUnlock()
 	if ing.closed {
 		return ErrClosed
 	}
 	sh := ing.shards[ing.shardFor(traceID)]
-	// Latency is sampled 1-in-16: a clock-pair read costs more than every
-	// counter on this path combined (and far more where the monotonic clock
-	// is virtualised), so timing every op would dominate the instrumentation
-	// budget the obs-overhead CI floor enforces. The exact ack counters are
-	// not touched here at all — the shard goroutine batches them locally and
-	// publishes at barriers (see publishMet).
-	timed := ing.met.enabled && rand.Uint64()&15 == 0
+	tr, fresh, n := sh.lookup(traceID, kind == opSeal)
+	// Latency is sampled on every 16th op of the shard: a clock-pair read
+	// costs more than every counter on this path combined, so timing every op
+	// would dominate the instrumentation budget the obs-overhead floor
+	// enforces. The exact ack counters are batched by the shard goroutine
+	// (see publishMet).
+	timed := ing.met.enabled && n&15 == 0
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
-	var err error
-	if sh.log == nil {
+	o := op{kind: kind, tr: tr, events: events}
+	// logged hands the op to the shard and settles its table entry. Durable
+	// commits frame the WAL records on this goroutine and run logged under
+	// the shard log's lock once they are appended, so WAL order equals apply
+	// order, no op is acked before it is logged, and a checkpoint sees each
+	// entry before or after the op, never in between.
+	logged := func() {
 		sh.enqueue(o, timed)
-	} else if o.kind == opSeal {
-		// Durable mode: the commit path frames and checksums the WAL record on
-		// this goroutine before taking the shard log's lock, then appends it
-		// and hands the op to the shard under the lock — WAL order equals
-		// apply order and no operation is acknowledged before it is logged,
-		// but concurrent producers only serialise on the final memcpy and
-		// channel handoff.
-		err = sh.log.CommitSeal(o.id, func() { sh.enqueue(o, timed) })
-	} else {
-		err = sh.log.CommitEvents(o.id, o.events, func() { sh.enqueue(o, timed) })
+		if kind == opSeal {
+			sh.retire(traceID, tr)
+		} else if fresh {
+			tr.logged = true
+		}
+	}
+	var err error
+	switch {
+	case sh.log == nil:
+		logged()
+	case kind == opSeal:
+		err = sh.log.CommitSeal(traceID, tr.handle, fresh, logged)
+	default:
+		err = sh.log.CommitEvents(traceID, tr.handle, fresh, events, logged)
 	}
 	if err != nil {
+		if fresh {
+			sh.retire(traceID, tr) // the id's next op opens the trace again
+		}
 		return err
 	}
 	if timed {
 		sh.met.ingestNs.Observe(time.Since(start).Nanoseconds())
 	}
 	return nil
+}
+
+// lookup counts an op of trace id and finds the trace's table entry. A trace
+// that is not open gets a new entry under the next WAL handle (fresh), which
+// it keeps until it seals; a seal of such an id seals it empty, so its entry
+// never joins the table. n is the shard's op count, this op included.
+func (sh *shard) lookup(id string, seal bool) (tr *openTrace, fresh bool, n uint64) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.sent++
+	if tr = sh.open[id]; tr == nil {
+		tr, fresh = &openTrace{handle: sh.nextHandle}, true
+		sh.nextHandle++
+		if !seal {
+			sh.open[id] = tr
+		}
+	}
+	return tr, fresh, sh.sent
+}
+
+// retire removes id's table entry if it is still tr: a sealed trace's once
+// its seal is logged, a rejected new trace's at once.
+func (sh *shard) retire(id string, tr *openTrace) {
+	sh.mu.Lock()
+	if sh.open[id] == tr {
+		delete(sh.open, id)
+	}
+	sh.mu.Unlock()
 }
 
 // enqueue hands an op to the shard goroutine. When instrumentation is on and
@@ -479,8 +522,8 @@ func (ing *Ingester) Close() error {
 	return nil
 }
 
-// shard is one ingestion partition: a goroutine draining ops, the open
-// traces it is buffering, and the database of sealed traces.
+// shard is one ingestion partition: a goroutine draining ops, the table of
+// open traces it is buffering, and the database of sealed traces.
 type shard struct {
 	ops        chan op
 	done       chan struct{}
@@ -500,7 +543,14 @@ type shard struct {
 	// log is the shard's durable appender; nil in memory-only mode.
 	log *store.ShardLog
 
-	open     map[string]*openTrace
+	// mu guards the open-trace table, the ingester's one per-trace table
+	// (see lookup and retire); checkpoints read it under the shard log's
+	// lock, which is taken before mu. Nothing blocks while holding mu.
+	mu         sync.Mutex
+	open       map[string]*openTrace
+	nextHandle uint64 // the WAL handle the next new trace gets
+	sent       uint64 // ops looked up, which picks the latency sample
+
 	reports  []verify.RuleReport
 	vlog     verify.ViolationLog // a sealed trace's violations, drained into reports at once
 	free     []*verify.Checker
@@ -519,7 +569,13 @@ type shard struct {
 	deferredSnaps []op
 }
 
+// openTrace is a table entry, from the op that opens the trace to its seal.
 type openTrace struct {
+	handle uint64 // the trace's WAL handle
+	// logged is set under the shard log's lock once the op that opened the
+	// trace is committed; a checkpoint re-logs exactly the logged entries.
+	logged bool
+	// events and checker belong to the shard goroutine.
 	events  seqdb.Sequence
 	checker *verify.Checker
 }
@@ -553,11 +609,7 @@ func (sh *shard) run() {
 func (sh *shard) handle(o op) {
 	switch o.kind {
 	case opEvents:
-		tr := sh.open[o.id]
-		if tr == nil {
-			tr = sh.newTrace()
-			sh.open[o.id] = tr
-		}
+		tr := sh.start(o.tr)
 		sh.pendAcked += int64(len(o.events))
 		tr.events = append(tr.events, o.events...)
 		if tr.checker != nil {
@@ -572,11 +624,7 @@ func (sh *shard) handle(o op) {
 			sh.barrier()
 		}
 	case opSeal:
-		tr := sh.open[o.id]
-		if tr == nil {
-			tr = sh.newTrace() // an empty trace
-		}
-		delete(sh.open, o.id)
+		tr := sh.start(o.tr)
 		sh.pendSealed++
 		sh.db.Append(tr.events)
 		if tr.checker != nil {
@@ -613,11 +661,10 @@ func (sh *shard) handle(o op) {
 	}
 }
 
-// newTrace starts a trace's state, reusing a checker parked by an earlier
-// seal when one is free.
-func (sh *shard) newTrace() *openTrace {
-	tr := &openTrace{}
-	if sh.engine != nil {
+// start gives a trace its online checker at the first op the shard applies
+// to it, reusing a checker parked by an earlier seal when one is free.
+func (sh *shard) start(tr *openTrace) *openTrace {
+	if sh.engine != nil && tr.checker == nil {
 		if n := len(sh.free); n > 0 {
 			tr.checker = sh.free[n-1]
 			sh.free = sh.free[:n-1]
@@ -778,11 +825,17 @@ func (sh *shard) drainPending() {
 	}
 }
 
-// openSnapshot copies the shard's open traces for the WAL rotation re-log.
+// openSnapshot lists the logged open traces for a checkpoint's re-log, which
+// runs with the channel drained, so their events are all applied. The list
+// shares the events: the checkpoint only encodes them.
 func (sh *shard) openSnapshot() []store.OpenTrace {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	out := make([]store.OpenTrace, 0, len(sh.open))
 	for id, tr := range sh.open {
-		out = append(out, store.OpenTrace{ID: id, Events: append(seqdb.Sequence(nil), tr.events...)})
+		if tr.logged {
+			out = append(out, store.OpenTrace{ID: id, Handle: tr.handle, Events: tr.events})
+		}
 	}
 	return out
 }
