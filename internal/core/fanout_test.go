@@ -162,6 +162,38 @@ func TestCheckStorePinFailureMidFanOut(t *testing.T) {
 	}
 }
 
+// TestMineStorePinFailure: a seed segment whose body cannot be read fails a
+// mining call with that error, whether the call shares one call-wide view
+// (budget 0) or builds a view per seed (budget 1), at one and at four
+// workers.
+func TestMineStorePinFailure(t *testing.T) {
+	built := buildSegmentedStore(t, 3, 4, 20)
+	dir := built.Dir()
+	segs := built.Segments()
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// As in TestCheckStorePinFailureMidFanOut, read 2 of the path is the
+	// first pin of its body.
+	bad := segs[len(segs)/2].Path
+	for _, budget := range []int64{0, 1} {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("budget=%d/workers=%d", budget, workers)
+			ffs := fsim.NewFaultFS(fsim.OS(), fsim.Rule{Op: fsim.OpRead, Path: bad, From: 2, To: 1 << 20, Err: syscall.EIO})
+			ts, err := store.Open(store.Options{Dir: dir, OutOfCore: true, FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = MineStoreRules(ts, RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
+				MaxPremiseLength: 2, MaxConsequentLength: 2, Workers: workers}, OutOfCoreOptions{CacheBytes: budget})
+			if !errors.Is(err, syscall.EIO) {
+				t.Fatalf("%s: MineStoreRules returned %v, want the injected read fault (injections %v)", label, err, ffs.Injections())
+			}
+			ts.Close() // reports the store degraded by the read fault
+		}
+	}
+}
+
 // memSegments is a catalog of in-memory segments for driving checkSegments
 // directly, and it counts the pins still held. It can hold segment 0's pin
 // until every other segment has been checked, or fail one segment's pin and

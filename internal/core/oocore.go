@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -35,7 +36,9 @@ type OutOfCoreOptions struct {
 	// CacheBytes caps the estimated decoded bytes the segment cache keeps
 	// resident; <= 0 means unlimited (everything touched stays cached). The
 	// budget is a target: segments pinned by in-flight work are never evicted,
-	// so a single seed's working set may exceed it transiently.
+	// so a single seed's working set may exceed it transiently. A mining call
+	// whose seeds' segments fit the budget decoded pins them all for the
+	// whole call and shares one seed view across seeds and workers.
 	CacheBytes int64
 	// Obs, when non-nil, sees every count of the call live: the call counts
 	// into its own Child of Obs (Explain.Obs), which forwards each
@@ -51,18 +54,42 @@ type OutOfCoreStats = Explain
 
 // segSource adapts the segment catalog + cache to the miners' mine.Source
 // and to the check loop's segments: global event frequencies come from
-// summed segment statistics, and each seed's view is assembled by pinning
-// exactly the segments whose statistics show the seed event, collecting the
-// traces that contain it. Safe for concurrent AcquireSeed calls (the pool
-// serialises internally).
+// summed segment statistics. A mining call needs the union of the segments
+// whose statistics show one of its seed events (the events its Frequent*
+// call returned), and its seed views take one of two forms:
+//
+//   - Call-wide. When the cache budget is unlimited or the union's decoded
+//     estimate fits it, the first AcquireSeed pins every union segment once
+//     and borrows all of their rows into one view, which every seed and
+//     every worker then shares read-only. The pins hold until close.
+//   - Per seed. Otherwise each seed's view pins exactly the segments whose
+//     statistics show the seed event and collects the traces that contain
+//     it (seedView).
+//
+// Either way the call opens the union's segment bodies and no others, so
+// SegmentsSkipped does not depend on the form. Safe for concurrent
+// AcquireSeed calls (the pool serialises internally).
 type segSource struct {
-	pool *cache.Pool
-	dict *seqdb.Dictionary
+	pool       *cache.Pool
+	dict       *seqdb.Dictionary
+	cacheBytes int64
 
 	numTraces int
 	stats     []*store.SegmentStats // per catalog segment, resident
+	decoded   []int64               // per catalog segment: its decoded estimate (cache.EstimateBytes)
 	occ       []int64               // global occurrence count per event id
 	sup       []int64               // global sequence support per event id
+
+	// seeds is the ascending event list the last Frequent* call returned:
+	// the only events a miner acquires views for (mine.Source).
+	seeds []seqdb.EventID
+
+	// The call-wide view, built by the first AcquireSeed; nil when the
+	// union does not fit the budget. close drops its pins.
+	callOnce sync.Once
+	callView *mine.SeedView
+	callPins []*cache.Segment
+	callErr  error
 }
 
 // newSegSource loads every segment's statistics (metadata-sized; bodies stay
@@ -74,11 +101,13 @@ func newSegSource(st *store.Store, cacheBytes int64, call *obs.Registry) (*segSo
 	// scratch from it alike.
 	n := pool.NumEvents()
 	s := &segSource{
-		pool:  pool,
-		dict:  st.Dict(),
-		stats: make([]*store.SegmentStats, pool.NumSegments()),
-		occ:   make([]int64, n),
-		sup:   make([]int64, n),
+		pool:       pool,
+		dict:       st.Dict(),
+		cacheBytes: cacheBytes,
+		stats:      make([]*store.SegmentStats, pool.NumSegments()),
+		decoded:    make([]int64, pool.NumSegments()),
+		occ:        make([]int64, n),
+		sup:        make([]int64, n),
 	}
 	for i := 0; i < pool.NumSegments(); i++ {
 		ss, err := pool.Stats(i)
@@ -87,25 +116,38 @@ func newSegSource(st *store.Store, cacheBytes int64, call *obs.Registry) (*segSo
 		}
 		s.stats[i] = ss
 		s.numTraces += pool.Meta(i).NumTraces()
+		events := 0
 		ss.ForEachEvent(func(e seqdb.EventID, occurrences, traces int64) {
+			events += int(occurrences)
 			if int(e) < n {
 				s.occ[e] += occurrences
 				s.sup[e] += traces
 			}
 		})
+		s.decoded[i] = cache.EstimateBytes(pool.Meta(i).NumTraces(), events)
 	}
 	return s, nil
+}
+
+// close drops the call-wide view's pins, then closes the pool.
+func (s *segSource) close() {
+	for _, sg := range s.callPins {
+		sg.Unpin()
+	}
+	s.pool.Close()
 }
 
 func (s *segSource) NumSequences() int { return s.numTraces }
 func (s *segSource) NumEvents() int    { return len(s.occ) }
 
 func (s *segSource) FrequentByInstanceCount(min int) []seqdb.EventID {
-	return frequent(s.occ, min)
+	s.seeds = frequent(s.occ, min)
+	return s.seeds
 }
 
 func (s *segSource) FrequentBySeqSupport(min int) []seqdb.EventID {
-	return frequent(s.sup, min)
+	s.seeds = frequent(s.sup, min)
+	return s.seeds
 }
 
 // frequent mirrors PositionIndex.FrequentEventsByInstanceCount /
@@ -120,14 +162,88 @@ func frequent(counts []int64, min int) []seqdb.EventID {
 	return out
 }
 
-// AcquireSeed pins every segment whose statistics show the seed event (exact
-// counts, so no segment is pinned in vain) and assembles the seed's view: the
-// traces containing the event, in ascending global order, with the
+// AcquireSeed returns the call-wide view when the union of the seeds'
+// segments fits the budget, and otherwise seed e's own view. The call-wide
+// view's Release does nothing; its pins hold until close.
+func (s *segSource) AcquireSeed(e seqdb.EventID) (*mine.SeedView, error) {
+	s.callOnce.Do(s.buildCallView)
+	if s.callErr != nil {
+		return nil, s.callErr
+	}
+	if _, seed := slices.BinarySearch(s.seeds, e); seed && s.callView != nil {
+		return s.callView, nil
+	}
+	return s.seedView(e)
+}
+
+// buildCallView builds the call-wide view if the union of the segments
+// whose statistics show a seed event fits the budget: it pins each union
+// segment once and borrows every one of its rows, in catalog order, so the
+// view's traces ascend in global order. Global is nil when the union is the
+// whole catalog (the catalog's segments hold consecutive global ordinals)
+// and the union's trace table otherwise. A pin error is kept for every
+// AcquireSeed to return.
+func (s *segSource) buildCallView() {
+	var union []int
+	var bytes int64
+	n, widest := 0, 0
+	for i, ss := range s.stats {
+		if slices.ContainsFunc(s.seeds, func(e seqdb.EventID) bool {
+			_, traces := ss.Count(e)
+			return traces > 0
+		}) {
+			union = append(union, i)
+			bytes += s.decoded[i]
+			traces := s.pool.Meta(i).NumTraces()
+			n += traces
+			widest = max(widest, traces)
+		}
+	}
+	if len(union) == 0 || (s.cacheBytes > 0 && bytes > s.cacheBytes) {
+		return
+	}
+	// Every row of every union segment: one identity row list serves all.
+	all := make([]int32, widest)
+	for l := range all {
+		all[l] = int32(l)
+	}
+	sets := make([]seqdb.RowSet, 0, len(union))
+	seqs := make([]seqdb.Sequence, 0, n)
+	var global []int32
+	if len(union) < len(s.stats) {
+		global = make([]int32, 0, n)
+	}
+	for _, i := range union {
+		sg, err := s.pool.Pin(i)
+		if err != nil {
+			s.callErr = err
+			return
+		}
+		s.callPins = append(s.callPins, sg)
+		sets = append(sets, seqdb.RowSet{From: sg.Fragment(), Seqs: all[:len(sg.Seqs)]})
+		seqs = append(seqs, sg.Seqs...)
+		if global != nil {
+			for l := range sg.Seqs {
+				global = append(global, int32(sg.Base+l))
+			}
+		}
+	}
+	s.callView = &mine.SeedView{
+		DB:      &seqdb.Database{Dict: s.dict, Sequences: seqs},
+		Idx:     seqdb.BorrowPositionIndex(s.NumEvents(), sets),
+		Global:  global,
+		Release: func() {},
+	}
+}
+
+// seedView pins every segment whose statistics show the seed event (exact
+// counts, so no segment is pinned in vain) and assembles the seed's own
+// view: the traces containing the event, in ascending global order, with the
 // local→global id table. The view's index borrows those traces' rows from the
 // pinned segments' own fragments, so nothing is copied but row headers; the
 // pins hold until Release, which keeps the borrowed rows valid and the view's
 // memory accounted against the cache budget for its whole lifetime.
-func (s *segSource) AcquireSeed(e seqdb.EventID) (*mine.SeedView, error) {
+func (s *segSource) seedView(e seqdb.EventID) (*mine.SeedView, error) {
 	// The statistics' exact per-segment trace counts size the view up front.
 	var hit []int
 	n := 0
@@ -183,7 +299,7 @@ func mineStore[O, R any](st *TraceStore, opts O, oo OutOfCoreOptions, body func(
 	if err != nil {
 		return nil, nil, err
 	}
-	defer src.pool.Close()
+	defer src.close()
 	res, err := body(src, opts, call)
 	if err != nil {
 		return nil, nil, err
@@ -247,7 +363,7 @@ func CheckStoreWhere(st *TraceStore, ruleSet []Rule, where Where, oo OutOfCoreOp
 	if err != nil {
 		return verify.Summary{}, nil, err
 	}
-	defer src.pool.Close()
+	defer src.close()
 	reports, ex, err := checkSegments(src, engine, where, call)
 	if err != nil {
 		return verify.Summary{}, nil, err

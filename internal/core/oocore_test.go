@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
 	"specmine/internal/mine"
 	"specmine/internal/obs"
 	"specmine/internal/seqdb"
+	"specmine/internal/store/cache"
 )
 
 // buildSegmentedStore ingests a clustered workload across several durable
@@ -21,36 +23,69 @@ import (
 func buildSegmentedStore(t *testing.T, shards, sessions, perSession int) *TraceStore {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "traces")
+	writeSessions(t, dir, shards, sessions, perSession)
+	return reopenStore(t, dir)
+}
+
+// buildColdStore is buildSegmentedStore(t, 3, 4, 20) plus a last session of
+// three idle_a/idle_b traces. No mining threshold of the tests reaches those
+// events, so the cold session's segments hold no seed of any mining call.
+func buildColdStore(t *testing.T) *TraceStore {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "traces")
+	writeSessions(t, dir, 3, 4, 20)
+	ingestSession(t, dir, 3, "cold", [][]string{{"idle_a", "idle_b"}, {"idle_b"}, {"idle_a", "idle_a"}})
+	return reopenStore(t, dir)
+}
+
+// writeSessions writes buildSegmentedStore's sessions into dir.
+func writeSessions(t *testing.T, dir string, shards, sessions, perSession int) {
+	t.Helper()
 	for s := 0; s < sessions; s++ {
-		ts, err := OpenStore(dir, StoreOptions{Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := NewStreamer(StreamOptions{FlushBatch: 4, Store: ts})
-		if err != nil {
-			t.Fatal(err)
-		}
 		ca, cb := fmt.Sprintf("c%d_a", s), fmt.Sprintf("c%d_b", s)
-		for i := 0; i < perSession; i++ {
-			id := fmt.Sprintf("s%dtr%03d", s, i)
-			evs := []string{"open", ca, cb, "use", "close"}
+		traces := make([][]string, perSession)
+		for i := range traces {
+			traces[i] = []string{"open", ca, cb, "use", "close"}
 			if i%5 == 4 {
-				evs = []string{"open", ca, "use"} // drops cb and close: violations
-			}
-			if err := st.Ingest(id, evs...); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.CloseTrace(id); err != nil {
-				t.Fatal(err)
+				traces[i] = []string{"open", ca, "use"} // drops cb and close: violations
 			}
 		}
-		if err := st.Close(); err != nil {
+		ingestSession(t, dir, shards, fmt.Sprintf("s%d", s), traces)
+	}
+}
+
+// ingestSession runs one durable session over dir that ingests and seals
+// traces (ids prefix+"tr"+index) and closes.
+func ingestSession(t *testing.T, dir string, shards int, prefix string, traces [][]string) {
+	t.Helper()
+	ts, err := OpenStore(dir, StoreOptions{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStreamer(StreamOptions{FlushBatch: 4, Store: ts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, evs := range traces {
+		id := fmt.Sprintf("%str%03d", prefix, i)
+		if err := st.Ingest(id, evs...); err != nil {
 			t.Fatal(err)
 		}
-		if err := ts.Close(); err != nil {
+		if err := st.CloseTrace(id); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ts.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reopenStore opens dir quiescent and closes it when the test ends.
+func reopenStore(t *testing.T, dir string) *TraceStore {
+	t.Helper()
 	ts, err := OpenStore(dir, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -59,34 +94,96 @@ func buildSegmentedStore(t *testing.T, shards, sessions, perSession int) *TraceS
 	return ts
 }
 
+// protocolSegments counts the catalog segments holding a trace with the
+// shared protocol's "open" event — every segment but the cold session's, and
+// the segments every mining call of TestOutOfCoreEquivalence seeds from —
+// and sums their decoded estimates, read off the recovered traces.
+func protocolSegments(ts *TraceStore, db *Database) (int, int64) {
+	open := db.Dict.Lookup("open")
+	n, bytes := 0, int64(0)
+	for _, m := range ts.Segments() {
+		traces := db.Sequences[m.Base : m.Base+m.NumTraces()]
+		if !slices.ContainsFunc(traces, func(s seqdb.Sequence) bool { return slices.Contains(s, open) }) {
+			continue
+		}
+		events := 0
+		for _, s := range traces {
+			events += len(s)
+		}
+		n++
+		bytes += cache.EstimateBytes(len(traces), events)
+	}
+	return n, bytes
+}
+
 // TestOutOfCoreEquivalence checks that MineStore, MineStoreRules and
 // CheckStore are byte-identical to the in-memory miners over the recovered
-// database, across cache budgets (unlimited and starvation-tiny) and worker
-// counts.
+// database — results and Stats — across cache budgets and worker counts:
+//
+//   - unlimited: one call-wide seed view over the whole catalog (identity id
+//     map);
+//   - thrashing: a budget far below one segment, so every seed gets its own
+//     view and segments are evicted and reopened;
+//   - fits-union: a store with a cold session, at a budget of exactly the
+//     decoded estimate of the segments the seeds need. The call-wide view
+//     then covers part of the catalog and maps ids through its trace table.
+//
+// Every mining call skips exactly the segments no seed needs, and a
+// call-wide view pins and opens each segment it covers once.
 func TestOutOfCoreEquivalence(t *testing.T) {
-	ts := buildSegmentedStore(t, 3, 4, 20)
-	db := ts.Recovered().Database(ts.Dict())
+	plain, cold := buildSegmentedStore(t, 3, 4, 20), buildColdStore(t)
+	_, coldBytes := protocolSegments(cold, cold.Recovered().Database(cold.Dict()))
+	rows := []struct {
+		name     string
+		ts       *TraceStore
+		budget   int64
+		callWide bool
+	}{
+		{"unlimited", plain, 0, true},
+		{"thrashing", plain, 2 << 10, false},
+		{"fits-union", cold, coldBytes, true},
+	}
+	for _, row := range rows {
+		ts := row.ts
+		db := ts.Recovered().Database(ts.Dict())
+		union, _ := protocolSegments(ts, db)
+		if row.ts == cold && union == len(ts.Segments()) {
+			t.Fatal("the cold session sealed no segment of its own")
+		}
+		ruleSet, err := MineRules(db, RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
+			MaxPremiseLength: 2, MaxConsequentLength: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ruleSet.Rules) == 0 {
+			t.Fatal("fixture mined no rules")
+		}
+		wantCheck, err := CheckRules(db, ruleSet.Rules)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantCheck.TotalViolations() == 0 {
+			t.Fatal("fixture produced no violations")
+		}
 
-	ruleSet, err := MineRules(db, RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
-		MaxPremiseLength: 2, MaxConsequentLength: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ruleSet.Rules) == 0 {
-		t.Fatal("fixture mined no rules")
-	}
-	wantCheck, err := CheckRules(db, ruleSet.Rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantCheck.TotalViolations() == 0 {
-		t.Fatal("fixture produced no violations")
-	}
-
-	for _, budget := range []int64{0, 2 << 10} {
 		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("budget=%d/workers=%d", budget, workers)
-			oo := OutOfCoreOptions{CacheBytes: budget}
+			name := fmt.Sprintf("%s/budget=%d/workers=%d", row.name, row.budget, workers)
+			oo := OutOfCoreOptions{CacheBytes: row.budget}
+			// opened checks a mining call's segment accounting.
+			opened := func(call string, ex *Explain) {
+				t.Helper()
+				if want := ex.SegmentsTotal - union; ex.SegmentsSkipped != want {
+					t.Fatalf("%s: %s skipped %d of %d segments, want %d", name, call, ex.SegmentsSkipped, ex.SegmentsTotal, want)
+				}
+				if !row.callWide {
+					return
+				}
+				for _, counter := range []string{"cache.pins", "cache.bodies_opened"} {
+					if got := ex.Obs.Counter(counter).Value(); got != int64(union) {
+						t.Fatalf("%s: %s counted %s %d, want one per seed segment (%d)", name, call, counter, got, union)
+					}
+				}
+			}
 
 			// Closed patterns with instances: exercises the closedness filter
 			// and the local→global instance remap.
@@ -95,7 +192,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err := MineStore(ts, popts, oo)
+			got, ex, err := MineStore(ts, popts, oo)
 			if err != nil {
 				t.Fatalf("%s: MineStore: %v", name, err)
 			}
@@ -103,6 +200,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s: MineStore diverges from in-memory mining:\n got %+v\nwant %+v", name, got, want)
 			}
+			opened("MineStore", ex)
 
 			// Full (non-closed) patterns, no instances.
 			popts = PatternOptions{MinSupportRel: 0.3, Full: true, MaxPatternLength: 3, Workers: workers}
@@ -110,7 +208,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, _, err = MineStore(ts, popts, oo)
+			got, ex, err = MineStore(ts, popts, oo)
 			if err != nil {
 				t.Fatalf("%s: MineStore full: %v", name, err)
 			}
@@ -118,6 +216,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s: full MineStore diverges:\n got %+v\nwant %+v", name, got, want)
 			}
+			opened("full MineStore", ex)
 
 			// Non-redundant rules.
 			ropts := RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
@@ -126,7 +225,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotR, _, err := MineStoreRules(ts, ropts, oo)
+			gotR, ex, err := MineStoreRules(ts, ropts, oo)
 			if err != nil {
 				t.Fatalf("%s: MineStoreRules: %v", name, err)
 			}
@@ -134,6 +233,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(wantR, gotR) {
 				t.Fatalf("%s: MineStoreRules diverges:\n got %+v\nwant %+v", name, gotR, wantR)
 			}
+			opened("MineStoreRules", ex)
 
 			// Full rules.
 			ropts.Full = true
@@ -141,7 +241,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotR, _, err = MineStoreRules(ts, ropts, oo)
+			gotR, ex, err = MineStoreRules(ts, ropts, oo)
 			if err != nil {
 				t.Fatalf("%s: full MineStoreRules: %v", name, err)
 			}
@@ -149,6 +249,7 @@ func TestOutOfCoreEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(wantR, gotR) {
 				t.Fatalf("%s: full MineStoreRules diverges:\n got %+v\nwant %+v", name, gotR, wantR)
 			}
+			opened("full MineStoreRules", ex)
 
 			// Conformance checking.
 			gotC, _, err := CheckStore(ts, ruleSet.Rules, oo)

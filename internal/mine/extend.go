@@ -149,7 +149,15 @@ func (x *Extender) ReleaseProj(proj []Proj) { x.projs.Put(proj) }
 func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) ExtSet {
 	sc := &x.slots
 	sc.Begin()
-	x.counted = x.counted[:0]
+	// A group records at most one candidate per distinct event of its
+	// sequence, so one growth sizes the buffer for the whole pass.
+	bound := 0
+	for i := range proj {
+		if i == 0 || proj[i].Seq != proj[i-1].Seq || proj[i].Pos < proj[i-1].Pos {
+			bound += len(x.idx.SeqLastOccurrences(int(proj[i].Seq)))
+		}
+	}
+	x.counted = slices.Grow(x.counted[:0], bound)
 	for first := 0; first < len(proj); {
 		seq := proj[first].Seq
 		end := first + 1

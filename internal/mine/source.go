@@ -3,7 +3,7 @@ package mine
 import "specmine/internal/seqdb"
 
 // Seed views. Every miner pulls, per seed event, a view of the database from
-// a Source that contains exactly the traces the seed's subtree can ever
+// a Source that contains at least the traces the seed's subtree can ever
 // touch. A database held wholly in memory is the degenerate case — a store
 // whose only segment is always resident (Resident) — so there is one search
 // driver per miner, whatever backs the data. Out-of-core sources are
@@ -22,15 +22,24 @@ import "specmine/internal/seqdb"
 //   - the view's index covers the full event-id space (NumEvents), so
 //     per-event scratch tables size identically.
 //
+// A view may hold more than its seed's traces, and it may be call-wide: one
+// view handed to every seed and every worker of a call (Resident's whole
+// database, or an out-of-core source's union of the seeds' segments). Miners
+// therefore treat a view as read-only and share it freely. The seeds are the
+// events of the Source's last FrequentByInstanceCount/FrequentBySeqSupport
+// call, which a miner makes before its first AcquireSeed and whose events
+// are the only ones it acquires; a source may plan its views from that list.
+//
 // A view's index need not be built for it: an out-of-core view borrows the
 // rows of its traces from the pinned segments' own index fragments
 // (seqdb.BorrowPositionIndex), so it is valid only until Release unpins
-// them.
+// them, or, for a call-wide view, until the call ends.
 
-// SeedView is one seed's slice of the database: the traces containing the
-// seed event (or, for a resident database, every trace), their index, and
-// the local→global id mapping. Release returns the view's pinned segments to
-// the cache; the view must not be used after.
+// SeedView is one seed's slice of the database: at least the traces
+// containing the seed event (for a call-wide view, every trace of the call),
+// their index, and the local→global id mapping. Release returns what the
+// view pins to the cache; the view must not be used after. Release may do
+// nothing, when the view outlives the seed.
 type SeedView struct {
 	DB *seqdb.Database
 	// Idx indexes DB.Sequences. It may borrow rows from the pinned segments'
@@ -68,13 +77,16 @@ type Source interface {
 	// NumEvents is the event-id space (dictionary size).
 	NumEvents() int
 	// FrequentByInstanceCount lists, ascending, the events whose global
-	// occurrence count reaches min.
+	// occurrence count reaches min. A miner calls it (or
+	// FrequentBySeqSupport) once, before its first AcquireSeed; the events
+	// listed are its seeds.
 	FrequentByInstanceCount(min int) []seqdb.EventID
 	// FrequentBySeqSupport lists, ascending, the events whose global
 	// sequence support reaches min.
 	FrequentBySeqSupport(min int) []seqdb.EventID
-	// AcquireSeed pins and assembles the view for one seed event. The caller
-	// must call Release exactly once.
+	// AcquireSeed returns the view for one seed event, an event of the last
+	// Frequent* list. The view may be shared with other seeds and workers.
+	// The caller must call Release exactly once.
 	AcquireSeed(e seqdb.EventID) (*SeedView, error)
 }
 

@@ -26,18 +26,21 @@ func Mine(db *seqdb.Database, opts Options) (*Result, error) {
 // seed / job order (mine.ForSeeds), which makes the result byte-identical
 // for any worker count.
 //
-// Why per-seed views are exact: a premise grown from seed e starts with e,
-// so its projection, its backward-insertion windows (hasEquivalentInsertion
+// Why seed views are exact: a premise grown from seed e starts with e, so
+// its projection, its backward-insertion windows (hasEquivalentInsertion
 // reads only db.Sequences[pr.Seq] for supporting traces) and its whole
 // consequent subtree (PositionsFrom/Extensions over supporting traces only)
-// live entirely in traces containing e — traces every SeedView holds. The
-// only view-local artefacts are the sequence ids inside projections; phase 1
-// remaps them to global ids before jobs leave the seed, which makes the
-// canonical premise signatures (and hence the global dedup of phase 2)
-// independent of the Source. Global ids map back to view-local ones in
-// phase 3; the ascending Global table preserves projection order in both
-// directions, so every count, extension set and emitted rule is identical
-// for every Source.
+// live entirely in traces containing e — traces every SeedView holds. A
+// view holding more traces than e's, up to a call-wide view shared by every
+// seed and worker, changes nothing: the seed projection comes from e's
+// postings, so the other traces are never visited, and the miner only reads
+// the view. The only view-local artefacts are the sequence ids inside
+// projections; phase 1 remaps them to global ids before jobs leave the
+// seed, which makes the canonical premise signatures (and hence the global
+// dedup of phase 2) independent of the Source. Global ids map back to
+// view-local ones in phase 3; the ascending Global table preserves
+// projection order in both directions, so every count, extension set and
+// emitted rule is identical for every Source.
 func MineSource(src mine.Source, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

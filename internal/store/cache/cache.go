@@ -295,14 +295,20 @@ func (s *Segment) Fragment() *seqdb.PositionIndex {
 	return e.frag
 }
 
-// estimateBytes approximates the resident size of decoded traces: 4 bytes
-// per event plus slice headers.
+// estimateBytes is EstimateBytes over decoded traces.
 func estimateBytes(seqs []seqdb.Sequence) int64 {
-	n := int64(len(seqs)) * 24
+	events := 0
 	for _, s := range seqs {
-		n += int64(len(s)) * 4
+		events += len(s)
 	}
-	return n
+	return EstimateBytes(len(seqs), events)
+}
+
+// EstimateBytes is the resident size the pool charges for a decoded segment
+// of the given trace and event counts: 4 bytes per event plus a slice header
+// per trace. A segment's statistics give both counts without decoding it.
+func EstimateBytes(traces, events int) int64 {
+	return int64(traces)*24 + int64(events)*4
 }
 
 // fragmentBytes approximates a PositionIndex fragment's footprint: postings
