@@ -712,8 +712,9 @@ func TestWriteBenchTrajectory(t *testing.T) {
 						checker.Advance(ev)
 					}
 					checker.Close(si, reports, &log)
-					log.AppendTo(reports)
+					log.Cut(len(reports), 0)
 				}
+				verify.AssembleViolations(reports, log.Parts(len(reports), 0))
 			}
 		})
 		vc := verifyTrajectoryCase{

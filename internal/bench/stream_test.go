@@ -53,10 +53,11 @@ func BenchmarkStreamIngest(b *testing.B) {
 }
 
 // BenchmarkOnlineVerify measures the online conformance automaton alone: one
-// reused Checker consumes every trace of the serving batch event by event.
-// This is the same work Engine.Check drives, isolated from database and
-// index plumbing — the per-event cost an ingestion shard pays when an engine
-// is attached.
+// reused Checker consumes every trace of the serving batch event by event,
+// its violation log cut after each Close and assembled once at the end. This
+// is the same work Engine.Check drives, and the path an ingestion shard and
+// its snapshots run when an engine is attached, isolated from database and
+// index plumbing.
 func BenchmarkOnlineVerify(b *testing.B) {
 	for _, c := range VerifyCases() {
 		ruleSet, db := c.Gen()
@@ -79,8 +80,9 @@ func BenchmarkOnlineVerify(b *testing.B) {
 						checker.Advance(ev)
 					}
 					checker.Close(si, reports, &log)
-					log.AppendTo(reports)
+					log.Cut(len(reports), 0)
 				}
+				verify.AssembleViolations(reports, log.Parts(len(reports), 0))
 			}
 			b.ReportMetric(float64(events), "events/op")
 			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")

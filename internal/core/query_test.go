@@ -71,8 +71,9 @@ func checkWhereOracle(t *testing.T, db *Database, ruleSet []Rule, where Where) v
 			checker.Advance(ev)
 		}
 		checker.Close(s, reports, &log)
-		log.AppendTo(reports)
+		log.Cut(len(reports), 0)
 	}
+	verify.AssembleViolations(reports, log.Parts(len(reports), 0))
 	return verify.NewSummary(reports)
 }
 

@@ -499,11 +499,11 @@ func TestDurableConcurrentProducers(t *testing.T) {
 }
 
 // TestRecoveredReportsGrowLikeBatch: a reopened ingester re-seeds its
-// shards' reports with one batch check, whose violation lists are windows
-// of one shared array. Violating traffic after the reopen appends to those
-// lists, and the reports must still equal a batch check over the final
-// snapshot: an append that wrote into a neighbouring rule's window would
-// show up here.
+// shards' counts and violation parts by sealing every recovered trace
+// through the live close-and-cut step. Violating traffic after the reopen
+// adds parts behind the recovered ones, and the reports must still equal a
+// batch check over the final snapshot: a recovered part numbered or ordered
+// wrongly would show up here.
 func TestRecoveredReportsGrowLikeBatch(t *testing.T) {
 	engine, dict, w := violatingSecurity(t)
 	for _, shards := range []int{1, 3} {

@@ -81,10 +81,9 @@ type View struct {
 	ShardDBs []*seqdb.Database
 	// Reports are the online conformance reports accumulated so far, in rule
 	// order with violation sequence numbers rebased to DB's numbering —
-	// identical to verify.CheckRules(DB, rules). Each rule lives once, in its
-	// RuleReport. Violation lists may share the ingester's append-only
-	// arrays, capped so appending reallocates: never write their elements.
-	// Nil without an Engine.
+	// identical to verify.CheckRules(DB, rules), violation lists assembled
+	// the same way. Each rule lives once, in its RuleReport. The reports and
+	// their lists are the view's own. Nil without an Engine.
 	Reports []verify.RuleReport
 }
 
@@ -107,7 +106,8 @@ type op struct {
 
 type shardView struct {
 	db      *seqdb.Database
-	reports []verify.RuleReport
+	reports []verify.RuleReport    // counts only, the view's own clone
+	parts   []verify.ViolationPart // shard-local seqs, shared: parts are never written
 	// err carries the store's sticky failure: a snapshot whose WAL flush
 	// failed must not be served as a durable view.
 	err error
@@ -215,39 +215,28 @@ func Open(cfg Config) (*Ingester, error) {
 			statAcked:  ing.met.eventsAcked,
 			statSealed: ing.met.tracesSealed,
 		}
+		if cfg.Engine != nil {
+			sh.reports = cfg.Engine.NewReports()
+		}
 		if cfg.Store != nil {
 			sh.log = cfg.Store.Shard(i)
 		}
 		if recovered != nil {
-			// Resume exactly where the store left off: sealed traces rebuild
-			// the shard database; open traces re-open with their online
-			// checkers re-advanced through the buffered events; and the
-			// sealed traces' conformance outcomes are re-seeded by a
-			// batch check (the online engine is equivalence-tested against
-			// it), so accumulated reports continue seamlessly.
+			// Resume exactly where the store left off: each sealed trace is
+			// checked and sealed again through the same close-and-cut step
+			// as a live seal, which re-seeds its conformance outcome; open
+			// traces re-open with their online checkers re-advanced through
+			// the buffered events.
 			rs := recovered.Shards[i]
 			for _, s := range rs.Sequences {
-				sh.db.Append(s)
+				sh.seal(sh.start(&openTrace{events: s}).advance(s))
 			}
 			for _, tr := range rs.Open {
-				ot := &openTrace{handle: tr.Handle, logged: true, events: append(seqdb.Sequence(nil), tr.Events...)}
-				if cfg.Engine != nil {
-					ot.checker = cfg.Engine.NewChecker()
-					for _, ev := range ot.events {
-						ot.checker.Advance(ev)
-					}
-				}
-				sh.open[tr.ID] = ot
+				events := append(seqdb.Sequence(nil), tr.Events...)
+				sh.open[tr.ID] = sh.start(&openTrace{handle: tr.Handle, logged: true, events: events}).advance(events)
 			}
 			// Recovery numbered the open traces 0..n-1.
 			sh.nextHandle = uint64(len(rs.Open))
-		}
-		if cfg.Engine != nil {
-			if sh.db.NumSequences() > 0 {
-				sh.reports = cfg.Engine.Check(sh.db)
-			} else {
-				sh.reports = cfg.Engine.NewReports()
-			}
 		}
 		ing.shards[i] = sh
 		go sh.run()
@@ -463,42 +452,24 @@ func (ing *Ingester) merge(views []shardView) *View {
 		}
 	}
 	if ing.cfg.Engine != nil {
-		// answerSnap gave each view its own report headers; shard 0's, at
-		// base 0, become the merged reports.
+		// answerSnap gave each view its own counts; shard 0's become the
+		// merged reports. Each shard's parts move to the shard's first
+		// sequence number, and one assembly sizes every list exactly.
 		v.Reports = views[0].reports
-		for i := range v.Reports {
-			mergeReport(&v.Reports[i], views, bases, i)
+		var parts []verify.ViolationPart
+		for k, sv := range views {
+			if k > 0 {
+				for i := range v.Reports {
+					v.Reports[i].AddCounts(&sv.reports[i])
+				}
+			}
+			for _, p := range sv.parts {
+				parts = append(parts, p.Rebase(bases[k]))
+			}
 		}
+		verify.AssembleViolations(v.Reports, parts)
 	}
 	return v
-}
-
-// mergeReport folds rule i of shards 1.. into r, which is shard 0's report. A
-// violation list that comes whole from one shard at base 0 is handed through;
-// otherwise the lists are copied once, at their exact total, to rebase Seq.
-// Shard lists stay nil until their first violation, so a rule with none keeps
-// a nil list, as a batch check leaves it.
-func mergeReport(r *verify.RuleReport, views []shardView, bases []int, i int) {
-	n, from := len(r.Violations), 0
-	for k, sv := range views[1:] {
-		sr := &sv.reports[i]
-		r.AddCounts(sr)
-		if len(sr.Violations) > 0 {
-			n, from = n+len(sr.Violations), k+1
-		}
-	}
-	if only := views[from].reports[i].Violations; len(only) == n && bases[from] == 0 {
-		r.Violations = only
-		return
-	}
-	merged := make([]verify.RuleViolation, 0, n) // r is views[0].reports[i]: set it after the loop
-	for k, sv := range views {
-		for _, viol := range sv.reports[i].Violations {
-			viol.Seq += bases[k]
-			merged = append(merged, viol)
-		}
-	}
-	r.Violations = merged
 }
 
 // Close shuts the ingester down: shard goroutines drain their buffers and
@@ -551,8 +522,12 @@ type shard struct {
 	nextHandle uint64 // the WAL handle the next new trace gets
 	sent       uint64 // ops looked up, which picks the latency sample
 
+	// reports hold the sealed traces' counts, never violation lists: those
+	// are logged to vlog, which is cut after every seal, and the parts cut
+	// so far are kept in parts, which only grows.
 	reports  []verify.RuleReport
-	vlog     verify.ViolationLog // a sealed trace's violations, drained into reports at once
+	vlog     verify.ViolationLog
+	parts    []verify.ViolationPart
 	free     []*verify.Checker
 	unsynced int // traces sealed since the last barrier or snapshot
 	// lastFlushErr is the result of the most recent barrier WAL flush. A
@@ -612,11 +587,7 @@ func (sh *shard) handle(o op) {
 		tr := sh.start(o.tr)
 		sh.pendAcked += int64(len(o.events))
 		tr.events = append(tr.events, o.events...)
-		if tr.checker != nil {
-			for _, ev := range o.events {
-				tr.checker.Advance(ev)
-			}
-		}
+		tr.advance(o.events)
 		// Events-only traffic grows the WAL too: without this check a shard
 		// with long-lived open traces and rare seals would never rotate and
 		// recovery would replay history, not open data.
@@ -624,14 +595,8 @@ func (sh *shard) handle(o op) {
 			sh.barrier()
 		}
 	case opSeal:
-		tr := sh.start(o.tr)
 		sh.pendSealed++
-		sh.db.Append(tr.events)
-		if tr.checker != nil {
-			tr.checker.Close(sh.db.NumSequences()-1, sh.reports, &sh.vlog)
-			sh.vlog.AppendTo(sh.reports)
-			sh.free = append(sh.free, tr.checker)
-		}
+		sh.seal(sh.start(o.tr))
 		sh.unsynced++
 		if !sh.draining && (sh.unsynced >= sh.flushBatch || (sh.log != nil && sh.log.RotateDue())) {
 			sh.barrier()
@@ -675,6 +640,28 @@ func (sh *shard) start(tr *openTrace) *openTrace {
 	return tr
 }
 
+// advance feeds events to the trace's online checker, if it has one.
+func (tr *openTrace) advance(events []seqdb.EventID) *openTrace {
+	if tr.checker != nil {
+		for _, ev := range events {
+			tr.checker.Advance(ev)
+		}
+	}
+	return tr
+}
+
+// seal appends a terminated trace to the shard's database and closes its
+// checker into the counts and the violation log, which is cut as a batch
+// check cuts its own; the checker is parked for the next trace.
+func (sh *shard) seal(tr *openTrace) {
+	sh.db.Append(tr.events)
+	if tr.checker != nil {
+		tr.checker.Close(sh.db.NumSequences()-1, sh.reports, &sh.vlog)
+		sh.vlog.Cut(len(sh.reports), 0)
+		sh.free = append(sh.free, tr.checker)
+	}
+}
+
 // publishMet folds the shard-local exact counts into the shared series and
 // refreshes the queue-depth gauge. It runs on the shard goroutine at every
 // point a reader can observe shard state — barriers, snapshot answers,
@@ -699,14 +686,11 @@ func (sh *shard) answerSnap(o op) {
 	sh.publishMet()
 	sv := shardView{db: sh.db.SnapshotView()}
 	if sh.reports != nil {
-		// The shard only appends to its violation lists (draining each
-		// Close's log), so each list's current prefix is frozen: share it,
-		// capped so that an append through the view reallocates instead of
-		// writing into the shard's spare room.
-		sv.reports = slices.Clone(sh.reports)
-		for i := range sv.reports {
-			sv.reports[i].Violations = slices.Clip(sv.reports[i].Violations)
-		}
+		// The rest of the log becomes a part too. The view gets a clone of
+		// the counts and the part list capped at its length, which later
+		// cuts append past.
+		sh.parts = append(sh.parts, sh.vlog.Parts(len(sh.reports), 0)...)
+		sv.reports, sv.parts = slices.Clone(sh.reports), slices.Clip(sh.parts)
 	}
 	if sh.log != nil {
 		// A healthy store promises everything a snapshot exposes is

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"specmine/internal/rules"
 	"specmine/internal/seqdb"
@@ -125,10 +124,10 @@ func totalViolations(reports []verify.RuleReport) int {
 
 // TestSnapshotViewIsFrozen: a View keeps exactly the traces sealed before
 // it and the conformance reports accumulated by then while ingestion
-// continues, with one shard (where DB and the violation lists are the
-// shard's own) and with several; its index, built on first use, is the index
-// of those traces. Appending to a view's violation list reallocates it and
-// never reaches the shard's reports.
+// continues, with one shard (where DB is the shard's own) and with several;
+// its index, built on first use, is the index of those traces. Appending to
+// a view's violation list reallocates it and never reaches the shard's
+// reports.
 func TestSnapshotViewIsFrozen(t *testing.T) {
 	engine, dict, w := violatingSecurity(t)
 	for _, shards := range []int{1, 3} {
@@ -199,37 +198,38 @@ func TestSnapshotViewIsFrozen(t *testing.T) {
 	}
 }
 
-// TestSnapshotSharesShardReports pins that a snapshot does not copy the
-// shard's violation lists: answerSnap hands out each list's current prefix,
-// on the same backing array, capped at its length.
-func TestSnapshotSharesShardReports(t *testing.T) {
+// TestSnapshotListsAreTheViewsOwn: a snapshot's violation lists belong to
+// the view alone. Overwriting every element of one view's lists leaves the
+// next snapshot, taken with no ingest in between, equal to a deep copy of the
+// first, with one shard as with several.
+func TestSnapshotListsAreTheViewsOwn(t *testing.T) {
 	engine, dict, w := violatingSecurity(t)
-	ing := mustOpen(t, Config{Shards: 1, Dict: dict, Engine: engine})
-	ingestWorkload(t, ing, w, 30, 11)
-	// Closing joins the shard goroutine, so its state can be read here.
-	if err := ing.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sh := ing.shards[0]
-	reply := make(chan shardView, 1)
-	sh.answerSnap(op{kind: opSnapshot, reply: reply})
-	sv := <-reply
-	shared := 0
-	for i, r := range sv.reports {
-		own := sh.reports[i].Violations
-		if len(r.Violations) != len(own) || cap(r.Violations) != len(r.Violations) {
-			t.Fatalf("rule %d: snapshot list has len %d cap %d, shard list len %d", i, len(r.Violations), cap(r.Violations), len(own))
+	for _, shards := range []int{1, 3} {
+		ing := mustOpen(t, Config{Shards: shards, FlushBatch: 4, Dict: dict, Engine: engine})
+		ingestWorkload(t, ing, w, 30, 11)
+		v, err := ing.Snapshot()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(own) == 0 {
-			continue
+		want := copyReports(v.Reports)
+		if totalViolations(want) == 0 {
+			t.Fatalf("shards=%d: no rule was violated; the test proves nothing", shards)
 		}
-		if unsafe.SliceData(r.Violations) != unsafe.SliceData(own) {
-			t.Fatalf("rule %d: the snapshot copied the shard's violation list", i)
+		for i := range v.Reports {
+			for k := range v.Reports[i].Violations {
+				v.Reports[i].Violations[k] = verify.RuleViolation{Seq: -1, TemporalPoint: -1}
+			}
 		}
-		shared++
-	}
-	if shared == 0 {
-		t.Fatal("no rule was violated; the test proves nothing")
+		again, err := ing.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again.Reports, want) {
+			t.Fatalf("shards=%d: writing an earlier view's violations reached the next snapshot", shards)
+		}
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

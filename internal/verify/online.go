@@ -145,10 +145,9 @@ func (c *Checker) Advance(ev seqdb.EventID) {
 // are folded into reports (which must come from Engine.NewReports or have
 // len equal to NumRules), each violation is written to log as one
 // (rule, seq, temporal point) entry — rules ascending, points ascending
-// within a rule — and the checker resets for the next trace. The caller
-// turns the log into lists: ViolationLog.Cut, ViolationLog.Parts and
-// AssembleViolations on the batch paths, ViolationLog.AppendTo on the
-// stream's append-only lists.
+// within a rule — and the checker resets for the next trace. Every caller,
+// batch or stream, turns the log into lists the same way: ViolationLog.Cut
+// after each Close, then AssembleViolations over ViolationLog.Parts.
 func (c *Checker) Close(seq int, reports []RuleReport, log *ViolationLog) {
 	e := c.e
 	s := int32(seq)

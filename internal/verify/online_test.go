@@ -31,8 +31,9 @@ func checkOnlineMatchesBatch(t *testing.T, label string, db *seqdb.Database, rul
 			t.Fatalf("%s: checker consumed %d events want %d", label, c.Events(), len(s))
 		}
 		c.Close(si, online, &log)
-		log.AppendTo(online)
+		log.Cut(len(online), 0)
 	}
+	verify.AssembleViolations(online, log.Parts(len(online), 0))
 
 	batch, err := verify.CheckRules(db, ruleSet)
 	if err != nil {
@@ -164,7 +165,8 @@ func TestCheckerRetiresSatisfiedPoints(t *testing.T) {
 		t.Fatalf("after second premise: %d unresolved want 1 (first should have retired)", c.Unresolved())
 	}
 	c.Close(0, reports, &log)
-	log.AppendTo(reports)
+	log.Cut(len(reports), 0)
+	verify.AssembleViolations(reports, log.Parts(len(reports), 0))
 	rep := reports[0]
 	if rep.TotalTemporalPoints != 2 || rep.SatisfiedTemporalPoints != 1 ||
 		rep.ViolatedTraces != 1 || len(rep.Violations) != 1 ||
@@ -214,7 +216,8 @@ func TestCheckerIgnoresForeignEvents(t *testing.T) {
 		c2.Advance(ev)
 	}
 	c2.Close(0, reports2, &log)
-	log.AppendTo(reports2)
+	log.Cut(len(reports2), 0)
+	verify.AssembleViolations(reports2, log.Parts(len(reports2), 0))
 	if len(reports2[0].Violations) != 1 || reports2[0].Violations[0].TemporalPoint != 1 {
 		t.Fatalf("unexpected violations: %+v", reports2[0].Violations)
 	}

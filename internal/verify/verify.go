@@ -49,11 +49,11 @@ type RuleReport struct {
 	TotalTemporalPoints     int
 	SatisfiedTemporalPoints int
 	// Violations lists each violating temporal point of Rule, ordered by
-	// trace then position; nil when there are none. The batch checks
-	// (CheckRules, Engine.Check and the store and predicated checks built on
-	// the same path) return every rule's list as a window of one shared
-	// backing array with cap == len, so an append reallocates the list and
-	// never writes into the next rule's.
+	// trace then position; nil when there are none. Every check (CheckRules,
+	// Engine.Check, the store and predicated checks, and the stream's
+	// snapshots) returns every rule's list as a window of one shared backing
+	// array with cap == len (see AssembleViolations), so an append
+	// reallocates the list and never writes into the next rule's.
 	Violations []RuleViolation
 }
 

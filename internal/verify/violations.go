@@ -1,22 +1,19 @@
 package verify
 
-// Violation lists are built in three steps, so no per-rule slice ever grows
-// by append on the batch paths:
+// Every violation list a check returns is built in three steps, so no
+// per-rule slice ever grows by append:
 //
 //   - Checker.Close writes each violation it finds as one (rule, seq, tp)
 //     entry into a ViolationLog its caller owns — one flat, reused buffer
 //     instead of one growing slice per rule.
 //   - ViolationLog.Cut and ViolationLog.Parts counting-sort the log by rule
 //     into ViolationParts: int32 (seq, tp) pairs grouped per violated rule.
-//     A part is independent of every other, so segments checked on
-//     different goroutines each produce their own.
+//     A part is independent of every other and never written once cut, so
+//     segments checked on different goroutines each produce their own, and
+//     the stream's shards keep theirs and share them with every snapshot.
 //   - AssembleViolations sizes one backing array for all parts' violations
 //     and gives every rule its exact-size window of it, filled from the parts
 //     in order with Seq rebased.
-//
-// The stream's shards, whose lists grow trace by trace and are shared with
-// snapshots, drain the log straight into their append-only lists instead
-// (ViolationLog.AppendTo).
 
 // partEntries is the log length at which Cut cuts a part: the log is then a
 // bounded scratch buffer that stops growing after its first part, instead of
@@ -36,19 +33,8 @@ type ViolationLog struct {
 
 type logEntry struct{ rule, seq, tp int32 }
 
-// Len returns the number of violations logged and not yet drained or cut
-// into a part.
+// Len returns the number of violations logged and not yet cut into a part.
 func (l *ViolationLog) Len() int { return len(l.entries) }
-
-// AppendTo appends every logged violation to its rule's list in reports, in
-// log order, and empties the log.
-func (l *ViolationLog) AppendTo(reports []RuleReport) {
-	for _, en := range l.entries {
-		rep := &reports[en.rule]
-		rep.Violations = append(rep.Violations, RuleViolation{Seq: int(en.seq), TemporalPoint: int(en.tp)})
-	}
-	l.entries = l.entries[:0]
-}
 
 // ViolationPart is a log's violations grouped by rule, ready for
 // AssembleViolations. Each violation takes 8 bytes: an int32 seq and an
@@ -60,8 +46,15 @@ type ViolationPart struct {
 	pairs []int32 // (seq, tp) interleaved
 }
 
+// Rebase returns p with by added to its base: the same pairs, assembled with
+// every seq moved by by.
+func (p ViolationPart) Rebase(by int) ViolationPart {
+	p.base += by
+	return p
+}
+
 // Cut cuts the logged violations into a part, as Parts does, once the log
-// holds partEntries of them. A batch check calls it after every Close, so the
+// holds partEntries of them. Every check calls it after every Close, so the
 // log never holds more than one Close's violations beyond that bound.
 func (l *ViolationLog) Cut(numRules, base int) {
 	if len(l.entries) >= partEntries {
@@ -122,32 +115,33 @@ func (l *ViolationLog) part(numRules, base int) ViolationPart {
 // array sized in a single pass, each with cap == len, so appending to one
 // list reallocates it rather than overwrite its neighbour. A rule with no
 // violations keeps a nil list. The reports' lists must be empty on entry.
+//
+// The array is filled rule by rule, front to back: writing part by part
+// instead would scatter every part's writes over all the rules' windows.
 func AssembleViolations(reports []RuleReport, parts []ViolationPart) {
-	// start[r] is rule r's first slot in the backing array; start[r+1] its end.
-	start := make([]int, len(reports)+1)
+	n := 0
 	for _, p := range parts {
-		for k, r := range p.rules {
-			start[r+1] += int(p.off[k+1] - p.off[k])
-		}
+		n += len(p.pairs) / 2
 	}
+	back := make([]RuleViolation, 0, n)
+	// next[i] indexes parts[i].rules: the first of its rules not yet copied.
+	next := make([]int, len(parts))
 	for r := range reports {
-		start[r+1] += start[r]
-	}
-	back := make([]RuleViolation, start[len(reports)])
-	for r := range reports {
-		if s, e := start[r], start[r+1]; e > s {
-			reports[r].Violations = back[s:e:e]
-		}
-	}
-	// start[r] now advances as rule r's write cursor.
-	for _, p := range parts {
-		for k, r := range p.rules {
-			pairs := p.pairs[2*p.off[k] : 2*p.off[k+1]]
-			dst := back[start[r] : start[r]+len(pairs)/2]
-			for j := range dst {
-				dst[j] = RuleViolation{Seq: p.base + int(pairs[2*j]), TemporalPoint: int(pairs[2*j+1])}
+		s := len(back)
+		for i := range parts {
+			p := &parts[i]
+			k := next[i]
+			if k == len(p.rules) || int(p.rules[k]) != r {
+				continue
 			}
-			start[r] += len(dst)
+			next[i]++
+			pairs := p.pairs[2*p.off[k] : 2*p.off[k+1]]
+			for j := 0; j+1 < len(pairs); j += 2 {
+				back = append(back, RuleViolation{Seq: p.base + int(pairs[j]), TemporalPoint: int(pairs[j+1])})
+			}
+		}
+		if e := len(back); e > s {
+			reports[r].Violations = back[s:e:e]
 		}
 	}
 }

@@ -67,7 +67,9 @@ func TestAssembledListsAreExactWindows(t *testing.T) {
 
 // TestAssembleRebasesPartsInOrder: parts cut from separately checked
 // segments, each with segment-local sequence numbers, assemble into exactly
-// what one Check over the concatenated segments returns.
+// what one Check over the concatenated segments returns, whether each part
+// is cut at its segment's base or cut at base 0 and then rebased by it, as a
+// stream snapshot rebases its shards' parts.
 func TestAssembleRebasesPartsInOrder(t *testing.T) {
 	d := seqdb.NewDictionary()
 	a, x := d.Intern("a"), d.Intern("x")
@@ -87,10 +89,10 @@ func TestAssembleRebasesPartsInOrder(t *testing.T) {
 		{{a}, {a, a, x, a}},
 	}
 	all := seqdb.NewDatabaseWithDict(d)
-	reports := engine.NewReports()
+	reports, rebased := engine.NewReports(), engine.NewReports()
 	c := engine.NewChecker()
-	var log verify.ViolationLog
-	var parts []verify.ViolationPart
+	var log, log0 verify.ViolationLog
+	var parts, parts0 []verify.ViolationPart
 	for _, seg := range segments {
 		base := all.NumSequences()
 		for l, s := range seg {
@@ -99,11 +101,23 @@ func TestAssembleRebasesPartsInOrder(t *testing.T) {
 				c.Advance(ev)
 			}
 			c.Close(l, reports, &log)
+			for _, ev := range s {
+				c.Advance(ev)
+			}
+			c.Close(l, rebased, &log0)
 		}
 		parts = append(parts, log.Parts(engine.NumRules(), base)...)
+		for _, p := range log0.Parts(engine.NumRules(), 0) {
+			parts0 = append(parts0, p.Rebase(base))
+		}
 	}
 	verify.AssembleViolations(reports, parts)
-	if want := engine.Check(all); !reflect.DeepEqual(reports, want) {
+	verify.AssembleViolations(rebased, parts0)
+	want := engine.Check(all)
+	if !reflect.DeepEqual(reports, want) {
 		t.Fatalf("assembled parts differ from one Check:\n got %+v\nwant %+v", reports, want)
+	}
+	if !reflect.DeepEqual(rebased, want) {
+		t.Fatalf("rebased parts differ from one Check:\n got %+v\nwant %+v", rebased, want)
 	}
 }
