@@ -8,10 +8,8 @@ import (
 	"specmine/internal/bench/baseline"
 	"specmine/internal/episode"
 	"specmine/internal/iterpattern"
-	"specmine/internal/rules"
 	"specmine/internal/seqdb"
 	"specmine/internal/seqpattern"
-	"specmine/internal/tracesim"
 )
 
 func seqdbBuildFlat(db *seqdb.Database) *seqdb.PositionIndex {
@@ -124,42 +122,6 @@ func boolName(b bool) string {
 	return "false"
 }
 
-// TestParallelPatternsMatchSequential is the parallel-vs-sequential
-// equivalence property for the iterative-pattern miners: any worker count
-// must produce results identical to workers=1, including search statistics.
-// Run under -race this also exercises the worker pool for data races.
-func TestParallelPatternsMatchSequential(t *testing.T) {
-	check := func(label string, db *seqdb.Database, opts iterpattern.Options, closed bool) {
-		t.Helper()
-		opts.Full, opts.Workers = !closed, 1
-		seq, err := iterpattern.Mine(db, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, -1} {
-			opts.Workers = workers
-			par, err := iterpattern.Mine(db, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertPatternResultsEqual(t, label, par, seq)
-		}
-	}
-	c := ClosedCases()[0]
-	opts := c.Opts
-	opts.IncludeInstances = true
-	check(c.Name, c.Gen(), opts, true)
-	w := tracesim.Workloads()["security"]
-	check("security-x30", w.MustGenerate(30, 7), iterpattern.Options{MinSupportRel: 0.9, MaxPatternLength: 3, IncludeInstances: true}, true)
-	rng := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 20; iter++ {
-		db := randomDB(rng, 3+rng.Intn(5), 12, 3+rng.Intn(4))
-		o := iterpattern.Options{MinInstanceSupport: 2 + rng.Intn(2), IncludeInstances: true}
-		check("random/full", db, o, false)
-		check("random/closed", db, o, true)
-	}
-}
-
 func assertSeqPatternResultsEqual(t *testing.T, label string, got, want *seqpattern.Result) {
 	t.Helper()
 	if len(got.Patterns) != len(want.Patterns) {
@@ -266,65 +228,5 @@ func TestEpisodeMatchesBaseline(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertEpisodeResultsEqual(t, "random/single", got, want)
-	}
-}
-
-func assertRuleResultsEqual(t *testing.T, label string, got, want *rules.Result) {
-	t.Helper()
-	if len(got.Rules) != len(want.Rules) {
-		t.Fatalf("%s: %d rules, want %d", label, len(got.Rules), len(want.Rules))
-	}
-	for i := range want.Rules {
-		g, w := got.Rules[i], want.Rules[i]
-		if !g.Pre.Equal(w.Pre) || !g.Post.Equal(w.Post) ||
-			g.SeqSupport != w.SeqSupport || g.InstanceSupport != w.InstanceSupport ||
-			g.Confidence != w.Confidence {
-			t.Fatalf("%s: rule %d differs: got %+v want %+v", label, i, g, w)
-		}
-	}
-	gs, ws := got.Stats, want.Stats
-	if gs.PremisesExplored != ws.PremisesExplored ||
-		gs.PremisesPrunedRedundant != ws.PremisesPrunedRedundant ||
-		gs.ConsequentNodesExplored != ws.ConsequentNodesExplored ||
-		gs.RulesSuppressedRedundant != ws.RulesSuppressedRedundant ||
-		gs.RulesEmitted != ws.RulesEmitted {
-		t.Fatalf("%s: stats differ: got %+v want %+v", label, gs, ws)
-	}
-}
-
-// TestParallelRulesMatchSequential is the parallel-vs-sequential equivalence
-// property for the rule miners: consequent jobs fanned out over any worker
-// count must produce rule sets identical to the sequential run.
-func TestParallelRulesMatchSequential(t *testing.T) {
-	check := func(label string, db *seqdb.Database, opts rules.Options, nr bool) {
-		t.Helper()
-		opts.Full, opts.Workers = !nr, 1
-		seq, err := rules.Mine(db, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 4, -1} {
-			opts.Workers = workers
-			par, err := rules.Mine(db, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertRuleResultsEqual(t, label, par, seq)
-		}
-	}
-	w := tracesim.Workloads()["locking"]
-	check("locking-x30", w.MustGenerate(30, 7), rules.Options{
-		MinSeqSupportRel: 0.9, MinInstanceSupport: 1, MinConfidence: 0.9,
-		MaxPremiseLength: 3, MaxConsequentLength: 3,
-	}, true)
-	rng := rand.New(rand.NewSource(9))
-	for iter := 0; iter < 15; iter++ {
-		db := randomDB(rng, 3+rng.Intn(4), 10, 3+rng.Intn(3))
-		o := rules.Options{
-			MinSeqSupport: 2, MinInstanceSupport: 1, MinConfidence: 0.5,
-			MaxPremiseLength: 3, MaxConsequentLength: 3,
-		}
-		check("random/full", db, o, false)
-		check("random/nr", db, o, true)
 	}
 }

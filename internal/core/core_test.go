@@ -324,51 +324,3 @@ func TestComparatorMinersFacade(t *testing.T) {
 		}
 	}
 }
-
-// TestComparatorMinersOverStreamedSnapshot is the comparator-study flow the
-// unified kernel exists for: traces arrive through the streamer, and a
-// consistent snapshot feeds all three miners — headline and comparators —
-// at full speed.
-func TestComparatorMinersOverStreamedSnapshot(t *testing.T) {
-	w := tracesim.LockingComponent()
-	batch := w.MustGenerate(20, 9)
-	st, err := NewStreamer(StreamOptions{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for i, s := range batch.Sequences {
-		names := make([]string, len(s))
-		for j, ev := range s {
-			names[j] = batch.Dict.Name(ev)
-		}
-		id := string(rune('a' + i%8))
-		if err := st.Ingest(id+"-trace", names...); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.CloseTrace(id + "-trace"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap, err := st.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MinePatterns(snap, PatternOptions{MinSupportRel: 0.9, MaxPatternLength: 3}); err != nil {
-		t.Fatal(err)
-	}
-	seqRes, err := MineSequential(snap, SeqPatternOptions{MinSupportRel: 0.9, MaxPatternLength: 3, Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seqRes.Patterns) == 0 {
-		t.Errorf("no sequential patterns from streamed snapshot")
-	}
-	epiRes, err := MineEpisodes(snap, EpisodeOptions{WindowWidth: 4, MinFrequency: 0.05, MaxEpisodeLength: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(epiRes.Episodes) == 0 {
-		t.Errorf("no episodes from streamed snapshot")
-	}
-}

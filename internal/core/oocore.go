@@ -131,9 +131,7 @@ func newSegSource(st *store.Store, cacheBytes int64, call *obs.Registry) (*segSo
 
 // close drops the call-wide view's pins, then closes the pool.
 func (s *segSource) close() {
-	for _, sg := range s.callPins {
-		sg.Unpin()
-	}
+	unpinAll(s.callPins)
 	s.pool.Close()
 }
 
@@ -207,42 +205,23 @@ func (s *segSource) buildCallView() {
 	for l := range all {
 		all[l] = int32(l)
 	}
-	sets := make([]seqdb.RowSet, 0, len(union))
-	seqs := make([]seqdb.Sequence, 0, n)
-	var global []int32
-	if len(union) < len(s.stats) {
-		global = make([]int32, 0, n)
+	view, pins, err := s.pinView(union, n, func(sg *cache.Segment) []int32 { return all[:len(sg.Seqs)] })
+	if err != nil {
+		s.callErr = err
+		return
 	}
-	for _, i := range union {
-		sg, err := s.pool.Pin(i)
-		if err != nil {
-			s.callErr = err
-			return
-		}
-		s.callPins = append(s.callPins, sg)
-		sets = append(sets, seqdb.RowSet{From: sg.Fragment(), Seqs: all[:len(sg.Seqs)]})
-		seqs = append(seqs, sg.Seqs...)
-		if global != nil {
-			for l := range sg.Seqs {
-				global = append(global, int32(sg.Base+l))
-			}
-		}
+	if len(union) == len(s.stats) {
+		view.Global = nil
 	}
-	s.callView = &mine.SeedView{
-		DB:      &seqdb.Database{Dict: s.dict, Sequences: seqs},
-		Idx:     seqdb.BorrowPositionIndex(s.NumEvents(), sets),
-		Global:  global,
-		Release: func() {},
-	}
+	view.Release = func() {}
+	s.callView, s.callPins = view, pins
 }
 
 // seedView pins every segment whose statistics show the seed event (exact
 // counts, so no segment is pinned in vain) and assembles the seed's own
-// view: the traces containing the event, in ascending global order, with the
-// local→global id table. The view's index borrows those traces' rows from the
-// pinned segments' own fragments, so nothing is copied but row headers; the
-// pins hold until Release, which keeps the borrowed rows valid and the view's
-// memory accounted against the cache budget for its whole lifetime.
+// view: the traces containing the event. The pins hold until Release, which
+// keeps the borrowed rows valid and the view's memory accounted against the
+// cache budget for its whole lifetime.
 func (s *segSource) seedView(e seqdb.EventID) (*mine.SeedView, error) {
 	// The statistics' exact per-segment trace counts size the view up front.
 	var hit []int
@@ -253,33 +232,52 @@ func (s *segSource) seedView(e seqdb.EventID) (*mine.SeedView, error) {
 			n += int(traces)
 		}
 	}
-	pins := make([]*cache.Segment, 0, len(hit))
-	release := func() {
-		for _, sg := range pins {
-			sg.Unpin()
-		}
+	view, pins, err := s.pinView(hit, n, func(sg *cache.Segment) []int32 { return sg.Fragment().SeqsContaining(e) })
+	if err != nil {
+		return nil, err
 	}
-	sets := make([]seqdb.RowSet, 0, len(hit))
+	view.Release = func() { unpinAll(pins) }
+	return view, nil
+}
+
+// pinView is the one view assembler behind both forms: it pins segs in
+// catalog order and borrows from each pinned segment's fragment the rows
+// rows names, so the view's index copies nothing but row headers. The view
+// holds those rows' traces in ascending global order with the local→global
+// id table; n, the rows' total, sizes it. The caller owns the returned pins
+// and sets the view's Release. On a pin error every pin taken so far is
+// dropped.
+func (s *segSource) pinView(segs []int, n int, rows func(*cache.Segment) []int32) (*mine.SeedView, []*cache.Segment, error) {
+	pins := make([]*cache.Segment, 0, len(segs))
+	sets := make([]seqdb.RowSet, 0, len(segs))
 	seqs := make([]seqdb.Sequence, 0, n)
 	global := make([]int32, 0, n)
-	for _, i := range hit {
+	for _, i := range segs {
 		sg, err := s.pool.Pin(i)
 		if err != nil {
-			release()
-			return nil, err
+			unpinAll(pins)
+			return nil, nil, err
 		}
 		pins = append(pins, sg)
-		frag := sg.Fragment()
-		rows := frag.SeqsContaining(e)
-		sets = append(sets, seqdb.RowSet{From: frag, Seqs: rows})
-		for _, l := range rows {
+		local := rows(sg)
+		sets = append(sets, seqdb.RowSet{From: sg.Fragment(), Seqs: local})
+		for _, l := range local {
 			seqs = append(seqs, sg.Seqs[l])
 			global = append(global, int32(sg.Base)+l)
 		}
 	}
-	db := &seqdb.Database{Dict: s.dict, Sequences: seqs}
-	idx := seqdb.BorrowPositionIndex(s.NumEvents(), sets)
-	return &mine.SeedView{DB: db, Idx: idx, Global: global, Release: release}, nil
+	return &mine.SeedView{
+		DB:     &seqdb.Database{Dict: s.dict, Sequences: seqs},
+		Idx:    seqdb.BorrowPositionIndex(s.NumEvents(), sets),
+		Global: global,
+	}, pins, nil
+}
+
+// unpinAll drops every pin of pins.
+func unpinAll(pins []*cache.Segment) {
+	for _, sg := range pins {
+		sg.Unpin()
+	}
 }
 
 // MineStore mines iterative patterns straight from the store's sealed

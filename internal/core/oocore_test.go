@@ -4,14 +4,12 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
-	"slices"
 	"sync/atomic"
 	"testing"
 
 	"specmine/internal/mine"
 	"specmine/internal/obs"
 	"specmine/internal/seqdb"
-	"specmine/internal/store/cache"
 )
 
 // buildSegmentedStore ingests a clustered workload across several durable
@@ -24,17 +22,6 @@ func buildSegmentedStore(t *testing.T, shards, sessions, perSession int) *TraceS
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "traces")
 	writeSessions(t, dir, shards, sessions, perSession)
-	return reopenStore(t, dir)
-}
-
-// buildColdStore is buildSegmentedStore(t, 3, 4, 20) plus a last session of
-// three idle_a/idle_b traces. No mining threshold of the tests reaches those
-// events, so the cold session's segments hold no seed of any mining call.
-func buildColdStore(t *testing.T) *TraceStore {
-	t.Helper()
-	dir := filepath.Join(t.TempDir(), "traces")
-	writeSessions(t, dir, 3, 4, 20)
-	ingestSession(t, dir, 3, "cold", [][]string{{"idle_a", "idle_b"}, {"idle_b"}, {"idle_a", "idle_a"}})
 	return reopenStore(t, dir)
 }
 
@@ -92,176 +79,6 @@ func reopenStore(t *testing.T, dir string) *TraceStore {
 	}
 	t.Cleanup(func() { ts.Close() })
 	return ts
-}
-
-// protocolSegments counts the catalog segments holding a trace with the
-// shared protocol's "open" event — every segment but the cold session's, and
-// the segments every mining call of TestOutOfCoreEquivalence seeds from —
-// and sums their decoded estimates, read off the recovered traces.
-func protocolSegments(ts *TraceStore, db *Database) (int, int64) {
-	open := db.Dict.Lookup("open")
-	n, bytes := 0, int64(0)
-	for _, m := range ts.Segments() {
-		traces := db.Sequences[m.Base : m.Base+m.NumTraces()]
-		if !slices.ContainsFunc(traces, func(s seqdb.Sequence) bool { return slices.Contains(s, open) }) {
-			continue
-		}
-		events := 0
-		for _, s := range traces {
-			events += len(s)
-		}
-		n++
-		bytes += cache.EstimateBytes(len(traces), events)
-	}
-	return n, bytes
-}
-
-// TestOutOfCoreEquivalence checks that MineStore, MineStoreRules and
-// CheckStore are byte-identical to the in-memory miners over the recovered
-// database — results and Stats — across cache budgets and worker counts:
-//
-//   - unlimited: one call-wide seed view over the whole catalog (identity id
-//     map);
-//   - thrashing: a budget far below one segment, so every seed gets its own
-//     view and segments are evicted and reopened;
-//   - fits-union: a store with a cold session, at a budget of exactly the
-//     decoded estimate of the segments the seeds need. The call-wide view
-//     then covers part of the catalog and maps ids through its trace table.
-//
-// Every mining call skips exactly the segments no seed needs, and a
-// call-wide view pins and opens each segment it covers once.
-func TestOutOfCoreEquivalence(t *testing.T) {
-	plain, cold := buildSegmentedStore(t, 3, 4, 20), buildColdStore(t)
-	_, coldBytes := protocolSegments(cold, cold.Recovered().Database(cold.Dict()))
-	rows := []struct {
-		name     string
-		ts       *TraceStore
-		budget   int64
-		callWide bool
-	}{
-		{"unlimited", plain, 0, true},
-		{"thrashing", plain, 2 << 10, false},
-		{"fits-union", cold, coldBytes, true},
-	}
-	for _, row := range rows {
-		ts := row.ts
-		db := ts.Recovered().Database(ts.Dict())
-		union, _ := protocolSegments(ts, db)
-		if row.ts == cold && union == len(ts.Segments()) {
-			t.Fatal("the cold session sealed no segment of its own")
-		}
-		ruleSet, err := MineRules(db, RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
-			MaxPremiseLength: 2, MaxConsequentLength: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ruleSet.Rules) == 0 {
-			t.Fatal("fixture mined no rules")
-		}
-		wantCheck, err := CheckRules(db, ruleSet.Rules)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantCheck.TotalViolations() == 0 {
-			t.Fatal("fixture produced no violations")
-		}
-
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("%s/budget=%d/workers=%d", row.name, row.budget, workers)
-			oo := OutOfCoreOptions{CacheBytes: row.budget}
-			// opened checks a mining call's segment accounting.
-			opened := func(call string, ex *Explain) {
-				t.Helper()
-				if want := ex.SegmentsTotal - union; ex.SegmentsSkipped != want {
-					t.Fatalf("%s: %s skipped %d of %d segments, want %d", name, call, ex.SegmentsSkipped, ex.SegmentsTotal, want)
-				}
-				if !row.callWide {
-					return
-				}
-				for _, counter := range []string{"cache.pins", "cache.bodies_opened"} {
-					if got := ex.Obs.Counter(counter).Value(); got != int64(union) {
-						t.Fatalf("%s: %s counted %s %d, want one per seed segment (%d)", name, call, counter, got, union)
-					}
-				}
-			}
-
-			// Closed patterns with instances: exercises the closedness filter
-			// and the local→global instance remap.
-			popts := PatternOptions{MinSupportRel: 0.2, MaxPatternLength: 4, IncludeInstances: true, Workers: workers}
-			want, err := MinePatterns(db, popts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, ex, err := MineStore(ts, popts, oo)
-			if err != nil {
-				t.Fatalf("%s: MineStore: %v", name, err)
-			}
-			want.Stats.Duration, got.Stats.Duration = 0, 0
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s: MineStore diverges from in-memory mining:\n got %+v\nwant %+v", name, got, want)
-			}
-			opened("MineStore", ex)
-
-			// Full (non-closed) patterns, no instances.
-			popts = PatternOptions{MinSupportRel: 0.3, Full: true, MaxPatternLength: 3, Workers: workers}
-			want, err = MinePatterns(db, popts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, ex, err = MineStore(ts, popts, oo)
-			if err != nil {
-				t.Fatalf("%s: MineStore full: %v", name, err)
-			}
-			want.Stats.Duration, got.Stats.Duration = 0, 0
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("%s: full MineStore diverges:\n got %+v\nwant %+v", name, got, want)
-			}
-			opened("full MineStore", ex)
-
-			// Non-redundant rules.
-			ropts := RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
-				MaxPremiseLength: 2, MaxConsequentLength: 2, Workers: workers}
-			wantR, err := MineRules(db, ropts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotR, ex, err := MineStoreRules(ts, ropts, oo)
-			if err != nil {
-				t.Fatalf("%s: MineStoreRules: %v", name, err)
-			}
-			wantR.Stats.Duration, gotR.Stats.Duration = 0, 0
-			if !reflect.DeepEqual(wantR, gotR) {
-				t.Fatalf("%s: MineStoreRules diverges:\n got %+v\nwant %+v", name, gotR, wantR)
-			}
-			opened("MineStoreRules", ex)
-
-			// Full rules.
-			ropts.Full = true
-			wantR, err = MineRules(db, ropts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotR, ex, err = MineStoreRules(ts, ropts, oo)
-			if err != nil {
-				t.Fatalf("%s: full MineStoreRules: %v", name, err)
-			}
-			wantR.Stats.Duration, gotR.Stats.Duration = 0, 0
-			if !reflect.DeepEqual(wantR, gotR) {
-				t.Fatalf("%s: full MineStoreRules diverges:\n got %+v\nwant %+v", name, gotR, wantR)
-			}
-			opened("full MineStoreRules", ex)
-
-			// Conformance checking.
-			gotC, _, err := CheckStore(ts, ruleSet.Rules, oo)
-			if err != nil {
-				t.Fatalf("%s: CheckStore: %v", name, err)
-			}
-			if gotC.Render(db.Dict, 5) != wantCheck.Render(db.Dict, 5) {
-				t.Fatalf("%s: CheckStore diverges from CheckRules:\n%s\nvs\n%s",
-					name, gotC.Render(db.Dict, 5), wantCheck.Render(db.Dict, 5))
-			}
-		}
-	}
 }
 
 // countingSource counts a Source's views still held: AcquireSeed adds one,

@@ -30,11 +30,6 @@ type Where struct {
 	IDs []int
 }
 
-// Trivial reports whether w selects every trace unconditionally.
-func (w Where) Trivial() bool {
-	return len(w.HasAll) == 0 && len(w.HasAny) == 0 && w.From <= 0 && w.To <= 0 && len(w.IDs) == 0
-}
-
 // Iter is a lazy pull-based trace enumerator: Next returns ascending trace
 // ordinals and -1 when exhausted. Operators compose by wrapping; nothing is
 // materialised until the consumer pulls.

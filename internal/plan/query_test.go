@@ -244,7 +244,4 @@ func TestWhereOrdinalHelpers(t *testing.T) {
 	if got := wid.CountOrdinalMatches(0, 10); got != 1 { // only 7 (3 < From, dup ignored)
 		t.Fatalf("id CountOrdinalMatches = %d want 1", got)
 	}
-	if !(Where{}).Trivial() || (Where{From: 1}).Trivial() {
-		t.Fatal("Trivial wrong")
-	}
 }

@@ -131,28 +131,6 @@ func CountInstances(db *seqdb.Database, p seqdb.Pattern) int {
 	return n
 }
 
-// SequenceSupport returns the number of sequences containing at least one
-// instance of p. It allocates nothing.
-func SequenceSupport(db *seqdb.Database, p seqdb.Pattern) int {
-	if len(p) == 0 {
-		return 0
-	}
-	n := 0
-	first := p[0]
-	for _, s := range db.Sequences {
-		for j, ev := range s {
-			if ev != first {
-				continue
-			}
-			if _, ok := MatchAt(s, p, j); ok {
-				n++
-				break
-			}
-		}
-	}
-	return n
-}
-
 // CorrespondsTo reports whether every instance in sub corresponds to a unique
 // instance in super, i.e. each sub-instance is contained in the span of a
 // distinct super-instance (Definition 4.2, condition 2). Both slices must be

@@ -1,11 +1,6 @@
 package rules
 
-import (
-	"fmt"
-	"sort"
-
-	"specmine/internal/seqdb"
-)
+import "specmine/internal/seqdb"
 
 // FilterRedundant returns the non-redundant subset of the given rules, in
 // input order: Definition 5.2 applied to the whole set (step 5 of the mining
@@ -67,30 +62,6 @@ func redundantAgainst(r Rule, rc seqdb.Pattern, other Rule, oc seqdb.Pattern) bo
 		return len(r.Pre) > len(other.Pre)
 	}
 	return len(oc) > len(rc) && rc.IsSubsequenceOf(oc)
-}
-
-// GroupByStatistics partitions rules into equivalence classes sharing the
-// same s-support, i-support and confidence. The grouping is useful for
-// reporting and for reasoning about redundancy.
-func GroupByStatistics(in []Rule) map[string][]Rule {
-	out := make(map[string][]Rule)
-	for _, r := range in {
-		key := statsKey(r)
-		out[key] = append(out[key], r)
-	}
-	for _, group := range out {
-		sort.Slice(group, func(i, j int) bool {
-			if len(group[i].Pre)+len(group[i].Post) != len(group[j].Pre)+len(group[j].Post) {
-				return len(group[i].Pre)+len(group[i].Post) < len(group[j].Pre)+len(group[j].Post)
-			}
-			return group[i].Key() < group[j].Key()
-		})
-	}
-	return out
-}
-
-func statsKey(r Rule) string {
-	return fmt.Sprintf("%d/%d/%.9f", r.SeqSupport, r.InstanceSupport, r.Confidence)
 }
 
 func floatEqual(a, b float64) bool {

@@ -497,10 +497,6 @@ func TestRuleHelpers(t *testing.T) {
 	if _, ok := res.Find(r.Pre, r.Post); !ok {
 		t.Errorf("Find failed")
 	}
-	groups := GroupByStatistics([]Rule{r, r})
-	if len(groups) != 1 {
-		t.Errorf("GroupByStatistics groups=%d", len(groups))
-	}
 }
 
 func TestFilterRedundant(t *testing.T) {

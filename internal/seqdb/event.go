@@ -11,7 +11,6 @@ package seqdb
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -219,12 +218,4 @@ func (d *Dictionary) Import(names []string) error {
 		d.names = append(d.names, n)
 	}
 	return nil
-}
-
-// SortedNames returns all interned names in lexicographic order. It is used
-// by deterministic renderers and tests.
-func (d *Dictionary) SortedNames() []string {
-	out := d.Names()
-	sort.Strings(out)
-	return out
 }

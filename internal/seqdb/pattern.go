@@ -20,9 +20,6 @@ func ParsePattern(dict *Dictionary, spec string) Pattern {
 	return p
 }
 
-// PatternOf builds a pattern from already-interned event ids.
-func PatternOf(ids ...EventID) Pattern { return Pattern(ids) }
-
 // Len returns the number of events in the pattern.
 func (p Pattern) Len() int { return len(p) }
 
@@ -55,32 +52,6 @@ func (p Pattern) Append(e EventID) Pattern {
 	out := make(Pattern, 0, len(p)+1)
 	out = append(out, p...)
 	out = append(out, e)
-	return out
-}
-
-// Prepend returns the prefix extension <e> ++ p as a fresh pattern.
-func (p Pattern) Prepend(e EventID) Pattern {
-	out := make(Pattern, 0, len(p)+1)
-	out = append(out, e)
-	out = append(out, p...)
-	return out
-}
-
-// InsertAt returns the pattern obtained by inserting e before position i
-// (0 <= i <= len(p)). InsertAt(0, e) is Prepend, InsertAt(len(p), e) is Append.
-func (p Pattern) InsertAt(i int, e EventID) Pattern {
-	out := make(Pattern, 0, len(p)+1)
-	out = append(out, p[:i]...)
-	out = append(out, e)
-	out = append(out, p[i:]...)
-	return out
-}
-
-// RemoveAt returns the pattern with the event at position i removed.
-func (p Pattern) RemoveAt(i int) Pattern {
-	out := make(Pattern, 0, len(p)-1)
-	out = append(out, p[:i]...)
-	out = append(out, p[i+1:]...)
 	return out
 }
 

@@ -48,10 +48,6 @@ func TestDictionaryClone(t *testing.T) {
 	if c.Lookup("a") != d.Lookup("a") {
 		t.Errorf("clone changed ids")
 	}
-	names := c.SortedNames()
-	if !reflect.DeepEqual(names, []string{"a", "b", "c"}) {
-		t.Errorf("SortedNames=%v", names)
-	}
 }
 
 func TestSequenceContainsSubsequence(t *testing.T) {
@@ -148,20 +144,8 @@ func TestSubsequenceEndPositionsQuick(t *testing.T) {
 	}
 }
 
-func TestNextOccurrenceAndCountInRange(t *testing.T) {
+func TestCountInRange(t *testing.T) {
 	pos := []int{2, 5, 9, 14}
-	if got := NextOccurrence(pos, 0); got != 2 {
-		t.Errorf("NextOccurrence(...,0)=%d want 2", got)
-	}
-	if got := NextOccurrence(pos, 5); got != 5 {
-		t.Errorf("NextOccurrence(...,5)=%d want 5", got)
-	}
-	if got := NextOccurrence(pos, 6); got != 9 {
-		t.Errorf("NextOccurrence(...,6)=%d want 9", got)
-	}
-	if got := NextOccurrence(pos, 15); got != -1 {
-		t.Errorf("NextOccurrence(...,15)=%d want -1", got)
-	}
 	if got := CountInRange(pos, 3, 10); got != 2 {
 		t.Errorf("CountInRange(3,10)=%d want 2", got)
 	}
@@ -185,18 +169,6 @@ func TestPatternOperations(t *testing.T) {
 	}
 	if p.Len() != 3 {
 		t.Errorf("Append mutated receiver")
-	}
-	r := p.Prepend(d.Intern("x"))
-	if r.String(d) != "<x, a, b, c>" {
-		t.Errorf("Prepend: %s", r.String(d))
-	}
-	ins := p.InsertAt(1, d.Intern("y"))
-	if ins.String(d) != "<a, y, b, c>" {
-		t.Errorf("InsertAt: %s", ins.String(d))
-	}
-	rem := ins.RemoveAt(1)
-	if !rem.Equal(p) {
-		t.Errorf("RemoveAt: %s", rem.String(d))
 	}
 	cc := p.Concat(q)
 	if cc.Len() != 7 {
@@ -413,18 +385,10 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
-func TestLengthHistogramAndTopEvents(t *testing.T) {
+func TestTopEvents(t *testing.T) {
 	db := NewDatabase()
 	db.AppendNames("a", "a", "b")
 	db.AppendNames("a", "c")
-	h := LengthHistogram(db, 2)
-	if h[2] != 2 {
-		t.Errorf("histogram %v", h)
-	}
-	h1 := LengthHistogram(db, 0) // bucket width coerced to 1
-	if h1[3] != 1 || h1[2] != 1 {
-		t.Errorf("histogram width-1 %v", h1)
-	}
 	top := TopEvents(db, 1)
 	if len(top) != 1 || db.Dict.Name(top[0].Event) != "a" || top[0].Count != 3 {
 		t.Errorf("TopEvents=%v", top)
@@ -453,9 +417,5 @@ func TestParsePatternEmpty(t *testing.T) {
 	p := ParsePattern(d, "   ")
 	if p.Len() != 0 {
 		t.Errorf("empty spec should give empty pattern, got %v", p)
-	}
-	p2 := PatternOf(EventID(1), EventID(2))
-	if p2.Len() != 2 {
-		t.Errorf("PatternOf length %d", p2.Len())
 	}
 }

@@ -116,17 +116,6 @@ func (s Sequence) EventPositions() map[EventID][]int {
 	return m
 }
 
-// NextOccurrence returns the smallest position >= from at which event e
-// occurs according to positions (the sorted position list for e), or -1 when
-// there is none.
-func NextOccurrence(positions []int, from int) int {
-	i := sort.SearchInts(positions, from)
-	if i == len(positions) {
-		return -1
-	}
-	return positions[i]
-}
-
 // CountInRange returns how many occurrences listed in positions fall in the
 // half-open interval [lo, hi).
 func CountInRange(positions []int, lo, hi int) int {

@@ -57,19 +57,6 @@ func (st Stats) String() string {
 	return b.String()
 }
 
-// LengthHistogram returns a histogram of sequence lengths with the given
-// bucket width. Keys are bucket lower bounds.
-func LengthHistogram(db *Database, bucket int) map[int]int {
-	if bucket <= 0 {
-		bucket = 1
-	}
-	h := make(map[int]int)
-	for _, s := range db.Sequences {
-		h[(len(s)/bucket)*bucket]++
-	}
-	return h
-}
-
 // TopEvents returns the n most frequent events (by total occurrences) with
 // their counts, most frequent first. Ties break by event id for determinism.
 func TopEvents(db *Database, n int) []EventCount {

@@ -107,45 +107,6 @@ func requireSameReports(t *testing.T, label string, got, want []verify.RuleRepor
 	}
 }
 
-// TestDurableMatchesMemory: the same single-producer workload pushed through
-// a durable ingester and a memory-only one must yield identical snapshots —
-// durability is invisible to the data path.
-func TestDurableMatchesMemory(t *testing.T) {
-	w := tracesim.Workloads()["transaction"]
-	const traces, seed = 50, 7
-
-	st := openTestStore(t, t.TempDir(), 3, nil)
-	durable, err := Open(Config{FlushBatch: 4, Store: st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := mustOpen(t, Config{Shards: 3, FlushBatch: 4})
-	for _, ing := range []*Ingester{durable, mem} {
-		ingestWorkload(t, ing, w, traces, seed)
-	}
-	dv, err := durable.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mv, err := mem.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trace ids hash identically and both dictionaries interned the same
-	// single-producer stream, so the snapshots must agree exactly, not just
-	// as multisets.
-	requireSameDB(t, "durable vs memory", dv.DB, mv.DB)
-	if err := durable.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := mem.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFlushBatchBoundsSegmentSize: a durable shard's barrier — the only
 // path that publishes segments outside rotation — fires once FlushBatch
 // traces were sealed since the last one, so every segment a barrier

@@ -245,102 +245,6 @@ func minedRules(t *testing.T, db *seqdb.Database) []rules.Rule {
 	return res.Rules
 }
 
-// TestSnapshotMinesLikeBatch: rules mined from a snapshot — whose index is
-// built on that first mine, for one shard or several — equal the rules mined
-// from a batch database holding the same traces.
-func TestSnapshotMinesLikeBatch(t *testing.T) {
-	w := tracesim.Workloads()["transaction"]
-	batch := w.MustGenerate(40, 5)
-	want := minedRules(t, batch)
-	if len(want) == 0 {
-		t.Fatal("no rules mined from the batch")
-	}
-	for _, shards := range []int{1, 4} {
-		ing := mustOpen(t, Config{Shards: shards, FlushBatch: 4, Dict: batch.Dict})
-		ingestWorkload(t, ing, w, 40, 5)
-		v, err := ing.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := minedRules(t, v.DB)
-		if len(got) != len(want) {
-			t.Fatalf("shards=%d: mined %d rules from the snapshot want %d", shards, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Key() != want[i].Key() || got[i].SeqSupport != want[i].SeqSupport ||
-				got[i].InstanceSupport != want[i].InstanceSupport || got[i].Confidence != want[i].Confidence {
-				t.Fatalf("shards=%d: rule %d is %+v want %+v", shards, i, got[i], want[i])
-			}
-		}
-		if err := ing.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestOnlineConformanceMatchesBatchOverSnapshot is the end-to-end
-// equivalence: rules mined from a training batch, fresh violating traffic
-// streamed in chunk by chunk, and the accumulated online reports must be
-// identical to a batch CheckRules over the snapshot the reports came with.
-func TestOnlineConformanceMatchesBatchOverSnapshot(t *testing.T) {
-	for name, w := range tracesim.Workloads() {
-		train := w.MustGenerate(30, 7)
-		ruleSet := minedRules(t, train)
-		if len(ruleSet) == 0 {
-			t.Fatalf("%s: no rules mined", name)
-		}
-		engine, err := verify.NewEngine(ruleSet)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		fresh := w
-		fresh.ViolationRate = 0.25
-		for _, shards := range []int{1, 3} {
-			ing := mustOpen(t, Config{Shards: shards, FlushBatch: 4, Dict: train.Dict, Engine: engine})
-			ingestWorkload(t, ing, fresh, 60, 99)
-			v, err := ing.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			batch, err := verify.CheckRules(v.DB, ruleSet)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(v.Reports) != len(batch) {
-				t.Fatalf("%s shards=%d: %d online reports want %d", name, shards, len(v.Reports), len(batch))
-			}
-			for i := range batch {
-				g, wnt := v.Reports[i], batch[i]
-				if g.TotalTemporalPoints != wnt.TotalTemporalPoints ||
-					g.SatisfiedTemporalPoints != wnt.SatisfiedTemporalPoints ||
-					g.SatisfiedTraces != wnt.SatisfiedTraces ||
-					g.ViolatedTraces != wnt.ViolatedTraces {
-					t.Fatalf("%s shards=%d rule %d: counters differ\n got %+v\nwant %+v", name, shards, i, g, wnt)
-				}
-				if len(g.Violations) != len(wnt.Violations) {
-					t.Fatalf("%s shards=%d rule %d: %d violations want %d", name, shards, i, len(g.Violations), len(wnt.Violations))
-				}
-				for k := range wnt.Violations {
-					if g.Violations[k].Seq != wnt.Violations[k].Seq ||
-						g.Violations[k].TemporalPoint != wnt.Violations[k].TemporalPoint {
-						t.Fatalf("%s shards=%d rule %d violation %d: got %+v want %+v",
-							name, shards, i, k, g.Violations[k], wnt.Violations[k])
-					}
-				}
-			}
-			gs, ws := verify.NewSummary(v.Reports), verify.NewSummary(batch)
-			if gs.Render(v.DB.Dict, 2) != ws.Render(v.DB.Dict, 2) {
-				t.Fatalf("%s shards=%d: summaries differ", name, shards)
-			}
-			if err := ing.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 // TestConcurrentProducersAndSnapshots hammers one ingester from several
 // producer goroutines while another keeps taking snapshots and checking
 // them — the -race exercise for the whole subsystem. With one shard every
