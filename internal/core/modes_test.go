@@ -540,10 +540,10 @@ func explainCounts(ex *Explain) []any {
 // count and an optional read fault on one segment file. Every facade mode
 // runs on it — in memory, out of core, predicated, online (durable and
 // memory-only), over Recover of a crash image and over the ingest order —
-// and each answer must equal one naive oracle over the selected traces:
-// checkOracle for checks, the seed's miner for patterns, the in-memory
-// miner on one worker with every rule re-evaluated for rules, and the
-// seed's comparator miners. Out-of-core calls must also account for their
+// as a subtest named after the mode, and each answer must equal one naive
+// oracle over the selected traces: checkOracle for checks, the seed's miner
+// for patterns, the in-memory miner on one worker with every rule
+// re-evaluated for rules, and the seed's comparator miners. Out-of-core calls must also account for their
 // segments: a mining call skips exactly the segments showing no seed event
 // and, with a call-wide view, pins and opens each other segment once; a
 // check skips exactly the segments it never opened, and explains and counts
@@ -615,48 +615,50 @@ func checkModesAgainstOracle(t *testing.T, in *modesInput, fx *modesFixture) {
 	}
 	explains := make(map[string][]any)
 	for _, m := range checks {
-		got, ex, err := m.run()
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		if !sameResult(got, m.want) {
-			t.Fatalf("%s diverges from the oracle:\n%s\nwant\n%s", m.name, got.Render(db.Dict, 3), m.want.Render(db.Dict, 3))
-		}
-		if ex == nil {
-			continue
-		}
-		if ex.Render(db.Dict) == "" {
-			t.Fatalf("%s: empty explain", m.name)
-		}
-		c := func(name string) int64 { return ex.Obs.Counter(name).Value() }
-		if ex.Selected != m.selected || c("verify.traces_checked")+c("verify.traces_skipped") != int64(m.selected) {
-			t.Fatalf("%s: selected %d (checked %d + skipped %d), the oracle selects %d",
-				m.name, ex.Selected, c("verify.traces_checked"), c("verify.traces_skipped"), m.selected)
-		}
-		if !m.store {
-			continue
-		}
-		if ex.Obs.Gauge("cache.resident_bytes").Value() != 0 {
-			t.Fatalf("%s: the call's cache stays resident after it returned", m.name)
-		}
-		if ex.SegmentsTotal != segments || int64(ex.SegmentsSkipped) != int64(segments)-c("cache.segments_opened") {
-			t.Fatalf("%s: skipped %d of %d segments, but the catalog holds %d and the cache opened %d",
-				m.name, ex.SegmentsSkipped, ex.SegmentsTotal, segments, c("cache.segments_opened"))
-		}
-		// The segment fan-out runs on GOMAXPROCS workers; on one it must
-		// explain and count the same.
-		prev := runtime.GOMAXPROCS(1)
-		_, ex1, err := m.run()
-		runtime.GOMAXPROCS(prev)
-		if err != nil {
-			t.Fatalf("%s on one proc: %v", m.name, err)
-		}
-		if a, b := explainCounts(ex), explainCounts(ex1); !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: explains %+v at GOMAXPROCS %d, %+v at 1", m.name, a, prev, b)
-		}
-		explains[m.name] = explainCounts(ex)
+		t.Run(m.name, func(t *testing.T) {
+			got, ex, err := m.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameResult(got, m.want) {
+				t.Fatalf("diverges from the oracle:\n%s\nwant\n%s", got.Render(db.Dict, 3), m.want.Render(db.Dict, 3))
+			}
+			if ex == nil {
+				return
+			}
+			if ex.Render(db.Dict) == "" {
+				t.Fatal("empty explain")
+			}
+			c := func(name string) int64 { return ex.Obs.Counter(name).Value() }
+			if ex.Selected != m.selected || c("verify.traces_checked")+c("verify.traces_skipped") != int64(m.selected) {
+				t.Fatalf("selected %d (checked %d + skipped %d), the oracle selects %d",
+					ex.Selected, c("verify.traces_checked"), c("verify.traces_skipped"), m.selected)
+			}
+			if !m.store {
+				return
+			}
+			if ex.Obs.Gauge("cache.resident_bytes").Value() != 0 {
+				t.Fatal("the call's cache stays resident after it returned")
+			}
+			if ex.SegmentsTotal != segments || int64(ex.SegmentsSkipped) != int64(segments)-c("cache.segments_opened") {
+				t.Fatalf("skipped %d of %d segments, but the catalog holds %d and the cache opened %d",
+					ex.SegmentsSkipped, ex.SegmentsTotal, segments, c("cache.segments_opened"))
+			}
+			// The segment fan-out runs on GOMAXPROCS workers; on one it must
+			// explain and count the same.
+			prev := runtime.GOMAXPROCS(1)
+			_, ex1, err := m.run()
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatalf("on one proc: %v", err)
+			}
+			if a, b := explainCounts(ex), explainCounts(ex1); !reflect.DeepEqual(a, b) {
+				t.Fatalf("explains %+v at GOMAXPROCS %d, %+v at 1", a, prev, b)
+			}
+			explains[m.name] = explainCounts(ex)
+		})
 	}
-	if a, b := explains["CheckStore"], explains["CheckStoreWhere"]; reflect.DeepEqual(where, Where{}) && !reflect.DeepEqual(a, b) {
+	if a, b := explains["CheckStore"], explains["CheckStoreWhere"]; !t.Failed() && reflect.DeepEqual(where, Where{}) && !reflect.DeepEqual(a, b) {
 		t.Fatalf("a zero Where: CheckStore explains %+v, CheckStoreWhere %+v", a, b)
 	}
 
@@ -700,34 +702,36 @@ func checkModesAgainstOracle(t *testing.T, in *modesInput, fx *modesFixture) {
 		}},
 	}
 	for _, m := range mines {
-		got, ex, err := m.run()
-		if err != nil {
-			t.Fatalf("%s: %v", m.name, err)
-		}
-		if !sameResult(untimed(got), untimed(m.want)) {
-			t.Fatalf("%s diverges from the oracle:\n got %+v\nwant %+v", m.name, got, m.want)
-		}
-		if m.union < 0 {
-			if ex != nil && ex.Selected != len(selected) {
-				t.Fatalf("%s: selected %d, the oracle selects %d", m.name, ex.Selected, len(selected))
+		t.Run(m.name, func(t *testing.T) {
+			got, ex, err := m.run()
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if ex.Selected != all || ex.SegmentsTotal != segments || ex.SegmentsSkipped != segments-m.union {
-			t.Fatalf("%s: selected %d of %d traces, skipped %d of %d segments; want all, and %d skipped",
-				m.name, ex.Selected, all, ex.SegmentsSkipped, ex.SegmentsTotal, segments-m.union)
-		}
-		if ex.Obs.Gauge("cache.resident_bytes").Value() != 0 {
-			t.Fatalf("%s: the call's cache stays resident after it returned", m.name)
-		}
-		if in.budget == budgetOneByte {
-			continue
-		}
-		for _, counter := range []string{"cache.pins", "cache.bodies_opened"} {
-			if got := ex.Obs.Counter(counter).Value(); got != int64(m.union) {
-				t.Fatalf("%s: %s counted %d, want one per seed segment (%d)", m.name, counter, got, m.union)
+			if !sameResult(untimed(got), untimed(m.want)) {
+				t.Fatalf("diverges from the oracle:\n got %+v\nwant %+v", got, m.want)
 			}
-		}
+			if m.union < 0 {
+				if ex != nil && ex.Selected != len(selected) {
+					t.Fatalf("selected %d, the oracle selects %d", ex.Selected, len(selected))
+				}
+				return
+			}
+			if ex.Selected != all || ex.SegmentsTotal != segments || ex.SegmentsSkipped != segments-m.union {
+				t.Fatalf("selected %d of %d traces, skipped %d of %d segments; want all, and %d skipped",
+					ex.Selected, all, ex.SegmentsSkipped, ex.SegmentsTotal, segments-m.union)
+			}
+			if ex.Obs.Gauge("cache.resident_bytes").Value() != 0 {
+				t.Fatal("the call's cache stays resident after it returned")
+			}
+			if in.budget == budgetOneByte {
+				return
+			}
+			for _, counter := range []string{"cache.pins", "cache.bodies_opened"} {
+				if got := ex.Obs.Counter(counter).Value(); got != int64(m.union) {
+					t.Fatalf("%s counted %d, want one per seed segment (%d)", counter, got, m.union)
+				}
+			}
+		})
 	}
 }
 
@@ -775,33 +779,35 @@ func checkReadFault(t *testing.T, in *modesInput, dir string, pUnion, rUnion []s
 		{"CheckStoreWhere", false, pBudget, check(in.where)},
 	}
 	for _, c := range calls {
-		ffs := fsim.NewFaultFS(fsim.OS(), fsim.Rule{Op: fsim.OpRead, Path: bad, From: 2, To: 1 << 20, Err: syscall.EIO})
-		ts, err := store.Open(store.Options{Dir: dir, OutOfCore: true, FS: ffs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		shared := NewMetrics()
-		call := shared.Child()
-		src, err := newSegSource(ts, c.budget, call)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = c.run(src, call)
-		pinned := call.Gauge("cache.resident_bytes").Value()
-		src.close()
-		fired := len(ffs.Injections()) > 0
-		ts.Close() // reports the store degraded by the read fault
-		switch {
-		case fired && !errors.Is(err, syscall.EIO):
-			t.Fatalf("%s: returned %v, want the injected read fault (injections %v)", c.name, err, ffs.Injections())
-		case !fired && (err != nil || c.mustFail):
-			t.Fatalf("%s: returned %v without the fault firing", c.name, err)
-		}
-		if in.budget == budgetOneByte && pinned > c.budget {
-			t.Fatalf("%s: %d bytes stay pinned after the call, over the %d-byte budget", c.name, pinned, c.budget)
-		}
-		if got := counterVal(t, shared, "cache.resident_bytes"); got != 0 {
-			t.Fatalf("%s: %d bytes still resident after the call", c.name, got)
-		}
+		t.Run("read-fault/"+c.name, func(t *testing.T) {
+			ffs := fsim.NewFaultFS(fsim.OS(), fsim.Rule{Op: fsim.OpRead, Path: bad, From: 2, To: 1 << 20, Err: syscall.EIO})
+			ts, err := store.Open(store.Options{Dir: dir, OutOfCore: true, FS: ffs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := NewMetrics()
+			call := shared.Child()
+			src, err := newSegSource(ts, c.budget, call)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = c.run(src, call)
+			pinned := call.Gauge("cache.resident_bytes").Value()
+			src.close()
+			fired := len(ffs.Injections()) > 0
+			ts.Close() // reports the store degraded by the read fault
+			switch {
+			case fired && !errors.Is(err, syscall.EIO):
+				t.Fatalf("returned %v, want the injected read fault (injections %v)", err, ffs.Injections())
+			case !fired && (err != nil || c.mustFail):
+				t.Fatalf("returned %v without the fault firing", err)
+			}
+			if in.budget == budgetOneByte && pinned > c.budget {
+				t.Fatalf("%d bytes stay pinned after the call, over the %d-byte budget", pinned, c.budget)
+			}
+			if got := counterVal(t, shared, "cache.resident_bytes"); got != 0 {
+				t.Fatalf("%d bytes still resident after the call", got)
+			}
+		})
 	}
 }
