@@ -703,18 +703,16 @@ func TestWriteBenchTrajectory(t *testing.T) {
 		})
 		events := db.NumEvents()
 		checker := engine.NewChecker()
-		var log verify.ViolationLog
 		online := benchOnce(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				reports := engine.NewReports()
+				tally := engine.NewTally()
 				for si, s := range db.Sequences {
 					for _, ev := range s {
 						checker.Advance(ev)
 					}
-					checker.Close(si, reports, &log)
-					log.Cut(len(reports), 0)
+					checker.Close(si, tally)
 				}
-				verify.AssembleViolations(reports, log.Parts(len(reports), 0))
+				_ = engine.Reports([]*verify.Tally{tally}, tally.Parts())
 			}
 		})
 		vc := verifyTrajectoryCase{

@@ -53,8 +53,8 @@ func BenchmarkStreamIngest(b *testing.B) {
 }
 
 // BenchmarkOnlineVerify measures the online conformance automaton alone: one
-// reused Checker consumes every trace of the serving batch event by event,
-// its violation log cut after each Close and assembled once at the end. This
+// reused Checker consumes every trace of the serving batch event by event
+// into one Tally, whose reports are built once at the end. This
 // is the same work Engine.Check drives, and the path an ingestion shard and
 // its snapshots run when an engine is attached, isolated from database and
 // index plumbing.
@@ -72,17 +72,15 @@ func BenchmarkOnlineVerify(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/rules=%d/online", c.Name, len(ruleSet)), func(b *testing.B) {
 			b.ReportAllocs()
 			checker := engine.NewChecker()
-			var log verify.ViolationLog
 			for i := 0; i < b.N; i++ {
-				reports := engine.NewReports()
+				tally := engine.NewTally()
 				for si, s := range db.Sequences {
 					for _, ev := range s {
 						checker.Advance(ev)
 					}
-					checker.Close(si, reports, &log)
-					log.Cut(len(reports), 0)
+					checker.Close(si, tally)
 				}
-				verify.AssembleViolations(reports, log.Parts(len(reports), 0))
+				_ = engine.Reports([]*verify.Tally{tally}, tally.Parts())
 			}
 			b.ReportMetric(float64(events), "events/op")
 			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")

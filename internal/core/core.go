@@ -189,13 +189,14 @@ func CompileRules(ruleSet []Rule) (*Verifier, error) {
 
 // CheckRules verifies mined rules against (typically fresh) traces and
 // returns a conformance summary with per-rule violation details. The rule
-// set is checked in one batched pass per trace.
+// set is compiled once, as CompileRules does, and checked in one batched
+// pass per trace (Verifier.Check).
 func CheckRules(db *Database, ruleSet []Rule) (verify.Summary, error) {
-	reports, err := verify.CheckRules(db, ruleSet)
+	engine, err := verify.NewEngine(ruleSet)
 	if err != nil {
 		return verify.Summary{}, err
 	}
-	return verify.NewSummary(reports), nil
+	return verify.NewSummary(engine.Check(db)), nil
 }
 
 // TraceStore is a durable log-structured trace store: per-shard write-ahead

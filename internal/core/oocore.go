@@ -422,16 +422,16 @@ func (r residentSegment) pin(int) ([]seqdb.Sequence, func() *seqdb.PositionIndex
 //   - Plan. A catalog-only pass in ordinal order pushes where into the
 //     catalog (an ordinal-range miss or a required event the statistics
 //     prove absent prunes the segment) and answers a segment on which every
-//     rule is statically dead from its statistics.
+//     rule is statically dead from its statistics, skipping its selected
+//     traces in a tally of its own.
 //   - Fan out. The remaining segments are spread over GOMAXPROCS workers,
-//     each with its own Checker, counters and violation log. A worker pins
-//     its segment, compiles where over it with ordinals made segment-local,
-//     feeds every selected trace event by event through its Checker and
-//     collects the segment's violations as parts of its log
-//     (verify.ViolationLog.Cut and Parts).
-//   - Assemble. The workers' counters are summed and the parts are assembled
-//     in segment order (verify.AssembleViolations), with Seq rebased to
-//     global ordinals.
+//     each with its own Checker and verify.Tally. A worker pins its segment,
+//     compiles where over it with ordinals made segment-local, feeds every
+//     selected trace event by event through its Checker, closes it into its
+//     tally under its global ordinal and takes the segment's violation parts
+//     from the tally.
+//   - Assemble. One Engine.Reports sums every tally's counts and assembles
+//     the parts in segment order.
 //
 // Every step's output is independent of the worker count and of which
 // worker finishes first. The verify.* work counters go into call. It returns
@@ -441,7 +441,6 @@ func (r residentSegment) pin(int) ([]seqdb.Sequence, func() *seqdb.PositionIndex
 // call. The first pin error stops the workers and is returned; every
 // segment pinned by then is released.
 func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.Registry) ([]verify.RuleReport, *Explain, error) {
-	reports := engine.NewReports()
 	tracesChecked, tracesSkipped := call.Counter("verify.traces_checked"), call.Counter("verify.traces_skipped")
 	segsChecked, segsSkipped := call.Counter("verify.segments_checked"), call.Counter("verify.segments_skipped")
 	ex := &Explain{SegmentsTotal: segs.numSegments(), Obs: call}
@@ -456,6 +455,8 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 		err       error
 	}
 	var jobs []job
+	skipped := engine.NewTally()
+	tallies := []*verify.Tally{skipped}
 	base := 0
 	for i := 0; i < ex.SegmentsTotal; i++ {
 		n := segs.segmentTraces(i)
@@ -472,7 +473,7 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 		// decoded traces to know which are selected.
 		if !where.HasEventPredicates() && engine.SegmentSkippable(has) {
 			count := where.CountOrdinalMatches(segBase, n)
-			verify.AccountSkippedTraces(reports, count)
+			skipped.Skip(count)
 			segsSkipped.Inc()
 			tracesSkipped.Add(int64(count))
 			ex.Selected += count
@@ -484,18 +485,16 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 
 	type worker struct {
 		checker *verify.Checker
-		counts  []verify.RuleReport // counters only; lists come from parts
-		log     verify.ViolationLog
+		tally   *verify.Tally
 	}
 	var (
-		mu      sync.Mutex
-		workers []*worker
-		failed  atomic.Bool
+		mu     sync.Mutex
+		failed atomic.Bool
 	)
 	par.ForWorker(len(jobs), runtime.GOMAXPROCS(0), func() *worker {
-		w := &worker{checker: engine.NewChecker(), counts: make([]verify.RuleReport, engine.NumRules())}
+		w := &worker{checker: engine.NewChecker(), tally: engine.NewTally()}
 		mu.Lock()
-		workers = append(workers, w)
+		tallies = append(tallies, w.tally)
 		mu.Unlock()
 		return w
 	}, func(w *worker, k int) {
@@ -520,13 +519,12 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 			for _, ev := range seqs[l] {
 				w.checker.Advance(ev)
 			}
-			w.checker.Close(l, w.counts, &w.log)
-			w.log.Cut(len(reports), j.base)
+			w.checker.Close(j.base+l, w.tally)
 			j.checked++
 		}
 		unpin()
 		tracesChecked.Add(int64(j.checked))
-		j.parts = w.log.Parts(len(reports), j.base)
+		j.parts = w.tally.Parts()
 	})
 
 	var parts []verify.ViolationPart
@@ -543,13 +541,7 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 		}
 		parts = append(parts, j.parts...)
 	}
-	for _, w := range workers {
-		for r := range reports {
-			reports[r].AddCounts(&w.counts[r])
-		}
-	}
-	verify.AssembleViolations(reports, parts)
-	return reports, ex, nil
+	return engine.Reports(tallies, parts), ex, nil
 }
 
 // segmentMaySelect reports whether where can select any trace of a segment

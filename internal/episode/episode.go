@@ -170,8 +170,9 @@ func MineDatabase(db *seqdb.Database, opts Options) (*Result, error) {
 // are summed over every indexed sequence, and minWindows gates both
 // reporting and recursion: per-sequence window sets shrink under suffix
 // extension, so the merged count is antimonotone and every frequent
-// episode's prefixes are frequent too. Per-seed outputs merge in seed
-// order, so results are byte-identical for any worker count.
+// episode's prefixes are frequent too. The callers sort the merged
+// episodes, so results are byte-identical for any worker count, whatever
+// order the per-seed outputs come in.
 func run(idx *seqdb.PositionIndex, opts Options, totalWindows, minWindows int) []Episode {
 	seeds := idx.FrequentEventsByInstanceCount(1)
 	workers := mine.EffectiveWorkers(opts.Workers)

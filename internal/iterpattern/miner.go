@@ -27,9 +27,9 @@ func Mine(db *seqdb.Database, opts Options) (*Result, error) {
 // are per seed, which loses no pruning: equal instance lists force equal
 // start events, so a landmark can only ever match nodes of its own seed.
 // Only the sequence ids inside exported instances are view-local; they are
-// remapped to global ids before the merge, and mine.ForSeeds merges the
-// per-seed outputs in seed order, so the result is byte-identical for any
-// Source and worker count.
+// remapped to global ids before the merge. The merged patterns are sorted
+// and the per-seed Stats summed, so the result is byte-identical for any
+// Source and worker count, whatever order mine.ForSeeds returns them in.
 func MineSource(src mine.Source, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

@@ -5,10 +5,11 @@
 // mechanics, which used to be re-implemented per package and now live here
 // exactly once:
 //
-//   - deterministic seed fan-out (ForSeeds): the top-level search splits into
-//     independent per-seed subtrees executed across a bounded worker pool,
-//     with per-seed outputs merged in seed order so the result is
-//     byte-identical to a sequential run for any worker count;
+//   - seed fan-out (ForSeeds): the top-level search splits into independent
+//     per-seed subtrees executed across a bounded worker pool, dispatched
+//     and returned in seed order. Every miner sorts its output and sums its
+//     Stats, which is what makes results byte-identical to a sequential run
+//     for any worker count;
 //   - free-listed arenas (Arena) and epoch-stamped scratch (StampSet, plus
 //     seqdb.EventSlots): node-local storage is recycled when a subtree has
 //     been fully explored and per-event sets reset in O(1), so search cost is
@@ -44,12 +45,17 @@ func EffectiveWorkers(workers int) int {
 }
 
 // ForSeeds runs run(w, seed) for every seed in [0, n) across at most workers
-// goroutines and returns the per-seed outputs in seed order. Each pool
-// goroutine gets its own worker state from newWorker (once on the calling
-// goroutine when the pool degenerates to sequential), so scratch buffers are
-// never shared. Because outputs land in per-seed slots and are merged in seed
-// order, the concatenated result never depends on scheduling — the mechanism
-// behind every miner's "byte-identical for any worker count" guarantee.
+// goroutines, handing seeds out in ascending order, and returns the per-seed
+// outputs in seed order. Each pool goroutine gets its own worker state from
+// newWorker (once on the calling goroutine when the pool degenerates to
+// sequential), so scratch buffers are never shared.
+//
+// The seed order is not what makes the miners' results byte-identical for
+// any worker count: every miner sorts its output and sums its Stats, so no
+// answer depends on the order of the outputs. The order is kept because
+// phase 3 of rules.MineSource caches one seed view per worker and relies on
+// its jobs arriving seed-major, which the seed-order concatenation of phase
+// 1's outputs provides independent of scheduling.
 func ForSeeds[W, O any](n, workers int, newWorker func() W, run func(w W, seed int) O) []O {
 	outs := make([]O, n)
 	par.ForWorker(n, workers, newWorker, func(w W, i int) {

@@ -68,29 +68,10 @@ func MatchAt(s seqdb.Sequence, p seqdb.Pattern, start int) (end int, ok bool) {
 	return pos, true
 }
 
-// FindInstances returns every instance of p in sequence s (identified by seq
-// index seqIdx), in increasing start order. Instances may overlap but each
-// start position contributes at most one instance.
-func FindInstances(s seqdb.Sequence, p seqdb.Pattern, seqIdx int) []Instance {
-	if len(p) == 0 {
-		return nil
-	}
-	var out []Instance
-	first := p[0]
-	for i, ev := range s {
-		if ev != first {
-			continue
-		}
-		if end, ok := MatchAt(s, p, i); ok {
-			out = append(out, Instance{Seq: seqIdx, Start: i, End: end})
-		}
-	}
-	return out
-}
-
 // FindAllInstances returns every instance of p across the whole database in
-// (sequence, start) order. All instances grow one shared slice, so the call
-// costs O(log instances) allocations rather than one per sequence.
+// (sequence, start) order. Instances may overlap but each start position
+// contributes at most one instance. All instances grow one shared slice, so
+// the call costs O(log instances) allocations rather than one per sequence.
 func FindAllInstances(db *seqdb.Database, p seqdb.Pattern) []Instance {
 	if len(p) == 0 {
 		return nil

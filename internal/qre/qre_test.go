@@ -86,7 +86,7 @@ func TestMatchesSubstring(t *testing.T) {
 	}
 }
 
-func TestMatchAtAndFindInstances(t *testing.T) {
+func TestMatchAtAndFindAllInstances(t *testing.T) {
 	// Trace exhibiting repetition within a sequence ("due to looping, a trace
 	// can contain repeated occurrences of interesting patterns").
 	db := mkdb(
@@ -97,27 +97,13 @@ func TestMatchAtAndFindInstances(t *testing.T) {
 	d := db.Dict
 	p := seqdb.ParsePattern(d, "lock unlock")
 
-	inst0 := FindInstances(db.Sequences[0], p, 0)
-	want0 := []Instance{{Seq: 0, Start: 0, End: 2}, {Seq: 0, Start: 4, End: 7}}
-	if !reflect.DeepEqual(inst0, want0) {
-		t.Errorf("instances in seq0: %v want %v", inst0, want0)
-	}
-
 	// In "lock lock unlock" only the second lock starts an instance: the gap
 	// of the first would contain another lock, violating the QRE exclusion.
-	inst1 := FindInstances(db.Sequences[1], p, 1)
-	want1 := []Instance{{Seq: 1, Start: 1, End: 2}}
-	if !reflect.DeepEqual(inst1, want1) {
-		t.Errorf("instances in seq1: %v want %v", inst1, want1)
-	}
-
-	if got := len(FindInstances(db.Sequences[2], p, 2)); got != 0 {
-		t.Errorf("instances in seq2: %d want 0", got)
-	}
-
+	// The third trace holds none.
 	all := FindAllInstances(db, p)
-	if len(all) != 3 {
-		t.Errorf("FindAllInstances=%d want 3", len(all))
+	want := []Instance{{Seq: 0, Start: 0, End: 2}, {Seq: 0, Start: 4, End: 7}, {Seq: 1, Start: 1, End: 2}}
+	if !reflect.DeepEqual(all, want) {
+		t.Errorf("FindAllInstances=%v want %v", all, want)
 	}
 	if CountInstances(db, p) != 3 {
 		t.Errorf("CountInstances=%d want 3", CountInstances(db, p))
@@ -214,7 +200,7 @@ func bruteInstances(s seqdb.Sequence, p seqdb.Pattern, seqIdx int) []Instance {
 	return out
 }
 
-func TestFindInstancesAgainstBruteForceQuick(t *testing.T) {
+func TestFindAllInstancesAgainstBruteForceQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	f := func() bool {
 		n := 1 + rng.Intn(25)
@@ -227,7 +213,9 @@ func TestFindInstancesAgainstBruteForceQuick(t *testing.T) {
 		for i := range p {
 			p[i] = seqdb.EventID(rng.Intn(4))
 		}
-		got := FindInstances(s, p, 0)
+		db := seqdb.NewDatabase()
+		db.Append(s)
+		got := FindAllInstances(db, p)
 		want := bruteInstances(s, p, 0)
 		if len(got) != len(want) {
 			return false

@@ -22,9 +22,10 @@ func Mine(db *seqdb.Database, opts Options) (*Result, error) {
 // whose temporal points coincide with a longer premise's via canonical
 // signature-based dedup — an order-free decision, so it is unaffected by the
 // parallel enumeration. Phase 3 mines one consequent subtree per surviving
-// premise, also across the worker pool. Both fan-outs merge their outputs in
-// seed / job order (mine.ForSeeds), which makes the result byte-identical
-// for any worker count.
+// premise, also across the worker pool. Both fan-outs return their outputs
+// in seed / job order (mine.ForSeeds), which phase 3 relies on for its view
+// cache (below). The result is byte-identical for any worker count because
+// the rules are sorted and the Stats summed, whatever order they come in.
 //
 // Why seed views are exact: a premise grown from seed e starts with e, so
 // its projection, its backward-insertion windows (hasEquivalentInsertion

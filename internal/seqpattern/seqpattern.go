@@ -109,9 +109,9 @@ func Mine(db *seqdb.Database, opts Options) (*Result, error) {
 			path:   make(seqdb.Pattern, 0, 32),
 		}
 	}
-	// Each frequent seed event roots an independent subtree; merging
-	// per-seed outputs in seed order keeps the result byte-identical to the
-	// sequential run for any worker count.
+	// Each frequent seed event roots an independent subtree. The merged
+	// patterns are sorted below, so the result is byte-identical to the
+	// sequential run for any worker count, whatever the merge order.
 	outs := mine.ForSeeds(len(events), workers, newWorker, func(w *worker, i int) []MinedPattern {
 		w.out = nil
 		w.mineSeed(events[i])

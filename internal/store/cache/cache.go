@@ -106,15 +106,19 @@ func New(st *store.Store, opts Options) *Pool {
 	}
 }
 
-// Close gives the pool's resident estimate back to cache.resident_bytes, so
-// a registry that outlives the pool reads only what live pools hold;
-// cache.peak_bytes keeps the high-water mark. The pool must not be used
-// afterwards.
+// Close gives the unpinned entries' bytes back to cache.resident_bytes, so
+// a registry that outlives the pool reads only what live pools hold and what
+// a leaked pin still holds; cache.peak_bytes keeps the high-water mark. The
+// pool must not be used afterwards.
 func (p *Pool) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.met.curBytes.Add(-p.used)
-	p.used = 0
+	for el := p.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*entry)
+		p.used -= e.bytes
+		p.met.curBytes.Add(-e.bytes)
+	}
+	p.lru.Init()
 }
 
 // NumEvents returns the event-id space segment fragments are built against.

@@ -220,6 +220,33 @@ func TestPoolPinnedNeverEvicted(t *testing.T) {
 	}
 }
 
+// TestPoolCloseKeepsLeakedPins: Close gives back the bytes of unpinned
+// entries only, so a pin still held at Close stays visible in
+// cache.resident_bytes.
+func TestPoolCloseKeepsLeakedPins(t *testing.T) {
+	st := buildStore(t, 2, 3, 12)
+	p, reg := newPool(st, 0)
+	last := p.NumSegments() - 1
+	if _, err := p.Pin(last); err != nil {
+		t.Fatal(err)
+	}
+	held := read(reg).CurBytes
+	for i := 0; i < last; i++ {
+		sg, err := p.Pin(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg.Unpin()
+	}
+	if m := read(reg); m.CurBytes <= held {
+		t.Fatalf("resident %d bytes with every segment decoded, want more than the %d one segment holds", m.CurBytes, held)
+	}
+	p.Close()
+	if m := read(reg); m.CurBytes != held {
+		t.Fatalf("resident %d bytes after Close, want the %d bytes the leaked pin holds", m.CurBytes, held)
+	}
+}
+
 // TestPoolStatsResident loads stats for every segment without ever opening a
 // body, then checks stats survive eviction of their data entry.
 func TestPoolStatsResident(t *testing.T) {

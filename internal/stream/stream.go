@@ -13,8 +13,8 @@
 // MinePatterns/MineRules/CheckRules run as usual — the view builds its
 // positional index on its first mine — plus, when an Engine is
 // configured — the accumulated online conformance reports, rebased to the
-// view's sequence numbering so they are indistinguishable from a batch
-// CheckRules run over the same view.
+// view's sequence numbering and built by the same Engine.Reports as a batch
+// Engine.Check over the view, so the two are indistinguishable.
 package stream
 
 import (
@@ -80,10 +80,12 @@ type View struct {
 	// ShardDBs are the per-shard sequence views backing DB, in shard order.
 	ShardDBs []*seqdb.Database
 	// Reports are the online conformance reports accumulated so far, in rule
-	// order with violation sequence numbers rebased to DB's numbering —
-	// identical to verify.CheckRules(DB, rules), violation lists assembled
-	// the same way. Each rule lives once, in its RuleReport. The reports and
-	// their lists are the view's own. Nil without an Engine.
+	// order with violation sequence numbers rebased to DB's numbering. Each
+	// shard closes its traces into a verify.Tally, and one Engine.Reports
+	// over the shards' tallies and rebased parts builds them, as
+	// Engine.Check(DB) builds its own: the two are identical, lists laid out
+	// alike. Each rule lives once, in its RuleReport. The reports and their
+	// lists are the view's own. Nil without an Engine.
 	Reports []verify.RuleReport
 }
 
@@ -105,9 +107,9 @@ type op struct {
 }
 
 type shardView struct {
-	db      *seqdb.Database
-	reports []verify.RuleReport    // counts only, the view's own clone
-	parts   []verify.ViolationPart // shard-local seqs, shared: parts are never written
+	db    *seqdb.Database
+	tally *verify.Tally          // the view's own clone: counts, no violations
+	parts []verify.ViolationPart // shard-local seqs, shared: parts are never written
 	// err carries the store's sticky failure: a snapshot whose WAL flush
 	// failed must not be served as a durable view.
 	err error
@@ -216,15 +218,15 @@ func Open(cfg Config) (*Ingester, error) {
 			statSealed: ing.met.tracesSealed,
 		}
 		if cfg.Engine != nil {
-			sh.reports = cfg.Engine.NewReports()
+			sh.tally = cfg.Engine.NewTally()
 		}
 		if cfg.Store != nil {
 			sh.log = cfg.Store.Shard(i)
 		}
 		if recovered != nil {
 			// Resume exactly where the store left off: each sealed trace is
-			// checked and sealed again through the same close-and-cut step
-			// as a live seal, which re-seeds its conformance outcome; open
+			// checked and sealed again through the same seal step as a live
+			// one, which re-seeds its conformance outcome in the tally; open
 			// traces re-open with their online checkers re-advanced through
 			// the buffered events.
 			rs := recovered.Shards[i]
@@ -452,22 +454,18 @@ func (ing *Ingester) merge(views []shardView) *View {
 		}
 	}
 	if ing.cfg.Engine != nil {
-		// answerSnap gave each view its own counts; shard 0's become the
-		// merged reports. Each shard's parts move to the shard's first
-		// sequence number, and one assembly sizes every list exactly.
-		v.Reports = views[0].reports
+		// answerSnap gave each view a frozen copy of its shard's counts. Each
+		// shard's parts move to the shard's first sequence number, and one
+		// Reports sums the counts and sizes every list exactly.
+		tallies := make([]*verify.Tally, len(views))
 		var parts []verify.ViolationPart
 		for k, sv := range views {
-			if k > 0 {
-				for i := range v.Reports {
-					v.Reports[i].AddCounts(&sv.reports[i])
-				}
-			}
+			tallies[k] = sv.tally
 			for _, p := range sv.parts {
 				parts = append(parts, p.Rebase(bases[k]))
 			}
 		}
-		verify.AssembleViolations(v.Reports, parts)
+		v.Reports = ing.cfg.Engine.Reports(tallies, parts)
 	}
 	return v
 }
@@ -522,11 +520,10 @@ type shard struct {
 	nextHandle uint64 // the WAL handle the next new trace gets
 	sent       uint64 // ops looked up, which picks the latency sample
 
-	// reports hold the sealed traces' counts, never violation lists: those
-	// are logged to vlog, which is cut after every seal, and the parts cut
-	// so far are kept in parts, which only grows.
-	reports  []verify.RuleReport
-	vlog     verify.ViolationLog
+	// tally holds the sealed traces' counts and the violations not yet
+	// handed to a snapshot; the parts handed over so far are kept in parts,
+	// which only grows. Both are nil without an engine.
+	tally    *verify.Tally
 	parts    []verify.ViolationPart
 	free     []*verify.Checker
 	unsynced int // traces sealed since the last barrier or snapshot
@@ -651,13 +648,12 @@ func (tr *openTrace) advance(events []seqdb.EventID) *openTrace {
 }
 
 // seal appends a terminated trace to the shard's database and closes its
-// checker into the counts and the violation log, which is cut as a batch
-// check cuts its own; the checker is parked for the next trace.
+// checker into the shard's tally under its shard-local number, as a batch
+// check closes its traces; the checker is parked for the next trace.
 func (sh *shard) seal(tr *openTrace) {
 	sh.db.Append(tr.events)
 	if tr.checker != nil {
-		tr.checker.Close(sh.db.NumSequences()-1, sh.reports, &sh.vlog)
-		sh.vlog.Cut(len(sh.reports), 0)
+		tr.checker.Close(sh.db.NumSequences()-1, sh.tally)
 		sh.free = append(sh.free, tr.checker)
 	}
 }
@@ -685,12 +681,12 @@ func (sh *shard) publishMet() {
 func (sh *shard) answerSnap(o op) {
 	sh.publishMet()
 	sv := shardView{db: sh.db.SnapshotView()}
-	if sh.reports != nil {
-		// The rest of the log becomes a part too. The view gets a clone of
-		// the counts and the part list capped at its length, which later
-		// cuts append past.
-		sh.parts = append(sh.parts, sh.vlog.Parts(len(sh.reports), 0)...)
-		sv.reports, sv.parts = slices.Clone(sh.reports), slices.Clip(sh.parts)
+	if sh.tally != nil {
+		// The tally hands over its parts, the rest of its log included. The
+		// view gets a clone of the counts and the part list capped at its
+		// length, which later snapshots append past.
+		sh.parts = append(sh.parts, sh.tally.Parts()...)
+		sv.tally, sv.parts = sh.tally.Clone(), slices.Clip(sh.parts)
 	}
 	if sh.log != nil {
 		// A healthy store promises everything a snapshot exposes is

@@ -214,43 +214,20 @@ func (e *Engine) compileDispatch() {
 		func(k int, at int32) { e.groupsByLast[at] = int32(k) })
 }
 
-// NumRules reports the number of compiled rules.
-func (e *Engine) NumRules() int { return len(e.ruleSet) }
-
-// NumTrieNodes reports the size of the compiled premise trie (including the
-// root); with shared prefixes it is at most 1 + sum of premise lengths.
-func (e *Engine) NumTrieNodes() int { return len(e.trieEvent) }
-
-// NumDistinctPosts reports the number of deduplicated consequents.
-func (e *Engine) NumDistinctPosts() int { return len(e.posts) }
-
-// NewReports returns a report slice initialised for the engine's rules, in
-// rule order, ready to accumulate Checker.Close outcomes across traces.
-func (e *Engine) NewReports() []RuleReport {
-	reports := make([]RuleReport, len(e.ruleSet))
-	for i := range reports {
-		reports[i] = RuleReport{Rule: e.ruleSet[i], Formula: e.formulas[i]}
-	}
-	return reports
-}
-
 // Check evaluates every compiled rule against every trace of db and returns
 // one report per rule, in rule order — byte-identical to the per-rule
 // oracle. It is a thin driver over the online path: one Checker consumes
-// each trace event by event, so batch and streaming verification cannot
-// drift apart. The violation lists are assembled as AssembleViolations
-// describes.
+// each trace event by event into one Tally, so batch and streaming
+// verification cannot drift apart, and Reports builds the reports as it
+// does for every other check.
 func (e *Engine) Check(db *seqdb.Database) []RuleReport {
-	reports := e.NewReports()
+	t := e.NewTally()
 	c := e.NewChecker()
-	var log ViolationLog
 	for si, s := range db.Sequences {
 		for _, ev := range s {
 			c.Advance(ev)
 		}
-		c.Close(si, reports, &log)
-		log.Cut(len(reports), 0)
+		c.Close(si, t)
 	}
-	AssembleViolations(reports, log.Parts(len(reports), 0))
-	return reports
+	return e.Reports([]*Tally{t}, t.Parts())
 }

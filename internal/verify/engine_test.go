@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"specmine/internal/bench/baseline"
@@ -22,7 +23,13 @@ func checkEngineMatchesPerRule(t *testing.T, label string, db *seqdb.Database, r
 	if err != nil {
 		t.Fatalf("%s: NewEngine: %v", label, err)
 	}
-	got := engine.Check(db)
+	matchesPerRule(t, label, db, ruleSet, engine.Check(db))
+}
+
+// matchesPerRule asserts that got, one report per rule of ruleSet, is
+// byte-identical to the per-rule baseline.CheckRule oracle on db.
+func matchesPerRule(t *testing.T, label string, db *seqdb.Database, ruleSet []rules.Rule, got []verify.RuleReport) {
+	t.Helper()
 	if len(got) != len(ruleSet) {
 		t.Fatalf("%s: %d reports for %d rules", label, len(got), len(ruleSet))
 	}
@@ -157,28 +164,25 @@ func TestEngineOnSynthQuest(t *testing.T) {
 	checkEngineMatchesPerRule(t, "quest", db, ruleSet)
 }
 
+// TestEngineSharesTrieAndPosts: rules sharing premise prefixes (three share
+// "a b") and a consequent ("x", deduplicated) are answered like the per-rule
+// oracle, rule by rule.
 func TestEngineSharesTrieAndPosts(t *testing.T) {
-	d := seqdb.NewDictionary()
+	db := seqdb.NewDatabase()
+	d := db.Dict
 	mk := func(pre, post string) rules.Rule {
 		return rules.Rule{Pre: seqdb.ParsePattern(d, pre), Post: seqdb.ParsePattern(d, post)}
 	}
-	engine, err := verify.NewEngine([]rules.Rule{
+	ruleSet := []rules.Rule{
 		mk("a b c", "x"),
 		mk("a b d", "x"),
 		mk("a b", "y"),
 		mk("q", "x"),
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	// Prefixes: "", "a", "a b" (shared by the first three; rule 4's prefix is
-	// the root) -> 3 nodes. Posts: x (deduplicated), y -> 2.
-	if engine.NumTrieNodes() != 3 {
-		t.Errorf("NumTrieNodes=%d want 3", engine.NumTrieNodes())
+	for _, trace := range []string{"a b c x", "a b d", "a b c d y x", "q a b", "x q", "b a"} {
+		db.AppendNames(strings.Fields(trace)...)
 	}
-	if engine.NumDistinctPosts() != 2 {
-		t.Errorf("NumDistinctPosts=%d want 2", engine.NumDistinctPosts())
-	}
+	checkEngineMatchesPerRule(t, "shared", db, ruleSet)
 }
 
 func TestEngineRejectsEmptySides(t *testing.T) {

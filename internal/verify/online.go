@@ -4,10 +4,10 @@ import "specmine/internal/seqdb"
 
 // Checker is the online conformance automaton for one trace: events are fed
 // one at a time with Advance, and Close finalises the trace, folding its
-// outcome into a report slice and a violation log. It evaluates the same
-// compiled rule set as Engine.Check — which is a thin driver over this path —
-// but requires neither the whole trace nor a positional index up front, so
-// conformance is tracked as traffic arrives.
+// outcome into a Tally. It evaluates the same compiled rule set as
+// Engine.Check — which is a thin driver over this path — but requires
+// neither the whole trace nor a positional index up front, so conformance is
+// tracked as traffic arrives.
 //
 // The per-trace state is NFA-like over the engine's shared structures:
 //
@@ -53,13 +53,13 @@ func (e *Engine) NewChecker() *Checker {
 		postState: make([]int32, e.postStates),
 		groupTps:  make([][]int32, len(e.groupPreNode)),
 	}
-	c.Reset()
+	c.reset()
 	return c
 }
 
-// Reset discards the current trace's state, making the checker ready for the
-// next trace. Close calls it implicitly.
-func (c *Checker) Reset() {
+// reset discards the current trace's state, making the checker ready for the
+// next trace.
+func (c *Checker) reset() {
 	c.pos = 0
 	c.g[0] = -1
 	for i := 1; i < len(c.g); i++ {
@@ -73,7 +73,7 @@ func (c *Checker) Reset() {
 	}
 }
 
-// Events returns the number of events consumed since the last Reset.
+// Events returns the number of events consumed since the last Close.
 func (c *Checker) Events() int { return int(c.pos) }
 
 // Unresolved returns the number of (rule, temporal point) pairs whose
@@ -142,35 +142,38 @@ func (c *Checker) Advance(ev seqdb.EventID) {
 }
 
 // Close finalises the current trace as sequence seq: every rule's counters
-// are folded into reports (which must come from Engine.NewReports or have
-// len equal to NumRules), each violation is written to log as one
-// (rule, seq, temporal point) entry — rules ascending, points ascending
-// within a rule — and the checker resets for the next trace. Every caller,
-// batch or stream, turns the log into lists the same way: ViolationLog.Cut
-// after each Close, then AssembleViolations over ViolationLog.Parts.
-func (c *Checker) Close(seq int, reports []RuleReport, log *ViolationLog) {
+// are folded into t, which must come from the engine's NewTally, each
+// violation is logged to t as one (rule, seq, temporal point) entry — rules
+// ascending, points ascending within a rule — and the checker resets for the
+// next trace. Once t's log holds partEntries violations, Close cuts it into
+// a part, so the log never holds more than one Close's violations beyond
+// that bound.
+func (c *Checker) Close(seq int, t *Tally) {
 	e := c.e
 	s := int32(seq)
 	for r := range e.ruleSet {
 		tps := c.groupTps[e.ruleGroup[r]]
-		rep := &reports[r]
+		n := &t.counts[r]
 		if len(tps) == 0 {
-			rep.SatisfiedTraces++
+			n.satTraces++
 			continue
 		}
-		rep.TotalTemporalPoints += len(tps)
+		n.tps += len(tps)
 		sat := lowerBound(tps, c.late(r))
-		rep.SatisfiedTemporalPoints += sat
+		n.satTps += sat
 		if sat == len(tps) {
-			rep.SatisfiedTraces++
+			n.satTraces++
 			continue
 		}
-		rep.ViolatedTraces++
+		n.violTraces++
 		for _, tp := range tps[sat:] {
-			log.entries = append(log.entries, logEntry{rule: int32(r), seq: s, tp: tp})
+			t.entries = append(t.entries, logEntry{rule: int32(r), seq: s, tp: tp})
 		}
 	}
-	c.Reset()
+	if len(t.entries) >= partEntries {
+		t.cut()
+	}
+	c.reset()
 }
 
 // lowerBound returns the number of entries in sorted that are < limit. The

@@ -12,17 +12,16 @@ import (
 )
 
 // checkOnlineMatchesBatch feeds every trace through a single reused Checker,
-// event by event, and asserts the accumulated reports and summary are
-// identical to the batch CheckRules result.
+// event by event, into one Tally, and asserts the reports built from it and
+// their summary are identical to the batch Engine.Check result.
 func checkOnlineMatchesBatch(t *testing.T, label string, db *seqdb.Database, ruleSet []rules.Rule) {
 	t.Helper()
 	engine, err := verify.NewEngine(ruleSet)
 	if err != nil {
 		t.Fatalf("%s: NewEngine: %v", label, err)
 	}
-	online := engine.NewReports()
+	tally := engine.NewTally()
 	c := engine.NewChecker()
-	var log verify.ViolationLog
 	for si, s := range db.Sequences {
 		for _, ev := range s {
 			c.Advance(ev)
@@ -30,15 +29,11 @@ func checkOnlineMatchesBatch(t *testing.T, label string, db *seqdb.Database, rul
 		if c.Events() != len(s) {
 			t.Fatalf("%s: checker consumed %d events want %d", label, c.Events(), len(s))
 		}
-		c.Close(si, online, &log)
-		log.Cut(len(online), 0)
+		c.Close(si, tally)
 	}
-	verify.AssembleViolations(online, log.Parts(len(online), 0))
+	online := engine.Reports([]*verify.Tally{tally}, tally.Parts())
 
-	batch, err := verify.CheckRules(db, ruleSet)
-	if err != nil {
-		t.Fatalf("%s: CheckRules: %v", label, err)
-	}
+	batch := engine.Check(db)
 	if len(online) != len(batch) {
 		t.Fatalf("%s: %d online reports want %d", label, len(online), len(batch))
 	}
@@ -149,8 +144,7 @@ func TestCheckerRetiresSatisfiedPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := engine.NewChecker()
-	reports := engine.NewReports()
-	var log verify.ViolationLog
+	tally := engine.NewTally()
 
 	// Trace <a b x b>: tp at 1 retires when x arrives at 2; tp at 3 stays
 	// open through Close and becomes the sole violation.
@@ -164,10 +158,8 @@ func TestCheckerRetiresSatisfiedPoints(t *testing.T) {
 	if c.Unresolved() != 1 {
 		t.Fatalf("after second premise: %d unresolved want 1 (first should have retired)", c.Unresolved())
 	}
-	c.Close(0, reports, &log)
-	log.Cut(len(reports), 0)
-	verify.AssembleViolations(reports, log.Parts(len(reports), 0))
-	rep := reports[0]
+	c.Close(0, tally)
+	rep := engine.Reports([]*verify.Tally{tally}, tally.Parts())[0]
 	if rep.TotalTemporalPoints != 2 || rep.SatisfiedTemporalPoints != 1 ||
 		rep.ViolatedTraces != 1 || len(rep.Violations) != 1 ||
 		rep.Violations[0].TemporalPoint != 3 {
@@ -178,12 +170,12 @@ func TestCheckerRetiresSatisfiedPoints(t *testing.T) {
 	c.Advance(a)
 	c.Advance(b)
 	c.Advance(x)
-	c.Close(1, reports, &log)
-	if log.Len() != 0 {
-		t.Fatalf("satisfied trace logged %d violations", log.Len())
+	c.Close(1, tally)
+	if parts := tally.Parts(); len(parts) != 0 {
+		t.Fatalf("satisfied trace logged violations: %d parts", len(parts))
 	}
-	if reports[0].SatisfiedTraces != 1 || reports[0].ViolatedTraces != 1 {
-		t.Fatalf("after reuse: %+v", reports[0])
+	if rep := engine.Reports([]*verify.Tally{tally}, nil)[0]; rep.SatisfiedTraces != 1 || rep.ViolatedTraces != 1 {
+		t.Fatalf("after reuse: %+v", rep)
 	}
 }
 
@@ -198,27 +190,26 @@ func TestCheckerIgnoresForeignEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := engine.NewChecker()
-	reports := engine.NewReports()
-	var log verify.ViolationLog
+	tally := engine.NewTally()
 	for _, ev := range []seqdb.EventID{noise, a, noise, noise, x} {
 		c.Advance(ev)
 	}
-	c.Close(0, reports, &log)
-	if reports[0].SatisfiedTraces != 1 || reports[0].TotalTemporalPoints != 1 ||
-		reports[0].SatisfiedTemporalPoints != 1 {
-		t.Fatalf("unexpected report: %+v", reports[0])
+	c.Close(0, tally)
+	rep := engine.Reports([]*verify.Tally{tally}, tally.Parts())[0]
+	if rep.SatisfiedTraces != 1 || rep.TotalTemporalPoints != 1 ||
+		rep.SatisfiedTemporalPoints != 1 {
+		t.Fatalf("unexpected report: %+v", rep)
 	}
 	// The violation position reflects the absolute trace position, noise
 	// included: premise at 1, consequent at 4.
 	c2 := engine.NewChecker()
-	reports2 := engine.NewReports()
+	tally2 := engine.NewTally()
 	for _, ev := range []seqdb.EventID{noise, a, noise} {
 		c2.Advance(ev)
 	}
-	c2.Close(0, reports2, &log)
-	log.Cut(len(reports2), 0)
-	verify.AssembleViolations(reports2, log.Parts(len(reports2), 0))
-	if len(reports2[0].Violations) != 1 || reports2[0].Violations[0].TemporalPoint != 1 {
-		t.Fatalf("unexpected violations: %+v", reports2[0].Violations)
+	c2.Close(0, tally2)
+	rep2 := engine.Reports([]*verify.Tally{tally2}, tally2.Parts())[0]
+	if len(rep2.Violations) != 1 || rep2.Violations[0].TemporalPoint != 1 {
+		t.Fatalf("unexpected violations: %+v", rep2.Violations)
 	}
 }

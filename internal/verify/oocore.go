@@ -11,8 +11,7 @@ import "specmine/internal/seqdb"
 // produces a temporal point for that rule, and Close's zero-temporal-point
 // path does exactly one thing per trace: SatisfiedTraces++. If that holds for
 // EVERY rule in the engine, the whole segment can be answered without
-// decoding its body — AccountSkippedTraces applies the per-trace effect in
-// bulk.
+// decoding its body — Tally.Skip applies the per-trace effect in bulk.
 
 // SegmentSkippable reports whether a segment whose event population is
 // described by mayContain can be skipped: for every rule, at least one
@@ -40,13 +39,4 @@ func (e *Engine) premiseMayOccur(r int, mayContain func(seqdb.EventID) bool) boo
 		}
 	}
 	return true
-}
-
-// AccountSkippedTraces folds n skipped traces into reports: each trace
-// satisfies every rule with zero temporal points, which is precisely what
-// Checker.Close records for a trace none of whose rules' premises complete.
-func AccountSkippedTraces(reports []RuleReport, n int) {
-	for i := range reports {
-		reports[i].SatisfiedTraces += n
-	}
 }

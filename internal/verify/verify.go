@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"specmine/internal/ltl"
-	"specmine/internal/qre"
 	"specmine/internal/rules"
 	"specmine/internal/seqdb"
 )
@@ -49,21 +48,12 @@ type RuleReport struct {
 	TotalTemporalPoints     int
 	SatisfiedTemporalPoints int
 	// Violations lists each violating temporal point of Rule, ordered by
-	// trace then position; nil when there are none. Every check (CheckRules,
-	// Engine.Check, the store and predicated checks, and the stream's
-	// snapshots) returns every rule's list as a window of one shared backing
-	// array with cap == len (see AssembleViolations), so an append
+	// trace then position; nil when there are none. Every check (Engine.Check,
+	// the store and predicated checks, and the stream's snapshots) builds its
+	// reports with Engine.Reports, which returns every rule's list as a
+	// window of one shared backing array with cap == len, so an append
 	// reallocates the list and never writes into the next rule's.
 	Violations []RuleViolation
-}
-
-// AddCounts adds o's trace and temporal-point counters to r's; the
-// violation lists are left alone.
-func (r *RuleReport) AddCounts(o *RuleReport) {
-	r.SatisfiedTraces += o.SatisfiedTraces
-	r.ViolatedTraces += o.ViolatedTraces
-	r.TotalTemporalPoints += o.TotalTemporalPoints
-	r.SatisfiedTemporalPoints += o.SatisfiedTemporalPoints
 }
 
 // HoldRate is the fraction of temporal points at which the rule held; 1.0 for
@@ -73,86 +63,6 @@ func (r RuleReport) HoldRate() float64 {
 		return 1.0
 	}
 	return float64(r.SatisfiedTemporalPoints) / float64(r.TotalTemporalPoints)
-}
-
-// CheckRules evaluates a set of rules and returns one report per rule, in the
-// given order. It compiles the set into a batched Engine and checks all rules
-// in one pass per trace; the reports are identical to the per-rule rescan
-// oracle (baseline.CheckRule) rule by rule.
-func CheckRules(db *seqdb.Database, ruleSet []rules.Rule) ([]RuleReport, error) {
-	engine, err := NewEngine(ruleSet)
-	if err != nil {
-		return nil, err
-	}
-	return engine.Check(db), nil
-}
-
-// PatternReport summarises checking one iterative pattern against a database.
-type PatternReport struct {
-	Pattern seqdb.Pattern
-	// Instances is the number of pattern instances found.
-	Instances int
-	// Sequences is the number of traces containing at least one instance.
-	Sequences int
-	// PartialMatches counts positions at which a strict prefix of the pattern
-	// (at least half of it) matched but the full pattern did not: candidate
-	// anomalies for inspection.
-	PartialMatches int
-}
-
-// CheckPattern locates instances of an iterative pattern and counts partial
-// matches that stop short of completing the behaviour.
-func CheckPattern(db *seqdb.Database, pattern seqdb.Pattern) PatternReport {
-	report := PatternReport{Pattern: pattern.Clone()}
-	if len(pattern) == 0 {
-		return report
-	}
-	half := (len(pattern) + 1) / 2
-	for si, s := range db.Sequences {
-		insts := qre.FindInstances(s, pattern, si)
-		report.Instances += len(insts)
-		if len(insts) > 0 {
-			report.Sequences++
-		}
-		starts := make(map[int]bool, len(insts))
-		for _, in := range insts {
-			starts[in.Start] = true
-		}
-		for i, ev := range s {
-			if ev != pattern[0] || starts[i] {
-				continue
-			}
-			if matched := prefixMatchLength(s, pattern, i); matched >= half {
-				report.PartialMatches++
-			}
-		}
-	}
-	return report
-}
-
-// prefixMatchLength returns how many leading pattern events match when
-// attempting an instance at position start.
-func prefixMatchLength(s seqdb.Sequence, p seqdb.Pattern, start int) int {
-	alphabet := p.Alphabet()
-	if s[start] != p[0] {
-		return 0
-	}
-	matched := 1
-	pos := start
-	for k := 1; k < len(p); k++ {
-		pos++
-		for pos < len(s) {
-			if _, in := alphabet[s[pos]]; in {
-				break
-			}
-			pos++
-		}
-		if pos >= len(s) || s[pos] != p[k] {
-			return matched
-		}
-		matched++
-	}
-	return matched
 }
 
 // Summary aggregates rule reports into a ranked conformance summary: the

@@ -18,6 +18,16 @@ func mkdb(traces ...[]string) *seqdb.Database {
 	return db
 }
 
+// check compiles ruleSet and checks db with it.
+func check(t *testing.T, db *seqdb.Database, ruleSet []rules.Rule) []verify.RuleReport {
+	t.Helper()
+	engine, err := verify.NewEngine(ruleSet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine.Check(db)
+}
+
 func lockRule(db *seqdb.Database) rules.Rule {
 	return rules.Rule{
 		Pre:  seqdb.ParsePattern(db.Dict, "lock"),
@@ -84,9 +94,6 @@ func TestCheckRuleRejectsEmptySides(t *testing.T) {
 	if _, err := baseline.CheckRule(db, rules.Rule{}); err == nil {
 		t.Errorf("empty rule accepted")
 	}
-	if _, err := verify.CheckRules(db, []rules.Rule{{}}); err == nil {
-		t.Errorf("CheckRules accepted empty rule")
-	}
 }
 
 func TestCheckRulesAndSummary(t *testing.T) {
@@ -99,10 +106,7 @@ func TestCheckRulesAndSummary(t *testing.T) {
 		lockRule(db),
 		{Pre: seqdb.ParsePattern(db.Dict, "open"), Post: seqdb.ParsePattern(db.Dict, "close")},
 	}
-	reports, err := verify.CheckRules(db, ruleSet)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := check(t, db, ruleSet)
 	if len(reports) != 2 {
 		t.Fatalf("reports=%d", len(reports))
 	}
@@ -127,39 +131,8 @@ func TestSummaryOrdering(t *testing.T) {
 	)
 	often := rules.Rule{Pre: seqdb.ParsePattern(db.Dict, "a"), Post: seqdb.ParsePattern(db.Dict, "z")}
 	rarely := rules.Rule{Pre: seqdb.ParsePattern(db.Dict, "b"), Post: seqdb.ParsePattern(db.Dict, "z")}
-	reports, err := verify.CheckRules(db, []rules.Rule{rarely, often})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := verify.NewSummary(reports)
+	sum := verify.NewSummary(check(t, db, []rules.Rule{rarely, often}))
 	if len(sum.Reports[0].Violations) < len(sum.Reports[1].Violations) {
 		t.Errorf("summary not sorted by violations")
-	}
-}
-
-func TestCheckPattern(t *testing.T) {
-	db := mkdb(
-		[]string{"open", "read", "close", "open", "read"},
-		[]string{"open", "close"},
-		[]string{"noise"},
-	)
-	p := seqdb.ParsePattern(db.Dict, "open read close")
-	rep := verify.CheckPattern(db, p)
-	if rep.Instances != 1 {
-		t.Errorf("Instances=%d want 1", rep.Instances)
-	}
-	if rep.Sequences != 1 {
-		t.Errorf("Sequences=%d want 1", rep.Sequences)
-	}
-	// The second <open, read> in trace 0 matches 2 of 3 events and stops:
-	// a partial match. Trace 1's <open, close> matches only 1 event (open)
-	// before the alphabet event close breaks it, below the half threshold...
-	// actually 1 of 3 < 2, so only one partial match is reported.
-	if rep.PartialMatches != 1 {
-		t.Errorf("PartialMatches=%d want 1", rep.PartialMatches)
-	}
-	empty := verify.CheckPattern(db, nil)
-	if empty.Instances != 0 || empty.PartialMatches != 0 {
-		t.Errorf("empty pattern should produce an empty report")
 	}
 }

@@ -1,44 +1,86 @@
 package verify
 
-// Every violation list a check returns is built in three steps, so no
-// per-rule slice ever grows by append:
-//
-//   - Checker.Close writes each violation it finds as one (rule, seq, tp)
-//     entry into a ViolationLog its caller owns — one flat, reused buffer
-//     instead of one growing slice per rule.
-//   - ViolationLog.Cut and ViolationLog.Parts counting-sort the log by rule
-//     into ViolationParts: int32 (seq, tp) pairs grouped per violated rule.
-//     A part is independent of every other and never written once cut, so
-//     segments checked on different goroutines each produce their own, and
-//     the stream's shards keep theirs and share them with every snapshot.
-//   - AssembleViolations sizes one backing array for all parts' violations
-//     and gives every rule its exact-size window of it, filled from the parts
-//     in order with Seq rebased.
+import "slices"
 
-// partEntries is the log length at which Cut cuts a part: the log is then a
-// bounded scratch buffer that stops growing after its first part, instead of
-// holding a whole segment's or database's violations.
+// Every check — Engine.Check, the store's segment fan-out and the stream's
+// shards — keeps its running outcome in Tallies and builds its reports in
+// one place, Engine.Reports, so no per-rule slice ever grows by append:
+//
+//   - Checker.Close folds each trace's per-rule counts into a Tally and
+//     writes each violation it finds as one (rule, seq, tp) entry into the
+//     tally's log: one flat, reused buffer instead of one growing slice per
+//     rule.
+//   - Once the log holds partEntries violations, Close counting-sorts it by
+//     rule into a ViolationPart: int32 (seq, tp) pairs grouped per violated
+//     rule. Tally.Parts cuts the rest and hands the parts over. A part is
+//     independent of every other and never written once cut, so segments
+//     checked on different goroutines each produce their own, and the
+//     stream's shards keep theirs and share them with every snapshot.
+//   - Engine.Reports sums the tallies' counts and sizes one backing array for
+//     all parts' violations, giving every rule its exact-size window of it,
+//     filled from the parts in order with Seq rebased.
+
+// partEntries is the log length at which Close cuts a part: the log is then
+// a bounded scratch buffer that stops growing after its first part, instead
+// of holding a whole segment's or database's violations.
 const partEntries = 1 << 16
 
-// ViolationLog collects Checker.Close's violations in the order found:
-// ascending seq, then rule, then temporal point. Sequence numbers are stored
-// as int32, which holds for every caller: each indexes a trace slice it keeps
-// in memory. The zero value is an empty log ready for use; a log is not safe
-// for concurrent use.
-type ViolationLog struct {
-	entries []logEntry
-	parts   []ViolationPart // cut by Cut, handed out by Parts
-	count   []int32         // per-rule scratch for part, all zero between calls
+// Tally is the running check outcome of one goroutine or one stream shard:
+// per-rule counts over the traces closed into it, and a log of their
+// violations in the order found (ascending seq, then rule, then temporal
+// point). Sequence numbers are stored as int32: no caller numbers 2^31
+// traces. Create one with Engine.NewTally; a Tally is not safe for
+// concurrent use.
+type Tally struct {
+	counts  []ruleCounts
+	entries []logEntry      // violations logged and not yet cut
+	parts   []ViolationPart // cut by Close, handed out by Parts
+	cursor  []int32         // per-rule scratch for cut, all zero between calls
+}
+
+// ruleCounts are one rule's RuleReport counters.
+type ruleCounts struct {
+	satTraces, violTraces, tps, satTps int
 }
 
 type logEntry struct{ rule, seq, tp int32 }
 
-// Len returns the number of violations logged and not yet cut into a part.
-func (l *ViolationLog) Len() int { return len(l.entries) }
+// NewTally returns an empty tally for the engine's rules.
+func (e *Engine) NewTally() *Tally {
+	return &Tally{counts: make([]ruleCounts, len(e.ruleSet))}
+}
 
-// ViolationPart is a log's violations grouped by rule, ready for
-// AssembleViolations. Each violation takes 8 bytes: an int32 seq and an
-// int32 temporal point.
+// Skip folds n traces into t without checking them: each satisfies every
+// rule with zero temporal points, which is precisely what Checker.Close
+// records for a trace none of whose rules' premises complete.
+func (t *Tally) Skip(n int) {
+	for i := range t.counts {
+		t.counts[i].satTraces += n
+	}
+}
+
+// Clone returns a tally holding t's counts and no violations: a frozen copy
+// of the counts so far, for a report built beside parts t already handed
+// out while t goes on counting.
+func (t *Tally) Clone() *Tally {
+	return &Tally{counts: slices.Clone(t.counts)}
+}
+
+// Parts cuts the violations still logged into a part and returns every part
+// cut since the last call, in log order, for Engine.Reports. The log is left
+// empty, with no parts; the counts stay.
+func (t *Tally) Parts() []ViolationPart {
+	if len(t.entries) > 0 {
+		t.cut()
+	}
+	parts := t.parts
+	t.parts = nil
+	return parts
+}
+
+// ViolationPart is a tally's violations grouped by rule, ready for
+// Engine.Reports. Each violation takes 8 bytes: an int32 seq and an int32
+// temporal point.
 type ViolationPart struct {
 	base  int     // added to every seq at assembly
 	rules []int32 // rules with at least one violation, ascending
@@ -53,40 +95,17 @@ func (p ViolationPart) Rebase(by int) ViolationPart {
 	return p
 }
 
-// Cut cuts the logged violations into a part, as Parts does, once the log
-// holds partEntries of them. Every check calls it after every Close, so the
-// log never holds more than one Close's violations beyond that bound.
-func (l *ViolationLog) Cut(numRules, base int) {
-	if len(l.entries) >= partEntries {
-		l.parts = append(l.parts, l.part(numRules, base))
+// cut counting-sorts the logged violations by rule into a part and empties
+// the log. Within a rule, violations keep log order.
+func (t *Tally) cut() {
+	if t.cursor == nil {
+		t.cursor = make([]int32, len(t.counts))
 	}
-}
-
-// Parts cuts the violations still logged into a part and returns every part
-// cut since the last call, in log order, for AssembleViolations. Each part's
-// sequence numbers are relative to the base it was cut with. numRules must
-// exceed every logged rule. The log is left empty, with no parts.
-func (l *ViolationLog) Parts(numRules, base int) []ViolationPart {
-	if len(l.entries) > 0 {
-		l.parts = append(l.parts, l.part(numRules, base))
-	}
-	parts := l.parts
-	l.parts = nil
-	return parts
-}
-
-// part counting-sorts the logged violations by rule into a part whose
-// sequence numbers are relative to base, and empties the log. Within a rule,
-// violations keep log order.
-func (l *ViolationLog) part(numRules, base int) ViolationPart {
-	if len(l.count) < numRules {
-		l.count = make([]int32, numRules)
-	}
-	count := l.count[:numRules]
-	for _, en := range l.entries {
+	count := t.cursor
+	for _, en := range t.entries {
 		count[en.rule]++
 	}
-	p := ViolationPart{base: base, off: []int32{0}, pairs: make([]int32, 2*len(l.entries))}
+	p := ViolationPart{off: []int32{0}, pairs: make([]int32, 2*len(t.entries))}
 	// count becomes each violated rule's write cursor into pairs.
 	at := int32(0)
 	for r, n := range count {
@@ -97,7 +116,7 @@ func (l *ViolationLog) part(numRules, base int) ViolationPart {
 			p.off = append(p.off, at)
 		}
 	}
-	for _, en := range l.entries {
+	for _, en := range t.entries {
 		i := 2 * count[en.rule]
 		p.pairs[i], p.pairs[i+1] = en.seq, en.tp
 		count[en.rule]++
@@ -105,20 +124,35 @@ func (l *ViolationLog) part(numRules, base int) ViolationPart {
 	for _, r := range p.rules {
 		count[r] = 0
 	}
-	l.entries = l.entries[:0]
-	return p
+	t.entries = t.entries[:0]
+	t.parts = append(t.parts, p)
 }
 
-// AssembleViolations sets every report's Violations from parts, taken in
-// order: rule r's list is the concatenation of each part's violations of r,
-// with the part's base added to Seq. All lists are windows of one backing
-// array sized in a single pass, each with cap == len, so appending to one
-// list reallocates it rather than overwrite its neighbour. A rule with no
-// violations keeps a nil list. The reports' lists must be empty on entry.
+// Reports builds one report per rule, in rule order: each rule's counters
+// are the sum over tallies, and its Violations are assembled from parts,
+// taken in order — rule r's list is the concatenation of each part's
+// violations of r, with the part's base added to Seq. Every tally must come
+// from e's NewTally. All lists are windows of one backing array sized in a
+// single pass, each with cap == len, so appending to one list reallocates it
+// rather than overwrite its neighbour. A rule with no violations keeps a nil
+// list.
 //
 // The array is filled rule by rule, front to back: writing part by part
 // instead would scatter every part's writes over all the rules' windows.
-func AssembleViolations(reports []RuleReport, parts []ViolationPart) {
+func (e *Engine) Reports(tallies []*Tally, parts []ViolationPart) []RuleReport {
+	reports := make([]RuleReport, len(e.ruleSet))
+	for r := range reports {
+		rep := &reports[r]
+		rep.Rule, rep.Formula = e.ruleSet[r], e.formulas[r]
+		for _, t := range tallies {
+			n := &t.counts[r]
+			rep.SatisfiedTraces += n.satTraces
+			rep.ViolatedTraces += n.violTraces
+			rep.TotalTemporalPoints += n.tps
+			rep.SatisfiedTemporalPoints += n.satTps
+		}
+	}
+
 	n := 0
 	for _, p := range parts {
 		n += len(p.pairs) / 2
@@ -140,8 +174,9 @@ func AssembleViolations(reports []RuleReport, parts []ViolationPart) {
 				back = append(back, RuleViolation{Seq: p.base + int(pairs[j]), TemporalPoint: int(pairs[j+1])})
 			}
 		}
-		if e := len(back); e > s {
-			reports[r].Violations = back[s:e:e]
+		if end := len(back); end > s {
+			reports[r].Violations = back[s:end:end]
 		}
 	}
+	return reports
 }

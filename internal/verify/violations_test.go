@@ -39,10 +39,11 @@ func TestAssembledListsAreExactWindows(t *testing.T) {
 	}
 	checkEngineMatchesPerRule(t, "many-parts", db, ruleSet)
 
-	reports, err := verify.CheckRules(db, ruleSet)
+	engine, err := verify.NewEngine(ruleSet)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reports := engine.Check(db)
 	total := 0
 	for i, rep := range reports {
 		total += len(rep.Violations)
@@ -65,14 +66,27 @@ func TestAssembledListsAreExactWindows(t *testing.T) {
 	}
 }
 
-// TestAssembleRebasesPartsInOrder: parts cut from separately checked
-// segments, each with segment-local sequence numbers, assemble into exactly
-// what one Check over the concatenated segments returns, whether each part
-// is cut at its segment's base or cut at base 0 and then rebased by it, as a
-// stream snapshot rebases its shards' parts.
+// TestAssembleRebasesPartsInOrder: the tallies of separately checked
+// segments build, through one Engine.Reports, exactly what one Check over the
+// concatenated segments returns, and what the per-rule oracle returns. It
+// drives the tallies the two ways the checks do:
+//
+//   - as the store's segment fan-out does: two worker tallies take the
+//     segments in turn, close every trace under its global ordinal and hand
+//     over each segment's parts, while a third tally skips the segments on
+//     which every rule is statically dead;
+//   - as the stream's shards do: one tally per segment closes its traces
+//     under segment-local numbers, skips when its segment is dead, and its
+//     parts are rebased by the segment's first ordinal; the reports are
+//     built from frozen clones of the tallies, which later counting leaves
+//     alone.
+//
+// One segment's traces log exactly 65,536 violations, the bound at which
+// Close cuts a part, before its last trace logs one more: its tally must
+// hand over two parts.
 func TestAssembleRebasesPartsInOrder(t *testing.T) {
 	d := seqdb.NewDictionary()
-	a, x := d.Intern("a"), d.Intern("x")
+	a, x, z := d.Intern("a"), d.Intern("x"), d.Intern("z")
 	ruleSet := []rules.Rule{
 		{Pre: seqdb.Pattern{a}, Post: seqdb.Pattern{x}},
 		{Pre: seqdb.Pattern{x}, Post: seqdb.Pattern{a}},
@@ -82,42 +96,88 @@ func TestAssembleRebasesPartsInOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A trace of k a's logs 2k-1 violations: k of rule 0, k-1 of rule 2. So
+	// 128 traces of 256 a's and one each of 32 and 33 log 128*511 + 63 + 65
+	// = 65,536, and a last trace of one a logs one more.
+	run := func(k int) seqdb.Sequence { return slices.Repeat(seqdb.Sequence{a}, k) }
+	var bound []seqdb.Sequence
+	for range 128 {
+		bound = append(bound, run(256))
+	}
+	bound = append(bound, run(32), run(33), run(1))
 	segments := [][]seqdb.Sequence{
 		{{a, x, a}, {x}, {a, a}},
 		{},
+		{{z}, {z, z}}, // no premise event: skipped
 		{{x, a}, {a, x}},
+		bound,
+		{{z}},
 		{{a}, {a, a, x, a}},
 	}
+	const atBound = 4
+
 	all := seqdb.NewDatabaseWithDict(d)
-	reports, rebased := engine.NewReports(), engine.NewReports()
 	c := engine.NewChecker()
-	var log, log0 verify.ViolationLog
-	var parts, parts0 []verify.ViolationPart
-	for _, seg := range segments {
-		base := all.NumSequences()
+	closeAll := func(tally *verify.Tally, seg []seqdb.Sequence, base int) {
 		for l, s := range seg {
+			for _, ev := range s {
+				c.Advance(ev)
+			}
+			c.Close(base+l, tally)
+		}
+	}
+	workers := []*verify.Tally{engine.NewTally(), engine.NewTally()}
+	skipped := engine.NewTally()
+	var fanParts, shardParts []verify.ViolationPart
+	var shards []*verify.Tally
+	for i, seg := range segments {
+		base := all.NumSequences()
+		for _, s := range seg {
 			all.Append(s)
-			for _, ev := range s {
-				c.Advance(ev)
-			}
-			c.Close(l, reports, &log)
-			for _, ev := range s {
-				c.Advance(ev)
-			}
-			c.Close(l, rebased, &log0)
 		}
-		parts = append(parts, log.Parts(engine.NumRules(), base)...)
-		for _, p := range log0.Parts(engine.NumRules(), 0) {
-			parts0 = append(parts0, p.Rebase(base))
+		dead := engine.SegmentSkippable(func(e seqdb.EventID) bool {
+			return slices.ContainsFunc(seg, func(s seqdb.Sequence) bool { return slices.Contains(s, e) })
+		})
+		shard := engine.NewTally()
+		shards = append(shards, shard)
+		if dead {
+			skipped.Skip(len(seg))
+			shard.Skip(len(seg))
+			continue
+		}
+		w := workers[i%len(workers)]
+		closeAll(w, seg, base)
+		parts := w.Parts()
+		if i == atBound && len(parts) != 2 {
+			t.Fatalf("segment %d: %d parts, want one cut at the bound and one for the rest", i, len(parts))
+		}
+		fanParts = append(fanParts, parts...)
+		closeAll(shard, seg, 0)
+		for _, p := range shard.Parts() {
+			shardParts = append(shardParts, p.Rebase(base))
 		}
 	}
-	verify.AssembleViolations(reports, parts)
-	verify.AssembleViolations(rebased, parts0)
+	frozen := make([]*verify.Tally, len(shards))
+	for i, sh := range shards {
+		frozen[i] = sh.Clone()
+		sh.Skip(1)
+	}
+
 	want := engine.Check(all)
-	if !reflect.DeepEqual(reports, want) {
-		t.Fatalf("assembled parts differ from one Check:\n got %+v\nwant %+v", reports, want)
-	}
-	if !reflect.DeepEqual(rebased, want) {
-		t.Fatalf("rebased parts differ from one Check:\n got %+v\nwant %+v", rebased, want)
+	matchesPerRule(t, "check", all, ruleSet, want)
+	for _, tc := range []struct {
+		name string
+		got  []verify.RuleReport
+	}{
+		{"fan-out", engine.Reports(append(workers, skipped), fanParts)},
+		{"shards", engine.Reports(frozen, shardParts)},
+	} {
+		for r := range want {
+			if g, w := tc.got[r], want[r]; !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: rule %d differs from one Check: got %d violations over %d traces, want %d over %d",
+					tc.name, r, len(g.Violations), g.ViolatedTraces, len(w.Violations), w.ViolatedTraces)
+			}
+		}
+		matchesPerRule(t, tc.name, all, ruleSet, tc.got)
 	}
 }
