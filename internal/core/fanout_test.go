@@ -2,13 +2,16 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"specmine/internal/bench/baseline"
 	"specmine/internal/seqdb"
+	"specmine/internal/stream"
 	"specmine/internal/verify"
 )
 
@@ -123,6 +126,143 @@ func TestCheckSegmentsOrderedAssembly(t *testing.T) {
 		}
 		if n := segs.held.Load(); n != 0 {
 			t.Fatalf("procs=%d: %d pins still held after the failed call", procs, n)
+		}
+	}
+}
+
+// TestFiredGroupAccountingMatchesOracle pins Close's accounting, which
+// counts every trace and visits only the premise groups the trace fired, in
+// each mode that closes traces: Engine.Check, the segment fan-out at one and
+// at four procs (with a segment on which every rule is dead, counted through
+// Tally.Skip), and a streamed snapshot at one and at three shards (taken
+// mid-stream from clones of the shards' tallies, which go on counting). The
+// premise groups fire on some traces and not on others, traces that reuse a
+// checker fire the same group again, one group of three rules gets three
+// temporal points in one trace, the rules interleave the groups, one
+// premise never fires, and one consequent starts with its premise's last
+// event. Every report must equal baseline.CheckRule.
+func TestFiredGroupAccountingMatchesOracle(t *testing.T) {
+	dict := seqdb.NewDictionary()
+	a, b, c, x, y, z, never := dict.Intern("a"), dict.Intern("b"), dict.Intern("c"),
+		dict.Intern("x"), dict.Intern("y"), dict.Intern("z"), dict.Intern("never")
+	ruleSet := []Rule{
+		{Pre: seqdb.Pattern{a}, Post: seqdb.Pattern{x}},
+		{Pre: seqdb.Pattern{b}, Post: seqdb.Pattern{x}},
+		{Pre: seqdb.Pattern{a, b}, Post: seqdb.Pattern{x}},
+		{Pre: seqdb.Pattern{a}, Post: seqdb.Pattern{y}},
+		{Pre: seqdb.Pattern{never}, Post: seqdb.Pattern{x}},
+		{Pre: seqdb.Pattern{b}, Post: seqdb.Pattern{a}},
+		{Pre: seqdb.Pattern{a}, Post: seqdb.Pattern{x, y}},
+		{Pre: seqdb.Pattern{c}, Post: seqdb.Pattern{y}},
+		{Pre: seqdb.Pattern{b}, Post: seqdb.Pattern{b, x}}, // a point can equal the latest start
+	}
+	segments := [][]seqdb.Sequence{
+		{{a, a, x, a}, {a, b, y}, {z}, {b, a, x, y, b}},
+		{{z, z}, {x}, {}}, // no premise event: skipped
+		{{c, a, y}, {}, {a}, {b, b, a}, {a, x, y, a, a}},
+		{{y, x}, {c, c, c}, {a, b, x}},
+	}
+	const dead = 1
+
+	engine, err := verify.NewEngine(ruleSet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := func(db *Database) []verify.RuleReport {
+		reports := make([]verify.RuleReport, len(ruleSet))
+		for i, r := range ruleSet {
+			rep, err := baseline.CheckRule(db, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports[i] = rep
+		}
+		return reports
+	}
+	matches := func(mode string, db *Database, got []verify.RuleReport) {
+		t.Helper()
+		want := oracle(db)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d reports, want %d", mode, len(got), len(want))
+		}
+		for r := range want {
+			if g, w := got[r], want[r]; !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: rule %d (%s -> %s):\n got %d/%d traces satisfied/violated, %d/%d points, violations %v\nwant %d/%d, %d/%d, %v",
+					mode, r, g.Rule.Pre.String(dict), g.Rule.Post.String(dict),
+					g.SatisfiedTraces, g.ViolatedTraces, g.SatisfiedTemporalPoints, g.TotalTemporalPoints, g.Violations,
+					w.SatisfiedTraces, w.ViolatedTraces, w.SatisfiedTemporalPoints, w.TotalTemporalPoints, w.Violations)
+			}
+		}
+	}
+
+	db := seqdb.NewDatabaseWithDict(dict)
+	segs := &memSegments{}
+	for _, seg := range segments {
+		part := seqdb.NewDatabaseWithDict(dict)
+		for _, s := range seg {
+			part.Append(s)
+			db.Append(s)
+		}
+		segs.parts = append(segs.parts, part)
+	}
+	if want := oracle(db); want[4].TotalTemporalPoints != 0 || want[0].ViolatedTraces == 0 || want[6].SatisfiedTraces == 0 {
+		t.Fatalf("the traces no longer fire what the test needs: %+v", want)
+	}
+	matches("Check", db, engine.Check(db))
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		reports, ex, err := checkSegments(segs, engine, Where{}, NewMetrics())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.SegmentsSkipped != 1 {
+			t.Fatalf("procs=%d: %d segments skipped, want segment %d alone", procs, ex.SegmentsSkipped, dead)
+		}
+		matches(fmt.Sprintf("fan-out/procs=%d", procs), db, reports)
+	}
+
+	for _, shards := range []int{1, 3} {
+		ing, err := stream.Open(stream.Config{Shards: shards, Dict: dict, Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mid *stream.View
+		var midReports []verify.RuleReport
+		n := 0
+		for i, seg := range segments {
+			for _, s := range seg {
+				id := fmt.Sprintf("trace-%d", n)
+				n++
+				if err := ing.IngestIDs(id, s...); err != nil {
+					t.Fatal(err)
+				}
+				if err := ing.CloseTrace(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i == dead {
+				if mid, err = ing.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+				matches(fmt.Sprintf("stream/shards=%d/mid", shards), mid.DB, mid.Reports)
+				midReports = oracle(mid.DB)
+			}
+		}
+		v, err := ing.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ing.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if v.DB.NumSequences() != db.NumSequences() {
+			t.Fatalf("shards=%d: snapshot holds %d traces, want %d", shards, v.DB.NumSequences(), db.NumSequences())
+		}
+		matches(fmt.Sprintf("stream/shards=%d", shards), v.DB, v.Reports)
+		if !reflect.DeepEqual(mid.Reports, midReports) {
+			t.Fatalf("shards=%d: counting on changed the mid-stream snapshot's reports", shards)
 		}
 	}
 }

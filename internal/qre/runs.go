@@ -36,17 +36,6 @@ type SpanRuns struct {
 	n    int
 }
 
-// SpanRunsOf compresses an explicit span list. Spans must be in the order the
-// miners produce them: grouped by sequence, starts increasing within a
-// sequence.
-func SpanRunsOf(spans []Span) SpanRuns {
-	var rs SpanRuns
-	for _, sp := range spans {
-		rs.Append(sp)
-	}
-	return rs
-}
-
 // Reset empties the list, keeping (or adopting) the given backing slice so
 // arenas can be recycled across search-tree nodes.
 func (rs *SpanRuns) Reset(backing []SpanRun) {
@@ -87,9 +76,6 @@ func (rs *SpanRuns) Append(sp Span) {
 // Len returns the number of represented spans.
 func (rs SpanRuns) Len() int { return rs.n }
 
-// NumRuns returns the number of compressed runs.
-func (rs SpanRuns) NumRuns() int { return len(rs.runs) }
-
 // Runs exposes the raw run slice (shared, not to be modified) so hot loops
 // can iterate without closure overhead:
 //
@@ -110,13 +96,6 @@ func (rs SpanRuns) ForEach(fn func(Span)) {
 			end += r.Stride
 		}
 	}
-}
-
-// Spans materialises the explicit span list.
-func (rs SpanRuns) Spans() []Span {
-	out := make([]Span, 0, rs.n)
-	rs.ForEach(func(sp Span) { out = append(out, sp) })
-	return out
 }
 
 // Export materialises the public Instance form in one allocation.

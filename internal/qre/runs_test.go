@@ -17,17 +17,35 @@ func spansOfInstances(insts []Instance) []Span {
 	return out
 }
 
+// spanRunsOf compresses an explicit span list. Spans must be in the order the
+// miners produce them: grouped by sequence, starts increasing within a
+// sequence.
+func spanRunsOf(spans []Span) SpanRuns {
+	var rs SpanRuns
+	for _, sp := range spans {
+		rs.Append(sp)
+	}
+	return rs
+}
+
+// spansOf materialises the explicit span list rs represents.
+func spansOf(rs SpanRuns) []Span {
+	out := make([]Span, 0, rs.Len())
+	rs.ForEach(func(sp Span) { out = append(out, sp) })
+	return out
+}
+
 // checkRoundTrip compresses spans into SpanRuns and verifies every view of
-// the compressed form reproduces the explicit list exactly: Spans, ForEach
+// the compressed form reproduces the explicit list exactly: spansOf, ForEach
 // order, Export, Len, SeqSupport, plus the canonicality guarantees the miners
 // rely on (Equal and Signature agreement for equal lists).
 func checkRoundTrip(t *testing.T, label string, spans []Span) {
 	t.Helper()
-	rs := SpanRunsOf(spans)
+	rs := spanRunsOf(spans)
 	if rs.Len() != len(spans) {
 		t.Fatalf("%s: Len=%d want %d", label, rs.Len(), len(spans))
 	}
-	back := rs.Spans()
+	back := spansOf(rs)
 	if len(back) != len(spans) {
 		t.Fatalf("%s: round-trip length %d want %d", label, len(back), len(spans))
 	}
@@ -54,7 +72,7 @@ func checkRoundTrip(t *testing.T, label string, spans []Span) {
 		t.Fatalf("%s: SeqSupport=%d want %d", label, rs.SeqSupport(), seqs)
 	}
 	// Canonicality: recompressing the same list yields identical runs.
-	again := SpanRunsOf(back)
+	again := spanRunsOf(back)
 	if !rs.Equal(again) {
 		t.Fatalf("%s: recompression not canonical: %+v vs %+v", label, rs.Runs(), again.Runs())
 	}
@@ -91,9 +109,9 @@ func checkDatabasePatterns(t *testing.T, label string, db *seqdb.Database, maxLe
 		insts := FindAllInstances(db, p)
 		spans := spansOfInstances(insts)
 		checkRoundTrip(t, label+"/"+p.Key(), spans)
-		rs := SpanRunsOf(spans)
+		rs := spanRunsOf(spans)
 		total += rs.Len()
-		compressed += rs.NumRuns()
+		compressed += len(rs.Runs())
 	}
 	if total > 0 && compressed > total {
 		t.Fatalf("%s: compression expanded: %d runs for %d spans", label, compressed, total)
@@ -145,9 +163,9 @@ func TestSpanRunsCompressesLoops(t *testing.T) {
 	for i := int32(0); i < 50; i++ {
 		spans = append(spans, Span{Seq: 3, Start: 10 + 7*i, End: 13 + 7*i})
 	}
-	rs := SpanRunsOf(spans)
-	if rs.NumRuns() != 1 {
-		t.Fatalf("periodic list compressed to %d runs, want 1 (%+v)", rs.NumRuns(), rs.Runs())
+	rs := spanRunsOf(spans)
+	if len(rs.Runs()) != 1 {
+		t.Fatalf("periodic list compressed to %d runs, want 1 (%+v)", len(rs.Runs()), rs.Runs())
 	}
 	r := rs.Runs()[0]
 	if r.Count != 50 || r.Stride != 7 || r.Seq != 3 || r.Start != 10 || r.End != 13 {
@@ -157,10 +175,10 @@ func TestSpanRunsCompressesLoops(t *testing.T) {
 }
 
 func TestSpanRunsResetRecycles(t *testing.T) {
-	rs := SpanRunsOf([]Span{{Seq: 0, Start: 1, End: 2}, {Seq: 0, Start: 4, End: 5}})
+	rs := spanRunsOf([]Span{{Seq: 0, Start: 1, End: 2}, {Seq: 0, Start: 4, End: 5}})
 	backing := rs.Runs()
 	rs.Reset(backing)
-	if rs.Len() != 0 || rs.NumRuns() != 0 {
+	if rs.Len() != 0 || len(rs.Runs()) != 0 {
 		t.Fatalf("Reset left state: %+v", rs)
 	}
 	rs.Append(Span{Seq: 1, Start: 0, End: 0})

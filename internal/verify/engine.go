@@ -1,6 +1,8 @@
 package verify
 
 import (
+	"slices"
+
 	"specmine/internal/ltl"
 	"specmine/internal/rules"
 	"specmine/internal/seqdb"
@@ -37,17 +39,23 @@ type Engine struct {
 	postStates   int
 
 	// Per rule: the trie node of its premise prefix (pre minus the last
-	// event), the premise's last event, and its consequent's index in posts.
+	// event), the premise's last event, and its premise group.
 	rulePreNode []int32
 	ruleLast    []seqdb.EventID
-	rulePost    []int32
+	ruleGroup   []int32
 
 	// Premise groups: rules sharing a whole premise — prefix trie node plus
 	// final event — share one temporal-point stream. Mined rule sets have
 	// orders of magnitude fewer groups than rules, so the online automaton
-	// dispatches per group and only fans out to rules at trace close.
-	ruleGroup    []int32
-	groupPreNode []int32
+	// dispatches per group and only fans out to rules at trace close, and
+	// then only to the rules of the groups that fired. Group g's rules,
+	// ascending, are groupRules[groupRulesOff[g]:groupRulesOff[g+1]], and
+	// groupLate holds, at the same index, the postState index of each one's
+	// consequent's full-pattern entry (its latest embedding start).
+	groupPreNode  []int32
+	groupRules    []int32
+	groupLate     []int32
+	groupRulesOff []int32
 
 	// Event-keyed dispatch CSRs for the online automaton. alphabet bounds the
 	// event ids referenced by the rule set; events outside it are no-ops.
@@ -72,8 +80,9 @@ func NewEngine(ruleSet []rules.Rule) (*Engine, error) {
 		trieParent:  []int32{-1},
 		rulePreNode: make([]int32, len(ruleSet)),
 		ruleLast:    make([]seqdb.EventID, len(ruleSet)),
-		rulePost:    make([]int32, len(ruleSet)),
 	}
+	// rulePost[i] is rule i's consequent's index in posts.
+	rulePost := make([]int32, len(ruleSet))
 	// children[node] maps extending events to child nodes during compilation.
 	children := []map[seqdb.EventID]int32{nil}
 	postIndex := make(map[string]int32)
@@ -109,15 +118,16 @@ func NewEngine(ruleSet []rules.Rule) (*Engine, error) {
 			e.posts = append(e.posts, r.Post)
 			postIndex[key] = pi
 		}
-		e.rulePost[i] = pi
+		rulePost[i] = pi
 	}
-	e.compileDispatch()
+	e.compileDispatch(rulePost)
 	return e, nil
 }
 
-// compileDispatch builds the premise groups, the event-keyed CSR lists the
-// online automaton dispatches on, and the flattened consequent DP layout.
-func (e *Engine) compileDispatch() {
+// compileDispatch builds the flattened consequent DP layout, the premise
+// groups with their rules and the rules' indices into that layout, and the
+// event-keyed CSR lists the online automaton dispatches on.
+func (e *Engine) compileDispatch(rulePost []int32) {
 	e.postStateOff = make([]int32, len(e.posts)+1)
 	for pi, post := range e.posts {
 		e.postStateOff[pi+1] = e.postStateOff[pi] + int32(len(post))
@@ -142,6 +152,22 @@ func (e *Engine) compileDispatch() {
 			groupLast = append(groupLast, key.last)
 		}
 		e.ruleGroup[i] = grp
+	}
+	// Each group's rules, ascending: a counting sort of the rules by group.
+	e.groupRulesOff = make([]int32, len(e.groupPreNode)+1)
+	for _, grp := range e.ruleGroup {
+		e.groupRulesOff[grp+1]++
+	}
+	for grp := range e.groupPreNode {
+		e.groupRulesOff[grp+1] += e.groupRulesOff[grp]
+	}
+	e.groupRules = make([]int32, len(e.ruleSet))
+	e.groupLate = make([]int32, len(e.ruleSet))
+	at := slices.Clone(e.groupRulesOff[:len(e.groupPreNode)])
+	for i, grp := range e.ruleGroup {
+		e.groupRules[at[grp]] = int32(i)
+		e.groupLate[at[grp]] = e.postStateOff[rulePost[i]+1] - 1
+		at[grp]++
 	}
 
 	maxEv := seqdb.EventID(-1)

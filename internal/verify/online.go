@@ -23,10 +23,12 @@ import "specmine/internal/seqdb"
 //   - Each occurrence of a premise group's final event after its prefix
 //     completion is a temporal point, recorded once per group — rules
 //     sharing a whole premise (thousands do in mined rule sets, differing
-//     only in consequent) share the list. At Close, a rule's satisfied
-//     temporal points are exactly those below its consequent's latest
-//     embedding start (satisfaction is monotone), found by binary search —
-//     the same split the batched engine performed per rule.
+//     only in consequent) share the list. A group's first point also enters
+//     it in fired, so Close visits only the rules of groups that fired. At
+//     Close, a rule's satisfied temporal points are exactly those below its
+//     consequent's latest embedding start (satisfaction is monotone), found
+//     by binary search — the same split the batched engine performed per
+//     rule.
 //
 // A Checker is not safe for concurrent use; create one per goroutine (they
 // all share the immutable engine). Close resets the checker, so one checker
@@ -38,6 +40,7 @@ type Checker struct {
 	g         []int32   // first-completion position per trie node
 	postState []int32   // flattened latest-embedding-start DP, -1 = none
 	groupTps  [][]int32 // temporal points per premise group, ascending
+	fired     []int32   // groups with temporal points, by their first one
 }
 
 // notYet marks a trie node whose premise prefix has not completed yet (and,
@@ -58,7 +61,8 @@ func (e *Engine) NewChecker() *Checker {
 }
 
 // reset discards the current trace's state, making the checker ready for the
-// next trace.
+// next trace. Only the groups that fired hold temporal points, so only their
+// lists are cleared.
 func (c *Checker) reset() {
 	c.pos = 0
 	c.g[0] = -1
@@ -68,34 +72,10 @@ func (c *Checker) reset() {
 	for i := range c.postState {
 		c.postState[i] = -1
 	}
-	for i := range c.groupTps {
-		c.groupTps[i] = c.groupTps[i][:0]
+	for _, grp := range c.fired {
+		c.groupTps[grp] = c.groupTps[grp][:0]
 	}
-}
-
-// Events returns the number of events consumed since the last Close.
-func (c *Checker) Events() int { return int(c.pos) }
-
-// Unresolved returns the number of (rule, temporal point) pairs whose
-// outcome is still open: each will either turn satisfied when its rule's
-// consequent completes once more, or surface as a violation at Close.
-func (c *Checker) Unresolved() int {
-	n := 0
-	for r := range c.e.ruleSet {
-		tps := c.groupTps[c.e.ruleGroup[r]]
-		n += len(tps) - lowerBound(tps, c.late(r))
-	}
-	return n
-}
-
-// late returns the latest position from which rule r's consequent embeds
-// into the trace seen so far, or -1 when it does not embed at all. A
-// temporal point tp is satisfied exactly when tp < late: the consequent then
-// embeds entirely within s[tp+1:].
-func (c *Checker) late(r int) int32 {
-	e := c.e
-	pi := e.rulePost[r]
-	return c.postState[e.postStateOff[pi+1]-1]
+	c.fired = c.fired[:0]
 }
 
 // Advance feeds the next event of the current trace.
@@ -136,38 +116,52 @@ func (c *Checker) Advance(ev seqdb.EventID) {
 	for _, grp := range e.groupsByLast[e.groupsOff[ev]:e.groupsOff[ev+1]] {
 		pg := c.g[e.groupPreNode[grp]]
 		if pg != notYet && pg < p {
+			if len(c.groupTps[grp]) == 0 {
+				c.fired = append(c.fired, grp)
+			}
 			c.groupTps[grp] = append(c.groupTps[grp], p)
 		}
 	}
 }
 
-// Close finalises the current trace as sequence seq: every rule's counters
-// are folded into t, which must come from the engine's NewTally, each
-// violation is logged to t as one (rule, seq, temporal point) entry — rules
-// ascending, points ascending within a rule — and the checker resets for the
-// next trace. Once t's log holds partEntries violations, Close cuts it into
-// a part, so the log never holds more than one Close's violations beyond
-// that bound.
+// Close finalises the current trace as sequence seq into t, which must come
+// from the engine's NewTally, and resets the checker for the next trace. It
+// counts the trace, and each fired group's temporal points, and visits only
+// the rules of the premise groups that fired: a rule whose premise never
+// completed satisfies the trace with zero temporal points, which
+// Engine.Reports derives from the trace count alone. So Close costs what the
+// fired groups' rules cost, not the rule count. A rule's satisfied temporal
+// points are those below its consequent's latest embedding start, and a rule
+// whose every point is satisfied costs one comparison, since Engine.Reports
+// also derives the satisfied counts by subtraction. Every other point is a
+// violation, counted for its rule and logged to t as one (rule, seq,
+// temporal point) entry — group by group in firing order, rules ascending
+// within a group, points ascending within a rule. Once t's log holds
+// partEntries violations, Close cuts it into a part, so the log never holds
+// more than one Close's violations beyond that bound.
 func (c *Checker) Close(seq int, t *Tally) {
 	e := c.e
 	s := int32(seq)
-	for r := range e.ruleSet {
-		tps := c.groupTps[e.ruleGroup[r]]
-		n := &t.counts[r]
-		if len(tps) == 0 {
-			n.satTraces++
-			continue
-		}
-		n.tps += len(tps)
-		sat := lowerBound(tps, c.late(r))
-		n.satTps += sat
-		if sat == len(tps) {
-			n.satTraces++
-			continue
-		}
-		n.violTraces++
-		for _, tp := range tps[sat:] {
-			t.entries = append(t.entries, logEntry{rule: int32(r), seq: s, tp: tp})
+	t.closed++
+	for _, grp := range c.fired {
+		tps := c.groupTps[grp]
+		t.groupTps[grp] += len(tps)
+		last := tps[len(tps)-1]
+		lo, hi := e.groupRulesOff[grp], e.groupRulesOff[grp+1]
+		rules := e.groupRules[lo:hi]
+		for k, li := range e.groupLate[lo:hi] {
+			late := c.postState[li]
+			if last < late {
+				continue // every point satisfied: nothing to count
+			}
+			sat := lowerBound(tps, late)
+			r := rules[k]
+			n := &t.counts[r]
+			n.violTraces++
+			n.violTps += len(tps) - sat
+			for _, tp := range tps[sat:] {
+				t.entries = append(t.entries, logEntry{rule: r, seq: s, tp: tp})
+			}
 		}
 	}
 	if len(t.entries) >= partEntries {

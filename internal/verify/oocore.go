@@ -8,10 +8,10 @@ import "specmine/internal/seqdb"
 // A rule accumulates temporal points on a trace only if its full premise
 // embeds, which requires every premise event to occur. When some premise
 // event provably never occurs anywhere in a segment, no trace in the segment
-// produces a temporal point for that rule, and Close's zero-temporal-point
-// path does exactly one thing per trace: SatisfiedTraces++. If that holds for
-// EVERY rule in the engine, the whole segment can be answered without
-// decoding its body — Tally.Skip applies the per-trace effect in bulk.
+// produces a temporal point for that rule, and Close never visits the rule
+// there. If that holds for EVERY rule in the engine, Close does exactly one
+// thing per trace of the segment: count it. The whole segment can then be
+// answered without decoding its body — Tally.Skip adds the count in bulk.
 
 // SegmentSkippable reports whether a segment whose event population is
 // described by mayContain can be skipped: for every rule, at least one

@@ -8,7 +8,7 @@ package verify
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"specmine/internal/ltl"
@@ -71,13 +71,23 @@ type Summary struct {
 	Reports []RuleReport
 }
 
-// NewSummary sorts the reports by the number of violations (descending).
+// NewSummary sorts the reports by the number of violations (descending),
+// keeping input order among equal counts. It sorts one uint64 key per
+// report and then gathers the reports once, so the sort never moves whole
+// reports. A key holds the report's violation count, complemented so that
+// larger counts sort first, above its index: the keys are distinct, so
+// sorting them ascending gives exactly the stable order. Counts and indices
+// fit in 32 bits, as no check holds 2^32 rules or 2^32 violations of one.
 func NewSummary(reports []RuleReport) Summary {
+	keys := make([]uint64, len(reports))
+	for i := range reports {
+		keys[i] = uint64(^uint32(len(reports[i].Violations)))<<32 | uint64(i)
+	}
+	slices.Sort(keys)
 	sorted := make([]RuleReport, len(reports))
-	copy(sorted, reports)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return len(sorted[i].Violations) > len(sorted[j].Violations)
-	})
+	for k, key := range keys {
+		sorted[k] = reports[uint32(key)]
+	}
 	return Summary{Reports: sorted}
 }
 

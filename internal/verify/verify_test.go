@@ -1,6 +1,11 @@
 package verify_test
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -134,5 +139,70 @@ func TestSummaryOrdering(t *testing.T) {
 	sum := verify.NewSummary(check(t, db, []rules.Rule{rarely, often}))
 	if len(sum.Reports[0].Violations) < len(sum.Reports[1].Violations) {
 		t.Errorf("summary not sorted by violations")
+	}
+}
+
+// referenceRanking is the ranking NewSummary must produce, as a
+// reflection-based stable sort of whole reports: violation count
+// descending, input order among equal counts.
+func referenceRanking(reports []verify.RuleReport) []verify.RuleReport {
+	sorted := slices.Clone(reports)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		return len(sorted[i].Violations) > len(sorted[j].Violations)
+	})
+	return sorted
+}
+
+// TestNewSummaryRanksLikeStableSort compares NewSummary's ranking element by
+// element with referenceRanking: every report must land where the stable
+// sort puts it, with its nil or empty list kept as it was and the input
+// left in its order. Report i carries i as its SatisfiedTraces, so a report
+// moved past an equal-count neighbour shows.
+func TestNewSummaryRanksLikeStableSort(t *testing.T) {
+	report := func(i, violations int, empty bool) verify.RuleReport {
+		rep := verify.RuleReport{
+			Rule:            rules.Rule{Pre: seqdb.Pattern{seqdb.EventID(i)}, Post: seqdb.Pattern{0}},
+			SatisfiedTraces: i,
+		}
+		if violations > 0 || empty {
+			rep.Violations = make([]verify.RuleViolation, violations)
+			for k := range rep.Violations {
+				rep.Violations[k] = verify.RuleViolation{Seq: i, TemporalPoint: k}
+			}
+		}
+		return rep
+	}
+	cases := map[string][]verify.RuleReport{
+		"no reports":    nil,
+		"empty":         {},
+		"single":        {report(0, 2, false)},
+		"single nil":    {report(0, 0, false)},
+		"nil and empty": {report(0, 0, false), report(1, 0, true), report(2, 1, false), report(3, 0, true), report(4, 0, false)},
+	}
+	rng := rand.New(rand.NewSource(32))
+	for iter := 0; iter < 200; iter++ {
+		reports := make([]verify.RuleReport, rng.Intn(300))
+		maxCount := 1 + rng.Intn(4) // few distinct counts: long runs of ties
+		for i := range reports {
+			reports[i] = report(i, rng.Intn(maxCount+1), rng.Intn(2) == 0)
+		}
+		cases[fmt.Sprintf("random/%d", iter)] = reports
+	}
+	for name, reports := range cases {
+		before := slices.Clone(reports)
+		got := verify.NewSummary(reports).Reports
+		want := referenceRanking(reports)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d reports ranked, want %d", name, len(got), len(want))
+		}
+		for k := range want {
+			if !reflect.DeepEqual(got[k], want[k]) {
+				t.Fatalf("%s: rank %d holds report %d (%d violations), want report %d (%d violations)",
+					name, k, got[k].SatisfiedTraces, len(got[k].Violations), want[k].SatisfiedTraces, len(want[k].Violations))
+			}
+		}
+		if !reflect.DeepEqual(reports, before) {
+			t.Fatalf("%s: NewSummary reordered its input", name)
+		}
 	}
 }

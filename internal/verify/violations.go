@@ -6,19 +6,21 @@ import "slices"
 // shards — keeps its running outcome in Tallies and builds its reports in
 // one place, Engine.Reports, so no per-rule slice ever grows by append:
 //
-//   - Checker.Close folds each trace's per-rule counts into a Tally and
-//     writes each violation it finds as one (rule, seq, tp) entry into the
-//     tally's log: one flat, reused buffer instead of one growing slice per
-//     rule.
+//   - Checker.Close counts each trace and its fired premise groups'
+//     temporal points into a Tally, counts the violated traces and points
+//     of the rules it visits, and writes each violation it finds as one
+//     (rule, seq, tp) entry into the tally's log: one flat, reused buffer
+//     instead of one growing slice per rule.
 //   - Once the log holds partEntries violations, Close counting-sorts it by
 //     rule into a ViolationPart: int32 (seq, tp) pairs grouped per violated
 //     rule. Tally.Parts cuts the rest and hands the parts over. A part is
 //     independent of every other and never written once cut, so segments
 //     checked on different goroutines each produce their own, and the
 //     stream's shards keep theirs and share them with every snapshot.
-//   - Engine.Reports sums the tallies' counts and sizes one backing array for
-//     all parts' violations, giving every rule its exact-size window of it,
-//     filled from the parts in order with Seq rebased.
+//   - Engine.Reports sums the tallies' counts, derives the satisfied ones by
+//     subtraction, and sizes one backing array for all parts' violations,
+//     giving every rule its exact-size window of it, filled from the parts
+//     in order with Seq rebased.
 
 // partEntries is the log length at which Close cuts a part: the log is then
 // a bounded scratch buffer that stops growing after its first part, instead
@@ -26,44 +28,49 @@ import "slices"
 const partEntries = 1 << 16
 
 // Tally is the running check outcome of one goroutine or one stream shard:
-// per-rule counts over the traces closed into it, and a log of their
-// violations in the order found (ascending seq, then rule, then temporal
-// point). Sequence numbers are stored as int32: no caller numbers 2^31
-// traces. Create one with Engine.NewTally; a Tally is not safe for
-// concurrent use.
+// the number of traces closed or skipped into it, the temporal points of
+// each premise group over them, each rule's violated traces and points, and
+// a log of their violations in the order found: ascending seq, then
+// premise group in the order the trace fired them, rules ascending within a
+// group, then temporal point. Cutting the log into parts sorts it stably by
+// rule, so every rule's violations come out by seq, then temporal point,
+// whatever the group order. Sequence numbers are stored as int32: no caller
+// numbers 2^31 traces. Create one with Engine.NewTally; a Tally is not safe
+// for concurrent use.
 type Tally struct {
-	counts  []ruleCounts
-	entries []logEntry      // violations logged and not yet cut
-	parts   []ViolationPart // cut by Close, handed out by Parts
-	cursor  []int32         // per-rule scratch for cut, all zero between calls
+	closed   int   // traces closed or skipped into the tally
+	groupTps []int // temporal points per premise group
+	counts   []ruleCounts
+	entries  []logEntry      // violations logged and not yet cut
+	parts    []ViolationPart // cut by Close, handed out by Parts
+	cursor   []int32         // per-rule scratch for cut, all zero between calls
 }
 
-// ruleCounts are one rule's RuleReport counters.
+// ruleCounts are one rule's violated traces and violated temporal points.
+// Its satisfied traces are the tally's trace count minus violTraces, and its
+// satisfied points its premise group's points minus violTps.
 type ruleCounts struct {
-	satTraces, violTraces, tps, satTps int
+	violTraces, violTps int
 }
 
 type logEntry struct{ rule, seq, tp int32 }
 
 // NewTally returns an empty tally for the engine's rules.
 func (e *Engine) NewTally() *Tally {
-	return &Tally{counts: make([]ruleCounts, len(e.ruleSet))}
+	return &Tally{groupTps: make([]int, len(e.groupPreNode)), counts: make([]ruleCounts, len(e.ruleSet))}
 }
 
 // Skip folds n traces into t without checking them: each satisfies every
 // rule with zero temporal points, which is precisely what Checker.Close
-// records for a trace none of whose rules' premises complete.
-func (t *Tally) Skip(n int) {
-	for i := range t.counts {
-		t.counts[i].satTraces += n
-	}
-}
+// records for a trace none of whose rules' premises complete — it counts the
+// trace and touches no rule.
+func (t *Tally) Skip(n int) { t.closed += n }
 
 // Clone returns a tally holding t's counts and no violations: a frozen copy
 // of the counts so far, for a report built beside parts t already handed
 // out while t goes on counting.
 func (t *Tally) Clone() *Tally {
-	return &Tally{counts: slices.Clone(t.counts)}
+	return &Tally{closed: t.closed, groupTps: slices.Clone(t.groupTps), counts: slices.Clone(t.counts)}
 }
 
 // Parts cuts the violations still logged into a part and returns every part
@@ -128,29 +135,37 @@ func (t *Tally) cut() {
 	t.parts = append(t.parts, p)
 }
 
-// Reports builds one report per rule, in rule order: each rule's counters
-// are the sum over tallies, and its Violations are assembled from parts,
-// taken in order — rule r's list is the concatenation of each part's
-// violations of r, with the part's base added to Seq. Every tally must come
-// from e's NewTally. All lists are windows of one backing array sized in a
-// single pass, each with cap == len, so appending to one list reallocates it
-// rather than overwrite its neighbour. A rule with no violations keeps a nil
-// list.
+// Reports builds one report per rule, in rule order. Each rule's counters
+// are summed over tallies: SatisfiedTraces is the traces closed or skipped
+// into them minus the rule's violated ones, TotalTemporalPoints its premise
+// group's points, and SatisfiedTemporalPoints those minus the rule's
+// violated ones. Its Violations are assembled from parts, taken in order —
+// rule r's list is the concatenation of each part's violations of r, with
+// the part's base added to Seq. Every tally must come from e's NewTally. All
+// lists are windows of one backing array sized in a single pass, each with
+// cap == len, so appending to one list reallocates it rather than overwrite
+// its neighbour. A rule with no violations keeps a nil list.
 //
 // The array is filled rule by rule, front to back: writing part by part
 // instead would scatter every part's writes over all the rules' windows.
 func (e *Engine) Reports(tallies []*Tally, parts []ViolationPart) []RuleReport {
+	closed := 0
+	for _, t := range tallies {
+		closed += t.closed
+	}
 	reports := make([]RuleReport, len(e.ruleSet))
 	for r := range reports {
 		rep := &reports[r]
 		rep.Rule, rep.Formula = e.ruleSet[r], e.formulas[r]
+		grp, violTps := e.ruleGroup[r], 0
 		for _, t := range tallies {
 			n := &t.counts[r]
-			rep.SatisfiedTraces += n.satTraces
 			rep.ViolatedTraces += n.violTraces
-			rep.TotalTemporalPoints += n.tps
-			rep.SatisfiedTemporalPoints += n.satTps
+			rep.TotalTemporalPoints += t.groupTps[grp]
+			violTps += n.violTps
 		}
+		rep.SatisfiedTraces = closed - rep.ViolatedTraces
+		rep.SatisfiedTemporalPoints = rep.TotalTemporalPoints - violTps
 	}
 
 	n := 0
