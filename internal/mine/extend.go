@@ -21,21 +21,20 @@ type Proj struct {
 
 // Ext is one candidate suffix extension of a search node: the extending
 // event, the number of projection entries whose suffix contains it, and —
-// only when the count reaches the node's materialise threshold — the
-// extension's own projection, positioned at the first occurrence of the
-// event within each surviving suffix. Tags parallels Proj when the node
-// carries per-entry tags.
+// only when Extensions finds the count reaching the node's materialise
+// threshold — the extension's own projection, positioned at the first
+// occurrence of the event within each surviving suffix.
 //
-// ISup, set only on materialised extensions, counts the occurrences of
-// Event at or after the first Proj entry of each sequence (a sequence's
-// entries being the consecutive run on it): the rule miner's i-support of
-// the extended consequent, read off the merge that positions the entries.
+// ISup, set on extensions reaching the threshold (by Extensions and Counts
+// alike), counts the occurrences of Event at or after the extension's first
+// entry on each sequence (its entries on a sequence form a consecutive run,
+// and a sequence the projection returns to starts a new one): the rule
+// miner's i-support of the extended consequent.
 type Ext struct {
 	Event seqdb.EventID
 	Count int32
 	ISup  int32
 	Proj  []Proj
-	Tags  []int32
 }
 
 // ExtSet is the extension set of one search node. All materialised
@@ -45,7 +44,6 @@ type ExtSet struct {
 	Exts []Ext
 
 	projArena []Proj
-	tagArena  []int32
 }
 
 // Extender runs count-first suffix extension over a shared positional index.
@@ -66,9 +64,11 @@ type Extender struct {
 	// Extensions returns, so one buffer serves every node of the worker's
 	// search.
 	counted []extRec
+	// lastSeq holds, per slot, the sequence of the slot's last record that
+	// Counts has summed into ISup.
+	lastSeq []int32
 
 	projs Arena[Proj]
-	tags  Arena[int32]
 	exts  Arena[Ext]
 }
 
@@ -118,10 +118,9 @@ func (x *Extender) SeedProj(e seqdb.EventID) []Proj {
 // ReleaseProj recycles a projection obtained from SeedProj.
 func (x *Extender) ReleaseProj(proj []Proj) { x.projs.Put(proj) }
 
-// Extensions performs the count-first extension pass for the node whose
-// pseudo-projection is proj. An extension's Count is the number of entries
-// whose suffix contains its event, so entries that keep one entry per
-// sequence count sequence support directly.
+// count is the counting pass shared by Extensions and Counts. An extension's
+// Count is the number of entries whose suffix contains its event, so entries
+// that keep one entry per sequence count sequence support directly.
 //
 // Counting never scans a suffix. Consecutive entries on the same sequence
 // with non-decreasing Pos form one group (a decreasing neighbour starts a
@@ -135,18 +134,11 @@ func (x *Extender) ReleaseProj(proj []Proj) { x.projs.Put(proj) }
 // so a group costs the number of distinct events in that suffix plus the
 // number of its entries.
 //
-// Only candidates with Count >= materializeMin get their extension
-// projection materialised (into one shared arena block): each counted entry,
-// in entry order, is positioned at the first occurrence of the event in its
-// suffix, found by merging the event's position list with the group's
-// entries, galloping on from the previous entry's occurrence (the next one
-// is usually a few slots away); the same merge sums the extension's ISup.
-// Counts alone serve every pruning decision below the threshold.
-// tags, when non-nil, parallels proj and is carried through to the
-// materialised extensions entry by entry (the rule miner threads each
-// record's temporal point this way). The returned extensions are sorted by
-// event id for deterministic traversal.
-func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) ExtSet {
+// count leaves the candidates in the event slots and one record per (group,
+// candidate) pair in x.counted, in entry order, and returns the extensions
+// with their counts, indexed by slot; nil when no entry's suffix is
+// non-empty.
+func (x *Extender) count(proj []Proj) []Ext {
 	sc := &x.slots
 	sc.Begin()
 	// A group records at most one candidate per distinct event of its
@@ -182,33 +174,43 @@ func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) E
 		first = end
 	}
 	if sc.Len() == 0 {
-		return ExtSet{}
+		return nil
 	}
-
 	exts := x.exts.GetN(sc.Len())
-	total := 0
 	for slot := range exts {
-		c := sc.Count(slot)
-		exts[slot] = Ext{Event: sc.Event(slot), Count: c}
-		if c >= materializeMin {
-			total += int(c)
+		exts[slot] = Ext{Event: sc.Event(slot), Count: sc.Count(slot)}
+	}
+	return exts
+}
+
+// Extensions performs the count-first extension pass for the node whose
+// pseudo-projection is proj (see count).
+//
+// Only candidates with Count >= materializeMin get their extension
+// projection materialised (into one shared arena block): each counted entry,
+// in entry order, is positioned at the first occurrence of the event in its
+// suffix, found by merging the event's position list with the group's
+// entries, galloping on from the previous entry's occurrence (the next one
+// is usually a few slots away); the same merge sums the extension's ISup.
+// Counts alone serve every pruning decision below the threshold. The
+// returned extensions are sorted by event id for deterministic traversal.
+func (x *Extender) Extensions(proj []Proj, materializeMin int32) ExtSet {
+	exts := x.count(proj)
+	es := ExtSet{Exts: exts}
+	total := 0
+	for _, e := range exts {
+		if e.Count >= materializeMin {
+			total += int(e.Count)
 		}
 	}
-	es := ExtSet{Exts: exts}
 	if total > 0 {
 		es.projArena = x.projs.GetN(total)
-		if tags != nil {
-			es.tagArena = x.tags.GetN(total)
-		}
 		off := 0
 		for slot := range exts {
 			if c := int(exts[slot].Count); c >= int(materializeMin) {
 				// Three-index slices cap each extension at its exact count, so
 				// sibling appends can never run into one another's region.
 				exts[slot].Proj = es.projArena[off : off : off+c]
-				if tags != nil {
-					exts[slot].Tags = es.tagArena[off : off : off+c]
-				}
 				off += c
 			}
 		}
@@ -235,9 +237,6 @@ func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) E
 					lead = false
 				}
 				e.Proj = append(e.Proj, Proj{Seq: seq, Pos: ps[j]})
-				if tags != nil {
-					e.Tags = append(e.Tags, tags[i])
-				}
 			}
 		}
 	}
@@ -247,10 +246,36 @@ func (x *Extender) Extensions(proj []Proj, tags []int32, materializeMin int32) E
 	return es
 }
 
+// Counts is Extensions for a node whose children are leaves of the search:
+// it runs the same counting pass and returns every extension's Count, and
+// ISup for those with Count >= min, but materialises no projection (every
+// Proj is nil) and takes no projection arena block. ISup is summed exactly
+// as Extensions sums it — from each sequence's first counted entry — with
+// one gallop from the start of the event's position list per extension and
+// sequence run, instead of a merge over every entry.
+func (x *Extender) Counts(proj []Proj, min int32) ExtSet {
+	exts := x.count(proj)
+	x.lastSeq = slices.Grow(x.lastSeq[:0], len(exts))[:len(exts)]
+	for slot := range x.lastSeq {
+		x.lastSeq[slot] = -1
+	}
+	for _, rec := range x.counted {
+		e := &exts[rec.slot]
+		seq := proj[rec.first].Seq
+		if e.Count < min || x.lastSeq[rec.slot] == seq {
+			continue
+		}
+		x.lastSeq[rec.slot] = seq
+		ps := x.idx.SeqEventPositions(int(seq), int(rec.rank))
+		e.ISup += int32(len(ps) - seqdb.Gallop(ps, 0, proj[rec.first].Pos+1))
+	}
+	slices.SortFunc(exts, func(a, b Ext) int { return int(a.Event) - int(b.Event) })
+	return ExtSet{Exts: exts}
+}
+
 // Release recycles the node's arenas. The caller must be done with every
 // extension projection: children explored, nothing retained.
 func (x *Extender) Release(es ExtSet) {
 	x.projs.Put(es.projArena)
-	x.tags.Put(es.tagArena)
 	x.exts.Put(es.Exts)
 }

@@ -121,19 +121,12 @@ func TestStampSet(t *testing.T) {
 	}
 }
 
-// bruteEntry is one materialised extension entry with the tag of the
-// projection entry it came from.
-type bruteEntry struct {
-	pr  Proj
-	tag int32
-}
-
 // bruteExtensions reproduces the counting semantics directly: for every
 // event, the projection entries whose suffix contains it, in entry order,
-// positioned at the first occurrence and carrying the entry's tag (if any).
-func bruteExtensions(seqs []seqdb.Sequence, proj []Proj, tags []int32) map[seqdb.EventID][]bruteEntry {
-	out := make(map[seqdb.EventID][]bruteEntry)
-	for pi, pr := range proj {
+// positioned at the first occurrence.
+func bruteExtensions(seqs []seqdb.Sequence, proj []Proj) map[seqdb.EventID][]Proj {
+	out := make(map[seqdb.EventID][]Proj)
+	for _, pr := range proj {
 		s := seqs[pr.Seq]
 		seen := make(map[seqdb.EventID]bool)
 		for j := int(pr.Pos) + 1; j < len(s); j++ {
@@ -141,11 +134,7 @@ func bruteExtensions(seqs []seqdb.Sequence, proj []Proj, tags []int32) map[seqdb
 				continue
 			}
 			seen[s[j]] = true
-			e := bruteEntry{pr: Proj{Seq: pr.Seq, Pos: int32(j)}}
-			if tags != nil {
-				e.tag = tags[pi]
-			}
-			out[s[j]] = append(out[s[j]], e)
+			out[s[j]] = append(out[s[j]], Proj{Seq: pr.Seq, Pos: int32(j)})
 		}
 	}
 	return out
@@ -154,12 +143,10 @@ func bruteExtensions(seqs []seqdb.Sequence, proj []Proj, tags []int32) map[seqdb
 // randomProj draws a projection with several entries per sequence: runs on
 // one sequence that stay put (ties) or move forward, a backward step that
 // must start a new group, entries at Pos -1 (nothing matched yet), returns
-// to a sequence seen earlier, and single entries on a fresh sequence. Every
-// entry gets its own tag.
-func randomProj(rng *rand.Rand, seqs []seqdb.Sequence) ([]Proj, []int32) {
+// to a sequence seen earlier, and single entries on a fresh sequence.
+func randomProj(rng *rand.Rand, seqs []seqdb.Sequence) []Proj {
 	randPos := func(si int32) int32 { return int32(rng.Intn(len(seqs[si])+1)) - 1 }
 	var proj []Proj
-	var tags []int32
 	for n := rng.Intn(14); n > 0; n-- {
 		var pr Proj
 		if k := len(proj); k == 0 || rng.Intn(4) == 0 {
@@ -181,18 +168,26 @@ func randomProj(rng *rand.Rand, seqs []seqdb.Sequence) ([]Proj, []int32) {
 			}
 		}
 		proj = append(proj, pr)
-		tags = append(tags, int32(1000+len(tags)))
 	}
-	return proj, tags
+	return proj
 }
 
-// checkAgainstBrute compares one Extensions pass against bruteExtensions:
-// the same events in increasing order, the same counts, and — for every
-// extension reaching min — the same entries in entry order, the source
-// entries' tags when the pass was tagged, and the i-support recount.
-func checkAgainstBrute(t *testing.T, what string, seqs []seqdb.Sequence, idx *seqdb.PositionIndex, proj []Proj, tags []int32, min int32, es ExtSet) {
+// runPass runs the counts-only pass (Counts) or the materialising one
+// (Extensions) with threshold min.
+func runPass(x *Extender, proj []Proj, min int32, countsOnly bool) ExtSet {
+	if countsOnly {
+		return x.Counts(proj, min)
+	}
+	return x.Extensions(proj, min)
+}
+
+// checkAgainstBrute compares one Extensions or Counts pass against
+// bruteExtensions: the same events in increasing order, the same counts,
+// and — for every extension reaching min — the i-support recount and either
+// no projection (counts-only pass) or the same entries in entry order.
+func checkAgainstBrute(t *testing.T, what string, seqs []seqdb.Sequence, idx *seqdb.PositionIndex, proj []Proj, min int32, countsOnly bool, es ExtSet) {
 	t.Helper()
-	want := bruteExtensions(seqs, proj, tags)
+	want := bruteExtensions(seqs, proj)
 	if len(es.Exts) != len(want) {
 		t.Fatalf("%s: %d extensions, want %d (proj %+v)", what, len(es.Exts), len(want), proj)
 	}
@@ -212,27 +207,43 @@ func checkAgainstBrute(t *testing.T, what string, seqs []seqdb.Sequence, idx *se
 			}
 			continue
 		}
-		if len(e.Proj) != len(w) {
-			t.Fatalf("%s: event %d materialised %d entries want %d", what, e.Event, len(e.Proj), len(w))
-		}
-		if (tags != nil) != (e.Tags != nil) {
-			t.Fatalf("%s: event %d tags %v with tagged pass %v", what, e.Event, e.Tags, tags != nil)
-		}
 		isup := 0
 		for k := range w {
-			if e.Proj[k] != w[k].pr {
-				t.Fatalf("%s: event %d entry %d = %+v want %+v (proj %+v)", what, e.Event, k, e.Proj[k], w[k].pr, proj)
-			}
-			// The tag of the source entry must ride along.
-			if tags != nil && e.Tags[k] != w[k].tag {
-				t.Fatalf("%s: event %d entry %d tag %d want %d (proj %+v)", what, e.Event, k, e.Tags[k], w[k].tag, proj)
-			}
-			if k == 0 || w[k-1].pr.Seq != w[k].pr.Seq {
-				isup += idx.CountFrom(int(w[k].pr.Seq), e.Event, int(w[k].pr.Pos))
+			if k == 0 || w[k-1].Seq != w[k].Seq {
+				isup += idx.CountFrom(int(w[k].Seq), e.Event, int(w[k].Pos))
 			}
 		}
 		if int(e.ISup) != isup {
-			t.Fatalf("%s: event %d ISup %d, recount %d (proj %+v)", what, e.Event, e.ISup, isup, proj)
+			t.Fatalf("%s: event %d ISup %d, recount %d (counts-only %v, proj %+v)", what, e.Event, e.ISup, isup, countsOnly, proj)
+		}
+		if countsOnly {
+			if e.Proj != nil {
+				t.Fatalf("%s: event %d materialised %d entries in the counts-only pass", what, e.Event, len(e.Proj))
+			}
+			continue
+		}
+		if len(e.Proj) != len(w) {
+			t.Fatalf("%s: event %d materialised %d entries want %d", what, e.Event, len(e.Proj), len(w))
+		}
+		for k := range w {
+			if e.Proj[k] != w[k] {
+				t.Fatalf("%s: event %d entry %d = %+v want %+v (proj %+v)", what, e.Event, k, e.Proj[k], w[k], proj)
+			}
+		}
+	}
+}
+
+// passesAgree checks that a counts-only and a materialising pass over the
+// same projection and threshold give every event the same Count and ISup.
+func passesAgree(t *testing.T, what string, counts, exts ExtSet) {
+	t.Helper()
+	if len(counts.Exts) != len(exts.Exts) {
+		t.Fatalf("%s: counts-only pass has %d extensions, materialising pass %d", what, len(counts.Exts), len(exts.Exts))
+	}
+	for i, c := range counts.Exts {
+		e := exts.Exts[i]
+		if c.Event != e.Event || c.Count != e.Count || c.ISup != e.ISup {
+			t.Fatalf("%s: counts-only pass gives %+v, materialising pass event %d count %d ISup %d", what, c, e.Event, e.Count, e.ISup)
 		}
 	}
 }
@@ -261,7 +272,7 @@ func longTraces(rng *rand.Rand, numSeqs, alphabet int) []seqdb.Sequence {
 // four positions, and jumps of 130-160 positions while they fit), the second
 // group starting over behind the first; between them, single entries on
 // other traces and entries at -1.
-func longGroups(rng *rand.Rand, seqs []seqdb.Sequence) ([]Proj, []int32) {
+func longGroups(rng *rand.Rand, seqs []seqdb.Sequence) []Proj {
 	var proj []Proj
 	for g := 2 + rng.Intn(4); g > 0; g-- {
 		si := int32(rng.Intn(len(seqs)))
@@ -284,11 +295,7 @@ func longGroups(rng *rand.Rand, seqs []seqdb.Sequence) ([]Proj, []int32) {
 			proj = append(proj, Proj{Seq: sj, Pos: int32(rng.Intn(len(seqs[sj])+1)) - 1})
 		}
 	}
-	tags := make([]int32, len(proj))
-	for i := range tags {
-		tags[i] = int32(1000 + i)
-	}
-	return proj, tags
+	return proj
 }
 
 func TestExtenderAgainstBruteForce(t *testing.T) {
@@ -308,15 +315,14 @@ func TestExtenderAgainstBruteForce(t *testing.T) {
 		idx := seqdb.BuildPositionIndex(seqs, alphabet)
 		x := NewExtender(idx)
 
-		proj, tags := randomProj(rng, seqs)
+		proj := randomProj(rng, seqs)
 		min := int32(1 + rng.Intn(3))
-		// Alternate tagged and untagged passes: the premise walker and the
-		// sequential-pattern miner extend without tags.
-		if iter%2 == 1 {
-			tags = nil
-		}
-		es := x.Extensions(proj, tags, min)
-		checkAgainstBrute(t, fmt.Sprintf("iter %d", iter), seqs, idx, proj, tags, min, es)
+		// Alternate the counts-only and the materialising pass: the rule and
+		// sequential-pattern miners take the first where a node's children
+		// are leaves, the second everywhere else.
+		countsOnly := iter%2 == 1
+		es := runPass(x, proj, min, countsOnly)
+		checkAgainstBrute(t, fmt.Sprintf("iter %d", iter), seqs, idx, proj, min, countsOnly, es)
 		x.Release(es)
 	}
 
@@ -330,13 +336,11 @@ func TestExtenderAgainstBruteForce(t *testing.T) {
 		idx := seqdb.BuildPositionIndex(seqs, alphabet)
 		x := NewExtender(idx)
 		for pass := 0; pass < 2; pass++ {
-			proj, tags := longGroups(rng, seqs)
-			if pass == 1 {
-				tags = nil
-			}
+			proj := longGroups(rng, seqs)
+			countsOnly := pass == 1
 			min := []int32{1, 2, 40, 90}[rng.Intn(4)]
-			es := x.Extensions(proj, tags, min)
-			checkAgainstBrute(t, fmt.Sprintf("long iter %d pass %d", iter, pass), seqs, idx, proj, tags, min, es)
+			es := runPass(x, proj, min, countsOnly)
+			checkAgainstBrute(t, fmt.Sprintf("long iter %d pass %d", iter, pass), seqs, idx, proj, min, countsOnly, es)
 			x.Release(es)
 		}
 	}
@@ -380,19 +384,19 @@ func randomIndex(rng *rand.Rand, numSeqs, maxLen, alphabet, numEvents int) ([]se
 // TestExtenderISupMatchesRecount: every materialised extension's ISup equals
 // the recount the rule miner would otherwise make — the occurrences of the
 // event at or after the first entry of each sequence's run in the
-// extension's projection. randomProj puts several groups on one sequence, so
-// an ISup that counted every group's first entry would be caught.
+// extension's projection — and the counts-only pass over the same input
+// gives every event the same Count and ISup. randomProj puts several groups
+// on one sequence, so an ISup that counted every group's first entry would
+// be caught.
 func TestExtenderISupMatchesRecount(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 600; iter++ {
 		alphabet := 2 + rng.Intn(4)
 		seqs, idx := randomIndex(rng, 1+rng.Intn(5), 12, alphabet, alphabet)
 		x := NewExtender(idx)
-		proj, tags := randomProj(rng, seqs)
-		if iter%2 == 1 {
-			tags = nil
-		}
-		es := x.Extensions(proj, tags, int32(1+rng.Intn(2)))
+		proj := randomProj(rng, seqs)
+		min := int32(1 + rng.Intn(2))
+		es := x.Extensions(proj, min)
 		for _, e := range es.Exts {
 			if e.Proj == nil {
 				if e.ISup != 0 {
@@ -411,13 +415,17 @@ func TestExtenderISupMatchesRecount(t *testing.T) {
 					iter, e.Event, e.ISup, want, proj, e.Proj, seqs)
 			}
 		}
+		cs := x.Counts(proj, min)
+		passesAgree(t, fmt.Sprintf("iter %d (proj %+v, seqs %v)", iter, proj, seqs), cs, es)
+		x.Release(cs)
 		x.Release(es)
 	}
 }
 
 // TestExtenderRebind: an extender that has extended and released over one
 // index, then rebinds to another, answers exactly as a fresh extender over
-// the new index — whether the event space stays the same or grows.
+// the new index in both passes — whether the event space stays the same or
+// grows — and its two passes agree on every Count and ISup.
 func TestExtenderRebind(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for iter := 0; iter < 200; iter++ {
@@ -430,25 +438,28 @@ func TestExtenderRebind(t *testing.T) {
 
 		x := NewExtender(idxA)
 		for k := 0; k < 3; k++ {
-			proj, tags := randomProj(rng, seqsA)
-			x.Release(x.Extensions(proj, tags, 1))
+			proj := randomProj(rng, seqsA)
+			x.Release(runPass(x, proj, 1, k == 1))
 		}
 		x.ReleaseProj(x.SeedProj(0))
 		x.Rebind(idxB)
 		fresh := NewExtender(idxB)
 
 		for k := 0; k < 3; k++ {
-			proj, tags := randomProj(rng, seqsB)
-			if k == 1 {
-				tags = nil
-			}
+			proj := randomProj(rng, seqsB)
 			min := int32(1 + rng.Intn(2))
-			got, want := x.Extensions(proj, tags, min), fresh.Extensions(proj, tags, min)
-			if !reflect.DeepEqual(got.Exts, want.Exts) {
-				t.Fatalf("iter %d: rebound extender\n got %+v\nwant %+v (proj %+v, seqs %v)", iter, got.Exts, want.Exts, proj, seqsB)
+			var sets [2]ExtSet
+			for i, countsOnly := range []bool{false, true} {
+				got, want := runPass(x, proj, min, countsOnly), runPass(fresh, proj, min, countsOnly)
+				if !reflect.DeepEqual(got.Exts, want.Exts) {
+					t.Fatalf("iter %d counts-only %v: rebound extender\n got %+v\nwant %+v (proj %+v, seqs %v)", iter, countsOnly, got.Exts, want.Exts, proj, seqsB)
+				}
+				fresh.Release(want)
+				sets[i] = got
 			}
-			x.Release(got)
-			fresh.Release(want)
+			passesAgree(t, fmt.Sprintf("iter %d (proj %+v, seqs %v)", iter, proj, seqsB), sets[1], sets[0])
+			x.Release(sets[0])
+			x.Release(sets[1])
 		}
 		for e := seqdb.EventID(0); int(e) < numEventsB; e++ {
 			if got, want := x.SeedProj(e), fresh.SeedProj(e); !reflect.DeepEqual(got, want) {

@@ -232,9 +232,9 @@ func (cw *consequentWorker) release() {
 //   - a premise projection holds, per sequence containing the premise, the
 //     position of the premise's earliest completion (its first temporal
 //     point);
-//   - a consequent record holds the position reached by the earliest
-//     embedding of the current consequent after one temporal point, with the
-//     temporal point itself riding along as the entry's tag.
+//   - a consequent record stands for one temporal point and holds the
+//     position reached by the earliest embedding of the current consequent
+//     after it.
 
 // consequentJob is one unit of parallel work: an enumerated premise whose
 // consequent subtree is mined independently of every other premise. sig is
@@ -352,7 +352,7 @@ func (wk *premiseWalker) growPremise(pre seqdb.Pattern, proj []mine.Proj) {
 		return
 	}
 
-	es := wk.ext.Extensions(proj, nil, int32(wk.minSeqSup))
+	es := wk.ext.Extensions(proj, int32(wk.minSeqSup))
 	for i := range es.Exts {
 		if int(es.Exts[i].Count) < wk.minSeqSup {
 			continue
@@ -495,6 +495,14 @@ type ruleWorker struct {
 	// points holds, per premise sequence, the premise's temporal points
 	// while mineConsequents builds the records.
 	points [][]int32
+
+	// The premise whose consequents are being grown, its s-support, its
+	// number of temporal points and the confidence floor on the temporal
+	// points a consequent must still satisfy (Theorem 3).
+	pre          seqdb.Pattern
+	seqSup       int
+	totalTP      int
+	minSatisfied int
 }
 
 // drainStats moves the worker's counters into stats.
@@ -506,10 +514,8 @@ func (w *ruleWorker) drainStats(stats *Stats) {
 }
 
 // mineConsequents performs steps 2–4 for one premise: it projects the
-// database at the premise's temporal points and grows consequents with
-// confidence-based pruning (Theorem 3). Each record's projection entry
-// tracks the earliest consequent embedding after its temporal point, and the
-// temporal point itself travels as the entry's tag.
+// database at the premise's temporal points, one record per point, and grows
+// consequents with confidence-based pruning (Theorem 3).
 func (w *ruleWorker) mineConsequents(pre seqdb.Pattern, proj []mine.Proj) {
 	last := pre.Last()
 	total := 0
@@ -519,11 +525,9 @@ func (w *ruleWorker) mineConsequents(pre seqdb.Pattern, proj []mine.Proj) {
 		total += len(ps)
 	}
 	records := make([]mine.Proj, 0, total)
-	tags := make([]int32, 0, total)
 	for k, pr := range proj {
 		for _, t := range w.points[k] {
 			records = append(records, mine.Proj{Seq: pr.Seq, Pos: t})
-			tags = append(tags, t)
 		}
 	}
 	// The lists alias the view's rows: drop them, so a released view is not
@@ -533,50 +537,50 @@ func (w *ruleWorker) mineConsequents(pre seqdb.Pattern, proj []mine.Proj) {
 	if total == 0 {
 		return
 	}
-	w.growConsequent(pre, len(proj), len(records), nil, records, tags, 0)
-}
-
-// growConsequent explores the consequent search tree for a fixed premise.
-// records holds the temporal points at which the current consequent is still
-// satisfied (tags), positioned at the earliest embedding of the consequent
-// after each point. iSup is the rule's i-support, carried from the parent's
-// extension (mine.Ext.ISup): the occurrences of post's last event at or
-// after the first record of each sequence, which carries the sequence's
-// earliest completion of pre ++ post. It is unused at the root (empty post).
-func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post seqdb.Pattern, records []mine.Proj, tags []int32, iSup int) {
-	w.nodes++
-
-	// The confidence floor on surviving temporal points (Theorem 3) is fixed
-	// for the whole premise, so it also decides which candidate extensions
-	// are worth materialising: extensions below the floor are never recursed
-	// into, and the redundancy check below can only match extensions whose
-	// count equals len(records) >= minSatisfied.
-	minSatisfied := int(w.opts.MinConfidence*float64(totalTP) - 1e-9)
-	if float64(minSatisfied) < w.opts.MinConfidence*float64(totalTP)-1e-9 {
+	// The confidence floor is fixed for the whole premise, so it also decides
+	// which candidate extensions are worth materialising: extensions below
+	// the floor are never grown, and the redundancy check in growConsequent
+	// can only match extensions whose count equals len(records) >=
+	// minSatisfied.
+	minSatisfied := int(w.opts.MinConfidence*float64(total) - 1e-9)
+	if float64(minSatisfied) < w.opts.MinConfidence*float64(total)-1e-9 {
 		minSatisfied++
 	}
-	if minSatisfied < 1 {
-		minSatisfied = 1
-	}
+	w.pre, w.seqSup, w.totalTP, w.minSatisfied = pre, len(proj), total, max(minSatisfied, 1)
+	w.growConsequent(nil, records, 0)
+}
 
-	// At the consequent length bound nothing reads the extension set — no
-	// child is grown and the redundancy check below needs a longer consequent
-	// to exist — so the node only emits its own rule.
-	atBound := w.opts.MaxConsequentLength > 0 && len(post) >= w.opts.MaxConsequentLength
+// growConsequent explores the consequent search tree below post for the
+// worker's premise. records holds the temporal points at which post is still
+// satisfied, positioned at the earliest embedding of post after each point.
+// iSup is the rule's i-support, carried from the parent's extension
+// (mine.Ext.ISup): the occurrences of post's last event at or after the
+// first record of each sequence, which carries the sequence's earliest
+// completion of pre ++ post. It is unused at the root (empty post).
+//
+// When the node's children reach MaxConsequentLength they are leaves: no
+// child of theirs is grown and, at the bound, none has a longer consequent
+// to be redundant against, so a leaf reads only its count and i-support. The
+// node then takes mine.Extender.Counts instead of Extensions and emits each
+// leaf's rule straight from its extension, materialising no projection.
+func (w *ruleWorker) growConsequent(post seqdb.Pattern, records []mine.Proj, iSup int) {
+	w.nodes++
+	leaves := w.opts.MaxConsequentLength > 0 && len(post)+1 >= w.opts.MaxConsequentLength
 	var es mine.ExtSet
-	if !atBound {
-		es = w.ext.Extensions(records, tags, int32(minSatisfied))
+	if leaves {
+		es = w.ext.Counts(records, int32(w.minSatisfied))
+	} else {
+		es = w.ext.Extensions(records, int32(w.minSatisfied))
 	}
 
-	if len(post) > 0 {
-		conf := float64(len(records)) / float64(totalTP)
-		emit := iSup >= w.opts.MinInstanceSupport && conf+1e-12 >= w.opts.MinConfidence
-		if emit && w.nr && !atBound {
+	if len(post) > 0 && w.significant(len(records), iSup) {
+		emit := true
+		if w.nr {
 			// A consequent extension that keeps every statistic identical
 			// makes this rule redundant (Definition 5.2 keeps the longer
 			// consequent), so it is not reported on its own. Such an
-			// extension has count == len(records) >= minSatisfied, so it is
-			// always materialised.
+			// extension has count == len(records) >= minSatisfied, so its
+			// i-support is always counted.
 			for i := range es.Exts {
 				if int(es.Exts[i].Count) == len(records) && int(es.Exts[i].ISup) == iSup {
 					emit = false
@@ -586,27 +590,45 @@ func (w *ruleWorker) growConsequent(pre seqdb.Pattern, seqSup, totalTP int, post
 			}
 		}
 		if emit {
-			w.rules = append(w.rules, Rule{
-				Pre:             pre.Clone(),
-				Post:            post.Clone(),
-				SeqSupport:      seqSup,
-				InstanceSupport: iSup,
-				Confidence:      conf,
-			})
+			w.emit(post, len(records), iSup)
 		}
-	}
-
-	if atBound {
-		return
 	}
 
 	for i := range es.Exts {
+		x := &es.Exts[i]
 		// Theorem 3: extending the consequent can only lose satisfied temporal
 		// points, so subtrees below the confidence threshold are pruned.
-		if int(es.Exts[i].Count) < minSatisfied {
+		if int(x.Count) < w.minSatisfied {
 			continue
 		}
-		w.growConsequent(pre, seqSup, totalTP, post.Append(es.Exts[i].Event), es.Exts[i].Proj, es.Exts[i].Tags, int(es.Exts[i].ISup))
+		if !leaves {
+			w.growConsequent(post.Append(x.Event), x.Proj, int(x.ISup))
+			continue
+		}
+		w.nodes++
+		if w.significant(int(x.Count), int(x.ISup)) {
+			w.emit(post.Append(x.Event), int(x.Count), int(x.ISup))
+		}
 	}
 	w.ext.Release(es)
+}
+
+// significant reports whether a consequent satisfied at the given number of
+// the premise's temporal points, with i-support iSup, meets the
+// instance-support and confidence thresholds.
+func (w *ruleWorker) significant(satisfied, iSup int) bool {
+	conf := float64(satisfied) / float64(w.totalTP)
+	return iSup >= w.opts.MinInstanceSupport && conf+1e-12 >= w.opts.MinConfidence
+}
+
+// emit records the rule pre -> post. post is the node's own slice (every
+// consequent is built by Pattern.Append), so the rule keeps it.
+func (w *ruleWorker) emit(post seqdb.Pattern, satisfied, iSup int) {
+	w.rules = append(w.rules, Rule{
+		Pre:             w.pre.Clone(),
+		Post:            post,
+		SeqSupport:      w.seqSup,
+		InstanceSupport: iSup,
+		Confidence:      float64(satisfied) / float64(w.totalTP),
+	})
 }

@@ -629,3 +629,53 @@ func TestStatsPopulated(t *testing.T) {
 		t.Errorf("Duration not recorded")
 	}
 }
+
+// TestStatsPinnedAcrossConsequentBounds pins the search counters on one
+// fixed database at every consequent length bound the consequent search
+// forks on: at bound 1 the root's children are leaves, at 2 and 3 a deeper
+// level is, and 0 has no leaf level. A leaf rule must count as an explored
+// consequent node and pass the same support and confidence tests as an inner
+// node, and the node above the leaves must still see every extension's count
+// and i-support for its redundancy check, so a change to the leaf path moves
+// one of these figures.
+func TestStatsPinnedAcrossConsequentBounds(t *testing.T) {
+	db := mkdb(
+		[]string{"open", "read", "read", "close", "open", "write", "close"},
+		[]string{"open", "read", "write", "close", "lock", "open", "close"},
+		[]string{"lock", "open", "read", "close", "unlock", "open", "read", "write", "close"},
+		[]string{"open", "write", "write", "close", "read", "open", "close"},
+		[]string{"lock", "read", "unlock", "open", "read", "close"},
+		[]string{"open", "lock", "write", "unlock", "close", "open", "read"},
+	)
+	type counters struct{ nodes, suppressed, emitted int }
+	for _, tc := range []struct {
+		maxPost int
+		full    bool
+		want    counters
+	}{
+		{1, false, counters{44, 0, 29}},
+		{2, false, counters{73, 9, 49}},
+		{3, false, counters{87, 23, 49}},
+		{0, false, counters{93, 36, 42}},
+		{1, true, counters{68, 0, 42}},
+		{2, true, counters{105, 0, 79}},
+		{3, true, counters{121, 0, 95}},
+		{0, true, counters{127, 0, 101}},
+	} {
+		res, err := Mine(db, Options{
+			MinSeqSupport:       3,
+			MinInstanceSupport:  2,
+			MinConfidence:       0.5,
+			MaxPremiseLength:    2,
+			MaxConsequentLength: tc.maxPost,
+			Full:                tc.full,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := counters{res.Stats.ConsequentNodesExplored, res.Stats.RulesSuppressedRedundant, res.Stats.RulesEmitted}
+		if got != tc.want {
+			t.Errorf("MaxConsequentLength %d full %v: (nodes, suppressed, emitted) = %v, want %v", tc.maxPost, tc.full, got, tc.want)
+		}
+	}
+}

@@ -144,7 +144,7 @@ type worker struct {
 func (w *worker) mineSeed(e seqdb.EventID) {
 	proj := w.ext.SeedProj(e)
 	w.path = append(w.path[:0], e)
-	w.emit(w.path, proj)
+	w.emit(w.path, len(proj))
 	w.grow(w.path, proj)
 	w.ext.ReleaseProj(proj)
 }
@@ -153,26 +153,36 @@ func (w *worker) mineSeed(e seqdb.EventID) {
 // pseudo-projection is proj. Count-first: the extension pass counts every
 // candidate's sequence support (one projection entry per sequence, so counts
 // are supports), and only supra-threshold extensions carry a materialised
-// projection to recurse on.
+// projection to recurse on. When the children reach MaxPatternLength they
+// are leaves, emitted straight from their counts: the pass is
+// mine.Extender.Counts and materialises no projection.
 func (w *worker) grow(p seqdb.Pattern, proj []mine.Proj) {
 	if w.maxLen > 0 && len(p) >= w.maxLen {
 		return
 	}
-	es := w.ext.Extensions(proj, nil, int32(w.minSup))
+	leaves := w.maxLen > 0 && len(p)+1 >= w.maxLen
+	var es mine.ExtSet
+	if leaves {
+		es = w.ext.Counts(proj, int32(w.minSup))
+	} else {
+		es = w.ext.Extensions(proj, int32(w.minSup))
+	}
 	for i := range es.Exts {
 		x := &es.Exts[i]
 		if int(x.Count) < w.minSup {
 			continue
 		}
 		child := append(p, x.Event)
-		w.emit(child, x.Proj)
-		w.grow(child, x.Proj)
+		w.emit(child, int(x.Count))
+		if !leaves {
+			w.grow(child, x.Proj)
+		}
 	}
 	w.ext.Release(es)
 }
 
-func (w *worker) emit(p seqdb.Pattern, proj []mine.Proj) {
-	w.out = append(w.out, MinedPattern{Pattern: p.Clone(), SeqSupport: len(proj)})
+func (w *worker) emit(p seqdb.Pattern, support int) {
+	w.out = append(w.out, MinedPattern{Pattern: p.Clone(), SeqSupport: support})
 }
 
 // patternHash is the content hash the closedness filter buckets on.

@@ -175,17 +175,22 @@ func TestMineAgainstBruteForce(t *testing.T) {
 			db.AppendNames(names...)
 		}
 		minSup := 2
-		res, err := Mine(db, Options{MinSeqSupport: minSup})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := bruteMine(db, minSup, 0)
-		if len(res.Patterns) != len(want) {
-			t.Fatalf("iter %d: miner %d patterns, brute force %d", iter, len(res.Patterns), len(want))
-		}
-		for _, p := range res.Patterns {
-			if want[p.Pattern.Key()] != p.SeqSupport {
-				t.Fatalf("iter %d: support mismatch for %s: %d vs %d", iter, p.Pattern.String(db.Dict), p.SeqSupport, want[p.Pattern.Key()])
+		// Unbounded, and every bound at which a different level of the
+		// search is the leaf level emitted straight from counts.
+		for _, maxLen := range []int{0, 1, 2, 3} {
+			res, err := Mine(db, Options{MinSeqSupport: minSup, MaxPatternLength: maxLen})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bruteMine(db, minSup, maxLen)
+			if len(res.Patterns) != len(want) {
+				t.Fatalf("iter %d max length %d: miner %d patterns, brute force %d", iter, maxLen, len(res.Patterns), len(want))
+			}
+			for _, p := range res.Patterns {
+				if w, ok := want[p.Pattern.Key()]; !ok || w != p.SeqSupport {
+					t.Fatalf("iter %d max length %d: support mismatch for %s: %d vs %d (brute force has it: %v)",
+						iter, maxLen, p.Pattern.String(db.Dict), p.SeqSupport, w, ok)
+				}
 			}
 		}
 	}
