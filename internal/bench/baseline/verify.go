@@ -12,11 +12,10 @@ import (
 // with no shared state between rules. verify.Engine must report exactly what
 // this reports, rule by rule.
 func CheckRule(db *seqdb.Database, rule rules.Rule) (verify.RuleReport, error) {
-	formula, err := ltl.FromRule(rule.Pre, rule.Post)
-	if err != nil {
+	if err := ltl.ValidateRule(rule.Pre, rule.Post); err != nil {
 		return verify.RuleReport{}, err
 	}
-	report := verify.RuleReport{Rule: rule, Formula: formula}
+	report := verify.RuleReport{Rule: rule}
 	for si, s := range db.Sequences {
 		violatedTrace := false
 		tps := rules.TemporalPoints(s, rule.Pre)

@@ -167,7 +167,7 @@ func RuleToLTL(dict *Dictionary, rule Rule) (string, error) {
 // DescribeRule returns the English reading of a rule's LTL formula (Table 1
 // style).
 func DescribeRule(dict *Dictionary, rule Rule) (string, error) {
-	if _, err := ltl.FromRule(rule.Pre, rule.Post); err != nil {
+	if err := ltl.ValidateRule(rule.Pre, rule.Post); err != nil {
 		return "", err
 	}
 	return ltl.DescribeRule(rule.Pre, rule.Post, dict), nil

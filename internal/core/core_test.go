@@ -153,11 +153,12 @@ func TestMineRulesFacadeAndLTL(t *testing.T) {
 	if _, err := MineRules(db, RuleOptions{MinSeqSupport: -5}); err == nil {
 		t.Errorf("invalid options accepted")
 	}
-	if _, err := RuleToLTL(db.Dict, Rule{}); err == nil {
+	_, ltlErr := RuleToLTL(db.Dict, Rule{})
+	if ltlErr == nil {
 		t.Errorf("RuleToLTL accepted empty rule")
 	}
-	if _, err := DescribeRule(db.Dict, Rule{}); err == nil {
-		t.Errorf("DescribeRule accepted empty rule")
+	if _, err := DescribeRule(db.Dict, Rule{}); err == nil || ltlErr == nil || err.Error() != ltlErr.Error() {
+		t.Errorf("DescribeRule on an empty rule: error %v, want RuleToLTL's %v", err, ltlErr)
 	}
 }
 

@@ -130,6 +130,35 @@ func TestCheckSegmentsOrderedAssembly(t *testing.T) {
 	}
 }
 
+// TestCheckSegmentsIDsEstimate: the ids driver's estimate counts only the
+// listed ordinals inside each compiled segment, so summed over the segments
+// it is the number of listed ordinals, not the list's length once per
+// segment.
+func TestCheckSegmentsIDsEstimate(t *testing.T) {
+	dict := seqdb.NewDictionary()
+	a, b := dict.Intern("a"), dict.Intern("b")
+	segs := &memSegments{}
+	for i := 0; i < 4; i++ {
+		part := seqdb.NewDatabaseWithDict(dict)
+		for j := 0; j < 5; j++ {
+			part.Append(seqdb.Sequence{a, b})
+		}
+		segs.parts = append(segs.parts, part)
+	}
+	engine, err := verify.NewEngine([]Rule{{Pre: seqdb.Pattern{a}, Post: seqdb.Pattern{b}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	where := Where{IDs: []int{1, 6, 11, 16}, HasAny: []seqdb.EventID{a}}
+	_, ex, err := checkSegments(segs, engine, where, NewMetrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Selected != 4 || ex.Selection == nil || ex.Selection.Driver != "ids" || ex.Selection.EstTraces != 4 {
+		t.Fatalf("selected %d, selection %+v: want 4 selected by the ids driver, est=4", ex.Selected, ex.Selection)
+	}
+}
+
 // TestFiredGroupAccountingMatchesOracle pins Close's accounting, which
 // counts every trace and visits only the premise groups the trace fired, in
 // each mode that closes traces: Engine.Check, the segment fan-out at one and

@@ -451,15 +451,19 @@ func checkOracle(t *testing.T, db *Database, ruleSet []Rule, where Where) verify
 		if err != nil {
 			t.Fatal(err)
 		}
+		formula, err := ltl.FromRule(r.Pre, r.Post)
+		if err != nil {
+			t.Fatal(err)
+		}
 		violated := 0
 		for _, s := range sub.Sequences {
-			if !ltl.Holds(rep.Formula, s) {
+			if !ltl.Holds(formula, s) {
 				violated++
 			}
 		}
 		if rep.ViolatedTraces != violated {
 			t.Fatalf("rule %s -> %s: the rescan reports %d violated traces, %s fails on %d",
-				r.Pre.String(db.Dict), r.Post.String(db.Dict), rep.ViolatedTraces, rep.Formula.String(db.Dict), violated)
+				r.Pre.String(db.Dict), r.Post.String(db.Dict), rep.ViolatedTraces, formula.String(db.Dict), violated)
 		}
 		for k := range rep.Violations {
 			rep.Violations[k].Seq = ordinals[rep.Violations[k].Seq]

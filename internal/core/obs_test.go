@@ -99,7 +99,7 @@ func counterVal(t *testing.T, reg *MetricsRegistry, name string) int64 {
 // by the durable streaming session, the store, and an out-of-core checking
 // run, exposed over a loopback ServeDebug endpoint and scraped back. The
 // scraped series must exist and be mutually consistent — acked events equal
-// the workload's event count, cache hits plus misses equal pins.
+// the workload's event count, cache hits plus bodies opened equal pins.
 func TestMetricsSmoke(t *testing.T) {
 	w := tracesim.Workloads()["transaction"]
 	const numTraces = 40
@@ -163,8 +163,8 @@ func TestMetricsSmoke(t *testing.T) {
 	if got := sums["stream_traces_sealed"]; got != numTraces {
 		t.Errorf("scraped stream_traces_sealed = %d, want %d", got, numTraces)
 	}
-	if got := sums["cache_pins"]; got == 0 || got != sums["cache_hits"]+sums["cache_misses"] {
-		t.Errorf("scraped cache_pins = %d, hits+misses = %d+%d", got, sums["cache_hits"], sums["cache_misses"])
+	if got := sums["cache_pins"]; got == 0 || got != sums["cache_hits"]+sums["cache_bodies_opened"] {
+		t.Errorf("scraped cache_pins = %d, hits+bodies_opened = %d+%d", got, sums["cache_hits"], sums["cache_bodies_opened"])
 	}
 	if sums["store_commits"] == 0 {
 		t.Error("scraped store_commits is zero after durable ingest")
@@ -293,7 +293,7 @@ func TestRegistryCounterEquivalence(t *testing.T) {
 	for _, name := range []string{
 		"verify.traces_checked", "verify.traces_skipped",
 		"verify.segments_checked", "verify.segments_skipped",
-		"cache.pins", "cache.hits", "cache.misses", "cache.evictions",
+		"cache.pins", "cache.hits", "cache.evictions",
 		"cache.bodies_opened", "cache.segments_opened",
 		"cache.resident_bytes", "cache.peak_bytes",
 	} {
@@ -350,13 +350,13 @@ func TestConcurrentCallsCountPerCall(t *testing.T) {
 		{"CheckStore", func(oo OutOfCoreOptions) (*Explain, error) {
 			_, stats, err := CheckStore(ts, ruleSet, oo)
 			return stats, err
-		}, []string{"cache.pins", "cache.misses", "cache.bodies_opened", "cache.evictions",
+		}, []string{"cache.pins", "cache.bodies_opened", "cache.evictions",
 			"verify.traces_checked", "verify.segments_checked"}},
 		{"MineStoreRules", func(oo OutOfCoreOptions) (*Explain, error) {
 			_, stats, err := MineStoreRules(ts, RuleOptions{MinSeqSupportRel: 0.2, MinConfidence: 0.6,
 				MaxPremiseLength: 2, MaxConsequentLength: 2, Workers: 1}, oo)
 			return stats, err
-		}, []string{"cache.pins", "cache.hits", "cache.misses", "cache.bodies_opened", "cache.evictions",
+		}, []string{"cache.pins", "cache.hits", "cache.bodies_opened", "cache.evictions",
 			"mine.premises_explored", "mine.rules_emitted"}},
 	}
 	// counters reads every counter series of a registry.

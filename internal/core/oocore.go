@@ -419,17 +419,16 @@ func (r residentSegment) pin(int) ([]seqdb.Sequence, func() *seqdb.PositionIndex
 // checkSegments is the one check loop behind CheckWhere, CheckStore and
 // CheckStoreWhere. It works in three steps:
 //
-//   - Plan. A catalog-only pass in ordinal order pushes where into the
-//     catalog (an ordinal-range miss or a required event the statistics
-//     prove absent prunes the segment) and answers a segment on which every
-//     rule is statically dead from its statistics, skipping its selected
-//     traces in a tally of its own.
+//   - Plan. where compiles once to a plan.Selection. A catalog-only pass in
+//     ordinal order pushes it into the catalog (an ordinal-range miss or a
+//     required event the statistics prove absent prunes the segment) and
+//     answers a segment on which every rule is statically dead from its
+//     statistics, skipping its selected traces in a tally of its own.
 //   - Fan out. The remaining segments are spread over GOMAXPROCS workers,
 //     each with its own Checker and verify.Tally. A worker pins its segment,
-//     compiles where over it with ordinals made segment-local, feeds every
-//     selected trace event by event through its Checker, closes it into its
-//     tally under its global ordinal and takes the segment's violation parts
-//     from the tally.
+//     ranges over the selection's traces in it, feeds each one event by
+//     event through its Checker, closes it into its tally under its global
+//     ordinal and takes the segment's violation parts from the tally.
 //   - Assemble. One Engine.Reports sums every tally's counts and assembles
 //     the parts in segment order.
 //
@@ -444,6 +443,7 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 	tracesChecked, tracesSkipped := call.Counter("verify.traces_checked"), call.Counter("verify.traces_skipped")
 	segsChecked, segsSkipped := call.Counter("verify.segments_checked"), call.Counter("verify.segments_skipped")
 	ex := &Explain{SegmentsTotal: segs.numSegments(), Obs: call}
+	sel := where.Compile()
 
 	// job is one segment left to check after the plan; the worker that takes
 	// it fills in the rest.
@@ -463,7 +463,7 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 		segBase := base
 		base += n
 		has := func(e seqdb.EventID) bool { return segs.segmentHas(i, e) }
-		if !segmentMaySelect(has, where, segBase, n) {
+		if !sel.MaySelect(segBase, n, has) {
 			ex.SegmentsSkipped++
 			continue // predicate selects nothing here: contributes no reports
 		}
@@ -472,7 +472,7 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 		// count falls out of the catalog alone; an event predicate needs the
 		// decoded traces to know which are selected.
 		if !where.HasEventPredicates() && engine.SegmentSkippable(has) {
-			count := where.CountOrdinalMatches(segBase, n)
+			count := sel.Count(segBase, n)
 			skipped.Skip(count)
 			segsSkipped.Inc()
 			tracesSkipped.Add(int64(count))
@@ -513,9 +513,9 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 		if where.HasEventPredicates() {
 			idx = frag() // only event predicates read the segment's postings
 		}
-		var it plan.Iter
-		it, j.sel = plan.CompileWhere(len(seqs), idx, where.Local(j.base))
-		for l := it.Next(); l >= 0; l = it.Next() {
+		traces, exp := sel.Traces(j.base, len(seqs), idx)
+		j.sel = exp
+		for l := range traces {
 			for _, ev := range seqs[l] {
 				w.checker.Advance(ev)
 			}
@@ -542,28 +542,4 @@ func checkSegments(segs segments, engine *verify.Engine, where Where, call *obs.
 		parts = append(parts, j.parts...)
 	}
 	return engine.Reports(tallies, parts), ex, nil
-}
-
-// segmentMaySelect reports whether where can select any trace of a segment
-// occupying ordinals [base, base+n) whose events are has — the catalog-level
-// predicate pushdown: a window/id miss or a required event the statistics
-// prove absent prunes the segment without decoding.
-func segmentMaySelect(has func(seqdb.EventID) bool, where Where, base, n int) bool {
-	if !where.OrdinalOverlap(base, n) {
-		return false
-	}
-	for _, e := range where.HasAll {
-		if !has(e) {
-			return false
-		}
-	}
-	if len(where.HasAny) > 0 {
-		for _, e := range where.HasAny {
-			if has(e) {
-				return true
-			}
-		}
-		return false
-	}
-	return true
 }

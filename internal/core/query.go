@@ -9,9 +9,10 @@ import (
 
 // Predicated queries: CheckWhere and MineWhere/MineRulesWhere run
 // verification and mining over the subset of traces a Where predicate
-// selects, compiled to lazy pull-based operators over the flat index — the
-// rarest required event's postings drive enumeration, the rest become
-// residual filters — instead of materialising candidate sets eagerly.
+// selects, compiled once to a plan.Selection whose Traces is a lazy sequence
+// over the flat index — the rarest required event's postings drive
+// enumeration, the rest become residual filters — instead of materialising
+// candidate sets eagerly.
 // Checking runs the same segment loop as CheckStoreWhere, with the database
 // as one resident segment, so every query returns a renderable Explain with
 // the selected trace count and, for checks, the registry holding the
@@ -68,13 +69,13 @@ func MineRulesWhere(db *Database, opts RuleOptions, where Where) (*RuleResult, *
 	return res, ex, nil
 }
 
-// selectDatabase drains the compiled selection into a sub-database sharing
+// selectDatabase ranges over the compiled selection into a sub-database sharing
 // db's dictionary and sequence storage (headers only; event payloads are not
 // copied).
 func selectDatabase(db *Database, where Where) (*Database, *Explain) {
-	it, sel := plan.CompileWhere(db.NumSequences(), db.FlatIndex(), where)
+	traces, sel := where.Compile().Traces(0, db.NumSequences(), db.FlatIndex())
 	sub := seqdb.NewDatabaseWithDict(db.Dict)
-	for s := it.Next(); s >= 0; s = it.Next() {
+	for s := range traces {
 		sub.Append(db.Sequences[s])
 	}
 	return sub, &Explain{Selected: sub.NumSequences(), Selection: &sel}

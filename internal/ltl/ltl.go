@@ -157,10 +157,20 @@ func Holds(f Formula, s seqdb.Sequence) bool {
 //	<a> -> <b,c>      G(a -> XF(b /\ XF(c)))
 //	<a,b> -> <c,d>    G(a -> XG(b -> XF(c /\ XF(d))))
 func FromRule(pre, post seqdb.Pattern) (Formula, error) {
-	if len(pre) == 0 || len(post) == 0 {
-		return nil, fmt.Errorf("ltl: rule must have a non-empty premise and consequent (pre=%d post=%d events)", len(pre), len(post))
+	if err := ValidateRule(pre, post); err != nil {
+		return nil, err
 	}
 	return Globally{Body: prepost(pre, post)}, nil
+}
+
+// ValidateRule reports whether pre -> post has an LTL translation, returning
+// FromRule's error without building the formula: both sides must be
+// non-empty.
+func ValidateRule(pre, post seqdb.Pattern) error {
+	if len(pre) == 0 || len(post) == 0 {
+		return fmt.Errorf("ltl: rule must have a non-empty premise and consequent (pre=%d post=%d events)", len(pre), len(post))
+	}
+	return nil
 }
 
 func prepost(pre, post seqdb.Pattern) Formula {

@@ -1,12 +1,15 @@
-// Package plan compiles trace-selection predicates for predicated queries:
-// a Where clause becomes a lazy pull-based iterator over a trace fragment
-// (the rarest required event's postings drive enumeration, the rest become
-// residual filters), Where's ordinal helpers push the clause into a segment
-// catalog, and Explain reports how a query was answered — the selection
-// operator, the segments statistics pruned, and the verifier's counters.
+// Package plan compiles trace-selection predicates for predicated queries: a
+// Where clause compiles once per query to a Selection, which answers every
+// level a query reads traces at — the segment catalog (MaySelect), a
+// segment's statistics (Count) and its traces (Traces, a lazy sequence the
+// rarest required event's postings drive, the rest applied as residual
+// filters) — and Explain reports how a query was answered: the selection
+// driver, the segments statistics pruned, and the verifier's counters.
 package plan
 
 import (
+	"iter"
+	"slices"
 	"sort"
 
 	"specmine/internal/seqdb"
@@ -30,271 +33,174 @@ type Where struct {
 	IDs []int
 }
 
-// Iter is a lazy pull-based trace enumerator: Next returns ascending trace
-// ordinals and -1 when exhausted. Operators compose by wrapping; nothing is
-// materialised until the consumer pulls.
-type Iter interface {
-	Next() int
+// HasEventPredicates reports whether w constrains trace contents (as opposed
+// to ordinals only).
+func (w Where) HasEventPredicates() bool {
+	return len(w.HasAll) > 0 || len(w.HasAny) > 0
 }
 
-// rangeIter drives enumeration with a plain ordinal scan over [next, end).
-type rangeIter struct{ next, end int }
+// Selection is a Where compiled once per query. Every method takes the
+// ordinal range [base, base+n) of the traces it is asked about — a catalog
+// segment, or a whole in-memory database at base 0 — so one Selection serves
+// every segment of a sweep without rewriting the predicate per segment.
+type Selection struct {
+	w   Where
+	ids []int // w.IDs sorted and deduplicated; nil when w.IDs is empty
+}
 
-func (it *rangeIter) Next() int {
-	if it.next >= it.end {
-		return -1
+// Compile compiles w into its Selection.
+func (w Where) Compile() *Selection {
+	s := &Selection{w: w}
+	if len(w.IDs) > 0 {
+		s.ids = slices.Compact(slices.Sorted(slices.Values(w.IDs)))
 	}
-	v := it.next
-	it.next++
-	return v
+	return s
 }
 
-// listIter drives enumeration with an explicit ascending ordinal list,
-// windowed to [lo, hi).
-type listIter struct {
-	ids    []int
-	i      int
-	lo, hi int
+// window clips w's ordinal window to [base, base+n), as global ordinals.
+func (s *Selection) window(base, n int) (lo, hi int) {
+	lo, hi = max(base, s.w.From), base+n
+	if s.w.To > 0 {
+		hi = min(hi, s.w.To)
+	}
+	return lo, max(lo, hi)
 }
 
-func (it *listIter) Next() int {
-	for it.i < len(it.ids) {
-		v := it.ids[it.i]
-		it.i++
-		if v >= it.lo && v < it.hi {
-			return v
+// idsIn returns the listed ordinals inside [lo, hi).
+func (s *Selection) idsIn(lo, hi int) []int {
+	return s.ids[sort.SearchInts(s.ids, lo):sort.SearchInts(s.ids, hi)]
+}
+
+// Count returns how many of the ordinals [base, base+n) satisfy the ordinal
+// predicates (window and id list). When the Where has no event predicates
+// this answers "how many traces of this segment are selected" from the
+// catalog alone — the bulk accounting path for segments every rule is
+// statically dead on.
+func (s *Selection) Count(base, n int) int {
+	lo, hi := s.window(base, n)
+	if s.ids != nil {
+		return len(s.idsIn(lo, hi))
+	}
+	return hi - lo
+}
+
+// MaySelect reports whether the Selection can select any trace of the
+// ordinals [base, base+n), whose events are has — the catalog pushdown: an
+// ordinal-range or id-list miss, or a required event the statistics prove
+// absent, prunes the segment without decoding it.
+func (s *Selection) MaySelect(base, n int, has func(seqdb.EventID) bool) bool {
+	if s.Count(base, n) == 0 {
+		return false
+	}
+	for _, e := range s.w.HasAll {
+		if !has(e) {
+			return false
 		}
 	}
-	return -1
+	return len(s.w.HasAny) == 0 || slices.ContainsFunc(s.w.HasAny, has)
 }
 
-// postingsIter drives enumeration with an index postings list — the ascending
-// sequence ids containing the rarest required event — windowed to [lo, hi).
-type postingsIter struct {
-	seqs   []int32
-	i      int
-	lo, hi int
-}
-
-func (it *postingsIter) Next() int {
-	for it.i < len(it.seqs) {
-		v := int(it.seqs[it.i])
-		it.i++
-		if v >= it.hi {
-			return -1 // ascending: nothing later can re-enter the window
-		}
-		if v >= it.lo {
-			return v
-		}
-	}
-	return -1
-}
-
-// filterIter applies a residual predicate to each candidate its input yields.
-type filterIter struct {
-	in   Iter
-	keep func(int) bool
-}
-
-func (it *filterIter) Next() int {
-	for {
-		v := it.in.Next()
-		if v < 0 || it.keep(v) {
-			return v
-		}
-	}
-}
-
-// emptyIter is the provably-empty selection (e.g. a required event that is
-// not in the dictionary).
-type emptyIter struct{}
-
-func (emptyIter) Next() int { return -1 }
-
-// CompileWhere compiles w into a lazy operator tree over a fragment of n
-// traces and returns the enumerator plus an explanation of the chosen driver:
-// an explicit id list beats everything, else the rarest HasAll event's
-// postings drive (predicate pushdown into the index), else an ordinal scan;
-// remaining predicates become residual filters. idx indexes the fragment and
-// is consulted only for w's event predicates, so it may be nil when w has
-// none.
-func CompileWhere(n int, idx *seqdb.PositionIndex, w Where) (Iter, SelectionExplain) {
-	lo, hi := w.From, w.To
-	if lo < 0 {
-		lo = 0
-	}
-	if hi <= 0 || hi > n {
-		hi = n
-	}
-	if lo > hi {
-		lo = hi
-	}
-
+// Traces returns the selected traces among the ordinals [base, base+n) as a
+// lazy ascending sequence of local ordinals (0 is base), plus an explanation
+// of the driver: an explicit id list beats everything, else the rarest HasAll
+// event's postings drive (predicate pushdown into the index), else an
+// ordinal scan; remaining predicates become residual filters. idx indexes
+// those n traces by local ordinal and is consulted only for event
+// predicates, so it may be nil when the Where has none.
+func (s *Selection) Traces(base, n int, idx *seqdb.PositionIndex) (iter.Seq[int], SelectionExplain) {
 	// A required event outside the index's event space occurs nowhere.
-	for _, e := range w.HasAll {
+	for _, e := range s.w.HasAll {
 		if e < 0 || int(e) >= idx.NumEvents() {
-			return emptyIter{}, SelectionExplain{Driver: "empty"}
+			return func(func(int) bool) {}, SelectionExplain{Driver: "empty"}
 		}
 	}
 
+	lo, hi := s.window(base, n)
+	lo, hi = lo-base, hi-base
 	var (
-		it      Iter
+		drive   iter.Seq[int]
 		exp     SelectionExplain
 		residue []seqdb.EventID // HasAll events not consumed by the driver
 	)
 	switch {
-	case len(w.IDs) > 0:
-		ids := append([]int(nil), w.IDs...)
-		sort.Ints(ids)
-		dedup := ids[:0]
-		for i, v := range ids {
-			if i == 0 || v != ids[i-1] {
-				dedup = append(dedup, v)
+	case s.ids != nil:
+		ids := s.idsIn(base+lo, base+hi)
+		drive = func(yield func(int) bool) {
+			for _, id := range ids {
+				if !yield(id - base) {
+					return
+				}
 			}
 		}
-		it = &listIter{ids: dedup, lo: lo, hi: hi}
-		exp = SelectionExplain{Driver: "ids", EstTraces: len(dedup)}
-		residue = w.HasAll
-	case len(w.HasAll) > 0:
-		driver := w.HasAll[0]
-		for _, e := range w.HasAll[1:] {
+		exp = SelectionExplain{Driver: "ids", EstTraces: len(ids)}
+		residue = s.w.HasAll
+	case len(s.w.HasAll) > 0:
+		driver := s.w.HasAll[0]
+		for _, e := range s.w.HasAll[1:] {
 			if sup, ds := idx.EventSeqSupport(e), idx.EventSeqSupport(driver); sup < ds || (sup == ds && e < driver) {
 				driver = e
 			}
 		}
-		for _, e := range w.HasAll {
+		for _, e := range s.w.HasAll {
 			if e != driver {
 				residue = append(residue, e)
 			}
 		}
-		it = &postingsIter{seqs: idx.SeqsContaining(driver), lo: lo, hi: hi}
+		seqs := idx.SeqsContaining(driver)
+		drive = func(yield func(int) bool) {
+			for _, v := range seqs {
+				l := int(v)
+				if l >= hi {
+					return // ascending: nothing later can re-enter the window
+				}
+				if l >= lo && !yield(l) {
+					return
+				}
+			}
+		}
 		exp = SelectionExplain{Driver: "postings", DriverEvent: driver, EstTraces: idx.EventSeqSupport(driver)}
 	default:
-		it = &rangeIter{next: lo, end: hi}
+		drive = func(yield func(int) bool) {
+			for l := lo; l < hi; l++ {
+				if !yield(l) {
+					return
+				}
+			}
+		}
 		exp = SelectionExplain{Driver: "scan", EstTraces: hi - lo}
 	}
 
+	anyOf := s.w.HasAny
 	if len(residue) > 0 {
-		events := residue
 		exp.Filters++
-		it = &filterIter{in: it, keep: func(s int) bool {
-			for _, e := range events {
-				if !idx.SeqContains(s, e) {
-					return false
-				}
+	}
+	if len(anyOf) > 0 {
+		exp.Filters++
+	}
+	if exp.Filters == 0 {
+		return drive, exp
+	}
+	keep := func(l int) bool {
+		for _, e := range residue {
+			if !idx.SeqContains(l, e) {
+				return false
 			}
+		}
+		if len(anyOf) == 0 {
 			return true
-		}}
-	}
-	if len(w.HasAny) > 0 {
-		events := append([]seqdb.EventID(nil), w.HasAny...)
-		exp.Filters++
-		it = &filterIter{in: it, keep: func(s int) bool {
-			for _, e := range events {
-				if idx.SeqContains(s, e) {
-					return true
-				}
-			}
-			return false
-		}}
-	}
-	return it, exp
-}
-
-// Local re-expresses w's ordinal predicates relative to a segment whose
-// first trace has global ordinal base, so CompileWhere can run over the
-// segment's own index, whose ordinals start at 0. Event predicates carry
-// over unchanged. The segment must overlap w (OrdinalOverlap): shifted past
-// its end, a window would read as open-ended.
-func (w Where) Local(base int) Where {
-	if base == 0 {
-		return w
-	}
-	l := w
-	l.From -= base
-	if l.To > 0 {
-		l.To -= base
-	}
-	if len(w.IDs) > 0 {
-		l.IDs = make([]int, len(w.IDs))
-		for i, id := range w.IDs {
-			l.IDs[i] = id - base
 		}
-	}
-	return l
-}
-
-// matchesOrdinal checks only the ordinal predicates (window and id list).
-func (w Where) matchesOrdinal(global int) bool {
-	if global < w.From || (w.To > 0 && global >= w.To) {
-		return false
-	}
-	if len(w.IDs) > 0 {
-		ok := false
-		for _, id := range w.IDs {
-			if id == global {
-				ok = true
-				break
-			}
-		}
-		return ok
-	}
-	return true
-}
-
-// OrdinalOverlap reports whether any ordinal in the half-open range
-// [base, base+n) can satisfy w's ordinal predicates — the catalog-level prune
-// for segment sweeps (a segment's traces occupy one contiguous ordinal range).
-func (w Where) OrdinalOverlap(base, n int) bool {
-	end := base + n
-	if end <= w.From || (w.To > 0 && base >= w.To) {
-		return false
-	}
-	if len(w.IDs) > 0 {
-		for _, id := range w.IDs {
-			if id >= base && id < end && w.matchesOrdinal(id) {
+		for _, e := range anyOf {
+			if idx.SeqContains(l, e) {
 				return true
 			}
 		}
 		return false
 	}
-	return true
-}
-
-// CountOrdinalMatches returns how many ordinals in [base, base+n) satisfy w's
-// ordinal predicates. When w has no event predicates this answers "how many
-// traces of this segment are selected" without decoding the body — the bulk
-// accounting path for segments every rule is statically dead on.
-func (w Where) CountOrdinalMatches(base, n int) int {
-	if len(w.IDs) > 0 {
-		count := 0
-		seen := make(map[int]struct{}, len(w.IDs))
-		for _, id := range w.IDs {
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			if id >= base && id < base+n && w.matchesOrdinal(id) {
-				count++
+	return func(yield func(int) bool) {
+		for l := range drive {
+			if keep(l) && !yield(l) {
+				return
 			}
 		}
-		return count
-	}
-	lo, hi := base, base+n
-	if w.From > lo {
-		lo = w.From
-	}
-	if w.To > 0 && w.To < hi {
-		hi = w.To
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return hi - lo
-}
-
-// HasEventPredicates reports whether w constrains trace contents (as opposed
-// to ordinals only).
-func (w Where) HasEventPredicates() bool {
-	return len(w.HasAll) > 0 || len(w.HasAny) > 0
+	}, exp
 }

@@ -9,15 +9,6 @@ import (
 	"specmine/internal/seqdb"
 )
 
-// drain pulls an Iter to exhaustion.
-func drain(it Iter) []int {
-	var out []int
-	for v := it.Next(); v >= 0; v = it.Next() {
-		out = append(out, v)
-	}
-	return out
-}
-
 // whereMatches is the per-trace oracle: every predicate of w checked
 // directly against trace s of idx, whose ordinal is s.
 func whereMatches(idx *seqdb.PositionIndex, w Where, s int) bool {
@@ -66,17 +57,18 @@ func queryFixture() (*seqdb.Dictionary, *seqdb.Database) {
 	return d, db
 }
 
-// compile runs CompileWhere over idx's traces the way the check loop does:
-// the index is handed over only when w has event predicates.
-func compile(idx *seqdb.PositionIndex, w Where) (Iter, SelectionExplain) {
+// compile selects among idx's traces the way the check loop does: the index
+// is handed over only when w has event predicates.
+func compile(idx *seqdb.PositionIndex, w Where) ([]int, SelectionExplain) {
 	var events *seqdb.PositionIndex
 	if w.HasEventPredicates() {
 		events = idx
 	}
-	return CompileWhere(idx.NumSequences(), events, w)
+	traces, exp := w.Compile().Traces(0, idx.NumSequences(), events)
+	return slices.Collect(traces), exp
 }
 
-func TestCompileWhereMatchesBruteForce(t *testing.T) {
+func TestSelectionMatchesBruteForce(t *testing.T) {
 	d, db := queryFixture()
 	idx := db.FlatIndex()
 	open, use, close_, ping := d.Lookup("open"), d.Lookup("use"), d.Lookup("close"), d.Lookup("ping")
@@ -101,8 +93,7 @@ func TestCompileWhereMatchesBruteForce(t *testing.T) {
 		{"negative-event", Where{HasAll: []seqdb.EventID{seqdb.EventID(-1)}}, "empty"},
 	}
 	for _, tc := range cases {
-		it, exp := compile(idx, tc.w)
-		got := drain(it)
+		got, exp := compile(idx, tc.w)
 		want := bruteSelect(idx, tc.w)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: selected %v want %v", tc.name, got, want)
@@ -113,9 +104,9 @@ func TestCompileWhereMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestCompileWhereRarestDriver: the postings driver must be the HasAll event
+// TestSelectionRarestDriver: the postings driver must be the HasAll event
 // with the smallest support.
-func TestCompileWhereRarestDriver(t *testing.T) {
+func TestSelectionRarestDriver(t *testing.T) {
 	d, db := queryFixture()
 	idx := db.FlatIndex()
 	open, ping := d.Lookup("open"), d.Lookup("ping") // support 3 vs 2
@@ -131,7 +122,7 @@ func TestCompileWhereRarestDriver(t *testing.T) {
 	}
 }
 
-func TestCompileWhereRandomized(t *testing.T) {
+func TestSelectionRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for iter := 0; iter < 40; iter++ {
 		db := seqdb.NewDatabase()
@@ -164,8 +155,7 @@ func TestCompileWhereRandomized(t *testing.T) {
 				w.IDs = append(w.IDs, rng.Intn(idx.NumSequences()+3)-1)
 			}
 		}
-		it, _ := compile(idx, w)
-		got := drain(it)
+		got, _ := compile(idx, w)
 		want := bruteSelect(idx, w)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: where %+v selected %v want %v", iter, w, got, want)
@@ -173,12 +163,18 @@ func TestCompileWhereRandomized(t *testing.T) {
 	}
 }
 
-// TestWhereLocalOverSegments: compiling Local(base) over a segment's own
-// index selects exactly the global selection's members in that segment, for
-// every segment split the ordinal predicates overlap.
-func TestWhereLocalOverSegments(t *testing.T) {
+// TestSelectionOverSegments: over random segment splits, one compiled
+// Selection answers every level like the brute-force oracle over the whole
+// database. Traces over a segment's own index yields exactly the global
+// selection's members in that segment; MaySelect, given the segment's real
+// events, admits exactly the segments whose ordinals overlap the window and
+// id list and whose events can meet HasAll and HasAny; Count is the
+// segment's share of the ordinal-only selection; and the ids driver's
+// estimates sum to the listed ordinals inside the window. ID lists carry
+// duplicates, negative ordinals and ordinals past the end.
+func TestSelectionOverSegments(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for iter := 0; iter < 60; iter++ {
+	for iter := 0; iter < 200; iter++ {
 		db := seqdb.NewDatabase()
 		alphabet := 2 + rng.Intn(4)
 		for i := 0; i < alphabet; i++ {
@@ -196,52 +192,97 @@ func TestWhereLocalOverSegments(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			w.HasAll = []seqdb.EventID{seqdb.EventID(rng.Intn(alphabet))}
 		}
-		if rng.Intn(2) == 0 {
-			w.From, w.To = rng.Intn(n+1), rng.Intn(n+2)
-		}
 		if rng.Intn(3) == 0 {
-			for i := 0; i < 1+rng.Intn(4); i++ {
-				w.IDs = append(w.IDs, rng.Intn(n+2)-1)
+			for i := 0; i < 1+rng.Intn(2); i++ {
+				w.HasAny = append(w.HasAny, seqdb.EventID(rng.Intn(alphabet+1)))
 			}
 		}
-		want := bruteSelect(db.FlatIndex(), w)
+		if rng.Intn(2) == 0 {
+			w.From, w.To = rng.Intn(n+1)-1, rng.Intn(n+2)
+		}
+		if rng.Intn(2) == 0 {
+			for i := 0; i < 1+rng.Intn(6); i++ {
+				id := rng.Intn(n+4) - 2
+				w.IDs = append(w.IDs, id)
+				if rng.Intn(3) == 0 {
+					w.IDs = append(w.IDs, id)
+				}
+			}
+		}
+		flat := db.FlatIndex()
+		want := bruteSelect(flat, w)
+		ordinal := bruteSelect(flat, Where{From: w.From, To: w.To, IDs: w.IDs})
+		sel := w.Compile()
 		var got []int
+		est := 0
 		for base := 0; base < n; {
 			size := 1 + rng.Intn(n-base)
 			seg := seqdb.NewDatabaseWithDict(db.Dict)
 			for _, s := range db.Sequences[base : base+size] {
 				seg.Append(s)
 			}
-			if w.OrdinalOverlap(base, size) {
-				it, _ := compile(seg.FlatIndex(), w.Local(base))
-				for _, l := range drain(it) {
-					got = append(got, base+l)
+			in := func(ords []int) int {
+				return len(slices.DeleteFunc(slices.Clone(ords), func(o int) bool { return o < base || o >= base+size }))
+			}
+			has := func(e seqdb.EventID) bool {
+				return slices.ContainsFunc(seg.Sequences, func(s seqdb.Sequence) bool { return slices.Contains(s, e) })
+			}
+
+			traces, exp := sel.Traces(base, size, seg.FlatIndex())
+			for l := range traces {
+				got = append(got, base+l)
+			}
+			if len(w.IDs) > 0 {
+				if exp.Driver != "ids" {
+					t.Fatalf("iter %d: where %+v: driver %q, want ids", iter, w, exp.Driver)
 				}
+				est += exp.EstTraces
+			}
+			if c, want := sel.Count(base, size), in(ordinal); c != want {
+				t.Fatalf("iter %d: where %+v: Count(%d, %d) = %d, want %d", iter, w, base, size, c, want)
+			}
+			may := in(ordinal) > 0 && !slices.ContainsFunc(w.HasAll, func(e seqdb.EventID) bool { return !has(e) }) &&
+				(len(w.HasAny) == 0 || slices.ContainsFunc(w.HasAny, has))
+			if m := sel.MaySelect(base, size, has); m != may {
+				t.Fatalf("iter %d: where %+v: MaySelect(%d, %d) = %v, want %v", iter, w, base, size, m, may)
+			}
+			if in(want) > 0 && !may {
+				t.Fatalf("iter %d: where %+v: oracle prunes segment [%d, %d) holding a selected trace", iter, w, base, base+size)
 			}
 			base += size
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d: where %+v selected %v over segments, want %v", iter, w, got, want)
 		}
+		if len(w.IDs) > 0 && est != len(ordinal) {
+			t.Fatalf("iter %d: where %+v: ids estimates sum to %d over segments, want %d", iter, w, est, len(ordinal))
+		}
 	}
 }
 
-func TestWhereOrdinalHelpers(t *testing.T) {
-	w := Where{From: 10, To: 20}
-	if w.OrdinalOverlap(0, 10) || !w.OrdinalOverlap(5, 6) || !w.OrdinalOverlap(19, 5) || w.OrdinalOverlap(20, 5) {
-		t.Fatal("window overlap wrong")
+func TestSelectionOrdinalLevels(t *testing.T) {
+	all := func(seqdb.EventID) bool { return true }
+	s := Where{From: 10, To: 20}.Compile()
+	if s.MaySelect(0, 10, all) || !s.MaySelect(5, 6, all) || !s.MaySelect(19, 5, all) || s.MaySelect(20, 5, all) {
+		t.Fatal("window pushdown wrong")
 	}
-	if got := w.CountOrdinalMatches(5, 10); got != 5 { // ordinals 10..14
-		t.Fatalf("CountOrdinalMatches(5,10) = %d want 5", got)
+	if got := s.Count(5, 10); got != 5 { // ordinals 10..14
+		t.Fatalf("Count(5,10) = %d want 5", got)
 	}
-	if got := w.CountOrdinalMatches(0, 100); got != 10 {
-		t.Fatalf("CountOrdinalMatches(0,100) = %d want 10", got)
+	if got := s.Count(0, 100); got != 10 {
+		t.Fatalf("Count(0,100) = %d want 10", got)
 	}
-	wid := Where{IDs: []int{3, 7, 7, 42}, From: 4}
-	if !wid.OrdinalOverlap(0, 10) || wid.OrdinalOverlap(8, 10) {
-		t.Fatal("id-list overlap wrong")
+	sid := Where{IDs: []int{3, 7, 7, 42}, From: 4}.Compile()
+	if !sid.MaySelect(0, 10, all) || sid.MaySelect(8, 10, all) {
+		t.Fatal("id-list pushdown wrong")
 	}
-	if got := wid.CountOrdinalMatches(0, 10); got != 1 { // only 7 (3 < From, dup ignored)
-		t.Fatalf("id CountOrdinalMatches = %d want 1", got)
+	if got := sid.Count(0, 10); got != 1 { // only 7 (3 < From, dup ignored)
+		t.Fatalf("id Count = %d want 1", got)
+	}
+	none := func(seqdb.EventID) bool { return false }
+	if (Where{HasAll: []seqdb.EventID{0}}).Compile().MaySelect(0, 5, none) ||
+		(Where{HasAny: []seqdb.EventID{0, 1}}).Compile().MaySelect(0, 5, none) ||
+		!(Where{}).Compile().MaySelect(0, 5, none) {
+		t.Fatal("event pushdown wrong")
 	}
 }

@@ -3,10 +3,12 @@
 // contain them as subsequences (Agrawal & Srikant; mined here with
 // PrefixSpan-style prefix-projected pattern growth).
 //
-// The repository uses it in two roles: as the comparator that Section 2 of
-// the paper contrasts iterative patterns against, and as the premise
-// generator of the recurrent rule miner (a rule premise is "frequent" when
-// enough sequences contain it as a subsequence — Theorem 2).
+// The repository uses it as the comparator that Section 2 of the paper
+// contrasts iterative patterns against (core.MineSequential, and
+// rank.SeqPatterns for ranking its output). The recurrent rule miner's
+// premises are frequent in the same sense (enough sequences contain them as
+// subsequences — Theorem 2), but internal/rules enumerates them with its own
+// premise walker over the same kernel rather than calling this package.
 //
 // Since the unified-kernel refactor the miner runs on the shared count-first
 // search framework (internal/mine) over seqdb.PositionIndex: seed patterns

@@ -23,7 +23,7 @@ type Options struct {
 	// across unpinned entries; <= 0 means unlimited (everything touched stays
 	// cached — the fits-in-RAM fast path).
 	BudgetBytes int64
-	// Obs, when non-nil, is where the pool counts: cache.pins/hits/misses/
+	// Obs, when non-nil, is where the pool counts: cache.pins/hits/
 	// evictions/bodies_opened/segments_opened/fragments_built,
 	// cache.resident_bytes and cache.peak_bytes, live-scrapeable while a mine
 	// runs. Give each pool its own registry (a Child of a shared one) to read
@@ -33,7 +33,7 @@ type Options struct {
 
 // poolMetrics are the pool's registry instruments; nil handles no-op.
 type poolMetrics struct {
-	pins, hits, misses     *obs.Counter
+	pins, hits             *obs.Counter
 	evictions              *obs.Counter
 	bodiesOpened, segsOpen *obs.Counter
 	fragsBuilt             *obs.Counter
@@ -44,7 +44,6 @@ func newPoolMetrics(r *obs.Registry) poolMetrics {
 	return poolMetrics{
 		pins:         r.Counter("cache.pins"),
 		hits:         r.Counter("cache.hits"),
-		misses:       r.Counter("cache.misses"),
 		evictions:    r.Counter("cache.evictions"),
 		bodiesOpened: r.Counter("cache.bodies_opened"),
 		segsOpen:     r.Counter("cache.segments_opened"),
@@ -175,8 +174,9 @@ type Segment struct {
 // Pin returns segment i decoded, loading it on a miss and evicting
 // least-recently-used unpinned entries if the byte budget overflows. Every
 // Pin must be matched by exactly one Unpin. The one caller that runs the
-// entry's loader counts a miss; every other caller — single-flight waiters
-// included — counts a hit, so hits + misses always equals pins.
+// entry's loader opens the body (a miss, counted as cache.bodies_opened);
+// every other caller — single-flight waiters included — counts a hit, so
+// hits + bodies_opened always equals pins.
 func (p *Pool) Pin(i int) (*Segment, error) {
 	p.met.pins.Inc()
 	p.mu.Lock()
@@ -195,7 +195,6 @@ func (p *Pool) Pin(i int) (*Segment, error) {
 	loaded := false
 	e.once.Do(func() {
 		loaded = true
-		p.met.misses.Inc()
 		p.met.bodiesOpened.Inc()
 		seqs, stats, err := p.st.LoadSegment(p.metas[i])
 		p.mu.Lock()

@@ -65,15 +65,14 @@ func newPool(st *store.Store, budget int64) (*cache.Pool, *obs.Registry) {
 
 // counts is a pool's registry series, read at one moment.
 type counts struct {
-	Pins, Hits, Misses, Evictions, BodiesOpened, SegmentsOpened int64
-	CurBytes, PeakBytes                                         int64
+	Pins, Hits, Evictions, BodiesOpened, SegmentsOpened int64
+	CurBytes, PeakBytes                                 int64
 }
 
 func read(reg *obs.Registry) counts {
 	return counts{
 		Pins:           reg.Counter("cache.pins").Value(),
 		Hits:           reg.Counter("cache.hits").Value(),
-		Misses:         reg.Counter("cache.misses").Value(),
 		Evictions:      reg.Counter("cache.evictions").Value(),
 		BodiesOpened:   reg.Counter("cache.bodies_opened").Value(),
 		SegmentsOpened: reg.Counter("cache.segments_opened").Value(),
@@ -123,7 +122,7 @@ func TestPoolCatalogOrder(t *testing.T) {
 }
 
 // TestPoolHitsAndMisses pins the same segment twice under an unlimited
-// budget: one miss, one hit, no evictions.
+// budget: one body decode (the miss), one hit, no evictions.
 func TestPoolHitsAndMisses(t *testing.T) {
 	st := buildStore(t, 2, 2, 12)
 	p, reg := newPool(st, 0)
@@ -135,8 +134,8 @@ func TestPoolHitsAndMisses(t *testing.T) {
 		sg.Unpin()
 	}
 	m := read(reg)
-	if m.Misses != 1 || m.Hits != 1 {
-		t.Fatalf("counts %+v: want 1 miss, 1 hit", m)
+	if m.BodiesOpened != 1 || m.Hits != 1 {
+		t.Fatalf("counts %+v: want 1 body decode, 1 hit", m)
 	}
 	if m.Evictions != 0 {
 		t.Fatalf("unlimited budget evicted %d entries", m.Evictions)
@@ -179,13 +178,13 @@ func TestPoolEviction(t *testing.T) {
 		t.Fatalf("resident %d bytes exceeds budget %d with nothing pinned", m.CurBytes, one+one/2)
 	}
 	// Re-pinning an evicted segment is a miss again.
-	before := m.Misses
+	before := m.BodiesOpened
 	sg, err = p.Pin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sg.Unpin()
-	if read(reg).Misses != before+1 {
+	if read(reg).BodiesOpened != before+1 {
 		t.Fatal("evicted segment was served without a re-decode")
 	}
 }
@@ -410,8 +409,8 @@ func TestPoolSingleFlightCountsOneMiss(t *testing.T) {
 	close(start)
 	wg.Wait()
 	m := read(reg)
-	if m.Misses != 1 || m.Hits != pinners-1 {
-		t.Fatalf("counts %+v: want 1 miss, %d hits", m, pinners-1)
+	if m.BodiesOpened != 1 || m.Hits != pinners-1 {
+		t.Fatalf("counts %+v: want 1 body decode, %d hits", m, pinners-1)
 	}
 	if m.BodiesOpened != 1 || m.SegmentsOpened != 1 {
 		t.Fatalf("counts %+v: want 1 body decode of 1 distinct segment", m)
@@ -430,8 +429,8 @@ func TestPoolLoadErrorRetries(t *testing.T) {
 	if _, err := p.Pin(0); err == nil {
 		t.Fatal("pin of an unreadable segment succeeded")
 	}
-	if m := read(reg); m.Misses != 1 || m.Hits != 0 || m.CurBytes != 0 {
-		t.Fatalf("counts %+v after a failed load: want 1 miss, 0 hits, nothing resident", m)
+	if m := read(reg); m.BodiesOpened != 1 || m.Hits != 0 || m.CurBytes != 0 {
+		t.Fatalf("counts %+v after a failed load: want 1 body opened, 0 hits, nothing resident", m)
 	}
 	if err := os.Rename(path+".moved", path); err != nil {
 		t.Fatal(err)
@@ -444,8 +443,8 @@ func TestPoolLoadErrorRetries(t *testing.T) {
 		t.Fatalf("segment 0: %d traces want %d", len(sg.Seqs), p.Meta(0).NumTraces())
 	}
 	sg.Unpin()
-	if m := read(reg); m.Misses != 2 || m.Hits != 0 {
-		t.Fatalf("counts %+v: want the retry to count a second miss", m)
+	if m := read(reg); m.BodiesOpened != 2 || m.Hits != 0 {
+		t.Fatalf("counts %+v: want the retry to open the body a second time", m)
 	}
 }
 
@@ -479,7 +478,7 @@ func TestPoolConcurrentPins(t *testing.T) {
 	}
 	wg.Wait()
 	m := read(reg)
-	if m.Pins != 8*200 || m.Hits+m.Misses != m.Pins {
-		t.Fatalf("pins %d, hits %d + misses %d: want %d pins, all of them hits or misses", m.Pins, m.Hits, m.Misses, 8*200)
+	if m.Pins != 8*200 || m.Hits+m.BodiesOpened != m.Pins {
+		t.Fatalf("pins %d, hits %d + bodies opened %d: want %d pins, each a hit or a body opened", m.Pins, m.Hits, m.BodiesOpened, 8*200)
 	}
 }

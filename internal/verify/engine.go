@@ -23,8 +23,7 @@ import (
 // immutable after compilation and safe for concurrent use; each Check call
 // and each Checker owns its scratch.
 type Engine struct {
-	ruleSet  []rules.Rule
-	formulas []ltl.Formula
+	ruleSet []rules.Rule
 
 	// Premise-prefix trie. Node 0 is the root (empty prefix); children carry
 	// the event extending their parent's prefix. Nodes are stored in
@@ -69,13 +68,12 @@ type Engine struct {
 	groupsOff    []int32
 }
 
-// NewEngine compiles a rule set. Rules are validated (via their LTL
-// translation) in order, so the first invalid rule produces the same error
-// the per-rule oracle would.
+// NewEngine compiles a rule set. Rules are validated in order against their
+// LTL translation's requirements (ltl.ValidateRule), so the first invalid rule
+// produces the same error the per-rule oracle would.
 func NewEngine(ruleSet []rules.Rule) (*Engine, error) {
 	e := &Engine{
 		ruleSet:     ruleSet,
-		formulas:    make([]ltl.Formula, len(ruleSet)),
 		trieEvent:   []seqdb.EventID{0},
 		trieParent:  []int32{-1},
 		rulePreNode: make([]int32, len(ruleSet)),
@@ -87,11 +85,9 @@ func NewEngine(ruleSet []rules.Rule) (*Engine, error) {
 	children := []map[seqdb.EventID]int32{nil}
 	postIndex := make(map[string]int32)
 	for i, r := range ruleSet {
-		formula, err := ltl.FromRule(r.Pre, r.Post)
-		if err != nil {
+		if err := ltl.ValidateRule(r.Pre, r.Post); err != nil {
 			return nil, err
 		}
-		e.formulas[i] = formula
 
 		node := int32(0)
 		for _, ev := range r.Pre[:len(r.Pre)-1] {

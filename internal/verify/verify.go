@@ -11,7 +11,6 @@ import (
 	"slices"
 	"strings"
 
-	"specmine/internal/ltl"
 	"specmine/internal/rules"
 	"specmine/internal/seqdb"
 )
@@ -37,8 +36,6 @@ func (v RuleViolation) String(r rules.Rule, dict *seqdb.Dictionary) string {
 // RuleReport summarises checking one rule against a database.
 type RuleReport struct {
 	Rule rules.Rule
-	// Formula is the rule's LTL form (Table 2 translation).
-	Formula ltl.Formula
 	// SatisfiedTraces and ViolatedTraces count traces on which the LTL
 	// formula holds / fails.
 	SatisfiedTraces int

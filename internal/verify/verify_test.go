@@ -72,9 +72,6 @@ func TestCheckRuleFindsViolations(t *testing.T) {
 	if rep.HoldRate() != 0.5 {
 		t.Errorf("HoldRate=%v want 0.5", rep.HoldRate())
 	}
-	if rep.Formula == nil {
-		t.Errorf("formula not attached")
-	}
 	if s := rep.Violations[0].String(rep.Rule, db.Dict); !strings.Contains(s, "trace 1") {
 		t.Errorf("violation rendering wrong: %q", s)
 	}

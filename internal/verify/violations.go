@@ -156,7 +156,7 @@ func (e *Engine) Reports(tallies []*Tally, parts []ViolationPart) []RuleReport {
 	reports := make([]RuleReport, len(e.ruleSet))
 	for r := range reports {
 		rep := &reports[r]
-		rep.Rule, rep.Formula = e.ruleSet[r], e.formulas[r]
+		rep.Rule = e.ruleSet[r]
 		grp, violTps := e.ruleGroup[r], 0
 		for _, t := range tallies {
 			n := &t.counts[r]
