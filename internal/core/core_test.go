@@ -10,7 +10,6 @@ import (
 	"specmine/internal/rules"
 	"specmine/internal/seqdb"
 	"specmine/internal/tracesim"
-	"specmine/internal/verify"
 )
 
 func TestLoadAndSaveTraces(t *testing.T) {
@@ -182,44 +181,6 @@ func TestCheckRulesFacade(t *testing.T) {
 	}
 	if out := summary.Render(fresh.Dict, 3); out == "" {
 		t.Errorf("empty render")
-	}
-}
-
-// TestCompileRulesMatchesCheckRules: a mined rule set compiled once through
-// CompileRules checks fresh traces to the same summary as CheckRules, byte
-// for byte, and the compiled Verifier holds every rule.
-func TestCompileRulesMatchesCheckRules(t *testing.T) {
-	db := tracesim.TransactionComponent().MustGenerate(120, 11)
-	train := seqdb.NewDatabaseWithDict(db.Dict)
-	fresh := seqdb.NewDatabaseWithDict(db.Dict)
-	for i, s := range db.Sequences {
-		if i < 60 {
-			train.Append(s)
-		} else {
-			fresh.Append(s)
-		}
-	}
-	res, err := MineRules(train, RuleOptions{MinSeqSupportRel: 0.5, MinConfidence: 0.8, MaxPremiseLength: 2, MaxConsequentLength: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rules) == 0 {
-		t.Fatal("mined no rules")
-	}
-	v, err := CompileRules(res.Rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := CheckRules(fresh, res.Rules)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.TotalViolations() == 0 {
-		t.Fatal("the fresh traces violate no rule; the comparison would be vacuous")
-	}
-	got := verify.NewSummary(v.Check(fresh))
-	if !reflect.DeepEqual(got, want) || got.Render(db.Dict, 0) != want.Render(db.Dict, 0) {
-		t.Fatalf("compiled Verifier diverges from CheckRules:\n%s\nwant\n%s", got.Render(db.Dict, 5), want.Render(db.Dict, 5))
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // MetricsRegistry is the low-overhead metrics registry the pipeline stages
-// publish into. Create one with NewMetrics, hand it to StreamOptions.Obs,
-// StoreOptions.Obs and OutOfCoreOptions.Obs (the same registry can back all
+// publish into. Create one with NewMetrics, hand it to stream.Config.Obs,
+// store.Options.Obs and OutOfCoreOptions.Obs (the same registry can back all
 // three — series names are disjoint), and expose it with ServeDebug or embed
 // obs.Handler into an existing mux.
 type MetricsRegistry = obs.Registry

@@ -20,6 +20,7 @@ import (
 	"specmine/internal/seqdb"
 	"specmine/internal/store"
 	"specmine/internal/store/cache"
+	"specmine/internal/stream"
 	"specmine/internal/tracesim"
 	"specmine/internal/verify"
 )
@@ -208,14 +209,14 @@ func decodeModesInput(data []byte) *modesInput {
 type modesFixture struct {
 	db      *Database         // Recover of the cleanly closed store: the oracle's traces
 	crashDB *Database         // Recover of the crash image copied after the last Snapshot
-	memSnap *Database         // the memory-only Streamer's final snapshot
+	memSnap *Database         // the memory-only ingester's final snapshot
 	ingest  *Database         // the same traces in ingest order
 	dir     string            // the store's directory
-	online  [2]verify.Summary // CheckOnline of the durable and the memory Streamer
+	online  [2]verify.Summary // online summaries of the durable and the memory ingester
 }
 
 // buildModesFixture streams the input through a durable and a memory-only
-// rule-checking Streamer side by side (after the cold session, when there is
+// rule-checking ingester side by side (after the cold session, when there is
 // one), copies a crash image of the store after the last Snapshot, closes
 // everything, and recovers what is left.
 func buildModesFixture(t *testing.T, in *modesInput) *modesFixture {
@@ -228,9 +229,9 @@ func buildModesFixture(t *testing.T, in *modesInput) *modesFixture {
 			t.Fatal(err)
 		}
 	}
-	// send ingests events of trace id into every streamer of sts, and seals
+	// send ingests events of trace id into every ingester of sts, and seals
 	// the trace there when seal is set.
-	send := func(sts []*Streamer, id string, events seqdb.Sequence, seal bool) {
+	send := func(sts []*stream.Ingester, id string, events seqdb.Sequence, seal bool) {
 		t.Helper()
 		names := make([]string, len(events))
 		for k, e := range events {
@@ -243,15 +244,16 @@ func buildModesFixture(t *testing.T, in *modesInput) *modesFixture {
 			}
 		}
 	}
-	mem, err := NewStreamer(StreamOptions{Shards: in.shards, FlushBatch: in.flush, Dict: in.dict, Rules: in.rules})
+	engine := mustEngine(t, in.rules)
+	mem, err := stream.Open(stream.Config{Shards: in.shards, FlushBatch: in.flush, Dict: in.dict, Engine: engine})
 	must(err)
 	if in.cold {
-		ts, err := OpenStore(dir, StoreOptions{Shards: in.shards})
+		ts, err := store.Open(store.Options{Dir: dir, Shards: in.shards})
 		must(err)
-		st, err := NewStreamer(StreamOptions{FlushBatch: in.flush, Dict: in.dict, Store: ts})
+		st, err := stream.Open(stream.Config{FlushBatch: in.flush, Dict: in.dict, Store: ts})
 		must(err)
 		cold := seqdb.Sequence{in.idle}
-		send([]*Streamer{st, mem}, "cold", cold, true)
+		send([]*stream.Ingester{st, mem}, "cold", cold, true)
 		fx.ingest.Append(cold)
 		must(st.Close())
 		must(ts.Close())
@@ -262,7 +264,7 @@ func buildModesFixture(t *testing.T, in *modesInput) *modesFixture {
 	// of in.open traces arrive interleaved, in.chunk events per trace per
 	// round, and a trace seals with its last chunk.
 	var ts *TraceStore
-	var st *Streamer
+	var st *stream.Ingester
 	per := (len(in.traces) + in.sessions - 1) / in.sessions
 	for lo := 0; lo < len(in.traces); lo += per {
 		if st != nil {
@@ -271,9 +273,9 @@ func buildModesFixture(t *testing.T, in *modesInput) *modesFixture {
 			must(st.Close())
 			must(ts.Close())
 		}
-		ts, err = OpenStore(dir, StoreOptions{Shards: in.shards})
+		ts, err = store.Open(store.Options{Dir: dir, Shards: in.shards})
 		must(err)
-		st, err = NewStreamer(StreamOptions{FlushBatch: in.flush, Dict: in.dict, Rules: in.rules, Store: ts})
+		st, err = stream.Open(stream.Config{FlushBatch: in.flush, Dict: in.dict, Engine: engine, Store: ts})
 		must(err)
 		hi := min(lo+per, len(in.traces))
 		for w := lo; w < hi; w += in.open {
@@ -285,7 +287,7 @@ func buildModesFixture(t *testing.T, in *modesInput) *modesFixture {
 						continue
 					}
 					end := min(pos+in.chunk, len(s))
-					send([]*Streamer{st, mem}, fmt.Sprintf("t%03d", i), s[pos:end], end == len(s))
+					send([]*stream.Ingester{st, mem}, fmt.Sprintf("t%03d", i), s[pos:end], end == len(s))
 					if end == len(s) {
 						fx.ingest.Append(s)
 					}
@@ -294,16 +296,11 @@ func buildModesFixture(t *testing.T, in *modesInput) *modesFixture {
 			}
 		}
 	}
-	for k, s := range []*Streamer{st, mem} {
-		fx.online[k], err = s.CheckOnline()
-		must(err)
-	}
-	snap, err := st.Snapshot()
-	must(err)
+	var snap *Database
+	snap, fx.online[0] = snapshot(t, st)
 	crash := filepath.Join(t.TempDir(), "crash")
 	copyTree(t, dir, crash)
-	fx.memSnap, err = mem.Snapshot()
-	must(err)
+	fx.memSnap, fx.online[1] = snapshot(t, mem)
 	must(st.Close())
 	must(mem.Close())
 	must(ts.Close())
@@ -326,7 +323,7 @@ func buildModesFixture(t *testing.T, in *modesInput) *modesFixture {
 // openOutOfCore opens the store at dir out of core until the test ends.
 func openOutOfCore(t *testing.T, dir string) *TraceStore {
 	t.Helper()
-	ts, err := OpenStore(dir, StoreOptions{OutOfCore: true})
+	ts, err := store.Open(store.Options{Dir: dir, OutOfCore: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +537,7 @@ func explainCounts(ex *Explain) []any {
 
 // FuzzModesMatchOracle is the differential oracle for every execution mode.
 // Each input decodes (decodeModesInput) to a workload ingested through a
-// durable Streamer, a rule set, a Where, a cache budget regime, a worker
+// durable ingester, a rule set, a Where, a cache budget regime, a worker
 // count and an optional read fault on one segment file. Every facade mode
 // runs on it — in memory, out of core, predicated, online (durable and
 // memory-only), over Recover of a crash image and over the ingest order —

@@ -13,13 +13,15 @@ import (
 	"testing"
 
 	"specmine/internal/obs"
+	"specmine/internal/store"
+	"specmine/internal/stream"
 	"specmine/internal/tracesim"
 )
 
-// streamWorkload drives a fixed tracesim workload through the streamer and
+// streamWorkload drives a fixed tracesim workload through the ingester and
 // returns the number of events ingested (the count the stream.events_acked
 // counter must match exactly).
-func streamWorkload(t *testing.T, st *Streamer, w tracesim.Workload, numTraces int, seed int64) int64 {
+func streamWorkload(t *testing.T, st *stream.Ingester, w tracesim.Workload, numTraces int, seed int64) int64 {
 	t.Helper()
 	var events int64
 	err := w.Stream(numTraces, seed, 5, func(c tracesim.StreamChunk) error {
@@ -117,11 +119,11 @@ func TestMetricsSmoke(t *testing.T) {
 
 	reg := NewMetrics()
 	dir := t.TempDir()
-	ts, err := OpenStore(dir, StoreOptions{Shards: 3, Obs: reg})
+	ts, err := store.Open(store.Options{Dir: dir, Shards: 3, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStreamer(StreamOptions{FlushBatch: 4, Dict: train.Dict, Store: ts, Obs: reg})
+	st, err := stream.Open(stream.Config{FlushBatch: 4, Dict: train.Dict, Store: ts, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestMetricsSmoke(t *testing.T) {
 
 	// Out-of-core checking over the same registry populates the cache.*,
 	// verify.* and store.* recovery-side series.
-	ts2, err := OpenStore(dir, StoreOptions{OutOfCore: true, Obs: reg})
+	ts2, err := store.Open(store.Options{Dir: dir, OutOfCore: true, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +256,11 @@ func TestRegistryCounterEquivalence(t *testing.T) {
 
 	regIngest := NewMetrics()
 	dir := t.TempDir()
-	ts, err := OpenStore(dir, StoreOptions{Shards: 2, Obs: regIngest})
+	ts, err := store.Open(store.Options{Dir: dir, Shards: 2, Obs: regIngest})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStreamer(StreamOptions{FlushBatch: 4, Dict: train.Dict, Store: ts, Obs: regIngest})
+	st, err := stream.Open(stream.Config{FlushBatch: 4, Dict: train.Dict, Store: ts, Obs: regIngest})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,7 @@ func TestRegistryCounterEquivalence(t *testing.T) {
 	// A fresh registry on the checking run: its cumulative series must equal
 	// the call's own registry series by series.
 	regCheck := NewMetrics()
-	ts2, err := OpenStore(dir, StoreOptions{OutOfCore: true, Obs: regCheck})
+	ts2, err := store.Open(store.Options{Dir: dir, OutOfCore: true, Obs: regCheck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +310,7 @@ func TestRegistryCounterEquivalence(t *testing.T) {
 	// Determinism: the identical run on yet another fresh registry produces
 	// identical counter values.
 	regAgain := NewMetrics()
-	ts3, err := OpenStore(dir, StoreOptions{OutOfCore: true, Obs: regAgain})
+	ts3, err := store.Open(store.Options{Dir: dir, OutOfCore: true, Obs: regAgain})
 	if err != nil {
 		t.Fatal(err)
 	}

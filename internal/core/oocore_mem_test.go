@@ -392,7 +392,7 @@ func TestOutOfCoreCapped(t *testing.T) {
 		t.Logf("peak HeapAlloc %d MiB under a %d MiB cap", peak.Load()>>20, ref.MemLimitBytes>>20)
 	}()
 
-	ts, err := OpenStore(filepath.Join(dir, "store"), StoreOptions{OutOfCore: true})
+	ts, err := store.Open(store.Options{Dir: filepath.Join(dir, "store"), OutOfCore: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,8 @@ import (
 	"specmine/internal/mine"
 	"specmine/internal/obs"
 	"specmine/internal/seqdb"
+	"specmine/internal/store"
+	"specmine/internal/stream"
 )
 
 // buildSegmentedStore ingests a clustered workload across several durable
@@ -45,11 +47,11 @@ func writeSessions(t *testing.T, dir string, shards, sessions, perSession int) {
 // traces (ids prefix+"tr"+index) and closes.
 func ingestSession(t *testing.T, dir string, shards int, prefix string, traces [][]string) {
 	t.Helper()
-	ts, err := OpenStore(dir, StoreOptions{Shards: shards})
+	ts, err := store.Open(store.Options{Dir: dir, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStreamer(StreamOptions{FlushBatch: 4, Store: ts})
+	st, err := stream.Open(stream.Config{FlushBatch: 4, Store: ts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func ingestSession(t *testing.T, dir string, shards int, prefix string, traces [
 // reopenStore opens dir quiescent and closes it when the test ends.
 func reopenStore(t *testing.T, dir string) *TraceStore {
 	t.Helper()
-	ts, err := OpenStore(dir, StoreOptions{})
+	ts, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +208,8 @@ func TestMineStoreRulesRebindsAcrossViews(t *testing.T) {
 	}
 }
 
-// TestOutOfCoreLazyOpen: a store opened with StoreOptions.OutOfCore holds no
-// sealed traces in memory, refuses a streamer, and still mines and checks
+// TestOutOfCoreLazyOpen: a store opened with store.Options.OutOfCore holds no
+// sealed traces in memory, refuses an ingester, and still mines and checks
 // byte-identically to an eager open of the same directory.
 func TestOutOfCoreLazyOpen(t *testing.T) {
 	ts := buildSegmentedStore(t, 2, 3, 20)
@@ -233,7 +235,7 @@ func TestOutOfCoreLazyOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lazy, err := OpenStore(dir, StoreOptions{OutOfCore: true})
+	lazy, err := store.Open(store.Options{Dir: dir, OutOfCore: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +243,8 @@ func TestOutOfCoreLazyOpen(t *testing.T) {
 	if n := lazy.Recovered().NumSealed(); n != 0 {
 		t.Fatalf("lazy open materialised %d sealed traces", n)
 	}
-	if _, err := NewStreamer(StreamOptions{Store: lazy}); err == nil {
-		t.Fatal("lazy-open store accepted a streamer")
+	if _, err := stream.Open(stream.Config{Store: lazy}); err == nil {
+		t.Fatal("lazy-open store accepted an ingester")
 	}
 
 	oo := OutOfCoreOptions{CacheBytes: 2 << 10}
@@ -320,11 +322,11 @@ func TestOutOfCoreMiningSkipsSegments(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "traces")
 	sizes := []int{40, 10, 10, 10, 10}
 	for s, n := range sizes {
-		ts, err := OpenStore(dir, StoreOptions{Shards: shards})
+		ts, err := store.Open(store.Options{Dir: dir, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := NewStreamer(StreamOptions{FlushBatch: 4, Store: ts})
+		st, err := stream.Open(stream.Config{FlushBatch: 4, Store: ts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +350,7 @@ func TestOutOfCoreMiningSkipsSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts, err := OpenStore(dir, StoreOptions{})
+	ts, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,15 @@ import (
 	"path/filepath"
 	"testing"
 
+	"specmine/internal/store"
+	"specmine/internal/stream"
 	"specmine/internal/tracesim"
+	"specmine/internal/verify"
 )
 
-// ingestAll streams a workload's traces into the streamer in interleaved
+// ingestAll streams a workload's traces into the ingester in interleaved
 // chunks from one producer.
-func ingestAll(t *testing.T, st *Streamer, w tracesim.Workload, traces int, seed int64) {
+func ingestAll(t *testing.T, st *stream.Ingester, w tracesim.Workload, traces int, seed int64) {
 	t.Helper()
 	err := w.Stream(traces, seed, 8, func(c tracesim.StreamChunk) error {
 		if len(c.Events) > 0 {
@@ -27,28 +30,46 @@ func ingestAll(t *testing.T, st *Streamer, w tracesim.Workload, traces int, seed
 	}
 }
 
-// TestStoreLifecycle walks the whole durable lifecycle through the facade:
-// a durable streaming session, a restart with Recover-based cold mining, and
-// a second durable session that resumes — with online conformance seeded from
-// the recovered history.
+// mustEngine compiles ruleSet for online checking.
+func mustEngine(t *testing.T, ruleSet []Rule) *verify.Engine {
+	t.Helper()
+	engine, err := verify.NewEngine(ruleSet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return engine
+}
+
+// snapshot takes a snapshot of ing: its sealed traces and the summary of its
+// online conformance reports.
+func snapshot(t *testing.T, ing *stream.Ingester) (*Database, verify.Summary) {
+	t.Helper()
+	v, err := ing.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.DB, verify.NewSummary(v.Reports)
+}
+
+// TestStoreLifecycle walks the whole durable lifecycle: a durable streaming
+// session, a restart with Recover-based cold mining, and a second durable
+// session that resumes — with online conformance seeded from the recovered
+// history, and the rules' dictionary (Recover's) reconciled with the store's.
 func TestStoreLifecycle(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "traces")
 	w := tracesim.Workloads()["locking"]
 
 	// Session 1: durable ingestion of live traffic, no rules yet.
-	ts, err := OpenStore(dir, StoreOptions{Shards: 3})
+	ts, err := store.Open(store.Options{Dir: dir, Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStreamer(StreamOptions{FlushBatch: 4, Store: ts})
+	st, err := stream.Open(stream.Config{FlushBatch: 4, Store: ts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ingestAll(t, st, w, 40, 7)
-	snap1, err := st.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap1, _ := snapshot(t, st)
 	if snap1.NumSequences() != 40 {
 		t.Fatalf("session 1 snapshot has %d traces want 40", snap1.NumSequences())
 	}
@@ -104,28 +125,21 @@ func TestStoreLifecycle(t *testing.T) {
 
 	// Session 2 resumes durably with the mined rules checking new violating
 	// traffic online; the recovered history's conformance is seeded so
-	// CheckOnline equals a batch CheckRules over the full snapshot.
-	ts2, err := OpenStore(dir, StoreOptions{})
+	// the online summary equals a batch CheckRules over the full snapshot.
+	ts2, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := NewStreamer(StreamOptions{FlushBatch: 4, Dict: recovered.Dict, Rules: res2.Rules, Store: ts2})
+	st2, err := stream.Open(stream.Config{FlushBatch: 4, Dict: recovered.Dict, Engine: mustEngine(t, res2.Rules), Store: ts2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hostile := w
 	hostile.ViolationRate = 0.3
 	ingestAll(t, st2, hostile, 30, 99)
-	snap2, err := st2.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap2, online := snapshot(t, st2)
 	if snap2.NumSequences() != 70 {
 		t.Fatalf("session 2 snapshot has %d traces want 70", snap2.NumSequences())
-	}
-	online, err := st2.CheckOnline()
-	if err != nil {
-		t.Fatal(err)
 	}
 	batch, err := CheckRules(snap2, res2.Rules)
 	if err != nil {

@@ -82,12 +82,6 @@ func (db *Database) Index() []map[EventID][]int {
 	return db.positions
 }
 
-// Positions returns the cached occurrence positions for sequence i, building
-// the cache if necessary.
-func (db *Database) Positions(i int) map[EventID][]int {
-	return db.Index()[i]
-}
-
 // FlatIndex builds (or returns the cached) flat positional index over the
 // database. All miners run their hot paths against this representation; see
 // PositionIndex for the layout. The index is built once over the current

@@ -10,9 +10,6 @@ import (
 // temporal points, and the conversion is confined to rendering code.
 type Sequence []EventID
 
-// Len returns the number of events in the sequence.
-func (s Sequence) Len() int { return len(s) }
-
 // Clone returns an independent copy of the sequence.
 func (s Sequence) Clone() Sequence {
 	out := make(Sequence, len(s))

@@ -609,8 +609,8 @@ func (sl *ShardLog) FlushLocked() error {
 }
 
 // Flush forces the shard's buffered records (and the dictionary log) to the
-// OS — the barrier the streaming layer invokes at every snapshot, so any
-// state a snapshot exposed is recoverable.
+// OS, taking the shard log's lock. The streaming layer's barriers already
+// hold that lock and call FlushLocked instead.
 func (sl *ShardLog) Flush() error {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()

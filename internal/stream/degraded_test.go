@@ -19,7 +19,16 @@ import (
 // degrades the store to read-only. Ingest must fail fast with the typed
 // error, but snapshots must keep serving the exact in-memory state — the
 // degraded contract is "stop promising durability, keep answering reads".
+// A memory-only ingester has no store to degrade and is always Healthy.
 func TestDegradedStoreStillServesSnapshots(t *testing.T) {
+	mem := mustOpen(t, Config{Shards: 2})
+	if h := mem.Health(); h.State != store.Healthy {
+		t.Fatalf("memory-only ingester reports %v, want Healthy", h.State)
+	}
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	// Write rank 0 on the shard path is the WAL creation at Open; rank 1 is
 	// the first flush. EIO is permanent, so the first barrier degrades.
 	ffs := fsim.NewFaultFS(fsim.OS(),

@@ -48,10 +48,19 @@ type Config struct {
 	FlushBatch int
 	// Dict supplies the event-name dictionary, which must be the one the
 	// rule set was mined against when Engine is set. Nil creates a fresh
-	// dictionary.
+	// dictionary. In durable mode the store's dictionary is the ingester's,
+	// and Open reconciles Dict with it: every id both assign must name the
+	// same event, and Dict's names beyond the store's are interned into the
+	// store in id order, so every id Dict assigns (the rules' ids included)
+	// means the same event in the store. On a fresh store this always holds;
+	// on the store Dict came from (say, through a cold-start read of its
+	// recovered traces) it interns nothing. A mismatch is an error, and a
+	// refused Open writes nothing into the store's dictionary.
 	Dict *seqdb.Dictionary
 	// Engine, when non-nil, checks every trace online as its events arrive;
-	// Snapshot then carries the accumulated conformance reports.
+	// Snapshot then carries the accumulated conformance reports. Its rules'
+	// event ids must come from Dict or the store's dictionary, so an Engine
+	// needs one of the two.
 	Engine *verify.Engine
 	// Obs, when non-nil, registers the ingester's metrics — acked-event and
 	// sealed-trace counters, per-shard ingest latency histograms,
@@ -65,8 +74,8 @@ type Config struct {
 	// state — sealed shard databases, open traces (their online checkers
 	// re-advanced), and conformance reports re-seeded — exactly as if the
 	// process had never died. The store's shard count overrides Shards (it
-	// is fixed at store creation) and its dictionary overrides Dict; Open
-	// reports a mismatch as an error.
+	// is fixed at store creation; Open reports a different non-zero value
+	// as an error) and its dictionary absorbs Dict (see Dict).
 	Store *store.Store
 }
 
@@ -177,17 +186,26 @@ type Ingester struct {
 // fixed shard count and dictionary — then starts the shard goroutines,
 // seeding them from the store's recovered state when one is configured.
 func Open(cfg Config) (*Ingester, error) {
+	if cfg.Engine != nil && cfg.Dict == nil && cfg.Store == nil {
+		return nil, errors.New("stream: Config.Engine requires the dictionary its rules were mined against (Config.Dict, or a Store supplying it)")
+	}
 	var recovered *store.Recovered
 	if st := cfg.Store; st != nil {
 		if cfg.Shards != 0 && cfg.Shards != st.NumShards() {
 			return nil, fmt.Errorf("stream: Config.Shards is %d but the store was created with %d shards", cfg.Shards, st.NumShards())
 		}
 		cfg.Shards = st.NumShards()
-		if cfg.Dict != nil && cfg.Dict != st.Dict() {
-			return nil, errors.New("stream: Config.Dict must be the store's dictionary (or nil) in durable mode")
+		// The store's dictionary log is durable: everything that can still
+		// fail runs before the caller's names are interned into it.
+		adopt, err := namesToAdopt(st.Dict(), cfg.Dict)
+		if err != nil {
+			return nil, err
 		}
 		if err := st.AttachIngester(); err != nil {
 			return nil, err
+		}
+		for _, name := range adopt {
+			st.Dict().Intern(name)
 		}
 		cfg.Dict = st.Dict()
 		recovered = st.Recovered()
@@ -244,6 +262,25 @@ func Open(cfg Config) (*Ingester, error) {
 		go sh.run()
 	}
 	return ing, nil
+}
+
+// namesToAdopt returns the names of dict that the store's dictionary held
+// lacks, in id order, after checking that interning them reproduces dict's
+// ids exactly: every id the two dictionaries share must name the same event.
+// A dictionary holds each name once, so a matching prefix also keeps the
+// remaining names off every id held assigns.
+func namesToAdopt(held, dict *seqdb.Dictionary) ([]string, error) {
+	if dict == nil || dict == held {
+		return nil, nil
+	}
+	names, existing := dict.Export(), held.Export()
+	n := min(len(names), len(existing))
+	for i := range n {
+		if names[i] != existing[i] {
+			return nil, fmt.Errorf("stream: the store's dictionary assigns id %d to %q where Config.Dict has %q — the store holds a different event stream", i, existing[i], names[i])
+		}
+	}
+	return names[n:], nil
 }
 
 // Dict returns the ingester's event dictionary.
@@ -818,9 +855,4 @@ func (sh *shard) openSnapshot() []store.OpenTrace {
 		}
 	}
 	return out
-}
-
-// String renders a shard count summary for diagnostics.
-func (ing *Ingester) String() string {
-	return fmt.Sprintf("stream.Ingester{shards: %d}", len(ing.shards))
 }
