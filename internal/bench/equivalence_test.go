@@ -12,18 +12,6 @@ import (
 	"specmine/internal/seqpattern"
 )
 
-func seqdbBuildFlat(db *seqdb.Database) *seqdb.PositionIndex {
-	return seqdb.BuildPositionIndex(db.Sequences, db.Dict.Size())
-}
-
-func seqdbBuildMap(db *seqdb.Database) []map[seqdb.EventID][]int {
-	out := make([]map[seqdb.EventID][]int, len(db.Sequences))
-	for i, s := range db.Sequences {
-		out[i] = s.EventPositions()
-	}
-	return out
-}
-
 func randomDB(rng *rand.Rand, numSeqs, maxLen, alphabet int) *seqdb.Database {
 	db := seqdb.NewDatabase()
 	for i := 0; i < alphabet; i++ {
@@ -90,7 +78,7 @@ func TestFlatMinerMatchesBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := baseline.MineClosed(db, opts)
+		base, err := baseline.MineClosed(db, baseline.Index(db), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,13 +88,14 @@ func TestFlatMinerMatchesBaseline(t *testing.T) {
 	for iter := 0; iter < 25; iter++ {
 		db := randomDB(rng, 3+rng.Intn(4), 12, 3+rng.Intn(3))
 		opts := iterpattern.Options{MinInstanceSupport: 2 + rng.Intn(2), IncludeInstances: true}
+		pos := baseline.Index(db)
 		for _, closed := range []bool{false, true} {
 			opts.Full = !closed
 			flat, err := iterpattern.Mine(db, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			base, err := baseline.Mine(db, opts, closed)
+			base, err := baseline.Mine(db, pos, opts, closed)
 			if err != nil {
 				t.Fatal(err)
 			}

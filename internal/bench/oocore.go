@@ -11,21 +11,20 @@ import (
 
 // --- out-of-core mining fixture ---------------------------------------------
 //
-// OocoreCase builds the durable fixture behind the trajectory's oocore_cases
-// section and TestOocoreFixture's segment-skip floor: equal-size
-// trace clusters with fully disjoint event alphabets, each cluster
-// canonicalised into its own sealed segment (one ingest-and-close cycle per
-// cluster; the next open rolls the WAL tail into a segment, and CompactBytes
-// 1 keeps the compactor from ever merging across clusters). Per-segment
-// statistics can then prove every cluster-pure segment irrelevant to a
-// workload that only touches other clusters — which is what the segment-skip
-// floor measures — while the full-sweep mining workload (seeds in every
-// cluster) prices the pin-and-evict cache against the in-memory miner.
+// OocoreCase builds the durable fixture behind TestOocoreFixture's
+// equivalence checks and segment-skip floor: equal-size trace clusters with
+// fully disjoint event alphabets, each cluster canonicalised into its own
+// sealed segment (one ingest-and-close cycle per cluster; the next open rolls
+// the WAL tail into a segment, and CompactBytes 1 keeps the compactor from
+// ever merging across clusters). Per-segment statistics can then prove every
+// cluster-pure segment irrelevant to a workload that only touches other
+// clusters — which is what the segment-skip floor measures — while the
+// full-sweep mining workload (seeds in every cluster) runs the pin-and-evict
+// cache against the in-memory miner.
 //
-// The database deliberately fits in RAM: the trajectory compares the two
-// paths where the in-memory one is at its best. Scale-out correctness (DB
-// many times the cache, GOMEMLIMIT-capped) is the CI out-of-core job's
-// territory, not the benchmark's.
+// The database deliberately fits in RAM. Scale-out correctness (DB many
+// times the cache, GOMEMLIMIT-capped) is the CI out-of-core job's territory,
+// not the benchmark's.
 
 const (
 	// oocoreOps (op, ...) slots per trace, cycling over an alphabet of
@@ -39,7 +38,6 @@ const (
 // OocoreCase is one out-of-core benchmark fixture: Clusters clusters of
 // PerCluster traces each, disjoint alphabets, one sealed segment per cluster.
 type OocoreCase struct {
-	Name       string
 	Clusters   int
 	PerCluster int
 }
@@ -49,7 +47,7 @@ type OocoreCase struct {
 // above — with enough clusters that the selective workload's ≥ 90% skip
 // floor has real slack (1 cluster of 24 touched ⇒ ~96% skipped).
 func OocoreCases() []OocoreCase {
-	return []OocoreCase{{Name: "clustered/c=24/n=200", Clusters: 24, PerCluster: 200}}
+	return []OocoreCase{{Clusters: 24, PerCluster: 200}}
 }
 
 // MinSupport is the pattern threshold every out-of-core benchmark mines at:

@@ -8,12 +8,12 @@ import (
 	"specmine/internal/store"
 )
 
-// TestOocoreFixture proves the properties the trajectory's oocore_cases
-// section assumes: the fixture builds one cluster-pure segment per cluster,
-// out-of-core mining and checking over it are equivalent to the in-memory
-// paths at a tight and an unlimited cache budget, and at both budgets the
-// selective rule set skips at least 90% of segment bodies — the segment-skip
-// floor: a drop means segment statistics or the skip predicate regressed.
+// TestOocoreFixture proves the fixture's properties: it builds one
+// cluster-pure segment per cluster, out-of-core mining and checking over it
+// are equivalent to the in-memory paths at a tight and an unlimited cache
+// budget, and at both budgets the selective rule set skips at least 90% of
+// segment bodies — the segment-skip floor: a drop means segment statistics
+// or the skip predicate regressed.
 func TestOocoreFixture(t *testing.T) {
 	c := OocoreCases()[0]
 	dir := t.TempDir()

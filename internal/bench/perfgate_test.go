@@ -64,9 +64,9 @@ func TestPerfGates(t *testing.T) {
 		c := ClosedCases()[0]
 		db := c.Gen()
 		db.FlatIndex()
-		db.Index()
+		pos := baseline.Index(db)
 		gate(t, closedFloor, nil,
-			func() error { _, err := baseline.MineClosed(db, c.Opts); return err },
+			func() error { _, err := baseline.MineClosed(db, pos, c.Opts); return err },
 			func() error { _, err := iterpattern.Mine(db, c.Opts); return err })
 	})
 

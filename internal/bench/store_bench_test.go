@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"specmine/internal/obs"
@@ -149,33 +148,10 @@ func BenchmarkRecover(b *testing.B) {
 	}
 }
 
-// storeFootprint walks a closed store directory and reports its on-disk
-// shape for the trajectory file.
-func storeFootprint(dir string) (walBytes, segBytes int64, segments int, err error) {
-	err = filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		info, err := d.Info()
-		if err != nil {
-			return err
-		}
-		switch {
-		case strings.HasSuffix(path, ".wal"):
-			walBytes += info.Size()
-		case strings.HasSuffix(path, ".seg"):
-			segBytes += info.Size()
-			segments++
-		}
-		return nil
-	})
-	return walBytes, segBytes, segments, err
-}
-
 // TestDurableIngestThroughputFloor guards the acceptance criterion with a
 // generous margin for noisy CI machines: durable ingestion must sustain at
-// least 10% of in-memory throughput here (the trajectory records the real
-// ratio). The ratio is the median over alternating single-run pairs
+// least 10% of in-memory throughput here (BenchmarkStoreIngest measures the
+// real ratio). The ratio is the median over alternating single-run pairs
 // (pairedRatio, as the performance gates measure), so a swing in file
 // creation cost lands on both sides of a pair instead of on one side's
 // whole sample.

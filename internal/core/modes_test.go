@@ -474,7 +474,7 @@ func checkOracle(t *testing.T, db *Database, ruleSet []Rule, where Where) verify
 func patternOracle(t *testing.T, db *Database, opts PatternOptions) *PatternResult {
 	t.Helper()
 	opts.Workers = 1
-	res, err := baseline.Mine(db, opts, !opts.Full)
+	res, err := baseline.Mine(db, baseline.Index(db), opts, !opts.Full)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package iterpattern
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"specmine/internal/qre"
@@ -210,14 +209,7 @@ func TestResultHelpers(t *testing.T) {
 // every frequent event and recounting support via the independent qre
 // matcher. It is exponential and only suitable for tiny databases.
 func bruteFrequent(db *seqdb.Database, minSup int) map[string]seqdb.Pattern {
-	counts := db.EventInstanceCount()
-	var alphabet []seqdb.EventID
-	for e, c := range counts {
-		if c >= minSup {
-			alphabet = append(alphabet, e)
-		}
-	}
-	sort.Slice(alphabet, func(i, j int) bool { return alphabet[i] < alphabet[j] })
+	alphabet := db.FlatIndex().FrequentEventsByInstanceCount(minSup)
 	out := make(map[string]seqdb.Pattern)
 	var grow func(p seqdb.Pattern)
 	grow = func(p seqdb.Pattern) {

@@ -61,7 +61,7 @@ type Options struct {
 	// bound. So a rule whose premise sits at MaxPremiseLength can be
 	// non-redundant within the bounds and still go unmined; FilterRedundant
 	// of the full set keeps it, and the two can differ for MaxPremiseLength
-	// >= 2. ROADMAP item 7 tracks the fix.
+	// >= 2. The ROADMAP item on bounded non-redundancy tracks the fix.
 	Full bool
 
 	// Workers bounds the worker pool that walks premise subtrees (one

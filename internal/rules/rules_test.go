@@ -162,7 +162,7 @@ func TestMinedRuleStatisticsMatchEvaluateRule(t *testing.T) {
 // consequent combinations up to the given lengths and scoring them with
 // EvaluateRule.
 func bruteRules(db *seqdb.Database, opts Options, maxPre, maxPost int) map[string]Rule {
-	events := db.FrequentEvents(1)
+	events := db.FlatIndex().FrequentEventsBySeqSupport(1)
 	var patterns []seqdb.Pattern
 	var gen func(p seqdb.Pattern, maxLen int)
 	gen = func(p seqdb.Pattern, maxLen int) {
@@ -316,7 +316,7 @@ func TestMineFullAgainstBruteForce(t *testing.T) {
 // skipped (see TestMineFullAgainstBruteForce).
 func walkSkips(db *seqdb.Database, pre seqdb.Pattern, maxPre int) bool {
 	for k := 1; k <= len(pre) && k < maxPre; k++ {
-		if insertionDominated(db, pre[:k], db.FrequentEvents(1)) {
+		if insertionDominated(db, pre[:k], db.FlatIndex().FrequentEventsBySeqSupport(1)) {
 			return true
 		}
 	}

@@ -1,20 +1,12 @@
 package seqdb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Database is the sequence database SeqDB of the paper: an ordered collection
 // of sequences (traces) plus the dictionary that interns their event names.
 type Database struct {
 	Dict      *Dictionary
 	Sequences []Sequence
-
-	// positions[i] caches, for sequence i, the sorted occurrence positions of
-	// every event in that sequence. It is built lazily by Index and used by
-	// legacy callers for O(log n) next-occurrence queries.
-	positions []map[EventID][]int
 
 	// flat caches the flat positional index built by FlatIndex. The miners'
 	// hot paths run entirely against it. Append drops it.
@@ -42,7 +34,6 @@ func NewDatabaseWithDict(dict *Dictionary) *Database {
 // the sequences it was built over.
 func (db *Database) Append(s Sequence) {
 	db.Sequences = append(db.Sequences, s)
-	db.positions = nil
 	db.flat = nil
 }
 
@@ -68,20 +59,6 @@ func (db *Database) NumEvents() int {
 	return n
 }
 
-// Index builds (or rebuilds) the per-sequence occurrence-position cache and
-// returns it. Miners call Index once up front; repeated calls are cheap when
-// the database has not changed.
-func (db *Database) Index() []map[EventID][]int {
-	if db.positions != nil && len(db.positions) == len(db.Sequences) {
-		return db.positions
-	}
-	db.positions = make([]map[EventID][]int, len(db.Sequences))
-	for i, s := range db.Sequences {
-		db.positions[i] = s.EventPositions()
-	}
-	return db.positions
-}
-
 // FlatIndex builds (or returns the cached) flat positional index over the
 // database. All miners run their hot paths against this representation; see
 // PositionIndex for the layout. The index is built once over the current
@@ -102,59 +79,6 @@ func (db *Database) FlatIndex() *PositionIndex {
 // by the database's writer.
 func (db *Database) SnapshotView() *Database {
 	return &Database{Dict: db.Dict, Sequences: append([]Sequence(nil), db.Sequences...)}
-}
-
-// EventSupport returns, for every event, the number of sequences in which it
-// occurs at least once. This drives frequent-1 candidate generation.
-func (db *Database) EventSupport() map[EventID]int {
-	sup := make(map[EventID]int)
-	for _, s := range db.Sequences {
-		for e := range s.DistinctEvents() {
-			sup[e]++
-		}
-	}
-	return sup
-}
-
-// EventInstanceCount returns, for every event, its total number of
-// occurrences across all sequences (the instance support of the
-// single-event pattern <e>).
-func (db *Database) EventInstanceCount() map[EventID]int {
-	cnt := make(map[EventID]int)
-	for _, s := range db.Sequences {
-		for _, e := range s {
-			cnt[e]++
-		}
-	}
-	return cnt
-}
-
-// FrequentEvents returns the events whose sequence support is at least
-// minSeqSup, sorted by id for determinism.
-func (db *Database) FrequentEvents(minSeqSup int) []EventID {
-	sup := db.EventSupport()
-	out := make([]EventID, 0, len(sup))
-	for e, c := range sup {
-		if c >= minSeqSup {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// FrequentEventsByInstances returns the events with at least minInstances
-// total occurrences, sorted by id.
-func (db *Database) FrequentEventsByInstances(minInstances int) []EventID {
-	cnt := db.EventInstanceCount()
-	out := make([]EventID, 0, len(cnt))
-	for e, c := range cnt {
-		if c >= minInstances {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Clone returns a deep copy of the database (dictionary and sequences).

@@ -3,8 +3,7 @@ package seqdb
 import "slices"
 
 // PositionIndex is the flat, cache-friendly positional index used by the
-// mining hot paths. It replaces the per-sequence map[EventID][]int layout of
-// Database.Index with one self-contained row per sequence:
+// mining hot paths, with one self-contained row per sequence:
 //
 //   - each row holds its sequence's sorted distinct events, their position
 //     lists back to back in the row's own position slice, and an offset table

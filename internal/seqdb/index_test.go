@@ -3,6 +3,7 @@ package seqdb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -23,18 +24,56 @@ func randomIndexDB(rng *rand.Rand, numSeqs, maxLen, alphabet int) *Database {
 	return db
 }
 
+// mapIndex is the reference the flat index is checked against: for each
+// sequence, every event's sorted positions, collected in a map.
+func mapIndex(db *Database) []map[EventID][]int {
+	out := make([]map[EventID][]int, len(db.Sequences))
+	for i, s := range db.Sequences {
+		out[i] = make(map[EventID][]int)
+		for j, e := range s {
+			out[i][e] = append(out[i][e], j)
+		}
+	}
+	return out
+}
+
+// mapCounts returns each event's sequence support and instance count,
+// counted through mapIndex.
+func mapCounts(db *Database) (seqSup, instCnt map[EventID]int) {
+	seqSup, instCnt = make(map[EventID]int), make(map[EventID]int)
+	for _, m := range mapIndex(db) {
+		for e, ps := range m {
+			seqSup[e]++
+			instCnt[e] += len(ps)
+		}
+	}
+	return seqSup, instCnt
+}
+
+// atLeast returns, sorted by id, the events whose count is at least min.
+func atLeast(counts map[EventID]int, min int) []EventID {
+	var out []EventID
+	for e, c := range counts {
+		if c >= min {
+			out = append(out, e)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 func TestPositionIndexMatchesMapIndex(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 50; iter++ {
 		db := randomIndexDB(rng, 1+rng.Intn(6), 12, 1+rng.Intn(8))
 		idx := db.FlatIndex()
-		legacy := db.Index()
+		ref := mapIndex(db)
 		if idx.NumSequences() != len(db.Sequences) {
 			t.Fatalf("NumSequences=%d want %d", idx.NumSequences(), len(db.Sequences))
 		}
 		for si := range db.Sequences {
 			for e := EventID(0); e < EventID(db.Dict.Size()); e++ {
-				want := legacy[si][e]
+				want := ref[si][e]
 				got := idx.Positions(si, e)
 				if len(got) != len(want) {
 					t.Fatalf("seq %d event %d: positions %v want %v", si, e, got, want)
@@ -121,8 +160,7 @@ func TestPositionIndexPostingsAndSupports(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		db := randomIndexDB(rng, 1+rng.Intn(8), 10, 1+rng.Intn(6))
 		idx := db.FlatIndex()
-		seqSup := db.EventSupport()
-		instCnt := db.EventInstanceCount()
+		seqSup, instCnt := mapCounts(db)
 		for e := EventID(0); e < EventID(db.Dict.Size()); e++ {
 			if got := idx.EventSeqSupport(e); got != seqSup[e] {
 				t.Fatalf("EventSeqSupport(%d)=%d want %d", e, got, seqSup[e])
@@ -144,7 +182,7 @@ func TestPositionIndexPostingsAndSupports(t *testing.T) {
 			}
 		}
 		for minSup := 1; minSup <= 4; minSup++ {
-			want := db.FrequentEventsByInstances(minSup)
+			want := atLeast(instCnt, minSup)
 			got := idx.FrequentEventsByInstanceCount(minSup)
 			if len(got) != len(want) {
 				t.Fatalf("FrequentEventsByInstanceCount(%d)=%v want %v", minSup, got, want)
@@ -154,7 +192,7 @@ func TestPositionIndexPostingsAndSupports(t *testing.T) {
 					t.Fatalf("FrequentEventsByInstanceCount(%d)=%v want %v", minSup, got, want)
 				}
 			}
-			wantSeq := db.FrequentEvents(minSup)
+			wantSeq := atLeast(seqSup, minSup)
 			gotSeq := idx.FrequentEventsBySeqSupport(minSup)
 			if len(gotSeq) != len(wantSeq) {
 				t.Fatalf("FrequentEventsBySeqSupport(%d)=%v want %v", minSup, gotSeq, wantSeq)

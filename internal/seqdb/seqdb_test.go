@@ -144,19 +144,6 @@ func TestSubsequenceEndPositionsQuick(t *testing.T) {
 	}
 }
 
-func TestCountInRange(t *testing.T) {
-	pos := []int{2, 5, 9, 14}
-	if got := CountInRange(pos, 3, 10); got != 2 {
-		t.Errorf("CountInRange(3,10)=%d want 2", got)
-	}
-	if got := CountInRange(pos, 0, 100); got != 4 {
-		t.Errorf("CountInRange(0,100)=%d want 4", got)
-	}
-	if got := CountInRange(pos, 10, 3); got != 0 {
-		t.Errorf("CountInRange(10,3)=%d want 0", got)
-	}
-}
-
 func TestPatternOperations(t *testing.T) {
 	d := NewDictionary()
 	p := ParsePattern(d, "a b c")
@@ -240,22 +227,6 @@ func TestDatabaseBasics(t *testing.T) {
 	if err := db.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	sup := db.EventSupport()
-	if sup[db.Dict.Lookup("lock")] != 2 {
-		t.Errorf("sequence support of lock = %d want 2", sup[db.Dict.Lookup("lock")])
-	}
-	cnt := db.EventInstanceCount()
-	if cnt[db.Dict.Lookup("lock")] != 3 {
-		t.Errorf("instance count of lock = %d want 3", cnt[db.Dict.Lookup("lock")])
-	}
-	freq := db.FrequentEvents(2)
-	if len(freq) != 2 { // lock and unlock appear in 2 sequences
-		t.Errorf("FrequentEvents(2)=%v", freq)
-	}
-	freqI := db.FrequentEventsByInstances(3)
-	if len(freqI) != 2 {
-		t.Errorf("FrequentEventsByInstances(3)=%v", freqI)
-	}
 	if got := AbsoluteSupport(0.5, db.NumSequences()); got != 2 {
 		t.Errorf("AbsoluteSupport(0.5)=%d want 2", got)
 	}
@@ -292,24 +263,13 @@ func TestDatabaseValidateFailure(t *testing.T) {
 	}
 }
 
-func TestDatabaseIndexAndClone(t *testing.T) {
+func TestDatabaseClone(t *testing.T) {
 	db := NewDatabase()
 	db.AppendNames("a", "b", "a")
-	idx := db.Index()
-	a := db.Dict.Lookup("a")
-	if !reflect.DeepEqual(idx[0][a], []int{0, 2}) {
-		t.Errorf("index positions for a: %v", idx[0][a])
-	}
 	c := db.Clone()
 	c.AppendNames("c")
 	if db.NumSequences() != 1 || c.NumSequences() != 2 {
 		t.Errorf("clone not independent")
-	}
-	// Appending invalidates and rebuilds the cache.
-	db.AppendNames("a")
-	idx2 := db.Index()
-	if len(idx2) != 2 {
-		t.Errorf("index not rebuilt after append: %d", len(idx2))
 	}
 }
 
@@ -358,44 +318,6 @@ func TestReadWriteTraceFile(t *testing.T) {
 	}
 	if _, err := ReadTraceFile(dir + "/missing.txt"); err == nil {
 		t.Errorf("expected error for missing file")
-	}
-}
-
-func TestComputeStats(t *testing.T) {
-	db := NewDatabase()
-	db.AppendNames("a", "b")
-	db.AppendNames("a", "b", "c", "d")
-	db.AppendNames("a")
-	st := ComputeStats(db)
-	if st.NumSequences != 3 || st.NumEvents != 7 || st.DistinctEvents != 4 {
-		t.Errorf("stats counts wrong: %+v", st)
-	}
-	if st.MinLength != 1 || st.MaxLength != 4 {
-		t.Errorf("stats lengths wrong: %+v", st)
-	}
-	if st.MedianLength != 2 {
-		t.Errorf("median %v want 2", st.MedianLength)
-	}
-	if st.String() == "" {
-		t.Errorf("empty String()")
-	}
-	empty := ComputeStats(NewDatabase())
-	if empty.NumSequences != 0 || empty.NumEvents != 0 {
-		t.Errorf("empty stats wrong: %+v", empty)
-	}
-}
-
-func TestTopEvents(t *testing.T) {
-	db := NewDatabase()
-	db.AppendNames("a", "a", "b")
-	db.AppendNames("a", "c")
-	top := TopEvents(db, 1)
-	if len(top) != 1 || db.Dict.Name(top[0].Event) != "a" || top[0].Count != 3 {
-		t.Errorf("TopEvents=%v", top)
-	}
-	all := TopEvents(db, -1)
-	if len(all) != 3 {
-		t.Errorf("TopEvents(-1) length %d", len(all))
 	}
 }
 

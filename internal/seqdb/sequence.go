@@ -1,9 +1,6 @@
 package seqdb
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // Sequence is one program execution trace: an ordered list of events.
 // Positions are 0-based internally; the paper's definitions use 1-based
@@ -100,35 +97,4 @@ func prefixEmbedsBefore(s Sequence, pre Pattern, end int) bool {
 		}
 	}
 	return false
-}
-
-// EventPositions returns, for each event occurring in s, the sorted list of
-// its positions. The result supports O(log n) "next occurrence after p"
-// queries via NextOccurrence.
-func (s Sequence) EventPositions() map[EventID][]int {
-	m := make(map[EventID][]int)
-	for i, e := range s {
-		m[e] = append(m[e], i)
-	}
-	return m
-}
-
-// CountInRange returns how many occurrences listed in positions fall in the
-// half-open interval [lo, hi).
-func CountInRange(positions []int, lo, hi int) int {
-	if hi <= lo {
-		return 0
-	}
-	a := sort.SearchInts(positions, lo)
-	b := sort.SearchInts(positions, hi)
-	return b - a
-}
-
-// DistinctEvents returns the set of events appearing in s.
-func (s Sequence) DistinctEvents() map[EventID]struct{} {
-	set := make(map[EventID]struct{})
-	for _, e := range s {
-		set[e] = struct{}{}
-	}
-	return set
 }

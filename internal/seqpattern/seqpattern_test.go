@@ -140,7 +140,7 @@ func TestClosedOnly(t *testing.T) {
 // bruteMine enumerates frequent sequential patterns by recursive candidate
 // generation with direct support counting.
 func bruteMine(db *seqdb.Database, minSup, maxLen int) map[string]int {
-	events := db.FrequentEvents(minSup)
+	events := db.FlatIndex().FrequentEventsBySeqSupport(minSup)
 	out := make(map[string]int)
 	var grow func(p seqdb.Pattern)
 	grow = func(p seqdb.Pattern) {

@@ -69,15 +69,16 @@ func TestGenerateShape(t *testing.T) {
 	if err := db.Validate(); err != nil {
 		t.Fatalf("generated database invalid: %v", err)
 	}
-	st := seqdb.ComputeStats(db)
-	if math.Abs(st.MeanLength-15) > 3 {
-		t.Errorf("mean length %.1f too far from configured 15", st.MeanLength)
+	if mean := float64(db.NumEvents()) / float64(db.NumSequences()); math.Abs(mean-15) > 3 {
+		t.Errorf("mean length %.1f too far from configured 15", mean)
 	}
-	if st.DistinctEvents < 20 || st.DistinctEvents > 100 {
-		t.Errorf("distinct events %d outside plausible range", st.DistinctEvents)
+	if distinct := len(db.FlatIndex().FrequentEventsBySeqSupport(1)); distinct < 20 || distinct > 100 {
+		t.Errorf("distinct events %d outside plausible range", distinct)
 	}
-	if st.MinLength < 1 {
-		t.Errorf("empty sequence generated")
+	for _, s := range db.Sequences {
+		if len(s) < 1 {
+			t.Fatalf("empty sequence generated")
+		}
 	}
 }
 
@@ -125,13 +126,17 @@ func TestGenerateEmbedsRecurringPatterns(t *testing.T) {
 	// should appear as a subsequence in a substantial fraction of sequences.
 	cfg := Config{NumSequences: 200, AvgSequenceLength: 12, NumEvents: 200, AvgPatternLength: 6, Seed: 7, NumSeedPatterns: 20}
 	db := MustGenerate(cfg)
-	top := seqdb.TopEvents(db, 1)
-	if len(top) == 0 {
+	idx := db.FlatIndex()
+	if idx.NumPositions() == 0 {
 		t.Fatal("no events generated")
 	}
-	if top[0].Count < db.NumSequences()/4 {
+	hottest := 0
+	for e := range idx.NumEvents() {
+		hottest = max(hottest, idx.EventInstanceCount(seqdb.EventID(e)))
+	}
+	if hottest < db.NumSequences()/4 {
 		t.Errorf("hottest event occurs only %d times over %d sequences: seed patterns not recurring enough",
-			top[0].Count, db.NumSequences())
+			hottest, db.NumSequences())
 	}
 }
 

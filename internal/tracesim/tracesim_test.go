@@ -179,9 +179,9 @@ func TestScenarioWeightsRespected(t *testing.T) {
 		MaxScenariosPerTrace: 5,
 	}
 	db := w.MustGenerate(100, 23)
-	counts := db.EventInstanceCount()
-	hot := counts[db.Dict.Lookup("hot.a")]
-	cold := counts[db.Dict.Lookup("cold.a")]
+	idx := db.FlatIndex()
+	hot := idx.EventInstanceCount(db.Dict.Lookup("hot.a"))
+	cold := idx.EventInstanceCount(db.Dict.Lookup("cold.a"))
 	if hot <= cold*3 {
 		t.Errorf("weights not respected: hot=%d cold=%d", hot, cold)
 	}
