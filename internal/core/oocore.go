@@ -61,10 +61,13 @@ type OutOfCoreStats = Explain
 //   - Call-wide. When the cache budget is unlimited or the union's decoded
 //     estimate fits it, the first AcquireSeed pins every union segment once
 //     and borrows all of their rows into one view, which every seed and
-//     every worker then shares read-only. The pins hold until close.
+//     every worker then shares read-only. The pins hold until close. The
+//     segments share nothing, so they are pinned, decoded and indexed on
+//     GOMAXPROCS workers while the miner's other workers wait for the view.
 //   - Per seed. Otherwise each seed's view pins exactly the segments whose
 //     statistics show the seed event and collects the traces that contain
-//     it (seedView).
+//     it (seedView). Its segments are pinned in one loop: the seeds already
+//     fan out over the miner's workers.
 //
 // Either way the call opens the union's segment bodies and no others, so
 // SegmentsSkipped does not depend on the form. Safe for concurrent
@@ -175,12 +178,13 @@ func (s *segSource) AcquireSeed(e seqdb.EventID) (*mine.SeedView, error) {
 }
 
 // buildCallView builds the call-wide view if the union of the segments
-// whose statistics show a seed event fits the budget: it pins each union
-// segment once and borrows every one of its rows, in catalog order, so the
-// view's traces ascend in global order. Global is nil when the union is the
-// whole catalog (the catalog's segments hold consecutive global ordinals)
-// and the union's trace table otherwise. A pin error is kept for every
-// AcquireSeed to return.
+// whose statistics show a seed event fits the budget: it pins and indexes
+// each union segment once on GOMAXPROCS workers and borrows every one of its
+// rows, in catalog order whichever worker finishes first, so the view's
+// traces ascend in global order. Global is nil when the union is the whole
+// catalog (the catalog's segments hold consecutive global ordinals) and the
+// union's trace table otherwise. A pin error is kept for every AcquireSeed
+// to return.
 func (s *segSource) buildCallView() {
 	var union []int
 	var bytes int64
@@ -205,7 +209,7 @@ func (s *segSource) buildCallView() {
 	for l := range all {
 		all[l] = int32(l)
 	}
-	view, pins, err := s.pinView(union, n, func(sg *cache.Segment) []int32 { return all[:len(sg.Seqs)] })
+	view, pins, err := s.pinView(union, n, runtime.GOMAXPROCS(0), func(sg *cache.Segment) []int32 { return all[:len(sg.Seqs)] })
 	if err != nil {
 		s.callErr = err
 		return
@@ -232,7 +236,7 @@ func (s *segSource) seedView(e seqdb.EventID) (*mine.SeedView, error) {
 			n += int(traces)
 		}
 	}
-	view, pins, err := s.pinView(hit, n, func(sg *cache.Segment) []int32 { return sg.Fragment().SeqsContaining(e) })
+	view, pins, err := s.pinView(hit, n, 1, func(sg *cache.Segment) []int32 { return sg.Fragment().SeqsContaining(e) })
 	if err != nil {
 		return nil, err
 	}
@@ -240,25 +244,41 @@ func (s *segSource) seedView(e seqdb.EventID) (*mine.SeedView, error) {
 	return view, nil
 }
 
-// pinView is the one view assembler behind both forms: it pins segs in
-// catalog order and borrows from each pinned segment's fragment the rows
-// rows names, so the view's index copies nothing but row headers. The view
-// holds those rows' traces in ascending global order with the local→global
-// id table; n, the rows' total, sizes it. The caller owns the returned pins
-// and sets the view's Release. On a pin error every pin taken so far is
-// dropped.
-func (s *segSource) pinView(segs []int, n int, rows func(*cache.Segment) []int32) (*mine.SeedView, []*cache.Segment, error) {
-	pins := make([]*cache.Segment, 0, len(segs))
+// pinView is the one view assembler behind both forms: it pins segs and
+// builds each one's fragment on up to workers goroutines (GOMAXPROCS for the
+// call-wide view; one for a seed's view, as the seeds already fan out over
+// the miner's workers), then borrows from each fragment, in catalog order,
+// the rows rows names, so the view's index copies nothing but row headers.
+// The view holds those rows' traces in ascending global order with the
+// local→global id table; n, the rows' total, sizes it. The caller owns the
+// returned pins and sets the view's Release. On a pin error the workers
+// stop, every pin taken is dropped and the first error in catalog order is
+// returned.
+func (s *segSource) pinView(segs []int, n, workers int, rows func(*cache.Segment) []int32) (*mine.SeedView, []*cache.Segment, error) {
+	pins := make([]*cache.Segment, len(segs))
+	errs := make([]error, len(segs))
+	var failed atomic.Bool
+	par.ForWorker(len(segs), workers, func() struct{} { return struct{}{} }, func(_ struct{}, k int) {
+		if failed.Load() {
+			return
+		}
+		sg, err := s.pool.Pin(segs[k])
+		if err != nil {
+			errs[k] = err
+			failed.Store(true)
+			return
+		}
+		sg.Fragment()
+		pins[k] = sg
+	})
+	if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i >= 0 {
+		unpinAll(pins)
+		return nil, nil, errs[i]
+	}
 	sets := make([]seqdb.RowSet, 0, len(segs))
 	seqs := make([]seqdb.Sequence, 0, n)
 	global := make([]int32, 0, n)
-	for _, i := range segs {
-		sg, err := s.pool.Pin(i)
-		if err != nil {
-			unpinAll(pins)
-			return nil, nil, err
-		}
-		pins = append(pins, sg)
+	for _, sg := range pins {
 		local := rows(sg)
 		sets = append(sets, seqdb.RowSet{From: sg.Fragment(), Seqs: local})
 		for _, l := range local {
@@ -273,10 +293,13 @@ func (s *segSource) pinView(segs []int, n int, rows func(*cache.Segment) []int32
 	}, pins, nil
 }
 
-// unpinAll drops every pin of pins.
+// unpinAll drops every pin of pins, skipping the nil slots of segments
+// never pinned.
 func unpinAll(pins []*cache.Segment) {
 	for _, sg := range pins {
-		sg.Unpin()
+		if sg != nil {
+			sg.Unpin()
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -519,6 +520,8 @@ func (w *ruleWorker) drainStats(stats *Stats) {
 func (w *ruleWorker) mineConsequents(pre seqdb.Pattern, proj []mine.Proj) {
 	last := pre.Last()
 	total := 0
+	// One list per premise sequence: size the scratch once per premise.
+	w.points = slices.Grow(w.points[:0], len(proj))
 	for _, pr := range proj {
 		ps := w.idx.PositionsFrom(int(pr.Seq), last, int(pr.Pos))
 		w.points = append(w.points, ps)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"specmine/internal/seqdb"
+	"specmine/internal/tracesim"
 )
 
 func mkdb(traces ...[]string) *seqdb.Database {
@@ -677,5 +678,32 @@ func TestStatsPinnedAcrossConsequentBounds(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("MaxConsequentLength %d full %v: (nodes, suppressed, emitted) = %v, want %v", tc.maxPost, tc.full, got, tc.want)
 		}
+	}
+}
+
+// TestMineConsequentsAllocsFlat: growing one premise's consequents costs the
+// same number of allocations at 1k and at 8k locking traces, so no scratch
+// grows with the premise's sequences. Each run starts from a fresh worker's
+// empty temporal-point scratch, as a worker's first premise does.
+func TestMineConsequentsAllocsFlat(t *testing.T) {
+	allocs := func(traces int) (float64, int) {
+		db := tracesim.LockingComponent().MustGenerate(traces, 1)
+		lock := db.Dict.Lookup("Mutex.lock")
+		w := &ruleWorker{idx: db.FlatIndex(), opts: Options{MinInstanceSupport: 1, MinConfidence: 0.9, MaxConsequentLength: 1}}
+		w.ext.Rebind(w.idx)
+		proj := w.ext.SeedProj(lock)
+		n := testing.AllocsPerRun(20, func() {
+			w.points, w.rules = nil, nil
+			w.mineConsequents(seqdb.Pattern{lock}, proj)
+		})
+		return n, len(w.rules)
+	}
+	small, smallRules := allocs(1000)
+	large, largeRules := allocs(8000)
+	if smallRules == 0 || smallRules != largeRules {
+		t.Fatalf("%d and %d rules: the two databases must emit the same non-empty rule set", smallRules, largeRules)
+	}
+	if small != large {
+		t.Fatalf("mineConsequents allocates %v times at 1k traces and %v at 8k: scratch grows with the premise", small, large)
 	}
 }
