@@ -14,13 +14,12 @@ import (
 // OocoreCase builds the durable fixture behind TestOocoreFixture's
 // equivalence checks and segment-skip floor: equal-size trace clusters with
 // fully disjoint event alphabets, each cluster canonicalised into its own
-// sealed segment (one ingest-and-close cycle per cluster; the next open rolls
-// the WAL tail into a segment, and CompactBytes 1 keeps the compactor from
-// ever merging across clusters). Per-segment statistics can then prove every
-// cluster-pure segment irrelevant to a workload that only touches other
-// clusters — which is what the segment-skip floor measures — while the
-// full-sweep mining workload (seeds in every cluster) runs the pin-and-evict
-// cache against the in-memory miner.
+// sealed segment (one ingest-and-close cycle per cluster; each cycle's
+// checkpoint rolls its WAL tail into one segment, and segments never merge).
+// Per-segment statistics can then prove every cluster-pure segment irrelevant
+// to a workload that only touches other clusters — which is what the
+// segment-skip floor measures — while the full-sweep mining workload (seeds
+// in every cluster) runs the pin-and-evict cache against the in-memory miner.
 //
 // The database deliberately fits in RAM. Scale-out correctness (DB many
 // times the cache, GOMEMLIMIT-capped) is the CI out-of-core job's territory,
@@ -85,10 +84,9 @@ func (c OocoreCase) trace(buf []seqdb.EventID, base seqdb.EventID, i int) []seqd
 }
 
 // OpenOptions returns the store options every consumer of the fixture must
-// open it with: the compactor disabled, so cluster-pure segments are never
-// merged behind the benchmark's back.
+// open it with.
 func (c OocoreCase) OpenOptions(dir string) store.Options {
-	return store.Options{Dir: dir, Shards: 1, CompactBytes: 1}
+	return store.Options{Dir: dir, Shards: 1}
 }
 
 // BuildStore writes the fixture into dir and leaves it cleanly closed with

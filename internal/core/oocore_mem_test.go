@@ -191,10 +191,10 @@ func TestOutOfCorePrepare(t *testing.T) {
 	}
 
 	clusters := oocoreNumClusters()
-	// Small WAL rotations publish many small cluster-pure segments;
-	// CompactBytes 1 stops the compactor from merging across clusters.
+	// Small WAL rotations and SegmentBytes 1, which publishes a segment at
+	// every barrier, write many small cluster-pure segments.
 	st, err := store.Open(store.Options{Dir: storeDir, Shards: 4,
-		WALRotateBytes: 128 << 10, CompactBytes: 1})
+		WALRotateBytes: 128 << 10, SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestOutOfCorePrepare(t *testing.T) {
 	// Eager reopen: canonicalises the WAL tail into segments (so the capped
 	// open recovers a fully segment-resident store) and supplies the
 	// in-memory reference database.
-	st, err = store.Open(store.Options{Dir: storeDir, CompactBytes: 1})
+	st, err = store.Open(store.Options{Dir: storeDir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,7 +311,7 @@ func RandomSchedule(seed int64) []Rule {
 	if rng.Intn(4) == 0 {
 		op := OpWrite
 		if rng.Intn(4) == 0 {
-			op = OpRead // hits compaction's segment reads
+			op = OpRead // hits recovery's segment and log reads
 		}
 		rules = append(rules, Rule{
 			Op: op, Path: pick(),

@@ -8,7 +8,7 @@
 //
 // The package also owns the error taxonomy the store's graceful-degradation
 // logic is built on: Transient reports whether an error names a condition
-// that can clear on its own (ENOSPC after a compaction frees space,
+// that can clear on its own (ENOSPC once space is freed,
 // EINTR-class interruptions), as opposed to a permanent fault (EIO, a closed
 // descriptor) that retrying cannot fix.
 package fsim
@@ -112,8 +112,8 @@ func AsTransient(err error) error {
 }
 
 // Transient reports whether err names a fault that can clear without
-// intervention — disk-full conditions that a compaction (or an operator)
-// relieves, and interrupted-call errnos — as opposed to a permanent fault
+// intervention — disk-full conditions that freed space relieves, and
+// interrupted-call errnos — as opposed to a permanent fault
 // that retrying cannot fix. The store's bounded-retry and degradation policy
 // is built on this split: transient faults are retried and, when they
 // persist, surfaced per-operation while the store stays healthy; permanent

@@ -10,7 +10,7 @@ import (
 // operations slower than a threshold, so a burst of fast ops cannot flush the
 // evidence of a slow one out of the window. Recording is mutex-guarded — the
 // tracer is for operation-granularity events (flush barriers, rotations,
-// compactions, snapshots), not per-event hot paths, which belong in counters
+// segment publishes, snapshots), not per-event hot paths, which belong in counters
 // and histograms.
 
 // defaultSlowThreshold is the slow-op capture threshold a NewRegistry tracer

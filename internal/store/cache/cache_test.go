@@ -17,14 +17,14 @@ import (
 
 // buildStore ingests traces durable-mode across several sessions — each
 // open/close cycle canonicalises the shard WALs into one segment per shard —
-// then reopens the store quiescent, the state the pool snapshots.
-// CompactBytes 1 keeps the resulting tiny segments from being merged behind
-// the test's back.
+// then reopens the store quiescent, the state the pool snapshots. Each
+// session's tail is far below the default SegmentBytes, so no barrier writes
+// a segment mid-session.
 func buildStore(t *testing.T, shards, sessions, tracesPerSession int) *store.Store {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "traces")
 	for s := 0; s < sessions; s++ {
-		ts, err := store.Open(store.Options{Dir: dir, Shards: shards, CompactBytes: 1})
+		ts, err := store.Open(store.Options{Dir: dir, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func buildStore(t *testing.T, shards, sessions, tracesPerSession int) *store.Sto
 			t.Fatal(err)
 		}
 	}
-	st, err := store.Open(store.Options{Dir: dir, CompactBytes: 1})
+	st, err := store.Open(store.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}

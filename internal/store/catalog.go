@@ -32,9 +32,14 @@ func (m SegmentMeta) NumTraces() int { return m.To - m.From }
 // each shard (WAL-recovered sealed traces are rolled into segments), so on a
 // store that has not ingested since Open the catalog covers exactly the
 // recovered sealed traces and a segment-by-segment sweep visits the same
-// traces, in the same order, as the in-memory database. During live ingest
-// the newest seals of each shard may still sit only in the WAL; the catalog
-// then covers a consistent prefix of every shard.
+// traces, in the same order, as the in-memory database.
+//
+// During live ingest the catalog covers a consistent prefix of every shard:
+// a live reader sees a sealed trace once its shard's unsegmented tail has
+// reached Options.SegmentBytes and a seal barrier has written it, or once a
+// checkpoint (WAL rotation, clean close, Open) has. Until then the trace
+// lives only in the WAL. Every entry stays readable for as long as the store
+// is open, since segments are never merged or removed while it runs.
 func (st *Store) Segments() []SegmentMeta {
 	st.segMu.Lock()
 	defer st.segMu.Unlock()

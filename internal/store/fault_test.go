@@ -347,47 +347,6 @@ func TestRotationCleanupFailureWarnsNotFails(t *testing.T) {
 	}
 }
 
-// TestCompactionReadEIODegrades: a permanent read fault during compaction
-// degrades the store but leaves reads (and the existing on-disk state)
-// intact.
-func TestCompactionReadEIODegrades(t *testing.T) {
-	dir := t.TempDir()
-	st, _ := openFaultStore(t, dir,
-		[]fsim.Rule{{Op: fsim.OpRead, Path: ".seg", Err: syscall.EIO}},
-		func(o *Options) { o.CompactBytes = 1 << 20 })
-	internEvents(t, st, 10)
-	sl := logOf(st, 0)
-	rng := rand.New(rand.NewSource(10))
-	var sealed []seqdb.Sequence
-	for i := 0; i < compactMinRun; i++ {
-		id := "tr" + string(rune('a'+i))
-		evs := randomTrace(rng, 10)
-		if err := sl.commitEvents(id, evs); err != nil {
-			t.Fatal(err)
-		}
-		if err := sl.commitSeal(id); err != nil {
-			t.Fatal(err)
-		}
-		sealed = append(sealed, evs)
-		// One small segment per seal, so a mergeable run accumulates.
-		if err := writeSegment(sl, sealed); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Compact(); !errors.Is(err, ErrDegraded) || !errors.Is(err, syscall.EIO) {
-		t.Fatalf("compaction under EIO: %v", err)
-	}
-	healthAssert(t, st, DegradedReadOnly)
-	if err := st.ReadErr(); err != nil {
-		t.Fatalf("ReadErr after compaction fault: %v", err)
-	}
-	_ = st.Close()
-	// The un-merged segments are untouched; a clean reopen recovers all.
-	st2 := openStore(t, dir, nil)
-	defer st2.Close()
-	sequencesEqual(t, "recovered after compaction fault", st2.Recovered().Shards[0].Sequences, sealed)
-}
-
 // TestInvariantViolationFails: a rotation whose coverage contradicts the
 // segment ledger is an invariant violation — the store moves to Failed and
 // reads are gated too.

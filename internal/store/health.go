@@ -16,7 +16,7 @@ import (
 //
 //   - Transient faults (ENOSPC, EINTR-class — conditions that can clear
 //     without intervention) get a bounded exponential-backoff retry on the
-//     WAL-flush, segment-publish and compaction paths. A fault that outlives
+//     WAL-flush, segment-publish and segment-read paths. A fault that outlives
 //     its retries fails the one operation that hit it — the producer sees the
 //     error, the WAL rollback discards the rejected records — and the store
 //     stays Healthy, so ingest resumes the moment the condition clears,
@@ -31,8 +31,8 @@ import (
 //     rotation) mean the in-memory state can no longer be trusted to match
 //     the log; they move the store to Failed, which additionally fails reads.
 //
-// Cleanup failures — a superseded WAL or a compacted-away segment that cannot
-// be removed — never change state: the data they leak is redundant by
+// Cleanup failures — a superseded WAL, or a torn or subsumed segment found at
+// Open, that cannot be removed — never change state: the data they leak is redundant by
 // construction, so they are recorded as Health warnings and the store
 // continues.
 
@@ -77,7 +77,7 @@ type Health struct {
 	// Healthy.
 	Err error
 	// Cause names the code path of the last state change ("shard 2 WAL
-	// flush", "compaction", ...).
+	// flush", "segment read", ...).
 	Cause string
 	// Retries counts transient-fault retry attempts, successful or not.
 	Retries uint64

@@ -21,16 +21,14 @@ type storeMetrics struct {
 	walFlushNs    *obs.Histogram
 	walFlushBytes *obs.Histogram
 	walFsyncNs    *obs.Histogram
-	// segsPublished / segPublishNs cover segment rolls, rotations counts
-	// completed WAL rotations, compactionRuns counts merged segment runs.
-	// segBytesWritten sums the size of every segment file written, tail
-	// rolls and compaction outputs alike: over the live segment bytes it is
-	// the store's segment write amplification.
+	// segsPublished / segPublishNs cover segment writes, rotations counts
+	// completed WAL rotations. segBytesWritten sums the size of every
+	// segment file written; since no segment is ever rewritten it equals the
+	// segment bytes the store's writers have published.
 	segsPublished   *obs.Counter
 	segPublishNs    *obs.Histogram
 	segBytesWritten *obs.Counter
 	rotations       *obs.Counter
-	compactions     *obs.Counter
 	// retries/faults/degradations/warnings mirror the health ladder's own
 	// counters as scrapeable series; healthState is the ladder position
 	// (0 healthy, 1 degraded-read-only, 2 failed).
@@ -39,7 +37,7 @@ type storeMetrics struct {
 	degradations *obs.Counter
 	warnings     *obs.Counter
 	healthState  *obs.Gauge
-	// ops records rotation, compaction and degradation transitions in the
+	// ops records rotation and degradation transitions in the
 	// registry's recent-operations ring.
 	ops *obs.Tracer
 }
@@ -55,7 +53,6 @@ func newStoreMetrics(r *obs.Registry) storeMetrics {
 		segPublishNs:    r.Histogram("store.segment_publish_ns"),
 		segBytesWritten: r.Counter("store.segment_bytes_written"),
 		rotations:       r.Counter("store.wal_rotations"),
-		compactions:     r.Counter("store.compaction_runs"),
 		retries:         r.Counter("store.retries"),
 		faults:          r.Counter("store.faults"),
 		degradations:    r.Counter("store.degradations"),

@@ -249,7 +249,7 @@ func (st *Store) recoverShard(i int) (*ShardLog, RecoveredShard, error) {
 	// out-of-core open, sealed holds only the WAL tail (chain bodies were not
 	// decoded), so the shard total comes from the chain coverage instead of
 	// len(sealed).
-	sl := &ShardLog{st: st, shard: i, dir: dir, covered: covered, segs: chain, gen: maxGen}
+	sl := &ShardLog{st: st, shard: i, dir: dir, covered: covered, sized: covered, segs: chain, gen: maxGen}
 	if err := sl.CheckpointLocked(walSealed, covered+len(walSealed), open); err != nil {
 		return nil, RecoveredShard{}, err
 	}
@@ -279,7 +279,8 @@ func openTraceRecords(shard, sealedTotal int, open []OpenTrace) [][]byte {
 // that fails validation is dropped and selection retried: segments are
 // written directly (not via rename), so a crash can tear the newest one —
 // but its traces are still covered, either by the subsumed originals a
-// crashed compaction left behind (re-selected on retry) or by the WAL, whose
+// crashed compaction left behind in a store written before segments were
+// born at their final size (re-selected on retry) or by the WAL, whose
 // generations are only retired after a completed rotation. Corruption that
 // leaves real coverage gaps still fails hard via selectSegmentChain.
 func (st *Store) loadSegmentChain(infos []segmentInfo, shard int) ([]segmentInfo, []seqdb.Sequence, int, error) {
@@ -320,8 +321,9 @@ func (st *Store) loadSegmentChain(infos []segmentInfo, shard int) ([]segmentInfo
 		}
 		if bad < 0 {
 			// Only now that every chain segment decoded is it safe to drop
-			// the subsumed files a crashed compaction left behind — they are
-			// the fallback if a merged segment had been torn.
+			// the subsumed files an older store's crashed compaction left
+			// behind — they are the fallback if a merged segment had been
+			// torn.
 			for _, s := range subsumed {
 				if err := st.fs.Remove(s.path); err != nil {
 					st.warn("shard %d: removing subsumed %s: %v", shard, filepath.Base(s.path), err)
@@ -362,7 +364,8 @@ func selectSegmentChain(infos []segmentInfo) (chain, subsumed []segmentInfo, err
 		switch {
 		case s.to <= covered:
 			// Fully covered by a merged successor: a crash between a
-			// compaction's write and its deletes left it behind.
+			// compaction's write and its deletes left it behind (stores
+			// written before segments were born at their final size).
 			subsumed = append(subsumed, s)
 		case s.from == covered:
 			chain = append(chain, s)

@@ -10,8 +10,9 @@ import (
 	"specmine/internal/seqdb"
 )
 
-// Sealed segment files. A segment is the immutable, compacted resting place
-// of a run of sealed traces from one shard. The current (v2) layout:
+// Sealed segment files. A segment is the immutable resting place of a run of
+// sealed traces from one shard, written once when the shard's sealed tail
+// reaches Options.SegmentBytes or at a checkpoint. The current (v2) layout:
 //
 //	magic [8]byte "SPMSEG2\n"
 //	header [12]byte, fixed width so the core can be located from the front:
@@ -42,13 +43,13 @@ import (
 // exactly as before and fails the open.
 //
 // v1 files ("SPMSEG1\n": no header, no stats, trailer at end of file) remain
-// readable forever; parseSegment dispatches on the magic. The golden files in
-// testdata freeze both generations, and both stats-block versions of v2.
+// readable forever, their stats recomputed from the body on demand; nothing
+// rewrites them as v2. parseSegment dispatches on the magic. The golden files
+// in testdata freeze both generations, and both stats-block versions of v2.
 //
-// Segments are written once and never modified; compaction merges adjacent
-// segments by concatenating their bodies, rebuilding the footer, and merging
-// the stats blocks (summed counts) — blocks are self-contained, so merging
-// never re-encodes a trace.
+// Segments are written once and never modified, merged or removed by the
+// store that wrote them; only Open discards a torn file or one a later
+// segment subsumes.
 
 var (
 	segMagicV1 = [8]byte{'S', 'P', 'M', 'S', 'E', 'G', '1', '\n'}
@@ -83,15 +84,18 @@ func parseSegmentName(name string) (from, to int, ok bool) {
 	return f, t, f >= 0 && t > f
 }
 
-// appendSegmentCore renders magic + header + body + footer + trailer for the
-// given pre-encoded blocks, shared by encodeSegment and mergeSegments.
-func appendSegmentCore(bodies [][]byte, blockLens []int, shard, from int) []byte {
+// encodeSegment renders the full segment file image for the given traces:
+// the core (magic, header, body, footer, trailer), then the stats block.
+func encodeSegment(seqs []seqdb.Sequence, shard, from int) []byte {
 	buf := append([]byte(nil), segMagic[:]...)
 	headerStart := len(buf)
 	buf = append(buf, make([]byte, segHeaderLen)...)
 	bodyStart := len(buf)
-	for _, b := range bodies {
-		buf = append(buf, b...)
+	blockLens := make([]int, len(seqs))
+	for i, s := range seqs {
+		before := len(buf)
+		buf = seqdb.AppendSequenceBlock(buf, s)
+		blockLens[i] = len(buf) - before
 	}
 	bodyLen := len(buf) - bodyStart
 
@@ -105,37 +109,18 @@ func appendSegmentCore(bodies [][]byte, blockLens []int, shard, from int) []byte
 	}
 	footerLen := len(buf) - footerStart
 
-	binary.LittleEndian.PutUint32(buf[headerStart:], uint32(bodyLen))
-	binary.LittleEndian.PutUint32(buf[headerStart+4:], uint32(footerLen))
-	// Stats length is patched in by the caller once the stats block is known.
-
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(bodyLen))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(footerLen))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[bodyStart:bodyStart+bodyLen]))
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[footerStart:footerStart+footerLen]))
-	return binary.LittleEndian.AppendUint32(buf, segTailMagic)
-}
+	buf = binary.LittleEndian.AppendUint32(buf, segTailMagic)
 
-// appendStatsBlock appends the encoded stats block after the core and patches
-// the header's stats length field.
-func appendStatsBlock(buf []byte, stats *SegmentStats) []byte {
 	statsStart := len(buf)
-	buf = appendSegmentStats(buf, stats)
-	binary.LittleEndian.PutUint32(buf[len(segMagic)+8:], uint32(len(buf)-statsStart))
+	buf = appendSegmentStats(buf, computeSegmentStats(seqs))
+	binary.LittleEndian.PutUint32(buf[headerStart:], uint32(bodyLen))
+	binary.LittleEndian.PutUint32(buf[headerStart+4:], uint32(footerLen))
+	binary.LittleEndian.PutUint32(buf[headerStart+8:], uint32(len(buf)-statsStart))
 	return buf
-}
-
-// encodeSegment renders the full segment file image for the given traces.
-func encodeSegment(seqs []seqdb.Sequence, shard, from int) []byte {
-	var body []byte
-	blockLens := make([]int, len(seqs))
-	for i, s := range seqs {
-		before := len(body)
-		body = seqdb.AppendSequenceBlock(body, s)
-		blockLens[i] = len(body) - before
-	}
-	buf := appendSegmentCore([][]byte{body}, blockLens, shard, from)
-	return appendStatsBlock(buf, computeSegmentStats(seqs))
 }
 
 // segmentView is a parsed (but not yet decoded) segment: validated checksums,
@@ -329,52 +314,6 @@ func (v *segmentView) ensureStats() (*SegmentStats, error) {
 	}
 	v.stats = computeSegmentStats(seqs)
 	return v.stats, nil
-}
-
-// mergeSegments concatenates adjacent segment images into one: bodies are
-// spliced verbatim (blocks are self-contained), the footer is rebuilt, and
-// the stats blocks are merged by summing counts, with stats-less parts (v1
-// files, damaged blocks) backfilled from their bodies.
-// The parts must belong to one shard and cover contiguous ordinal ranges in
-// order. The output is always current-generation, so compaction doubles as
-// format migration.
-func mergeSegments(parts [][]byte) ([]byte, error) {
-	if len(parts) < 2 {
-		return nil, fmt.Errorf("store: merge needs at least two segments")
-	}
-	views := make([]*segmentView, len(parts))
-	for i, p := range parts {
-		v, err := parseSegment(p)
-		if err != nil {
-			return nil, fmt.Errorf("store: merge part %d: %w", i, err)
-		}
-		views[i] = v
-	}
-	next := views[0].from + views[0].numTraces()
-	for i := 1; i < len(views); i++ {
-		if views[i].shard != views[0].shard {
-			return nil, fmt.Errorf("store: merging segments of shards %d and %d", views[0].shard, views[i].shard)
-		}
-		if views[i].from != next {
-			return nil, fmt.Errorf("store: merging non-adjacent segments (ordinal %d after %d)", views[i].from, next)
-		}
-		next += views[i].numTraces()
-	}
-
-	bodies := make([][]byte, len(views))
-	var blockLens []int
-	stats := make([]*SegmentStats, len(views))
-	for i, v := range views {
-		bodies[i] = v.body
-		blockLens = append(blockLens, v.blockLens...)
-		s, err := v.ensureStats()
-		if err != nil {
-			return nil, fmt.Errorf("store: merge part %d stats: %w", i, err)
-		}
-		stats[i] = s
-	}
-	buf := appendSegmentCore(bodies, blockLens, views[0].shard, views[0].from)
-	return appendStatsBlock(buf, mergeSegmentStats(stats)), nil
 }
 
 // writeSegmentFile publishes a segment image at dir/segmentName(from,to).

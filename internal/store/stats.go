@@ -105,42 +105,6 @@ func computeSegmentStats(seqs []seqdb.Sequence) *SegmentStats {
 	return st
 }
 
-// mergeSegmentStats combines per-part stats into the stats of the
-// concatenated segment: counts add. Every part must be non-nil — callers
-// backfill stats-less parts first.
-func mergeSegmentStats(parts []*SegmentStats) *SegmentStats {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	type acc struct{ occ, traces int64 }
-	counts := make(map[seqdb.EventID]*acc)
-	out := &SegmentStats{}
-	for _, p := range parts {
-		for i, e := range p.events {
-			a := counts[e]
-			if a == nil {
-				a = &acc{}
-				counts[e] = a
-			}
-			a.occ += p.occ[i]
-			a.traces += p.traces[i]
-		}
-	}
-	out.events = make([]seqdb.EventID, 0, len(counts))
-	for e := range counts {
-		out.events = append(out.events, e)
-	}
-	sort.Slice(out.events, func(i, j int) bool { return out.events[i] < out.events[j] })
-	out.occ = make([]int64, 0, len(counts))
-	out.traces = make([]int64, 0, len(counts))
-	for _, e := range out.events {
-		a := counts[e]
-		out.occ = append(out.occ, a.occ)
-		out.traces = append(out.traces, a.traces)
-	}
-	return out
-}
-
 // appendSegmentStats encodes the stats block (content + trailing CRC) onto buf.
 func appendSegmentStats(buf []byte, s *SegmentStats) []byte {
 	start := len(buf)

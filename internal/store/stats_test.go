@@ -46,31 +46,20 @@ func TestSegmentStatsCompute(t *testing.T) {
 	}
 }
 
-func TestSegmentStatsRoundTripAndMerge(t *testing.T) {
+func TestSegmentStatsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var parts [][]seqdb.Sequence
-	var all []seqdb.Sequence
 	for p := 0; p < 3; p++ {
 		var seqs []seqdb.Sequence
 		for i := 0; i < 10; i++ {
 			seqs = append(seqs, randomTrace(rng, 50))
 		}
-		parts = append(parts, seqs)
-		all = append(all, seqs...)
-	}
-	var partStats []*SegmentStats
-	for _, seqs := range parts {
 		s := computeSegmentStats(seqs)
-		// Wire round trip.
 		back, err := parseSegmentStats(appendSegmentStats(nil, s))
 		if err != nil {
 			t.Fatal(err)
 		}
 		statsEqual(t, "round trip", back, s)
-		partStats = append(partStats, s)
 	}
-	merged := mergeSegmentStats(partStats)
-	statsEqual(t, "merge", merged, computeSegmentStats(all))
 }
 
 // TestSegmentStatsCrashFuzz is the stats-footer crash-fuzz satellite:
@@ -132,44 +121,4 @@ func TestSegmentStatsCrashFuzz(t *testing.T) {
 			t.Fatalf("cut %d (core): torn segment went undetected", cut)
 		}
 	}
-}
-
-// TestSegmentMergeStats: compaction's merged segment must carry stats equal
-// to a fresh computation over the union, including when a part is a v1 file
-// with no stats of its own (the migration path).
-func TestSegmentMergeStats(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var all []seqdb.Sequence
-	var parts [][]byte
-	for p := 0; p < 3; p++ {
-		var seqs []seqdb.Sequence
-		for i := 0; i < 5; i++ {
-			seqs = append(seqs, randomTrace(rng, 30))
-		}
-		img := encodeSegment(seqs, 0, len(all))
-		if p == 1 {
-			// Strip the stats block to model a legacy/damaged part: merge
-			// must backfill it from the body.
-			img = append([]byte(nil), img[:segmentCoreLen(img)]...)
-		}
-		parts = append(parts, img)
-		all = append(all, seqs...)
-	}
-	merged, err := mergeSegments(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := parseSegment(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.stats == nil {
-		t.Fatal("merged segment has no stats")
-	}
-	statsEqual(t, "merged stats", v.stats, computeSegmentStats(all))
-	got, err := v.decodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sequencesEqual(t, "merged traces", got, all)
 }

@@ -1,11 +1,11 @@
 // Package store is the durable, log-structured persistence layer under the
 // streaming ingester: the LogBase-style "log as the store" design. Every
 // ingested operation is appended to a per-shard write-ahead log before it is
-// acknowledged; sealed traces are periodically rolled into immutable,
-// block-compressed segment files; a background compactor merges small
-// segments; and Open recovers the pre-crash state — sealed databases, open
-// traces, the event dictionary — by loading the newest segments and replaying
-// the WAL tail over them.
+// acknowledged; once a shard's sealed tail reaches Options.SegmentBytes it is
+// written, once, as an immutable block-compressed segment file that is never
+// merged, rewritten or removed while the store is open; and Open recovers the
+// pre-crash state — sealed databases, open traces, the event dictionary — by
+// loading the segments and replaying the WAL tail over them.
 //
 // Layout of a store directory:
 //
@@ -62,16 +62,19 @@ type Options struct {
 	// WALRotateBytes is the WAL size beyond which a seal barrier rolls the
 	// log into segments and starts a fresh generation; default 4 MiB.
 	WALRotateBytes int64
-	// CompactBytes is the segment size below which adjacent segments are
-	// merged by the background compactor; default 256 KiB.
-	CompactBytes int64
+	// SegmentBytes is the size a shard's unsegmented sealed tail must reach
+	// before a seal barrier writes it as a segment; default 256 KiB. Until
+	// then the tail lives in the WAL, which already holds it durably, and a
+	// checkpoint (rotation, clean close, Open) writes whatever tail remains.
+	// 1 writes a segment at every barrier that has sealed a trace.
+	SegmentBytes int64
 	// FS overrides the filesystem under every data-path operation (WALs,
 	// segments, dictionary log, manifest); nil means the real filesystem.
 	// Fault-injection tests hand an fsim.FaultFS here.
 	FS fsim.FS
 	// RetryAttempts bounds how many times a transient I/O fault (ENOSPC,
 	// EINTR-class) is retried on the WAL-flush, segment-write and
-	// compaction paths before the operation's error is surfaced. 0 means the
+	// segment-read paths before the operation's error is surfaced. 0 means the
 	// default (4); negative disables retries.
 	RetryAttempts int
 	// RetryBackoff is the delay before the first retry, doubling per attempt;
@@ -79,9 +82,9 @@ type Options struct {
 	RetryBackoff time.Duration
 	// Obs, when non-nil, registers the store's metrics — commit counters, WAL
 	// flush/fsync latency and group-commit batch size, segment publish and
-	// rotation/compaction activity, and the health ladder's counters — and
-	// records rotations and compactions in the registry's ops ring. Nil
-	// disables instrumentation at one branch per instrumentation point.
+	// rotation activity, and the health ladder's counters — and records
+	// rotations and degradations in the registry's ops ring. Nil disables
+	// instrumentation at one branch per instrumentation point.
 	Obs *obs.Registry
 	// OutOfCore opens the store for reading without materialising sealed
 	// trace bodies: recovery validates every chain segment by checksum (torn
@@ -99,9 +102,9 @@ type manifest struct {
 	Shards  int `json:"shards"`
 }
 
-// Store is an open store directory: the dictionary log, one ShardLog per
-// shard, and the compactor. All methods are safe for concurrent use; the
-// per-shard mutation entry points live on ShardLog.
+// Store is an open store directory: the dictionary log and one ShardLog per
+// shard. It runs no goroutine of its own. All methods are safe for concurrent
+// use; the per-shard mutation entry points live on ShardLog.
 type Store struct {
 	opts      Options
 	fs        fsim.FS  // the data-path filesystem; fsim.OS() in production
@@ -111,24 +114,16 @@ type Store struct {
 	shards    []*ShardLog
 	recovered *Recovered
 
-	// segMu guards every ShardLog's segs ledger (writer barriers append,
-	// the compactor splices). It is held only for ledger reads and splices,
-	// never across file I/O: a seal barrier must never stall behind a merge.
+	// segMu guards every ShardLog's segs ledger, which only the shard's
+	// barrier appends to. It is held only for ledger reads and appends,
+	// never across file I/O.
 	segMu sync.Mutex
-	// compactMu serialises whole compaction passes (the background loop and
-	// direct Compact calls), so run selection and ledger splices can assume
-	// a single mutator besides the barriers' appends.
-	compactMu sync.Mutex
 
 	// health is the degradation state machine — see health.go for the model.
 	health health
 
 	// met is the registry-backed instrumentation; the zero value is disabled.
 	met storeMetrics
-
-	compactNudge chan struct{}
-	compactStop  chan struct{}
-	compactDone  chan struct{}
 
 	// ingAttached enforces one ingester per store handle: the recovered
 	// snapshot is consumed by the first attach, after which the handle's
@@ -160,8 +155,8 @@ func Open(opts Options) (*Store, error) {
 	if opts.WALRotateBytes <= 0 {
 		opts.WALRotateBytes = 4 << 20
 	}
-	if opts.CompactBytes <= 0 {
-		opts.CompactBytes = 256 << 10
+	if opts.SegmentBytes <= 0 {
+		opts.SegmentBytes = 256 << 10
 	}
 	switch {
 	case opts.RetryAttempts == 0:
@@ -192,13 +187,10 @@ func Open(opts Options) (*Store, error) {
 	opts.Shards = shards
 
 	st := &Store{
-		opts:         opts,
-		fs:           fs,
-		lock:         lock,
-		compactNudge: make(chan struct{}, 1),
-		compactStop:  make(chan struct{}),
-		compactDone:  make(chan struct{}),
-		met:          newStoreMetrics(opts.Obs),
+		opts: opts,
+		fs:   fs,
+		lock: lock,
+		met:  newStoreMetrics(opts.Obs),
 	}
 	if err := st.recoverDict(); err != nil {
 		releaseDirLock(lock)
@@ -242,7 +234,6 @@ func Open(opts Options) (*Store, error) {
 		}
 		st.dictLog.mu.Unlock()
 	})
-	go st.compactor()
 	return st, nil
 }
 
@@ -351,9 +342,9 @@ func (st *Store) flushDict() error {
 	return nil
 }
 
-// Close stops the compactor, flushes every log and closes the files. Open
-// traces stay open in the WAL: a reopened store recovers them and the
-// ingester resumes them seamlessly. Close is idempotent.
+// Close flushes every log and closes the files. Open traces stay open in the
+// WAL: a reopened store recovers them and the ingester resumes them
+// seamlessly. Close is idempotent.
 func (st *Store) Close() error {
 	st.closeMu.Lock()
 	defer st.closeMu.Unlock()
@@ -361,8 +352,6 @@ func (st *Store) Close() error {
 		return st.Err()
 	}
 	st.closed = true
-	close(st.compactStop)
-	<-st.compactDone
 	st.dict.OnIntern(nil)
 
 	err := st.flushDict()
@@ -425,6 +414,12 @@ type ShardLog struct {
 	// covered is the seal ordinal up to which segments exist. Barrier
 	// goroutine only.
 	covered int
+	// tailBytes estimates the encoded size of the sealed traces in
+	// [covered, sized). PublishSegment extends it by the seals each barrier
+	// adds, so no barrier re-walks the whole tail; a segment write resets
+	// it. Barrier goroutine only.
+	tailBytes int64
+	sized     int
 	// segs is the live segment ledger, guarded by st.segMu.
 	segs []segmentInfo
 	// walSize mirrors wal.pending() for lock-free reads: the shard goroutine
@@ -638,9 +633,9 @@ func (sl *ShardLog) Unlock() { sl.mu.Unlock() }
 // the streaming layer passes its full sealed list, Open only the traces its
 // WAL replay recovered. The WAL must be flushed past every seal in seqs, and
 // the caller must hold the lock via TryLock with the shard's channel drained,
-// as for RotateLocked. The segment does not nudge the compactor; the next
-// barrier's publish does. On error the flushed WAL still recovers everything
-// by replay.
+// as for RotateLocked. The tail is written whatever its size, so a
+// checkpoint may leave a segment smaller than Options.SegmentBytes. On error
+// the flushed WAL still recovers everything by replay.
 func (sl *ShardLog) CheckpointLocked(seqs []seqdb.Sequence, sealedTotal int, open []OpenTrace) error {
 	tail := sealedTotal - sl.covered
 	if tail < 0 || tail > len(seqs) {
@@ -652,41 +647,38 @@ func (sl *ShardLog) CheckpointLocked(seqs []seqdb.Sequence, sealedTotal int, ope
 	return sl.RotateLocked(open, sealedTotal)
 }
 
-// segMinPublish is the smallest unsegmented tail PublishSegment will roll
-// into a segment file. Barriers fire every flush batch (a few dozen seals),
-// and publishing a file per barrier made segment creation — temp file,
-// write, rename, (fsync in Sync mode) — the dominant per-trace syscall cost
-// of steady-state durable ingest. Deferring publication is free from a
-// durability standpoint: the WAL retains every sealed trace since its
-// generation began, recovery canonicalises any WAL-only tail into a segment
-// on the next open, and CheckpointLocked bypasses the gate because it
-// requires full coverage.
-const segMinPublish = 64
+// Tail size estimate, in bytes per sealed trace and per event. A trace's
+// block starts with its event count and the segment footer holds its block
+// length, one uvarint byte each for all but huge traces; an event costs at
+// most one run of a one-byte delta and a one-byte length. Durable ingest of
+// tracesim workloads measures 2.07-2.11 segment bytes per event.
+const (
+	tailBytesPerTrace = 2
+	tailBytesPerEvent = 2
+)
 
 // PublishSegment rolls the unsegmented sealed tail of seqs — the shard's full
-// sealed list, in seal order — into a segment and wakes the compactor,
-// WITHOUT taking the log's lock: the barrier goroutine calls it after
-// releasing the lock so producers never wait behind segment I/O. Tails
-// shorter than segMinPublish are left in the WAL to coalesce with later
-// barriers. The caller must have flushed the WAL past those traces' seal
-// records while it still held the lock (the barrier does); publishing an
-// un-covered segment would break the resurrection invariant
-// writeSegmentTail documents.
+// sealed list, in seal order — into a segment once its estimated size reaches
+// Options.SegmentBytes, WITHOUT taking the log's lock: the barrier goroutine
+// calls it after releasing the lock so producers never wait behind segment
+// I/O. A shorter tail stays in the WAL, which already holds it durably, to
+// grow at later barriers; a checkpoint writes whatever remains. So every
+// segment is written once, at its final size, and is never merged or
+// removed. The caller must have flushed the WAL past the tail's seal records
+// while it still held the lock (the barrier does); publishing an un-covered
+// segment would break the resurrection invariant writeSegmentTail documents.
 func (sl *ShardLog) PublishSegment(seqs []seqdb.Sequence) error {
 	if err := sl.st.Err(); err != nil {
 		return err
 	}
-	if len(seqs)-sl.covered < segMinPublish {
+	for _, s := range seqs[sl.sized:] {
+		sl.tailBytes += tailBytesPerTrace + tailBytesPerEvent*int64(len(s))
+	}
+	sl.sized = len(seqs)
+	if sl.tailBytes < sl.st.opts.SegmentBytes {
 		return nil
 	}
-	if err := sl.writeSegmentTail(seqs[sl.covered:]); err != nil {
-		return err
-	}
-	select {
-	case sl.st.compactNudge <- struct{}{}:
-	default:
-	}
-	return nil
+	return sl.writeSegmentTail(seqs[sl.covered:])
 }
 
 // writeSegmentTail writes tail, the sealed traces past the segment coverage
@@ -719,6 +711,7 @@ func (sl *ShardLog) writeSegmentTail(tail []seqdb.Sequence) error {
 		return sl.st.ioError(err, fmt.Sprintf("shard %d segment publish", sl.shard))
 	}
 	sl.covered = to
+	sl.tailBytes, sl.sized = 0, to
 	sl.st.segMu.Lock()
 	sl.segs = append(sl.segs, info)
 	sl.st.segMu.Unlock()
@@ -815,142 +808,6 @@ func parseWALName(name string) (gen uint64, ok bool) {
 		return 0, false
 	}
 	return gen, name == walName(gen)
-}
-
-// compactor is the background merge loop: every segment publish nudges it,
-// and it folds runs of small adjacent segments into larger ones.
-func (st *Store) compactor() {
-	defer close(st.compactDone)
-	for {
-		select {
-		case <-st.compactStop:
-			return
-		case <-st.compactNudge:
-			// Compact classifies its own failures into Health: transient
-			// faults are counted and the next publish re-nudges the loop;
-			// permanent ones degrade the store, which keeps serving reads.
-			_ = st.Compact()
-		}
-	}
-}
-
-// Compact merges, in every shard, each run of compactMinRun or more adjacent
-// segments that are all smaller than Options.CompactBytes. It is what the
-// background compactor runs; tests call it directly for determinism. Merging
-// splices block bodies without re-encoding, so a crash mid-compaction leaves
-// either the old segments, or the merged one plus subsumed leftovers that
-// the next Open discards. Only one Compact runs at a time (compactMu), and
-// all file I/O happens outside segMu — seal barriers must never wait on a
-// merge, only on the brief ledger splice.
-func (st *Store) Compact() error {
-	st.compactMu.Lock()
-	defer st.compactMu.Unlock()
-	if err := st.Err(); err != nil {
-		return err
-	}
-	for _, sl := range st.shards {
-		if err := st.compactShard(sl); err != nil {
-			return st.ioError(err, "compaction")
-		}
-	}
-	return nil
-}
-
-// compactMinRun is the smallest run of adjacent segments under
-// Options.CompactBytes that compaction merges; shorter runs wait for more
-// barrier tails. A merged segment still under the budget counts as one
-// small segment of the next run, so it is rewritten again each time
-// compactMinRun-1 new tails land beside it, until it outgrows the budget.
-// Nothing bounds those rewrites by a logarithm: durable ingest of the
-// locking workload measured about 14 segment bytes written per byte that
-// stays live.
-const compactMinRun = 4
-
-func (st *Store) compactShard(sl *ShardLog) error {
-	for {
-		// Pick one mergeable run under the ledger lock, copying the entries;
-		// the heavy work runs unlocked. Only this compactor removes or
-		// replaces entries (compactMu), the shard's barrier only appends, so
-		// the copied run stays valid while unlocked.
-		st.segMu.Lock()
-		var run []segmentInfo
-		for i := 0; i < len(sl.segs) && run == nil; {
-			j := i
-			for j < len(sl.segs) && sl.segs[j].size < st.opts.CompactBytes {
-				j++
-			}
-			if j-i >= compactMinRun {
-				run = append(run, sl.segs[i:j]...)
-			}
-			if j == i {
-				j = i + 1
-			}
-			i = j
-		}
-		st.segMu.Unlock()
-		if run == nil {
-			return nil
-		}
-		var runStart time.Time
-		if st.met.enabled {
-			runStart = time.Now()
-		}
-
-		parts := make([][]byte, len(run))
-		for k, info := range run {
-			var buf []byte
-			err := st.retryTransient(func() error {
-				var rerr error
-				buf, rerr = st.fs.ReadFile(info.path)
-				return rerr
-			})
-			if err != nil {
-				return fmt.Errorf("store: compacting shard %d: %w", sl.shard, err)
-			}
-			parts[k] = buf
-		}
-		merged, err := mergeSegments(parts)
-		if err != nil {
-			return fmt.Errorf("store: compacting shard %d: %w", sl.shard, err)
-		}
-		var info segmentInfo
-		err = st.retryTransient(func() error {
-			var werr error
-			info, werr = writeSegmentFile(st.fs, sl.dir, run[0].from, run[len(run)-1].to, merged, st.opts.Sync)
-			return werr
-		})
-		if err != nil {
-			return err
-		}
-
-		st.segMu.Lock()
-		spliced := make([]segmentInfo, 0, len(sl.segs)-len(run)+1)
-		replaced := false
-		for _, s := range sl.segs {
-			if s.from >= run[0].from && s.to <= run[len(run)-1].to {
-				if !replaced {
-					spliced = append(spliced, info)
-					replaced = true
-				}
-				continue
-			}
-			spliced = append(spliced, s)
-		}
-		sl.segs = spliced
-		st.segMu.Unlock()
-		for _, old := range run {
-			if err := st.fs.Remove(old.path); err != nil {
-				// The merged segment subsumes these files; recovery discards
-				// leftovers. A leak is observable, not fatal.
-				st.warn("shard %d: removing compacted %s: %v", sl.shard, old.path, err)
-			}
-		}
-		if st.met.enabled {
-			st.met.compactions.Inc()
-			st.met.segBytesWritten.Add(info.size)
-			st.met.ops.RecordDur(fmt.Sprintf("store.compact shard=%d segs=%d", sl.shard, len(run)), runStart, time.Since(runStart), nil)
-		}
-	}
 }
 
 // SegmentSpans returns, for diagnostics and tests, each shard's live segment

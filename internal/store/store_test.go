@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 
@@ -80,8 +81,8 @@ func (tl *traceLog) openTrace(id string, evs seqdb.Sequence) OpenTrace {
 
 // writeSegment flushes the logs and rolls every sealed trace of seqs (the
 // shard's full sealed list, in seal order) not yet in a segment into a new
-// segment file: a barrier's publish without the segMinPublish gate or the
-// compactor nudge, so tests control segment boundaries and compaction.
+// segment file: a barrier's publish without the SegmentBytes threshold, so
+// tests control segment boundaries.
 func writeSegment(sl *traceLog, seqs []seqdb.Sequence) error {
 	if err := sl.Flush(); err != nil {
 		return err
@@ -205,46 +206,6 @@ func segmentCoreLen(data []byte) int {
 	bodyLen := int(binary.LittleEndian.Uint32(data[len(segMagic):]))
 	footerLen := int(binary.LittleEndian.Uint32(data[len(segMagic)+4:]))
 	return len(segMagic) + segHeaderLen + bodyLen + footerLen + segTrailerLen
-}
-
-func TestSegmentMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var all []seqdb.Sequence
-	var parts [][]byte
-	from := 5
-	for p := 0; p < 3; p++ {
-		var seqs []seqdb.Sequence
-		for i := 0; i < 4+p; i++ {
-			seqs = append(seqs, randomTrace(rng, 20))
-		}
-		parts = append(parts, encodeSegment(seqs, 1, from+len(all)))
-		all = append(all, seqs...)
-	}
-	merged, err := mergeSegments(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := parseSegment(merged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.from != 5 || v.numTraces() != len(all) {
-		t.Fatalf("merged from=%d traces=%d", v.from, v.numTraces())
-	}
-	got, err := v.decodeAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sequencesEqual(t, "merged", got, all)
-
-	// Non-adjacent and cross-shard merges must be refused.
-	if _, err := mergeSegments([][]byte{parts[0], parts[2]}); err == nil {
-		t.Fatal("non-adjacent merge accepted")
-	}
-	other := encodeSegment(all[:2], 2, 5+len(all))
-	if _, err := mergeSegments([][]byte{parts[0], other}); err == nil {
-		t.Fatal("cross-shard merge accepted")
-	}
 }
 
 // TestStoreRoundTrip: traces logged through the ShardLog — some sealed, some
@@ -619,9 +580,11 @@ func TestCommitAcrossRotationRollsBackOnFlushFailure(t *testing.T) {
 	}
 }
 
-// TestCompaction: many tiny segments merge into few, recovery sees identical
-// content, and leftovers from a crashed compaction are discarded on open.
-func TestCompaction(t *testing.T) {
+// TestOpenDiscardsSubsumedSegments: a store written before segments were
+// born at their final size can hold the files a crashed compaction left
+// behind, each subsumed by the merged segment that replaced it. Open must
+// recover the merged segment's traces once and remove the leftover.
+func TestOpenDiscardsSubsumedSegments(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir, nil)
 	internEvents(t, st, 10)
@@ -639,55 +602,15 @@ func TestCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		sealed = append(sealed, tr)
-		if err := writeSegment(sl, sealed); err != nil { // one tiny segment per trace
-			t.Fatal(err)
-		}
 	}
-	if err := st.Compact(); err != nil {
+	if err := writeSegment(sl, sealed[:8]); err != nil {
 		t.Fatal(err)
-	}
-	// Assert the compaction invariant rather than one layout, so the check
-	// holds whatever the background compactor merged first: the spans are
-	// contiguous and cover every seal, each is exactly one file, and no run
-	// of compactMinRun small adjacent segments is left.
-	spans := st.SegmentSpans()[0]
-	next, smallRun := 0, 0
-	for _, sp := range spans {
-		if sp[0] != next || sp[1] <= sp[0] {
-			t.Fatalf("spans after compaction not contiguous: %v", spans)
-		}
-		next = sp[1]
-		fi, err := os.Stat(filepath.Join(dir, "shard-000", segmentName(sp[0], sp[1])))
-		if err != nil {
-			t.Fatalf("span %v has no segment file: %v", sp, err)
-		}
-		if fi.Size() < st.opts.CompactBytes {
-			smallRun++
-		} else {
-			smallRun = 0
-		}
-		if smallRun >= compactMinRun {
-			t.Fatalf("compaction left a run of %d small segments: %v", smallRun, spans)
-		}
-	}
-	if next != len(sealed) {
-		t.Fatalf("spans after compaction cover %d of %d seals: %v", next, len(sealed), spans)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "shard-000", "*.seg"))
-	if len(files) != len(spans) {
-		t.Fatalf("segment files after compaction: %v for spans %v", files, spans)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Simulate a crash between a compaction's rename and its deletes: drop a
-	// subsumed small segment back in next to the merged one. Runs are merged
-	// maximally from the first small segment, so the first span always covers
-	// [3, 5).
-	if spans[0][1] < 5 {
-		t.Fatalf("first span %v does not subsume [3, 5)", spans[0])
-	}
+	// A leftover [3, 5) beside the segment [0, 8) that subsumes it.
 	leftover := encodeSegment(sealed[3:5], 0, 3)
 	if _, err := writeSegmentFile(fsim.OS(), filepath.Join(dir, "shard-000"), 3, 5, leftover, false); err != nil {
 		t.Fatal(err)
@@ -695,9 +618,12 @@ func TestCompaction(t *testing.T) {
 	st2 := openStore(t, dir, nil)
 	defer st2.Close()
 	rec := st2.Recovered().Shards[0]
-	sequencesEqual(t, "recovered after compaction", rec.Sequences, sealed)
+	sequencesEqual(t, "recovered beside a subsumed leftover", rec.Sequences, sealed)
 	if _, err := os.Stat(filepath.Join(dir, "shard-000", segmentName(3, 5))); !os.IsNotExist(err) {
 		t.Fatalf("subsumed leftover segment not removed (err %v)", err)
+	}
+	if spans := st2.SegmentSpans()[0]; len(spans) != 2 || spans[0] != [2]int{0, 8} || spans[1] != [2]int{8, 12} {
+		t.Fatalf("segment spans after reopen %v, want [[0 8] [8 12]]", spans)
 	}
 }
 
@@ -880,15 +806,36 @@ func liveSegments(t *testing.T, dir string) map[string]int64 {
 }
 
 // TestSegmentBytesWrittenCountsEveryFile: store.segment_bytes_written sums
-// the size of every segment file written. Without merges it equals the live
-// segment bytes; each Compact raises it by exactly the merged files' sizes.
+// the size of every segment file written, which, since no segment is ever
+// rewritten or removed, equals the live segment bytes whichever path wrote
+// them: a test's direct roll, a barrier's publish or a checkpoint.
 func TestSegmentBytesWrittenCountsEveryFile(t *testing.T) {
-	// sealSegments commits n traces into shard 0, each rolled into a
-	// segment of its own.
-	sealSegments := func(t *testing.T, sl *traceLog, rng *rand.Rand, sealed *[]seqdb.Sequence, n int) {
+	// checkWritten compares the counter with the live segment files and
+	// returns how many there are.
+	checkWritten := func(t *testing.T, dir string, reg *obs.Registry) int {
 		t.Helper()
-		for i := 0; i < n; i++ {
-			id := fmt.Sprintf("b%03d", len(*sealed))
+		var live int64
+		segs := liveSegments(t, dir)
+		for _, size := range segs {
+			live += size
+		}
+		if written := reg.Counter("store.segment_bytes_written").Value(); written != live {
+			t.Fatalf("store.segment_bytes_written = %d, live segment bytes %d", written, live)
+		}
+		return len(segs)
+	}
+
+	t.Run("no merges", func(t *testing.T) {
+		dir := t.TempDir()
+		reg := obs.NewRegistry()
+		st := openStore(t, dir, func(o *Options) { o.Obs = reg })
+		defer st.Close()
+		internEvents(t, st, 10)
+		sl := logOf(st, 0)
+		rng := rand.New(rand.NewSource(15))
+		var sealed []seqdb.Sequence
+		for i := 0; i < 6; i++ {
+			id := fmt.Sprintf("b%03d", i)
 			tr := randomTrace(rng, 10)
 			if err := sl.commitEvents(id, tr); err != nil {
 				t.Fatal(err)
@@ -896,67 +843,42 @@ func TestSegmentBytesWrittenCountsEveryFile(t *testing.T) {
 			if err := sl.commitSeal(id); err != nil {
 				t.Fatal(err)
 			}
-			*sealed = append(*sealed, tr)
-			if err := writeSegment(sl, *sealed); err != nil {
+			sealed = append(sealed, tr)
+			if err := writeSegment(sl, sealed); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
-
-	t.Run("no merges", func(t *testing.T) {
-		dir := t.TempDir()
-		reg := obs.NewRegistry()
-		st := openStore(t, dir, func(o *Options) { o.CompactBytes = 1; o.Obs = reg })
-		defer st.Close()
-		internEvents(t, st, 10)
-		var sealed []seqdb.Sequence
-		sealSegments(t, logOf(st, 0), rand.New(rand.NewSource(15)), &sealed, 6)
-		if err := st.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		var live int64
-		segs := liveSegments(t, dir)
-		for _, size := range segs {
-			live += size
-		}
-		if len(segs) != len(sealed) {
-			t.Fatalf("%d live segments for %d one-trace writes: nothing may merge under CompactBytes 1", len(segs), len(sealed))
-		}
-		if written := reg.Counter("store.segment_bytes_written").Value(); written != live {
-			t.Fatalf("store.segment_bytes_written = %d, live segment bytes %d", written, live)
+		if n := checkWritten(t, dir, reg); n != len(sealed) {
+			t.Fatalf("%d live segments for %d one-trace writes", n, len(sealed))
 		}
 	})
 
-	t.Run("compaction", func(t *testing.T) {
+	t.Run("publish and checkpoint", func(t *testing.T) {
+		evs := seqdb.Sequence{0, 1, 2}
+		perTrace := int64(tailBytesPerTrace + tailBytesPerEvent*len(evs))
 		dir := t.TempDir()
 		reg := obs.NewRegistry()
-		st := openStore(t, dir, func(o *Options) { o.CompactBytes = 1 << 20; o.Obs = reg })
+		st := openStore(t, dir, func(o *Options) { o.SegmentBytes = 3 * perTrace; o.Obs = reg })
 		defer st.Close()
-		internEvents(t, st, 10)
-		written := reg.Counter("store.segment_bytes_written")
-		rng := rand.New(rand.NewSource(16))
+		internEvents(t, st, len(evs))
+		sl := logOf(st, 0)
 		var sealed []seqdb.Sequence
-		// The second round merges the first round's output again.
-		for round := 0; round < 2; round++ {
-			sealSegments(t, logOf(st, 0), rng, &sealed, compactMinRun)
-			before, w0 := liveSegments(t, dir), written.Value()
-			if err := st.Compact(); err != nil {
-				t.Fatal(err)
-			}
-			var merged int64
-			var outputs []string
-			for name, size := range liveSegments(t, dir) {
-				if _, old := before[name]; !old {
-					merged += size
-					outputs = append(outputs, name)
-				}
-			}
-			if len(outputs) != 1 {
-				t.Fatalf("round %d: Compact wrote %v, want one merged segment", round, outputs)
-			}
-			if got := written.Value() - w0; got != merged {
-				t.Fatalf("round %d: Compact raised store.segment_bytes_written by %d, merged file is %d bytes", round, got, merged)
-			}
+		// Seven barriers publish [0, 3) and [3, 6) and leave one trace in
+		// the tail for the checkpoint.
+		sealAndPublish(t, sl, &sealed, 7, evs)
+		if n := checkWritten(t, dir, reg); n != 2 {
+			t.Fatalf("%d live segments after 7 barriers at 3 traces a segment, want 2", n)
+		}
+		if !sl.TryLock() {
+			t.Fatal("TryLock failed with no producers")
+		}
+		err := sl.CheckpointLocked(sealed, len(sealed), nil)
+		sl.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := checkWritten(t, dir, reg); n != 3 {
+			t.Fatalf("%d live segments after the checkpoint, want 3", n)
 		}
 	})
 }
@@ -1002,5 +924,135 @@ func TestOpenGenerationIsNotARotation(t *testing.T) {
 	}
 	if rotations.Value() != 1 {
 		t.Fatalf("after a live checkpoint: %d rotations, want 1", rotations.Value())
+	}
+}
+
+// sealAndPublish commits n traces of evs into sl, each followed by a
+// barrier: a WAL flush, then PublishSegment over the shard's sealed list.
+func sealAndPublish(t *testing.T, sl *traceLog, sealed *[]seqdb.Sequence, n int, evs seqdb.Sequence) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("p%04d", len(*sealed))
+		if err := sl.commitEvents(id, evs); err != nil {
+			t.Fatal(err)
+		}
+		if err := sl.commitSeal(id); err != nil {
+			t.Fatal(err)
+		}
+		*sealed = append(*sealed, evs)
+		if err := sl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sl.PublishSegment(*sealed); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPublishSegmentWaitsForSegmentBytes: a barrier leaves the sealed tail
+// in the WAL until its estimated size reaches SegmentBytes, then writes the
+// whole tail as one segment; a checkpoint writes whatever tail remains.
+func TestPublishSegmentWaitsForSegmentBytes(t *testing.T) {
+	evs := seqdb.Sequence{0, 1, 2, 3}
+	perTrace := int64(tailBytesPerTrace + tailBytesPerEvent*len(evs))
+	dir := t.TempDir()
+	st := openStore(t, dir, func(o *Options) { o.SegmentBytes = 5 * perTrace })
+	internEvents(t, st, len(evs))
+	sl := logOf(st, 0)
+	var sealed []seqdb.Sequence
+
+	sealAndPublish(t, sl, &sealed, 4, evs)
+	if spans := st.SegmentSpans()[0]; len(spans) != 0 {
+		t.Fatalf("segments %v after 4 of the 5 traces SegmentBytes asks for", spans)
+	}
+	sealAndPublish(t, sl, &sealed, 7, evs)
+	if spans := st.SegmentSpans()[0]; len(spans) != 2 || spans[0] != [2]int{0, 5} || spans[1] != [2]int{5, 10} {
+		t.Fatalf("segments %v after 11 seals, want [[0 5] [5 10]]", spans)
+	}
+	if !sl.TryLock() {
+		t.Fatal("TryLock failed with no producers")
+	}
+	err := sl.CheckpointLocked(sealed, len(sealed), nil)
+	sl.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spans := st.SegmentSpans()[0]; len(spans) != 3 || spans[2] != [2]int{10, 11} {
+		t.Fatalf("segments %v after the checkpoint, want the one-trace tail [10 11] last", spans)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openStore(t, dir, nil)
+	defer st2.Close()
+	sequencesEqual(t, "recovered", st2.Recovered().Shards[0].Sequences, sealed)
+}
+
+// TestCatalogOutlivesLaterPublishes: a catalog taken during ingest stays
+// readable however many segments the store writes after it, since no
+// segment is ever merged away or removed while the store is open. Every old
+// entry loads, the store stays healthy and ingest goes on.
+func TestCatalogOutlivesLaterPublishes(t *testing.T) {
+	st := openStore(t, t.TempDir(), func(o *Options) { o.SegmentBytes = 1; o.WALRotateBytes = 512 })
+	defer st.Close()
+	internEvents(t, st, 10)
+	sl := logOf(st, 0)
+	rng := rand.New(rand.NewSource(21))
+	var sealed []seqdb.Sequence
+	for i := 0; i < 12; i++ {
+		sealAndPublish(t, sl, &sealed, 1, randomTrace(rng, 10))
+	}
+	old := st.Segments()
+	if len(old) != 12 {
+		t.Fatalf("%d catalog entries after 12 publishes at SegmentBytes 1", len(old))
+	}
+	checkpoints := 0
+	for i := 0; i < 40; i++ {
+		sealAndPublish(t, sl, &sealed, 1, randomTrace(rng, 10))
+		if sl.RotateDue() {
+			if !sl.TryLock() {
+				t.Fatal("TryLock failed with no producers")
+			}
+			err := sl.CheckpointLocked(sealed, len(sealed), nil)
+			sl.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkpoints++
+		}
+	}
+	if checkpoints == 0 {
+		t.Fatal("no WAL rotation while ingesting past the catalog")
+	}
+	for _, meta := range old {
+		seqs, _, err := st.LoadSegment(meta)
+		if err != nil {
+			t.Fatalf("loading old catalog entry [%d,%d): %v", meta.From, meta.To, err)
+		}
+		sequencesEqual(t, fmt.Sprintf("old entry [%d,%d)", meta.From, meta.To), seqs, sealed[meta.From:meta.To])
+	}
+	if err := st.Err(); err != nil {
+		t.Fatalf("store unhealthy after reading an old catalog: %v", err)
+	}
+	sealAndPublish(t, sl, &sealed, 1, randomTrace(rng, 10))
+}
+
+// TestStoreRunsNoGoroutine: a store does all its work on its callers'
+// goroutines, so opening, writing through and closing one leaves the
+// process's goroutine count where it was.
+func TestStoreRunsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	st := openStore(t, t.TempDir(), func(o *Options) { o.SegmentBytes = 1 })
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines with the store open, %d before", n, before)
+	}
+	internEvents(t, st, 4)
+	var sealed []seqdb.Sequence
+	sealAndPublish(t, logOf(st, 0), &sealed, 3, seqdb.Sequence{0, 1})
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("%d goroutines after Close, %d before Open", n, before)
 	}
 }

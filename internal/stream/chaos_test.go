@@ -16,7 +16,7 @@ import (
 
 // Chaos suite: randomized fault schedules (transient and permanent I/O
 // errors, short writes, torn renames, ENOSPC windows that clear) injected
-// under an interleaved ingest/seal/snapshot/rotate/compact workload. The
+// under an interleaved ingest/seal/snapshot/rotate/publish workload. The
 // invariants checked are schedule-independent:
 //
 //  1. Every operation either acks (nil error) or is rejected whole — a
@@ -38,11 +38,12 @@ import (
 const chaosShards = 3
 
 // chaosTweak shapes the store for maximum mechanism coverage: tiny rotation
-// and compaction budgets so generations turn and segments merge constantly,
-// and a short retry backoff so exhausted-retry paths don't dominate runtime.
+// and segment budgets so generations turn and barriers publish segments
+// constantly, and a short retry backoff so exhausted-retry paths don't
+// dominate runtime.
 func chaosTweak(o *store.Options) {
 	o.WALRotateBytes = 2048
-	o.CompactBytes = 8192
+	o.SegmentBytes = 256
 	o.RetryBackoff = 50 * time.Microsecond
 }
 
@@ -115,7 +116,7 @@ func runChaosSchedule(t *testing.T, seed int64) {
 	watermark := make([]int, chaosShards)
 	allEvents := map[string]seqdb.Sequence{}
 
-	st, err := store.Open(store.Options{Dir: dir, Shards: chaosShards, FS: ffs, WALRotateBytes: 2048, CompactBytes: 8192, RetryBackoff: 50 * time.Microsecond})
+	st, err := store.Open(store.Options{Dir: dir, Shards: chaosShards, FS: ffs, WALRotateBytes: 2048, SegmentBytes: 256, RetryBackoff: 50 * time.Microsecond})
 	if err != nil {
 		// The schedule tore store creation itself. Nothing was ever acked, so
 		// the clean reopen below must come up empty — that is the invariant.
@@ -188,9 +189,6 @@ func runChaosSchedule(t *testing.T, seed int64) {
 					watermark[s] = len(v.ShardDBs[s].Sequences)
 				}
 			}
-		}
-		if rng.Intn(97) == 0 {
-			_ = st.Compact() // classified into Health by the store itself
 		}
 	}
 

@@ -111,13 +111,12 @@ func requireSameReports(t *testing.T, label string, got, want []verify.RuleRepor
 // path that publishes segments outside rotation — fires once FlushBatch
 // traces were sealed since the last one, so every segment a barrier
 // publishes spans at least FlushBatch traces. (A barrier also rolls in
-// whatever its drain applied, so spans are not exact multiples.) FlushBatch
-// is above the store's own 64-trace publish threshold, so the bound is the
-// ingester's.
+// whatever its drain applied, so spans are not exact multiples.)
+// SegmentBytes 1 lifts the store's own size threshold, so every barrier
+// publishes and the bound is the ingester's.
 func TestFlushBatchBoundsSegmentSize(t *testing.T) {
 	const flushBatch, traces = 100, 250
-	// CompactBytes 1: no segment counts as small, so none is merged away.
-	st := openTestStore(t, t.TempDir(), 1, func(o *store.Options) { o.CompactBytes = 1 })
+	st := openTestStore(t, t.TempDir(), 1, func(o *store.Options) { o.SegmentBytes = 1 })
 	ing, err := Open(Config{FlushBatch: flushBatch, Store: st})
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +312,8 @@ func TestKillAndRecoverEquivalence(t *testing.T) {
 }
 
 // TestDurableConcurrentProducers hammers a durable ingester — rotations
-// forced by a tiny WAL budget, snapshots taken concurrently — from several
+// forced by a tiny WAL budget, segments published by barriers whose tail has
+// reached a tiny SegmentBytes, snapshots taken concurrently — from several
 // producers under -race, then closes everything and proves a reopened store
 // recovers exactly the final snapshot's per-shard state. Each producer leaves
 // its first trace open through every rotation to Close and seals its last
@@ -324,7 +324,7 @@ func TestDurableConcurrentProducers(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir, 4, func(o *store.Options) {
 		o.WALRotateBytes = 1024
-		o.CompactBytes = 4096
+		o.SegmentBytes = 64
 	})
 	ing, err := Open(Config{FlushBatch: 3, Buffer: 8, Store: st})
 	if err != nil {
@@ -406,11 +406,7 @@ func TestDurableConcurrentProducers(t *testing.T) {
 		t.Fatalf("final snapshot has %d traces want %d", final.DB.NumSequences(), producers*tracesPerProducer)
 	}
 	// The crash image holds the rotated WALs as the producers left them;
-	// the clean close below rewrites them from memory. Compact first, so no
-	// background merge moves files under the copy.
-	if err := st.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	// the clean close below rewrites them from memory.
 	crashDir := filepath.Join(t.TempDir(), "crash-image")
 	copyStoreTree(t, dir, crashDir)
 	if err := ing.Close(); err != nil {

@@ -41,10 +41,11 @@ type Config struct {
 	// Ingest blocks (backpressure) when a shard's buffer is full.
 	Buffer int
 	// FlushBatch is how many sealed traces a shard applies between barriers;
-	// default 32. In durable mode each barrier flushes the WAL and rolls the
-	// traces sealed since the last one into a segment file, so the value
-	// trades segment count against flush frequency. A Snapshot is a barrier
-	// too and restarts the count.
+	// default 32. In durable mode each barrier flushes the WAL and, once the
+	// shard's unsegmented sealed tail has reached the store's SegmentBytes,
+	// writes that tail as a segment file; so the value sets flush frequency,
+	// and segment size follows the store. A Snapshot is a barrier too and
+	// restarts the count.
 	FlushBatch int
 	// Dict supplies the event-name dictionary, which must be the one the
 	// rule set was mined against when Engine is set. Nil creates a fresh
@@ -70,7 +71,8 @@ type Config struct {
 	// Store, when non-nil, makes the ingester durable: every operation is
 	// appended to the store's per-shard write-ahead log before it is
 	// acknowledged, sealed traces are rolled into segment files at the
-	// FlushBatch barrier, and the ingester starts from the store's recovered
+	// FlushBatch barrier that finds a SegmentBytes-sized tail (and at every
+	// checkpoint), and the ingester starts from the store's recovered
 	// state — sealed shard databases, open traces (their online checkers
 	// re-advanced), and conformance reports re-seeded — exactly as if the
 	// process had never died. The store's shard count overrides Shards (it
@@ -646,7 +648,7 @@ func (sh *shard) handle(o op) {
 			// Whatever this snapshot exposes must be recoverable: force the
 			// WAL (and the dictionary log ahead of it) to the OS. Segments
 			// stay on the seal-batch cadence — a snapshot is a read barrier,
-			// not a compaction point — unless rotation is due, which must
+			// not a publish point — unless rotation is due, which must
 			// also fire on snapshot-heavy, seal-light workloads. Seals the
 			// drain applied had their WAL records flushed under the lock.
 			if sh.log.RotateDue() {
@@ -753,14 +755,14 @@ func (sh *shard) answerDeferredSnaps() {
 }
 
 // barrier is the shard's batched-flush point, reached every FlushBatch seals:
-// in durable mode the WAL is flushed and the traces sealed since the last
-// barrier are rolled into a segment file — so everything a snapshot exposes
-// is recoverable. When the WAL has outgrown its rotation budget the barrier
-// also starts a fresh generation. In memory-only mode it just publishes the
-// shard's batched counters.
+// in durable mode the WAL is flushed — so everything a snapshot exposes is
+// recoverable — and the shard's unsegmented sealed tail is rolled into a
+// segment file once it has reached the store's SegmentBytes. When the WAL has
+// outgrown its rotation budget the barrier also starts a fresh generation.
+// In memory-only mode it just publishes the shard's batched counters.
 //
 // Only the WAL flush and the (rare) rotation run under the producer-facing
-// log lock; the common-case segment publish — encode plus file write, an
+// log lock; a segment publish — encode plus file write, an
 // fsync in Sync mode — happens after release, so producers are never stalled
 // behind segment I/O. That is safe because sealed traces are immutable, the
 // covered counter is barrier-goroutine-only, and the WAL was flushed past
